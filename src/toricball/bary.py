@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .exact import rank, solve_in_basis, vec
+from .exact import is_zero_vec, pair, span_inverse, vec
 from .fan import Cone, Fan
 
 
@@ -59,6 +60,18 @@ class Flag:
     def sort_key(self):
         return tuple(c.sort_key() for c in self.cones)
 
+    @cached_property
+    def barycenters(self) -> tuple:
+        return tuple(barycenter(c) for c in self.cones)
+
+    @cached_property
+    def inverse(self) -> tuple:
+        """Exact (left inverse, annihilator) of the barycenters, computed
+        once per flag object; see exact.span_inverse.  The barycenters of
+        a flag are always linearly independent, so SingularMatrix here is
+        a bug.  Undefined for the empty flag."""
+        return span_inverse(self.barycenters)
+
     def __repr__(self):
         return "Flag(" + " < ".join(str(sorted(c.rays)) for c in self.cones) + ")"
 
@@ -70,13 +83,9 @@ class FlagCone:
     flag: Flag
     generators: tuple
 
-    def __post_init__(self):
-        # The barycenters of a flag are always linearly independent.
-        assert rank(self.generators) == len(self.generators)
-
 
 def flag_cone(flag: Flag) -> FlagCone:
-    return FlagCone(flag=flag, generators=tuple(barycenter(c) for c in flag))
+    return FlagCone(flag=flag, generators=flag.barycenters)
 
 
 def enumerate_flags(fan: Fan, only_maximal: bool = False):
@@ -120,8 +129,13 @@ def coords_in_flag(flag: Flag, x):
     Returns exact rationals, or None when x is off the linear span.
     The empty flag spans only the origin.
     """
-    fc = flag_cone(flag)
-    return solve_in_basis(fc.generators, vec(x))
+    x = vec(x)
+    if not flag.cones:
+        return () if is_zero_vec(x) else None
+    left, annihilator = flag.inverse
+    if any(pair(a, x) != 0 for a in annihilator):
+        return None
+    return tuple(pair(row, x) for row in left)
 
 
 def simplicial_coords(flag: Flag, x):

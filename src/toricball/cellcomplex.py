@@ -36,10 +36,6 @@ class BallModel:
     vertex_labels: tuple  # index 0 is the origin; others name cones by ray set
     simplices: dict  # dim -> frozenset of frozensets of vertex ids
 
-    def all_simplices(self):
-        for d in sorted(self.simplices):
-            yield from sorted(self.simplices[d], key=sorted)
-
     def f_vector(self):
         top = max(self.simplices) if self.simplices else -1
         return tuple(len(self.simplices.get(d, ())) for d in range(top + 1))
@@ -266,7 +262,7 @@ def verify_gluing(
         for sub_xi in _simplex_samples(rng, len(shared), half):
             p1 = param_boundary_point(atlas, f1, _embed_xi(sub_xi, f1, members), provenance=f"flag{i}")
             p2 = param_boundary_point(atlas, f2, _embed_xi(sub_xi, f2, members), provenance=f"flag{j}")
-            gap = _value_gap(atlas, p1, p2)
+            gap = atlas.value_gap(p1, p2)
             report.shared_samples += 1
             if gap is None or gap > tol:
                 report.passed = False
@@ -289,23 +285,6 @@ def verify_gluing(
                     {"kind": "distinct", "flags": [i, j], "xi": [list(xi1), list(xi2)]}
                 )
     return report
-
-
-def _value_gap(atlas: Atlas, p, q):
-    """Scaled sup gap between two points after localizing to the shared
-    cone; None when they do not both localize (definitely distinct)."""
-    from .charts import NotInOpenSet
-
-    shared = atlas.fan.cone(p.cone.rays & q.cone.rays)
-    try:
-        lp = atlas.localize(p, shared)
-        lq = atlas.localize(q, shared)
-    except NotInOpenSet:
-        return None
-    return max(
-        (abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(lp.values, lq.values)),
-        default=0.0,
-    )
 
 
 # ---------------------------------------------------------------------------

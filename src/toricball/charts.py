@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 
 from . import cones as _ck
-from .bary import Flag, barycenter, enumerate_flags, simplicial_coords
-from .exact import dual_basis, pair, vadd, vscale
+from .bary import Flag, enumerate_flags, simplicial_coords
+from .exact import pair, vadd, vscale
 from .fan import Cone, Fan
 
 TWO_PI = 2.0 * math.pi
@@ -120,12 +120,15 @@ def theta_preimage(w):
     return tuple(z)
 
 
-def delta_chain_violation(w) -> float:
-    """How far w is from the simplex 0 <= w_1 <= ... <= w_n <= 1 (0 = inside)."""
+def delta_chain_violation(w):
+    """How far w is from the simplex 0 <= w_1 <= ... <= w_n <= 1 (0 = inside).
+
+    Exact for rational w, so a zero answer certifies membership.
+    """
     worst = 0.0
-    prev = 0.0
-    for x in list(w) + [1.0]:
-        worst = max(worst, float(prev) - float(x))
+    prev = 0
+    for x in list(w) + [1]:
+        worst = max(worst, prev - x)
         prev = x
     return worst
 
@@ -189,6 +192,25 @@ def exp_flag(u):
     return tuple(math.exp(-TWO_PI * float(c)) for c in u)
 
 
+def chart_violations(chart: Chart) -> int:
+    """Number of broken invariants of the exponent data: one per pairing
+    row that is negative or decreasing, per triangular row with a nonzero
+    entry below the diagonal or a nonpositive diagonal, and per b row
+    whose partial sums miss its pairing row."""
+    n, b = chart.n, chart.b
+    bad = 0
+    for row in chart.c:
+        if any(v < 0 for v in row) or any(row[j] < row[j - 1] for j in range(1, n)):
+            bad += 1
+    for i in range(n):
+        if any(b[i][j] != 0 for j in range(i)) or b[i][i] <= 0:
+            bad += 1
+    for i, row in enumerate(chart.c):
+        if any(sum(b[i][: k + 1]) != row[k] for k in range(n)):
+            bad += 1
+    return bad
+
+
 class Atlas:
     """All charts of a complete fan, with shared semigroup caches.
 
@@ -231,31 +253,25 @@ class Atlas:
         for h in hb.generators:
             if h not in gens:
                 gens.append(h)
-        barys = tuple(barycenter(c) for c in flag.cones)
+        barys = flag.barycenters
         c_mat = tuple(tuple(int(pair(g, B)) for B in barys) for g in gens)
         b_mat = tuple(
             tuple(row[0] if j == 0 else row[j] - row[j - 1] for j in range(n))
             for row in c_mat
         )
-        beta = dual_basis(barys)
         hilbert_rows = tuple(gens.index(h) for h in hb.generators)
-        # Invariants forced by the construction; a failure is a bug here.
-        for i, row in enumerate(c_mat):
-            assert all(v >= 0 for v in row), "pairing matrix must be nonnegative"
-            assert all(row[j] >= row[j - 1] for j in range(1, n)), "rows must be nondecreasing"
-            assert all(v >= 0 for v in b_mat[i]), "exponents must be nonnegative"
-        for i in range(n):
-            assert all(b_mat[i][j] == 0 for j in range(i)), "triangular block broken"
-            assert b_mat[i][i] > 0, "triangular diagonal must be positive"
-        return Chart(
+        chart = Chart(
             flag=flag,
             generators=tuple(gens),
-            beta=beta,
+            beta=flag.inverse[0],
             c=c_mat,
             b=b_mat,
             barycenters=barys,
             hilbert_rows=hilbert_rows,
         )
+        # Forced by the construction; a violation is a bug here.
+        assert chart_violations(chart) == 0, "chart exponent data breaks its invariants"
+        return chart
 
     # -- points ---------------------------------------------------------
 
@@ -333,29 +349,30 @@ class Atlas:
         values = tuple(_value_at(p.values, coeffs) / v_alpha**k for k, coeffs in rows)
         return ToricPoint(cone=tau, values=values, provenance=p.provenance + "|localized")
 
-    def points_equal(self, p: ToricPoint, q: ToricPoint, tol: float = 1e-9) -> bool:
-        """Whether two intrinsic points coincide in the variety.
+    def value_gap(self, p: ToricPoint, q: ToricPoint):
+        """Sup gap between two points after localizing both to the chart
+        of their carriers' intersection cone, each term scaled by the
+        magnitude of the values (localized values may leave [0, 1]).
 
-        Both are localized to the chart of the carriers' intersection
-        cone; they are equal iff both localize and the localized values
-        agree within tol (scaled by magnitude, since localized values
-        may leave [0, 1]).  If at most one localizes the points live in
+        None when at most one of them localizes: the points then live in
         different charts and are distinct.
         """
         shared = self.fan.cone(p.cone.rays & q.cone.rays)
         try:
             lp = self.localize(p, shared)
-        except NotInOpenSet:
-            lp = None
-        try:
             lq = self.localize(q, shared)
         except NotInOpenSet:
-            lq = None
-        if lp is None or lq is None:
-            return False
-        return all(
-            abs(a - b) <= tol * max(1.0, abs(a), abs(b)) for a, b in zip(lp.values, lq.values)
+            return None
+        return max(
+            (abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(lp.values, lq.values)),
+            default=0.0,
         )
+
+    def points_equal(self, p: ToricPoint, q: ToricPoint, tol: float = 1e-9) -> bool:
+        """Whether two intrinsic points coincide in the variety: both
+        localize to the shared chart and their value gap is within tol."""
+        gap = self.value_gap(p, q)
+        return gap is not None and gap <= tol
 
     def semigroup_residual(self, p: ToricPoint) -> float:
         """Worst violation of the semigroup law among pairwise additive

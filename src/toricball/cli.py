@@ -10,49 +10,25 @@ Commands (see README for examples):
                                          full check suite, exit 4 on failure
     mesh <file> --radii R,.. --res K     OFF meshes of rescaled spheres
 
-Reports are JSON on stdout (or under --out); with a fixed seed and
+The checks behind `verify` are the table in toricball.verify; this
+module only parses arguments, loads fans and writes results.  Reports
+are JSON on stdout (or under --out); with a fixed seed and
 configuration they are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
-import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from . import cones as _ck
-from .bary import (
-    Flag,
-    barycenter,
-    cover_check,
-    enumerate_flags,
-    flag_cone,
-    simplicial_coords,
-)
-from .cellcomplex import (
-    build_ball_model,
-    build_orbit_complex,
-    euler_characteristic,
-    pseudomanifold_check,
-    verify_gluing,
-    verify_regularity,
-)
-from .charts import Atlas, NotInImage, exp_flag, psi_eval, psi_invert, theta, theta_preimage
-from .exact import vadd, vscale
+from .bary import barycenter, enumerate_flags, flag_cone
+from .charts import Atlas
 from .fan import Fan, FanValidationError, ParseError, parse_and_validate
-from .homeo import (
-    bary_to_delta,
-    nonextension_probe,
-    param_boundary_point,
-    phi_coords,
-    phi_inverse_coords,
-    rescale_in_flag,
-)
+from .homeo import bary_to_delta, param_boundary_point, phi_point
+from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -61,9 +37,16 @@ EXIT_INCOMPLETE = 3
 EXIT_CHECK_FAILED = 4
 
 
-def _load(path, require_complete):
-    text = Path(path).read_text()
-    return parse_and_validate(text, require_complete=require_complete)
+def _parse_or_exit(args):
+    """(fan, EXIT_OK) for a valid fan file, else (None, exit code)."""
+    try:
+        return parse_and_validate(Path(args.file).read_text(), require_complete=False), EXIT_OK
+    except ParseError as e:
+        print(f"parse error: {e}", file=sys.stderr)
+        return None, EXIT_PARSE
+    except FanValidationError as e:
+        print(f"invalid fan: {e}", file=sys.stderr)
+        return None, EXIT_INVALID
 
 
 def _emit(doc, out):
@@ -81,14 +64,9 @@ def _emit(doc, out):
 
 
 def cmd_validate(args) -> int:
-    try:
-        fan = _load(args.file, require_complete=False)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except FanValidationError as e:
-        print(f"invalid fan: {e}", file=sys.stderr)
-        return EXIT_INVALID
+    fan, code = _parse_or_exit(args)
+    if fan is None:
+        return code
     complete, cert = fan.is_complete()
     doc = {
         "fan": fan.name,
@@ -106,14 +84,9 @@ def cmd_validate(args) -> int:
 
 def _load_or_exit(args):
     """Shared loading contract for chart-level commands."""
-    try:
-        fan = _load(args.file, require_complete=False)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return None, EXIT_PARSE
-    except FanValidationError as e:
-        print(f"invalid fan: {e}", file=sys.stderr)
-        return None, EXIT_INVALID
+    fan, code = _parse_or_exit(args)
+    if fan is None:
+        return None, code
     complete, _ = fan.is_complete()
     if not complete:
         print("fan is not complete", file=sys.stderr)
@@ -178,235 +151,8 @@ def cmd_param(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify (the checks themselves live in the verify module)
 # ---------------------------------------------------------------------------
-
-
-def _random_cone_point(rng, flag, scale=4):
-    """Exact rational point of the flag's cone (nonnegative coordinates)."""
-    u = [Fraction(rng.randint(0, 1000 * scale), 1000) for _ in flag.cones]
-    gens = flag_cone(flag).generators
-    x = tuple([Fraction(0)] * len(gens[0])) if gens else ()
-    for ui, g in zip(u, gens):
-        x = vadd(x, vscale(ui, g))
-    return u, x
-
-
-def _delta_samples(rng, n, count, strata_each=50):
-    """Simplex-chain samples, including zero-prefix boundary strata."""
-    out = []
-    for j in range(1, n + 1):
-        for _ in range(strata_each):
-            tail = sorted(rng.random() for _ in range(n - j))
-            out.append(tuple([0.0] * j + tail))
-    while len(out) < count:
-        out.append(tuple(sorted(rng.random() for _ in range(n))))
-    return out[:count]
-
-
-def run_verification(fan: Fan, tol: float = 1e-9, samples: int = 100, seed: int = 0, tamper: bool = False):
-    """Run every certification suite on a complete fan.
-
-    Returns a JSON-ready report; report["passed"] is the overall verdict.
-    With tamper=True one chart's exponent matrix is perturbed first, as a
-    negative control: the monomial-diagram check must then fail.
-    """
-    rng = random.Random(seed)
-    atlas = Atlas(fan)
-    charts = atlas.charts()
-    if tamper and charts:
-        chart = charts[0]
-        b = [list(r) for r in chart.b]
-        b[-1][-1] += 1
-        hacked = dataclasses.replace(chart, b=tuple(tuple(r) for r in b))
-        atlas._charts[chart.flag] = hacked
-        charts = atlas.charts()
-    checks = []
-
-    def record(name, passed, **details):
-        checks.append({"name": name, "passed": bool(passed), **details})
-
-    n = fan.dim
-
-    # Chart invariants: exponent matrices must carry the triangular shape.
-    bad = 0
-    for chart in charts:
-        for i, row in enumerate(chart.c):
-            if any(v < 0 for v in row) or any(row[j] < row[j - 1] for j in range(1, n)):
-                bad += 1
-        for i in range(n):
-            if any(chart.b[i][j] != 0 for j in range(i)) or chart.b[i][i] <= 0:
-                bad += 1
-        for i, row in enumerate(chart.c):
-            if any(sum(chart.b[i][: k + 1]) != row[k] for k in range(n)):
-                bad += 1
-    record("chart_invariants", bad == 0, charts=len(charts), violations=bad)
-
-    # Monomial diagram: both routes into the ambient chart agree.
-    worst = 0.0
-    for chart in charts:
-        for _ in range(samples):
-            _, x = _random_cone_point(rng, chart.flag)
-            worst = max(worst, atlas.commutativity_residual(chart, x))
-    record("monomial_diagram", worst <= tol, worst_residual=worst, samples_per_chart=samples)
-
-    # Injectivity: the triangular inversion recovers simplex points.
-    worst = 0.0
-    ok = True
-    for chart in charts:
-        for w in _delta_samples(rng, n, 500):
-            y = psi_eval(chart, w)
-            try:
-                back = psi_invert(chart, y, tol=1e-8)
-            except NotInImage:
-                ok = False
-                continue
-            worst = max(worst, max(abs(a - b) for a, b in zip(w, back)) if n else 0.0)
-    record("simplex_inversion", ok and worst <= 1e-10, worst_gap=worst)
-
-    # theta: image inside the simplex chain, preimage via suffix ratios.
-    worst = 0.0
-    for _ in range(500):
-        z = tuple(rng.random() for _ in range(n))
-        w = theta(z)
-        prev = 0.0
-        for x in list(w) + [1.0]:
-            worst = max(worst, prev - x)
-            prev = x
-        w2 = theta(theta_preimage(w))
-        worst = max(worst, max((abs(a - b) for a, b in zip(w, w2)), default=0.0))
-    record("theta_map", worst <= 1e-12, worst_gap=worst)
-
-    # Rescaling calculus: exact inverse and subflag gluing.
-    worst = 0.0
-    for k in range(1, n + 1):
-        for _ in range(1000):
-            u = tuple(rng.random() * 5 for _ in range(k))
-            back = phi_inverse_coords(phi_coords(u))
-            worst = max(worst, max(abs(a - b) for a, b in zip(u, back)))
-    record("rescale_roundtrip", worst <= 1e-10, worst_gap=worst)
-
-    worst = 0.0
-    subflag_ok = True
-    for flag in enumerate_flags(fan, only_maximal=True):
-        members = list(flag.cones)
-        for mask in range(1, 2**n - 1):
-            sub = Flag(tuple(members[i] for i in range(n) if mask >> i & 1))
-            _, x = _random_cone_point(rng, sub)
-            via_sub = rescale_in_flag(sub, x)
-            via_full = rescale_in_flag(flag, x)
-            worst = max(worst, max((abs(a - b) for a, b in zip(via_sub, via_full)), default=0.0))
-            # Subflag points must have zero coordinates off the subflag.
-            u_full = simplicial_coords(flag, x)
-            for i in range(n):
-                if not mask >> i & 1 and u_full[i] != 0:
-                    subflag_ok = False
-    record("rescale_gluing", subflag_ok and worst <= 1e-12, worst_gap=worst)
-
-    # Barycentric composite: the boundary parameterization agrees with
-    # psi . theta . exp . Phi on the interior, and with the ratio formula.
-    worst = 0.0
-    chain_ok = True
-    for chart in charts:
-        for _ in range(50):
-            raw = [rng.random() + 0.01 for _ in range(n + 1)]
-            total = sum(raw)
-            xi = tuple(Fraction(x).limit_denominator(10**6) / Fraction(total).limit_denominator(10**6) for x in raw)
-            xi = tuple(x / sum(xi) for x in xi)
-            direct = param_boundary_point(atlas, chart.flag, xi)
-            u = tuple(float(x / xi[0]) for x in xi[1:])
-            composite = psi_eval(chart, theta(exp_flag(phi_coords(u))))
-            comp_point = tuple(composite[i] for i in chart.hilbert_rows)
-            worst = max(worst, max(abs(a - b) for a, b in zip(direct.values, comp_point)))
-            w = bary_to_delta(xi)
-            ratio = [
-                (1 + sum(u[:j])) / (1 + sum(u)) for j in range(n)
-            ]
-            worst = max(worst, max(abs(float(a) - b) for a, b in zip(w, ratio)))
-            prev = Fraction(0)
-            for x in list(bary_to_delta(xi)) + [Fraction(1)]:
-                if Fraction(x) < prev:
-                    chain_ok = False
-                prev = Fraction(x)
-    record("barycentric_composite", chain_ok and worst <= tol, worst_gap=worst)
-
-    # Covering of N_R by the maximal flag cones.
-    record("cover", cover_check(fan, samples=200, seed=seed))
-
-    # Ball model combinatorics.
-    model = build_ball_model(fan)
-    chi = euler_characteristic(model.simplices)
-    boundary_chi = euler_characteristic(model.boundary_simplices())
-    pm = pseudomanifold_check(model)
-    record(
-        "ball_model",
-        chi == 1 and boundary_chi == 1 + (-1) ** (n - 1) and pm.passed,
-        euler=chi,
-        boundary_euler=boundary_chi,
-        top_simplices=len(model.maximal_simplices()),
-        pseudomanifold=pm.passed,
-        issues=list(pm.issues),
-    )
-
-    orbit = build_orbit_complex(fan)
-    record(
-        "orbit_complex",
-        orbit.euler_characteristic() == 1 and len(orbit.top_cells()) == 1,
-        euler=orbit.euler_characteristic(),
-        top_cells=len(orbit.top_cells()),
-    )
-
-    glue = verify_gluing(atlas, samples_per_pair=50, tol=tol, seed=seed)
-    record(
-        "intersection_gluing",
-        glue.passed,
-        pairs=glue.pairs_checked,
-        worst_shared_gap=glue.worst_shared_gap,
-        counterexamples=glue.counterexamples[:5],
-    )
-
-    reg = verify_regularity(fan)
-    record("regularity", reg.passed, cells=len(reg.cells))
-
-    # Semigroup generation: minimality of every stored basis.
-    min_ok = True
-    for cone in fan.cones():
-        sem = atlas.hilbert(cone)
-        if _ck.minimality_violations(sem):
-            min_ok = False
-    record("hilbert_minimality", min_ok, cones=len(fan.cones()))
-
-    # Semigroup law on embedded points.
-    worst = 0.0
-    for cone in fan.maximal_cones():
-        for _ in range(10):
-            x = tuple(Fraction(rng.randint(-2000, 2000), 1000) for _ in range(n))
-            p = atlas.expi_point(x, cone)
-            worst = max(worst, atlas.semigroup_residual(p))
-    record("semigroup_law", worst <= tol, worst_gap=worst)
-
-    if n == 2:
-        flags = enumerate_flags(fan, only_maximal=True)
-        vals = [nonextension_probe(atlas, flags[0], c, s) for c in (1.0, 2.0) for s in (0.5, 3.0, 9.0)]
-        second = [v[1] for v in vals]
-        stable = max(abs(second[i] - second[i + 1]) for i in (0, 1, 3, 4))
-        separated = abs(second[0] - second[3]) > 0.1 * max(second[0], second[3])
-        firsts_to_zero = vals[2][0] < 1e-10 and vals[5][0] < 1e-10
-        record(
-            "nonextension_probe",
-            stable <= 1e-12 and separated and firsts_to_zero,
-            second_coordinates=[second[0], second[3]],
-        )
-
-    passed = all(c["passed"] for c in checks)
-    return {
-        "fan": fan.name,
-        "dim": fan.dim,
-        "seed": seed,
-        "tolerance": tol,
-        "passed": passed,
-        "checks": checks,
-    }
 
 
 def cmd_verify(args) -> int:
@@ -462,7 +208,7 @@ def _mesh_sphere(fan: Fan, radius: float, res: int):
                 direction = tuple(a * x + c * y for x, y in zip(b1, b2))
                 norm = math.sqrt(sum(v * v for v in direction))
                 scale = radius / norm
-                vid(_phi_point(gens, [a * scale, c * scale]))
+                vid(phi_point(gens, [a * scale, c * scale], fan.dim))
         else:
             grid = {}
             b1, b2, b3 = gens
@@ -474,7 +220,7 @@ def _mesh_sphere(fan: Fan, radius: float, res: int):
                     )
                     norm = math.sqrt(sum(v * v for v in direction))
                     scale = radius / norm
-                    point = _phi_point(gens, [i * scale, j * scale, k * scale])
+                    point = phi_point(gens, [i * scale, j * scale, k * scale], fan.dim)
                     grid[(i, j)] = vid(point)
             for i in range(res):
                 for j in range(res - i):
@@ -486,17 +232,6 @@ def _mesh_sphere(fan: Fan, radius: float, res: int):
         order = sorted(range(len(vertices)), key=lambda i: math.atan2(vertices[i][1], vertices[i][0]))
         faces = [order]
     return vertices, faces
-
-
-def _phi_point(gens, u):
-    from .homeo import phi_coords
-
-    v = phi_coords(u)
-    out = [0.0] * len(gens[0])
-    for vj, g in zip(v, gens):
-        for i in range(len(out)):
-            out[i] += vj * g[i]
-    return tuple(out)
 
 
 def _mesh_boundary(fan: Fan):

@@ -16,11 +16,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-Scalar = "int | Fraction"
-Vec = "tuple[int | Fraction, ...]"
-IntVec = "tuple[int, ...]"
-
-
 class DimensionMismatch(ValueError):
     """Operands have inconsistent dimensions."""
 
@@ -72,10 +67,6 @@ def unit_vector(i: int, n: int) -> tuple:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def mat_vec(rows, x) -> tuple:
-    return tuple(pair(r, x) for r in rows)
-
-
 def transpose(rows) -> tuple:
     return tuple(zip(*rows)) if rows else ()
 
@@ -106,18 +97,21 @@ def primitive(v) -> tuple:
     return tuple(a // g for a in ints)
 
 
-def is_primitive(v) -> bool:
-    return all(isinstance(a, int) or Fraction(a).denominator == 1 for a in v) and gcd_vec(v) == 1
+def _rref(rows, ncols: int):
+    """Gauss-Jordan elimination over the first ncols columns.
 
-
-def rank(rows) -> int:
-    """Rank of a matrix over the rationals, by exact elimination."""
+    The one elimination kernel of this module: rows may carry augmented
+    columns past ncols, which are reduced along.  Returns the reduced
+    rows (lists of Fractions, pivot rows on top, each pivot 1 and alone
+    in its column) and the pivot column indices.
+    """
     work = [[Fraction(a) for a in r] for r in rows]
-    if not work:
-        return 0
-    m, n = len(work), len(work[0])
-    r = 0
-    for c in range(n):
+    m = len(work)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
         piv = next((i for i in range(r, m) if work[i][c] != 0), None)
         if piv is None:
             continue
@@ -128,10 +122,15 @@ def rank(rows) -> int:
             if i != r and work[i][c] != 0:
                 f = work[i][c]
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+        pivots.append(c)
+    return work, pivots
+
+
+def rank(rows) -> int:
+    """Rank of a matrix over the rationals, by exact elimination."""
+    if not rows:
+        return 0
+    return len(_rref(rows, len(rows[0]))[1])
 
 
 def invert(rows) -> tuple:
@@ -139,18 +138,9 @@ def invert(rows) -> tuple:
     m = len(rows)
     if any(len(r) != m for r in rows):
         raise DimensionMismatch("inversion needs a square matrix")
-    work = [[Fraction(a) for a in r] + [Fraction(int(i == j)) for j in range(m)] for i, r in enumerate(rows)]
-    for c in range(m):
-        piv = next((i for i in range(c, m) if work[i][c] != 0), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        work[c], work[piv] = work[piv], work[c]
-        inv = 1 / work[c][c]
-        work[c] = [a * inv for a in work[c]]
-        for i in range(m):
-            if i != c and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
+    work, pivots = _rref([list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)], m)
+    if len(pivots) < m:
+        raise SingularMatrix("matrix is singular")
     return tuple(tuple(row[m:]) for row in work)
 
 
@@ -167,6 +157,30 @@ def dual_basis(basis: Sequence) -> tuple:
     return transpose(inv)
 
 
+def _reduce_columns(basis: Sequence, extra: Sequence) -> list:
+    """Reduce [basis^T | extra] over the basis columns; raise
+    SingularMatrix when the basis vectors are linearly dependent."""
+    k = len(basis)
+    work, pivots = _rref([[b[i] for b in basis] + list(e) for i, e in enumerate(extra)], k)
+    if len(pivots) < k:
+        raise SingularMatrix("basis vectors are linearly dependent")
+    return work
+
+
+def span_inverse(basis: Sequence) -> tuple:
+    """Exact left inverse L and annihilator A of independent vectors.
+
+    For k linearly independent n-vectors (k >= 1), L is k x n with
+    L @ basis_j = e_j, and the n - k rows of A span the functionals
+    vanishing on their span: x lies in the span iff A @ x == 0, and then
+    L @ x are its coordinates.  Raises SingularMatrix on dependent input.
+    """
+    k, n = len(basis), len(basis[0])
+    work = _reduce_columns(basis, [unit_vector(i, n) for i in range(n)])
+    rows = tuple(tuple(row[k:]) for row in work)
+    return rows[:k], rows[k:]
+
+
 def solve_in_basis(basis: Sequence, x) -> "tuple | None":
     """Coordinates u with sum_j u_j * basis_j = x, or None if x is off-span.
 
@@ -176,30 +190,12 @@ def solve_in_basis(basis: Sequence, x) -> "tuple | None":
     k = len(basis)
     if k == 0:
         return () if is_zero_vec(x) else None
-    n = len(basis[0])
-    if len(x) != n:
+    if len(x) != len(basis[0]):
         raise DimensionMismatch("solve_in_basis")
-    # Row-reduce the augmented system [B^T | x].
-    work = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(x[i])] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if work[i][c] != 0), None)
-        if piv is None:
-            raise SingularMatrix("basis vectors are linearly dependent")
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [a * inv for a in work[r]]
-        for i in range(n):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, n):
-        if work[i][k] != 0:
-            return None
-    return tuple(work[j][k] for j in range(k))
+    work = _reduce_columns(basis, [(a,) for a in x])
+    if any(row[k] != 0 for row in work[k:]):
+        return None
+    return tuple(row[k] for row in work[:k])
 
 
 def row_hermite(rows: Sequence) -> tuple:

@@ -371,14 +371,10 @@ def star_fan(fan: Fan, sigma: Cone) -> Fan:
                 ray_pool.append(r)
             indices.add(ray_index[r])
         image_cones.append(frozenset(indices))
-    unique_cones = []
-    for s in image_cones:
-        if s not in unique_cones:
-            unique_cones.append(s)
     return validate_fan(
         m,
         ray_pool,
-        unique_cones,
+        list(dict.fromkeys(image_cones)),
         require_complete=False,
         name=f"{fan.name}/star{sorted(sigma.rays)}",
     )

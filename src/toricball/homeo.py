@@ -24,10 +24,8 @@ import math
 from fractions import Fraction
 
 from .bary import Flag, flag_cone, locate_flag, simplicial_coords
-from .charts import Atlas, Chart, ToricPoint, psi_eval, theta
+from .charts import TWO_PI, Atlas, ToricPoint, psi_eval, theta
 from .fan import Fan
-
-TWO_PI = 2.0 * math.pi
 
 
 def phi_jk(u, j: int) -> float:
@@ -54,18 +52,20 @@ def phi_inverse_coords(v):
     return tuple(out)
 
 
-def rescale_in_flag(flag: Flag, x):
-    """Phi on the flag's cone: rescale the simplicial coordinates of x
-    and re-assemble in the barycenter basis.  Raises NotInCone off-cone."""
-    u = simplicial_coords(flag, x)
-    v = phi_coords(u)
-    gens = flag_cone(flag).generators
-    n = len(x)
+def phi_point(generators, u, n: int):
+    """Phi of simplicial coordinates u on the cone of the given
+    barycenters, re-assembled as a point of R^n in that basis."""
     out = [0.0] * n
-    for vj, g in zip(v, gens):
+    for vj, g in zip(phi_coords(u), generators):
         for i in range(n):
             out[i] += vj * g[i]
     return tuple(out)
+
+
+def rescale_in_flag(flag: Flag, x):
+    """Phi on the flag's cone: rescale the simplicial coordinates of x
+    and re-assemble in the barycenter basis.  Raises NotInCone off-cone."""
+    return phi_point(flag_cone(flag).generators, simplicial_coords(flag, x), len(x))
 
 
 def rescale_global(fan: Fan, x):

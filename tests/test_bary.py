@@ -3,11 +3,13 @@
 import pytest
 
 import toricball as tb
+from conftest import get_atlas, get_fan
 from toricball.bary import (
     Flag,
     NotInCone,
     barycenter,
     containing_flags,
+    coords_in_flag,
     cover_check,
     cover_samples,
     enumerate_flags,
@@ -17,7 +19,7 @@ from toricball.bary import (
     locate_flag,
     simplicial_coords,
 )
-from toricball.exact import rank
+from toricball.exact import dual_basis, rank, solve_in_basis, unit_vector, vec
 
 
 def test_barycenter_examples(p2, cube_fan):
@@ -135,3 +137,24 @@ def test_locate_flag_incomplete_raises():
     fan = tb.validate_fan(2, [(1, 0), (0, 1)], [[0, 1]], require_complete=False)
     with pytest.raises(NotInCone):
         locate_flag(fan, (-5, -7))
+
+
+@pytest.mark.parametrize("name", ["p2", "p112", "twisted_p3"])
+def test_coords_in_flag_matches_reference_solve(name):
+    # The per-flag exact inverse must agree with a fresh elimination on
+    # every flag (empty, partial, maximal), including None off the span.
+    fan = get_fan(name)
+    units = [unit_vector(i, fan.dim) for i in range(fan.dim)]
+    samples = cover_samples(fan, count=20, seed=0)
+    for flag in enumerate_flags(fan):
+        gens = flag_cone(flag).generators
+        points = list(samples)
+        if 0 < len(flag) < fan.dim:
+            e = next(u for u in units if solve_in_basis(gens, u) is None)
+            off_span = tuple(a + b for a, b in zip(gens[0], e))
+            assert coords_in_flag(flag, off_span) is None
+            points.append(off_span)
+        for x in points:
+            assert coords_in_flag(flag, x) == solve_in_basis(gens, vec(x))
+    for chart in get_atlas(name).charts():
+        assert chart.beta == dual_basis(chart.barycenters)

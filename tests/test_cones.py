@@ -196,7 +196,8 @@ def test_triangular_generators_p1xp1():
 
 def test_triangular_pattern_generic(p3=None):
     # Strict/zero pattern against barycenters holds for every maximal
-    # flag of a bigger fan (the constructor asserts it; re-check here).
+    # flag of a bigger fan (chart construction asserts it through
+    # charts.chart_violations; re-check here).
     import toricball as tb
 
     fan = tb.load_bundled("p3")

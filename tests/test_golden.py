@@ -1,0 +1,32 @@
+"""Byte-for-byte regression against reports and meshes stored in
+tests/data/golden.  Unlike the determinism tests, which compare two runs
+of the same code, these fail when a change to the library moves any
+reported number or mesh vertex."""
+
+from pathlib import Path
+
+import pytest
+
+import toricball as tb
+from toricball.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+CASES = [
+    ("verify_p2", ["verify", "p2", "--seed", "0", "--samples", "20"], 0),
+    ("verify_p112", ["verify", "p112", "--seed", "0", "--samples", "20"], 0),
+    ("verify_p2_tamper", ["verify", "p2", "--seed", "0", "--samples", "20", "--tamper"], 4),
+    ("mesh_p2", ["mesh", "p2", "--radii", "2", "--res", "5"], 0),
+    ("mesh_p1xp1xp1", ["mesh", "p1xp1xp1", "--radii", "2", "--res", "2"], 0),
+]
+
+
+@pytest.mark.parametrize("case, argv, code", CASES, ids=[c[0] for c in CASES])
+def test_output_matches_golden(case, argv, code, tmp_path, capsys):
+    command, fan, *rest = argv
+    assert main([command, str(tb.bundled_path(fan)), *rest, "--out", str(tmp_path)]) == code
+    capsys.readouterr()
+    expected = sorted(p.name for p in (GOLDEN / case).iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    for name in expected:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
