@@ -192,6 +192,18 @@ def exp_flag(u):
     return tuple(math.exp(-TWO_PI * float(c)) for c in u)
 
 
+def exp_pairings(gens, x):
+    """e^(-2 pi <g, x>) for each g in gens, at an exact rational x.
+
+    The pairings are taken against x's integer numerators over one common
+    denominator d; int / int true division is correctly rounded, so each
+    float equals float(pair(g, x)) without Fraction arithmetic per g.
+    """
+    d = math.lcm(*(c.denominator for c in x))
+    nums = [int(c * d) for c in x]
+    return tuple(math.exp(-TWO_PI * (pair(g, nums) / d)) for g in gens)
+
+
 def chart_violations(chart: Chart) -> int:
     """Number of broken invariants of the exponent data: one per pairing
     row that is negative or decreasing, per triangular row with a nonzero
@@ -278,8 +290,7 @@ class Atlas:
     def expi_point(self, x, cone: Cone, provenance: str = "expi") -> ToricPoint:
         """Image of x in N_R under the exponential embedding, read off on
         the Hilbert basis of the carrier cone: value e^(-2 pi <h, x>)."""
-        sem = self.hilbert(cone)
-        values = tuple(math.exp(-TWO_PI * float(pair(h, x))) for h in sem.generators)
+        values = exp_pairings(self.hilbert(cone).generators, x)
         return ToricPoint(cone=cone, values=values, provenance=provenance)
 
     def chart_point(self, chart: Chart, w, provenance: str = "chart") -> ToricPoint:
@@ -293,7 +304,7 @@ class Atlas:
         and the direct exponential embedding, over all m coordinates."""
         u = simplicial_coords(chart.flag, x)
         lhs = psi_eval(chart, theta(exp_flag(u)))
-        rhs = tuple(math.exp(-TWO_PI * float(pair(g, x))) for g in chart.generators)
+        rhs = exp_pairings(chart.generators, x)
         return max(abs(a - b) for a, b in zip(lhs, rhs))
 
     # -- localization and equality ---------------------------------------

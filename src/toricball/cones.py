@@ -7,7 +7,15 @@ on top of it.  All computations are exact; the only algorithms here are
   * a double description pass (halfspace-at-a-time) for dual cones and
     facet enumeration,
   * a placing triangulation plus fundamental-parallelepiped enumeration
-    for semigroup generators, with reduction to irreducibles,
+    for semigroup generators, reduced to irreducibles in increasing
+    degree against an interior functional (as in Normaliz): a candidate
+    is kept unless it minus an already-kept element stays in the cone,
+  * a depth-first decomposition over a semigroup's generators, pruned
+    at residuals outside the dual cone and at failed states,
+  * a pairwise minimality certificate: a pointed generator g is flagged
+    when g - h lies in the dual cone for another pointed generator h.
+    An empty answer certifies minimality outright; a flagged g is
+    redundant provided the set generates the semigroup,
   * the upper-triangular generator selection for a maximal flag of
     cones.
 
@@ -153,18 +161,28 @@ def minimal_generators(gens: Sequence, n: int):
     return dual_generators(generator_list(dlin, drays), n)
 
 
+def facets_of(gens: Sequence, drays: Sequence):
+    """Facets of cone(gens), given the dual's extreme rays drays, as
+    (normal, generator-index frozenset) pairs ordered by index set.
+
+    Rays cutting the same generator subset are reported once, by the
+    first of them.
+    """
+    facets = {}
+    for d in drays:
+        face = frozenset(i for i, g in enumerate(gens) if pair(d, g) == 0)
+        facets.setdefault(face, d)
+    return tuple((normal, face) for face, normal in sorted(facets.items(), key=lambda kv: sorted(kv[0])))
+
+
 def facet_normal_faces(gens: Sequence, n: int):
     """Facets of cone(gens) as (normal, generator-index frozenset) pairs.
 
     Each normal is an extreme ray class of the dual cone; normals cutting
     the same generator subset are reported once.
     """
-    dlin, drays = dual_generators(gens, n)
-    facets = {}
-    for d in drays:
-        face = frozenset(i for i, g in enumerate(gens) if pair(d, g) == 0)
-        facets.setdefault(face, d)
-    return tuple((normal, face) for face, normal in sorted(facets.items(), key=lambda kv: sorted(kv[0])))
+    _, drays = dual_generators(gens, n)
+    return facets_of(gens, drays)
 
 
 def face_index_sets(gens: Sequence, n: int):
@@ -270,7 +288,15 @@ def _parallelepiped_points(simplex_rays: Sequence, n: int):
 
 
 def _pointed_semigroup_generators(rays: Sequence, n: int):
-    """Hilbert basis of (full-dimensional pointed cone) intersect Z^n."""
+    """Hilbert basis of (full-dimensional pointed cone) intersect Z^n.
+
+    Candidates are reduced in increasing degree against y, the sum of
+    the dual's rays, which is positive on every nonzero point of the
+    cone.  A candidate g is reducible iff g - h lies in the cone for some
+    candidate h of smaller degree (equal degree forces g == h), and then
+    also for an irreducible one, by induction on degree; so testing only
+    against the elements kept so far finds the same basis.
+    """
     if not rays:
         return ()
     dlin, drays = dual_generators(rays, n)
@@ -278,21 +304,14 @@ def _pointed_semigroup_generators(rays: Sequence, n: int):
     candidates = _dedupe([primitive(r) for r in rays])
     for simplex in _placing_triangulation(list(rays), n):
         candidates.extend(_parallelepiped_points(simplex, n))
-    candidates = _dedupe(candidates)
-    inside = lambda v: all(pair(d, v) >= 0 for d in drays)
-    basis = []
-    for g in candidates:
-        reducible = False
-        for h in candidates:
-            if h == g:
-                continue
-            diff = vsub(g, h)
-            if not is_zero_vec(diff) and inside(diff):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(g)
-    return tuple(sorted(basis))
+    y = tuple(sum(d[i] for d in drays) for i in range(n))
+    # g - h lies in the cone iff g pairs at least as high as h with every d.
+    kept = []
+    for g in sorted(_dedupe(candidates), key=lambda v: pair(v, y)):
+        vg = [pair(d, g) for d in drays]
+        if not any(all(a >= b for a, b in zip(vg, vh)) for _, vh in kept):
+            kept.append((g, vg))
+    return tuple(sorted(g for g, _ in kept))
 
 
 @dataclass(frozen=True)
@@ -364,6 +383,12 @@ def decompose(sem: SemigroupGens, m) -> "tuple | None":
     positively with the interior point, which bounds their coefficients;
     the residual is then solved exactly in the lineality basis.  Returns
     None when m is not in the semigroup.
+
+    Two prunings keep the search small without changing which solution
+    it finds first: a residual outside the dual cone cannot be completed
+    (every generator lies in the cone), and whether a subtree fails
+    depends only on its (position, residual) state, so failed states are
+    remembered and not searched again.
     """
     y0 = sem.interior_point
     pointed = list(sem.pointed)
@@ -373,6 +398,7 @@ def decompose(sem: SemigroupGens, m) -> "tuple | None":
         return None
     order = sorted(range(len(pointed)), key=lambda i: -weights[i])
     coeffs = [0] * len(pointed)
+    failed = set()
 
     def close(residual):
         if sem.lineality:
@@ -382,26 +408,24 @@ def decompose(sem: SemigroupGens, m) -> "tuple | None":
             return [int(x) for x in c]
         return [] if is_zero_vec(residual) else None
 
-    def search(pos, remaining):
+    def search(pos, residual, remaining):
         if pos == len(order):
-            if remaining != 0:
-                return None
-            residual = m
-            for i, h in enumerate(pointed):
-                if coeffs[i]:
-                    residual = vsub(residual, vscale(coeffs[i], h))
-            return close(residual)
+            return close(residual) if remaining == 0 else None
+        if (pos, residual) in failed:
+            return None
         i = order[pos]
-        top = remaining // weights[i]
-        for a in range(int(top), -1, -1):
+        for a in range(int(remaining // weights[i]), -1, -1):
+            rest = vsub(residual, vscale(a, pointed[i]))
+            if not sem.contains(rest):
+                continue
             coeffs[i] = a
-            got = search(pos + 1, remaining - a * weights[i])
+            got = search(pos + 1, rest, remaining - a * weights[i])
             if got is not None:
                 return got
-            coeffs[i] = 0
+        failed.add((pos, residual))
         return None
 
-    lin_coeffs = search(0, target)
+    lin_coeffs = search(0, tuple(m), target)
     if lin_coeffs is None:
         return None
     out = list(coeffs)
@@ -412,23 +436,29 @@ def decompose(sem: SemigroupGens, m) -> "tuple | None":
 
 
 def minimality_violations(sem: SemigroupGens):
-    """Pointed generators expressible over the remaining generators.
+    """(g, h) pairs of pointed generators, g at index i and h at some
+    index j != i (so duplicates are caught), with g - h in the dual cone;
+    h is the first such reducer.
 
-    Empty for a genuine Hilbert basis.  The +- lineality pairs are
-    minimal by construction (their images vanish in the pointed
-    quotient, so no nonnegative combination of the others reaches them)
-    and are not re-tested.
+    Soundness: if g is a combination of the other generators, some
+    pointed h occurs in it, because pointed generators pair strictly
+    positively with interior_point and the lineality pairs to zero; then
+    g - h is a combination of generators, hence in the dual cone.  So an
+    empty answer certifies minimality unconditionally.  A flagged g is
+    redundant whenever the set generates the semigroup (g - h is then a
+    combination of generators).  The +- lineality pairs are minimal by
+    construction (their images vanish in the pointed quotient, so no
+    nonnegative combination of the others reaches them) and are not
+    re-tested.
     """
+    # sem.contains(g - h) iff g pairs at least as high as h with every ray.
+    values = [[pair(g, v) for v in sem.cone_rays] for g in sem.pointed]
     bad = []
-    for i, g in enumerate(sem.pointed):
-        reduced = SemigroupGens(
-            cone_rays=sem.cone_rays,
-            pointed=sem.pointed[:i] + sem.pointed[i + 1 :],
-            lineality=sem.lineality,
-            interior_point=sem.interior_point,
-        )
-        if decompose(reduced, g) is not None:
-            bad.append(g)
+    for i, (g, vg) in enumerate(zip(sem.pointed, values)):
+        for j, (h, vh) in enumerate(zip(sem.pointed, values)):
+            if j != i and all(a >= b for a, b in zip(vg, vh)):
+                bad.append((g, h))
+                break
     return tuple(bad)
 
 

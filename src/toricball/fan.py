@@ -66,11 +66,7 @@ class Cone:
     @property
     def facet_normals(self):
         """Inward facet normals, one per facet, vanishing exactly on it."""
-        seen = {}
-        for d in self.dual_rays:
-            facet = frozenset(i for i, g in enumerate(self.generators) if pair(d, g) == 0)
-            seen.setdefault(facet, d)
-        return tuple(seen[f] for f in sorted(seen, key=sorted))
+        return tuple(normal for normal, _ in _ck.facets_of(self.generators, self.dual_rays))
 
     @property
     def dual_generators(self):

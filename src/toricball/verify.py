@@ -189,10 +189,17 @@ def _regularity(ctx):
 
 
 def _hilbert_minimality(ctx):
-    """Every stored semigroup basis is minimal."""
+    """Every stored semigroup basis is minimal; on failure, names up to
+    five generators with a reducer (see cones.minimality_violations)."""
     cones = ctx.fan.cones()
-    ok = not any(_ck.minimality_violations(ctx.atlas.hilbert(cone)) for cone in cones)
-    return ok, {"cones": len(cones)}
+    witnesses = [
+        {"cone": sorted(cone.rays), "generator": list(g), "reducer": list(h)}
+        for cone in cones
+        for g, h in _ck.minimality_violations(ctx.atlas.hilbert(cone))
+    ]
+    if not witnesses:
+        return True, {"cones": len(cones)}
+    return False, {"cones": len(cones), "witnesses": witnesses[:5]}
 
 
 def _semigroup_law(ctx):

@@ -2,18 +2,23 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricball as tb
 from toricball.bary import Flag
+from toricball.exact import pair, vadd, vscale
 from toricball.charts import (
     Atlas,
     NotInImage,
     NotInOpenSet,
     ToricPoint,
     exp_flag,
+    exp_pairings,
     invert_triangular,
     monomial_eval,
     psi_eval,
@@ -293,3 +298,57 @@ def test_chart_point_extracts_hilbert_rows(atlas_p2):
     # Hilbert generators of the orthant dual are ((0,1),(1,0)):
     # values (w2, w1).
     assert p.values == (0.4, 0.3)
+
+
+@st.composite
+def _rational(draw):
+    kind = draw(st.sampled_from(["int", "negative", "large"]))
+    if kind == "int":
+        return draw(st.integers(-5, 5))
+    den = draw(st.integers(1, 50) if kind == "negative" else st.integers(10**6, 10**30))
+    num = draw(st.integers(-5 * den, -1 if kind == "negative" else 5 * den))
+    return Fraction(num, den)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=6),
+            st.tuples(*[_rational()] * n),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_exp_pairings_matches_fraction_pairing(case):
+    gens, x = case
+    assert exp_pairings(gens, x) == tuple(math.exp(-TWO_PI * float(pair(g, x))) for g in gens)
+
+
+def test_localization_rule_high_multiplicity_bounded():
+    """The slowest rule of P(1,1,1,27), from its multiplicity-27 cone to
+    the zero cone, stays within a budget (10 s on a 2-core VM), and
+    every row recombines exactly to h + k*alpha."""
+    fan = tb.validate_fan(
+        3,
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -27)],
+        [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
+    )
+    atlas = Atlas(fan)
+    sigma, zero = fan.cone({0, 1, 3}), fan.zero_cone()
+    start = time.perf_counter()
+    kind, alpha_coeffs, rows = atlas._localization_rule(sigma, zero)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0, elapsed
+    gens = atlas.hilbert(sigma).generators
+
+    def combine(coeffs):
+        total = (0, 0, 0)
+        for c, g in zip(coeffs, gens):
+            total = vadd(total, vscale(c, g))
+        return total
+
+    alpha = combine(alpha_coeffs)
+    assert kind == "shift" and all(c >= 0 for c in alpha_coeffs)
+    for h, (k, coeffs) in zip(atlas.hilbert(zero).generators, rows):
+        assert all(c >= 0 for c in coeffs)
+        assert combine(coeffs) == vadd(h, vscale(k, alpha))

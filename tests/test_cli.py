@@ -164,3 +164,38 @@ def test_mesh_deterministic(tmp_path, capsys):
 
 def test_mesh_unsupported_dim(capsys):
     assert main(["mesh", fan_path("p1"), "--radii", "1", "--res", "4"]) == 2
+
+
+def test_hilbert_minimality_names_witnesses():
+    """A passing check reports only the cone count; with the sum of two
+    generators appended to every basis it names at most five cones with
+    the redundant generator and a reducer."""
+    import dataclasses
+    import random
+
+    from toricball import verify
+
+    fan = tb.load_bundled("p112")
+    atlas = tb.Atlas(fan)
+    ctx = verify.Context(fan, atlas, [], [], fan.dim, 1e-9, 0, 0, random.Random(0))
+    cones = fan.cones()
+    assert verify._hilbert_minimality(ctx) == (True, {"cones": len(cones)})
+    for cone in cones:
+        sem = atlas.hilbert(cone)
+        if sem.pointed:
+            a, b = sem.generators[:2]
+            total = tuple(x + y for x, y in zip(a, b))
+            atlas._hilbert[cone.rays] = dataclasses.replace(sem, pointed=sem.pointed + (total,))
+    passed, details = verify._hilbert_minimality(ctx)
+    assert not passed
+    # On a ray's halfplane, a + b also makes a redundant (a = (a + b) - b).
+    assert details == {
+        "cones": len(cones),
+        "witnesses": [
+            {"cone": [0], "generator": [1, 0], "reducer": [1, 1]},
+            {"cone": [0], "generator": [1, 1], "reducer": [1, 0]},
+            {"cone": [1], "generator": [0, 1], "reducer": [1, 1]},
+            {"cone": [1], "generator": [1, 1], "reducer": [0, 1]},
+            {"cone": [2], "generator": [-1, 0], "reducer": [-3, 1]},
+        ],
+    }

@@ -1,5 +1,6 @@
 """Dual cones, Hilbert bases, relative interior points, triangular picks."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from toricball.cones import (
     relative_interior_point,
     triangular_generators,
 )
-from toricball.exact import pair, vsub
+from toricball.exact import pair, solve_in_basis, vsub
 from toricball.fan import validate_fan
 
 
@@ -134,10 +135,96 @@ def test_decompose_with_lineality():
     assert decompose(sem, (-1, 2)) is None
 
 
+def _unpruned_decompose(sem, m):
+    """Reference for decompose: the same depth-first search (generator
+    order, coefficients tried from the top down) without its prunings."""
+    pointed = list(sem.pointed)
+    weights = [pair(h, sem.interior_point) for h in pointed]
+    order = sorted(range(len(pointed)), key=lambda i: -weights[i])
+    coeffs = [0] * len(pointed)
+
+    def search(pos, residual, remaining):
+        if pos == len(order):
+            if remaining != 0:
+                return None
+            if not sem.lineality:
+                return [] if not any(residual) else None
+            c = solve_in_basis(sem.lineality, residual)
+            if c is None or any(Fraction(x).denominator != 1 for x in c):
+                return None
+            return [int(x) for x in c]
+        i = order[pos]
+        for a in range(int(remaining // weights[i]), -1, -1):
+            coeffs[i] = a
+            got = search(pos + 1, vsub(residual, tuple(a * x for x in pointed[i])), remaining - a * weights[i])
+            if got is not None:
+                return got
+        return None
+
+    target = pair(m, sem.interior_point)
+    lin = search(0, tuple(m), target) if target >= 0 else None
+    if lin is None:
+        return None
+    return tuple(coeffs) + tuple(x for c in lin for x in (max(c, 0), max(-c, 0)))
+
+
+def test_decompose_matches_unpruned_search():
+    """The prunings change no answer: same first solution, same None."""
+    import toricball as tb
+
+    cones = [SINGULAR.cone({0, 1}), RAY2.cone({0}), _fan(2, [(1, 0), (1, 5)], [[0, 1]]).cone({0, 1})]
+    cones += tb.load_bundled("p112").cones()
+    for cone in cones:
+        sem = hilbert_basis(cone)
+        for p in itertools.product(range(-7, 8), repeat=2):
+            assert decompose(sem, p) == _unpruned_decompose(sem, p), (cone, p)
+    # The numerical semigroup <3, 5> makes the search backtrack (9 = 3 * 3
+    # after 5 + 3 leaves 1), which a Hilbert basis of these cones never does.
+    line = validate_fan(1, [(1,), (-1,)], [[0], [1]]).cone({0})
+    sem = dataclasses.replace(hilbert_basis(line), pointed=((3,), (5,)))
+    for k in range(-2, 30):
+        assert decompose(sem, (k,)) == _unpruned_decompose(sem, (k,)), k
+
+
 def test_minimality_violations_empty():
     for fan in (ORTHANT, SINGULAR, RAY2):
         for cone in fan.cones():
             assert minimality_violations(hilbert_basis(cone)) == ()
+
+
+def _with_pointed(sem, extra):
+    return dataclasses.replace(sem, pointed=sem.pointed + (extra,))
+
+
+@pytest.mark.parametrize("cone", [SINGULAR.cone({0, 1}), RAY2.cone({0})], ids=["singular", "halfplane"])
+def test_minimality_violations_negative_controls(cone):
+    sem = hilbert_basis(cone)
+    a, b = sem.generators[:2]
+    total = tuple(x + y for x, y in zip(a, b))
+    # With a lineality, a + b also makes a redundant (a = (a + b) - b).
+    bad = dict(minimality_violations(_with_pointed(sem, total)))
+    assert list(bad) == ([a, total] if sem.lineality else [total])
+    assert sem.contains(vsub(total, bad[total]))
+    # A duplicate is reduced by its twin, in both positions.
+    assert minimality_violations(_with_pointed(sem, a)) == ((a, a), (a, a))
+
+
+def test_minimality_violations_match_oracle():
+    """The pairwise certificate names exactly the generators the
+    enumeration oracle finds redundant, on genuine bases and on bases
+    with the sum of two generators appended."""
+    import toricball as tb
+
+    for name in ("p2", "p112", "twisted_p3"):
+        for cone in tb.load_bundled(name).cones():
+            sem = hilbert_basis(cone)
+            variants = [sem]
+            if sem.pointed and len(sem.generators) > 1:
+                g0, g1 = sem.generators[:2]
+                variants.append(_with_pointed(sem, tuple(x + y for x, y in zip(g0, g1))))
+            for s in variants:
+                expected = [g for g in s.pointed if oracle_generates(s, g, skip=g)]
+                assert [g for g, _ in minimality_violations(s)] == expected
 
 
 def test_double_dual_over_bundled_fans():

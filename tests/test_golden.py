@@ -16,6 +16,13 @@ CASES = [
     ("verify_p2", ["verify", "p2", "--seed", "0", "--samples", "20"], 0),
     ("verify_p112", ["verify", "p112", "--seed", "0", "--samples", "20"], 0),
     ("verify_p2_tamper", ["verify", "p2", "--seed", "0", "--samples", "20", "--tamper"], 4),
+    # P(1,1,1,9): multiplicity-9 cones, so large Hilbert bases and long
+    # localization searches; the input fan is stored next to its report.
+    (
+        "verify_wps_1_1_1_9",
+        ["verify", str(GOLDEN / "verify_wps_1_1_1_9" / "fan.json"), "--seed", "0", "--samples", "20"],
+        0,
+    ),
     ("mesh_p2", ["mesh", "p2", "--radii", "2", "--res", "5"], 0),
     ("mesh_p1xp1xp1", ["mesh", "p1xp1xp1", "--radii", "2", "--res", "2"], 0),
 ]
@@ -24,9 +31,10 @@ CASES = [
 @pytest.mark.parametrize("case, argv, code", CASES, ids=[c[0] for c in CASES])
 def test_output_matches_golden(case, argv, code, tmp_path, capsys):
     command, fan, *rest = argv
-    assert main([command, str(tb.bundled_path(fan)), *rest, "--out", str(tmp_path)]) == code
+    fan_file = str(tb.bundled_path(fan)) if fan in tb.BUNDLED_FANS else fan
+    assert main([command, fan_file, *rest, "--out", str(tmp_path)]) == code
     capsys.readouterr()
-    expected = sorted(p.name for p in (GOLDEN / case).iterdir())
+    expected = sorted(p.name for p in (GOLDEN / case).iterdir() if p.name != "fan.json")
     assert sorted(p.name for p in tmp_path.iterdir()) == expected
     for name in expected:
         assert (tmp_path / name).read_bytes() == (GOLDEN / case / name).read_bytes(), name
