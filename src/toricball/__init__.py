@@ -44,9 +44,7 @@ from .charts import (
     theta_preimage,
 )
 from .cones import (
-    DualCone,
     SemigroupGens,
-    dual_cone,
     hilbert_basis,
     relative_interior_point,
     triangular_generators,

@@ -14,11 +14,10 @@ across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .exact import is_zero_vec, pair, span_inverse, vec
-from .fan import Cone, Fan
+from .fan import Cone, Fan, ridge_pairing
 
 
 class NotInCone(ValueError):
@@ -170,28 +169,62 @@ def locate_flag(fan: Fan, x) -> Flag:
     raise NotInCone(f"{x} is not covered by any maximal flag cone (incomplete fan?)")
 
 
-def cover_samples(fan: Fan, count: int, seed: int, box: int = 7):
-    """Deterministic sample set for covering/gluing checks: uniform
-    integer vectors in a box, every barycenter, and all pairwise
-    barycenter midpoints (exact halves hit low-dimensional strata)."""
-    import random
+def cover_check(fan: Fan):
+    """Exact certificate that the maximal flag cones cover N_R exactly once.
 
-    rng = random.Random(seed)
+    Returns (True, None), or (False, witness) naming the first violated
+    condition, in this order:
+
+      1. every ridge of a maximal flag (the flag without its member k)
+         bounds exactly two maximal flags (witness: ridge, count);
+      2. the two lie on opposite sides of it: row k of the first flag's
+         left inverse vanishes on the ridge and is 1 on B_k, so it must
+         be negative at the other flag's dropped barycenter (witness:
+         ridge and the two flag indices);
+      3. the interior point sum_j B_j of the first maximal flag lies in
+         exactly one maximal flag cone (witness: point, count).
+
+    Soundness (the degree argument, Fulton, Introduction to Toric
+    Varieties, section 2): off the union W of the faces of codimension
+    two, a point on the boundary of a flag cone lies in the relative
+    interior of exactly one of its ridges, and by 1 and 2 the partner
+    across that ridge fills the other half of a neighbourhood.  So the
+    number of cones over a point, with boundary points counted one half
+    per cone, is locally constant on the connected set N_R minus W.  By
+    3 the interior point lies in no other cone, hence not in W, and the
+    number is 1 there, so it is 1 everywhere: the cones cover a dense
+    set, hence all of N_R (they are closed), and their interiors are
+    disjoint.  Rank 0 is covered by the empty flag.
+    """
     n = fan.dim
-    samples = []
-    barys = [vec(barycenter(c)) for c in fan.cones() if c.dim > 0]
-    samples.extend(barys)
-    for i, b1 in enumerate(barys):
-        for b2 in barys[i + 1 :]:
-            samples.append(tuple((a + b) * Fraction(1, 2) for a, b in zip(b1, b2)))
-    for _ in range(count):
-        samples.append(tuple(rng.randint(-box, box) for _ in range(n)))
-    return samples
-
-
-def cover_check(fan: Fan, samples: int = 200, seed: int = 0) -> bool:
-    """Certify by exact sampling that the maximal flag cones cover N_R."""
-    for x in cover_samples(fan, samples, seed):
-        if not any(flag_contains(f, x) for f in enumerate_flags(fan, only_maximal=True)):
-            return False
-    return True
+    if n == 0:
+        return True, None
+    flags = enumerate_flags(fan, only_maximal=True)
+    ridges = [[tuple(c.rays for j, c in enumerate(f.cones) if j != k) for k in range(n)] for f in flags]
+    bounds, _ = ridge_pairing((i, ridge) for i, rs in enumerate(ridges) for ridge in rs)
+    for i, flag in enumerate(flags):
+        for k, ridge in enumerate(ridges[i]):
+            incident = bounds[ridge]
+            if len(incident) != 2:
+                return False, {
+                    "reason": "ridge not shared by exactly two maximal flags",
+                    "ridge": [sorted(rays) for rays in ridge],
+                    "count": len(incident),
+                }
+            other = incident[1] if incident[0] == i else incident[0]
+            if other < i:
+                continue  # this pair was tested from the other side
+            dropped = next(
+                b for c, b in zip(flags[other].cones, flags[other].barycenters) if c.rays not in ridge
+            )
+            if pair(flag.inverse[0][k], dropped) >= 0:
+                return False, {
+                    "reason": "flags on the same side of their shared ridge",
+                    "ridge": [sorted(rays) for rays in ridge],
+                    "flags": [i, other],
+                }
+    point = tuple(sum(b[j] for b in flags[0].barycenters) for j in range(n)) if flags else (0,) * n
+    count = len(containing_flags(fan, point))
+    if count != 1:
+        return False, {"reason": "point not in exactly one flag cone", "point": list(point), "count": count}
+    return True, None

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .bary import Flag, enumerate_flags, flag_intersection
 from .charts import Atlas
-from .fan import Fan, star_fan
+from .fan import Fan, ridge_pairing, star_fan
 from .homeo import param_boundary_point
 
 
@@ -105,47 +105,31 @@ def pseudomanifold_check(model: BallModel) -> PseudomanifoldReport:
     issues = []
     tops = list(model.simplices.get(n, ()))
     if not tops:
-        if n == 0:
-            # A point: single vertex, nothing to check.
-            ok = len(model.simplices.get(0, ())) == 1
-            return PseudomanifoldReport(ok, () if ok else ("rank-0 model must be a point",), 0, ok)
         return PseudomanifoldReport(False, ("no top-dimensional simplices",), 0, False)
-    if n >= 1:
-        for ridge in sorted(model.simplices.get(n - 1, ()), key=sorted):
-            count = sum(1 for t in tops if ridge <= t)
-            expected = 2 if 0 in ridge else 1
-            if count != expected:
-                issues.append(f"face {sorted(ridge)} lies in {count} top simplices, expected {expected}")
+
+    def facets(simplices):
+        return ((s, s - {v}) for s in simplices for v in s)
+
+    bounds, reached = ridge_pairing(facets(tops))
+    for ridge in sorted(model.simplices.get(n - 1, ()), key=sorted):
+        count = len(bounds.get(ridge, ()))
+        expected = 2 if 0 in ridge else 1
+        if count != expected:
+            issues.append(f"face {sorted(ridge)} lies in {count} top simplices, expected {expected}")
     if n >= 2:
-        boundary_ridges = [s for s in model.simplices.get(n - 2, ()) if 0 not in s]
         boundary_tops = [s for s in model.simplices.get(n - 1, ()) if 0 not in s]
+        boundary_bounds, _ = ridge_pairing(facets(boundary_tops))
+        boundary_ridges = [s for s in model.simplices.get(n - 2, ()) if 0 not in s]
         for ridge in sorted(boundary_ridges, key=sorted):
-            count = sum(1 for t in boundary_tops if ridge <= t)
+            count = len(boundary_bounds.get(ridge, ()))
             if count != 2:
                 issues.append(
                     f"boundary face {sorted(ridge)} lies in {count} boundary facets, expected 2"
                 )
-    # Dual graph connectivity.
-    connected = True
-    if len(tops) > 1:
-        adjacency = {i: set() for i in range(len(tops))}
-        for i in range(len(tops)):
-            for j in range(i + 1, len(tops)):
-                if len(tops[i] & tops[j]) == n:
-                    adjacency[i].add(j)
-                    adjacency[j].add(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            cur = stack.pop()
-            for nb in adjacency[cur]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        connected = len(seen) == len(tops)
-        if not connected:
-            issues.append("dual adjacency graph of top simplices is disconnected")
-    return PseudomanifoldReport(not issues and connected, tuple(issues), len(tops), connected)
+    connected = reached == len(tops)
+    if not connected:
+        issues.append("dual adjacency graph of top simplices is disconnected")
+    return PseudomanifoldReport(not issues, tuple(issues), len(tops), connected)
 
 
 @dataclass(frozen=True)
@@ -260,8 +244,8 @@ def verify_gluing(
         members = {c.rays for c in shared.cones}
         report.pairs_checked += 1
         for sub_xi in _simplex_samples(rng, len(shared), half):
-            p1 = param_boundary_point(atlas, f1, _embed_xi(sub_xi, f1, members), provenance=f"flag{i}")
-            p2 = param_boundary_point(atlas, f2, _embed_xi(sub_xi, f2, members), provenance=f"flag{j}")
+            p1 = param_boundary_point(atlas, f1, _embed_xi(sub_xi, f1, members))
+            p2 = param_boundary_point(atlas, f2, _embed_xi(sub_xi, f2, members))
             gap = atlas.value_gap(p1, p2)
             report.shared_samples += 1
             if gap is None or gap > tol:
@@ -276,8 +260,8 @@ def verify_gluing(
         for xi1, xi2 in zip(
             _interior_samples(rng, len(f1), half), _interior_samples(rng, len(f2), half)
         ):
-            p1 = param_boundary_point(atlas, f1, xi1, provenance=f"flag{i}")
-            p2 = param_boundary_point(atlas, f2, xi2, provenance=f"flag{j}")
+            p1 = param_boundary_point(atlas, f1, xi1)
+            p2 = param_boundary_point(atlas, f2, xi2)
             report.distinct_samples += 1
             if atlas.points_equal(p1, p2, tol=tol):
                 report.passed = False

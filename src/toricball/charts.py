@@ -57,7 +57,6 @@ class Chart:
     beta: tuple  # rational basis dual to the flag's barycenters
     c: tuple  # m x n pairing matrix, nonnegative, rows nondecreasing
     b: tuple  # m x n exponent matrix of psi
-    barycenters: tuple
     hilbert_rows: tuple  # row index of each Hilbert basis element
 
     @property
@@ -66,7 +65,7 @@ class Chart:
 
     @property
     def n(self) -> int:
-        return len(self.barycenters)
+        return len(self.flag)
 
     @property
     def m(self) -> int:
@@ -91,7 +90,6 @@ class ToricPoint:
 
     cone: Cone
     values: tuple
-    provenance: str = ""
 
 
 def theta(z):
@@ -278,7 +276,6 @@ class Atlas:
             beta=flag.inverse[0],
             c=c_mat,
             b=b_mat,
-            barycenters=barys,
             hilbert_rows=hilbert_rows,
         )
         # Forced by the construction; a violation is a bug here.
@@ -287,17 +284,17 @@ class Atlas:
 
     # -- points ---------------------------------------------------------
 
-    def expi_point(self, x, cone: Cone, provenance: str = "expi") -> ToricPoint:
+    def expi_point(self, x, cone: Cone) -> ToricPoint:
         """Image of x in N_R under the exponential embedding, read off on
         the Hilbert basis of the carrier cone: value e^(-2 pi <h, x>)."""
         values = exp_pairings(self.hilbert(cone).generators, x)
-        return ToricPoint(cone=cone, values=values, provenance=provenance)
+        return ToricPoint(cone=cone, values=values)
 
-    def chart_point(self, chart: Chart, w, provenance: str = "chart") -> ToricPoint:
+    def chart_point(self, chart: Chart, w) -> ToricPoint:
         """ToricPoint of the chart's top cone at simplex coordinates w."""
         y = psi_eval(chart, w)
         values = tuple(y[i] for i in chart.hilbert_rows)
-        return ToricPoint(cone=chart.top_cone, values=values, provenance=provenance)
+        return ToricPoint(cone=chart.top_cone, values=values)
 
     def commutativity_residual(self, chart: Chart, x) -> float:
         """Sup-norm gap between the monomial route psi(theta(exp_F(x)))
@@ -356,9 +353,9 @@ class Atlas:
         _, alpha_coeffs, rows = rule
         v_alpha = _value_at(p.values, alpha_coeffs)
         if v_alpha <= 0.0:
-            raise NotInOpenSet(f"value at the cutting functional is zero ({p.provenance})")
+            raise NotInOpenSet("value at the cutting functional is zero")
         values = tuple(_value_at(p.values, coeffs) / v_alpha**k for k, coeffs in rows)
-        return ToricPoint(cone=tau, values=values, provenance=p.provenance + "|localized")
+        return ToricPoint(cone=tau, values=values)
 
     def value_gap(self, p: ToricPoint, q: ToricPoint):
         """Sup gap between two points after localizing both to the chart

@@ -207,38 +207,6 @@ def face_index_sets(gens: Sequence, n: int):
     return faces
 
 
-@dataclass(frozen=True)
-class DualCone:
-    """Dual cone in the character lattice of a cone in N.
-
-    rays      : primitive extreme ray classes of the dual.
-    lineality : lattice vectors spanning the orthogonal complement of the
-                base cone's span (empty iff the base cone is full-dim).
-    normals   : the base cone's primitive generators, acting as inward
-                facet normals of the dual.
-    """
-
-    rays: tuple
-    lineality: tuple
-    normals: tuple
-    ambient_dim: int
-
-    @property
-    def generators(self):
-        return generator_list(self.lineality, self.rays)
-
-    def contains(self, alpha) -> bool:
-        return all(pair(alpha, v) >= 0 for v in self.normals)
-
-
-def dual_cone(cone) -> DualCone:
-    """Dual of a fan cone (anything with .generators and an ambient dim)."""
-    gens = cone.generators
-    n = cone.ambient_dim if hasattr(cone, "ambient_dim") else len(gens[0])
-    dlin, drays = dual_generators(gens, n)
-    return DualCone(rays=drays, lineality=dlin, normals=tuple(gens), ambient_dim=n)
-
-
 # ---------------------------------------------------------------------------
 # Semigroup generators (Hilbert bases)
 # ---------------------------------------------------------------------------
@@ -345,8 +313,8 @@ class SemigroupGens:
 def hilbert_basis(cone) -> SemigroupGens:
     """Generators of the semigroup of lattice points of the dual cone."""
     gens = tuple(cone.generators)
-    n = cone.ambient_dim if hasattr(cone, "ambient_dim") else (len(gens[0]) if gens else 0)
-    dlin, drays = dual_generators(gens, n)
+    n = cone.ambient_dim
+    dlin, drays = cone.dual_lineality, cone.dual_rays
     interior = tuple(sum(g[i] for g in gens) for i in range(n)) if gens else tuple([0] * n)
     if not dlin:
         return SemigroupGens(
@@ -408,26 +376,35 @@ def decompose(sem: SemigroupGens, m) -> "tuple | None":
             return [int(x) for x in c]
         return [] if is_zero_vec(residual) else None
 
-    def search(pos, residual, remaining):
-        if pos == len(order):
-            return close(residual) if remaining == 0 else None
-        if (pos, residual) in failed:
-            return None
+    def children(pos, residual, remaining):
         i = order[pos]
         for a in range(int(remaining // weights[i]), -1, -1):
             rest = vsub(residual, vscale(a, pointed[i]))
-            if not sem.contains(rest):
-                continue
-            coeffs[i] = a
-            got = search(pos + 1, rest, remaining - a * weights[i])
-            if got is not None:
-                return got
-        failed.add((pos, residual))
-        return None
+            if sem.contains(rest):
+                coeffs[i] = a
+                yield pos + 1, rest, remaining - a * weights[i]
 
-    lin_coeffs = search(0, tuple(m), target)
-    if lin_coeffs is None:
-        return None
+    # Depth-first over an explicit stack of open states, each with the
+    # iterator of its remaining children, so the depth is not bounded by
+    # Python's recursion limit.
+    path = []
+    state = (0, tuple(m), target)
+    while True:
+        if state is not None:
+            pos, residual, remaining = state
+            if pos == len(order):
+                lin_coeffs = close(residual) if remaining == 0 else None
+                if lin_coeffs is not None:
+                    break
+            elif (pos, residual) not in failed:
+                path.append((pos, residual, children(pos, residual, remaining)))
+        if not path:
+            return None
+        pos, residual, kids = path[-1]
+        state = next(kids, None)
+        if state is None:
+            failed.add((pos, residual))
+            path.pop()
     out = list(coeffs)
     for c in lin_coeffs:
         out.append(max(c, 0))
@@ -494,8 +471,8 @@ def triangular_generators(chain: Sequence):
     triangular: zero below the diagonal, positive on it.
     """
     top = chain[-1]
-    n = top.ambient_dim if hasattr(top, "ambient_dim") else len(top.generators[0])
-    dlin, drays = dual_generators(top.generators, n)
+    n = top.ambient_dim
+    dlin, drays = top.dual_lineality, top.dual_rays
     if dlin or len(drays) == 0:
         raise ValueError("top cone of the chain must be full-dimensional")
     alphas = []

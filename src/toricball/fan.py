@@ -95,6 +95,30 @@ def _build_cone(ray_indices: frozenset, fan_rays: Sequence, n: int) -> Cone:
     )
 
 
+def ridge_pairing(incidences):
+    """Pair top cells along shared ridges.
+
+    incidences are (top, ridge) pairs of hashable labels, one per ridge
+    of each top.  Returns (bounds, reached): bounds maps each ridge to
+    the list of tops it bounds, in input order, and reached is the
+    number of tops connected to the first top through shared ridges
+    (the size of its component in the dual graph; 0 without tops).
+    """
+    bounds = {}
+    ridges_of = {}
+    for top, ridge in incidences:
+        bounds.setdefault(ridge, []).append(top)
+        ridges_of.setdefault(top, []).append(ridge)
+    seen = set()
+    stack = list(ridges_of)[:1]
+    while stack:
+        top = stack.pop()
+        if top not in seen:
+            seen.add(top)
+            stack.extend(t for ridge in ridges_of[top] for t in bounds[ridge])
+    return bounds, len(seen)
+
+
 class Fan:
     """Validated fan: rays, maximal cones, and the full face lattice."""
 
@@ -149,35 +173,18 @@ class Fan:
         for c in maxc:
             if c.dim != n:
                 return False, {"reason": "maximal cone not full-dimensional", "cone": sorted(c.rays)}
-        ridge_incidence = {}
-        for c in maxc:
-            for f in self._faces_of[c.rays]:
-                if self._cones[f].dim == n - 1:
-                    ridge_incidence.setdefault(f, []).append(c.rays)
-        for ridge, incident in sorted(ridge_incidence.items(), key=lambda kv: sorted(kv[0])):
+        bounds, reached = ridge_pairing(
+            (c.rays, f) for c in maxc for f in self._faces_of[c.rays] if self._cones[f].dim == n - 1
+        )
+        for ridge, incident in sorted(bounds.items(), key=lambda kv: sorted(kv[0])):
             if len(incident) != 2:
                 return False, {
                     "reason": "facet not shared by exactly two maximal cones",
                     "facet": sorted(ridge),
                     "count": len(incident),
                 }
-        # Connectivity of the dual adjacency graph.
-        adjacency = {c.rays: set() for c in maxc}
-        for incident in ridge_incidence.values():
-            if len(incident) == 2:
-                a, b = incident
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-        seen = set()
-        stack = [maxc[0].rays]
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            stack.extend(adjacency[cur] - seen)
-        if len(seen) != len(maxc):
-            return False, {"reason": "maximal cones not facet-connected", "reached": len(seen)}
+        if reached != len(maxc):
+            return False, {"reason": "maximal cones not facet-connected", "reached": reached}
         return True, None
 
 

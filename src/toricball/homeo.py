@@ -104,7 +104,7 @@ def check_barycentric(xi, tol: float = 1e-12):
         raise ValueError("barycentric coordinates must sum to 1")
 
 
-def param_boundary_point(atlas: Atlas, flag: Flag, xi, provenance: str = "") -> ToricPoint:
+def param_boundary_point(atlas: Atlas, flag: Flag, xi) -> ToricPoint:
     """Chart point of the closed flag simplex at barycentric coordinates xi.
 
     Defined for every valid xi including the xi_0 = 0 face at infinity;
@@ -116,8 +116,7 @@ def param_boundary_point(atlas: Atlas, flag: Flag, xi, provenance: str = "") -> 
         raise ValueError(f"expected {len(flag) + 1} barycentric coordinates")
     chart = atlas.chart(flag)
     w = tuple(float(v) for v in bary_to_delta(xi))
-    tag = provenance or f"param{list(map(float, xi))}"
-    return atlas.chart_point(chart, w, provenance=tag)
+    return atlas.chart_point(chart, w)
 
 
 def simplicial_to_barycentric(u):

@@ -1,6 +1,11 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 import toricball as tb
+from toricball.bary import barycenter
+from toricball.exact import vec
 
 # Atlases are expensive to warm up (Hilbert bases, localization rules),
 # so they are shared per session.  Everything in the library is
@@ -20,6 +25,21 @@ def get_atlas(name):
     if name not in _ATLAS_CACHE:
         _ATLAS_CACHE[name] = tb.Atlas(get_fan(name))
     return _ATLAS_CACHE[name]
+
+
+def cover_samples(fan, count, seed, box=7):
+    """Deterministic exact sample points of N_R: every barycenter, all
+    pairwise barycenter midpoints (exact halves hit low-dimensional
+    strata), then uniform integer vectors in a box."""
+    rng = random.Random(seed)
+    barys = [vec(barycenter(c)) for c in fan.cones() if c.dim > 0]
+    samples = list(barys)
+    for i, b1 in enumerate(barys):
+        for b2 in barys[i + 1 :]:
+            samples.append(tuple((a + b) * Fraction(1, 2) for a, b in zip(b1, b2)))
+    for _ in range(count):
+        samples.append(tuple(rng.randint(-box, box) for _ in range(fan.dim)))
+    return samples
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
 """Barycenters, flags, flag cones, covering."""
 
+import itertools
+
 import pytest
 
 import toricball as tb
-from conftest import get_atlas, get_fan
+from conftest import cover_samples, get_atlas, get_fan
 from toricball.bary import (
     Flag,
     NotInCone,
@@ -11,7 +13,6 @@ from toricball.bary import (
     containing_flags,
     coords_in_flag,
     cover_check,
-    cover_samples,
     enumerate_flags,
     flag_cone,
     flag_contains,
@@ -20,6 +21,7 @@ from toricball.bary import (
     simplicial_coords,
 )
 from toricball.exact import dual_basis, rank, solve_in_basis, unit_vector, vec
+from toricball.fan import Fan, _build_cone
 
 
 def test_barycenter_examples(p2, cube_fan):
@@ -103,9 +105,51 @@ def test_subflag_coordinates_vanish(p1xp1):
     assert u == (0, 3)
 
 
-def test_cover_check(p1, p2, p1xp1, p112):
-    for fan in (p1, p2, p1xp1, p112):
-        assert cover_check(fan, samples=300, seed=1)
+def test_cover_check():
+    # The rank-0 fan is covered by the empty flag.
+    for fan in [get_fan(name) for name in tb.BUNDLED_FANS] + [tb.validate_fan(0, [], [[]])]:
+        assert cover_check(fan) == (True, None), fan.name
+
+
+def test_cover_check_agrees_with_samples():
+    # The sampled covering test the certificate replaced, kept as a
+    # cross-check: every sample lies in some maximal flag cone.
+    for name in tb.BUNDLED_FANS:
+        fan = get_fan(name)
+        for x in cover_samples(fan, count=200, seed=0):
+            assert containing_flags(fan, x), (name, x)
+
+
+def _unvalidated_fan(rays, max_cones):
+    """A simplicial Fan built directly, for inputs validate_fan rejects."""
+
+    def subsets(s):
+        return {frozenset(c) for k in range(len(s) + 1) for c in itertools.combinations(sorted(s), k)}
+
+    faces_of = {face: subsets(face) for mc in max_cones for face in subsets(mc)}
+    cones = {face: _build_cone(face, rays, len(rays[0])) for face in faces_of}
+    return Fan(len(rays[0]), tuple(rays), tuple(frozenset(mc) for mc in max_cones), cones, faces_of)
+
+
+def test_cover_check_fails_count_on_quadrant():
+    fan = tb.validate_fan(2, [(1, 0), (0, 1)], [[0, 1]], require_complete=False)
+    witness = {"reason": "ridge not shared by exactly two maximal flags", "ridge": [[0]], "count": 1}
+    assert cover_check(fan) == (False, witness)
+
+
+def test_cover_check_fails_sign_on_same_side_rays():
+    fan = _unvalidated_fan([(1,), (2,)], [[0], [1]])
+    witness = {"reason": "flags on the same side of their shared ridge", "ridge": [], "flags": [0, 1]}
+    assert cover_check(fan) == (False, witness)
+
+
+def test_cover_check_fails_point_on_double_winding():
+    # Six rays winding twice round the origin: every ridge pairs with a
+    # flag on its other side, yet each point is covered twice.
+    rays = [(1, 0), (0, 1), (-1, -1)] * 2
+    fan = _unvalidated_fan(rays, [[i, (i + 1) % 6] for i in range(6)])
+    witness = {"reason": "point not in exactly one flag cone", "point": [2, 1], "count": 2}
+    assert cover_check(fan) == (False, witness)
 
 
 def test_cover_membership_example(p1xp1):
@@ -157,4 +201,4 @@ def test_coords_in_flag_matches_reference_solve(name):
         for x in points:
             assert coords_in_flag(flag, x) == solve_in_basis(gens, vec(x))
     for chart in get_atlas(name).charts():
-        assert chart.beta == dual_basis(chart.barycenters)
+        assert chart.beta == dual_basis(chart.flag.barycenters)

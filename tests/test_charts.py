@@ -206,7 +206,7 @@ def test_localize_interior_point(atlas_p2):
 def test_localize_boundary_blocked():
     atlas = Atlas(tb.load_bundled("p1"))
     cone = atlas.fan.cone({0})
-    fixed = ToricPoint(cone=cone, values=(0.0,), provenance="fixed")
+    fixed = ToricPoint(cone=cone, values=(0.0,))
     with pytest.raises(NotInOpenSet):
         atlas.localize(fixed, atlas.fan.zero_cone())
 
@@ -218,7 +218,7 @@ def test_localize_torus_coordinate_preserved(atlas_p1xp1):
     fan = atlas_p1xp1.fan
     quadrant = fan.cone({0, 1})
     assert atlas_p1xp1.hilbert(quadrant).generators == ((0, 1), (1, 0))
-    p = ToricPoint(cone=quadrant, values=(0.0, 0.5), provenance="test")
+    p = ToricPoint(cone=quadrant, values=(0.0, 0.5))
     tau = fan.cone({1})
     q = atlas_p1xp1.localize(p, tau)
     assert atlas_p1xp1.hilbert(tau).generators == ((0, 1), (1, 0), (-1, 0))
@@ -238,8 +238,8 @@ def test_points_equal_cross_chart(atlas_p2):
     # The same x through two charts sharing the ray cone(e1).
     fan = atlas_p2.fan
     x = (Fraction(5, 2), Fraction(0))  # on the shared ray
-    p = atlas_p2.expi_point(x, fan.cone({0, 1}), provenance="a")
-    q = atlas_p2.expi_point(x, fan.cone({0, 2}), provenance="b")
+    p = atlas_p2.expi_point(x, fan.cone({0, 1}))
+    q = atlas_p2.expi_point(x, fan.cone({0, 2}))
     assert atlas_p2.points_equal(p, q, tol=1e-9)
     # A nearby but different point is distinct.
     r = atlas_p2.expi_point((Fraction(5, 2), Fraction(1, 10)), fan.cone({0, 1}))
@@ -250,8 +250,8 @@ def test_points_equal_fixed_points_differ(atlas_p2):
     fan = atlas_p2.fan
     a = fan.cone({0, 1})
     b = fan.cone({1, 2})
-    pa = ToricPoint(cone=a, values=(0.0, 0.0), provenance="fix-a")
-    pb = ToricPoint(cone=b, values=tuple([0.0] * len(atlas_p2.hilbert(b).generators)), provenance="fix-b")
+    pa = ToricPoint(cone=a, values=(0.0, 0.0))
+    pb = ToricPoint(cone=b, values=tuple([0.0] * len(atlas_p2.hilbert(b).generators)))
     assert not atlas_p2.points_equal(pa, pb)
 
 
@@ -263,7 +263,7 @@ def test_semigroup_residual_singular():
     assert sem.generators == ((0, -1), (1, -1), (2, -1))
     p = atlas.expi_point((Fraction(1, 3), Fraction(-1, 2)), cone)
     assert atlas.semigroup_residual(p) < 1e-12
-    broken = ToricPoint(cone=cone, values=(0.5, 0.5, 0.7), provenance="broken")
+    broken = ToricPoint(cone=cone, values=(0.5, 0.5, 0.7))
     assert atlas.semigroup_residual(broken) > 0.01
 
 

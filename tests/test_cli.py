@@ -110,6 +110,27 @@ def test_verify_incomplete_exit(tmp_path):
     assert main(["verify", str(f)]) == 3
 
 
+def test_verify_rank0(tmp_path, capsys):
+    # The rank-0 fan is complete; the empty flag covers the point N_R.
+    f = tmp_path / "point.json"
+    f.write_text('{"dim": 0, "rays": [], "max_cones": [[]]}')
+    assert run(capsys, "validate", str(f))[0] == 0
+    code, out = run(capsys, "verify", str(f))
+    assert code == 0
+    assert {"name": "cover", "passed": True} in json.loads(out)["checks"]
+
+
+def test_cover_reports_witness_on_failure():
+    import random
+
+    from toricball import verify
+
+    fan = tb.validate_fan(2, [(1, 0), (0, 1)], [[0, 1]], require_complete=False)
+    ctx = verify.Context(fan, None, [], [], fan.dim, 1e-9, 0, 0, random.Random(0))
+    witness = {"reason": "ridge not shared by exactly two maximal flags", "ridge": [[0]], "count": 1}
+    assert verify._cover(ctx) == (False, {"witness": witness})
+
+
 def test_verify_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["verify", fan_path("p112"), "--seed", "5", "--samples", "15", "--out", str(a)])

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from toricball.cones import (
+    SemigroupGens,
     decompose,
-    dual_cone,
     dual_generators,
     hilbert_basis,
     minimality_violations,
@@ -29,23 +29,23 @@ RAY2 = _fan(2, [(1, 0)], [[0]])
 
 
 def test_dual_cone_orthant():
-    d = dual_cone(ORTHANT.cone({0, 1}))
-    assert sorted(d.rays) == [(0, 1), (1, 0)]
-    assert d.lineality == ()
+    cone = ORTHANT.cone({0, 1})
+    assert sorted(cone.dual_rays) == [(0, 1), (1, 0)]
+    assert cone.dual_lineality == ()
 
 
 def test_dual_cone_singular():
     # Halfplane intersection done by hand: m1 >= 0 and m1 + 2 m2 >= 0.
-    d = dual_cone(SINGULAR.cone({0, 1}))
-    assert sorted(d.rays) == [(0, 1), (2, -1)]
+    cone = SINGULAR.cone({0, 1})
+    assert sorted(cone.dual_rays) == [(0, 1), (2, -1)]
 
 
 def test_dual_cone_of_ray_has_lineality():
-    d = dual_cone(RAY2.cone({0}))
-    gens = set(d.generators)
+    cone = RAY2.cone({0})
+    gens = set(cone.dual_generators)
     assert (1, 0) in gens
     assert (0, 1) in gens and (0, -1) in gens
-    assert len(d.lineality) == 1
+    assert len(cone.dual_lineality) == 1
 
 
 def test_double_dual_is_identity():
@@ -184,6 +184,15 @@ def test_decompose_matches_unpruned_search():
     sem = dataclasses.replace(hilbert_basis(line), pointed=((3,), (5,)))
     for k in range(-2, 30):
         assert decompose(sem, (k,)) == _unpruned_decompose(sem, (k,)), k
+
+
+def test_decompose_deeper_than_recursion_limit():
+    # 1500 pointed generators: one search level each, beyond Python's
+    # default recursion limit.
+    sem = SemigroupGens(
+        cone_rays=((1,),), pointed=tuple((k,) for k in range(1, 1501)), lineality=(), interior_point=(1,)
+    )
+    assert decompose(sem, (3000,)) == tuple(2 if k == 1500 else 0 for k in range(1, 1501))
 
 
 def test_minimality_violations_empty():

@@ -13,6 +13,7 @@ from toricball.fan import (
     NotStronglyConvex,
     ParseError,
     parse_and_validate,
+    ridge_pairing,
     star_fan,
     validate_fan,
 )
@@ -204,3 +205,14 @@ def test_twisted_p3_is_smooth(twisted_p3):
         from fractions import Fraction
 
         assert all(Fraction(x).denominator == 1 for row in inv for x in row)
+
+
+def test_ridge_pairing():
+    # Two triangles glued along the edge {1, 2}, and a third triangle
+    # touching them only at a vertex.
+    tris = [frozenset(t) for t in ({0, 1, 2}, {1, 2, 3}, {3, 4, 5})]
+    bounds, reached = ridge_pairing((t, t - {v}) for t in tris for v in t)
+    assert bounds[frozenset({1, 2})] == tris[:2]
+    assert bounds[frozenset({0, 1})] == tris[:1]
+    assert reached == 2
+    assert ridge_pairing([]) == ({}, 0)
