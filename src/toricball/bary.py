@@ -13,10 +13,12 @@ across runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
-from .exact import is_zero_vec, pair, span_inverse, vec
+from .exact import DimensionMismatch, is_zero_vec, pair, span_inverse, vec
 from .fan import Cone, Fan, ridge_pairing
 
 
@@ -58,6 +60,17 @@ class Flag:
 
     def sort_key(self):
         return tuple(c.sort_key() for c in self.cones)
+
+    # Flags key the chart cache, and hashing the cones walks every
+    # generator and dual ray, so the hash is computed once per object.
+    # An explicit __hash__ is kept by @dataclass(frozen=True); the value
+    # is the one the dataclass would generate.
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.cones,))
 
     @cached_property
     def barycenters(self) -> tuple:
@@ -161,12 +174,79 @@ def containing_flags(fan: Fan, x):
     return [f for f in enumerate_flags(fan, only_maximal=True) if flag_contains(f, x)]
 
 
+def _locate_index(fan: Fan):
+    """Per-fan data for locate_flag, built once and kept in fan._cache.
+
+    Returns (by_chain, simplicial, other): by_chain maps each flag's
+    chain of ray sets to its Flag object; simplicial lists, for every
+    full-dimensional simplicial maximal cone, its sorted ray indices and
+    the integer dual rays d_i opposite them (d_i vanishes on the other
+    rays, and every <d_i, r_i> is the same positive number, so the
+    pairings <d_i, x> are the ray coordinates of x up to one common
+    positive factor); other lists every other full-dimensional maximal
+    cone with its maximal flags in enumeration order.
+    """
+    index = fan._cache.get("locate_index")
+    if index is None:
+        by_chain = {tuple(c.rays for c in f.cones): f for f in enumerate_flags(fan)}
+        maximal = enumerate_flags(fan, only_maximal=True)
+        simplicial, other = [], []
+        for cone in fan.maximal_cones():
+            if cone.dim != fan.dim:
+                continue
+            gens = cone.generators
+            if len(gens) != cone.dim:
+                other.append((cone, [f for f in maximal if f.cones[-1].rays == cone.rays]))
+                continue
+            duals = [
+                next(d for d in cone.dual_rays if all(pair(d, g) == 0 for j, g in enumerate(gens) if j != i))
+                for i in range(len(gens))
+            ]
+            scale = math.lcm(*(pair(d, g) for d, g in zip(duals, gens)))
+            duals = tuple(tuple(a * (scale // pair(d, g)) for a in d) for d, g in zip(duals, gens))
+            simplicial.append((tuple(sorted(cone.rays)), duals))
+        index = fan._cache["locate_index"] = (by_chain, simplicial, other)
+    return index
+
+
 def locate_flag(fan: Fan, x) -> Flag:
-    """Lexicographically least maximal flag whose cone contains x."""
-    for f in enumerate_flags(fan, only_maximal=True):
-        if flag_contains(f, x):
-            return f
-    raise NotInCone(f"{x} is not covered by any maximal flag cone (incomplete fan?)")
+    """Lexicographically least maximal flag whose cone contains x.
+
+    On a simplicial maximal cone with rays r_i, x = sum lambda_i r_i lies
+    in the cone iff every lambda_i >= 0, and then in the cone of the flag
+    whose k-th member is spanned by k rays of largest lambda: its
+    simplicial coordinates are the successive differences of the sorted
+    lambda.  Sorting by (-lambda_i, ray index) gives the least such flag
+    of that cone; the least over all cones containing x is the answer.
+    A non-simplicial cone that passes the dual sign test is scanned flag
+    by flag.  Same result as containing_flags(fan, x)[0], which stays as
+    the exhaustive reference.
+    """
+    by_chain, simplicial, other = _locate_index(fan)
+    if len(x) != fan.dim:
+        raise DimensionMismatch(f"point of length {len(x)} in a rank-{fan.dim} fan")
+    # One common denominator makes every sign test an integer pairing.
+    exact = vec(x)
+    denom = math.lcm(*(c.denominator for c in exact))
+    nums = [c.numerator * (denom // c.denominator) for c in exact]
+    found = []
+    for rays, duals in simplicial:
+        lam = [sum(map(mul, d, nums)) for d in duals]  # pair() without its length check
+        if min(lam, default=0) >= 0:
+            chain, members = [], set()
+            # The sort is stable, so tied coordinates keep ray-index order.
+            for i in sorted(range(len(rays)), key=lambda i: -lam[i]):
+                members.add(rays[i])
+                chain.append(frozenset(members))
+            found.append(by_chain[tuple(chain)])
+    for cone, flags in other:
+        if cone.contains(nums):
+            hit = next((f for f in flags if flag_contains(f, x)), None)
+            if hit is not None:
+                found.append(hit)
+    if not found:
+        raise NotInCone(f"{x} is not covered by any maximal flag cone (incomplete fan?)")
+    return min(found, key=Flag.sort_key)
 
 
 def cover_check(fan: Fan):

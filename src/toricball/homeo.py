@@ -94,13 +94,17 @@ def bary_to_delta(xi):
 
 
 def check_barycentric(xi, tol: float = 1e-12):
-    if any(float(x) < -tol for x in xi):
+    """Raise ValueError unless xi is a barycentric vector: no entry below
+    -tol, and a sum of exactly 1 when every entry is an int or Fraction,
+    else a float sum within tol of 1."""
+    floats = tuple(map(float, xi))
+    if any(v < -tol for v in floats):
         raise ValueError("barycentric coordinates must be nonnegative")
-    total = sum(Fraction(x) for x in xi) if all(isinstance(x, (int, Fraction)) for x in xi) else sum(map(float, xi))
-    if isinstance(total, Fraction):
-        if total != 1:
-            raise ValueError("barycentric coordinates must sum to 1")
-    elif abs(total - 1.0) > tol:
+    if all(isinstance(x, (int, Fraction)) for x in xi):
+        off = sum(xi) != 1
+    else:
+        off = abs(sum(floats) - 1.0) > tol
+    if off:
         raise ValueError("barycentric coordinates must sum to 1")
 
 

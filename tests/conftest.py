@@ -42,6 +42,19 @@ def cover_samples(fan, count, seed, box=7):
     return samples
 
 
+def cube_faces_fan():
+    """The fan over the cube's faces: singular, non-simplicial, complete."""
+    rays = [
+        (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+        (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1),
+    ]
+    maxc = [
+        [0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 4, 5],
+        [2, 3, 6, 7], [0, 2, 4, 6], [1, 3, 5, 7],
+    ]
+    return tb.validate_fan(3, rays, maxc)
+
+
 @pytest.fixture(scope="session")
 def p1():
     return get_fan("p1")

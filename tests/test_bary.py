@@ -1,11 +1,15 @@
 """Barycenters, flags, flag cones, covering."""
 
 import itertools
+import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import toricball as tb
-from conftest import cover_samples, get_atlas, get_fan
+from conftest import cover_samples, cube_faces_fan, get_atlas, get_fan
+from toricball import bary
 from toricball.bary import (
     Flag,
     NotInCone,
@@ -22,6 +26,8 @@ from toricball.bary import (
 )
 from toricball.exact import dual_basis, rank, solve_in_basis, unit_vector, vec
 from toricball.fan import Fan, _build_cone
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def test_barycenter_examples(p2, cube_fan):
@@ -175,6 +181,46 @@ def test_locate_flag_deterministic(p2):
     flags = enumerate_flags(p2, only_maximal=True)
     # The origin is in every flag cone; locate picks the least.
     assert locate_flag(p2, (0, 0)) == flags[0]
+
+
+LOCATE_FANS = list(tb.BUNDLED_FANS) + ["cube_faces", "wps_1_1_1_9"]
+
+
+def _locate_fan(name):
+    if name == "cube_faces":
+        return cube_faces_fan()
+    if name == "wps_1_1_1_9":
+        return tb.parse_and_validate((GOLDEN / "verify_wps_1_1_1_9" / "fan.json").read_text())
+    return get_fan(name)
+
+
+@pytest.mark.parametrize("name", LOCATE_FANS)
+def test_locate_flag_matches_scan(name):
+    # The very object the exhaustive scan finds first, on ties and
+    # boundary points (box points, barycenters, their midpoints) as well
+    # as generic rationals and a float.
+    fan = _locate_fan(name)
+    rng = random.Random(0)
+    points = list(itertools.product(range(-2, 3), repeat=fan.dim))
+    points += cover_samples(fan, count=0, seed=0)
+    points += [tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(fan.dim)) for _ in range(40)]
+    points.append(tuple(rng.uniform(-3, 3) for _ in range(fan.dim)))
+    for x in points:
+        assert locate_flag(fan, x) is containing_flags(fan, x)[0], x
+
+
+def test_locate_flag_does_not_scan(monkeypatch, twisted_p3):
+    # On a simplicial fan the flag comes from sorting ray coordinates, so
+    # no per-flag membership test runs.
+    calls = []
+    for name in ("flag_contains", "coords_in_flag"):
+        original = getattr(bary, name)
+        monkeypatch.setattr(bary, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    for x in cover_samples(twisted_p3, count=20, seed=1):
+        locate_flag(twisted_p3, x)
+    assert calls == []
+    containing_flags(twisted_p3, (1, 2, 3))
+    assert calls  # the counters do see a scan
 
 
 def test_locate_flag_incomplete_raises():

@@ -1,6 +1,7 @@
 """Ball model, orbit complex, gluing and regularity verification."""
 
 import toricball as tb
+from conftest import cube_faces_fan
 from toricball.cellcomplex import (
     build_ball_model,
     build_orbit_complex,
@@ -169,16 +170,7 @@ def test_verify_regularity_maximal_cell_is_point(p2):
 
 
 def test_nonsimplicial_fan_end_to_end():
-    # Fan over the cube's faces: singular, non-simplicial, complete.
-    rays = [
-        (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
-        (-1, 1, 1), (-1, 1, -1), (-1, -1, 1), (-1, -1, -1),
-    ]
-    maxc = [
-        [0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 4, 5],
-        [2, 3, 6, 7], [0, 2, 4, 6], [1, 3, 5, 7],
-    ]
-    fan = validate_fan(3, rays, maxc)
+    fan = cube_faces_fan()
     model = build_ball_model(fan)
     # Flags through square cones: 6 cones x (4 ridges x 2 rays) = 48.
     assert len(model.maximal_simplices()) == 48

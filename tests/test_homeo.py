@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import toricball as tb
-from toricball.bary import Flag, NotInCone, enumerate_flags
+from toricball.bary import Flag, NotInCone, enumerate_flags, locate_flag
 from toricball.charts import exp_flag, psi_eval, theta
 from toricball.homeo import (
     bary_to_delta,
@@ -74,6 +74,14 @@ def test_rescale_barycenter_of_max_cone(p2):
     assert max(abs(o - scale * b) for o, b in zip(out, B)) < 1e-15
 
 
+def test_rescale_global_rank_zero():
+    # validate_fan and cover_check call the rank-0 fan complete: the
+    # empty flag covers its one point.
+    fan = tb.validate_fan(0, [], [[]])
+    assert locate_flag(fan, ()) == Flag(())
+    assert rescale_global(fan, ()) == ()
+
+
 def test_rescale_requires_membership(p2):
     flag = Flag((p2.cone({0}), p2.cone({0, 1})))
     with pytest.raises(NotInCone):
@@ -127,10 +135,29 @@ def test_barycentric_simplicial_roundtrip():
 
 def test_check_barycentric():
     check_barycentric((0.25, 0.25, 0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sum to 1"):
         check_barycentric((0.5, 0.6))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         check_barycentric((-0.1, 1.1))
+    # Floats are held to tol: round-off and tiny negatives pass.
+    check_barycentric((0.1, 0.2, 0.7))
+    check_barycentric((-1e-13, 1.0))
+    # Exact entries (int, Fraction) must sum to exactly 1.
+    check_barycentric((0, 1, 0))
+    check_barycentric((Fraction(1, 3), Fraction(2, 3)))
+    with pytest.raises(ValueError, match="sum to 1"):
+        check_barycentric((1, Fraction(1, 10**13)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_barycentric((Fraction(-1, 2), Fraction(3, 2)))
+    with pytest.raises(ValueError, match="sum to 1"):
+        check_barycentric(())
+    # A float entry makes the sum a float sum, held to tol.
+    check_barycentric((1, 1e-13))
+    check_barycentric((Fraction(1, 3), 2 / 3))
+    with pytest.raises(ValueError, match="sum to 1"):
+        check_barycentric((Fraction(1, 2), 0.5 + 1e-9))
+    with pytest.raises(ValueError, match="nonnegative"):
+        check_barycentric((Fraction(-1, 10), 1.1))
 
 
 def test_param_vertices(atlas_p2):
