@@ -12,9 +12,10 @@ The orbit complex has one open cell per cone, of dimension
 n - dim(cone), with incidence reversing cone inclusion; for a complete
 fan it is a regular cell structure with a single top cell.
 
-The verification routines certify, by exact combinatorics plus seeded
-numerical sampling, that the closed flag simplices glue along exactly
-their shared sub-simplices and that every cell closure is again a
+The verification routines certify that the closed flag simplices glue
+along exactly their shared sub-simplices (by integer identities on the
+charts' exponents, with seeded samples as a cross-check and for the
+separation of distinct points) and that every cell closure is again a
 combinatorial ball (via star fans).
 """
 
@@ -24,9 +25,10 @@ import random
 from dataclasses import dataclass, field
 
 from .bary import Flag, enumerate_flags, flag_intersection
-from .charts import Atlas
+from .charts import Atlas, NotInOpenSet, monomial_eval
+from .exact import pair, vsub
 from .fan import Fan, ridge_pairing, star_fan
-from .homeo import param_boundary_point
+from .homeo import bary_to_delta
 
 
 @dataclass
@@ -172,6 +174,8 @@ class GluingReport:
     distinct_samples: int
     worst_shared_gap: float
     counterexamples: list = field(default_factory=list)
+    identities: int = 0
+    distinct_coverage: str = "all pairs"
 
     def __bool__(self):
         return self.passed
@@ -213,6 +217,143 @@ def _interior_samples(rng, dim, count, margin=0.05):
     return out
 
 
+def _steps(barycenters):
+    """B_j - B_{j-1} for barycenters B_1..B_k, with B_0 = 0."""
+    return [b if j == 0 else vsub(b, barycenters[j - 1]) for j, b in enumerate(barycenters)]
+
+
+def _compose(terms, rows, n):
+    """Exponent vector of a decomposition's terms under the exponent rows."""
+    out = [0] * n
+    for i, c in terms:
+        for j in range(n):
+            out[j] += c * rows[i][j]
+    return out
+
+
+def gluing_identities(atlas: Atlas, flags):
+    """Exact certificate that the maximal flag charts glue on shared faces.
+
+    Returns (number of identities checked, witnesses of the failed ones).
+
+    The chart of a maximal flag F, with top cone sigma and barycenters
+    B_1..B_n (B_0 = 0), gives h in H(sigma) the value prod_j w_j^b_hj.
+    The localization rule sigma -> tau writes h' + k*alpha (h' in
+    H(tau)) and alpha in H(sigma); composed with the Hilbert rows of b
+    it gives the exponent of w_j in h''s localized value,
+    sum_h c_h b_hj - k sum_h a_h b_hj.  For every face tau of sigma
+    (sigma itself included, where the rule is the identity) and every
+    h' in H(tau), that exponent must equal <h', B_j> - <h', B_{j-1}>
+    for every j.  For tau != sigma the rule's alpha = sum_h a_h h must
+    also vanish on tau's rays and be positive on sigma's other rays.
+
+    Why this certifies the gluing.  Let S be a subflag of F at positions
+    s_1 < ... < s_k, with top cone tau (the zero cone if S is empty).  A
+    point of S's closed simplex has xi = 0 off the origin vertex and S,
+    so w_j = xi_0 + ... + xi_{j-1} is constant between members of S:
+    w_j = W_t = xi_0 + xi_{s_1} + ... + xi_{s_t} for s_t < j <= s_{t+1}
+    (s_0 = 0), and w_j = 1 past s_k.  By the tau = sigma identities the
+    exponent of w_j in alpha's value is <alpha, B_j - B_{j-1}>, zero up
+    to s_k since alpha vanishes on tau, so alpha's value is 1 and the
+    point lies in tau's chart.  There the value of h' is
+
+        prod_j w_j^<h', B_j - B_{j-1}>  =  prod_{t<k} W_t^<h', B_{s_{t+1}} - B_{s_t}>,
+
+    the product telescoping over each run of equal w_j.  The right side
+    depends only on S (its barycenters and its own coordinates), not on
+    F, so every maximal flag containing S gives the same point of tau's
+    chart at every point of S's closed simplex; that chart is an open
+    part of every chart containing it, so they give the same point of
+    the space.  Faces of sigma that top no subflag of F certify the
+    rules that the comparison of points in different charts uses.
+    """
+    count = 0
+    failures = []
+    for fi, flag in enumerate(flags):
+        chart = atlas.chart(flag)
+        sigma, n = chart.top_cone, chart.n
+        gens = atlas.hilbert(sigma).generators
+        rows = [chart.b[r] for r in chart.hilbert_rows]
+        steps = _steps(flag.barycenters)
+        for tau in atlas.fan.faces(sigma):
+            rule = atlas._localization_rule(sigma, tau)
+            if rule[0] == "identity":
+                found = [(h, list(row)) for h, row in zip(gens, rows)]
+            else:
+                _, alpha_terms, shifts = rule
+                alpha = _compose(alpha_terms, gens, len(gens[0]))
+                count += 1
+                others = [r for i, r in zip(sorted(sigma.rays), sigma.generators) if i not in tau.rays]
+                if any(pair(alpha, r) != 0 for r in tau.generators) or any(pair(alpha, r) <= 0 for r in others):
+                    failures.append({"flag": fi, "face": sorted(tau.rays), "cutting_functional": alpha})
+                cut = _compose(alpha_terms, rows, n)
+                found = [
+                    (h, [e - k * a for e, a in zip(_compose(terms, rows, n), cut)])
+                    for h, (k, terms) in zip(atlas.hilbert(tau).generators, shifts)
+                ]
+            for h, exponents in found:
+                count += 1
+                expected = [pair(h, d) for d in steps]
+                if exponents != expected:
+                    failures.append(
+                        {
+                            "flag": fi,
+                            "face": sorted(tau.rays),
+                            "generator": list(h),
+                            "found": exponents,
+                            "expected": expected,
+                        }
+                    )
+    return count, failures
+
+
+def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
+    """Float cross-check of the evaluators behind the identities above:
+    at count seeded points of each subflag S of each maximal flag
+    (vertices and the face at infinity included), the chart point
+    localized to S's top cone must match the telescoped monomials
+    prod_t W_t^<h', B_{s_{t+1}} - B_{s_t}>, computed from S alone.
+    Returns the counterexamples; the worst passing gap goes to report."""
+    zero = atlas.fan.zero_cone()
+    out = []
+    for fi, flag in enumerate(flags):
+        chart = atlas.chart(flag)
+        n = len(flag)
+        for mask in range(2**n):
+            members = [c for j, c in enumerate(flag.cones) if mask >> j & 1]
+            tau = members[-1] if members else zero
+            steps = _steps([b for j, b in enumerate(flag.barycenters) if mask >> j & 1])
+            exponents = [[pair(h, d) for d in steps] for h in atlas.hilbert(tau).generators]
+            rays = {c.rays for c in members}
+            for sub_xi in _simplex_samples(rng, len(members), count):
+                p = atlas.chart_point(chart, bary_to_delta(_embed_xi(sub_xi, flag, rays)))
+                partial_sums = bary_to_delta(sub_xi)  # W_0..W_{k-1}
+                telescoped = [monomial_eval(e, partial_sums) for e in exponents]
+                report.shared_samples += 1
+                try:
+                    local = atlas.localize(p, tau).values
+                except NotInOpenSet:
+                    gap = None
+                else:
+                    gap = max(
+                        (abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(local, telescoped)),
+                        default=0.0,
+                    )
+                if gap is None or gap > tol:
+                    out.append(
+                        {
+                            "kind": "shared",
+                            "flag": fi,
+                            "subflag": [sorted(c.rays) for c in members],
+                            "xi": list(sub_xi),
+                            "gap": gap,
+                        }
+                    )
+                else:
+                    report.worst_shared_gap = max(report.worst_shared_gap, gap)
+    return out
+
+
 def verify_gluing(
     atlas: Atlas,
     samples_per_pair: int = 50,
@@ -223,51 +364,46 @@ def verify_gluing(
     """Certify that closed flag simplices intersect exactly in the closed
     simplex of the intersection flag.
 
-    For each pair of maximal flags: (i) points of the shared closed
-    sub-simplex, parameterized through both charts, must agree under
-    points_equal at tol; (ii) interior points of the two simplices away
-    from the shared face must be distinct.  All pairs are checked when
-    there are at most 200 maximal flags, otherwise max_pairs seeded
-    random pairs.
+    (i) Shared faces agree: exactly, by gluing_identities, with a float
+    cross-check of the evaluators on every (maximal flag, subflag); see
+    _subflag_cross_check.  (ii) Interior points of two different flag
+    simplices must be distinct under points_equal at tol: checked for
+    every pair when there are at most 200 maximal flags, otherwise for
+    max_pairs seeded random pairs, as distinct_coverage says.
+
+    One seeded generator feeds (ii) and then the cross-check.  Each pair
+    still draws the samples of its shared face, which (i) no longer
+    uses, so every interior sample of (ii) keeps its place in the
+    stream.  Counterexamples are listed identities first, then shared,
+    then distinct.
     """
-    fan = atlas.fan
-    flags = enumerate_flags(fan, only_maximal=True)
+    flags = enumerate_flags(atlas.fan, only_maximal=True)
+    charts = [atlas.chart(f) for f in flags]
     rng = random.Random(seed)
+    report = GluingReport(True, 0, 0, 0, 0.0)
+    report.identities, witnesses = gluing_identities(atlas, flags)
     pairs = [(i, j) for i in range(len(flags)) for j in range(i, len(flags))]
     if len(flags) > 200:
         pairs = [tuple(sorted(rng.sample(range(len(flags)), 2))) for _ in range(max_pairs)]
-    report = GluingReport(True, 0, 0, 0, 0.0)
+        report.distinct_coverage = f"{max_pairs} seeded pairs of {len(flags) * (len(flags) - 1) // 2}"
     half = max(samples_per_pair // 2, 1)
+    distinct = []
     for i, j in pairs:
-        f1, f2 = flags[i], flags[j]
-        shared = flag_intersection(f1, f2)
-        members = {c.rays for c in shared.cones}
         report.pairs_checked += 1
-        for sub_xi in _simplex_samples(rng, len(shared), half):
-            p1 = param_boundary_point(atlas, f1, _embed_xi(sub_xi, f1, members))
-            p2 = param_boundary_point(atlas, f2, _embed_xi(sub_xi, f2, members))
-            gap = atlas.value_gap(p1, p2)
-            report.shared_samples += 1
-            if gap is None or gap > tol:
-                report.passed = False
-                report.counterexamples.append(
-                    {"kind": "shared", "flags": [i, j], "xi": list(sub_xi), "gap": gap}
-                )
-            else:
-                report.worst_shared_gap = max(report.worst_shared_gap, gap)
+        _simplex_samples(rng, len(flag_intersection(flags[i], flags[j])), half)
         if i == j:
             continue
         for xi1, xi2 in zip(
-            _interior_samples(rng, len(f1), half), _interior_samples(rng, len(f2), half)
+            _interior_samples(rng, len(flags[i]), half), _interior_samples(rng, len(flags[j]), half)
         ):
-            p1 = param_boundary_point(atlas, f1, xi1)
-            p2 = param_boundary_point(atlas, f2, xi2)
+            p1 = atlas.chart_point(charts[i], bary_to_delta(xi1))
+            p2 = atlas.chart_point(charts[j], bary_to_delta(xi2))
             report.distinct_samples += 1
             if atlas.points_equal(p1, p2, tol=tol):
-                report.passed = False
-                report.counterexamples.append(
-                    {"kind": "distinct", "flags": [i, j], "xi": [list(xi1), list(xi2)]}
-                )
+                distinct.append({"kind": "distinct", "flags": [i, j], "xi": [list(xi1), list(xi2)]})
+    shared = _subflag_cross_check(atlas, flags, rng, half, tol, report)
+    report.counterexamples = [{"kind": "identity", **w} for w in witnesses] + shared + distinct
+    report.passed = not report.counterexamples
     return report
 
 

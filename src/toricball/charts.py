@@ -26,7 +26,9 @@ exponent data stays exact.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import cones as _ck
 from .bary import Flag, enumerate_flags, simplicial_coords
@@ -70,6 +72,12 @@ class Chart:
     @property
     def m(self) -> int:
         return len(self.generators)
+
+    @cached_property
+    def hilbert_terms(self) -> tuple:
+        """Per Hilbert row of b, its (column, exponent) pairs with a
+        nonzero exponent: the monomials of chart_point."""
+        return tuple(tuple((j, e) for j, e in enumerate(self.b[i]) if e) for i in self.hilbert_rows)
 
     def monomial_strings(self):
         out = []
@@ -224,9 +232,10 @@ def chart_violations(chart: Chart) -> int:
 class Atlas:
     """All charts of a complete fan, with shared semigroup caches.
 
-    Charts, Hilbert bases and localization rules are computed lazily and
-    memoized; everything handed out is immutable, so an Atlas may be
-    read from several threads once warm.
+    Charts, Hilbert bases, localization rules and the tables of equal
+    generator sums are computed lazily and memoized; everything handed out
+    is immutable, so an Atlas may be read from several threads once
+    warm.
     """
 
     def __init__(self, fan: Fan):
@@ -234,6 +243,7 @@ class Atlas:
         self._charts = {}
         self._hilbert = {}
         self._local_rules = {}
+        self._sum_class_table = {}
 
     # -- semigroups -----------------------------------------------------
 
@@ -291,10 +301,17 @@ class Atlas:
         return ToricPoint(cone=cone, values=values)
 
     def chart_point(self, chart: Chart, w) -> ToricPoint:
-        """ToricPoint of the chart's top cone at simplex coordinates w."""
-        y = psi_eval(chart, w)
-        values = tuple(y[i] for i in chart.hilbert_rows)
-        return ToricPoint(cone=chart.top_cone, values=values)
+        """ToricPoint of the chart's top cone at simplex coordinates w:
+        psi's monomials at the Hilbert rows only, multiplied in the order
+        of monomial_eval, so each value is the same float."""
+        w = [float(x) for x in w]
+        values = []
+        for terms in chart.hilbert_terms:
+            out = 1.0
+            for j, e in terms:
+                out *= w[j] ** e
+            values.append(out)
+        return ToricPoint(cone=chart.top_cone, values=tuple(values))
 
     def commutativity_residual(self, chart: Chart, x) -> float:
         """Sup-norm gap between the monomial route psi(theta(exp_F(x)))
@@ -313,6 +330,12 @@ class Atlas:
         cone's extreme rays vanishing on tau; every Hilbert generator of
         S_tau satisfies h + k*alpha in S_sigma for some minimal k >= 0,
         so its value is value(h + k*alpha) / value(alpha)^k.
+
+        The rule is ("identity",) when tau is sigma, else
+        ("shift", alpha_terms, rows) with one (k, terms) row per
+        generator of S_tau.  A decomposition in H(S_sigma) is stored as
+        its terms: the (generator index, coefficient) pairs with a
+        nonzero coefficient, in generator order.
         """
         key = (sigma.rays, tau.rays)
         if key in self._local_rules:
@@ -340,8 +363,8 @@ class Atlas:
                     assert k < 10000, "face shift failed to terminate"
                 coeffs = _ck.decompose(sem_s, shifted)
                 assert coeffs is not None, "shifted generator must decompose"
-                rows.append((k, coeffs))
-            rule = ("shift", alpha_coeffs, tuple(rows))
+                rows.append((k, _terms(coeffs)))
+            rule = ("shift", _terms(alpha_coeffs), tuple(rows))
         self._local_rules[key] = rule
         return rule
 
@@ -350,11 +373,11 @@ class Atlas:
         rule = self._localization_rule(p.cone, tau)
         if rule[0] == "identity":
             return p
-        _, alpha_coeffs, rows = rule
-        v_alpha = _value_at(p.values, alpha_coeffs)
+        _, alpha_terms, rows = rule
+        v_alpha = _value_at(p.values, alpha_terms)
         if v_alpha <= 0.0:
             raise NotInOpenSet("value at the cutting functional is zero")
-        values = tuple(_value_at(p.values, coeffs) / v_alpha**k for k, coeffs in rows)
+        values = tuple(_value_at(p.values, terms) / v_alpha**k for k, terms in rows)
         return ToricPoint(cone=tau, values=values)
 
     def value_gap(self, p: ToricPoint, q: ToricPoint):
@@ -389,25 +412,45 @@ class Atlas:
         Gaps are scaled by the magnitude of the products, which may leave
         [0, 1] when the carrier's semigroup contains negative directions.
         """
-        sem = self.hilbert(p.cone)
-        gens = sem.generators
-        sums = {}
+        v = p.values
+        classes = iter(self._sum_classes(p.cone))
+        firsts = {}
         worst = 0.0
-        for i in range(len(gens)):
-            for j in range(i, len(gens)):
-                s = vadd(gens[i], gens[j])
-                prod = p.values[i] * p.values[j]
-                if s in sums:
-                    gap = abs(sums[s] - prod) / max(1.0, abs(sums[s]), abs(prod))
+        for i in range(len(v)):
+            for j in range(i, len(v)):
+                c = next(classes)
+                prod = v[i] * v[j]
+                if c in firsts:
+                    gap = abs(firsts[c] - prod) / max(1.0, abs(firsts[c]), abs(prod))
                     worst = max(worst, gap)
                 else:
-                    sums[s] = prod
+                    firsts[c] = prod
         return worst
 
+    def _sum_classes(self, cone: Cone) -> array:
+        """For each pair i <= j of Hilbert generators, in scan order, a
+        number naming the sum h_i + h_j: equal sums get equal numbers.
+        Built once per cone and kept in a typed array (a multiplicity-27
+        cone has 406 generators, so 82,621 pairs)."""
+        key = cone.rays
+        if key not in self._sum_class_table:
+            gens = self.hilbert(cone).generators
+            ids = {}
+            table = array("I")
+            for i in range(len(gens)):
+                for j in range(i, len(gens)):
+                    table.append(ids.setdefault(vadd(gens[i], gens[j]), len(ids)))
+            self._sum_class_table[key] = table
+        return self._sum_class_table[key]
 
-def _value_at(values, coeffs) -> float:
+
+def _terms(coeffs) -> tuple:
+    """The (index, coefficient) pairs of the nonzero coefficients."""
+    return tuple((i, c) for i, c in enumerate(coeffs) if c)
+
+
+def _value_at(values, terms) -> float:
     out = 1.0
-    for v, c in zip(values, coeffs):
-        if c:
-            out *= v**c
+    for i, c in terms:
+        out *= values[i] ** c
     return out

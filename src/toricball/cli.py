@@ -6,7 +6,7 @@ Commands (see README for examples):
                                          3 valid but incomplete, 1 parse error
     charts <file>                        per-flag generator/exponent dump
     param <file> --flag I --xi A,B,..    boundary-extended chart point
-    verify <file> [--tol --samples --seed --out --tamper]
+    verify <file> [--tol --samples --seed --out --tamper --timings FILE]
                                          full check suite, exit 4 on failure
     mesh <file> --radii R,.. --res K     OFF meshes of rescaled spheres
 
@@ -162,8 +162,13 @@ def cmd_verify(args) -> int:
     fan, code = _load_or_exit(args)
     if fan is None:
         return code
-    report = run_verification(fan, tol=args.tol, samples=args.samples, seed=args.seed, tamper=args.tamper)
+    timings = {} if args.timings else None
+    report = run_verification(
+        fan, tol=args.tol, samples=args.samples, seed=args.seed, tamper=args.tamper, timings=timings
+    )
     _emit(report, args.out)
+    if args.timings:
+        Path(args.timings).write_text(json.dumps({"fan": fan.name, "seconds": timings}, indent=2) + "\n")
     return EXIT_OK if report["passed"] else EXIT_CHECK_FAILED
 
 
@@ -316,6 +321,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--tamper", action="store_true", help="negative control: perturb one chart")
+    p.add_argument("--timings", default=None, help="write each check's wall seconds to this JSON file")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("mesh", help="export OFF meshes of rescaled spheres")

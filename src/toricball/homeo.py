@@ -94,10 +94,12 @@ def bary_to_delta(xi):
 
 
 def check_barycentric(xi, tol: float = 1e-12):
-    """Raise ValueError unless xi is a barycentric vector: no entry below
-    -tol, and a sum of exactly 1 when every entry is an int or Fraction,
-    else a float sum within tol of 1."""
+    """Raise ValueError unless xi is a barycentric vector: finite entries,
+    none below -tol, and a sum of exactly 1 when every entry is an int or
+    Fraction, else a float sum within tol of 1."""
     floats = tuple(map(float, xi))
+    if not all(map(math.isfinite, floats)):
+        raise ValueError("barycentric coordinates must be finite")
     if any(v < -tol for v in floats):
         raise ValueError("barycentric coordinates must be nonnegative")
     if all(isinstance(x, (int, Fraction)) for x in xi):

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cellcomplex, charts, homeo
 from . import cones as _ck
 from .bary import Flag, cover_check, enumerate_flags, flag_cone, simplicial_coords
+from .exact import pair
 from .fan import Fan
 
 
@@ -63,13 +65,34 @@ def _chart_invariants(ctx):
 
 
 def _monomial_diagram(ctx):
-    """Both routes into the ambient chart agree."""
+    """Both routes into the ambient chart agree: exactly, each partial
+    sum b_g1 + ... + b_gi of the exponent rows equals <g, B_i> computed
+    from the chart's generators and barycenters (on failure, the first
+    witness); and at seeded points, as a cross-check of the evaluators."""
+    identities = 0
+    witness = None
+    for index, chart in enumerate(ctx.charts):
+        for g, row in zip(chart.generators, chart.b):
+            for i, bary in enumerate(chart.flag.barycenters):
+                identities += 1
+                found, expected = sum(row[: i + 1]), pair(g, bary)
+                if witness is None and found != expected:
+                    witness = {
+                        "flag": index,
+                        "generator": list(g),
+                        "column": i,
+                        "found": found,
+                        "expected": expected,
+                    }
     worst = 0.0
     for chart in ctx.charts:
         for _ in range(ctx.samples):
             x = _random_cone_point(ctx.rng, chart.flag)
             worst = max(worst, ctx.atlas.commutativity_residual(chart, x))
-    return worst <= ctx.tol, {"worst_residual": worst, "samples_per_chart": ctx.samples}
+    details = {"identities": identities, "worst_residual": worst, "samples_per_chart": ctx.samples}
+    if witness is not None:
+        details["witness"] = witness
+    return witness is None and worst <= ctx.tol, details
 
 
 def _simplex_inversion(ctx):
@@ -177,9 +200,14 @@ def _orbit_complex(ctx):
 
 
 def _intersection_gluing(ctx):
+    """Closed flag simplices meet exactly in their shared faces: exact
+    identities on the shared faces, seeded samples for distinct points
+    (see cellcomplex.verify_gluing)."""
     glue = cellcomplex.verify_gluing(ctx.atlas, samples_per_pair=50, tol=ctx.tol, seed=ctx.seed)
     return glue.passed, {
         "pairs": glue.pairs_checked,
+        "identities": glue.identities,
+        "coverage": {"shared": "exact", "distinct": glue.distinct_coverage},
         "worst_shared_gap": glue.worst_shared_gap,
         "counterexamples": glue.counterexamples[:5],
     }
@@ -245,12 +273,16 @@ CHECKS = (
 )
 
 
-def run_verification(fan: Fan, tol: float = 1e-9, samples: int = 100, seed: int = 0, tamper: bool = False):
+def run_verification(
+    fan: Fan, tol: float = 1e-9, samples: int = 100, seed: int = 0, tamper: bool = False, timings=None
+):
     """Run every certification check on a complete fan.
 
     Returns a JSON-ready report; report["passed"] is the overall verdict.
     With tamper=True one chart's exponent matrix is perturbed first, as a
-    negative control: the monomial-diagram check must then fail.
+    negative control: the monomial-diagram check must then fail.  When
+    timings is a dict, the wall seconds of each check that applies are
+    stored in it under the check's name; the report does not change.
     """
     atlas = charts.Atlas(fan)
     chart_list = atlas.charts()
@@ -274,10 +306,14 @@ def run_verification(fan: Fan, tol: float = 1e-9, samples: int = 100, seed: int 
     )
     checks = []
     for name, check in CHECKS:
+        start = time.perf_counter()
         result = check(ctx)
-        if result is not None:
-            passed, details = result
-            checks.append({"name": name, "passed": bool(passed), **details})
+        if result is None:
+            continue
+        if timings is not None:
+            timings[name] = time.perf_counter() - start
+        passed, details = result
+        checks.append({"name": name, "passed": bool(passed), **details})
     return {
         "fan": fan.name,
         "dim": fan.dim,

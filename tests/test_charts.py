@@ -4,6 +4,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -265,6 +266,40 @@ def test_semigroup_residual_singular():
     assert atlas.semigroup_residual(p) < 1e-12
     broken = ToricPoint(cone=cone, values=(0.5, 0.5, 0.7))
     assert atlas.semigroup_residual(broken) > 0.01
+    assert atlas.semigroup_residual(broken) == _pairwise_scan_residual(atlas, broken)
+
+
+def _pairwise_scan_residual(atlas, p):
+    """The reference: rebuild the table of generator sums for this point
+    and compare each pair's product with the first pair of equal sum."""
+    gens = atlas.hilbert(p.cone).generators
+    sums = {}
+    worst = 0.0
+    for i in range(len(gens)):
+        for j in range(i, len(gens)):
+            s = vadd(gens[i], gens[j])
+            prod = p.values[i] * p.values[j]
+            if s in sums:
+                gap = abs(sums[s] - prod) / max(1.0, abs(sums[s]), abs(prod))
+                worst = max(worst, gap)
+            else:
+                sums[s] = prod
+    return worst
+
+
+def test_semigroup_residual_matches_pairwise_scan():
+    """The per-cone relation table gives the same float as the scan, on
+    every cone of P(1,1,1,9), at embedded points and at perturbed ones."""
+    path = Path(__file__).parent / "data" / "golden" / "verify_wps_1_1_1_9" / "fan.json"
+    atlas = Atlas(tb.parse_and_validate(path.read_text()))
+    rng = random.Random(3)
+    for cone in atlas.fan.cones():
+        for _ in range(3):
+            x = tuple(Fraction(rng.randint(-2000, 2000), 1000) for _ in range(3))
+            p = atlas.expi_point(x, cone)
+            bent = ToricPoint(cone=cone, values=tuple(v * (1 + rng.random()) for v in p.values))
+            for q in (p, bent):
+                assert atlas.semigroup_residual(q) == _pairwise_scan_residual(atlas, q)
 
 
 def test_concurrent_reads_consistent(atlas_p2):
@@ -298,6 +333,44 @@ def test_chart_point_extracts_hilbert_rows(atlas_p2):
     # Hilbert generators of the orthant dual are ((0,1),(1,0)):
     # values (w2, w1).
     assert p.values == (0.4, 0.3)
+
+
+def test_chart_point_and_localize_match_dense_reference():
+    """chart_point and localize give the same floats as the dense
+    evaluation they replace: psi_eval's Hilbert rows, and each localized
+    value multiplied over every generator in order, skipping zero
+    exponents.  P(1,1,1,9) has rows with several nonzero exponents, so a
+    change in the order of the products shows."""
+    path = Path(__file__).parent / "data" / "golden" / "verify_wps_1_1_1_9" / "fan.json"
+    atlas = Atlas(tb.parse_and_validate(path.read_text()))
+    rng = random.Random(5)
+
+    def dense_value(values, terms):
+        coeffs = [0] * len(values)
+        for i, c in terms:
+            coeffs[i] = c
+        out = 1.0
+        for v, c in zip(values, coeffs):
+            if c:
+                out *= v**c
+        return out
+
+    for chart in atlas.charts():
+        sigma = chart.top_cone
+        for _ in range(10):
+            w = tuple(sorted(rng.choice((0.0, rng.random())) for _ in range(chart.n)))
+            p = atlas.chart_point(chart, w)
+            assert p.values == tuple(psi_eval(chart, w)[i] for i in chart.hilbert_rows)
+            for tau in atlas.fan.faces(sigma):
+                rule = atlas._localization_rule(sigma, tau)
+                try:
+                    local = atlas.localize(p, tau).values
+                except NotInOpenSet:
+                    continue
+                if rule[0] == "shift":
+                    _, alpha_terms, rows = rule
+                    cut = dense_value(p.values, alpha_terms)
+                    assert local == tuple(dense_value(p.values, terms) / cut**k for k, terms in rows)
 
 
 @st.composite
@@ -341,14 +414,14 @@ def test_localization_rule_high_multiplicity_bounded():
     assert elapsed < 10.0, elapsed
     gens = atlas.hilbert(sigma).generators
 
-    def combine(coeffs):
+    def combine(terms):
         total = (0, 0, 0)
-        for c, g in zip(coeffs, gens):
-            total = vadd(total, vscale(c, g))
+        for i, c in terms:
+            total = vadd(total, vscale(c, gens[i]))
         return total
 
     alpha = combine(alpha_coeffs)
-    assert kind == "shift" and all(c >= 0 for c in alpha_coeffs)
-    for h, (k, coeffs) in zip(atlas.hilbert(zero).generators, rows):
-        assert all(c >= 0 for c in coeffs)
-        assert combine(coeffs) == vadd(h, vscale(k, alpha))
+    assert kind == "shift" and all(c > 0 for _, c in alpha_coeffs)
+    for h, (k, terms) in zip(atlas.hilbert(zero).generators, rows):
+        assert all(c > 0 for _, c in terms)
+        assert combine(terms) == vadd(h, vscale(k, alpha))

@@ -85,6 +85,10 @@ def test_param_vertices(capsys):
 def test_param_bad_xi(capsys):
     assert main(["param", fan_path("p2"), "--flag", "0", "--xi", "0.5,0.7,0.5"]) == 2
     assert main(["param", fan_path("p2"), "--flag", "99", "--xi", "1,0,0"]) == 2
+    capsys.readouterr()
+    assert main(["param", fan_path("p2"), "--flag", "0", "--xi", "nan,0.5,0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
 
 
 def test_verify_passes(capsys):
@@ -102,6 +106,11 @@ def test_verify_tamper_fails(capsys):
     doc = json.loads(out)
     failed = {c["name"] for c in doc["checks"] if not c["passed"]}
     assert "monomial_diagram" in failed
+    # The exact gate names the perturbed entry: the last row and column
+    # of the first chart.
+    diagram = next(c for c in doc["checks"] if c["name"] == "monomial_diagram")
+    assert diagram["witness"]["flag"] == 0 and diagram["witness"]["column"] == 1
+    assert diagram["witness"]["found"] == diagram["witness"]["expected"] + 1
 
 
 def test_verify_incomplete_exit(tmp_path):
@@ -129,6 +138,18 @@ def test_cover_reports_witness_on_failure():
     ctx = verify.Context(fan, None, [], [], fan.dim, 1e-9, 0, 0, random.Random(0))
     witness = {"reason": "ridge not shared by exactly two maximal flags", "ridge": [[0]], "count": 1}
     assert verify._cover(ctx) == (False, {"witness": witness})
+
+
+def test_verify_timings_separate_artifact(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    timings = tmp_path / "timings.json"
+    main(["verify", fan_path("p2"), "--samples", "5", "--out", str(a), "--timings", str(timings)])
+    main(["verify", fan_path("p2"), "--samples", "5", "--out", str(b)])
+    assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+    doc = json.loads(timings.read_text())
+    names = [c["name"] for c in json.loads((a / "report.json").read_text())["checks"]]
+    assert doc["fan"] == "p2" and list(doc["seconds"]) == names
+    assert all(s >= 0 for s in doc["seconds"].values())
 
 
 def test_verify_deterministic(tmp_path):

@@ -1,15 +1,20 @@
 """Ball model, orbit complex, gluing and regularity verification."""
 
+import json
+from pathlib import Path
+
 import toricball as tb
 from conftest import cube_faces_fan
 from toricball.cellcomplex import (
     build_ball_model,
     build_orbit_complex,
     euler_characteristic,
+    gluing_identities,
     pseudomanifold_check,
     verify_gluing,
     verify_regularity,
 )
+from toricball.exact import pair
 from toricball.fan import validate_fan
 
 
@@ -115,6 +120,96 @@ def test_verify_gluing_p2(atlas_p2):
     assert report.passed
     assert report.pairs_checked == 21  # 6 flags, ordered pairs with repeats
     assert report.worst_shared_gap <= 1e-9
+    # Per flag: |H| is 2 on the top cone, 3 on each ray and 4 on the zero
+    # cone, plus one cutting functional per proper face: 2 + 2*3 + 4 + 3.
+    assert report.identities == 6 * 15
+    assert report.distinct_coverage == "all pairs"
+    assert report.shared_samples == 6 * 2**2 * 15  # (flag, subflag) x samples
+    assert report.distinct_samples == 15 * 15
+
+
+def _perturbed_gluing(edit):
+    """gluing_identities and verify_gluing on a fresh p2 atlas after
+    edit(atlas, flag) has changed the exact data of flag 0."""
+    atlas = tb.Atlas(tb.load_bundled("p2"))
+    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    edit(atlas, flags[0])
+    return flags, gluing_identities(atlas, flags), verify_gluing(atlas, samples_per_pair=10, seed=0)
+
+
+def test_gluing_identity_fails_on_perturbed_rule():
+    state = {}
+
+    def edit(atlas, flag):
+        sigma, tau = flag.cones[-1], flag.cones[0]
+        kind, alpha_terms, rows = atlas._localization_rule(sigma, tau)
+        (k, ((i, c), *rest)), *others = rows
+        atlas._local_rules[(sigma.rays, tau.rays)] = (kind, alpha_terms, ((k, ((i, c + 1), *rest)), *others))
+        state.update(face=sorted(tau.rays), generator=list(atlas.hilbert(tau).generators[0]), sigma=sigma)
+
+    flags, (count, failures), report = _perturbed_gluing(edit)
+    assert count == 6 * 15
+    # Every flag ending in sigma reads the perturbed rule, and only those.
+    ending = [i for i, f in enumerate(flags) if f.cones[-1] == state["sigma"]]
+    assert [(w["flag"], w["face"], w["generator"]) for w in failures] == [
+        (i, state["face"], state["generator"]) for i in ending
+    ]
+    assert all(w["found"] != w["expected"] for w in failures)
+    assert not report.passed
+    kinds = [c["kind"] for c in report.counterexamples]
+    assert kinds[: len(ending)] == ["identity"] * len(ending)
+    assert "shared" in kinds  # the float cross-check sees the rule too
+
+
+def test_gluing_identity_fails_on_perturbed_cutting_functional():
+    state = {}
+
+    def edit(atlas, flag):
+        # Cut the first ray of flag 0 with a functional positive on it.
+        sigma, tau = flag.cones[-1], flag.cones[0]
+        kind, alpha_terms, rows = atlas._localization_rule(sigma, tau)
+        gens = atlas.hilbert(sigma).generators
+        i = next(i for i, g in enumerate(gens) if all(pair(g, r) > 0 for r in tau.generators))
+        atlas._local_rules[(sigma.rays, tau.rays)] = (kind, ((i, 1),), rows)
+        state.update(face=sorted(tau.rays), alpha=list(gens[i]))
+
+    _, (_, failures), report = _perturbed_gluing(edit)
+    cuts = [w for w in failures if "cutting_functional" in w]
+    assert cuts and all(w["face"] == state["face"] and w["cutting_functional"] == state["alpha"] for w in cuts)
+    assert 0 in [w["flag"] for w in cuts] and not report.passed
+
+
+def test_gluing_identity_fails_on_perturbed_b():
+    import dataclasses
+
+    state = {}
+
+    def edit(atlas, flag):
+        chart = atlas.chart(flag)
+        b = [list(row) for row in chart.b]
+        row = chart.hilbert_rows[0]
+        b[row][0] += 1
+        atlas._charts[flag] = dataclasses.replace(chart, b=tuple(map(tuple, b)))
+        state.update(generator=list(chart.generators[row]), sigma=sorted(chart.top_cone.rays))
+
+    _, (_, failures), report = _perturbed_gluing(edit)
+    assert failures and all(w["flag"] == 0 for w in failures)
+    # On the top cone itself the rule is the identity: the row is read as is.
+    top = [w for w in failures if w["face"] == state["sigma"]]
+    assert [(w["generator"], w["found"][0] - w["expected"][0]) for w in top] == [(state["generator"], 1)]
+    assert not report.passed and report.counterexamples[0]["kind"] == "identity"
+
+
+def test_verify_gluing_distinct_pin():
+    """The distinct half, sample for sample: P(1,1,20) at seed 5 keeps the
+    counterexample that Atlas.points_equal's absolute gap produces near
+    the toric boundary (stored from the sampler it replaced)."""
+    data = Path(__file__).parent / "data" / "gluing_wps_1_1_20_seed5"
+    atlas = tb.Atlas(tb.parse_and_validate((data / "fan.json").read_text()))
+    report = verify_gluing(atlas, samples_per_pair=50, tol=1e-9, seed=5)
+    distinct = [c for c in report.counterexamples if c["kind"] == "distinct"]
+    assert distinct == json.loads((data / "distinct.json").read_text())
+    assert distinct and report.counterexamples == distinct
 
 
 def test_verify_gluing_disjoint_flags_share_only_origin(atlas_p1xp1):

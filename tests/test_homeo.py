@@ -158,6 +158,10 @@ def test_check_barycentric():
         check_barycentric((Fraction(1, 2), 0.5 + 1e-9))
     with pytest.raises(ValueError, match="nonnegative"):
         check_barycentric((Fraction(-1, 10), 1.1))
+    # Non-finite entries fail every comparison, so they are refused first.
+    for bad in ((math.nan,), (math.nan, 0.5, 0.5), (math.inf, 0.0), (0.5, -math.inf, 0.5)):
+        with pytest.raises(ValueError, match="finite"):
+            check_barycentric(bad)
 
 
 def test_param_vertices(atlas_p2):
