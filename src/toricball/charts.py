@@ -29,6 +29,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from operator import sub
 
 from . import cones as _ck
 from .bary import Flag, enumerate_flags, simplicial_coords
@@ -74,10 +75,17 @@ class Chart:
         return len(self.generators)
 
     @cached_property
+    def terms(self) -> tuple:
+        """Per row of b, its (column, exponent) pairs with a nonzero
+        exponent, in column order: psi's monomials, multiplied in the
+        order of monomial_eval."""
+        return tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in self.b)
+
+    @cached_property
     def hilbert_terms(self) -> tuple:
-        """Per Hilbert row of b, its (column, exponent) pairs with a
-        nonzero exponent: the monomials of chart_point."""
-        return tuple(tuple((j, e) for j, e in enumerate(self.b[i]) if e) for i in self.hilbert_rows)
+        """The terms of the Hilbert rows (shared, not copied): the
+        monomials of Atlas.chart_point."""
+        return tuple(self.terms[i] for i in self.hilbert_rows)
 
     def monomial_strings(self):
         out = []
@@ -148,9 +156,22 @@ def monomial_eval(exponents, w) -> float:
     return out
 
 
+def _monomials(rows, w) -> tuple:
+    """Each row's monomial at w, a row given by its nonzero (column,
+    exponent) terms in column order: the float monomial_eval gives."""
+    w = [float(x) for x in w]
+    values = []
+    for terms in rows:
+        out = 1.0
+        for j, e in terms:
+            out *= w[j] ** e
+        values.append(out)
+    return tuple(values)
+
+
 def psi_eval(chart: Chart, w):
     """All m monomial coordinates of the chart at w (w_j >= 0)."""
-    return tuple(monomial_eval(row, w) for row in chart.b)
+    return _monomials(chart.terms, w)
 
 
 def invert_triangular(b, y):
@@ -187,7 +208,7 @@ def psi_invert(chart: Chart, y, tol: float = 1e-9):
     """
     n = chart.n
     w = invert_triangular([chart.b[i] for i in range(n)], [float(y[i]) for i in range(n)])
-    residual = max(abs(monomial_eval(row, w) - float(yi)) for row, yi in zip(chart.b, y))
+    residual = max(map(abs, map(sub, _monomials(chart.terms, w), map(float, y))))
     if residual > tol:
         raise NotInImage(f"residual {residual} exceeds {tol}", residual=residual)
     return w
@@ -304,14 +325,7 @@ class Atlas:
         """ToricPoint of the chart's top cone at simplex coordinates w:
         psi's monomials at the Hilbert rows only, multiplied in the order
         of monomial_eval, so each value is the same float."""
-        w = [float(x) for x in w]
-        values = []
-        for terms in chart.hilbert_terms:
-            out = 1.0
-            for j, e in terms:
-                out *= w[j] ** e
-            values.append(out)
-        return ToricPoint(cone=chart.top_cone, values=tuple(values))
+        return ToricPoint(cone=chart.top_cone, values=_monomials(chart.hilbert_terms, w))
 
     def commutativity_residual(self, chart: Chart, x) -> float:
         """Sup-norm gap between the monomial route psi(theta(exp_F(x)))

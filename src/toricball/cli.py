@@ -156,8 +156,8 @@ def cmd_param(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.tol <= 0 or args.samples < 1:
-        print("tolerance and sample count must be positive", file=sys.stderr)
+    if not (math.isfinite(args.tol) and args.tol > 0) or args.samples < 1:
+        print("tolerance must be finite and positive, and the sample count positive", file=sys.stderr)
         return EXIT_INVALID
     fan, code = _load_or_exit(args)
     if fan is None:

@@ -10,14 +10,18 @@ fixed seed and configuration give a byte-identical report.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, pairwise
+from operator import mul, sub
 
 from . import cellcomplex, charts, homeo
 from . import cones as _ck
 from .bary import Flag, cover_check, enumerate_flags, flag_cone, simplicial_coords
+from .charts import TWO_PI
 from .exact import pair
 from .fan import Fan
 
@@ -55,7 +59,7 @@ def _delta_samples(rng, n, count, strata_each=50):
 
 
 def _sup_gap(a, b) -> float:
-    return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+    return max(map(abs, map(sub, a, b)), default=0.0)
 
 
 def _chart_invariants(ctx):
@@ -65,34 +69,63 @@ def _chart_invariants(ctx):
 
 
 def _monomial_diagram(ctx):
-    """Both routes into the ambient chart agree: exactly, each partial
-    sum b_g1 + ... + b_gi of the exponent rows equals <g, B_i> computed
-    from the chart's generators and barycenters (on failure, the first
-    witness); and at seeded points, as a cross-check of the evaluators."""
+    """Both routes into the ambient chart agree.
+
+    Exactly, per chart: each partial sum b_g1 + ... + b_gi of the
+    exponent rows equals <g, B_i>, computed from the chart's generators
+    and barycenters; and the flag's left inverse is dual to the
+    barycenters, <beta_j, B_i> = delta_ij, so the simplicial coordinates
+    of x = sum_i u_i B_i are u at every point of the cone.  On failure,
+    the first witness of each.  As a cross-check of the evaluators, the
+    seeded residuals of _diagram_residuals.
+    """
     identities = 0
-    witness = None
-    for index, chart in enumerate(ctx.charts):
-        for g, row in zip(chart.generators, chart.b):
-            for i, bary in enumerate(chart.flag.barycenters):
-                identities += 1
-                found, expected = sum(row[: i + 1]), pair(g, bary)
-                if witness is None and found != expected:
-                    witness = {
-                        "flag": index,
-                        "generator": list(g),
-                        "column": i,
-                        "found": found,
-                        "expected": expected,
-                    }
+    witness = dual_witness = None
     worst = 0.0
-    for chart in ctx.charts:
-        for _ in range(ctx.samples):
-            x = _random_cone_point(ctx.rng, chart.flag)
-            worst = max(worst, ctx.atlas.commutativity_residual(chart, x))
+    for index, chart in enumerate(ctx.charts):
+        barys = chart.flag.barycenters
+        pairings = [[pair(g, bary) for bary in barys] for g in chart.generators]
+        for g, row, expected in zip(chart.generators, chart.b, pairings):
+            for i, (found, want) in enumerate(zip(accumulate(row), expected)):
+                identities += 1
+                if witness is None and found != want:
+                    witness = {"flag": index, "generator": list(g), "column": i, "found": found, "expected": want}
+        if dual_witness is None:
+            dual_witness = _dual_basis_witness(index, chart.flag)
+        worst = max([worst, *_diagram_residuals(chart, pairings, ctx.rng, ctx.samples)])
     details = {"identities": identities, "worst_residual": worst, "samples_per_chart": ctx.samples}
     if witness is not None:
         details["witness"] = witness
-    return witness is None and worst <= ctx.tol, details
+    if dual_witness is not None:
+        details["dual_witness"] = dual_witness
+    return witness is None and dual_witness is None and worst <= ctx.tol, details
+
+
+def _dual_basis_witness(index, flag):
+    """The first (row j, column i) where the flag's left inverse breaks
+    <beta_j, B_i> = delta_ij, named with the flag's index; None when it
+    is dual to the barycenters."""
+    for j, beta in enumerate(flag.inverse[0]):
+        for i, bary in enumerate(flag.barycenters):
+            found, expected = pair(beta, bary), int(i == j)
+            if found != expected:
+                return {"flag": index, "row": j, "column": i, "found": str(found), "expected": expected}
+    return None
+
+
+def _diagram_residuals(chart, pairings, rng, count):
+    """Per seeded point x = sum_i u_i B_i of the flag cone, u_i = k_i/1000
+    with k_i drawn from 0..4000: the sup gap between the monomial route
+    psi(theta(exp(-2 pi u))) and the direct route exp(-2 pi <g, x>) =
+    exp(-2 pi (sum_i k_i <g, B_i>) / 1000), read from the integer
+    pairings <g, B_i>.  Int / int division is correctly rounded, so these
+    are the floats of Atlas.commutativity_residual at x (which recovers u
+    through the left inverse that _monomial_diagram certifies)."""
+    for _ in range(count):
+        k = [rng.randint(0, 4000) for _ in chart.flag.barycenters]
+        monomial = charts.psi_eval(chart, charts.theta([math.exp(-TWO_PI * (ki / 1000)) for ki in k]))
+        direct = [math.exp(-TWO_PI * (sum(map(mul, k, row)) / 1000)) for row in pairings]
+        yield _sup_gap(monomial, direct)
 
 
 def _simplex_inversion(ctx):
@@ -150,26 +183,80 @@ def _rescale_gluing(ctx):
 
 def _barycentric_composite(ctx):
     """The boundary parameterization agrees with psi . theta . exp . Phi
-    on the interior, and with the ratio formula."""
-    n, rng = ctx.n, ctx.rng
+    on the interior, and with the ratio formula (_composite_samples);
+    the simplex chain holds exactly at every sample."""
     worst = 0.0
     chain_ok = True
     for chart in ctx.charts:
-        for _ in range(50):
-            raw = [rng.random() + 0.01 for _ in range(n + 1)]
-            total = sum(raw)
-            xi = tuple(Fraction(x).limit_denominator(10**6) / Fraction(total).limit_denominator(10**6) for x in raw)
-            xi = tuple(x / sum(xi) for x in xi)
-            direct = homeo.param_boundary_point(ctx.atlas, chart.flag, xi)
-            u = tuple(float(x / xi[0]) for x in xi[1:])
-            composite = charts.psi_eval(chart, charts.theta(charts.exp_flag(homeo.phi_coords(u))))
-            comp_point = tuple(composite[i] for i in chart.hilbert_rows)
-            worst = max(worst, _sup_gap(direct.values, comp_point))
-            w = homeo.bary_to_delta(xi)
-            ratio = [(1 + sum(u[:j])) / (1 + sum(u)) for j in range(n)]
-            worst = max(worst, max(abs(float(a) - b) for a, b in zip(w, ratio)))
-            chain_ok = chain_ok and charts.delta_chain_violation(w) == 0
+        for gap, in_simplex in _composite_samples(ctx.atlas, chart, ctx.rng, 50):
+            worst = max(worst, gap)
+            chain_ok = chain_ok and in_simplex
     return chain_ok and worst <= ctx.tol, {"worst_gap": worst}
+
+
+def _composite_samples(atlas, chart, rng, count):
+    """Per seeded interior barycentric point xi of the chart's flag
+    simplex: the sup gap of the boundary parameterization
+    (homeo.param_boundary_point) against psi(theta(exp(Phi(u)))) at
+    u_j = xi_j / xi_0 and against the ratio formula
+    w_j = (1 + u_1 + ... + u_{j-1}) / (1 + u_1 + ... + u_n), and whether
+    w lies in the simplex.  xi_i = a_i / (a_0 + ... + a_n), with a_i the
+    draw rounded by limit_denominator(10**6), is carried as integer
+    numerators N over one common denominator, so w_j and u_j are
+    correctly rounded int / int quotients: the floats of the exact
+    rational route."""
+    n = len(chart.flag)
+    for _ in range(count):
+        nums = _common_numerators(rng.random() + 0.01 for _ in range(n + 1))
+        w, in_simplex = _partial_sums(nums)
+        direct = atlas.chart_point(chart, w)
+        u = [x / nums[0] for x in nums[1:]]
+        composite = charts.psi_eval(chart, charts.theta(charts.exp_flag(homeo.phi_coords(u))))
+        gap = _sup_gap(direct.values, [composite[i] for i in chart.hilbert_rows])
+        ratio = [(1 + sum(u[:j])) / (1 + sum(u)) for j in range(n)]
+        yield max(gap, _sup_gap(w, ratio)), in_simplex
+
+
+def _common_numerators(floats):
+    """Numerators N_i over one common denominator of the a_i =
+    Fraction(x_i).limit_denominator(10**6), so N_i / sum(N) =
+    a_i / sum(a)."""
+    rounded = [_limit_denominator(x, 10**6) for x in floats]
+    d = math.lcm(*(q for _, q in rounded))
+    return [p * (d // q) for p, q in rounded]
+
+
+def _limit_denominator(x, bound):
+    """Fraction(x).limit_denominator(bound) as a (numerator, denominator)
+    pair, computed on ints: the continued-fraction convergent or
+    semiconvergent of x with denominator at most bound that is closest
+    to x, the convergent on a tie."""
+    num, den = x.as_integer_ratio()
+    if den <= bound:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - x| <= |p2/q2 - x|, cleared of the positive denominators.
+    if abs(p1 * den - num * q1) * q2 <= abs(p2 * den - num * q2) * q1:
+        return p1, q1
+    return p2, q2
+
+
+def _partial_sums(nums):
+    """homeo.bary_to_delta at xi = N / sum(N) in floats, w_j =
+    (N_0 + ... + N_{j-1}) / sum(N), and whether 0 <= w_1 <= ... <= w_n
+    <= 1 holds, decided exactly on the integer prefix sums."""
+    *prefix, total = accumulate(nums)
+    return [p / total for p in prefix], all(a <= b for a, b in pairwise([0, *prefix, total]))
 
 
 def _cover(ctx):
@@ -214,8 +301,30 @@ def _intersection_gluing(ctx):
 
 
 def _regularity(ctx):
+    """Every cell closure is a combinatorial ball (see
+    cellcomplex.verify_regularity); on failure, up to five failing cells,
+    each named by its cone's rays with the tests it failed: star
+    completeness, Euler characteristic 1, pseudomanifold."""
     reg = cellcomplex.verify_regularity(ctx.fan)
-    return reg.passed, {"cells": len(reg.cells)}
+    if reg.passed:
+        return True, {"cells": len(reg.cells)}
+    failures = [
+        {
+            "rays": cell["rays"],
+            "failed": [
+                test
+                for test, ok in (
+                    ("star_complete", cell["star_complete"]),
+                    ("euler", cell["euler"] == 1),
+                    ("pseudomanifold", cell["pseudomanifold"]),
+                )
+                if not ok
+            ],
+        }
+        for cell in reg.cells
+        if not cell["ok"]
+    ]
+    return False, {"cells": len(reg.cells), "failures": failures[:5]}
 
 
 def _hilbert_minimality(ctx):

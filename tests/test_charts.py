@@ -327,6 +327,32 @@ def test_concurrent_reads_consistent(atlas_p2):
     assert serial == parallel
 
 
+def test_psi_eval_matches_row_by_row_monomial_eval():
+    """psi_eval and psi_invert's residual read Chart.terms; both give
+    the floats of monomial_eval row by row, including 0**0 == 1 where a
+    zero coordinate meets a zero exponent.  Chart.hilbert_terms are the
+    same tuples as the Hilbert rows' terms, not a copy."""
+    path = Path(__file__).parent / "data" / "golden" / "verify_wps_1_1_1_9" / "fan.json"
+    atlas = Atlas(tb.parse_and_validate(path.read_text()))
+    rng = random.Random(2)
+    for chart in atlas.charts():
+        assert all(chart.hilbert_terms[k] is chart.terms[i] for k, i in enumerate(chart.hilbert_rows))
+        for _ in range(10):
+            w = tuple(sorted(rng.choice((0.0, rng.random())) for _ in range(chart.n)))
+            y = psi_eval(chart, w)
+            assert y == tuple(monomial_eval(row, w) for row in chart.b)
+            back = psi_invert(chart, y, tol=1.0)
+            residual = max(abs(monomial_eval(row, back) - yi) for row, yi in zip(chart.b, y))
+            if residual > 0:
+                with pytest.raises(NotInImage) as err:
+                    psi_invert(chart, y, tol=residual / 2)
+                assert err.value.residual == residual
+    chart = atlas.charts()[0]
+    zeros = psi_eval(chart, (0.0,) * chart.n)
+    assert zeros == tuple(1.0 if not any(row) else 0.0 for row in chart.b)
+    assert psi_eval(chart, (Fraction(1, 2),) * chart.n) == psi_eval(chart, (0.5,) * chart.n)
+
+
 def test_chart_point_extracts_hilbert_rows(atlas_p2):
     chart = _chart(atlas_p2, {0}, {0, 1})
     p = atlas_p2.chart_point(chart, (0.3, 0.4))

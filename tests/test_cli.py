@@ -111,6 +111,18 @@ def test_verify_tamper_fails(capsys):
     diagram = next(c for c in doc["checks"] if c["name"] == "monomial_diagram")
     assert diagram["witness"]["flag"] == 0 and diagram["witness"]["column"] == 1
     assert diagram["witness"]["found"] == diagram["witness"]["expected"] + 1
+    # The tamper leaves the flag's inverse alone, so the dual-basis gate holds.
+    assert "dual_witness" not in diagram
+
+
+def test_verify_rejects_nonfinite_tol(tmp_path, capsys):
+    # NaN compares false with everything, and inf makes every sampled
+    # gap pass, so neither is a tolerance; no report is written.
+    for tol in ("nan", "inf", "-inf", "0"):
+        out = tmp_path / tol
+        assert main(["verify", fan_path("p2"), f"--tol={tol}", "--samples", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+    assert "finite" in capsys.readouterr().err
 
 
 def test_verify_incomplete_exit(tmp_path):

@@ -15,6 +15,8 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 CASES = [
     ("verify_p2", ["verify", "p2", "--seed", "0", "--samples", "20"], 0),
     ("verify_p112", ["verify", "p112", "--seed", "0", "--samples", "20"], 0),
+    # The bundled rank-3 fan: 24 charts through every sample loop.
+    ("verify_p3", ["verify", "p3", "--seed", "0", "--samples", "20"], 0),
     ("verify_p2_tamper", ["verify", "p2", "--seed", "0", "--samples", "20", "--tamper"], 4),
     # P(1,1,1,9): multiplicity-9 cones, so large Hilbert bases and long
     # localization searches; the input fan is stored next to its report.
