@@ -5,15 +5,16 @@ flag is allowed and its cone is the origin.  The cone of a flag is
 spanned by the barycenters of its members, where the barycenter of a
 cone is the sum of its primitive ray generators.
 
-Flag enumeration descends the face lattice from the maximal cones and
-is deterministic: cones are ordered by (dimension, sorted ray indices)
-and flags lexicographically by that key, so chart indices are stable
-across runs.
+Flag enumeration descends the face lattice from each nonzero cone,
+once per fan object (see subdivision), and is deterministic: cones are
+ordered by (dimension, sorted ray indices) and flags lexicographically
+by that key, so chart indices are stable across runs.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -100,33 +101,79 @@ def flag_cone(flag: Flag) -> FlagCone:
     return FlagCone(flag=flag, generators=flag.barycenters)
 
 
+@dataclass(frozen=True)
+class Subdivision:
+    """The barycentric subdivision of one fan, built once per fan object.
+
+    flags lists every flag (the empty one first) and maximal the maximal
+    ones (length n, ending in a maximal cone), in enumeration order;
+    by_chain maps each flag's chain of ray sets to its Flag.  simplicial
+    and other are the index of locate_flag: simplicial lists, for every
+    full-dimensional simplicial maximal cone, its sorted ray indices and
+    the integer dual rays d_i opposite them (d_i vanishes on the other
+    rays, and every <d_i, r_i> is the same positive number, so the
+    pairings <d_i, x> are the ray coordinates of x up to one common
+    positive factor); other lists every other full-dimensional maximal
+    cone with its maximal flags in enumeration order.
+    """
+
+    flags: tuple
+    maximal: tuple
+    by_chain: dict
+    simplicial: tuple
+    other: tuple
+
+
+# Keyed by the fan object and dropped with it, so the fan itself stays
+# immutable and the star fans of verify_regularity do not accumulate.
+_SUBDIVISIONS = weakref.WeakKeyDictionary()
+
+
+def subdivision(fan: Fan) -> Subdivision:
+    """The fan's Subdivision, built on first use."""
+    sub = _SUBDIVISIONS.get(fan)
+    if sub is not None:
+        return sub
+    # Chains are built top-down (largest cone first) then reversed.
+    flags = [Flag(())]
+    stack = [[c] for c in fan.cones() if c.dim > 0]
+    while stack:
+        chain = stack.pop()
+        flags.append(Flag(tuple(reversed(chain))))
+        stack.extend(chain + [c] for c in fan.faces(chain[-1]) if c.dim > 0 and c.rays < chain[-1].rays)
+    flags.sort(key=Flag.sort_key)
+    tops = set(fan.max_cones)
+    maximal = tuple(f for f in flags if len(f) == fan.dim and f.cones and f.cones[-1].rays in tops)
+    simplicial, other = [], []
+    for cone in fan.maximal_cones():
+        if cone.dim != fan.dim:
+            continue
+        gens = cone.generators
+        if len(gens) != cone.dim:
+            other.append((cone, tuple(f for f in maximal if f.cones[-1].rays == cone.rays)))
+            continue
+        duals = [
+            next(d for d in cone.dual_rays if all(pair(d, g) == 0 for j, g in enumerate(gens) if j != i))
+            for i in range(len(gens))
+        ]
+        scale = math.lcm(*(pair(d, g) for d, g in zip(duals, gens)))
+        duals = tuple(tuple(a * (scale // pair(d, g)) for a in d) for d, g in zip(duals, gens))
+        simplicial.append((tuple(sorted(cone.rays)), duals))
+    sub = _SUBDIVISIONS[fan] = Subdivision(
+        flags=tuple(flags),
+        maximal=maximal,
+        by_chain={tuple(c.rays for c in f.cones): f for f in flags},
+        simplicial=tuple(simplicial),
+        other=tuple(other),
+    )
+    return sub
+
+
 def enumerate_flags(fan: Fan, only_maximal: bool = False):
     """All flags of the fan, or only the maximal ones (length n, ending
     in a maximal cone), in deterministic order."""
-    key = fan._cache.get("flags_key")
-    if key is None:
-        nonzero = [c for c in fan.cones() if c.dim > 0]
-        all_flags = [Flag(())]
-
-        def descend(chain):
-            all_flags.append(Flag(tuple(reversed(chain))))
-            for c in fan.faces(chain[-1]):
-                if c.dim > 0 and c.rays < chain[-1].rays:
-                    descend(chain + [c])
-
-        # Chains are built top-down (largest cone first) then reversed.
-        for c in nonzero:
-            descend([c])
-        all_flags.sort(key=Flag.sort_key)
-        maximal = [
-            f
-            for f in all_flags
-            if len(f) == fan.dim and f.cones and f.cones[-1].rays in set(fan.max_cones)
-        ]
-        fan._cache["flags_all"] = tuple(all_flags)
-        fan._cache["flags_max"] = tuple(maximal)
-        fan._cache["flags_key"] = True
-    return list(fan._cache["flags_max" if only_maximal else "flags_all"])
+    sub = subdivision(fan)
+    return list(sub.maximal if only_maximal else sub.flags)
 
 
 def flag_intersection(f1: Flag, f2: Flag) -> Flag:
@@ -174,41 +221,6 @@ def containing_flags(fan: Fan, x):
     return [f for f in enumerate_flags(fan, only_maximal=True) if flag_contains(f, x)]
 
 
-def _locate_index(fan: Fan):
-    """Per-fan data for locate_flag, built once and kept in fan._cache.
-
-    Returns (by_chain, simplicial, other): by_chain maps each flag's
-    chain of ray sets to its Flag object; simplicial lists, for every
-    full-dimensional simplicial maximal cone, its sorted ray indices and
-    the integer dual rays d_i opposite them (d_i vanishes on the other
-    rays, and every <d_i, r_i> is the same positive number, so the
-    pairings <d_i, x> are the ray coordinates of x up to one common
-    positive factor); other lists every other full-dimensional maximal
-    cone with its maximal flags in enumeration order.
-    """
-    index = fan._cache.get("locate_index")
-    if index is None:
-        by_chain = {tuple(c.rays for c in f.cones): f for f in enumerate_flags(fan)}
-        maximal = enumerate_flags(fan, only_maximal=True)
-        simplicial, other = [], []
-        for cone in fan.maximal_cones():
-            if cone.dim != fan.dim:
-                continue
-            gens = cone.generators
-            if len(gens) != cone.dim:
-                other.append((cone, [f for f in maximal if f.cones[-1].rays == cone.rays]))
-                continue
-            duals = [
-                next(d for d in cone.dual_rays if all(pair(d, g) == 0 for j, g in enumerate(gens) if j != i))
-                for i in range(len(gens))
-            ]
-            scale = math.lcm(*(pair(d, g) for d, g in zip(duals, gens)))
-            duals = tuple(tuple(a * (scale // pair(d, g)) for a in d) for d, g in zip(duals, gens))
-            simplicial.append((tuple(sorted(cone.rays)), duals))
-        index = fan._cache["locate_index"] = (by_chain, simplicial, other)
-    return index
-
-
 def locate_flag(fan: Fan, x) -> Flag:
     """Lexicographically least maximal flag whose cone contains x.
 
@@ -222,7 +234,7 @@ def locate_flag(fan: Fan, x) -> Flag:
     by flag.  Same result as containing_flags(fan, x)[0], which stays as
     the exhaustive reference.
     """
-    by_chain, simplicial, other = _locate_index(fan)
+    sub = subdivision(fan)
     if len(x) != fan.dim:
         raise DimensionMismatch(f"point of length {len(x)} in a rank-{fan.dim} fan")
     # One common denominator makes every sign test an integer pairing.
@@ -230,7 +242,7 @@ def locate_flag(fan: Fan, x) -> Flag:
     denom = math.lcm(*(c.denominator for c in exact))
     nums = [c.numerator * (denom // c.denominator) for c in exact]
     found = []
-    for rays, duals in simplicial:
+    for rays, duals in sub.simplicial:
         lam = [sum(map(mul, d, nums)) for d in duals]  # pair() without its length check
         if min(lam, default=0) >= 0:
             chain, members = [], set()
@@ -238,8 +250,8 @@ def locate_flag(fan: Fan, x) -> Flag:
             for i in sorted(range(len(rays)), key=lambda i: -lam[i]):
                 members.add(rays[i])
                 chain.append(frozenset(members))
-            found.append(by_chain[tuple(chain)])
-    for cone, flags in other:
+            found.append(sub.by_chain[tuple(chain)])
+    for cone, flags in sub.other:
         if cone.contains(nums):
             hit = next((f for f in flags if flag_contains(f, x)), None)
             if hit is not None:

@@ -192,13 +192,10 @@ def _embed_xi(sub_xi, flag: Flag, members):
     return tuple(xi)
 
 
-def _simplex_samples(rng, dim, count, include_vertices=True):
+def _simplex_samples(rng, dim, count):
     """Points of the standard dim-simplex: vertices, then seeded random
     points, some forced onto the xi_0 = 0 boundary stratum."""
-    out = []
-    if include_vertices:
-        for i in range(dim + 1):
-            out.append(tuple(1.0 if j == i else 0.0 for j in range(dim + 1)))
+    out = [tuple(1.0 if j == i else 0.0 for j in range(dim + 1)) for i in range(dim + 1)]
     while len(out) < count:
         raw = [rng.random() for _ in range(dim + 1)]
         if dim >= 1 and len(out) % 3 == 2:
@@ -208,10 +205,12 @@ def _simplex_samples(rng, dim, count, include_vertices=True):
     return out[:count]
 
 
-def _interior_samples(rng, dim, count, margin=0.05):
+def _interior_samples(rng, dim, count):
+    """Seeded points of the open dim-simplex, each weight at least
+    0.05 before normalizing."""
     out = []
     for _ in range(count):
-        raw = [margin + rng.random() for _ in range(dim + 1)]
+        raw = [0.05 + rng.random() for _ in range(dim + 1)]
         total = sum(raw)
         out.append(tuple(x / total for x in raw))
     return out
@@ -354,13 +353,12 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
     return out
 
 
-def verify_gluing(
-    atlas: Atlas,
-    samples_per_pair: int = 50,
-    tol: float = 1e-9,
-    seed: int = 0,
-    max_pairs: int = 500,
-) -> GluingReport:
+# Seeded pairs of flags that (ii) of verify_gluing samples above 200
+# maximal flags, instead of every pair.
+DISTINCT_PAIRS = 500
+
+
+def verify_gluing(atlas: Atlas, samples_per_pair: int = 50, tol: float = 1e-9, seed: int = 0) -> GluingReport:
     """Certify that closed flag simplices intersect exactly in the closed
     simplex of the intersection flag.
 
@@ -369,7 +367,7 @@ def verify_gluing(
     _subflag_cross_check.  (ii) Interior points of two different flag
     simplices must be distinct under points_equal at tol: checked for
     every pair when there are at most 200 maximal flags, otherwise for
-    max_pairs seeded random pairs, as distinct_coverage says.
+    DISTINCT_PAIRS seeded random pairs, as distinct_coverage says.
 
     One seeded generator feeds (ii) and then the cross-check.  Each pair
     still draws the samples of its shared face, which (i) no longer
@@ -384,8 +382,8 @@ def verify_gluing(
     report.identities, witnesses = gluing_identities(atlas, flags)
     pairs = [(i, j) for i in range(len(flags)) for j in range(i, len(flags))]
     if len(flags) > 200:
-        pairs = [tuple(sorted(rng.sample(range(len(flags)), 2))) for _ in range(max_pairs)]
-        report.distinct_coverage = f"{max_pairs} seeded pairs of {len(flags) * (len(flags) - 1) // 2}"
+        pairs = [tuple(sorted(rng.sample(range(len(flags)), 2))) for _ in range(DISTINCT_PAIRS)]
+        report.distinct_coverage = f"{DISTINCT_PAIRS} seeded pairs of {len(flags) * (len(flags) - 1) // 2}"
     half = max(samples_per_pair // 2, 1)
     distinct = []
     for i, j in pairs:
@@ -415,29 +413,45 @@ def verify_gluing(
 @dataclass
 class RegularityReport:
     passed: bool
-    cells: list  # per-cone dicts: rays, cell dim, euler, pseudomanifold
+    cells: list  # per-cone dicts: rays, cell dim, the three tests, failed, ok
 
     def __bool__(self):
         return self.passed
+
+
+def sphere_euler(dim: int) -> int:
+    """Euler characteristic of the dim-sphere; the empty S^-1 has 0."""
+    return 1 - (-1) ** (dim + 1)
 
 
 def verify_regularity(fan: Fan) -> RegularityReport:
     """Each cell closure must be a combinatorial ball.
 
     For every cone, the star fan (quotient fan of the cones containing
-    it) is built; it must be complete, and its ball model must have
-    Euler characteristic 1 and pass the pseudomanifold check.  This is
-    the checkable footprint of every closed cell being attached along a
-    sphere.
+    it) is built; it must be complete, the boundary of its ball model
+    (the link of the cell, a sphere of one dimension less than the star
+    fan's rank m) must have the Euler characteristic of S^(m-1), and the
+    model must pass the pseudomanifold check.  This is the checkable
+    footprint of every closed cell being attached along a sphere.  The
+    whole ball model is a cone over that boundary, so its own Euler
+    characteristic is 1 for any fan and tests nothing.
     """
     report = RegularityReport(True, [])
     for cone in fan.cones():
         star = star_fan(fan, cone)
-        complete, cert = star.is_complete()
+        complete, _ = star.is_complete()
         model = build_ball_model(star)
-        chi = euler_characteristic(model.simplices)
+        chi = euler_characteristic(model.boundary_simplices())
         pm = pseudomanifold_check(model)
-        ok = complete and chi == 1 and pm.passed
+        failed = [
+            test
+            for test, ok in (
+                ("star_complete", complete),
+                ("euler", chi == sphere_euler(star.dim - 1)),
+                ("pseudomanifold", pm.passed),
+            )
+            if not ok
+        ]
         report.cells.append(
             {
                 "rays": sorted(cone.rays),
@@ -445,9 +459,10 @@ def verify_regularity(fan: Fan) -> RegularityReport:
                 "star_complete": complete,
                 "euler": chi,
                 "pseudomanifold": pm.passed,
-                "ok": ok,
+                "failed": failed,
+                "ok": not failed,
             }
         )
-        if not ok:
+        if failed:
             report.passed = False
     return report

@@ -175,24 +175,15 @@ def facets_of(gens: Sequence, drays: Sequence):
     return tuple((normal, face) for face, normal in sorted(facets.items(), key=lambda kv: sorted(kv[0])))
 
 
-def facet_normal_faces(gens: Sequence, n: int):
-    """Facets of cone(gens) as (normal, generator-index frozenset) pairs.
-
-    Each normal is an extreme ray class of the dual cone; normals cutting
-    the same generator subset are reported once.
-    """
-    _, drays = dual_generators(gens, n)
-    return facets_of(gens, drays)
-
-
-def face_index_sets(gens: Sequence, n: int):
-    """All faces of cone(gens) as frozensets of generator indices.
+def face_index_sets(gens: Sequence, drays: Sequence):
+    """All faces of cone(gens), given the dual's extreme rays drays, as
+    frozensets of generator indices.
 
     Includes the cone itself and, for pointed cones, the zero face (the
     empty set).  Faces are exactly the intersections of facets.
     """
     top = frozenset(range(len(gens)))
-    facets = [face for _, face in facet_normal_faces(gens, n)]
+    facets = [face for _, face in facets_of(gens, drays)]
     faces = {top}
     frontier = {top}
     while frontier:
@@ -224,7 +215,7 @@ def _placing_triangulation(rays: Sequence, n: int):
         return [tuple(rays)]
     r0 = rays[0]
     simplices = []
-    for _, face in facet_normal_faces(rays, n):
+    for _, face in facets_of(rays, dual_generators(rays, n)[1]):
         face_rays = [rays[i] for i in sorted(face)]
         if r0 in face_rays or not face_rays:
             continue

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import cones as _ck
 from .exact import gcd_vec, is_zero_vec, pair, primitive, quotient_projection, rank
@@ -129,7 +130,6 @@ class Fan:
         self._cones = cones_by_rays
         self._faces_of = faces_of
         self.name = name
-        self._cache = {}
 
     def cone(self, ray_indices) -> Cone:
         key = frozenset(ray_indices)
@@ -234,41 +234,24 @@ def validate_fan(dim, rays, max_cones, require_complete=True, name="fan") -> Fan
         missing = sorted(set(range(len(rays))) - used)
         raise FanValidationError(f"rays {missing} appear in no maximal cone")
 
+    # One dual description per cone: a maximal cone's own gives its
+    # faces, and the faces of a face f are the faces of the maximal
+    # cone that lie inside f.
     cones_by_rays = {}
     faces_of = {}
     for s in max_sets:
-        gens = [rays[i] for i in sorted(s)]
-        index_of = {g: i for g, i in zip(gens, sorted(s))}
+        cone = cones_by_rays[s] = _build_cone(s, rays, n)
         # Strong convexity: the dual description must be full-dimensional.
-        dlin, drays = _ck.dual_generators(gens, n)
-        if rank(_ck.generator_list(dlin, drays)) != n:
+        if rank(cone.dual_generators) != n:
             raise NotStronglyConvex(f"cone {sorted(s)} contains a line")
-        face_sets = _ck.face_index_sets(gens, n)
+        face_sets = _ck.face_index_sets(cone.generators, cone.dual_rays)
         # Every listed ray must span a one-dimensional face (extremality).
-        one_faces = {f for f in face_sets if len(f) == 1}
-        if len(one_faces) != len(gens) or any(
-            frozenset({i}) not in one_faces for i in range(len(gens))
-        ):
-            raise FanValidationError(
-                f"cone {sorted(s)} lists a non-extremal generator"
-            )
-        ray_faces = set()
-        for f in face_sets:
-            ray_faces.add(frozenset(index_of[gens[i]] for i in f))
-        faces_of[s] = ray_faces
-        for fr in ray_faces:
-            if fr not in cones_by_rays:
-                cones_by_rays[fr] = _build_cone(fr, rays, n)
-    # Faces of faces: restrict each stored face set downward.
-    for fr in list(cones_by_rays):
-        if fr in faces_of:
-            continue
-        c = cones_by_rays[fr]
-        sub = _ck.face_index_sets(c.generators, n)
-        order = sorted(fr)
-        faces_of[fr] = {frozenset(order[i] for i in f) for f in sub}
-    for fr, subs in faces_of.items():
-        for f in subs:
+        if sum(len(f) == 1 for f in face_sets) != len(s):
+            raise FanValidationError(f"cone {sorted(s)} lists a non-extremal generator")
+        order = sorted(s)
+        faces = {frozenset(order[i] for i in f) for f in face_sets}
+        for f in faces:
+            faces_of.setdefault(f, {g for g in faces if g <= f})
             if f not in cones_by_rays:
                 cones_by_rays[f] = _build_cone(f, rays, n)
 

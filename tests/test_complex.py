@@ -1,6 +1,7 @@
 """Ball model, orbit complex, gluing and regularity verification."""
 
 import json
+import weakref
 from pathlib import Path
 
 import toricball as tb
@@ -261,7 +262,9 @@ def test_verify_regularity_maximal_cell_is_point(p2):
     for entry in report.cells:
         if len(entry["rays"]) == 2:
             assert entry["cell_dim"] == 0
-            assert entry["euler"] == 1
+            # The link of a point cell is the empty sphere S^-1.
+            assert entry["euler"] == 0
+            assert entry["failed"] == [] and entry["ok"]
 
 
 def test_nonsimplicial_fan_end_to_end():
@@ -287,3 +290,31 @@ def test_nonsimplicial_fan_end_to_end():
             assert atlas.commutativity_residual(chart, x) <= 1e-9
     report = verify_regularity(fan)
     assert report.passed
+
+
+def test_regularity_star_fans_leave_no_subdivision(monkeypatch, twisted_p3):
+    # Each star fan gets a subdivision while its ball model is built, and
+    # the entry goes with the star fan once verify_regularity drops it.
+    from toricball import bary, cellcomplex
+
+    stars, cached = [], []
+    star_fan, build = cellcomplex.star_fan, cellcomplex.build_ball_model
+
+    def traced_star_fan(fan, cone):
+        star = star_fan(fan, cone)
+        stars.append(weakref.ref(star))
+        return star
+
+    def traced_build(fan):
+        model = build(fan)
+        cached.append(fan in bary._SUBDIVISIONS)
+        return model
+
+    monkeypatch.setattr(cellcomplex, "star_fan", traced_star_fan)
+    monkeypatch.setattr(cellcomplex, "build_ball_model", traced_build)
+    before = len(bary._SUBDIVISIONS)
+    assert verify_regularity(twisted_p3).passed
+    assert len(stars) == len(cached) == len(twisted_p3.cones()) == 33
+    assert all(cached)
+    assert all(ref() is None for ref in stars)
+    assert len(bary._SUBDIVISIONS) == before

@@ -366,7 +366,7 @@ def test_dual_generators_separation_property(gens):
 def test_face_lattice_closure(gens):
     from toricball.cones import face_index_sets
 
-    faces = face_index_sets(gens, 2)
+    faces = face_index_sets(gens, dual_generators(gens, 2)[1])
     assert frozenset(range(len(gens))) in faces
     for a in faces:
         for b in faces:

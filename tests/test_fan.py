@@ -1,10 +1,15 @@
 """Fan validation, face lattice, completeness, star fans."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 import toricball as tb
+from conftest import cube_faces_fan, get_fan
+from toricball import cones
+from toricball.cones import dual_generators, face_index_sets
 from toricball.fan import (
     FaceIntersectionViolation,
     FanValidationError,
@@ -112,6 +117,59 @@ def test_face_lattice_closed_under_intersection(p2, p1xp1, p112):
         for a, b in itertools.combinations(cones, 2):
             shared = a.rays & b.rays
             assert fan.cone(shared) is not None
+
+
+def _face_lattice_fans():
+    """Every bundled fan, P(1,1,1,9), the cube-faces fan and every star
+    fan of twisted_p3."""
+    fans = [get_fan(name) for name in tb.BUNDLED_FANS]
+    golden = Path(__file__).parent / "data" / "golden" / "verify_wps_1_1_1_9" / "fan.json"
+    fans.append(parse_and_validate(golden.read_text()))
+    fans.append(cube_faces_fan())
+    twisted = get_fan("twisted_p3")
+    return fans + [star_fan(twisted, c) for c in twisted.cones()]
+
+
+def test_face_lattice_matches_each_cones_own_dual():
+    # The faces of every cone are read off its maximal cone's dual rays;
+    # the reference reruns the double description on the cone's own
+    # generators and reads its faces off that.
+    for fan in _face_lattice_fans():
+        for cone in fan.cones():
+            dlin, drays = dual_generators(cone.generators, fan.dim)
+            assert (cone.dual_lineality, cone.dual_rays) == (dlin, drays)
+            order = sorted(cone.rays)
+            expected = {frozenset(order[i] for i in f) for f in face_index_sets(cone.generators, drays)}
+            assert {f.rays for f in fan.faces(cone)} == expected, (fan.name, cone)
+
+
+@pytest.mark.parametrize("name", tb.BUNDLED_FANS)
+def test_validate_fan_one_dual_description_per_cone(monkeypatch, name):
+    # One per cone plus one per pair of maximal cones (their
+    # intersection): 33 + 45 = 78 on twisted_p3.
+    doc = json.loads(Path(tb.bundled_path(name)).read_text())
+    calls = []
+    original = cones.dual_generators
+    monkeypatch.setattr(cones, "dual_generators", lambda *args: calls.append(args) or original(*args))
+    fan = validate_fan(doc["dim"], doc["rays"], doc["max_cones"])
+    m = len(fan.max_cones)
+    assert len(calls) == len(fan.cones()) + m * (m - 1) // 2
+    if name == "twisted_p3":
+        assert len(calls) == 78
+
+
+def test_annotations_resolve():
+    # Annotations are strings under `from __future__ import annotations`;
+    # each name they use must be importable from its module.
+    import importlib
+    import inspect
+    import typing
+
+    for name in ("bary", "cellcomplex", "charts", "cli", "cones", "exact", "fan", "homeo", "verify"):
+        module = importlib.import_module(f"toricball.{name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) == module.__name__ and inspect.isfunction(obj):
+                typing.get_type_hints(obj)
 
 
 def test_euler_like_sum(p1, p2, p1xp1, p3, cube_fan, p112, twisted_p3):

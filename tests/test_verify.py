@@ -138,7 +138,7 @@ def test_regularity_names_failing_cells():
     p2 = tb.load_bundled("p2")
     assert verify._regularity(_context(p2)) == (True, {"cells": 7})
     fan = tb.validate_fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2]], require_complete=False)
-    failed = ["star_complete", "pseudomanifold"]
+    failed = ["star_complete", "euler", "pseudomanifold"]
     assert verify._regularity(_context(fan)) == (
         False,
         {"cells": 6, "failures": [{"rays": rays, "failed": failed} for rays in ([], [0], [2])]},
@@ -150,3 +150,5 @@ def test_regularity_names_failing_cells():
     passed, details = verify._regularity(_context(fan))
     assert not passed and details["cells"] == 14
     assert [f["rays"] for f in details["failures"]] == [[], [0], [1], [3], [0, 1]]
+    # The link of every failing cell is no sphere.
+    assert all("euler" in f["failed"] for f in details["failures"])
