@@ -8,7 +8,6 @@ import pytest
 
 import toricball as tb
 from conftest import cube_faces_fan, get_fan
-from toricball import cones
 from toricball.cones import dual_generators, face_index_sets
 from toricball.fan import (
     FaceIntersectionViolation,
@@ -149,8 +148,7 @@ def test_validate_fan_one_dual_description_per_cone(monkeypatch, name):
     # intersection): 33 + 45 = 78 on twisted_p3.
     doc = json.loads(Path(tb.bundled_path(name)).read_text())
     calls = []
-    original = cones.dual_generators
-    monkeypatch.setattr(cones, "dual_generators", lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr("toricball.cones.dual_generators", lambda *args: calls.append(args) or dual_generators(*args))
     fan = validate_fan(doc["dim"], doc["rays"], doc["max_cones"])
     m = len(fan.max_cones)
     assert len(calls) == len(fan.cones()) + m * (m - 1) // 2
