@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
+from .cones import cutting_functional
 from .exact import DimensionMismatch, is_zero_vec, pair, span_inverse, vec
 from .fan import Cone, Fan, ridge_pairing
 
@@ -91,7 +92,11 @@ class Flag:
 
 @dataclass(frozen=True)
 class FlagCone:
-    """Simplicial cone spanned by the barycenters of a flag's members."""
+    """Simplicial cone spanned by the barycenters of a flag's members.
+
+    The library reads Flag.barycenters directly; FlagCone and flag_cone
+    remain public API (the benchmark tracer wraps flag_cone by name).
+    """
 
     flag: Flag
     generators: tuple
@@ -152,10 +157,8 @@ def subdivision(fan: Fan) -> Subdivision:
         if len(gens) != cone.dim:
             other.append((cone, tuple(f for f in maximal if f.cones[-1].rays == cone.rays)))
             continue
-        duals = [
-            next(d for d in cone.dual_rays if all(pair(d, g) == 0 for j, g in enumerate(gens) if j != i))
-            for i in range(len(gens))
-        ]
+        # The cutting functional of the facet opposite r_i is the one dual ray there.
+        duals = [cutting_functional(cone, fan.cone(cone.rays - {r})) for r in sorted(cone.rays)]
         scale = math.lcm(*(pair(d, g) for d, g in zip(duals, gens)))
         duals = tuple(tuple(a * (scale // pair(d, g)) for a in d) for d, g in zip(duals, gens))
         simplicial.append((tuple(sorted(cone.rays)), duals))

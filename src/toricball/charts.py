@@ -341,9 +341,13 @@ class Atlas:
         """Exponent data moving values on H(S_sigma) to values on H(S_tau).
 
         tau must be a face of sigma, cut out by the sum alpha of the dual
-        cone's extreme rays vanishing on tau; every Hilbert generator of
-        S_tau satisfies h + k*alpha in S_sigma for some minimal k >= 0,
-        so its value is value(h + k*alpha) / value(alpha)^k.
+        cone's extreme rays vanishing on tau (cones.cutting_functional);
+        every Hilbert generator h of S_tau satisfies h + k*alpha in
+        S_sigma for a least k >= 0, so its value is
+        value(h + k*alpha) / value(alpha)^k.  The least k is the largest
+        of 0 and the ceilings of -<h, r> / <alpha, r> over sigma's rays r
+        with <alpha, r> > 0 (alpha is positive on sigma's rays off tau,
+        and h is nonnegative on tau's).
 
         The rule is ("identity",) when tau is sigma, else
         ("shift", alpha_terms, rows) with one (k, terms) row per
@@ -361,21 +365,14 @@ class Atlas:
         if sigma.rays == tau.rays:
             rule = ("identity",)
         else:
-            vanishing = [
-                d for d in sigma.dual_rays if all(pair(d, g) == 0 for g in tau.generators)
-            ]
-            alpha = tuple(sum(d[i] for d in vanishing) for i in range(sigma.ambient_dim))
+            alpha = _ck.cutting_functional(sigma, tau)
             alpha_coeffs = _ck.decompose(sem_s, alpha)
             assert alpha_coeffs is not None, "cutting functional must lie in the semigroup"
+            cuts = [(r, pair(alpha, r)) for r in sigma.generators if pair(alpha, r) > 0]
             rows = []
             for h in sem_t.generators:
-                k = 0
-                shifted = h
-                while not sem_s.contains(shifted):
-                    k += 1
-                    shifted = vadd(h, vscale(k, alpha))
-                    assert k < 10000, "face shift failed to terminate"
-                coeffs = _ck.decompose(sem_s, shifted)
+                k = max([0, *(-(pair(h, r) // a) for r, a in cuts)])
+                coeffs = _ck.decompose(sem_s, vadd(h, vscale(k, alpha)))
                 assert coeffs is not None, "shifted generator must decompose"
                 rows.append((k, _terms(coeffs)))
             rule = ("shift", _terms(alpha_coeffs), tuple(rows))

@@ -24,7 +24,7 @@ import math
 import sys
 from pathlib import Path
 
-from .bary import barycenter, enumerate_flags, flag_cone
+from .bary import barycenter, enumerate_flags
 from .charts import Atlas
 from .fan import Fan, FanValidationError, ParseError, parse_and_validate
 from .homeo import bary_to_delta, param_boundary_point, phi_point
@@ -202,7 +202,7 @@ def _mesh_sphere(fan: Fan, radius: float, res: int):
         return vertex_ids[key]
 
     for flag in enumerate_flags(fan, only_maximal=True):
-        gens = flag_cone(flag).generators
+        gens = flag.barycenters
         if fan.dim == 2:
             # Simplicial coordinates scale with the point, so they come
             # straight from the interpolation weights; the closed polygon

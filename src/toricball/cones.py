@@ -26,6 +26,7 @@ concurrently.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -66,40 +67,31 @@ def _prune_rays(rays, lineality, constraints, n):
 
     A ray is extreme iff its active constraints cut a face of dimension
     dim(lineality) + 1.  Representatives are canonicalized modulo the
-    lineality space so that duplicates collapse.
+    lineality space, as their orthogonal projection onto its complement,
+    so that duplicates collapse; a ray projecting to zero lies inside
+    the lineality space.
     """
     need = n - len(lineality) - 1
+    if lineality:
+        # The projection I - L^T (L L^T)^-1 L from one Gram inverse per
+        # step, times the common denominator d of (L L^T)^-1 L so that
+        # it applies in integers (primitive() drops the factor d > 0).
+        columns = list(zip(*lineality))
+        gram_inv = invert([[pair(a, b) for b in lineality] for a in lineality])
+        solved = [[pair(row, col) for row in gram_inv] for col in columns]
+        d = math.lcm(*(x.denominator for col in solved for x in col))
+        solved = [[int(x * d) for x in col] for col in solved]
+        project = [[d * (i == j) - pair(a, b) for j, b in enumerate(solved)] for i, a in enumerate(columns)]
     out = []
     for r in rays:
         if _active_rank(r, constraints) != need:
             continue
         if lineality:
-            if solve_in_basis(lineality, r) is not None:
-                continue  # r lies inside the lineality space
-            # Project off the lineality component for a canonical class rep.
-            out.append(primitive(_reduce_mod_span(r, lineality)))
-        else:
-            out.append(primitive(r))
+            r = tuple(pair(row, r) for row in project)
+            if is_zero_vec(r):
+                continue
+        out.append(primitive(r))
     return _dedupe(out)
-
-
-def _reduce_mod_span(v, span_basis):
-    """A rational vector congruent to v modulo span(span_basis), chosen
-    canonically as the orthogonal projection onto the complement."""
-    basis = [tuple(Fraction(a) for a in b) for b in span_basis]
-    w = [Fraction(a) for a in v]
-    # Gram-Schmidt style elimination against the (orthogonalized) basis.
-    ortho = []
-    for b in basis:
-        bb = list(b)
-        for o in ortho:
-            den = pair(o, o)
-            bb = list(vsub(bb, vscale(pair(tuple(bb), o) / den, o)))
-        ortho.append(tuple(bb))
-    for o in ortho:
-        den = pair(o, o)
-        w = list(vsub(tuple(w), vscale(pair(tuple(w), o) / den, o)))
-    return tuple(w)
 
 
 def dual_generators(constraints: Sequence, n: int):
@@ -153,12 +145,6 @@ def generator_list(lineality, rays):
         out.append(tuple(l))
         out.append(vneg(l))
     return tuple(out)
-
-
-def minimal_generators(gens: Sequence, n: int):
-    """(lineality, extreme rays) description of the cone spanned by gens."""
-    dlin, drays = dual_generators(gens, n)
-    return dual_generators(generator_list(dlin, drays), n)
 
 
 def facets_of(gens: Sequence, drays: Sequence):
@@ -246,28 +232,28 @@ def _parallelepiped_points(simplex_rays: Sequence, n: int):
     return points
 
 
-def _pointed_semigroup_generators(rays: Sequence, n: int):
+def _pointed_semigroup_generators(rays: Sequence, normals: Sequence, n: int):
     """Hilbert basis of (full-dimensional pointed cone) intersect Z^n.
 
+    rays are the cone's extreme rays and normals its facet normals (the
+    extreme rays of its dual, which the callers already hold).
     Candidates are reduced in increasing degree against y, the sum of
-    the dual's rays, which is positive on every nonzero point of the
-    cone.  A candidate g is reducible iff g - h lies in the cone for some
+    the normals, which is positive on every nonzero point of the cone.
+    A candidate g is reducible iff g - h lies in the cone for some
     candidate h of smaller degree (equal degree forces g == h), and then
     also for an irreducible one, by induction on degree; so testing only
     against the elements kept so far finds the same basis.
     """
     if not rays:
         return ()
-    dlin, drays = dual_generators(rays, n)
-    assert not dlin, "pointed full-dimensional cone expected"
     candidates = _dedupe([primitive(r) for r in rays])
     for simplex in _placing_triangulation(list(rays), n):
         candidates.extend(_parallelepiped_points(simplex, n))
-    y = tuple(sum(d[i] for d in drays) for i in range(n))
+    y = tuple(sum(d[i] for d in normals) for i in range(n))
     # g - h lies in the cone iff g pairs at least as high as h with every d.
     kept = []
     for g in sorted(_dedupe(candidates), key=lambda v: pair(v, y)):
-        vg = [pair(d, g) for d in drays]
+        vg = [pair(d, g) for d in normals]
         if not any(all(a >= b for a, b in zip(vg, vh)) for _, vh in kept):
             kept.append((g, vg))
     return tuple(sorted(g for g, _ in kept))
@@ -302,7 +288,13 @@ class SemigroupGens:
 
 
 def hilbert_basis(cone) -> SemigroupGens:
-    """Generators of the semigroup of lattice points of the dual cone."""
+    """Generators of the semigroup of lattice points of the dual cone.
+
+    The dual's facet normals are the cone's own generators.  When the
+    cone is not full-dimensional, the dual is projected along its
+    lineality space, and a generator g reads as the functional
+    (<g, s_i>)_i on the quotient, s_i the projection's section.
+    """
     gens = tuple(cone.generators)
     n = cone.ambient_dim
     dlin, drays = cone.dual_lineality, cone.dual_rays
@@ -310,19 +302,17 @@ def hilbert_basis(cone) -> SemigroupGens:
     if not dlin:
         return SemigroupGens(
             cone_rays=gens,
-            pointed=_pointed_semigroup_generators(drays, n),
+            pointed=_pointed_semigroup_generators(drays, gens, n),
             lineality=(),
             interior_point=interior,
         )
     proj = quotient_projection([tuple(int(a) for a in l) for l in dlin], n)
     m = proj.target_dim
-    image_rays = []
-    for r in drays:
-        img = proj.apply(r)
-        if not is_zero_vec(img):
-            image_rays.append(primitive(img))
-    _, image_min = minimal_generators(_dedupe(image_rays), m) if image_rays else ((), ())
-    image_basis = _pointed_semigroup_generators(image_min, m) if image_min else ()
+    # The dual's rays are canonical modulo its lineality, so their
+    # images are the distinct extreme rays of the pointed quotient.
+    image_rays = [primitive(proj.apply(r)) for r in drays]
+    image_normals = [tuple(pair(g, s) for s in proj.section) for g in gens]
+    image_basis = _pointed_semigroup_generators(image_rays, image_normals, m)
     lifts = []
     for h in image_basis:
         lift = tuple(pair(row, h) for row in zip(*proj.section))
@@ -451,27 +441,31 @@ def relative_interior_point(face_rays: Sequence):
     return tuple(total)
 
 
+def cutting_functional(sigma, tau):
+    """The sum of sigma's dual rays that vanish on its face tau.
+
+    It lies in the relative interior of the face of sigma's dual cut
+    out by tau, so it is positive on sigma exactly off tau.
+    """
+    return relative_interior_point(
+        [d for d in sigma.dual_rays if all(pair(d, g) == 0 for g in tau.generators)]
+    )
+
+
 def triangular_generators(chain: Sequence):
     """Distinguished generators alpha_1..alpha_n for a maximal chain of cones.
 
     chain is sigma_1 < sigma_2 < ... < sigma_n with dim(sigma_i) = i and
-    sigma_n full-dimensional.  alpha_i is the sum of the extreme rays of
-    the dual of sigma_n vanishing on sigma_(i-1), i.e. a lattice point in
-    the relative interior of the face of the dual cut out by sigma_(i-1).
-    The resulting pairing matrix against the chain's barycenters is lower
-    triangular: zero below the diagonal, positive on it.
+    sigma_n full-dimensional.  alpha_1 is the sum of the extreme rays of
+    the dual of sigma_n, and alpha_i for i > 1 the cutting functional of
+    sigma_(i-1) in sigma_n: a lattice point in the relative interior of
+    the face of the dual cut out by sigma_(i-1).  The resulting pairing
+    matrix against the chain's barycenters is lower triangular: zero
+    below the diagonal, positive on it.
     """
     top = chain[-1]
-    n = top.ambient_dim
-    dlin, drays = top.dual_lineality, top.dual_rays
-    if dlin or len(drays) == 0:
+    if top.dual_lineality or len(top.dual_rays) == 0:
         raise ValueError("top cone of the chain must be full-dimensional")
-    alphas = []
-    for i in range(1, n + 1):
-        if i == 1:
-            face_rays = list(drays)
-        else:
-            lower = chain[i - 2]
-            face_rays = [d for d in drays if all(pair(d, g) == 0 for g in lower.generators)]
-        alphas.append(relative_interior_point(face_rays))
+    alphas = [relative_interior_point(top.dual_rays)]
+    alphas.extend(cutting_functional(top, lower) for lower in chain[:-1])
     return tuple(alphas)

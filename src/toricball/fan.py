@@ -327,9 +327,12 @@ def parse_and_validate(source, require_complete=True) -> Fan:
 def star_fan(fan: Fan, sigma: Cone) -> Fan:
     """Fan of the cones containing sigma, in the quotient lattice.
 
-    The quotient is by the saturation of the span of sigma; images of
-    the maximal cones containing sigma are reduced to their extreme rays
-    and revalidated as a fan of rank n - dim(sigma).
+    The quotient is by the saturation of the span of sigma.  Each cone
+    tau one dimension above sigma maps to a ray, spanned by the image of
+    any generator of tau outside sigma; a maximal cone containing sigma
+    maps to the cone of the rays of the taus it contains (its faces
+    containing sigma are the faces of its image).  The result is
+    revalidated as a fan of rank n - dim(sigma).
     """
     if sigma.rays not in fan._cones:
         raise KeyError("cone does not belong to this fan")
@@ -337,30 +340,9 @@ def star_fan(fan: Fan, sigma: Cone) -> Fan:
     m = proj.target_dim
     if m == 0:
         return validate_fan(0, (), (frozenset(),), require_complete=False, name=f"{fan.name}/star")
-    ray_pool = []
-    ray_index = {}
-    image_cones = []
-    for c in fan.maximal_cones():
-        if not sigma.rays <= c.rays:
-            continue
-        images = []
-        for g in c.generators:
-            img = proj.apply(g)
-            if not is_zero_vec(img):
-                images.append(primitive(img))
-        _, extreme = _ck.minimal_generators(images, m)
-        indices = set()
-        for r in extreme:
-            r = primitive(r)
-            if r not in ray_index:
-                ray_index[r] = len(ray_pool)
-                ray_pool.append(r)
-            indices.add(ray_index[r])
-        image_cones.append(frozenset(indices))
-    return validate_fan(
-        m,
-        ray_pool,
-        list(dict.fromkeys(image_cones)),
-        require_complete=False,
-        name=f"{fan.name}/star{sorted(sigma.rays)}",
-    )
+    taus = [tau for tau in fan.cones(dim=sigma.dim + 1) if sigma.rays < tau.rays]
+    rays = [primitive(proj.apply(fan.rays[min(tau.rays - sigma.rays)])) for tau in taus]
+    tops = [c for c in fan.maximal_cones() if sigma.rays <= c.rays]
+    max_cones = [[i for i, tau in enumerate(taus) if tau.rays <= c.rays] for c in tops]
+    name = f"{fan.name}/star{sorted(sigma.rays)}"
+    return validate_fan(m, rays, max_cones, require_complete=False, name=name)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bary import Flag, flag_cone, locate_flag, simplicial_coords
+from .bary import Flag, locate_flag, simplicial_coords
 from .charts import TWO_PI, Atlas, ToricPoint, psi_eval, theta
 from .fan import Fan
 
@@ -65,7 +65,7 @@ def phi_point(generators, u, n: int):
 def rescale_in_flag(flag: Flag, x):
     """Phi on the flag's cone: rescale the simplicial coordinates of x
     and re-assemble in the barycenter basis.  Raises NotInCone off-cone."""
-    return phi_point(flag_cone(flag).generators, simplicial_coords(flag, x), len(x))
+    return phi_point(flag.barycenters, simplicial_coords(flag, x), len(x))
 
 
 def rescale_global(fan: Fan, x):

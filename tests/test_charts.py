@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import toricball as tb
 from toricball.bary import Flag
+from toricball.cones import cutting_functional
 from toricball.exact import pair, vadd, vscale
 from toricball.charts import (
     Atlas,
@@ -423,15 +424,19 @@ def test_exp_pairings_matches_fraction_pairing(case):
     assert exp_pairings(gens, x) == tuple(math.exp(-TWO_PI * float(pair(g, x))) for g in gens)
 
 
-def test_localization_rule_high_multiplicity_bounded():
-    """The slowest rule of P(1,1,1,27), from its multiplicity-27 cone to
-    the zero cone, stays within a budget (10 s on a 2-core VM), and
-    every row recombines exactly to h + k*alpha."""
-    fan = tb.validate_fan(
+def _wps_1_1_1_27():
+    return tb.validate_fan(
         3,
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -27)],
         [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
     )
+
+
+def test_localization_rule_high_multiplicity_bounded():
+    """The slowest rule of P(1,1,1,27), from its multiplicity-27 cone to
+    the zero cone, stays within a budget (10 s on a 2-core VM), and
+    every row recombines exactly to h + k*alpha."""
+    fan = _wps_1_1_1_27()
     atlas = Atlas(fan)
     sigma, zero = fan.cone({0, 1, 3}), fan.zero_cone()
     start = time.perf_counter()
@@ -451,3 +456,33 @@ def test_localization_rule_high_multiplicity_bounded():
     for h, (k, terms) in zip(atlas.hilbert(zero).generators, rows):
         assert all(c > 0 for _, c in terms)
         assert combine(terms) == vadd(h, vscale(k, alpha))
+
+
+@pytest.mark.parametrize(
+    "make_fan", [lambda: tb.load_bundled("twisted_p3"), _wps_1_1_1_27], ids=["twisted_p3", "wps_1_1_1_27"]
+)
+def test_localization_shift_matches_probing_loop(make_fan):
+    """Every row's shift k, taken in closed form from sigma's rays, is
+    the least k >= 0 with h + k*alpha in S_sigma, found by probing
+    k = 0, 1, 2, ...; and the row's terms recombine to h + k*alpha.
+    Over every (maximal cone, face) pair."""
+    fan = make_fan()
+    atlas = Atlas(fan)
+    for sigma in fan.maximal_cones():
+        sem = atlas.hilbert(sigma)
+        for tau in fan.faces(sigma):
+            rule = atlas._localization_rule(sigma, tau)
+            if tau.rays == sigma.rays:
+                assert rule == ("identity",)
+                continue
+            alpha = cutting_functional(sigma, tau)
+            _, _, rows = rule
+            for h, (k, terms) in zip(atlas.hilbert(tau).generators, rows):
+                least = 0
+                while not sem.contains(vadd(h, vscale(least, alpha))):
+                    least += 1
+                assert k == least, (sigma, tau, h)
+                total = tuple([0] * fan.dim)
+                for i, c in terms:
+                    total = vadd(total, vscale(c, sem.generators[i]))
+                assert total == vadd(h, vscale(k, alpha))

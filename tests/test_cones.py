@@ -8,6 +8,7 @@ import pytest
 
 from toricball.cones import (
     SemigroupGens,
+    cutting_functional,
     decompose,
     dual_generators,
     hilbert_basis,
@@ -109,6 +110,42 @@ def test_hilbert_basis_nonsimplicial_dual():
 def test_hilbert_basis_zero_cone():
     sem = hilbert_basis(ORTHANT.zero_cone())
     assert set(sem.generators) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+
+
+def test_hilbert_basis_of_full_cone_reads_its_generators(monkeypatch):
+    # A full-dimensional cone's generators are the facet normals of its
+    # dual, so a simplicial one (whose dual needs no triangulation) runs
+    # no double description at all.
+    cones = [
+        SINGULAR.cone({0, 1}),
+        _fan(2, [(1, 0), (1, 5)], [[0, 1]]).cone({0, 1}),
+        _fan(3, [(1, 0, 0), (0, 1, 0), (-1, -1, -9)], [[0, 1, 2]]).cone({0, 1, 2}),
+    ]
+    calls = []
+    monkeypatch.setattr("toricball.cones.dual_generators", lambda *args: calls.append(args) or dual_generators(*args))
+    assert [len(hilbert_basis(c).pointed) for c in cones] == [3, 3, 55]
+    assert calls == []
+
+
+def test_cutting_functional_sums_the_vanishing_dual_rays():
+    # The dual of cone((1,0),(1,2)) has rays (0,1) and (2,-1).
+    cone = SINGULAR.cone({0, 1})
+    assert cutting_functional(cone, SINGULAR.cone({0})) == (0, 1)
+    assert cutting_functional(cone, SINGULAR.cone({1})) == (2, -1)
+    assert cutting_functional(cone, SINGULAR.zero_cone()) == (2, 0)
+    with pytest.raises(ValueError):
+        cutting_functional(cone, cone)
+
+
+def test_dual_rays_are_orthogonal_to_the_lineality():
+    # Rays are canonical modulo the lineality space: its orthogonal
+    # projection onto the complement, made primitive.
+    fan = _fan(3, [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)], [[0, 1, 2, 3]])
+    cones = [c for f in (ORTHANT, SINGULAR, RAY2, fan) for c in f.cones()]
+    assert sum(len(c.dual_lineality) > 0 for c in cones) == 17
+    for c in cones:
+        assert all(pair(r, l) == 0 for r in c.dual_rays for l in c.dual_lineality)
+    assert dual_generators([(2, 1, 0)], 3) == (((-1, 2, 0), (0, 0, 1)), ((2, 1, 0),))
 
 
 def test_decompose_roundtrip():

@@ -8,7 +8,8 @@ import pytest
 
 import toricball as tb
 from conftest import cube_faces_fan, get_fan
-from toricball.cones import dual_generators, face_index_sets
+from toricball.cones import dual_generators, face_index_sets, generator_list
+from toricball.exact import is_zero_vec, primitive, quotient_projection
 from toricball.fan import (
     FaceIntersectionViolation,
     FanValidationError,
@@ -118,15 +119,19 @@ def test_face_lattice_closed_under_intersection(p2, p1xp1, p112):
             assert fan.cone(shared) is not None
 
 
-def _face_lattice_fans():
-    """Every bundled fan, P(1,1,1,9), the cube-faces fan and every star
-    fan of twisted_p3."""
+def _reference_fans():
+    """Every bundled fan, P(1,1,1,9) and the cube-faces fan."""
     fans = [get_fan(name) for name in tb.BUNDLED_FANS]
     golden = Path(__file__).parent / "data" / "golden" / "verify_wps_1_1_1_9" / "fan.json"
     fans.append(parse_and_validate(golden.read_text()))
     fans.append(cube_faces_fan())
+    return fans
+
+
+def _face_lattice_fans():
+    """The reference fans and every star fan of twisted_p3."""
     twisted = get_fan("twisted_p3")
-    return fans + [star_fan(twisted, c) for c in twisted.cones()]
+    return _reference_fans() + [star_fan(twisted, c) for c in twisted.cones()]
 
 
 def test_face_lattice_matches_each_cones_own_dual():
@@ -230,6 +235,52 @@ def test_star_fans_complete_everywhere(cube_fan, twisted_p3):
     for fan in (cube_fan, twisted_p3):
         for cone in fan.cones():
             assert star_fan(fan, cone).is_complete()[0]
+
+
+def _double_description_star(fan, sigma):
+    """The star fan built without the face lattice: the image of each
+    maximal cone containing sigma, reduced to its extreme rays by two
+    double descriptions (the dual, then the dual's dual)."""
+    proj = quotient_projection(sigma.generators, fan.dim)
+    m = proj.target_dim
+    if m == 0:
+        return validate_fan(0, (), [()], require_complete=False)
+    pool, image_cones = [], []
+    for c in fan.maximal_cones():
+        if sigma.rays <= c.rays:
+            images = [primitive(v) for v in map(proj.apply, c.generators) if not is_zero_vec(v)]
+            _, extreme = dual_generators(generator_list(*dual_generators(images, m)), m)
+            pool.extend(r for r in extreme if r not in pool)
+            image_cones.append(frozenset(pool.index(r) for r in extreme))
+    return validate_fan(m, pool, list(dict.fromkeys(image_cones)), require_complete=False)
+
+
+def test_star_fan_matches_double_description_reference():
+    # Rays, maximal cones (as sets of ray vectors) and completeness agree
+    # for every cone; only the ray numbering may differ.
+    def described(star):
+        tops = {frozenset(star.rays[i] for i in c) for c in star.max_cones}
+        return star.dim, sorted(star.rays), tops, star.is_complete()[0]
+
+    for fan in _reference_fans():
+        for cone in fan.cones():
+            assert described(star_fan(fan, cone)) == described(_double_description_star(fan, cone)), (fan.name, cone)
+
+
+def test_star_fan_runs_only_validation_dual_descriptions(monkeypatch):
+    # The star's rays and cones come from the face lattice; the only
+    # double descriptions are those of validating the result.
+    fans = _reference_fans()
+    calls = []
+    monkeypatch.setattr("toricball.cones.dual_generators", lambda *args: calls.append(args) or dual_generators(*args))
+    for fan in fans:
+        for cone in fan.cones():
+            calls.clear()
+            star = star_fan(fan, cone)
+            made = len(calls)
+            calls.clear()
+            validate_fan(star.dim, star.rays, star.max_cones, require_complete=False)
+            assert made == len(calls), (fan.name, cone)
 
 
 def test_low_dimensional_maximal_cones_allowed_but_incomplete():

@@ -25,6 +25,10 @@ CASES = [
         ["verify", str(GOLDEN / "verify_wps_1_1_1_9" / "fan.json"), "--seed", "0", "--samples", "20"],
         0,
     ),
+    # The chart dumps pin the triangular generators, the Hilbert basis
+    # order, c, b and the dual basis of every maximal flag.
+    ("charts_p112", ["charts", "p112"], 0),
+    ("charts_wps_1_1_1_9", ["charts", str(GOLDEN / "verify_wps_1_1_1_9" / "fan.json")], 0),
     ("mesh_p2", ["mesh", "p2", "--radii", "2", "--res", "5"], 0),
     ("mesh_p1xp1xp1", ["mesh", "p1xp1xp1", "--radii", "2", "--res", "2"], 0),
 ]

@@ -10,6 +10,7 @@ import pytest
 import toricball as tb
 from toricball import verify
 from toricball.charts import delta_chain_violation, exp_flag, monomial_eval, theta
+from toricball.cones import dual_generators
 from toricball.exact import pair
 from toricball.homeo import bary_to_delta, param_boundary_point, phi_coords
 
@@ -152,3 +153,27 @@ def test_regularity_names_failing_cells():
     assert [f["rays"] for f in details["failures"]] == [[], [0], [1], [3], [0, 1]]
     # The link of every failing cell is no sphere.
     assert all("euler" in f["failed"] for f in details["failures"])
+
+
+def test_ball_model_fails_on_incomplete_fan():
+    """The ball model's own Euler characteristic is 1 for every fan, so
+    it is reported but not tested; the boundary and pseudomanifold tests
+    still fail on p2 without one maximal cone."""
+    passed, details = verify._ball_model(_context(tb.load_bundled("p2")))
+    assert passed and details["euler"] == 1
+    fan = tb.validate_fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2]], require_complete=False)
+    passed, details = verify._ball_model(_context(fan))
+    assert not passed
+    assert details["euler"] == 1 and details["boundary_euler"] == 1 and not details["pseudomanifold"]
+
+
+@pytest.mark.parametrize("name, budget", [("p3", 130), ("twisted_p3", 388)])
+def test_verify_dual_description_budget(monkeypatch, name, budget):
+    """Parsing, validating and verifying a fan runs the double
+    description on the cones of the fan and of its star fans and on
+    their pairs of maximal cones, not again on cones they describe."""
+    calls = []
+    monkeypatch.setattr("toricball.cones.dual_generators", lambda *args: calls.append(args) or dual_generators(*args))
+    fan = tb.parse_and_validate(Path(tb.bundled_path(name)).read_text())
+    assert verify.run_verification(fan, seed=0)["passed"]
+    assert len(calls) <= budget
