@@ -83,8 +83,15 @@ def primitive(v) -> tuple:
 
     Accepts rational entries: denominators are cleared first, then the
     gcd is divided out.  The direction (sign) is preserved.  Raises on
-    the zero vector.
+    the zero vector.  Integer input, the common case, skips the
+    Fractions.
     """
+    v = tuple(v)
+    if all(type(a) is int for a in v):
+        g = gcd(*v)
+        if g == 0:
+            raise ValueError("zero vector has no primitive representative")
+        return tuple(a // g for a in v)
     fracs = [Fraction(a) for a in v]
     if all(f == 0 for f in fracs):
         raise ValueError("zero vector has no primitive representative")

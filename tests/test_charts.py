@@ -16,6 +16,7 @@ from toricball.cones import cutting_functional
 from toricball.exact import pair, vadd, vscale
 from toricball.charts import (
     Atlas,
+    FaceMap,
     NotInImage,
     NotInOpenSet,
     ToricPoint,
@@ -486,3 +487,107 @@ def test_localization_shift_matches_probing_loop(make_fan):
                 for i, c in terms:
                     total = vadd(total, vscale(c, sem.generators[i]))
                 assert total == vadd(h, vscale(k, alpha))
+
+
+_FACE_MAP_FANS = {
+    "p2": lambda: tb.load_bundled("p2"),
+    "p112": lambda: tb.load_bundled("p112"),
+    "twisted_p3": lambda: tb.load_bundled("twisted_p3"),
+    "wps_1_1_1_9": lambda: tb.parse_and_validate(
+        (Path(__file__).parent / "data" / "golden" / "verify_wps_1_1_1_9" / "fan.json").read_text()
+    ),
+    "wps_1_1_1_27": _wps_1_1_1_27,
+}
+
+
+def _simplex_test_points(n, rng):
+    """Points of Delta_n = {0 <= w_1 <= ... <= w_n <= 1}: its n + 1
+    vertices (0,...,0,1,...,1), zero-prefix boundary points
+    (w_1 = ... = w_k = 0 < w_{k+1}) and interior points."""
+    vertices = [tuple(0.0 if j < k else 1.0 for j in range(n)) for k in range(n + 1)]
+    boundary = [(0.0,) * k + tuple(sorted(rng.random() for _ in range(n - k))) for k in range(1, n)]
+    interior = [tuple(sorted(rng.random() for _ in range(n))) for _ in range(3)]
+    return vertices + boundary + interior
+
+
+@pytest.mark.parametrize("name", sorted(_FACE_MAP_FANS))
+def test_face_map_matches_localized_chart_point(name):
+    """On every (maximal flag, face of its top cone), the face map gives
+    the floats of localize(chart_point(chart, w), tau) bit for bit, and
+    None exactly where localize raises NotInOpenSet; a shift keeps only
+    the Hilbert rows its rule reads."""
+    atlas = Atlas(_FACE_MAP_FANS[name]())
+    rng = random.Random(7)
+    off_chart = 0
+    for chart in atlas.charts():
+        for tau in atlas.fan.faces(chart.top_cone):
+            face = atlas.face_map(chart, tau)
+            assert isinstance(face, FaceMap) and atlas.face_map(chart, tau) is face
+            rule = atlas._localization_rule(chart.top_cone, tau)
+            if rule[0] == "identity":
+                assert face.rows == chart.hilbert_terms
+            else:
+                read = {i for i, _ in rule[1]}.union(*({i for i, _ in t} for _, t in rule[2]))
+                assert len(face.rows) == len(read) and set(face.rows) <= set(chart.hilbert_terms)
+            for w in _simplex_test_points(chart.n, rng):
+                values = face(w)
+                try:
+                    expected = atlas.localize(atlas.chart_point(chart, w), tau).values
+                except NotInOpenSet:
+                    assert values is None, (chart.flag, tau, w)
+                    off_chart += 1
+                    continue
+                assert [v.hex() for v in values] == [v.hex() for v in expected], (chart.flag, tau, w)
+    assert off_chart > 0  # the boundary points leave some face charts
+
+
+_SPECIAL = st.sampled_from([0.0, 1.0, 0.5, 1e-9, 1e-200, math.inf, math.nan])
+_VALUE = st.one_of(_SPECIAL, st.floats(0.0, 1.0), st.floats(0.0, 1e-3))
+
+
+@st.composite
+def _point_pair(draw, atlas):
+    """Two points of p112 on drawn cones, with values drawn from [0, 1],
+    0.0, values whose powers underflow, inf and NaN; q may copy p's
+    values in part, for exact ties."""
+    cones = atlas.fan.cones()
+    points = []
+    for _ in range(2):
+        cone = draw(st.sampled_from(cones))
+        size = len(atlas.hilbert(cone).generators)
+        points.append(ToricPoint(cone, tuple(draw(st.lists(_VALUE, min_size=size, max_size=size)))))
+    p, q = points
+    if p.cone == q.cone and draw(st.booleans()):
+        keep = draw(st.integers(0, len(p.values)))
+        q = ToricPoint(q.cone, p.values[:keep] + q.values[keep:])
+    return p, q
+
+
+_P112 = Atlas(tb.load_bundled("p112"))
+
+
+@given(_point_pair(_P112), st.sampled_from([1e-9, 0.0, 0.5, math.inf, math.nan]))
+@settings(max_examples=400, deadline=None)
+def test_points_equal_matches_value_gap(points, tol):
+    """points_equal stops at the first coordinate whose gap exceeds tol,
+    yet answers as value_gap(p, q) <= tol does: max keeps a leading NaN
+    and skips a later one.  Each coordinate's own gap is tried as tol
+    too, so ties at tol are covered.  Where value_gap raises (v_alpha**k
+    underflows to 0.0 for a positive v_alpha), points_equal stops before
+    the failing row or raises the same error, and never answers True."""
+    p, q = points
+    shared = _P112.fan.cone(p.cone.rays & q.cone.rays)
+    try:
+        gap = _P112.value_gap(p, q)
+    except ZeroDivisionError:
+        try:
+            assert _P112.points_equal(p, q, tol=tol) is False
+        except ZeroDivisionError:
+            pass
+        return
+    tols = [tol]
+    if gap is not None:
+        lp, lq = _P112.localize(p, shared).values, _P112.localize(q, shared).values
+        tols += [abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(lp, lq)]
+    for t in tols:
+        assert _P112.points_equal(p, q, tol=t) is (gap is not None and gap <= t), (p, q, t, gap)

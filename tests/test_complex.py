@@ -1,11 +1,14 @@
 """Ball model, orbit complex, gluing and regularity verification."""
 
 import json
+import random
 import weakref
+from collections import defaultdict
 from pathlib import Path
 
 import toricball as tb
 from conftest import cube_faces_fan
+from toricball import cellcomplex
 from toricball.cellcomplex import (
     build_ball_model,
     build_orbit_complex,
@@ -211,6 +214,81 @@ def test_verify_gluing_distinct_pin():
     distinct = [c for c in report.counterexamples if c["kind"] == "distinct"]
     assert distinct == json.loads((data / "distinct.json").read_text())
     assert distinct and report.counterexamples == distinct
+
+
+class _CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def test_skip_simplex_samples_consumes_the_same_draws():
+    """The distinct half discards each pair's shared-face samples by
+    count: the same random() calls as _simplex_samples, no points."""
+    for dim in range(5):
+        for count in range(1, 31):
+            built, skipped = _CountingRandom(count), _CountingRandom(count)
+            cellcomplex._simplex_samples(built, dim, count)
+            cellcomplex._skip_simplex_samples(skipped, dim, count)
+            assert skipped.draws == built.draws, (dim, count)
+            assert skipped.getstate() == built.getstate(), (dim, count)
+
+
+def test_distinct_half_skips_unread_rows_of_multiplicity_27_chart(monkeypatch):
+    """At seed 0 on P(1,1,1,27), no pair of flags whose top cones meet in
+    a proper face of the multiplicity-27 cone evaluates all 406 Hilbert
+    rows of that cone's charts: the face maps read only the rows of the
+    localization rule.  Each row evaluation iterates the row's terms
+    once, so a row that records its iterations counts them; the pairs
+    are told apart by their two calls of _interior_samples."""
+    fan = validate_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -27)], [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+    atlas = tb.Atlas(fan)
+    sigma = fan.cone({0, 1, 3})
+    flags = tb.enumerate_flags(fan, only_maximal=True)
+    current = [None]
+    evaluated = defaultdict(set)
+
+    class CountedRow(tuple):
+        def __iter__(self):
+            if current[0] is not None:
+                evaluated[current[0]].add(self.row)
+            return super().__iter__()
+
+    on_sigma = [i for i, f in enumerate(flags) if f.cones[-1] == sigma]
+    for i in on_sigma:
+        chart = atlas.chart(flags[i])
+        rows = []
+        for r, terms in enumerate(chart.hilbert_terms):
+            rows.append(CountedRow(terms))
+            rows[-1].row = r
+        chart.__dict__["hilbert_terms"] = tuple(rows)
+    assert len(on_sigma) == 6 and len(rows) == 406
+
+    pairs = iter([(i, j) for i in range(len(flags)) for j in range(i + 1, len(flags))])
+    calls = [0]
+    interior, cross_check = cellcomplex._interior_samples, cellcomplex._subflag_cross_check
+
+    def interior_spy(rng, dim, count):
+        if calls[0] % 2 == 0:
+            current[0] = next(pairs)
+        calls[0] += 1
+        return interior(rng, dim, count)
+
+    def cross_check_spy(*args):
+        current[0] = None
+        return cross_check(*args)
+
+    monkeypatch.setattr(cellcomplex, "_interior_samples", interior_spy)
+    monkeypatch.setattr(cellcomplex, "_subflag_cross_check", cross_check_spy)
+    verify_gluing(atlas, samples_per_pair=50, tol=1e-9, seed=0)
+    assert next(pairs, None) is None
+    proper = [(i, j) for (i, j) in evaluated if (i in on_sigma) != (j in on_sigma)]
+    assert len(proper) == 6 * 18
+    assert all(0 < len(evaluated[ij]) < 406 for ij in proper), max(len(evaluated[ij]) for ij in proper)
 
 
 def test_verify_gluing_disjoint_flags_share_only_origin(atlas_p1xp1):

@@ -1,6 +1,7 @@
 """Exact linear algebra and lattice utilities."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,44 @@ def test_primitive():
     assert primitive((0, -6)) == (0, -1)
     with pytest.raises(ValueError):
         primitive((0, 0))
+
+
+def _primitive_via_fractions(v):
+    """primitive before its integer fast path: every entry through
+    Fraction, denominators cleared, then the gcd divided out."""
+    fracs = [Fraction(a) for a in v]
+    if all(f == 0 for f in fracs):
+        raise ValueError("zero vector has no primitive representative")
+    denom_lcm = 1
+    for f in fracs:
+        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
+    ints = [int(f * denom_lcm) for f in fracs]
+    g = 0
+    for a in ints:
+        g = gcd(g, abs(a))
+    return tuple(a // g for a in ints)
+
+
+_ENTRY = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.sampled_from([0, 1, -1]),
+    st.fractions(max_denominator=50).filter(lambda f: abs(f) < 10**4),
+)
+
+
+@given(st.one_of(st.lists(st.integers(-50, 50), max_size=5), st.lists(_ENTRY, max_size=5)))
+@settings(max_examples=300, deadline=None)
+def test_primitive_matches_fraction_route(v):
+    """Integer and rational vectors, signs included, give the old
+    function's tuple (with int entries); zero vectors raise alike."""
+    try:
+        expected = _primitive_via_fractions(v)
+    except ValueError:
+        with pytest.raises(ValueError, match="zero vector"):
+            primitive(v)
+        return
+    got = primitive(v)
+    assert got == expected and all(type(a) is int for a in got)
 
 
 def test_row_hermite_identity():
