@@ -517,8 +517,9 @@ class FaceMap:
     returns None where localize raises NotInOpenSet.  It keeps only the
     Hilbert rows that the rule reads, with the rule's generator indices
     renumbered into them: the cutting functional's terms and each row's
-    terms for a shift, every row (evaluated one at a time, as read) for
-    the identity.
+    terms for a shift (evaluated together, then localized one value at
+    a time), every row (evaluated one at a time, as read) for the
+    identity.
     """
 
     rows: tuple  # terms of the Hilbert rows read, in generator order

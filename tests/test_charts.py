@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricball as tb
+from conftest import get_atlas
 from toricball.bary import Flag
 from toricball.cones import cutting_functional
 from toricball.exact import pair, vadd, vscale
@@ -563,7 +564,7 @@ def _point_pair(draw, atlas):
     return p, q
 
 
-_P112 = Atlas(tb.load_bundled("p112"))
+_P112 = get_atlas("p112")
 
 
 @given(_point_pair(_P112), st.sampled_from([1e-9, 0.0, 0.5, math.inf, math.nan]))
