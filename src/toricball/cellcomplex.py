@@ -14,18 +14,19 @@ fan it is a regular cell structure with a single top cell.
 
 The verification routines certify that the closed flag simplices glue
 along exactly their shared sub-simplices (by integer identities on the
-charts' exponents, with seeded samples as a cross-check and for the
-separation of distinct points) and that every cell closure is again a
-combinatorial ball (via star fans).
+charts' exponents, with seeded samples as a cross-check of the float
+evaluators; distinct points separate by the exact gates of verify) and
+that every cell closure is again a combinatorial ball (via star fans).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
-from .bary import Flag, enumerate_flags, flag_intersection
-from .charts import Atlas, monomial_eval, scaled_gaps, values_within
+from .bary import Flag, NotInCone, enumerate_flags, locate_flag
+from .charts import TWO_PI, Atlas, monomial_eval, scaled_gaps, triangular_eval
 from .exact import pair, vsub
 from .fan import Fan, ridge_pairing, star_fan
 from .homeo import bary_to_delta
@@ -169,13 +170,11 @@ def build_orbit_complex(fan: Fan) -> OrbitComplex:
 @dataclass
 class GluingReport:
     passed: bool
-    pairs_checked: int
     shared_samples: int
-    distinct_samples: int
     worst_shared_gap: float
     counterexamples: list = field(default_factory=list)
     identities: int = 0
-    distinct_coverage: str = "all pairs"
+    located_samples: int = 0
 
     def __bool__(self):
         return self.passed
@@ -203,14 +202,6 @@ def _simplex_samples(rng, dim, count):
         total = sum(raw)
         out.append(tuple(x / total for x in raw))
     return out[:count]
-
-
-def _skip_simplex_samples(rng, dim, count):
-    """Advance rng past the draws of _simplex_samples(rng, dim, count)
-    without building its points: count - dim - 1 random points (none
-    when the dim + 1 vertices already fill count) of dim + 1 draws."""
-    for _ in range(max(count - dim - 1, 0) * (dim + 1)):
-        rng.random()
 
 
 def _interior_samples(rng, dim, count):
@@ -355,9 +346,49 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
     return out
 
 
-# Seeded pairs of flags that (ii) of verify_gluing samples above 200
-# maximal flags, instead of every pair.
-DISTINCT_PAIRS = 500
+def _log_pairings(values):
+    """ell = -log(y) / 2 pi for each chart value y, the pairing <g, x>
+    when y = e^(-2 pi <g, x>); None when some y is 0.0 or not finite."""
+    if not all(0.0 < y < math.inf for y in values):
+        return None
+    return [-math.log(y) / TWO_PI for y in values]
+
+
+def _cone_point(chart, ells):
+    """The point x = sum_k u_k B_k of N_R whose pairings with the
+    chart's n triangular generators are ells.  Row i of the triangular
+    block of chart.c, <alpha_i, B_k>, vanishes for k < i and is positive
+    at k = i, so u is found by back-substitution."""
+    n = chart.n
+    u = [0.0] * n
+    for i in reversed(range(n)):
+        row = chart.c[i]
+        u[i] = (ells[i] - sum(row[k] * u[k] for k in range(i + 1, n))) / row[i]
+    return tuple(sum(uk * b[t] for uk, b in zip(u, chart.flag.barycenters)) for t in range(n))
+
+
+def _locate_cross_check(atlas: Atlas, flags, rng, count):
+    """Float cross-check of the evaluators behind the distinct half:
+    count seeded interior points of each maximal flag F's simplex are
+    mapped through the chart's triangular rows, x is recovered from the
+    values (_log_pairings, _cone_point), and bary.locate_flag must
+    return F.  Each point lies a fixed margin inside F's open cone, so
+    F is the only answer.  Returns the counterexamples: F, the located
+    flag (None when a chart value is 0.0 or not finite, or nothing is
+    located) and the sample."""
+    index = {flag: fi for fi, flag in enumerate(flags)}
+    out = []
+    for fi, flag in enumerate(flags):
+        chart = atlas.chart(flag)
+        for xi in _interior_samples(rng, len(flag), count):
+            ells = _log_pairings(triangular_eval(chart, bary_to_delta(xi)))
+            try:
+                located = None if ells is None else index.get(locate_flag(atlas.fan, _cone_point(chart, ells)))
+            except NotInCone:
+                located = None
+            if located != fi:
+                out.append({"kind": "locate", "flag": fi, "located": located, "xi": list(xi)})
+    return out
 
 
 def verify_gluing(atlas: Atlas, samples_per_pair: int = 50, tol: float = 1e-9, seed: int = 0) -> GluingReport:
@@ -366,47 +397,47 @@ def verify_gluing(atlas: Atlas, samples_per_pair: int = 50, tol: float = 1e-9, s
 
     (i) Shared faces agree: exactly, by gluing_identities, with a float
     cross-check of the evaluators on every (maximal flag, subflag); see
-    _subflag_cross_check.  (ii) Interior points of two different flag
-    simplices must be distinct under points_equal at tol: checked for
-    every pair when there are at most 200 maximal flags, otherwise for
-    DISTINCT_PAIRS seeded random pairs, as distinct_coverage says.
+    _subflag_cross_check.
 
-    One seeded generator feeds (ii) and then the cross-check.  Each pair
-    still consumes the draws of its shared face's samples, which (i) no
-    longer uses, so every interior sample of (ii) keeps its place in
-    the stream.  A pair's samples reach the chart of the two top cones'
-    intersection through the flags' face maps, and values_within stops
-    at the first separating coordinate: the verdict of points_equal on
-    the two chart points, without building either.  Counterexamples are
-    listed identities first, then shared, then distinct.
+    (ii) Interior points of two different maximal flag simplices are
+    distinct.  This is a corollary of three exact facts, not a sample:
+
+      1. The identities of verify's monomial_diagram check: the partial
+         sums of each exponent row are b_g1 + ... + b_gi = <g, B_i>, and
+         the flag's left inverse is dual to its barycenters.  So at
+         w = theta(e^(-2 pi u)) the chart value of g is
+         e^(-2 pi <g, x>) with x = sum_i u_i B_i, and u are the
+         simplicial coordinates of x.  An interior point of F's simplex
+         has 0 < w_1 < ... < w_n < 1, hence u > 0: it is the image of a
+         point x of F's open flag cone.
+      2. The cover certificate (bary.cover_check): the open flag cones of
+         distinct maximal flags are disjoint, so the two points come
+         from different x != x'.
+      3. Every cone of a validated fan is strongly convex, so the
+         Hilbert basis of the intersection tau of the two top cones
+         spans M_Q.  Both points lie in the open torus, where the
+         localized values on H(tau) are e^(-2 pi <h, x>), and
+         x -> e^(-2 pi <., x>) is injective: some h in H(tau) pairs
+         differently with x and x', so the points differ.
+
+    verify reports this half as exact and fails it when either gate
+    fails.  What the identities do not cover is the float evaluators;
+    _locate_cross_check locates samples of each maximal flag back to
+    it, at samples_per_pair // 2 points per flag.
+
+    One seeded generator feeds the subflag cross-check, then the locate
+    cross-check.  Counterexamples are listed identities first, then
+    shared, then locate.
     """
     flags = enumerate_flags(atlas.fan, only_maximal=True)
-    charts = [atlas.chart(f) for f in flags]
     rng = random.Random(seed)
-    report = GluingReport(True, 0, 0, 0, 0.0)
+    report = GluingReport(True, 0, 0.0)
     report.identities, witnesses = gluing_identities(atlas, flags)
-    pairs = [(i, j) for i in range(len(flags)) for j in range(i, len(flags))]
-    if len(flags) > 200:
-        pairs = [tuple(sorted(rng.sample(range(len(flags)), 2))) for _ in range(DISTINCT_PAIRS)]
-        report.distinct_coverage = f"{DISTINCT_PAIRS} seeded pairs of {len(flags) * (len(flags) - 1) // 2}"
     half = max(samples_per_pair // 2, 1)
-    distinct = []
-    for i, j in pairs:
-        report.pairs_checked += 1
-        _skip_simplex_samples(rng, len(flag_intersection(flags[i], flags[j])), half)
-        if i == j:
-            continue
-        shared = atlas.fan.cone(charts[i].top_cone.rays & charts[j].top_cone.rays)
-        map1, map2 = atlas.face_map(charts[i], shared), atlas.face_map(charts[j], shared)
-        for xi1, xi2 in zip(
-            _interior_samples(rng, len(flags[i]), half), _interior_samples(rng, len(flags[j]), half)
-        ):
-            v1, v2 = map1(bary_to_delta(xi1)), map2(bary_to_delta(xi2))
-            report.distinct_samples += 1
-            if v1 is not None and v2 is not None and values_within(v1, v2, tol):
-                distinct.append({"kind": "distinct", "flags": [i, j], "xi": [list(xi1), list(xi2)]})
     shared = _subflag_cross_check(atlas, flags, rng, half, tol, report)
-    report.counterexamples = [{"kind": "identity", **w} for w in witnesses] + shared + distinct
+    located = _locate_cross_check(atlas, flags, rng, half)
+    report.located_samples = len(flags) * half
+    report.counterexamples = [{"kind": "identity", **w} for w in witnesses] + shared + located
     report.passed = not report.counterexamples
     return report
 

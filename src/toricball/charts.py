@@ -176,6 +176,12 @@ def psi_eval(chart: Chart, w):
     return _monomials(chart.terms, w)
 
 
+def triangular_eval(chart: Chart, w):
+    """The first n coordinates of psi_eval(chart, w): the monomials of
+    the triangular generators, the rows that psi_invert reads."""
+    return _monomials(chart.terms[: chart.n], w)
+
+
 def invert_triangular(b, y):
     """Invert an upper-triangular monomial map on Delta_n.
 
@@ -494,41 +500,27 @@ def _shifted(rule, values):
     return (_value_at(values, terms) / v_alpha**k for k, terms in rows)
 
 
-def _products(rows, w):
-    """The loop of _monomials at float coordinates w, one row at a
-    time: the same floats, computed only as far as they are read.
-    _monomials keeps its own loop: on whole charts it runs about a
-    sixth faster than collecting this generator."""
-    for terms in rows:
-        out = 1.0
-        for j, e in terms:
-            out *= w[j] ** e
-        yield out
-
-
 @dataclass(frozen=True, eq=False)
 class FaceMap:
     """The localization rule sigma -> tau precomposed with a maximal
     chart's Hilbert-row monomials (sigma the chart's top cone).
 
     At simplex coordinates w, a face map yields exactly the floats of
-    Atlas.localize(Atlas.chart_point(chart, w), tau).values, lazily and
-    in order, from the same terms multiplied in the same order; it
-    returns None where localize raises NotInOpenSet.  It keeps only the
-    Hilbert rows that the rule reads, with the rule's generator indices
-    renumbered into them: the cutting functional's terms and each row's
-    terms for a shift (evaluated together, then localized one value at
-    a time), every row (evaluated one at a time, as read) for the
-    identity.
+    Atlas.localize(Atlas.chart_point(chart, w), tau).values, in order,
+    from the same terms multiplied in the same order; it returns None
+    where localize raises NotInOpenSet.  It keeps only the Hilbert rows
+    that the rule reads, with the rule's generator indices renumbered
+    into them: the cutting functional's terms and each row's terms for
+    a shift (evaluated together, then localized one value at a time,
+    lazily), every row for the identity.
     """
 
     rows: tuple  # terms of the Hilbert rows read, in generator order
     rule: tuple  # the localization rule, indexing into rows
 
     def __call__(self, w):
-        if self.rule[0] == "identity":
-            return _products(self.rows, [float(x) for x in w])
-        return _shifted(self.rule, _monomials(self.rows, w))
+        values = _monomials(self.rows, w)
+        return values if self.rule[0] == "identity" else _shifted(self.rule, values)
 
 
 def _face_map(hilbert_terms, rule) -> FaceMap:

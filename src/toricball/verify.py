@@ -1,10 +1,22 @@
 """The certification suite: a table of named checks over one context.
 
 Each check reads the shared Context (fan, atlas, charts, maximal flags,
-rank, tolerance, sample count and one seeded generator) and returns
-(passed, details), or None when it does not apply to the fan.  Checks
-run in table order and draw from the shared generator in turn, so a
-fixed seed and configuration give a byte-identical report.
+rank, tolerance, sample count, one seeded generator and the results of
+the checks before it) and returns (passed, details), or None when it
+does not apply to the fan.  Checks run in table order and draw from the
+shared generator in turn, so a fixed seed and configuration give a
+byte-identical report.
+
+Negative controls of intersection_gluing's distinct half, each a test:
+
+- A sign flipped in the log recovery of the locate cross-check
+  (cellcomplex._log_pairings) fails it, naming the flag and the flag
+  its samples were located in.
+- A chart whose Chart.terms alone is perturbed fails the locate
+  cross-check while the exact gates (the identities and dual witness of
+  monomial_diagram, and cover) pass.
+- --tamper on p2 exits 4, and intersection_gluing names
+  monomial_diagram as a failed gate.
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ import dataclasses
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, pairwise
 from operator import mul, sub
@@ -37,6 +49,7 @@ class Context:
     samples: int
     seed: int
     rng: random.Random
+    results: dict = field(default_factory=dict)  # check name -> (passed, details), as they run
 
 
 def _random_cone_point(rng, flag):
@@ -293,15 +306,31 @@ def _orbit_complex(ctx):
 
 def _intersection_gluing(ctx):
     """Closed flag simplices meet exactly in their shared faces: exact
-    identities on the shared faces, seeded samples for distinct points
-    (see cellcomplex.verify_gluing)."""
+    identities on the shared faces; distinct interior points by the
+    exact corollary of cellcomplex.verify_gluing, which rests on the
+    gates of _distinct_gates; float cross-checks of the evaluators on
+    both halves."""
     glue = cellcomplex.verify_gluing(ctx.atlas, samples_per_pair=50, tol=ctx.tol, seed=ctx.seed)
-    return glue.passed, {
-        "pairs": glue.pairs_checked,
+    gates = _distinct_gates(ctx.results)
+    return glue.passed and all(gates.values()), {
         "identities": glue.identities,
-        "coverage": {"shared": "exact", "distinct": glue.distinct_coverage},
+        "coverage": {"shared": "exact", "distinct": "exact"},
+        "gates": gates,
+        "located": glue.located_samples,
         "worst_shared_gap": glue.worst_shared_gap,
         "counterexamples": glue.counterexamples[:5],
+    }
+
+
+def _distinct_gates(results):
+    """The verdicts the distinct half rests on, read from the checks
+    already run: monomial_diagram's exact part (no identity witness and
+    no dual_witness; its float residuals are not a gate) and cover.  A
+    gate that has not run counts as failed."""
+    diagram, cover = results.get("monomial_diagram"), results.get("cover")
+    return {
+        "monomial_diagram": diagram is not None and not {"witness", "dual_witness"} & diagram[1].keys(),
+        "cover": cover is not None and cover[0],
     }
 
 
@@ -412,6 +441,7 @@ def run_verification(
             continue
         if timings is not None:
             timings[name] = time.perf_counter() - start
+        ctx.results[name] = result
         passed, details = result
         checks.append({"name": name, "passed": bool(passed), **details})
     return {

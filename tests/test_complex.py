@@ -1,10 +1,11 @@
 """Ball model, orbit complex, gluing and regularity verification."""
 
 import json
-import random
 import weakref
 from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 import toricball as tb
 from conftest import cube_faces_fan
@@ -20,6 +21,7 @@ from toricball.cellcomplex import (
 )
 from toricball.exact import pair
 from toricball.fan import validate_fan
+from toricball.homeo import bary_to_delta
 
 
 def test_ball_model_p1(p1):
@@ -122,14 +124,12 @@ def test_orbit_euler_all(p1, p2, p1xp1, p3, cube_fan, p112, twisted_p3):
 def test_verify_gluing_p2(atlas_p2):
     report = verify_gluing(atlas_p2, samples_per_pair=30, tol=1e-9, seed=0)
     assert report.passed
-    assert report.pairs_checked == 21  # 6 flags, ordered pairs with repeats
     assert report.worst_shared_gap <= 1e-9
     # Per flag: |H| is 2 on the top cone, 3 on each ray and 4 on the zero
     # cone, plus one cutting functional per proper face: 2 + 2*3 + 4 + 3.
     assert report.identities == 6 * 15
-    assert report.distinct_coverage == "all pairs"
     assert report.shared_samples == 6 * 2**2 * 15  # (flag, subflag) x samples
-    assert report.distinct_samples == 15 * 15
+    assert report.located_samples == 6 * 15  # maximal flag x samples
 
 
 def _perturbed_gluing(edit):
@@ -204,47 +204,90 @@ def test_gluing_identity_fails_on_perturbed_b():
     assert not report.passed and report.counterexamples[0]["kind"] == "identity"
 
 
-def test_verify_gluing_distinct_pin():
-    """The distinct half, sample for sample: P(1,1,20) at seed 5 keeps the
-    counterexample that Atlas.points_equal's absolute gap produces near
-    the toric boundary (stored from the sampler it replaced)."""
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="points_equal compares absolute value gaps, which vanish near the toric boundary; "
+    "log-domain points with equality in ball coordinates (ROADMAP item 1) fix it",
+)
+def test_points_equal_distinct_pin():
+    """The known defect of Atlas.points_equal, pinned on points_equal
+    itself: P(1,1,20) keeps the pair of interior points of flags 1 and 4
+    that the pair sampler found at seed 5.  Interior points of two
+    different flag simplices are distinct, but points_equal calls them
+    equal."""
     data = Path(__file__).parent / "data" / "gluing_wps_1_1_20_seed5"
     atlas = tb.Atlas(tb.parse_and_validate((data / "fan.json").read_text()))
-    report = verify_gluing(atlas, samples_per_pair=50, tol=1e-9, seed=5)
-    distinct = [c for c in report.counterexamples if c["kind"] == "distinct"]
-    assert distinct == json.loads((data / "distinct.json").read_text())
-    assert distinct and report.counterexamples == distinct
+    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    (pin,) = json.loads((data / "distinct.json").read_text())
+    i, j = pin["flags"]
+    assert i != j
+    p, q = (atlas.chart_point(atlas.chart(flags[f]), bary_to_delta(xi)) for f, xi in zip(pin["flags"], pin["xi"]))
+    assert not atlas.points_equal(p, q), "distinct"
 
 
-class _CountingRandom(random.Random):
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.draws = 0
-
-    def random(self):
-        self.draws += 1
-        return super().random()
-
-
-def test_skip_simplex_samples_consumes_the_same_draws():
-    """The distinct half discards each pair's shared-face samples by
-    count: the same random() calls as _simplex_samples, no points."""
-    for dim in range(5):
-        for count in range(1, 31):
-            built, skipped = _CountingRandom(count), _CountingRandom(count)
-            cellcomplex._simplex_samples(built, dim, count)
-            cellcomplex._skip_simplex_samples(skipped, dim, count)
-            assert skipped.draws == built.draws, (dim, count)
-            assert skipped.getstate() == built.getstate(), (dim, count)
+def _p2_with_terms(edit):
+    """A fresh p2 atlas whose flag-0 chart has Chart.terms changed by
+    edit and nothing else: its exponent matrices, and the Hilbert-row
+    terms of the face maps, stay as built."""
+    atlas = tb.Atlas(tb.load_bundled("p2"))
+    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    chart = atlas.chart(flags[0])
+    chart.hilbert_terms  # cached from the unperturbed terms
+    chart.__dict__["terms"] = edit(list(chart.terms))
+    return atlas, flags
 
 
-def test_distinct_half_skips_unread_rows_of_multiplicity_27_chart(monkeypatch):
-    """At seed 0 on P(1,1,1,27), no pair of flags whose top cones meet in
-    a proper face of the multiplicity-27 cone evaluates all 406 Hilbert
-    rows of that cone's charts: the face maps read only the rows of the
-    localization rule.  Each row evaluation iterates the row's terms
-    once, so a row that records its iterations counts them; the pairs
-    are told apart by their two calls of _interior_samples."""
+def _drop_diagonal(terms):
+    # Row 0 is w1 * w2; without its w1 the recovered point leaves flag 0.
+    terms[0] = terms[0][1:]
+    return tuple(terms)
+
+
+def test_locate_cross_check_fails_on_perturbed_terms():
+    atlas, flags = _p2_with_terms(_drop_diagonal)
+    count, failures = gluing_identities(atlas, flags)
+    assert count == 6 * 15 and failures == []
+    report = verify_gluing(atlas, samples_per_pair=10, seed=0)
+    assert not report.passed
+    assert {c["kind"] for c in report.counterexamples} == {"locate"}
+    assert len(report.counterexamples) == 5
+    assert all(c["flag"] == 0 and c["located"] not in (0, None) for c in report.counterexamples)
+
+
+def test_locate_cross_check_fails_on_flipped_log_sign(monkeypatch):
+    """With -log(y) / 2 pi read as +log(y) / 2 pi, every sample of every
+    flag is recovered as -x, which lies in another flag's cone; each
+    counterexample names the flag and the flag it was located in."""
+    log_pairings = cellcomplex._log_pairings
+    monkeypatch.setattr(cellcomplex, "_log_pairings", lambda values: [-v for v in log_pairings(values)])
+    report = verify_gluing(tb.Atlas(tb.load_bundled("p2")), samples_per_pair=10, seed=0)
+    assert not report.passed
+    assert [c["kind"] for c in report.counterexamples] == ["locate"] * 6 * 5
+    assert [c["flag"] for c in report.counterexamples] == [f for f in range(6) for _ in range(5)]
+    assert all(c["located"] not in (c["flag"], None) for c in report.counterexamples)
+
+
+def test_locate_cross_check_names_underflowed_values():
+    """A triangular value that underflows to 0.0 is a counterexample
+    with no located flag, not a math.log error."""
+    atlas, flags = _p2_with_terms(lambda terms: (((0, 2000),), *terms[1:]))
+    report = verify_gluing(atlas, samples_per_pair=10, seed=0)
+    assert [(c["kind"], c["flag"], c["located"]) for c in report.counterexamples] == [("locate", 0, None)] * 5
+    assert cellcomplex._log_pairings([0.5, 0.0]) is None
+    assert cellcomplex._log_pairings([float("inf")]) is None
+    assert cellcomplex._log_pairings([float("nan")]) is None
+    assert cellcomplex._log_pairings([1.0, -0.5]) is None
+
+
+def test_subflag_face_maps_skip_unread_rows_of_multiplicity_27_chart(monkeypatch):
+    """The subflag cross-check of P(1,1,1,27) reaches every proper face of
+    the multiplicity-27 cone through face maps that read only the rows
+    of the localization rule, never all 406 Hilbert rows of that cone's
+    charts; on the cone itself the face map reads every row, since the
+    cross-check reports its full gap.  Each row evaluation iterates the
+    row's terms once, so a row that records its iterations counts them;
+    the face maps are told apart by wrapping Atlas.face_map."""
     fan = validate_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -27)], [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
     atlas = tb.Atlas(fan)
     sigma = fan.cone({0, 1, 3})
@@ -258,9 +301,9 @@ def test_distinct_half_skips_unread_rows_of_multiplicity_27_chart(monkeypatch):
                 evaluated[current[0]].add(self.row)
             return super().__iter__()
 
-    on_sigma = [i for i, f in enumerate(flags) if f.cones[-1] == sigma]
-    for i in on_sigma:
-        chart = atlas.chart(flags[i])
+    on_sigma = [f for f in flags if f.cones[-1] == sigma]
+    for flag in on_sigma:
+        chart = atlas.chart(flag)
         rows = []
         for r, terms in enumerate(chart.hilbert_terms):
             rows.append(CountedRow(terms))
@@ -268,27 +311,24 @@ def test_distinct_half_skips_unread_rows_of_multiplicity_27_chart(monkeypatch):
         chart.__dict__["hilbert_terms"] = tuple(rows)
     assert len(on_sigma) == 6 and len(rows) == 406
 
-    pairs = iter([(i, j) for i in range(len(flags)) for j in range(i + 1, len(flags))])
-    calls = [0]
-    interior, cross_check = cellcomplex._interior_samples, cellcomplex._subflag_cross_check
+    face_map = atlas.face_map
 
-    def interior_spy(rng, dim, count):
-        if calls[0] % 2 == 0:
-            current[0] = next(pairs)
-        calls[0] += 1
-        return interior(rng, dim, count)
+    def traced_face_map(chart, tau):
+        inner = face_map(chart, tau)
 
-    def cross_check_spy(*args):
-        current[0] = None
-        return cross_check(*args)
+        def call(w):
+            current[0] = (chart.flag, tau.rays)
+            return inner(w)
 
-    monkeypatch.setattr(cellcomplex, "_interior_samples", interior_spy)
-    monkeypatch.setattr(cellcomplex, "_subflag_cross_check", cross_check_spy)
-    verify_gluing(atlas, samples_per_pair=50, tol=1e-9, seed=0)
-    assert next(pairs, None) is None
-    proper = [(i, j) for (i, j) in evaluated if (i in on_sigma) != (j in on_sigma)]
-    assert len(proper) == 6 * 18
-    assert all(0 < len(evaluated[ij]) < 406 for ij in proper), max(len(evaluated[ij]) for ij in proper)
+        return call
+
+    monkeypatch.setattr(atlas, "face_map", traced_face_map)
+    report = verify_gluing(atlas, samples_per_pair=50, tol=1e-9, seed=0)
+    assert report.passed
+    proper = [key for key in evaluated if key[0] in on_sigma and key[1] != sigma.rays]
+    assert len(proper) == 6 * 3  # the zero cone, a ray and a 2-face per flag
+    assert all(0 < len(evaluated[key]) < 406 for key in proper), max(len(evaluated[key]) for key in proper)
+    assert all(len(evaluated[(flag, sigma.rays)]) == 406 for flag in on_sigma)
 
 
 def test_verify_gluing_disjoint_flags_share_only_origin(atlas_p1xp1):

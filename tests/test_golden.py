@@ -17,7 +17,8 @@ CASES = [
     ("verify_p112", ["verify", "p112", "--seed", "0", "--samples", "20"], 0),
     # The bundled rank-3 fan: 24 charts through every sample loop.
     ("verify_p3", ["verify", "p3", "--seed", "0", "--samples", "20"], 0),
-    # The 60-flag fan: 1,830 pairs of flags through the gluing samples.
+    # The 60-flag fan: 12,000 subflag samples and 1,500 located samples
+    # through the gluing cross-checks.
     ("verify_twisted_p3", ["verify", "twisted_p3", "--seed", "0", "--samples", "20"], 0),
     ("verify_p2_tamper", ["verify", "p2", "--seed", "0", "--samples", "20", "--tamper"], 4),
     # P(1,1,1,9): multiplicity-9 cones, so large Hilbert bases and long

@@ -1,6 +1,7 @@
 """The sample loops of the verify checks against the exact Fraction
 routes they replace, and the exact gates beside them."""
 
+import json
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -177,3 +178,91 @@ def test_verify_dual_description_budget(monkeypatch, name, budget):
     fan = tb.parse_and_validate(Path(tb.bundled_path(name)).read_text())
     assert verify.run_verification(fan, seed=0)["passed"]
     assert len(calls) <= budget
+
+
+def _gluing_after_gates(fan, atlas):
+    """intersection_gluing as run_verification runs it: after the
+    monomial_diagram and cover checks, whose results it reads."""
+    ctx = _context(fan, atlas, samples=5)
+    checks = dict(verify.CHECKS)
+    for name in ("monomial_diagram", "cover"):
+        ctx.results[name] = checks[name](ctx)
+    return ctx, verify._intersection_gluing(ctx)
+
+
+def test_perturbed_terms_fail_locate_cross_check_with_exact_gates_passing():
+    """Only Chart.terms of flag 0 changes (its first triangular row loses
+    its w1): the float evaluators are wrong, the exact data is not.  The
+    gates of the distinct half hold, and the locate cross-check fails,
+    naming flag 0 and where its samples were located."""
+    fan = tb.load_bundled("p2")
+    atlas = tb.Atlas(fan)
+    chart = atlas.chart(atlas.charts()[0].flag)
+    chart.hilbert_terms  # cached from the unperturbed terms
+    terms = list(chart.terms)
+    terms[0] = terms[0][1:]
+    chart.__dict__["terms"] = tuple(terms)
+    ctx, (passed, details) = _gluing_after_gates(fan, atlas)
+    diagram = ctx.results["monomial_diagram"][1]
+    assert "witness" not in diagram and "dual_witness" not in diagram
+    assert details["gates"] == {"monomial_diagram": True, "cover": True}
+    assert details["coverage"] == {"shared": "exact", "distinct": "exact"}
+    assert not passed
+    assert details["counterexamples"] and all(
+        c["kind"] == "locate" and c["flag"] == 0 and c["located"] not in (0, None) for c in details["counterexamples"]
+    )
+
+
+def test_distinct_half_fails_with_a_failed_gate():
+    """A left inverse off by 1/7 fails monomial_diagram's dual_witness:
+    the samples of intersection_gluing still pass, its verdict does not.
+    A gate that has not run counts as failed."""
+    fan = tb.load_bundled("p2")
+    atlas = tb.Atlas(fan)
+    flag = atlas.charts()[3].flag
+    left, annihilator = flag.inverse
+    left = [list(row) for row in left]
+    left[1][0] += Fraction(1, 7)
+    flag.__dict__["inverse"] = (tuple(map(tuple, left)), annihilator)
+    ctx, (passed, details) = _gluing_after_gates(fan, atlas)
+    assert "dual_witness" in ctx.results["monomial_diagram"][1]
+    assert details["gates"] == {"monomial_diagram": False, "cover": True}
+    assert details["counterexamples"] == [] and not passed
+    assert verify._distinct_gates({}) == {"monomial_diagram": False, "cover": False}
+
+
+def test_tamper_names_monomial_diagram_as_failed_gate(tmp_path):
+    from toricball.cli import main
+
+    assert main(["verify", str(tb.bundled_path("p2")), "--samples", "20", "--tamper", "--out", str(tmp_path)]) == 4
+    report = json.loads((tmp_path / "report.json").read_text())
+    gluing = next(c for c in report["checks"] if c["name"] == "intersection_gluing")
+    assert not gluing["passed"]
+    assert gluing["gates"] == {"monomial_diagram": False, "cover": True}
+
+
+WPS_1_1_20 = Path(__file__).parent / "data" / "gluing_wps_1_1_20_seed5" / "fan.json"
+WPS_1_1_1_27 = {
+    "name": "wps_1_1_1_27",
+    "dim": 3,
+    "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -27]],
+    "max_cones": [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
+}
+
+
+@pytest.mark.parametrize("fan, seed", [("wps_1_1_20", 5), ("wps_1_1_1_27", 0)])
+def test_verify_passes_where_sampled_distinct_half_failed(fan, seed, tmp_path):
+    """P(1,1,20) at seed 5 and P(1,1,1,27) at seed 0 failed verify with
+    only sampled distinct counterexamples, points that points_equal
+    wrongly calls equal (test_complex.py::test_points_equal_distinct_pin);
+    the distinct half is now exact, and verify passes."""
+    from toricball.cli import main
+
+    path = WPS_1_1_20 if fan == "wps_1_1_20" else tmp_path / "fan.json"
+    if fan == "wps_1_1_1_27":
+        path.write_text(json.dumps(WPS_1_1_1_27))
+    assert main(["verify", str(path), "--seed", str(seed), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    gluing = next(c for c in report["checks"] if c["name"] == "intersection_gluing")
+    assert gluing["coverage"]["distinct"] == "exact" and gluing["passed"]
+    assert gluing["located"] == {"wps_1_1_20": 6, "wps_1_1_1_27": 24}[fan] * 25
