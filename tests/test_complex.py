@@ -10,6 +10,7 @@ import pytest
 import toricball as tb
 from conftest import cube_faces_fan
 from toricball import cellcomplex
+from toricball.bary import locate_flag
 from toricball.cellcomplex import (
     build_ball_model,
     build_orbit_complex,
@@ -19,6 +20,7 @@ from toricball.cellcomplex import (
     verify_gluing,
     verify_regularity,
 )
+from toricball.charts import triangular_eval
 from toricball.exact import pair
 from toricball.fan import validate_fan
 from toricball.homeo import bary_to_delta
@@ -202,6 +204,24 @@ def test_gluing_identity_fails_on_perturbed_b():
     top = [w for w in failures if w["face"] == state["sigma"]]
     assert [(w["generator"], w["found"][0] - w["expected"][0]) for w in top] == [(state["generator"], 1)]
     assert not report.passed and report.counterexamples[0]["kind"] == "identity"
+
+
+def test_verify_gluing_distinct_pin():
+    """P(1,1,20) at seed 5, where the sampled distinct half used to report
+    the pair stored in distinct.json: verify_gluing now passes, and each
+    point of the stored pair is located back to its own flag from its
+    chart values, so the locate cross-check tells the two apart."""
+    data = Path(__file__).parent / "data" / "gluing_wps_1_1_20_seed5"
+    atlas = tb.Atlas(tb.parse_and_validate((data / "fan.json").read_text()))
+    report = verify_gluing(atlas, samples_per_pair=50, tol=1e-9, seed=5)
+    assert report.passed and report.counterexamples == []
+    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    assert report.located_samples == len(flags) * 25
+    (pin,) = json.loads((data / "distinct.json").read_text())
+    for f, xi in zip(pin["flags"], pin["xi"]):
+        chart = atlas.chart(flags[f])
+        ells = cellcomplex._log_pairings(triangular_eval(chart, bary_to_delta(xi)))
+        assert locate_flag(atlas.fan, cellcomplex._cone_point(chart, ells)) == flags[f]
 
 
 @pytest.mark.xfail(
