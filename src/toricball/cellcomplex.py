@@ -24,9 +24,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 from .bary import Flag, NotInCone, enumerate_flags, locate_flag
-from .charts import TWO_PI, Atlas, monomial_eval, scaled_gaps, triangular_eval
+from .charts import TWO_PI, Atlas, _monomials, scaled_gaps, triangular_eval
 from .exact import pair, vsub
 from .fan import Fan, ridge_pairing, star_fan
 from .homeo import bary_to_delta
@@ -323,12 +324,16 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
             tau = members[-1] if members else zero
             face = atlas.face_map(chart, tau)
             steps = _steps([b for j, b in enumerate(flag.barycenters) if mask >> j & 1])
-            exponents = [[pair(h, d) for d in steps] for h in atlas.hilbert(tau).generators]
+            # Each generator's nonzero (column, exponent) terms, so
+            # _monomials gives the floats of monomial_eval.
+            terms = [
+                tuple((t, e) for t, d in enumerate(steps) if (e := pair(h, d)))
+                for h in atlas.hilbert(tau).generators
+            ]
             rays = {c.rays for c in members}
             for sub_xi in _simplex_samples(rng, len(members), count):
                 local = face(bary_to_delta(_embed_xi(sub_xi, flag, rays)))
-                partial_sums = bary_to_delta(sub_xi)  # W_0..W_{k-1}
-                telescoped = [monomial_eval(e, partial_sums) for e in exponents]
+                telescoped = _monomials(terms, bary_to_delta(sub_xi))  # at W_0..W_{k-1}
                 report.shared_samples += 1
                 gap = None if local is None else max(scaled_gaps(local, telescoped), default=0.0)
                 if gap is None or gap > tol:
@@ -355,39 +360,57 @@ def _log_pairings(values):
 
 
 def _cone_point(chart, ells):
-    """The point x = sum_k u_k B_k of N_R whose pairings with the
-    chart's n triangular generators are ells.  Row i of the triangular
-    block of chart.c, <alpha_i, B_k>, vanishes for k < i and is positive
-    at k = i, so u is found by back-substitution."""
+    """The simplicial coordinates u and the point x = sum_k u_k B_k of
+    N_R whose pairings with the chart's n triangular generators are
+    ells.  Row i of the triangular block of chart.c, <alpha_i, B_k>,
+    vanishes for k < i and is positive at k = i, so u is found by
+    back-substitution."""
     n = chart.n
     u = [0.0] * n
     for i in reversed(range(n)):
         row = chart.c[i]
         u[i] = (ells[i] - sum(row[k] * u[k] for k in range(i + 1, n))) / row[i]
-    return tuple(sum(uk * b[t] for uk, b in zip(u, chart.flag.barycenters)) for t in range(n))
+    return u, tuple(sum(uk * b[t] for uk, b in zip(u, chart.flag.barycenters)) for t in range(n))
 
 
-def _locate_cross_check(atlas: Atlas, flags, rng, count):
+def _sample_coords(w):
+    """The simplicial coordinates of a simplex-chain point w, the u with
+    theta(e^(-2 pi u)) = w: u_j = -log(w_j / w_(j+1)) / 2 pi, w_(n+1) = 1."""
+    return [-math.log(a / b) / TWO_PI for a, b in pairwise([*w, 1.0])]
+
+
+def _locate_cross_check(atlas: Atlas, flags, rng, count, tol):
     """Float cross-check of the evaluators behind the distinct half:
     count seeded interior points of each maximal flag F's simplex are
-    mapped through the chart's triangular rows, x is recovered from the
-    values (_log_pairings, _cone_point), and bary.locate_flag must
-    return F.  Each point lies a fixed margin inside F's open cone, so
-    F is the only answer.  Returns the counterexamples: F, the located
-    flag (None when a chart value is 0.0 or not finite, or nothing is
-    located) and the sample."""
+    mapped through the chart's triangular rows, u and x are recovered
+    from the values (_log_pairings, _cone_point), bary.locate_flag must
+    return F, and u must match the sample's own coordinates
+    (_sample_coords) within tol, each gap scaled by max(1, |u_j|).  Each
+    point lies a fixed margin inside F's open cone, so F is the only
+    answer.  Returns the counterexamples: a "locate" one names F, the
+    located flag (None when a chart value is 0.0 or not finite, or
+    nothing is located) and the sample; a "coordinates" one names F, the
+    worst scaled gap and the sample."""
     index = {flag: fi for fi, flag in enumerate(flags)}
     out = []
     for fi, flag in enumerate(flags):
         chart = atlas.chart(flag)
         for xi in _interior_samples(rng, len(flag), count):
-            ells = _log_pairings(triangular_eval(chart, bary_to_delta(xi)))
-            try:
-                located = None if ells is None else index.get(locate_flag(atlas.fan, _cone_point(chart, ells)))
-            except NotInCone:
-                located = None
+            w = bary_to_delta(xi)
+            ells = _log_pairings(triangular_eval(chart, w))
+            u = located = None
+            if ells is not None:
+                u, x = _cone_point(chart, ells)
+                try:
+                    located = index.get(locate_flag(atlas.fan, x))
+                except NotInCone:
+                    pass
             if located != fi:
                 out.append({"kind": "locate", "flag": fi, "located": located, "xi": list(xi)})
+                continue
+            gaps = [abs(a - b) / max(1.0, abs(b)) for a, b in zip(u, _sample_coords(w))]
+            if not all(g <= tol for g in gaps):
+                out.append({"kind": "coordinates", "flag": fi, "gap": max(gaps), "xi": list(xi)})
     return out
 
 
@@ -423,11 +446,12 @@ def verify_gluing(atlas: Atlas, samples_per_pair: int = 50, tol: float = 1e-9, s
     verify reports this half as exact and fails it when either gate
     fails.  What the identities do not cover is the float evaluators;
     _locate_cross_check locates samples of each maximal flag back to
-    it, at samples_per_pair // 2 points per flag.
+    it and compares their recovered simplicial coordinates with their
+    own, at samples_per_pair // 2 points per flag.
 
     One seeded generator feeds the subflag cross-check, then the locate
     cross-check.  Counterexamples are listed identities first, then
-    shared, then locate.
+    shared, then those of the locate cross-check.
     """
     flags = enumerate_flags(atlas.fan, only_maximal=True)
     rng = random.Random(seed)
@@ -435,7 +459,7 @@ def verify_gluing(atlas: Atlas, samples_per_pair: int = 50, tol: float = 1e-9, s
     report.identities, witnesses = gluing_identities(atlas, flags)
     half = max(samples_per_pair // 2, 1)
     shared = _subflag_cross_check(atlas, flags, rng, half, tol, report)
-    located = _locate_cross_check(atlas, flags, rng, half)
+    located = _locate_cross_check(atlas, flags, rng, half, tol)
     report.located_samples = len(flags) * half
     report.counterexamples = [{"kind": "identity", **w} for w in witnesses] + shared + located
     report.passed = not report.counterexamples

@@ -64,7 +64,21 @@ def phi_point(generators, u, n: int):
 
 def rescale_in_flag(flag: Flag, x):
     """Phi on the flag's cone: rescale the simplicial coordinates of x
-    and re-assemble in the barycenter basis.  Raises NotInCone off-cone."""
+    and re-assemble in the barycenter basis.  Raises NotInCone off-cone.
+
+    Phi of a subflag S of F equals Phi of F at every x of S's cone, bit
+    for bit in floats too:
+
+    - S's barycenters are F's at the same positions, and F's left
+      inverse is dual to F's barycenters, <beta_j, B_i> = delta_ij
+      (certified exactly by the dual_witness of verify's
+      monomial_diagram).  The coordinates are exact rationals, so F's
+      coordinates of x are S's with exact 0s at the positions off S.
+    - phi_coords maps such a 0 to log(1) / 2 pi = 0.0, and adding 0.0
+      leaves every other prefix sum 1 + u_1 + ... + u_j, hence every
+      other v_j, unchanged.  phi_point then adds 0.0 * B_j terms, which
+      change no sum.
+    """
     return phi_point(flag.barycenters, simplicial_coords(flag, x), len(x))
 
 
@@ -116,6 +130,20 @@ def param_boundary_point(atlas: Atlas, flag: Flag, xi) -> ToricPoint:
     Defined for every valid xi including the xi_0 = 0 face at infinity;
     xi = (1, 0, ..., 0) is the image of the origin of N_R and
     xi = (0, ..., 0, 1) the torus-fixed point of the top cone's chart.
+
+    On the interior this is psi . theta . exp . Phi, by an identity that
+    does not depend on the fan.  Let U_j = u_1 + ... + u_j (U_0 = 0).
+    Phi gives e^(-2 pi v_i) = (1 + U_(i-1)) / (1 + U_i), so the suffix
+    product telescopes:
+
+        theta(e^(-2 pi Phi(u)))_j = prod_(i >= j) (1 + U_(i-1)) / (1 + U_i)
+                                  = (1 + U_(j-1)) / (1 + U_n),
+
+    which is bary_to_delta(simplicial_to_barycentric(u))_j, the
+    partial sum xi_0 + ... + xi_(j-1) at xi_0 = 1 / (1 + U_n),
+    xi_i = u_i / (1 + U_n).  The evaluators behind psi . theta . exp are
+    cross-checked on every chart by verify's monomial_diagram
+    (_diagram_residuals).
     """
     check_barycentric(xi)
     if len(xi) != len(flag) + 1:

@@ -8,16 +8,36 @@ a generator seeded by the run's seed and its own name, so a fixed seed
 and configuration give a byte-identical report, and adding, removing or
 reordering a check leaves every other entry unchanged.
 
-Negative controls of intersection_gluing's distinct half, each a test:
+Retired checks, which no input that verify accepts can fail, and the
+facts that cover them:
 
-- A sign flipped in the log recovery of the locate cross-check
-  (cellcomplex._log_pairings) fails it, naming the flag and the flag
-  its samples were located in.
-- A chart whose Chart.terms alone is perturbed fails the locate
-  cross-check while the exact gates (the identities and dual witness of
-  monomial_diagram, and cover) pass.
-- --tamper on p2 exits 4, and intersection_gluing names
-  monomial_diagram as a failed gate.
+- rescale_gluing: Phi on a subflag is Phi on the flag, bit for bit
+  (homeo.rescale_in_flag).
+- barycentric_composite: a fan-independent telescoping identity
+  (homeo.param_boundary_point).
+- orbit_complex: sum over cones of (-1)^(n - dim sigma) is 1 on a
+  complete fan (the open cones partition N_R, and their compactly
+  supported Euler characteristics (-1)^dim sigma sum to (-1)^n), and the
+  zero cone is the only top cell.  Only an incomplete fan could fail
+  it, and cover fails there too.  regularity reports the cell count.
+
+Negative controls, each a test in tests/test_verify.py unless named:
+
+- chart_invariants, simplex_inversion, theta_map, rescale_roundtrip,
+  semigroup_law, nonextension_probe: a replaced chart or helper
+  (test_check_fails_under_its_control).
+- monomial_diagram: --tamper (test_cli.py::test_verify_tamper_fails);
+  a left inverse off by 1/7 (test_dual_basis_gate_names_perturbed_inverse).
+- cover: incomplete fans of rank 2 and 3 (test_cover_fails_on_incomplete_fans).
+- ball_model: p2 less a maximal cone (test_ball_model_fails_on_incomplete_fan).
+- regularity: incomplete fans of rank 2 and 3 (test_regularity_names_failing_cells).
+- hilbert_minimality: a generator sum added to every basis
+  (test_cli.py::test_hilbert_minimality_names_witnesses).
+- intersection_gluing: a perturbed localization rule or exponent row
+  (test_complex.py); a sign flipped in cellcomplex._log_pairings, or in
+  cellcomplex._cone_point's back-substitution (test_complex.py);
+  Chart.terms alone perturbed, with the exact gates passing; --tamper on
+  p2, which names monomial_diagram as a failed gate.
 """
 
 from __future__ import annotations
@@ -28,12 +48,12 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, pairwise
+from itertools import accumulate
 from operator import mul, sub
 
 from . import cellcomplex, charts, homeo
 from . import cones as _ck
-from .bary import Flag, cover_check, enumerate_flags, simplicial_coords
+from .bary import cover_check, enumerate_flags
 from .charts import TWO_PI
 from .exact import pair
 from .fan import Fan
@@ -51,13 +71,6 @@ class Context:
     seed: int
     rng: random.Random  # the running check's own generator
     results: dict = field(default_factory=dict)  # check name -> (passed, details), as they run
-
-
-def _random_cone_point(rng, flag):
-    """Exact rational point of the flag's cone (coordinates in [0, 4])."""
-    gens = flag.barycenters
-    u = [Fraction(rng.randint(0, 4000), 1000) for _ in gens]
-    return tuple(sum(ui * g[i] for ui, g in zip(u, gens)) for i in range(len(gens[0])))
 
 
 def _delta_samples(rng, n, count):
@@ -178,102 +191,6 @@ def _rescale_roundtrip(ctx):
     return worst <= 1e-10, {"worst_gap": worst}
 
 
-def _rescale_gluing(ctx):
-    """Phi on a subflag agrees with Phi on the full flag, and subflag
-    points have zero coordinates off the subflag."""
-    n = ctx.n
-    worst = 0.0
-    subflag_ok = True
-    for flag in ctx.flags:
-        members = list(flag.cones)
-        for mask in range(1, 2**n - 1):
-            sub = Flag(tuple(members[i] for i in range(n) if mask >> i & 1))
-            x = _random_cone_point(ctx.rng, sub)
-            worst = max(worst, _sup_gap(homeo.rescale_in_flag(sub, x), homeo.rescale_in_flag(flag, x)))
-            u_full = simplicial_coords(flag, x)
-            if any(not mask >> i & 1 and u_full[i] != 0 for i in range(n)):
-                subflag_ok = False
-    return subflag_ok and worst <= 1e-12, {"worst_gap": worst}
-
-
-def _barycentric_composite(ctx):
-    """The boundary parameterization agrees with psi . theta . exp . Phi
-    on the interior, and with the ratio formula (_composite_samples);
-    the simplex chain holds exactly at every sample."""
-    worst = 0.0
-    chain_ok = True
-    for chart in ctx.charts:
-        for gap, in_simplex in _composite_samples(ctx.atlas, chart, ctx.rng, 50):
-            worst = max(worst, gap)
-            chain_ok = chain_ok and in_simplex
-    return chain_ok and worst <= ctx.tol, {"worst_gap": worst}
-
-
-def _composite_samples(atlas, chart, rng, count):
-    """Per seeded interior barycentric point xi of the chart's flag
-    simplex: the sup gap of the boundary parameterization
-    (homeo.param_boundary_point) against psi(theta(exp(Phi(u)))) at
-    u_j = xi_j / xi_0 and against the ratio formula
-    w_j = (1 + u_1 + ... + u_{j-1}) / (1 + u_1 + ... + u_n), and whether
-    w lies in the simplex.  xi_i = a_i / (a_0 + ... + a_n), with a_i the
-    draw rounded by limit_denominator(10**6), is carried as integer
-    numerators N over one common denominator, so w_j and u_j are
-    correctly rounded int / int quotients: the floats of the exact
-    rational route."""
-    n = len(chart.flag)
-    for _ in range(count):
-        nums = _common_numerators(rng.random() + 0.01 for _ in range(n + 1))
-        w, in_simplex = _partial_sums(nums)
-        direct = atlas.chart_point(chart, w)
-        u = [x / nums[0] for x in nums[1:]]
-        composite = charts.psi_eval(chart, charts.theta(charts.exp_flag(homeo.phi_coords(u))))
-        gap = _sup_gap(direct.values, [composite[i] for i in chart.hilbert_rows])
-        ratio = [(1 + sum(u[:j])) / (1 + sum(u)) for j in range(n)]
-        yield max(gap, _sup_gap(w, ratio)), in_simplex
-
-
-def _common_numerators(floats):
-    """Numerators N_i over one common denominator of the a_i =
-    Fraction(x_i).limit_denominator(10**6), so N_i / sum(N) =
-    a_i / sum(a)."""
-    rounded = [_limit_denominator(x, 10**6) for x in floats]
-    d = math.lcm(*(q for _, q in rounded))
-    return [p * (d // q) for p, q in rounded]
-
-
-def _limit_denominator(x, bound):
-    """Fraction(x).limit_denominator(bound) as a (numerator, denominator)
-    pair, computed on ints: the continued-fraction convergent or
-    semiconvergent of x with denominator at most bound that is closest
-    to x, the convergent on a tie."""
-    num, den = x.as_integer_ratio()
-    if den <= bound:
-        return num, den
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = num, den
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > bound:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (bound - q0) // q1
-    p2, q2 = p0 + k * p1, q0 + k * q1
-    # |p1/q1 - x| <= |p2/q2 - x|, cleared of the positive denominators.
-    if abs(p1 * den - num * q1) * q2 <= abs(p2 * den - num * q2) * q1:
-        return p1, q1
-    return p2, q2
-
-
-def _partial_sums(nums):
-    """homeo.bary_to_delta at xi = N / sum(N) in floats, w_j =
-    (N_0 + ... + N_{j-1}) / sum(N), and whether 0 <= w_1 <= ... <= w_n
-    <= 1 holds, decided exactly on the integer prefix sums."""
-    *prefix, total = accumulate(nums)
-    return [p / total for p in prefix], all(a <= b for a, b in pairwise([0, *prefix, total]))
-
-
 def _cover(ctx):
     """The maximal flag cones cover N_R, by the exact certificate of
     bary.cover_check; on failure, its witness."""
@@ -297,12 +214,6 @@ def _ball_model(ctx):
         "pseudomanifold": pm.passed,
         "issues": list(pm.issues),
     }
-
-
-def _orbit_complex(ctx):
-    orbit = cellcomplex.build_orbit_complex(ctx.fan)
-    euler, top = orbit.euler_characteristic(), len(orbit.top_cells())
-    return euler == 1 and top == 1, {"euler": euler, "top_cells": top}
 
 
 def _intersection_gluing(ctx):
@@ -390,11 +301,8 @@ CHECKS = (
     ("simplex_inversion", _simplex_inversion),
     ("theta_map", _theta_map),
     ("rescale_roundtrip", _rescale_roundtrip),
-    ("rescale_gluing", _rescale_gluing),
-    ("barycentric_composite", _barycentric_composite),
     ("cover", _cover),
     ("ball_model", _ball_model),
-    ("orbit_complex", _orbit_complex),
     ("intersection_gluing", _intersection_gluing),
     ("regularity", _regularity),
     ("hilbert_minimality", _hilbert_minimality),

@@ -221,7 +221,7 @@ def test_verify_gluing_distinct_pin():
     for f, xi in zip(pin["flags"], pin["xi"]):
         chart = atlas.chart(flags[f])
         ells = cellcomplex._log_pairings(triangular_eval(chart, bary_to_delta(xi)))
-        assert locate_flag(atlas.fan, cellcomplex._cone_point(chart, ells)) == flags[f]
+        assert locate_flag(atlas.fan, cellcomplex._cone_point(chart, ells)[1]) == flags[f]
 
 
 @pytest.mark.xfail(
@@ -286,6 +286,27 @@ def test_locate_cross_check_fails_on_flipped_log_sign(monkeypatch):
     assert [c["kind"] for c in report.counterexamples] == ["locate"] * 6 * 5
     assert [c["flag"] for c in report.counterexamples] == [f for f in range(6) for _ in range(5)]
     assert all(c["located"] not in (c["flag"], None) for c in report.counterexamples)
+
+
+def test_locate_cross_check_fails_on_flipped_back_substitution(monkeypatch):
+    """With + for - in _cone_point's back-substitution every recovered
+    point of p2 stays in its own flag's cone, so locating alone passes;
+    the comparison with each sample's own coordinates fails it."""
+
+    def flipped(chart, ells):
+        n = chart.n
+        u = [0.0] * n
+        for i in reversed(range(n)):
+            row = chart.c[i]
+            u[i] = (ells[i] + sum(row[k] * u[k] for k in range(i + 1, n))) / row[i]
+        return u, tuple(sum(uk * b[t] for uk, b in zip(u, chart.flag.barycenters)) for t in range(n))
+
+    monkeypatch.setattr(cellcomplex, "_cone_point", flipped)
+    report = verify_gluing(tb.Atlas(tb.load_bundled("p2")), samples_per_pair=10, seed=0)
+    assert not report.passed
+    expected = [("coordinates", f) for f in range(6) for _ in range(5)]
+    assert [(c["kind"], c["flag"]) for c in report.counterexamples] == expected
+    assert all(c["gap"] > 1e-9 for c in report.counterexamples)
 
 
 def test_locate_cross_check_names_underflowed_values():

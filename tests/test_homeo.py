@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricball as tb
 from toricball.bary import Flag, NotInCone, enumerate_flags, locate_flag
@@ -113,9 +115,8 @@ def test_rescale_subflag_restriction(cube_fan):
             gens = tb.flag_cone(sub).generators
             coeff = [rng.randint(0, 3000) for _ in sub.cones]
             x = tuple(sum(c * g[t] for c, g in zip(coeff, gens)) for t in range(3))
-            a = rescale_in_flag(sub, x)
-            b = rescale_in_flag(flag, x)
-            assert max(abs(p - q) for p, q in zip(a, b)) < 1e-12
+            # Bit for bit: the fact that replaced verify's rescale_gluing.
+            assert rescale_in_flag(sub, x) == rescale_in_flag(flag, x)
 
 
 def test_bary_to_delta_partial_sums():
@@ -208,6 +209,18 @@ def test_composite_identity_interior(atlas_p2):
             w = bary_to_delta(xi)
             ratios = [(1 + sum(u[:j])) / (1 + sum(u)) for j in range(2)]
             assert max(abs(a - b) for a, b in zip(w, ratios)) < 1e-12
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1e3), min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_telescoping_identity(u):
+    """theta(e^(-2 pi Phi(u)))_j = (1 + u_1 + ... + u_(j-1)) / (1 + sum u)
+    = bary_to_delta(simplicial_to_barycentric(u))_j over u >= 0: the
+    fan-independent identity behind param_boundary_point on the
+    interior, which replaced verify's barycentric_composite."""
+    ratios = [(1 + sum(u[:j])) / (1 + sum(u)) for j in range(len(u))]
+    for route in (theta(exp_flag(phi_coords(u))), bary_to_delta(simplicial_to_barycentric(u))):
+        assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(route, ratios, strict=True))
 
 
 def test_nonextension_probe(atlas_p2):

@@ -1,19 +1,21 @@
 """The sample loops of the verify checks against the exact Fraction
-routes they replace, and the exact gates beside them."""
+routes they replace, the exact gates beside them, and a negative
+control for every check."""
 
+import dataclasses
 import json
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
 import toricball as tb
-from toricball import verify
-from toricball.charts import delta_chain_violation, exp_flag, monomial_eval, theta
+from toricball import charts, homeo, verify
 from toricball.cones import dual_generators
 from toricball.exact import pair
-from toricball.homeo import bary_to_delta, param_boundary_point, phi_coords
 
 WPS_1_1_1_9 = Path(__file__).parent / "data" / "golden" / "verify_wps_1_1_1_9" / "fan.json"
 FANS = ("p2", "p112", "twisted_p3", "wps_1_1_1_9")
@@ -46,27 +48,6 @@ def _fraction_residuals(atlas, chart, rng, count):
         yield atlas.commutativity_residual(chart, x)
 
 
-def _fraction_composite(atlas, chart, rng, count):
-    """barycentric_composite's samples through the exact barycentric
-    vector: limit_denominator on each draw and on their total,
-    param_boundary_point, and psi as a row-by-row monomial_eval."""
-    n = len(chart.flag)
-    for _ in range(count):
-        raw = [rng.random() + 0.01 for _ in range(n + 1)]
-        total = sum(raw)
-        xi = tuple(Fraction(x).limit_denominator(10**6) / Fraction(total).limit_denominator(10**6) for x in raw)
-        xi = tuple(x / sum(xi) for x in xi)
-        direct = param_boundary_point(atlas, chart.flag, xi)
-        u = tuple(float(x / xi[0]) for x in xi[1:])
-        z = theta(exp_flag(phi_coords(u)))
-        composite = [monomial_eval(chart.b[i], z) for i in chart.hilbert_rows]
-        gap = max(abs(a - b) for a, b in zip(direct.values, composite))
-        w = bary_to_delta(xi)
-        ratio = [(1 + sum(u[:j])) / (1 + sum(u)) for j in range(n)]
-        gap = max(gap, max(abs(float(a) - b) for a, b in zip(w, ratio)))
-        yield gap, delta_chain_violation(w) == 0
-
-
 @pytest.mark.parametrize("seed", [3, 11])
 def test_diagram_residuals_match_fraction_route(atlas, seed):
     for chart in atlas.charts():
@@ -74,40 +55,6 @@ def test_diagram_residuals_match_fraction_route(atlas, seed):
         new = list(verify._diagram_residuals(chart, pairings, random.Random(seed), 10))
         old = list(_fraction_residuals(atlas, chart, random.Random(seed), 10))
         assert new == old
-
-
-@pytest.mark.parametrize("seed", [3, 11])
-def test_composite_samples_match_fraction_route(atlas, seed):
-    for chart in atlas.charts():
-        new = list(verify._composite_samples(atlas, chart, random.Random(seed), 10))
-        old = list(_fraction_composite(atlas, chart, random.Random(seed), 10))
-        assert new == old
-
-
-def test_limit_denominator_matches_fractions():
-    rng = random.Random(7)
-    floats = [rng.random() + 0.01 for _ in range(2000)]
-    floats += [0.5, 1.0, 0.01, 1 / 3, 2 / 7, 1e-7, 123.456, 0.1 + 0.2]
-    for x in floats:
-        expected = Fraction(x).limit_denominator(10**6)
-        assert verify._limit_denominator(x, 10**6) == (expected.numerator, expected.denominator)
-    # Small bounds reach the semiconvergents and the tie rule.
-    for x in floats[:200] + [0.5, 0.25, 0.75, 1.5]:
-        for bound in (1, 2, 3, 7, 10):
-            expected = Fraction(x).limit_denominator(bound)
-            assert Fraction(*verify._limit_denominator(x, bound)) == expected
-
-
-def test_partial_sums_chain_is_exact():
-    assert verify._partial_sums([1, 1, 2]) == ([0.25, 0.5], True)
-    assert verify._partial_sums([3]) == ([], True)
-    # Same floats as bary_to_delta of the exact barycentric vector.
-    nums = [7, 13, 1, 29]
-    xi = [Fraction(x, sum(nums)) for x in nums]
-    assert verify._partial_sums(nums)[0] == [float(w) for w in bary_to_delta(xi)]
-    # A negative numerator breaks the chain: w_2 < w_1, or w_1 < 0.
-    assert verify._partial_sums([2, -1, 3]) == ([0.5, 0.25], False)
-    assert verify._partial_sums([-1, 2, 3])[1] is False
 
 
 def test_dual_basis_gate_names_perturbed_inverse():
@@ -133,23 +80,34 @@ def test_dual_basis_gate_names_perturbed_inverse():
     assert bad["dual_witness"] == {"flag": 3, "row": 1, "column": 1, "found": "6/7", "expected": 1}
 
 
+def _incomplete_fans():
+    """p2 without one maximal cone, and P^3 without one: unvalidated
+    incomplete fans of rank 2 and 3."""
+    return (
+        tb.validate_fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2]], require_complete=False),
+        tb.validate_fan(
+            3,
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+            [[0, 1, 2], [1, 2, 3], [0, 2, 3]],
+            require_complete=False,
+        ),
+    )
+
+
 def test_regularity_names_failing_cells():
     """On the complete p2 the entry is the cell count alone; on an
     unvalidated incomplete fan (p2 without one maximal cone) the check
     names each failing cone with the tests it failed."""
     p2 = tb.load_bundled("p2")
     assert verify._regularity(_context(p2)) == (True, {"cells": 7})
-    fan = tb.validate_fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2]], require_complete=False)
+    fan, rank3 = _incomplete_fans()
     failed = ["star_complete", "euler", "pseudomanifold"]
     assert verify._regularity(_context(fan)) == (
         False,
         {"cells": 6, "failures": [{"rays": rays, "failed": failed} for rays in ([], [0], [2])]},
     )
     # At most five failing cells are named.
-    fan = tb.validate_fan(
-        3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], [[0, 1, 2], [1, 2, 3], [0, 2, 3]], require_complete=False
-    )
-    passed, details = verify._regularity(_context(fan))
+    passed, details = verify._regularity(_context(rank3))
     assert not passed and details["cells"] == 14
     assert [f["rays"] for f in details["failures"]] == [[], [0], [1], [3], [0, 1]]
     # The link of every failing cell is no sphere.
@@ -166,6 +124,125 @@ def test_ball_model_fails_on_incomplete_fan():
     passed, details = verify._ball_model(_context(fan))
     assert not passed
     assert details["euler"] == 1 and details["boundary_euler"] == 1 and not details["pseudomanifold"]
+
+
+def test_cover_fails_on_incomplete_fans():
+    """The incomplete fans of test_regularity_names_failing_cells fail
+    cover with a witness.  This is where the retired orbit_complex gate
+    could have failed: on a complete fan its Euler sum and top cell
+    count are 1 whatever the fan."""
+    for fan in _incomplete_fans():
+        passed, details = verify._cover(_context(fan))
+        assert not passed and details["witness"]
+
+
+def _replace_chart(monkeypatch, ctx):
+    """An exponent below the diagonal of the first chart's b."""
+    b = [list(row) for row in ctx.charts[0].b]
+    b[1][0] += 1
+    ctx.charts[0] = dataclasses.replace(ctx.charts[0], b=tuple(map(tuple, b)))
+
+
+def _off_inversion(monkeypatch, ctx):
+    psi_invert = charts.psi_invert
+    monkeypatch.setattr(charts, "psi_invert", lambda chart, y, tol: tuple(w + 1e-6 for w in psi_invert(chart, y, tol)))
+
+
+def _off_theta_preimage(monkeypatch, ctx):
+    preimage = charts.theta_preimage
+    monkeypatch.setattr(charts, "theta_preimage", lambda w: tuple(1.001 * z for z in preimage(w)))
+
+
+def _off_phi_inverse(monkeypatch, ctx):
+    inverse = homeo.phi_inverse_coords
+    monkeypatch.setattr(homeo, "phi_inverse_coords", lambda v: tuple(u + 1e-6 for u in inverse(v)))
+
+
+def _scaled_expi_value(monkeypatch, ctx):
+    expi_point = charts.Atlas.expi_point
+
+    def scaled(atlas, x, cone):
+        p = expi_point(atlas, x, cone)
+        return dataclasses.replace(p, values=(1.5 * p.values[0], *p.values[1:]))
+
+    monkeypatch.setattr(charts.Atlas, "expi_point", scaled)
+
+
+def _path_independent_probe(monkeypatch, ctx):
+    # Both coordinates tend to 0 along every path: an embedding that extends.
+    monkeypatch.setattr(
+        homeo, "nonextension_probe", lambda atlas, flag, c, s: (math.exp(-charts.TWO_PI * (s + c)), math.exp(-s))
+    )
+
+
+CONTROLS = {
+    "chart_invariants": _replace_chart,
+    "simplex_inversion": _off_inversion,
+    "theta_map": _off_theta_preimage,
+    "rescale_roundtrip": _off_phi_inverse,
+    "semigroup_law": _scaled_expi_value,
+    "nonextension_probe": _path_independent_probe,
+}
+
+
+@pytest.mark.parametrize("name", list(CONTROLS))
+def test_check_fails_under_its_control(monkeypatch, name):
+    """Each check passes on p112 (rank 2, with a singular cone) and fails
+    with one chart replaced or one helper it reads monkeypatched."""
+    fan = tb.load_bundled("p112")
+    check = dict(verify.CHECKS)[name]
+    assert check(_context(fan, tb.Atlas(fan), samples=5))[0]
+    ctx = _context(fan, tb.Atlas(fan), samples=5)
+    CONTROLS[name](monkeypatch, ctx)
+    assert not check(ctx)[0]
+
+
+def test_every_check_lists_its_negative_control():
+    section = verify.__doc__.split("Negative controls")[1]
+    listed = {name.strip() for bullet in section.split("\n- ")[1:] for name in bullet.split(":")[0].split(",")}
+    assert [name for name, _ in verify.CHECKS if name not in listed] == []
+
+
+def _entries(fan, **kwargs):
+    return {c["name"]: c for c in verify.run_verification(fan, samples=10, **kwargs)["checks"]}
+
+
+@pytest.mark.parametrize("dropped", [name for name, _ in verify.CHECKS if name not in ("monomial_diagram", "cover")])
+def test_entries_survive_a_dropped_check(monkeypatch, dropped):
+    """Each check draws from a generator seeded by its own name, so
+    dropping one leaves every other entry unchanged (monomial_diagram
+    and cover are gates that intersection_gluing reads)."""
+    fan = tb.load_bundled("p2")
+    full = _entries(fan, seed=3)
+    monkeypatch.setattr(verify, "CHECKS", tuple(c for c in verify.CHECKS if c[0] != dropped))
+    assert _entries(fan, seed=3) == {name: entry for name, entry in full.items() if name != dropped}
+
+
+def test_entries_survive_a_reversed_table(monkeypatch):
+    """In reverse order every entry is unchanged except
+    intersection_gluing's, whose gates have not run yet and count as
+    failed."""
+    fan = tb.load_bundled("p2")
+    full = _entries(fan)
+    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[::-1])
+    reversed_ = _entries(fan)
+    assert list(reversed_) == list(full)[::-1]
+    gluing = reversed_.pop("intersection_gluing")
+    assert gluing["gates"] == {"monomial_diagram": False, "cover": False} and not gluing["passed"]
+    assert reversed_ == {name: entry for name, entry in full.items() if name != "intersection_gluing"}
+
+
+def test_verify_p4_passes(tmp_path):
+    """Rank 4: P^4 (120 maximal flags) passes verify at seed 0."""
+    from toricball.cli import main
+
+    rays = [[int(i == j) for i in range(4)] for j in range(4)] + [[-1] * 4]
+    doc = {"name": "p4", "dim": 4, "rays": rays, "max_cones": [list(c) for c in combinations(range(5), 4)]}
+    path = tmp_path / "p4.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--seed", "0", "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["dim"] == 4 and all(c["passed"] for c in report["checks"])
 
 
 @pytest.mark.parametrize("name, budget", [("p3", 130), ("twisted_p3", 388)])
