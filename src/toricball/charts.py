@@ -2,8 +2,8 @@
 
 For each maximal flag the chart holds the distinguished semigroup
 generators (upper-triangular selection first, then the Hilbert basis of
-the top cone's dual), the dual basis of the flag's barycenters, and the
-integer exponent matrices
+the top cone's dual) and the integer exponent matrices (the basis dual
+to the flag's barycenters is the flag's own, Flag.inverse)
 
     c[i][k] = <alpha_i, B_k>,   b[i][0] = c[i][0],
     b[i][j] = c[i][j] - c[i][j-1]   (j >= 1),
@@ -59,7 +59,6 @@ class Chart:
 
     flag: Flag
     generators: tuple  # alpha_1..alpha_m, triangular selection first
-    beta: tuple  # rational basis dual to the flag's barycenters
     c: tuple  # m x n pairing matrix, nonnegative, rows nondecreasing
     b: tuple  # m x n exponent matrix of psi
     hilbert_rows: tuple  # row index of each Hilbert basis element
@@ -134,19 +133,6 @@ def theta_preimage(w):
         else:
             z[j] = w[j] / w[j + 1] if w[j + 1] != 0 else 1.0
     return tuple(z)
-
-
-def delta_chain_violation(w):
-    """How far w is from the simplex 0 <= w_1 <= ... <= w_n <= 1 (0 = inside).
-
-    Exact for rational w, so a zero answer certifies membership.
-    """
-    worst = 0.0
-    prev = 0
-    for x in list(w) + [1]:
-        worst = max(worst, prev - x)
-        prev = x
-    return worst
 
 
 def monomial_eval(exponents, w) -> float:
@@ -313,7 +299,6 @@ class Atlas:
         chart = Chart(
             flag=flag,
             generators=tuple(gens),
-            beta=flag.inverse[0],
             c=c_mat,
             b=b_mat,
             hilbert_rows=hilbert_rows,

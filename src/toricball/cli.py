@@ -106,7 +106,7 @@ def cmd_charts(args) -> int:
                 "index": idx,
                 "flag": [sorted(c.rays) for c in chart.flag.cones],
                 "generators": [list(g) for g in chart.generators],
-                "dual_basis": [[str(x) for x in row] for row in chart.beta],
+                "dual_basis": [[str(x) for x in row] for row in chart.flag.inverse[0]],
                 "c": [list(r) for r in chart.c],
                 "b": [list(r) for r in chart.b],
                 "psi": chart.monomial_strings(),
