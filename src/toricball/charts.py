@@ -2,8 +2,7 @@
 
 For each maximal flag the chart holds the distinguished semigroup
 generators (upper-triangular selection first, then the Hilbert basis of
-the top cone's dual) and the integer exponent matrices (the basis dual
-to the flag's barycenters is the flag's own, Flag.inverse)
+the top cone's dual) and the integer exponent matrices
 
     c[i][k] = <alpha_i, B_k>,   b[i][0] = c[i][0],
     b[i][j] = c[i][j] - c[i][j-1]   (j >= 1),
@@ -290,6 +289,9 @@ class Atlas:
             if h not in gens:
                 gens.append(h)
         barys = flag.barycenters
+        # The flag's exact inverse is built with its chart, so that once
+        # the charts are built, locating a point needs no elimination.
+        flag.inverse
         c_mat = tuple(tuple(int(pair(g, B)) for B in barys) for g in gens)
         b_mat = tuple(
             tuple(row[0] if j == 0 else row[j] - row[j - 1] for j in range(n))

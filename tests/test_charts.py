@@ -49,6 +49,17 @@ def test_p2_chart_matrices(atlas_p2):
     assert chart.flag.inverse[0] == ((1, -1), (0, 1))
 
 
+def test_charts_build_their_flags_inverse():
+    """Building the charts computes each maximal flag's exact inverse
+    (Flag.inverse), so that once an Atlas is warm, locating a point
+    needs no elimination."""
+    fan = tb.load_bundled("p2")
+    flags = tb.enumerate_flags(fan, only_maximal=True)
+    assert not any("inverse" in flag.__dict__ for flag in flags)
+    Atlas(fan).charts()
+    assert all("inverse" in flag.__dict__ for flag in flags)
+
+
 def test_p1_chart():
     atlas = Atlas(tb.load_bundled("p1"))
     charts = atlas.charts()
