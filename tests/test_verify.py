@@ -196,7 +196,7 @@ def test_steep_fan_underflow_pin(name, k):
     0.0: the monomials underflow."""
     fan = _steep(k)
     atlas = tb.Atlas(fan)
-    ctx = _context(fan, atlas, samples=100)
+    ctx = _context(fan, atlas)
     ctx.rng = random.Random(f"0:{name}")
     assert dict(verify.CHECKS)[name](ctx)[0]
 
