@@ -9,11 +9,11 @@ on top of it.  All computations are exact; the only algorithms here are
   * a placing triangulation plus fundamental-parallelepiped enumeration
     for semigroup generators, reduced to irreducibles in increasing
     degree against an interior functional (as in Normaliz): a candidate
-    is kept unless it minus an already-kept element stays in the cone,
+    is kept unless it minus an earlier candidate stays in the cone,
   * a depth-first decomposition over a semigroup's generators, pruned
     at residuals outside the dual cone and at failed states,
-  * a pairwise minimality certificate: a pointed generator g is flagged
-    when g - h lies in the dual cone for another pointed generator h.
+  * a minimality certificate: a pointed generator g is flagged when
+    g - h lies in the dual cone for another pointed generator h.
     An empty answer certifies minimality outright; a flagged g is
     redundant provided the set generates the semigroup,
   * the upper-triangular generator selection for a maximal flag of
@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import or_
 from typing import Sequence
 
 from .exact import (
@@ -232,6 +234,26 @@ def _parallelepiped_points(simplex_rays: Sequence, n: int):
     return points
 
 
+def _dominated_by(values):
+    """Per value vector v_i of values, the bitmask of the indices j with
+    v_j <= v_i in every coordinate (bit i included).
+
+    One pass per coordinate: sort the indices by it, OR them into prefix
+    masks, and find each v_i's prefix (ties included) by bisection; the
+    answer is the AND of v_i's prefixes over the coordinates.  That is
+    O(m d) big-int operations for m vectors of length d, in place of m^2
+    pairwise comparisons.
+    """
+    masks = [(1 << len(values)) - 1] * len(values)
+    for column in zip(*values):
+        order = sorted(range(len(column)), key=column.__getitem__)
+        keys = [column[j] for j in order]
+        prefixes = list(itertools.accumulate((1 << j for j in order), or_, initial=0))
+        for i, v in enumerate(column):
+            masks[i] &= prefixes[bisect_right(keys, v)]
+    return masks
+
+
 def _pointed_semigroup_generators(rays: Sequence, normals: Sequence, n: int):
     """Hilbert basis of (full-dimensional pointed cone) intersect Z^n.
 
@@ -241,8 +263,15 @@ def _pointed_semigroup_generators(rays: Sequence, normals: Sequence, n: int):
     the normals, which is positive on every nonzero point of the cone.
     A candidate g is reducible iff g - h lies in the cone for some
     candidate h of smaller degree (equal degree forces g == h), and then
-    also for an irreducible one, by induction on degree; so testing only
-    against the elements kept so far finds the same basis.
+    also for an irreducible one, by induction on degree.
+
+    g - h lies in the cone iff g pairs at least as high as h with every
+    normal, so a candidate is kept iff no earlier candidate in degree
+    order is dominated by it (_dominated_by).  This is the basis that
+    testing against the kept elements alone gives: domination is
+    transitive, and every rejected candidate dominates an earlier kept
+    one, so a rejected h below g puts a kept h' below g.  Of two equal
+    value vectors the earlier is kept.
     """
     if not rays:
         return ()
@@ -250,13 +279,9 @@ def _pointed_semigroup_generators(rays: Sequence, normals: Sequence, n: int):
     for simplex in _placing_triangulation(list(rays), n):
         candidates.extend(_parallelepiped_points(simplex, n))
     y = tuple(sum(d[i] for d in normals) for i in range(n))
-    # g - h lies in the cone iff g pairs at least as high as h with every d.
-    kept = []
-    for g in sorted(_dedupe(candidates), key=lambda v: pair(v, y)):
-        vg = [pair(d, g) for d in normals]
-        if not any(all(a >= b for a, b in zip(vg, vh)) for _, vh in kept):
-            kept.append((g, vg))
-    return tuple(sorted(g for g, _ in kept))
+    ordered = sorted(_dedupe(candidates), key=lambda v: pair(v, y))
+    below = _dominated_by([[pair(d, g) for d in normals] for g in ordered])
+    return tuple(sorted(g for i, g in enumerate(ordered) if not below[i] & ((1 << i) - 1)))
 
 
 @dataclass(frozen=True)
@@ -412,11 +437,10 @@ def minimality_violations(sem: SemigroupGens):
     # sem.contains(g - h) iff g pairs at least as high as h with every ray.
     values = [[pair(g, v) for v in sem.cone_rays] for g in sem.pointed]
     bad = []
-    for i, (g, vg) in enumerate(zip(sem.pointed, values)):
-        for j, (h, vh) in enumerate(zip(sem.pointed, values)):
-            if j != i and all(a >= b for a, b in zip(vg, vh)):
-                bad.append((g, h))
-                break
+    for i, (g, below) in enumerate(zip(sem.pointed, _dominated_by(values))):
+        others = below & ~(1 << i)
+        if others:
+            bad.append((g, sem.pointed[(others & -others).bit_length() - 1]))
     return tuple(bad)
 
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+import toricball as tb
+from toricball import cones
 from toricball.cones import (
     SemigroupGens,
     cutting_functional,
@@ -16,7 +18,7 @@ from toricball.cones import (
     relative_interior_point,
     triangular_generators,
 )
-from toricball.exact import pair, solve_in_basis, vsub
+from toricball.exact import pair, primitive, solve_in_basis, vsub
 from toricball.fan import validate_fan
 
 
@@ -207,8 +209,6 @@ def _unpruned_decompose(sem, m):
 
 def test_decompose_matches_unpruned_search():
     """The prunings change no answer: same first solution, same None."""
-    import toricball as tb
-
     cones = [SINGULAR.cone({0, 1}), RAY2.cone({0}), _fan(2, [(1, 0), (1, 5)], [[0, 1]]).cone({0, 1})]
     cones += tb.load_bundled("p112").cones()
     for cone in cones:
@@ -259,8 +259,6 @@ def test_minimality_violations_match_oracle():
     """The pairwise certificate names exactly the generators the
     enumeration oracle finds redundant, on genuine bases and on bases
     with the sum of two generators appended."""
-    import toricball as tb
-
     for name in ("p2", "p112", "twisted_p3"):
         for cone in tb.load_bundled(name).cones():
             sem = hilbert_basis(cone)
@@ -274,8 +272,6 @@ def test_minimality_violations_match_oracle():
 
 
 def test_double_dual_over_bundled_fans():
-    import toricball as tb
-
     for name in tb.BUNDLED_FANS:
         fan = tb.load_bundled(name)
         for cone in fan.cones():
@@ -284,8 +280,6 @@ def test_double_dual_over_bundled_fans():
 
 
 def test_facet_normals_sign_pattern():
-    import toricball as tb
-
     for name in ("p2", "p112", "p3"):
         fan = tb.load_bundled(name)
         for cone in fan.cones():
@@ -331,8 +325,6 @@ def test_triangular_pattern_generic(p3=None):
     # Strict/zero pattern against barycenters holds for every maximal
     # flag of a bigger fan (chart construction asserts it through
     # charts.chart_violations; re-check here).
-    import toricball as tb
-
     fan = tb.load_bundled("p3")
     for flag in tb.enumerate_flags(fan, only_maximal=True):
         alphas = triangular_generators(flag.cones)
@@ -485,3 +477,102 @@ def test_oracle_generation_certificate():
             coord_max = max((abs(x) for g in sem.generators for x in g), default=1)
             for p in box_points_in_dual(sem, 2 * coord_max):
                 assert oracle_generates(sem, p), (cone, p)
+
+
+# -- the dominance kernel against the pairwise routines it replaced ---------
+
+
+def _pairwise_dominated_by(values):
+    return [sum(1 << j for j, vj in enumerate(values) if all(b <= a for a, b in zip(vi, vj))) for vi in values]
+
+
+@given(
+    st.integers(min_value=0, max_value=3).flatmap(
+        lambda d: st.lists(st.tuples(*[st.integers(min_value=-2, max_value=2)] * d), max_size=12)
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_dominated_by_matches_pairwise(values):
+    """Small coordinates make ties and duplicate vectors common."""
+    assert cones._dominated_by(values) == _pairwise_dominated_by(values)
+
+
+def _pairwise_minimality_violations(sem):
+    """The reference: scan the pointed generators in index order for the
+    first reducer of each."""
+    values = [[pair(g, v) for v in sem.cone_rays] for g in sem.pointed]
+    bad = []
+    for i, (g, vg) in enumerate(zip(sem.pointed, values)):
+        for j, (h, vh) in enumerate(zip(sem.pointed, values)):
+            if j != i and all(a >= b for a, b in zip(vg, vh)):
+                bad.append((g, h))
+                break
+    return tuple(bad)
+
+
+def _pairwise_pointed_semigroup_generators(rays, normals, n):
+    """The reference: test each candidate, in degree order, against the
+    elements kept so far."""
+    if not rays:
+        return ()
+    candidates = cones._dedupe([primitive(r) for r in rays])
+    for simplex in cones._placing_triangulation(list(rays), n):
+        candidates.extend(cones._parallelepiped_points(simplex, n))
+    y = tuple(sum(d[i] for d in normals) for i in range(n))
+    kept = []
+    for g in sorted(cones._dedupe(candidates), key=lambda v: pair(v, y)):
+        vg = [pair(d, g) for d in normals]
+        if not any(all(a >= b for a, b in zip(vg, vh)) for _, vh in kept):
+            kept.append((g, vg))
+    return tuple(sorted(g for g, _ in kept))
+
+
+def _wps(n, k):
+    """P(1,...,1,k) of rank n: the unit vectors and (-1,...,-1,-k)."""
+    rays = [tuple(int(i == j) for i in range(n)) for j in range(n)] + [(-1,) * (n - 1) + (-k,)]
+    return validate_fan(n, rays, [[i for i in range(n + 1) if i != s] for s in range(n + 1)])
+
+
+WPS_FANS = {f"wps_{'1_' * (n - 1)}{k}": (n, k) for n, k in ((2, 2), (2, 7), (2, 20), (3, 3), (3, 9), (3, 27))}
+
+
+def _named_fan(name):
+    if name in WPS_FANS:
+        return _wps(*WPS_FANS[name])
+    if name == "wps_1_1_1_60":
+        return _wps(3, 60)
+    if name == "p4":
+        return _wps(4, 1)
+    if name == "p1^4":
+        rays = [tuple(s * int(i == j) for i in range(4)) for j in range(4) for s in (1, -1)]
+        return validate_fan(4, rays, [[2 * i + s for i, s in enumerate(p)] for p in itertools.product((0, 1), repeat=4)])
+    return tb.load_bundled(name)
+
+
+@pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, *WPS_FANS])
+def test_minimality_violations_match_pairwise_scan(name):
+    """Same (g, h) pairs as the pairwise scan on every cone, on genuine
+    bases and on bases with a generator sum in front and a duplicate in
+    the middle, so that both the first reducer by index and duplicates
+    are compared."""
+    for cone in _named_fan(name).cones():
+        sem = hilbert_basis(cone)
+        variants = [sem]
+        if sem.pointed:
+            g0, g1 = sem.generators[0], sem.generators[-1]
+            head, tail = sem.pointed[: len(sem.pointed) // 2], sem.pointed[len(sem.pointed) // 2 :]
+            total = tuple(x + y for x, y in zip(g0, g1))
+            variants.append(dataclasses.replace(sem, pointed=(total, *head, sem.pointed[-1], *tail)))
+        for s in variants:
+            assert minimality_violations(s) == _pairwise_minimality_violations(s)
+
+
+@pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, *WPS_FANS, "wps_1_1_1_60", "p4", "p1^4"])
+def test_hilbert_bases_match_pairwise_reduction(monkeypatch, name):
+    """Same basis, in the same order, as testing each candidate against
+    the elements kept so far, on every cone (lineality quotients
+    included)."""
+    fan = _named_fan(name)
+    found = [hilbert_basis(cone) for cone in fan.cones()]
+    monkeypatch.setattr(cones, "_pointed_semigroup_generators", _pairwise_pointed_semigroup_generators)
+    assert found == [hilbert_basis(cone) for cone in fan.cones()]

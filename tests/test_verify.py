@@ -213,16 +213,6 @@ def _off_inversion(monkeypatch, ctx):
     monkeypatch.setattr(charts, "invert_triangular", lambda b, y: tuple(w + 1e-6 for w in invert(b, y)))
 
 
-def _scaled_expi_value(monkeypatch, ctx):
-    expi_point = charts.Atlas.expi_point
-
-    def scaled(atlas, x, cone):
-        p = expi_point(atlas, x, cone)
-        return dataclasses.replace(p, values=(1.5 * p.values[0], *p.values[1:]))
-
-    monkeypatch.setattr(charts.Atlas, "expi_point", scaled)
-
-
 def _path_independent_probe(monkeypatch, ctx):
     # Both coordinates tend to 0 along every path: an embedding that extends.
     monkeypatch.setattr(
@@ -233,7 +223,6 @@ def _path_independent_probe(monkeypatch, ctx):
 CONTROLS = {
     "chart_invariants": _replace_chart,
     "simplex_inversion": _off_inversion,
-    "semigroup_law": _scaled_expi_value,
     "nonextension_probe": _path_independent_probe,
 }
 
@@ -396,3 +385,36 @@ def test_verify_passes_where_sampled_distinct_half_failed(fan, seed, tmp_path):
     gluing = next(c for c in report["checks"] if c["name"] == "intersection_gluing")
     assert gluing["coverage"]["distinct"] == "exact" and gluing["passed"]
     assert gluing["located"] == {"wps_1_1_20": 6, "wps_1_1_1_27": 24}[fan] * 25
+
+
+def _wps_1_1_1(k):
+    """Fan JSON of P(1,1,1,k): its cone {0, 1, 3} has multiplicity k."""
+    rays = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -k]]
+    return {"name": f"wps_1_1_1_{k}", "dim": 3, "rays": rays, "max_cones": [list(c) for c in combinations(range(4), 3)]}
+
+
+def test_verify_wps_1_1_1_60_passes(tmp_path):
+    """High multiplicity: P(1,1,1,60), whose largest Hilbert basis has
+    1,891 generators, passes verify at seed 0 with a report, not a
+    traceback."""
+    from toricball.cli import main
+
+    path = tmp_path / "wps_1_1_1_60.json"
+    path.write_text(json.dumps(_wps_1_1_1(60)))
+    assert main(["verify", str(path), "--seed", "0", "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] and all(c["passed"] for c in report["checks"])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=OverflowError,
+    reason="e^(-2 pi <h, x>) overflows a float for a large Hilbert generator h; log-domain points (ROADMAP item 1)",
+)
+def test_expi_point_high_multiplicity_pin():
+    """At x = (-2, -2, 2) the generator h = (60, 0, -1) of P(1,1,1,60)'s
+    cone {0, 1, 3} pairs to -122, and e^(2 pi 122) is not a float."""
+    doc = _wps_1_1_1(60)
+    fan = tb.validate_fan(3, doc["rays"], doc["max_cones"])
+    point = tb.Atlas(fan).expi_point((Fraction(-2), Fraction(-2), Fraction(2)), fan.cone({0, 1, 3}))
+    assert all(math.isfinite(v) for v in point.values)
