@@ -130,7 +130,7 @@ class Subdivision:
 
 
 # Keyed by the fan object and dropped with it, so the fan itself stays
-# immutable and the star fans of verify_regularity do not accumulate.
+# immutable and the subdivisions of discarded fans do not accumulate.
 _SUBDIVISIONS = weakref.WeakKeyDictionary()
 
 

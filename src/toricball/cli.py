@@ -271,8 +271,8 @@ def cmd_mesh(args) -> int:
     except ValueError:
         print("could not parse --radii", file=sys.stderr)
         return EXIT_INVALID
-    if args.res < 1 or any(r <= 0 for r in radii):
-        print("resolution and radii must be positive", file=sys.stderr)
+    if args.res < 1 or not all(math.isfinite(r) and r > 0 for r in radii):
+        print("resolution must be positive, and the radii finite and positive", file=sys.stderr)
         return EXIT_INVALID
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)

@@ -156,25 +156,34 @@ class Fan:
     def zero_cone(self) -> Cone:
         return self._cones[frozenset()]
 
-    def is_complete(self):
+    def is_complete(self, sigma: Cone | None = None):
         """Facet-pairing completeness test with a certificate.
 
         True iff every maximal cone is full-dimensional, every
         (n-1)-dimensional cone is a facet of exactly two maximal cones,
         and the facet-adjacency graph of maximal cones is connected.
         The certificate names the first violation found.
+
+        With sigma, the same test runs on the maximal and
+        (n-1)-dimensional cones containing sigma: it is the completeness
+        of star_fan(self, sigma), whose cones are those containing sigma
+        (see cellcomplex.verify_regularity).
         """
+        sigma = sigma or self.zero_cone()
         n = self.dim
-        if n == 0:
+        if n == sigma.dim:
             return True, None
-        maxc = self.maximal_cones()
+        maxc = [c for c in self.maximal_cones() if sigma.rays <= c.rays]
         if not maxc:
             return False, {"reason": "no maximal cones"}
         for c in maxc:
             if c.dim != n:
                 return False, {"reason": "maximal cone not full-dimensional", "cone": sorted(c.rays)}
         bounds, reached = ridge_pairing(
-            (c.rays, f) for c in maxc for f in self._faces_of[c.rays] if self._cones[f].dim == n - 1
+            (c.rays, f)
+            for c in maxc
+            for f in self._faces_of[c.rays]
+            if self._cones[f].dim == n - 1 and sigma.rays <= f
         )
         for ridge, incident in sorted(bounds.items(), key=lambda kv: sorted(kv[0])):
             if len(incident) != 2:

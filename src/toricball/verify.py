@@ -243,10 +243,11 @@ def _distinct_gates(results):
 
 
 def _regularity(ctx):
-    """Every cell closure is a combinatorial ball (see
-    cellcomplex.verify_regularity); on failure, up to five failing cells,
-    each named by its cone's rays with the tests it failed: star
-    completeness, Euler characteristic of the link sphere,
+    """Every cell closure is a combinatorial ball: each cone's star,
+    read off the fan's face lattice, is complete and its link is a
+    sphere (see cellcomplex.verify_regularity).  On failure, up to five
+    failing cells, each named by its cone's rays with the tests it
+    failed: star completeness, Euler characteristic of the link sphere,
     pseudomanifold."""
     reg = cellcomplex.verify_regularity(ctx.fan)
     if reg.passed:

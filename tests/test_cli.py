@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import toricball as tb
 from toricball.cli import main
 
@@ -214,6 +216,13 @@ def test_mesh_deterministic(tmp_path, capsys):
     for d in (a, b):
         main(["mesh", fan_path("p2"), "--radii", "2", "--res", "5", "--out", str(d)])
     assert (a / "p2_r2.off").read_bytes() == (b / "p2_r2.off").read_bytes()
+
+
+@pytest.mark.parametrize("radii", ["nan", "inf", "1,nan"])
+def test_mesh_rejects_nonfinite_radii(tmp_path, capsys, radii):
+    assert main(["mesh", fan_path("p2"), "--radii", radii, "--res", "4", "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.off"))
 
 
 def test_mesh_unsupported_dim(capsys):

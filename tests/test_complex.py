@@ -1,8 +1,8 @@
 """Ball model, orbit complex, gluing and regularity verification."""
 
 import json
-import weakref
 from collections import defaultdict
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -22,7 +22,7 @@ from toricball.cellcomplex import (
 )
 from toricball.charts import triangular_eval
 from toricball.exact import pair
-from toricball.fan import validate_fan
+from toricball.fan import star_fan, validate_fan
 from toricball.homeo import bary_to_delta
 
 
@@ -451,29 +451,58 @@ def test_nonsimplicial_fan_end_to_end():
     assert report.passed
 
 
-def test_regularity_star_fans_leave_no_subdivision(monkeypatch, twisted_p3):
-    # Each star fan gets a subdivision while its ball model is built, and
-    # the entry goes with the star fan once verify_regularity drops it.
-    from toricball import bary, cellcomplex
+def _regularity_reference_fans():
+    """Complete, non-simplicial, rank-4 and incomplete fans."""
+    units = [[int(i == j) for i in range(4)] for j in range(4)]
+    p4 = validate_fan(4, units + [[-1] * 4], list(combinations(range(5), 4)), name="p4")
+    signed = units + [[-a for a in u] for u in units]
+    orthants = [[i + 4 * s for i, s in enumerate(signs)] for signs in product((0, 1), repeat=4)]
+    p1_4 = validate_fan(4, signed, orthants, name="p1^4")
+    cube = cube_faces_fan()
+    cube.name = "cube_faces"
+    fans = [tb.load_bundled(name) for name in tb.BUNDLED_FANS] + [cube, p4, p1_4]
+    for name in ("p2", "p3"):
+        fan = tb.load_bundled(name)
+        fans.append(validate_fan(fan.dim, fan.rays, fan.max_cones[1:], require_complete=False, name=f"{name}-1"))
+    fans.append(validate_fan(2, [(1, 0), (-1, 0)], [[0], [1]], require_complete=False, name="line"))
+    return fans
 
-    stars, cached = [], []
-    star_fan, build = cellcomplex.star_fan, cellcomplex.build_ball_model
 
-    def traced_star_fan(fan, cone):
+@pytest.mark.parametrize("fan", _regularity_reference_fans(), ids=lambda fan: fan.name)
+def test_regularity_matches_star_fan_reference(monkeypatch, fan):
+    """Each cell's tests read off the face lattice agree with those of
+    the star fan rebuilt in the quotient lattice, and verify_regularity
+    builds no star fan and no subdivision of one."""
+    from toricball import bary
+    from toricball import fan as fan_module
+
+    bary.subdivision(fan)
+    before = list(bary._SUBDIVISIONS)
+    for name in ("star_fan", "quotient_projection", "validate_fan"):
+        monkeypatch.setattr(fan_module, name, lambda *args, _n=name: pytest.fail(f"{_n} called"))
+    report = verify_regularity(fan)
+    monkeypatch.undo()
+    assert set(bary._SUBDIVISIONS) <= set(before)
+
+    for cone, cell in zip(fan.cones(), report.cells, strict=True):
         star = star_fan(fan, cone)
-        stars.append(weakref.ref(star))
-        return star
-
-    def traced_build(fan):
-        model = build(fan)
-        cached.append(fan in bary._SUBDIVISIONS)
-        return model
-
-    monkeypatch.setattr(cellcomplex, "star_fan", traced_star_fan)
-    monkeypatch.setattr(cellcomplex, "build_ball_model", traced_build)
-    before = len(bary._SUBDIVISIONS)
-    assert verify_regularity(twisted_p3).passed
-    assert len(stars) == len(cached) == len(twisted_p3.cones()) == 33
-    assert all(cached)
-    assert all(ref() is None for ref in stars)
-    assert len(bary._SUBDIVISIONS) == before
+        complete = star.is_complete()[0]
+        model = build_ball_model(star)
+        chi = euler_characteristic(model.boundary_simplices())
+        pm = pseudomanifold_check(model)
+        expected = {
+            "star_complete": complete,
+            "euler": chi,
+            "pseudomanifold": pm.passed,
+            "failed": [
+                test
+                for test, ok in (
+                    ("star_complete", complete),
+                    ("euler", chi == cellcomplex.sphere_euler(star.dim - 1)),
+                    ("pseudomanifold", pm.passed),
+                )
+                if not ok
+            ],
+        }
+        assert {key: cell[key] for key in expected} == expected, (fan.name, sorted(cone.rays))
+        assert cell["rays"] == sorted(cone.rays)
