@@ -27,8 +27,8 @@ import random
 from dataclasses import dataclass, field
 from itertools import pairwise
 
-from .bary import Flag, NotInCone, enumerate_flags, locate_flag
-from .charts import TWO_PI, Atlas, _monomials, scaled_gaps, triangular_eval
+from .bary import NotInCone, enumerate_flags, locate_flag
+from .charts import TWO_PI, Atlas, NotInOpenSet, _monomials, scaled_gaps, triangular_eval
 from .exact import pair, vsub
 from .fan import Cone, Fan, ridge_pairing
 from .homeo import bary_to_delta
@@ -193,17 +193,6 @@ class GluingReport:
         return self.passed
 
 
-def _embed_xi(sub_xi, flag: Flag, members):
-    """Barycentric coordinates on a full flag simplex supported on the
-    sub-simplex of the given members (plus the origin vertex)."""
-    xi = [0.0] * (len(flag) + 1)
-    xi[0] = sub_xi[0]
-    positions = [j for j, c in enumerate(flag.cones) if c.rays in members]
-    for t, j in enumerate(positions):
-        xi[j + 1] = sub_xi[t + 1]
-    return tuple(xi)
-
-
 def _simplex_samples(rng, dim, count):
     """Points of the standard dim-simplex: vertices, then seeded random
     points, some forced onto the xi_0 = 0 boundary stratum."""
@@ -320,34 +309,38 @@ def gluing_identities(atlas: Atlas, flags):
 
 def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
     """Float cross-check of the evaluators behind the identities above:
-    at count seeded points of each subflag S of each maximal flag
-    (vertices and the face at infinity included), the chart point
-    localized to S's top cone (through the flag's face map) must match
-    the telescoped monomials prod_t W_t^<h', B_{s_{t+1}} - B_{s_t}>,
-    computed from S alone.  Returns the counterexamples; the worst
-    passing gap goes to report, so every gap is computed in full."""
+    at count seeded points of each prefix subflag S = F[:k], k = 0..n, of
+    each maximal flag F (vertices and the face at infinity included), the
+    chart point localized to S's top cone tau (Atlas.localize, the rule
+    that the identities certify) must match the telescoped monomials
+    prod_t W_t^<h', B_{t+1} - B_t>, computed from S alone.  Each face map
+    F -> tau is sampled once, on the prefix that ends at tau.  Returns
+    the counterexamples; the worst passing gap goes to report, so every
+    gap is computed in full."""
     zero = atlas.fan.zero_cone()
     out = []
     for fi, flag in enumerate(flags):
         chart = atlas.chart(flag)
         n = len(flag)
-        for mask in range(2**n):
-            members = [c for j, c in enumerate(flag.cones) if mask >> j & 1]
+        for k in range(n + 1):
+            members = flag.cones[:k]
             tau = members[-1] if members else zero
-            face = atlas.face_map(chart, tau)
-            steps = _steps([b for j, b in enumerate(flag.barycenters) if mask >> j & 1])
+            steps = _steps(flag.barycenters[:k])
             # Each generator's nonzero (column, exponent) terms, so
             # _monomials gives the floats of monomial_eval.
             terms = [
                 tuple((t, e) for t, d in enumerate(steps) if (e := pair(h, d)))
                 for h in atlas.hilbert(tau).generators
             ]
-            rays = {c.rays for c in members}
-            for sub_xi in _simplex_samples(rng, len(members), count):
-                local = face(bary_to_delta(_embed_xi(sub_xi, flag, rays)))
+            for sub_xi in _simplex_samples(rng, k, count):
+                point = atlas.chart_point(chart, bary_to_delta(sub_xi + (0.0,) * (n - k)))
                 telescoped = _monomials(terms, bary_to_delta(sub_xi))  # at W_0..W_{k-1}
                 report.shared_samples += 1
-                gap = None if local is None else max(scaled_gaps(local, telescoped), default=0.0)
+                try:
+                    local = atlas.localize(point, tau).values
+                    gap = max(scaled_gaps(local, telescoped), default=0.0)
+                except NotInOpenSet:
+                    gap = None
                 if gap is None or gap > tol:
                     out.append(
                         {
@@ -431,8 +424,8 @@ def verify_gluing(atlas: Atlas, samples_per_pair: int = 50, tol: float = 1e-9, s
     simplex of the intersection flag.
 
     (i) Shared faces agree: exactly, by gluing_identities, with a float
-    cross-check of the evaluators on every (maximal flag, subflag); see
-    _subflag_cross_check.
+    cross-check of the evaluators on the n + 1 prefix subflags of each
+    maximal flag, one per face map; see _subflag_cross_check.
 
     (ii) Interior points of two different maximal flag simplices are
     distinct.  This is a corollary of three exact facts, not a sample:

@@ -15,9 +15,8 @@ Points of the space itself are represented intrinsically as nonnegative
 values on the Hilbert basis of a carrier cone's semigroup (ToricPoint);
 localization moves a point to a face's chart when the face-cutting
 coordinate is nonzero, and cross-chart equality compares localizations
-on the intersection cone.  A face map (Atlas.face_map) composes a
-chart's Hilbert-row monomials with one localization rule, so a simplex
-point reaches a face's chart without building the full ToricPoint.
+on the intersection cone.  A simplex point reaches a face's chart as
+Atlas.localize(Atlas.chart_point(chart, w), tau).
 
 Convention used throughout the monomial evaluations: 0**0 == 1.
 Floating point appears only here and downstream (exp/log/roots); the
@@ -30,6 +29,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, zip_longest
 from operator import sub
 
 from . import cones as _ck
@@ -227,19 +227,19 @@ def exp_pairings(gens, x):
 def chart_violations(chart: Chart) -> int:
     """Number of broken invariants of the exponent data: one per pairing
     row that is negative or decreasing, per triangular row with a nonzero
-    entry below the diagonal or a nonpositive diagonal, and per b row
-    whose partial sums miss its pairing row."""
+    entry below the diagonal or a nonpositive diagonal, per b row whose
+    partial sums miss its pairing row, and per entry of Chart.terms or
+    Chart.hilbert_terms (a missing or extra one included) that is not
+    its b row's nonzero (column, exponent) pairs: the float evaluators
+    read only the terms, and the exact identities only b."""
     n, b = chart.n, chart.b
-    bad = 0
-    for row in chart.c:
-        if any(v < 0 for v in row) or any(row[j] < row[j - 1] for j in range(1, n)):
-            bad += 1
-    for i in range(n):
-        if any(b[i][j] != 0 for j in range(i)) or b[i][i] <= 0:
-            bad += 1
-    for i, row in enumerate(chart.c):
-        if any(sum(b[i][: k + 1]) != row[k] for k in range(n)):
-            bad += 1
+    expected = [tuple((j, e) for j, e in enumerate(row) if e) for row in b]
+    hilbert = [expected[i] for i in chart.hilbert_rows]
+    pairs = chain(zip_longest(chart.terms, expected), zip_longest(chart.hilbert_terms, hilbert))
+    bad = sum(found != want for found, want in pairs)
+    bad += sum(any(v < 0 for v in row) or any(row[j] < row[j - 1] for j in range(1, n)) for row in chart.c)
+    bad += sum(any(b[i][j] != 0 for j in range(i)) or b[i][i] <= 0 for i in range(n))
+    bad += sum(any(sum(b[i][: k + 1]) != row[k] for k in range(n)) for i, row in enumerate(chart.c))
     return bad
 
 
@@ -257,7 +257,6 @@ class Atlas:
         self._charts = {}
         self._hilbert = {}
         self._local_rules = {}
-        self._face_maps = {}
         self._sum_class_table = {}
 
     # -- semigroups -----------------------------------------------------
@@ -385,14 +384,6 @@ class Atlas:
             raise NotInOpenSet("value at the cutting functional is zero")
         return ToricPoint(cone=tau, values=tuple(values))
 
-    def face_map(self, chart: Chart, tau: Cone) -> FaceMap:
-        """The memoized FaceMap of a maximal chart onto the chart of tau,
-        a face of its top cone."""
-        key = (chart.flag, tau.rays)
-        if key not in self._face_maps:
-            self._face_maps[key] = _face_map(chart.hilbert_terms, self._localization_rule(chart.top_cone, tau))
-        return self._face_maps[key]
-
     def value_gap(self, p: ToricPoint, q: ToricPoint):
         """Sup gap between two points after localizing both to the chart
         of their carriers' intersection cone, each term scaled by the
@@ -479,54 +470,12 @@ def _shifted(rule, values):
     """A shift rule applied to a point's values on H(S_sigma): the
     values on H(S_tau) as a lazy iterator, in generator order, or None
     when the cutting functional's value is zero (off tau's open chart).
-    Shared by Atlas.localize, Atlas.points_equal and FaceMap."""
+    Shared by Atlas.localize and Atlas.points_equal."""
     _, alpha_terms, rows = rule
     v_alpha = _value_at(values, alpha_terms)
     if v_alpha <= 0.0:
         return None
     return (_value_at(values, terms) / v_alpha**k for k, terms in rows)
-
-
-@dataclass(frozen=True, eq=False)
-class FaceMap:
-    """The localization rule sigma -> tau precomposed with a maximal
-    chart's Hilbert-row monomials (sigma the chart's top cone).
-
-    At simplex coordinates w, a face map yields exactly the floats of
-    Atlas.localize(Atlas.chart_point(chart, w), tau).values, in order,
-    from the same terms multiplied in the same order; it returns None
-    where localize raises NotInOpenSet.  It keeps only the Hilbert rows
-    that the rule reads, with the rule's generator indices renumbered
-    into them: the cutting functional's terms and each row's terms for
-    a shift (evaluated together, then localized one value at a time,
-    lazily), every row for the identity.
-    """
-
-    rows: tuple  # terms of the Hilbert rows read, in generator order
-    rule: tuple  # the localization rule, indexing into rows
-
-    def __call__(self, w):
-        values = _monomials(self.rows, w)
-        return values if self.rule[0] == "identity" else _shifted(self.rule, values)
-
-
-def _face_map(hilbert_terms, rule) -> FaceMap:
-    """The FaceMap of a chart with these Hilbert-row terms under rule:
-    a shift keeps the rows its terms name, in generator order, and its
-    indices are renumbered into them."""
-    if rule[0] == "identity":
-        return FaceMap(hilbert_terms, rule)
-    _, alpha_terms, shifts = rule
-    read = sorted({i for terms in (alpha_terms, *(t for _, t in shifts)) for i, _ in terms})
-    at = {i: r for r, i in enumerate(read)}
-
-    def renumber(terms):
-        return tuple((at[i], c) for i, c in terms)
-
-    return FaceMap(
-        tuple(hilbert_terms[i] for i in read),
-        ("shift", renumber(alpha_terms), tuple((k, renumber(t)) for k, t in shifts)),
-    )
 
 
 def scaled_gaps(xs, ys):

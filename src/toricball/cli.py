@@ -26,6 +26,7 @@ from pathlib import Path
 
 from .bary import barycenter, enumerate_flags
 from .charts import Atlas
+from .exact import primitive
 from .fan import Fan, FanValidationError, ParseError, parse_and_validate
 from .homeo import bary_to_delta, param_boundary_point, phi_point
 from .verify import run_verification
@@ -187,18 +188,27 @@ def _off_text(vertices, faces):
     return "\n".join(lines) + "\n"
 
 
+def _sphere_point(gens, direction, radius: float, weights):
+    """Phi of the point at the given radius along direction, which is
+    sum_j weights_j B_j for the barycenters gens."""
+    scale = radius / math.sqrt(sum(v * v for v in direction))
+    return phi_point(gens, [w * scale for w in weights], len(direction))
+
+
 def _mesh_sphere(fan: Fan, radius: float, res: int):
     """Triangulated image of the radius-r sphere under the rescaling map,
-    sampled flag cone by flag cone."""
+    sampled flag cone by flag cone.  Flags that share a grid direction
+    share its vertex, so each vertex is keyed by the primitive vector of
+    its integer direction and evaluated on first sight."""
     vertices = []
     vertex_ids = {}
     faces = []
 
-    def vid(point):
-        key = tuple(round(c, 9) for c in point)
+    def vid(direction, point):
+        key = primitive(direction)
         if key not in vertex_ids:
             vertex_ids[key] = len(vertices)
-            vertices.append(point)
+            vertices.append(point())
         return vertex_ids[key]
 
     for flag in enumerate_flags(fan, only_maximal=True):
@@ -211,22 +221,16 @@ def _mesh_sphere(fan: Fan, radius: float, res: int):
             for t in range(res + 1):
                 a, c = (res - t) / res, t / res
                 direction = tuple(a * x + c * y for x, y in zip(b1, b2))
-                norm = math.sqrt(sum(v * v for v in direction))
-                scale = radius / norm
-                vid(phi_point(gens, [a * scale, c * scale], fan.dim))
+                lattice = [(res - t) * x + t * y for x, y in zip(b1, b2)]
+                vid(lattice, lambda: _sphere_point(gens, direction, radius, (a, c)))
         else:
             grid = {}
             b1, b2, b3 = gens
             for i in range(res + 1):
                 for j in range(res + 1 - i):
                     k = res - i - j
-                    direction = tuple(
-                        i * x + j * y + k * z for x, y, z in zip(b1, b2, b3)
-                    )
-                    norm = math.sqrt(sum(v * v for v in direction))
-                    scale = radius / norm
-                    point = phi_point(gens, [i * scale, j * scale, k * scale], fan.dim)
-                    grid[(i, j)] = vid(point)
+                    direction = tuple(i * x + j * y + k * z for x, y, z in zip(b1, b2, b3))
+                    grid[(i, j)] = vid(direction, lambda: _sphere_point(gens, direction, radius, (i, j, k)))
             for i in range(res):
                 for j in range(res - i):
                     faces.append([grid[(i, j)], grid[(i + 1, j)], grid[(i, j + 1)]])

@@ -36,8 +36,10 @@ facts that cover them:
 
 Negative controls, each a test in tests/test_verify.py unless named:
 
-- chart_invariants, simplex_inversion, nonextension_probe: a replaced
-  chart or helper
+- chart_invariants: a replaced chart (test_check_fails_under_its_control);
+  Chart.terms alone perturbed, or one Chart.hilbert_terms row
+  (test_chart_invariants_fail_on_perturbed_terms).
+- simplex_inversion, nonextension_probe: a replaced helper
   (test_check_fails_under_its_control).
 - monomial_diagram: --tamper (test_cli.py::test_verify_tamper_fails);
   a left inverse off by 1/7 (test_dual_basis_gate_names_perturbed_inverse).
@@ -103,7 +105,8 @@ def _sup_gap(a, b) -> float:
 
 
 def _chart_invariants(ctx):
-    """Exponent matrices carry the triangular shape."""
+    """Exponent matrices carry the triangular shape, and the terms that
+    the float evaluators read are exactly the nonzero entries of b."""
     bad = sum(charts.chart_violations(chart) for chart in ctx.charts)
     return bad == 0, {"charts": len(ctx.charts), "violations": bad}
 

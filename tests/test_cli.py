@@ -225,6 +225,21 @@ def test_mesh_rejects_nonfinite_radii(tmp_path, capsys, radii):
     assert not list(tmp_path.glob("*.off"))
 
 
+@pytest.mark.parametrize("name, counts", [("p2", (18, 1)), ("p1xp1xp1", (218, 432))])
+def test_mesh_tiny_radius_keeps_every_vertex(tmp_path, capsys, name, counts):
+    """Vertices are keyed by their grid direction, not their rounded
+    coordinates: at radius 1e-12, where every coordinate prints as 0,
+    the mesh has the vertices and faces of radius 1."""
+    code, _ = run(capsys, "mesh", fan_path(name), "--radii", "1e-12,1", "--res", "3", "--out", str(tmp_path))
+    assert code == 0
+    meshes = []
+    for radius in ("1e-12", "1"):
+        lines = (tmp_path / f"{name}_r{radius}.off").read_text().splitlines()
+        nv, nf, _ = map(int, lines[1].split())
+        meshes.append(((nv, nf), lines[2 + nv :]))
+    assert meshes[0] == meshes[1] and meshes[0][0] == counts
+
+
 def test_mesh_unsupported_dim(capsys):
     assert main(["mesh", fan_path("p1"), "--radii", "1", "--res", "4"]) == 2
 

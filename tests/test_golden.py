@@ -17,7 +17,7 @@ CASES = [
     ("verify_p112", ["verify", "p112", "--seed", "0", "--samples", "20"], 0),
     # The bundled rank-3 fan: 24 charts through every sample loop.
     ("verify_p3", ["verify", "p3", "--seed", "0", "--samples", "20"], 0),
-    # The 60-flag fan: 12,000 subflag samples and 1,500 located samples
+    # The 60-flag fan: 6,000 subflag samples and 1,500 located samples
     # through the gluing cross-checks.
     ("verify_twisted_p3", ["verify", "twisted_p3", "--seed", "0", "--samples", "20"], 0),
     ("verify_p2_tamper", ["verify", "p2", "--seed", "0", "--samples", "20", "--tamper"], 4),

@@ -1,0 +1,38 @@
+"""The benchmark harness against the library: every name that
+bench/tracer.py wraps must exist, so that deleting or renaming one
+fails here and not only in a traced benchmark run."""
+
+import ast
+import importlib
+from pathlib import Path
+
+from toricball.charts import Atlas
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _tracer_tables():
+    """FUNCTIONS and ATLAS_METHODS of the tracer, read as literals from
+    its source without importing it."""
+    tables = {}
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in ("FUNCTIONS", "ATLAS_METHODS"):
+                    tables[target.id] = ast.literal_eval(node.value)
+    return tables["FUNCTIONS"], tables["ATLAS_METHODS"]
+
+
+def test_tracer_names_resolve():
+    """The tracer looks each function up on its toricball module and
+    each method in Atlas.__dict__; a missing name raises there."""
+    functions, methods = _tracer_tables()
+    assert functions and methods
+    missing = [
+        f"{module}.{name}"
+        for module, names in functions.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"toricball.{module}"), name)
+    ]
+    missing += [f"Atlas.{name}" for name in methods if name not in Atlas.__dict__]
+    assert missing == []

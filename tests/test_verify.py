@@ -220,6 +220,28 @@ def _path_independent_probe(monkeypatch, ctx):
     )
 
 
+def _drop_first_term(rows):
+    rows = list(rows)
+    assert rows[0]
+    rows[0] = rows[0][1:]
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("entry", ["terms", "hilbert_terms"])
+def test_chart_invariants_fail_on_perturbed_terms(entry):
+    """Only Chart.terms of p2's flag-0 chart changes (its first row loses
+    its w1, the edit of test_complex.py::_p2_with_terms), or only its
+    first hilbert_terms row: b and c are as built, and chart_invariants
+    counts the one entry that no longer matches b."""
+    fan = tb.load_bundled("p2")
+    ctx = _context(fan, tb.Atlas(fan))
+    assert verify._chart_invariants(ctx) == (True, {"charts": 6, "violations": 0})
+    chart = ctx.charts[0]
+    chart.hilbert_terms  # cached from the unperturbed terms
+    chart.__dict__[entry] = _drop_first_term(getattr(chart, entry))
+    assert verify._chart_invariants(ctx) == (False, {"charts": 6, "violations": 1})
+
+
 CONTROLS = {
     "chart_invariants": _replace_chart,
     "simplex_inversion": _off_inversion,
