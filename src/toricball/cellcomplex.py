@@ -280,7 +280,7 @@ def gluing_identities(atlas: Atlas, flags):
             if rule[0] == "identity":
                 found = [(h, list(row)) for h, row in zip(gens, rows)]
             else:
-                _, alpha_terms, shifts = rule
+                _, alpha_terms, shifts, _ = rule
                 alpha = _compose(alpha_terms, gens, len(gens[0]))
                 count += 1
                 others = [r for i, r in zip(sorted(sigma.rays), sigma.generators) if i not in tau.rays]

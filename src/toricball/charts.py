@@ -26,7 +26,6 @@ exponent data stays exact.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, zip_longest
@@ -246,10 +245,9 @@ def chart_violations(chart: Chart) -> int:
 class Atlas:
     """All charts of a complete fan, with shared semigroup caches.
 
-    Charts, Hilbert bases, localization rules and the tables of equal
-    generator sums are computed lazily and memoized; everything handed out
-    is immutable, so an Atlas may be read from several threads once
-    warm.
+    Charts, Hilbert bases and localization rules are computed lazily
+    and memoized; everything handed out is immutable, so an Atlas may
+    be read from several threads once warm.
     """
 
     def __init__(self, fan: Fan):
@@ -257,7 +255,6 @@ class Atlas:
         self._charts = {}
         self._hilbert = {}
         self._local_rules = {}
-        self._sum_class_table = {}
 
     # -- semigroups -----------------------------------------------------
 
@@ -345,10 +342,10 @@ class Atlas:
         and h is nonnegative on tau's).
 
         The rule is ("identity",) when tau is sigma, else
-        ("shift", alpha_terms, rows) with one (k, terms) row per
-        generator of S_tau.  A decomposition in H(S_sigma) is stored as
-        its terms: the (generator index, coefficient) pairs with a
-        nonzero coefficient, in generator order.
+        ("shift", alpha_terms, rows, top) with one (k, terms) row per
+        generator of S_tau and top the largest k.  A decomposition in
+        H(S_sigma) is stored as its terms: the (generator index,
+        coefficient) pairs with a nonzero coefficient, in generator order.
         """
         key = (sigma.rays, tau.rays)
         if key in self._local_rules:
@@ -370,7 +367,7 @@ class Atlas:
                 coeffs = _ck.decompose(sem_s, vadd(h, vscale(k, alpha)))
                 assert coeffs is not None, "shifted generator must decompose"
                 rows.append((k, _terms(coeffs)))
-            rule = ("shift", _terms(alpha_coeffs), tuple(rows))
+            rule = ("shift", _terms(alpha_coeffs), tuple(rows), max(k for k, _ in rows))
         self._local_rules[key] = rule
         return rule
 
@@ -381,7 +378,7 @@ class Atlas:
             return p
         values = _shifted(rule, p.values)
         if values is None:
-            raise NotInOpenSet("value at the cutting functional is zero")
+            raise NotInOpenSet("value at the cutting functional is zero or underflows")
         return ToricPoint(cone=tau, values=tuple(values))
 
     def value_gap(self, p: ToricPoint, q: ToricPoint):
@@ -417,41 +414,23 @@ class Atlas:
 
     def semigroup_residual(self, p: ToricPoint) -> float:
         """Worst violation of the semigroup law among pairwise additive
-        relations h_i + h_j = h_k + h_l detected in the Hilbert basis.
+        relations h_i + h_j = h_k + h_l detected in the Hilbert basis:
+        each pair i <= j, in scan order, against the first pair of equal
+        sum.
 
         Gaps are scaled by the magnitude of the products, which may leave
         [0, 1] when the carrier's semigroup contains negative directions.
         """
         v = p.values
-        classes = iter(self._sum_classes(p.cone))
+        gens = self.hilbert(p.cone).generators
         firsts = {}
         worst = 0.0
         for i in range(len(v)):
             for j in range(i, len(v)):
-                c = next(classes)
                 prod = v[i] * v[j]
-                if c in firsts:
-                    gap = abs(firsts[c] - prod) / max(1.0, abs(firsts[c]), abs(prod))
-                    worst = max(worst, gap)
-                else:
-                    firsts[c] = prod
+                first = firsts.setdefault(vadd(gens[i], gens[j]), prod)
+                worst = max(worst, abs(first - prod) / max(1.0, abs(first), abs(prod)))
         return worst
-
-    def _sum_classes(self, cone: Cone) -> array:
-        """For each pair i <= j of Hilbert generators, in scan order, a
-        number naming the sum h_i + h_j: equal sums get equal numbers.
-        Built once per cone and kept in a typed array (a multiplicity-27
-        cone has 406 generators, so 82,621 pairs)."""
-        key = cone.rays
-        if key not in self._sum_class_table:
-            gens = self.hilbert(cone).generators
-            ids = {}
-            table = array("I")
-            for i in range(len(gens)):
-                for j in range(i, len(gens)):
-                    table.append(ids.setdefault(vadd(gens[i], gens[j]), len(ids)))
-            self._sum_class_table[key] = table
-        return self._sum_class_table[key]
 
 
 def _terms(coeffs) -> tuple:
@@ -469,11 +448,13 @@ def _value_at(values, terms) -> float:
 def _shifted(rule, values):
     """A shift rule applied to a point's values on H(S_sigma): the
     values on H(S_tau) as a lazy iterator, in generator order, or None
-    when the cutting functional's value is zero (off tau's open chart).
+    off tau's open chart: when the cutting functional's value v_alpha
+    is zero, or so small that v_alpha**k underflows to 0.0 for the
+    rule's largest k, so that no row would divide by zero.
     Shared by Atlas.localize and Atlas.points_equal."""
-    _, alpha_terms, rows = rule
+    _, alpha_terms, rows, top = rule
     v_alpha = _value_at(values, alpha_terms)
-    if v_alpha <= 0.0:
+    if v_alpha <= 0.0 or v_alpha**top == 0.0:
         return None
     return (_value_at(values, terms) / v_alpha**k for k, terms in rows)
 

@@ -6,10 +6,11 @@ on top of it.  All computations are exact; the only algorithms here are
 
   * a double description pass (halfspace-at-a-time) for dual cones and
     facet enumeration,
-  * a placing triangulation plus fundamental-parallelepiped enumeration
-    for semigroup generators, reduced to irreducibles in increasing
-    degree against an interior functional (as in Normaliz): a candidate
-    is kept unless it minus an earlier candidate stays in the cone,
+  * a placing triangulation plus lattice-coset enumeration of each
+    simplex's fundamental parallelepiped for semigroup generators,
+    reduced to irreducibles in increasing degree against an interior
+    functional (as in Normaliz): a candidate is kept unless it minus an
+    earlier candidate stays in the cone,
   * a depth-first decomposition over a semigroup's generators, pruned
     at residuals outside the dual cone and at failed states,
   * a minimality certificate: a pointed generator g is flagged when
@@ -40,6 +41,7 @@ from .exact import (
     primitive,
     quotient_projection,
     rank,
+    row_hermite,
     solve_in_basis,
     unit_vector,
     vadd,
@@ -212,25 +214,27 @@ def _placing_triangulation(rays: Sequence, n: int):
     return simplices
 
 
-def _parallelepiped_points(simplex_rays: Sequence, n: int):
-    """Nonzero lattice points of {sum t_i r_i : 0 <= t_i < 1}."""
-    inv = invert(list(zip(*simplex_rays)))  # columns are the rays
-    lo = [0] * n
-    hi = [0] * n
-    for eps in itertools.product((0, 1), repeat=len(simplex_rays)):
-        corner = [0] * n
-        for e, r in zip(eps, simplex_rays):
-            if e:
-                corner = [c + a for c, a in zip(corner, r)]
-        lo = [min(l, c) for l, c in zip(lo, corner)]
-        hi = [max(h, c) for h, c in zip(hi, corner)]
+def _parallelepiped_points(simplex_rays: Sequence):
+    """Nonzero lattice points of {sum t_i r_i : 0 <= t_i < 1}, one per
+    nonzero class of Z^n modulo the rays' lattice (as in Normaliz).
+
+    The rays' row Hermite form is upper triangular with pivots d_i > 0,
+    so the x with 0 <= x_i < d_i represent the classes, and x minus
+    sum floor(t_i) r_i, t = R^-1 x, lies in the parallelepiped.
+    """
+    pivots = [row[i] for i, row in enumerate(row_hermite(simplex_rays)[0])]
+    det = math.prod(pivots)
+    # |det R| R^-1 (R's columns are the rays) is integral, so floor(t_i)
+    # is an integer division.
+    inv = [[int(a * det) for a in row] for row in invert(list(zip(*simplex_rays)))]
     points = []
-    for coords in itertools.product(*[range(l, h + 1) for l, h in zip(lo, hi)]):
-        if all(c == 0 for c in coords):
-            continue
-        t = [pair(row, coords) for row in inv]
-        if all(0 <= ti < 1 for ti in t):
-            points.append(tuple(coords))
+    for x in itertools.islice(itertools.product(*map(range, pivots)), 1, None):
+        point = x
+        for row, r in zip(inv, simplex_rays):
+            shift = pair(row, x) // det
+            if shift:
+                point = vsub(point, vscale(shift, r))
+        points.append(point)
     return points
 
 
@@ -277,7 +281,7 @@ def _pointed_semigroup_generators(rays: Sequence, normals: Sequence, n: int):
         return ()
     candidates = _dedupe([primitive(r) for r in rays])
     for simplex in _placing_triangulation(list(rays), n):
-        candidates.extend(_parallelepiped_points(simplex, n))
+        candidates.extend(_parallelepiped_points(simplex))
     y = tuple(sum(d[i] for d in normals) for i in range(n))
     ordered = sorted(_dedupe(candidates), key=lambda v: pair(v, y))
     below = _dominated_by([[pair(d, g) for d in normals] for g in ordered])
@@ -315,37 +319,26 @@ class SemigroupGens:
 def hilbert_basis(cone) -> SemigroupGens:
     """Generators of the semigroup of lattice points of the dual cone.
 
-    The dual's facet normals are the cone's own generators.  When the
-    cone is not full-dimensional, the dual is projected along its
-    lineality space, and a generator g reads as the functional
-    (<g, s_i>)_i on the quotient, s_i the projection's section.
+    The dual is projected along its lineality space (the identity when
+    the cone is full-dimensional), and the pointed quotient's Hilbert
+    basis is lifted back.  The dual's facet normals are the cone's own
+    generators: a generator g reads as the functional (<g, s_i>)_i on
+    the quotient, s_i the projection's section.
     """
     gens = tuple(cone.generators)
     n = cone.ambient_dim
-    dlin, drays = cone.dual_lineality, cone.dual_rays
-    interior = tuple(sum(g[i] for g in gens) for i in range(n)) if gens else tuple([0] * n)
-    if not dlin:
-        return SemigroupGens(
-            cone_rays=gens,
-            pointed=_pointed_semigroup_generators(drays, gens, n),
-            lineality=(),
-            interior_point=interior,
-        )
-    proj = quotient_projection([tuple(int(a) for a in l) for l in dlin], n)
-    m = proj.target_dim
+    interior = tuple(sum(g[i] for g in gens) for i in range(n))
+    proj = quotient_projection(cone.dual_lineality, n)
     # The dual's rays are canonical modulo its lineality, so their
     # images are the distinct extreme rays of the pointed quotient.
-    image_rays = [primitive(proj.apply(r)) for r in drays]
+    image_rays = [primitive(proj.apply(r)) for r in cone.dual_rays]
     image_normals = [tuple(pair(g, s) for s in proj.section) for g in gens]
-    image_basis = _pointed_semigroup_generators(image_rays, image_normals, m)
-    lifts = []
-    for h in image_basis:
-        lift = tuple(pair(row, h) for row in zip(*proj.section))
-        lifts.append(tuple(int(a) for a in lift))
+    image_basis = _pointed_semigroup_generators(image_rays, image_normals, proj.target_dim)
+    lifts = [tuple(pair(row, h) for row in zip(*proj.section)) for h in image_basis]
     return SemigroupGens(
         cone_rays=gens,
         pointed=tuple(sorted(lifts)),
-        lineality=tuple(tuple(int(a) for a in k) for k in proj.kernel),
+        lineality=proj.kernel,
         interior_point=interior,
     )
 

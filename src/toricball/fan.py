@@ -311,13 +311,14 @@ def parse_fan(source) -> dict:
     for key in ("dim", "rays", "max_cones"):
         if key not in data:
             raise ParseError(f"missing field {key!r}")
-    if not isinstance(data["dim"], int):
+    # Not isinstance: JSON true and false decode to bool, an int subclass.
+    if type(data["dim"]) is not int:
         raise ParseError("dim must be an integer")
     for coll, kind in ((data["rays"], "rays"), (data["max_cones"], "max_cones")):
         if not isinstance(coll, list) or any(not isinstance(x, list) for x in coll):
             raise ParseError(f"{kind} must be a list of lists")
         for x in coll:
-            if any(not isinstance(v, int) for v in x):
+            if any(type(v) is not int for v in x):
                 raise ParseError(f"{kind} entries must be integers")
     return data
 

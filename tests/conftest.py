@@ -5,7 +5,7 @@ import pytest
 
 import toricball as tb
 from toricball.bary import barycenter
-from toricball.exact import vec
+from toricball.exact import primitive, vec, vscale
 
 # Atlases are expensive to warm up (Hilbert bases, localization rules),
 # so they are shared per session.  Everything in the library is
@@ -53,6 +53,32 @@ def cube_faces_fan():
         [2, 3, 6, 7], [0, 2, 4, 6], [1, 3, 5, 7],
     ]
     return tb.validate_fan(3, rays, maxc)
+
+
+def stellar_fan(base, steps, c_max, seed):
+    """Seeded stellar subdivisions of a simplicial fan.
+
+    Each step picks a face sigma, with at least two rays r_i, of a
+    random maximal cone, adds the ray v = primitive(sum c_i r_i) with
+    c_i drawn from [1, c_max], and replaces every maximal cone
+    tau containing sigma by the cones (tau - {r}) + {v}, one for each
+    ray r of sigma.  The result is complete when base is; its cones'
+    multiplicities grow with c_max.
+    """
+    rng = random.Random(seed)
+    rays = list(base.rays)
+    max_cones = [sorted(c.rays) for c in base.maximal_cones()]
+    assert all(len(c) == base.dim for c in max_cones), "stellar_fan needs a simplicial fan"
+    for _ in range(steps):
+        top = rng.choice(max_cones)
+        sigma = set(rng.sample(top, rng.randint(2, len(top))))
+        scaled = [vscale(rng.randint(1, c_max), rays[i]) for i in sorted(sigma)]
+        rays.append(primitive(tuple(map(sum, zip(*scaled)))))
+        cut = len(rays) - 1
+        max_cones = [c for c in max_cones if not sigma <= set(c)] + [
+            sorted(set(c) - {r} | {cut}) for c in max_cones if sigma <= set(c) for r in sorted(sigma)
+        ]
+    return tb.validate_fan(base.dim, rays, max_cones, name=f"{base.name}_stellar_{steps}_{c_max}_{seed}")
 
 
 @pytest.fixture(scope="session")

@@ -409,7 +409,7 @@ def test_chart_point_and_localize_match_dense_reference():
                 except NotInOpenSet:
                     continue
                 if rule[0] == "shift":
-                    _, alpha_terms, rows = rule
+                    _, alpha_terms, rows, _ = rule
                     cut = dense_value(p.values, alpha_terms)
                     assert local == tuple(dense_value(p.values, terms) / cut**k for k, terms in rows)
 
@@ -454,7 +454,7 @@ def test_localization_rule_high_multiplicity_bounded():
     atlas = Atlas(fan)
     sigma, zero = fan.cone({0, 1, 3}), fan.zero_cone()
     start = time.perf_counter()
-    kind, alpha_coeffs, rows = atlas._localization_rule(sigma, zero)
+    kind, alpha_coeffs, rows, _ = atlas._localization_rule(sigma, zero)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, elapsed
     gens = atlas.hilbert(sigma).generators
@@ -490,7 +490,8 @@ def test_localization_shift_matches_probing_loop(make_fan):
                 assert rule == ("identity",)
                 continue
             alpha = cutting_functional(sigma, tau)
-            _, _, rows = rule
+            _, _, rows, top = rule
+            assert top == max(k for k, _ in rows)
             for h, (k, terms) in zip(atlas.hilbert(tau).generators, rows):
                 least = 0
                 while not sem.contains(vadd(h, vscale(least, alpha))):
@@ -533,22 +534,30 @@ def test_points_equal_matches_value_gap(points, tol):
     """points_equal stops at the first coordinate whose gap exceeds tol,
     yet answers as value_gap(p, q) <= tol does: max keeps a leading NaN
     and skips a later one.  Each coordinate's own gap is tried as tol
-    too, so ties at tol are covered.  Where value_gap raises (v_alpha**k
-    underflows to 0.0 for a positive v_alpha), points_equal stops before
-    the failing row or raises the same error, and never answers True."""
+    too, so ties at tol are covered."""
     p, q = points
     shared = _P112.fan.cone(p.cone.rays & q.cone.rays)
-    try:
-        gap = _P112.value_gap(p, q)
-    except ZeroDivisionError:
-        try:
-            assert _P112.points_equal(p, q, tol=tol) is False
-        except ZeroDivisionError:
-            pass
-        return
+    gap = _P112.value_gap(p, q)
     tols = [tol]
     if gap is not None:
         lp, lq = _P112.localize(p, shared).values, _P112.localize(q, shared).values
         tols += [abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(lp, lq)]
     for t in tols:
         assert _P112.points_equal(p, q, tol=t) is (gap is not None and gap <= t), (p, q, t, gap)
+
+
+def test_underflowing_shift_is_off_the_open_chart():
+    """A positive v_alpha whose power v_alpha**k underflows to 0.0 for
+    the rule's largest k puts the point off the face's open chart: the
+    localized values would divide by zero.  On p112 the rule from cone
+    {1, 2} to the zero cone has k up to 2, and (1e-200)**2 == 0.0."""
+    fan = _P112.fan
+    p = ToricPoint(fan.cone({1, 2}), (1e-200, 1.0))
+    assert _P112._localization_rule(p.cone, fan.zero_cone())[3] == 2
+    with pytest.raises(NotInOpenSet):
+        _P112.localize(p, fan.zero_cone())
+    ray0 = fan.cone({0})
+    for values in [(0.5, 0.5, 0.5), (1.0, 1.0, 1.0), (0.0, 1e-200, 1.0)]:
+        q = ToricPoint(ray0, values)
+        assert _P112.value_gap(p, q) is None and _P112.value_gap(q, p) is None
+        assert _P112.points_equal(p, q) is False and _P112.points_equal(q, p) is False

@@ -39,6 +39,14 @@ def test_validate_malformed(tmp_path, capsys):
     assert main(["validate", str(f)]) == 1
 
 
+def test_validate_rejects_booleans(tmp_path, capsys):
+    # true in dim and in a ray would otherwise read as 1: P^1.
+    f = tmp_path / "bools.json"
+    f.write_text('{"dim": true, "rays": [[true], [-1]], "max_cones": [[0], [1]]}')
+    assert main(["validate", str(f)]) == 1
+    assert "parse error" in capsys.readouterr().err
+
+
 def test_validate_invalid(tmp_path, capsys):
     f = tmp_path / "bad_ray.json"
     f.write_text('{"dim": 2, "rays": [[2, 0], [0, 1]], "max_cones": [[0, 1]]}')

@@ -167,9 +167,9 @@ def test_gluing_identity_fails_on_perturbed_rule():
 
     def edit(atlas, flag):
         sigma, tau = flag.cones[-1], flag.cones[0]
-        kind, alpha_terms, rows = atlas._localization_rule(sigma, tau)
+        kind, alpha_terms, rows, top = atlas._localization_rule(sigma, tau)
         (k, ((i, c), *rest)), *others = rows
-        atlas._local_rules[(sigma.rays, tau.rays)] = (kind, alpha_terms, ((k, ((i, c + 1), *rest)), *others))
+        atlas._local_rules[(sigma.rays, tau.rays)] = (kind, alpha_terms, ((k, ((i, c + 1), *rest)), *others), top)
         state.update(face=sorted(tau.rays), generator=list(atlas.hilbert(tau).generators[0]), sigma=sigma)
 
     flags, (count, failures), report = _perturbed_gluing(edit)
@@ -192,10 +192,10 @@ def test_gluing_identity_fails_on_perturbed_cutting_functional():
     def edit(atlas, flag):
         # Cut the first ray of flag 0 with a functional positive on it.
         sigma, tau = flag.cones[-1], flag.cones[0]
-        kind, alpha_terms, rows = atlas._localization_rule(sigma, tau)
+        kind, alpha_terms, rows, top = atlas._localization_rule(sigma, tau)
         gens = atlas.hilbert(sigma).generators
         i = next(i for i, g in enumerate(gens) if all(pair(g, r) > 0 for r in tau.generators))
-        atlas._local_rules[(sigma.rays, tau.rays)] = (kind, ((i, 1),), rows)
+        atlas._local_rules[(sigma.rays, tau.rays)] = (kind, ((i, 1),), rows, top)
         state.update(face=sorted(tau.rays), alpha=list(gens[i]))
 
     _, (_, failures), report = _perturbed_gluing(edit)

@@ -2,11 +2,13 @@
 
 import dataclasses
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
 import toricball as tb
+from conftest import cube_faces_fan, stellar_fan
 from toricball import cones
 from toricball.cones import (
     SemigroupGens,
@@ -18,7 +20,7 @@ from toricball.cones import (
     relative_interior_point,
     triangular_generators,
 )
-from toricball.exact import pair, primitive, solve_in_basis, vsub
+from toricball.exact import invert, pair, primitive, quotient_projection, solve_in_basis, vsub
 from toricball.fan import validate_fan
 
 
@@ -517,7 +519,7 @@ def _pairwise_pointed_semigroup_generators(rays, normals, n):
         return ()
     candidates = cones._dedupe([primitive(r) for r in rays])
     for simplex in cones._placing_triangulation(list(rays), n):
-        candidates.extend(cones._parallelepiped_points(simplex, n))
+        candidates.extend(cones._parallelepiped_points(simplex))
     y = tuple(sum(d[i] for d in normals) for i in range(n))
     kept = []
     for g in sorted(cones._dedupe(candidates), key=lambda v: pair(v, y)):
@@ -576,3 +578,60 @@ def test_hilbert_bases_match_pairwise_reduction(monkeypatch, name):
     found = [hilbert_basis(cone) for cone in fan.cones()]
     monkeypatch.setattr(cones, "_pointed_semigroup_generators", _pairwise_pointed_semigroup_generators)
     assert found == [hilbert_basis(cone) for cone in fan.cones()]
+
+
+# -- coset enumeration against the bounding-box scan it replaced ------------
+
+
+def _box_parallelepiped_points(simplex_rays):
+    """The reference: scan the bounding box of the parallelepiped's 2^n
+    corners and keep the nonzero points with 0 <= t_i < 1."""
+    n = len(simplex_rays)
+    inv = invert(list(zip(*simplex_rays)))
+    lo = [0] * n
+    hi = [0] * n
+    for eps in itertools.product((0, 1), repeat=len(simplex_rays)):
+        corner = [sum(r[i] for e, r in zip(eps, simplex_rays) if e) for i in range(n)]
+        lo = [min(l, c) for l, c in zip(lo, corner)]
+        hi = [max(h, c) for h, c in zip(hi, corner)]
+    points = []
+    for coords in itertools.product(*[range(l, h + 1) for l, h in zip(lo, hi)]):
+        t = [pair(row, coords) for row in inv]
+        if any(coords) and all(0 <= ti < 1 for ti in t):
+            points.append(coords)
+    return points
+
+
+def _quotient_simplices(cone):
+    """The simplices of the placing triangulation that hilbert_basis
+    enumerates: of the dual's image in the quotient by its lineality
+    space."""
+    proj = quotient_projection(cone.dual_lineality, cone.ambient_dim)
+    rays = [primitive(proj.apply(r)) for r in cone.dual_rays]
+    return cones._placing_triangulation(rays, proj.target_dim) if rays else []
+
+
+@pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, *WPS_FANS, "wps_1_1_1_60", "p4", "p1^4", "cube_faces"])
+def test_parallelepiped_points_match_box_scan(name):
+    """The same points as the box scan, each once, on every simplex of
+    every cone (lineality quotients included)."""
+    fan = cube_faces_fan() if name == "cube_faces" else _named_fan(name)
+    simplices = [simplex for cone in fan.cones() for simplex in _quotient_simplices(cone)]
+    assert simplices
+    for simplex in simplices:
+        assert sorted(cones._parallelepiped_points(simplex)) == _box_parallelepiped_points(simplex), simplex
+
+
+def test_stellar_fan_hilbert_bases_finish():
+    """Six seeded stellar subdivisions of p3 with c_i <= 12 reach a dual
+    cone of multiplicity 4,050; the bounding boxes of all the fan's
+    parallelepipeds hold 2.3 million points (about 2 minutes of box
+    scan on a 2-core VM).  Every Hilbert basis builds within the budget
+    and is minimal."""
+    fan = stellar_fan(tb.load_bundled("p3"), 6, 12, 0)
+    start = time.perf_counter()
+    bases = [hilbert_basis(cone) for cone in fan.cones()]
+    elapsed = time.perf_counter() - start
+    assert elapsed < 20.0, elapsed
+    assert max(len(sem.pointed) for sem in bases) == 85
+    assert [minimality_violations(sem) for sem in bases] == [()] * len(bases)

@@ -93,6 +93,24 @@ def test_parse_errors():
         parse_and_validate('{"dim": "2", "rays": [], "max_cones": []}')
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": true, "rays": [[1], [-1]], "max_cones": [[0], [1]]}',
+        '{"dim": 1, "rays": [[true], [-1]], "max_cones": [[0], [1]]}',
+        '{"dim": 1, "rays": [[1], [-1]], "max_cones": [[false], [1]]}',
+    ],
+    ids=["dim", "rays", "max_cones"],
+)
+def test_parse_rejects_booleans(text):
+    """JSON true and false decode to bool, a subclass of int, so each
+    field would otherwise read them as 1 and 0: these are P^1 with one
+    number spelt as a boolean."""
+    with pytest.raises(ParseError):
+        parse_and_validate(text)
+    assert parse_and_validate(text.replace("true", "1").replace("false", "0")).dim == 1
+
+
 def test_faces_of_two_cone(p2):
     c = p2.cone({0, 1})
     faces = p2.faces(c)

@@ -1,14 +1,17 @@
-"""The benchmark harness against the library: every name that
-bench/tracer.py wraps must exist, so that deleting or renaming one
-fails here and not only in a traced benchmark run."""
+"""The library against its tooling: every name that bench/tracer.py
+wraps must exist, so that deleting or renaming one fails here and not
+only in a traced benchmark run; and the package imports only the
+standard library, as its empty `dependencies` promises."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 from toricball.charts import Atlas
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _tracer_tables():
@@ -36,3 +39,21 @@ def test_tracer_names_resolve():
     ]
     missing += [f"Atlas.{name}" for name in methods if name not in Atlas.__dict__]
     assert missing == []
+
+
+def test_library_imports_only_the_standard_library():
+    """Every absolute import in src/toricball names a standard-library
+    module (relative imports stay inside the package)."""
+    imported = {}
+    for path in sorted((ROOT / "src" / "toricball").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.partition(".")[0], path.name)
+    assert imported
+    assert {name: where for name, where in imported.items() if name not in sys.stdlib_module_names} == {}
