@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import pairwise
 
 from .bary import NotInCone, enumerate_flags, locate_flag
-from .charts import TWO_PI, Atlas, NotInOpenSet, _monomials, scaled_gaps, triangular_eval
+from .charts import TWO_PI, Atlas, NotInOpenSet, ToricPoint, _monomials, scaled_gaps, sup_gap, triangular_eval
 from .exact import pair, vsub
 from .fan import Cone, Fan, ridge_pairing
 from .homeo import bary_to_delta
@@ -307,48 +307,71 @@ def gluing_identities(atlas: Atlas, flags):
     return count, failures
 
 
+def _telescoped_terms(generators, barycenters):
+    """Per generator h, the nonzero (t, <h, B_(t+1) - B_t>) pairs of the
+    telescoped monomial prod_t W_t^<h, B_(t+1) - B_t> (B_0 = 0), in
+    column order, so that _monomials gives the floats of monomial_eval."""
+    steps = _steps(barycenters)
+    return [tuple((t, e) for t, d in enumerate(steps) if (e := pair(h, d))) for h in generators]
+
+
 def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
     """Float cross-check of the evaluators behind the identities above:
-    at count seeded points of each prefix subflag S = F[:k], k = 0..n, of
-    each maximal flag F (vertices and the face at infinity included), the
-    chart point localized to S's top cone tau (Atlas.localize, the rule
-    that the identities certify) must match the telescoped monomials
-    prod_t W_t^<h', B_{t+1} - B_t>, computed from S alone.  Each face map
-    F -> tau is sampled once, on the prefix that ends at tau.  Returns
-    the counterexamples; the worst passing gap goes to report, so every
-    gap is computed in full."""
+    at count seeded points of each proper prefix subflag S = F[:k],
+    k = 0..n-1, of each maximal flag F (vertices and the face at infinity
+    included), the chart point localized to S's top cone tau
+    (Atlas.localize, the rule that the identities certify) must match
+    the telescoped monomials prod_t W_t^<h', B_{t+1} - B_t>, computed
+    from S alone.  Each face map F -> tau below the top is sampled once,
+    on the prefix that ends at tau.
+
+    The chart point carries only the Hilbert rows that the rule
+    sigma -> tau reads (its alpha_terms and the terms of each of its
+    rows), keyed by generator index.  Each is the float that
+    Atlas.chart_point gives, so the localized values are those of
+    Atlas.localize(Atlas.chart_point(chart, w), tau) bit for bit, at a
+    cost that follows the rule rather than |H(sigma)|.
+
+    The full flag, k = n, is certified instead of sampled.  Its rule is
+    the identity, and its telescoped terms (_telescoped_terms) are the
+    nonzero (j, <h, B_j - B_(j-1)>) pairs of each h in H(sigma).  By
+    gluing_identities' tau = sigma identities those are the nonzero
+    entries of h's row of b, which chart_invariants certifies to be
+    exactly chart.hilbert_terms.  Both sides would multiply the same
+    terms at the same w, so the gap is 0.0 by construction.
+
+    Returns the counterexamples, with gap None where the point does not
+    localize or a gap is NaN; the worst passing gap goes to report, so
+    every gap is computed in full."""
     zero = atlas.fan.zero_cone()
     out = []
     for fi, flag in enumerate(flags):
         chart = atlas.chart(flag)
         n = len(flag)
-        for k in range(n + 1):
+        for k in range(n):
             members = flag.cones[:k]
             tau = members[-1] if members else zero
-            steps = _steps(flag.barycenters[:k])
-            # Each generator's nonzero (column, exponent) terms, so
-            # _monomials gives the floats of monomial_eval.
-            terms = [
-                tuple((t, e) for t, d in enumerate(steps) if (e := pair(h, d)))
-                for h in atlas.hilbert(tau).generators
-            ]
+            _, alpha_terms, rows, _ = atlas._localization_rule(chart.top_cone, tau)
+            read = sorted({i for i, _ in alpha_terms}.union(i for _, terms in rows for i, _ in terms))
+            read_terms = [chart.hilbert_terms[i] for i in read]
+            terms = _telescoped_terms(atlas.hilbert(tau).generators, flag.barycenters[:k])
             for sub_xi in _simplex_samples(rng, k, count):
-                point = atlas.chart_point(chart, bary_to_delta(sub_xi + (0.0,) * (n - k)))
+                w = bary_to_delta(sub_xi + (0.0,) * (n - k))
+                point = ToricPoint(chart.top_cone, dict(zip(read, _monomials(read_terms, w))))
                 telescoped = _monomials(terms, bary_to_delta(sub_xi))  # at W_0..W_{k-1}
                 report.shared_samples += 1
                 try:
-                    local = atlas.localize(point, tau).values
-                    gap = max(scaled_gaps(local, telescoped), default=0.0)
+                    gap = sup_gap(scaled_gaps(atlas.localize(point, tau).values, telescoped))
                 except NotInOpenSet:
-                    gap = None
-                if gap is None or gap > tol:
+                    gap = math.nan
+                if not gap <= tol:
                     out.append(
                         {
                             "kind": "shared",
                             "flag": fi,
                             "subflag": [sorted(c.rays) for c in members],
                             "xi": list(sub_xi),
-                            "gap": gap,
+                            "gap": None if math.isnan(gap) else gap,
                         }
                     )
                 else:
@@ -424,8 +447,9 @@ def verify_gluing(atlas: Atlas, samples_per_pair: int = 50, tol: float = 1e-9, s
     simplex of the intersection flag.
 
     (i) Shared faces agree: exactly, by gluing_identities, with a float
-    cross-check of the evaluators on the n + 1 prefix subflags of each
-    maximal flag, one per face map; see _subflag_cross_check.
+    cross-check of the evaluators on the n proper prefix subflags of
+    each maximal flag, one per face map below the top cone; the full
+    flag's gap is 0.0 by construction.  See _subflag_cross_check.
 
     (ii) Interior points of two different maximal flag simplices are
     distinct.  This is a corollary of three exact facts, not a sample:

@@ -196,12 +196,12 @@ def psi_invert(chart: Chart, y, tol: float = 1e-9):
 
     Only the first n coordinates determine the answer; the remaining
     m - n coordinates are checked as a residual and NotInImage is raised
-    when the worst mismatch exceeds tol.
+    when the worst mismatch exceeds tol or is NaN (see sup_gap).
     """
     n = chart.n
     w = invert_triangular([chart.b[i] for i in range(n)], [float(y[i]) for i in range(n)])
-    residual = max(map(abs, map(sub, _monomials(chart.terms, w), map(float, y))))
-    if residual > tol:
+    residual = sup_gap(map(abs, map(sub, _monomials(chart.terms, w), map(float, y))))
+    if not residual <= tol:
         raise NotInImage(f"residual {residual} exceeds {tol}", residual=residual)
     return w
 
@@ -457,6 +457,20 @@ def _shifted(rule, values):
     if v_alpha <= 0.0 or v_alpha**top == 0.0:
         return None
     return (_value_at(values, terms) / v_alpha**k for k, terms in rows)
+
+
+def sup_gap(gaps) -> float:
+    """The largest of some nonnegative gaps (0.0 when there are none),
+    or NaN as soon as one of them is NaN, so that a check reading it
+    with "gap <= tol" fails.  max alone keeps a leading NaN and drops a
+    later one."""
+    worst = 0.0
+    for gap in gaps:
+        if not gap <= worst:
+            if gap != gap:
+                return gap
+            worst = gap
+    return worst
 
 
 def scaled_gaps(xs, ys):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import or_
@@ -351,20 +351,29 @@ def decompose(sem: SemigroupGens, m) -> "tuple | None":
     the residual is then solved exactly in the lineality basis.  Returns
     None when m is not in the semigroup.
 
-    Two prunings keep the search small without changing which solution
-    it finds first: a residual outside the dual cone cannot be completed
-    (every generator lies in the cone), and whether a subtree fails
-    depends only on its (position, residual) state, so failed states are
-    remembered and not searched again.
+    Three prunings keep the search small without changing which solution
+    it finds first:
+
+    - A residual outside the dual cone cannot be completed (every
+      generator lies in the cone), so a child is kept only when its
+      residual is in the cone.  The coefficient-0 child keeps its
+      parent's residual, which is in the cone already (m is tested once
+      up front), so it is kept untested.
+    - The generators are tried heaviest first, so every generator from
+      the current one on that pairs with the interior point to more than
+      the residual's weight can only take 0.  The search skips that run
+      in one step (a bisection), instead of one level per generator.
+    - Whether a subtree fails depends only on its (position, residual)
+      state, so failed states are remembered and not searched again.
     """
-    y0 = sem.interior_point
-    pointed = list(sem.pointed)
-    weights = [pair(h, y0) for h in pointed]
-    target = pair(m, y0)
-    if target < 0:
+    if not sem.contains(m):
         return None
-    order = sorted(range(len(pointed)), key=lambda i: -weights[i])
-    coeffs = [0] * len(pointed)
+    y0 = sem.interior_point
+    order = sorted(range(len(sem.pointed)), key=lambda i: -pair(sem.pointed[i], y0))
+    pointed = [sem.pointed[i] for i in order]
+    weights = [pair(h, y0) for h in pointed]
+    lighter = [-w for w in weights]  # nondecreasing, for the bisection
+    coeffs = [0] * len(pointed)  # by position in order
     failed = set()
 
     def close(residual):
@@ -376,27 +385,31 @@ def decompose(sem: SemigroupGens, m) -> "tuple | None":
         return [] if is_zero_vec(residual) else None
 
     def children(pos, residual, remaining):
-        i = order[pos]
-        for a in range(int(remaining // weights[i]), -1, -1):
-            rest = vsub(residual, vscale(a, pointed[i]))
+        h, w = pointed[pos], weights[pos]
+        for a in range(remaining // w, 0, -1):
+            rest = vsub(residual, vscale(a, h))
             if sem.contains(rest):
-                coeffs[i] = a
-                yield pos + 1, rest, remaining - a * weights[i]
+                coeffs[pos] = a
+                yield pos + 1, rest, remaining - a * w
+        coeffs[pos] = 0
+        yield pos + 1, residual, remaining
 
     # Depth-first over an explicit stack of open states, each with the
     # iterator of its remaining children, so the depth is not bounded by
     # Python's recursion limit.
     path = []
-    state = (0, tuple(m), target)
+    state = (0, tuple(m), pair(m, y0))
     while True:
         if state is not None:
             pos, residual, remaining = state
-            if pos == len(order):
+            light = bisect_left(lighter, -remaining, pos)
+            coeffs[pos:light] = [0] * (light - pos)
+            if light == len(order):
                 lin_coeffs = close(residual) if remaining == 0 else None
                 if lin_coeffs is not None:
                     break
-            elif (pos, residual) not in failed:
-                path.append((pos, residual, children(pos, residual, remaining)))
+            elif (light, residual) not in failed:
+                path.append((light, residual, children(light, residual, remaining)))
         if not path:
             return None
         pos, residual, kids = path[-1]
@@ -404,7 +417,9 @@ def decompose(sem: SemigroupGens, m) -> "tuple | None":
         if state is None:
             failed.add((pos, residual))
             path.pop()
-    out = list(coeffs)
+    out = [0] * len(order)
+    for pos, i in enumerate(order):
+        out[i] = coeffs[pos]
     for c in lin_coeffs:
         out.append(max(c, 0))
         out.append(max(-c, 0))

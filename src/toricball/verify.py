@@ -8,6 +8,17 @@ a generator seeded by the run's seed and its own name, so a fixed seed
 and configuration give a byte-identical report, and adding, removing or
 reordering a check leaves every other entry unchanged.
 
+The float cross-checks are sized by the rank n, not by the Hilbert
+basis.  A chart's point is fixed by its n triangular rows, and the exact
+gates certify every other row: monomial_diagram's identities each b row
+as linear in h, chart_invariants that Chart.terms is exactly b's
+nonzero entries, and intersection_gluing's identities every localized
+row.  So monomial_diagram and simplex_inversion evaluate the n
+triangular rows only, and intersection_gluing's shared half only the
+rows each localization rule reads (cellcomplex._subflag_cross_check).
+A NaN gap fails its check and is reported as null, so that the report
+stays strict JSON.
+
 Retired checks, which no input that verify accepts can fail, and the
 facts that cover them:
 
@@ -40,9 +51,13 @@ Negative controls, each a test in tests/test_verify.py unless named:
   Chart.terms alone perturbed, or one Chart.hilbert_terms row
   (test_chart_invariants_fail_on_perturbed_terms).
 - simplex_inversion, nonextension_probe: a replaced helper
-  (test_check_fails_under_its_control).
+  (test_check_fails_under_its_control); for simplex_inversion also an
+  inversion that returns NaN (test_simplex_inversion_fails_on_nan_gaps).
 - monomial_diagram: --tamper (test_cli.py::test_verify_tamper_fails);
-  a left inverse off by 1/7 (test_dual_basis_gate_names_perturbed_inverse).
+  a left inverse off by 1/7 (test_dual_basis_gate_names_perturbed_inverse);
+  a triangular-row evaluator off by 1e-6, with every identity holding
+  (test_monomial_diagram_fails_on_off_triangular_evaluator); a NaN in
+  a later triangular value (test_monomial_diagram_fails_on_nan_residual).
 - cover: incomplete fans of rank 2 and 3 (test_cover_fails_on_incomplete_fans).
 - ball_model: p2 less a maximal cone (test_ball_model_fails_on_incomplete_fan).
 - regularity: incomplete fans of rank 2 and 3 (test_regularity_names_failing_cells).
@@ -52,7 +67,8 @@ Negative controls, each a test in tests/test_verify.py unless named:
   (test_complex.py); a sign flipped in cellcomplex._log_pairings, or in
   cellcomplex._cone_point's back-substitution (test_complex.py);
   Chart.terms alone perturbed, with the exact gates passing; --tamper on
-  p2, which names monomial_diagram as a failed gate.
+  p2, which names monomial_diagram as a failed gate; a NaN localized
+  value (test_complex.py::test_subflag_cross_check_fails_on_nan_gap).
 """
 
 from __future__ import annotations
@@ -101,7 +117,14 @@ def _delta_samples(rng, n, count):
 
 
 def _sup_gap(a, b) -> float:
-    return max(map(abs, map(sub, a, b)), default=0.0)
+    """The sup of |a_i - b_i|, NaN when some gap is NaN (charts.sup_gap)."""
+    return charts.sup_gap(map(abs, map(sub, a, b)))
+
+
+def _json_gap(gap):
+    """A gap for the report: None in place of NaN, so that the report
+    stays strict JSON."""
+    return None if math.isnan(gap) else gap
 
 
 def _chart_invariants(ctx):
@@ -120,11 +143,12 @@ def _monomial_diagram(ctx):
     barycenters, <beta_j, B_i> = delta_ij, so the simplicial coordinates
     of x = sum_i u_i B_i are u at every point of the cone.  On failure,
     the first witness of each.  As a cross-check of the evaluators, the
-    seeded residuals of _diagram_residuals.
+    seeded residuals of _diagram_residuals on the n triangular rows of
+    each chart; a NaN residual fails the check and is reported as null.
     """
     identities = 0
     witness = dual_witness = None
-    worst = 0.0
+    residuals = []
     for index, chart in enumerate(ctx.charts):
         barys = chart.flag.barycenters
         pairings = [[pair(g, bary) for bary in barys] for g in chart.generators]
@@ -135,8 +159,9 @@ def _monomial_diagram(ctx):
                     witness = {"flag": index, "generator": list(g), "column": i, "found": found, "expected": want}
         if dual_witness is None:
             dual_witness = _dual_basis_witness(index, chart.flag)
-        worst = max([worst, *_diagram_residuals(chart, pairings, ctx.rng, ctx.samples)])
-    details = {"identities": identities, "worst_residual": worst, "samples_per_chart": ctx.samples}
+        residuals.extend(_diagram_residuals(chart, pairings, ctx.rng, ctx.samples))
+    worst = charts.sup_gap(residuals)
+    details = {"identities": identities, "worst_residual": _json_gap(worst), "samples_per_chart": ctx.samples}
     if witness is not None:
         details["witness"] = witness
     if dual_witness is not None:
@@ -158,16 +183,25 @@ def _dual_basis_witness(index, flag):
 
 def _diagram_residuals(chart, pairings, rng, count):
     """Per seeded point x = sum_i u_i B_i of the flag cone, u_i = k_i/1000
-    with k_i drawn from 0..4000: the sup gap between the monomial route
-    psi(theta(exp(-2 pi u))) and the direct route exp(-2 pi <g, x>) =
-    exp(-2 pi (sum_i k_i <g, B_i>) / 1000), read from the integer
-    pairings <g, B_i>.  Int / int division is correctly rounded, so these
-    are the floats of Atlas.commutativity_residual at x (which recovers u
-    through the left inverse that _monomial_diagram certifies)."""
+    with k_i drawn from 0..4000: the sup gap, over the chart's n
+    triangular generators g, between the monomial route
+    psi(theta(exp(-2 pi u))) (charts.triangular_eval) and the direct
+    route exp(-2 pi <g, x>) = exp(-2 pi (sum_i k_i <g, B_i>) / 1000),
+    read from the integer pairings <g, B_i> (the first n rows of
+    pairings).  Int / int division is correctly rounded, so these are
+    the floats of Atlas.commutativity_residual at x on those rows (it
+    recovers u through the left inverse that _monomial_diagram
+    certifies).
+
+    The other m - n rows add nothing: _monomial_diagram's identities
+    certify every b row exactly, chart_invariants certifies that
+    Chart.terms is exactly b's nonzero entries, and every row is
+    evaluated by the same code (charts._monomials) from its terms."""
+    rows = pairings[: chart.n]
     for _ in range(count):
         k = [rng.randint(0, 4000) for _ in chart.flag.barycenters]
-        monomial = charts.psi_eval(chart, charts.theta([math.exp(-TWO_PI * (ki / 1000)) for ki in k]))
-        direct = [math.exp(-TWO_PI * (sum(map(mul, k, row)) / 1000)) for row in pairings]
+        monomial = charts.triangular_eval(chart, charts.theta([math.exp(-TWO_PI * (ki / 1000)) for ki in k]))
+        direct = [math.exp(-TWO_PI * (sum(map(mul, k, row)) / 1000)) for row in rows]
         yield _sup_gap(monomial, direct)
 
 
@@ -179,15 +213,16 @@ def _simplex_inversion(ctx):
 
     Only those rows determine the preimage.  psi(w) lies in psi's image
     by construction, so a residual over the other m - n rows would
-    measure only their float evaluation, which _diagram_residuals
-    cross-checks on every row of every chart.
+    measure only their float evaluation, which the exact gates certify
+    (see _diagram_residuals).  A NaN gap fails the check and is reported
+    as null.
     """
-    worst = 0.0
-    for chart in ctx.charts:
-        rows = chart.b[: chart.n]
-        for w in _delta_samples(ctx.rng, ctx.n, 500):
-            worst = max(worst, _sup_gap(w, charts.invert_triangular(rows, charts.triangular_eval(chart, w))))
-    return worst <= 1e-10, {"worst_gap": worst}
+    worst = charts.sup_gap(
+        _sup_gap(w, charts.invert_triangular(chart.b[: chart.n], charts.triangular_eval(chart, w)))
+        for chart in ctx.charts
+        for w in _delta_samples(ctx.rng, ctx.n, 500)
+    )
+    return worst <= 1e-10, {"worst_gap": _json_gap(worst)}
 
 
 def _cover(ctx):

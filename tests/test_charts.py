@@ -174,6 +174,18 @@ def test_psi_invert_rejects_off_image(atlas_p2):
         psi_invert(chart, (0.12, 0.4, 0.9))
 
 
+def test_psi_invert_rejects_nan_in_a_non_triangular_row(atlas_p2):
+    """A NaN in the last row, after the triangular ones, where max alone
+    would drop its gap: NotInImage, with the residual NaN."""
+    chart = _chart(atlas_p2, {0}, {0, 1})
+    assert chart.m == chart.n + 1
+    y = psi_eval(chart, (0.3, 0.7))
+    assert psi_invert(chart, y) == pytest.approx((0.3, 0.7))
+    with pytest.raises(NotInImage) as caught:
+        psi_invert(chart, (*y[: chart.n], math.nan))
+    assert math.isnan(caught.value.residual)
+
+
 def test_expi_embed_rank1():
     atlas = Atlas(tb.load_bundled("p1"))
     cone = atlas.fan.cone({0})

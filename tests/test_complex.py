@@ -1,6 +1,8 @@
 """Ball model, orbit complex, gluing and regularity verification."""
 
 import json
+import math
+import random
 from itertools import combinations, product
 from pathlib import Path
 
@@ -23,6 +25,8 @@ from toricball.charts import triangular_eval
 from toricball.exact import pair
 from toricball.fan import star_fan, validate_fan
 from toricball.homeo import bary_to_delta
+
+WPS_1_1_1_9 = Path(__file__).parent / "data" / "golden" / "verify_wps_1_1_1_9" / "fan.json"
 
 
 def test_ball_model_p1(p1):
@@ -129,15 +133,16 @@ def test_verify_gluing_p2(atlas_p2):
     # Per flag: |H| is 2 on the top cone, 3 on each ray and 4 on the zero
     # cone, plus one cutting functional per proper face: 2 + 2*3 + 4 + 3.
     assert report.identities == 6 * 15
-    assert report.shared_samples == 6 * 3 * 15  # (flag, prefix subflag) x samples
+    assert report.shared_samples == 6 * 2 * 15  # (flag, proper prefix subflag) x samples
     assert report.located_samples == 6 * 15  # maximal flag x samples
 
 
 @pytest.mark.parametrize("name", ["p2", "p3"])
 def test_subflag_cross_check_samples_each_prefix_top(monkeypatch, name):
     """The shared half localizes count samples of each maximal flag's
-    chart to each of its n + 1 prefix tops (the zero cone, then each
-    cone of the flag in order), through Atlas.localize and nothing else."""
+    chart to each of its n proper prefix tops (the zero cone, then each
+    cone of the flag but the last, in order), through Atlas.localize and
+    nothing else."""
     atlas = tb.Atlas(tb.load_bundled(name))
     flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
     calls = []
@@ -148,9 +153,80 @@ def test_subflag_cross_check_samples_each_prefix_top(monkeypatch, name):
     count, n = 5, atlas.fan.dim
     zero = atlas.fan.zero_cone()
     assert calls == [
-        (flag.cones[-1].rays, tau.rays) for flag in flags for tau in (zero, *flag.cones) for _ in range(count)
+        (flag.cones[-1].rays, tau.rays) for flag in flags for tau in (zero, *flag.cones[:-1]) for _ in range(count)
     ]
-    assert report.shared_samples == len(flags) * (n + 1) * count
+    assert report.shared_samples == len(flags) * n * count
+
+
+def _gluing_fan(name):
+    if name == "wps_1_1_1_9":
+        return tb.parse_and_validate(WPS_1_1_1_9.read_text())
+    return tb.load_bundled(name)
+
+
+@pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, "wps_1_1_1_9"])
+def test_subflag_read_rows_localize_as_the_chart_point(monkeypatch, name):
+    """Each sample of the shared half carries only the Hilbert rows that
+    the rule sigma -> tau reads, and localizes to the floats of
+    Atlas.localize(Atlas.chart_point(chart, w), tau), bit for bit: the
+    samples are replayed from verify_gluing's seed in its loop order."""
+    atlas = tb.Atlas(_gluing_fan(name))
+    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    seen = []
+    localize = atlas.localize
+    monkeypatch.setattr(atlas, "localize", lambda p, tau: seen.append((p, tau, localize(p, tau))) or seen[-1][2])
+    assert verify_gluing(atlas, samples_per_pair=10, seed=3).passed
+    rng, count, zero = random.Random(3), 5, atlas.fan.zero_cone()
+    expected = []
+    for flag in flags:
+        chart, n = atlas.chart(flag), len(flag)
+        for k in range(n):
+            tau = flag.cones[k - 1] if k else zero
+            _, alpha_terms, rows, _ = atlas._localization_rule(chart.top_cone, tau)
+            read = {i for i, _ in alpha_terms} | {i for _, terms in rows for i, _ in terms}
+            for xi in cellcomplex._simplex_samples(rng, k, count):
+                w = bary_to_delta(xi + (0.0,) * (n - k))
+                expected.append((read, tau, localize(atlas.chart_point(chart, w), tau).values))
+    assert len(seen) == len(expected) == len(flags) * atlas.fan.dim * count
+    for (point, tau, local), (read, want_tau, want) in zip(seen, expected):
+        assert set(point.values) == read and tau == want_tau
+        assert list(map(float.hex, local.values)) == list(map(float.hex, want))
+
+
+@pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, "wps_1_1_1_9"])
+def test_full_prefix_telescoped_terms_are_the_hilbert_terms(name):
+    """The certificate for the unsampled prefix k = n: on every maximal
+    flag, the telescoped terms of H(sigma) over the whole flag are
+    chart.hilbert_terms, so both sides of the shared half would multiply
+    the same terms at the same point."""
+    atlas = tb.Atlas(_gluing_fan(name))
+    for chart in atlas.charts():
+        generators = atlas.hilbert(chart.top_cone).generators
+        assert tuple(cellcomplex._telescoped_terms(generators, chart.flag.barycenters)) == chart.hilbert_terms
+
+
+def _nan_in_second_value(monkeypatch, atlas):
+    """Atlas.localize with its second value replaced by NaN, where max
+    alone would drop it."""
+    localize = atlas.localize
+
+    def patched(p, tau):
+        values = list(localize(p, tau).values)
+        values[1] = math.nan
+        return tb.ToricPoint(tau, tuple(values))
+
+    monkeypatch.setattr(atlas, "localize", patched)
+
+
+def test_subflag_cross_check_fails_on_nan_gap(monkeypatch):
+    """A NaN localized value fails the shared half, and its counterexample
+    writes the gap as None."""
+    atlas = tb.Atlas(tb.load_bundled("p2"))
+    _nan_in_second_value(monkeypatch, atlas)
+    report = verify_gluing(atlas, samples_per_pair=10, seed=0)
+    shared = [c for c in report.counterexamples if c["kind"] == "shared"]
+    assert not report.passed and shared and all(c["gap"] is None for c in shared)
+    assert report.worst_shared_gap == 0.0
 
 
 def _perturbed_gluing(edit):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from toricball.cones import (
     relative_interior_point,
     triangular_generators,
 )
-from toricball.exact import invert, pair, primitive, quotient_projection, solve_in_basis, vsub
+from toricball.exact import invert, is_zero_vec, pair, primitive, quotient_projection, solve_in_basis, vadd, vscale, vsub
 from toricball.fan import validate_fan
 
 
@@ -635,3 +636,115 @@ def test_stellar_fan_hilbert_bases_finish():
     assert elapsed < 20.0, elapsed
     assert max(len(sem.pointed) for sem in bases) == 85
     assert [minimality_violations(sem) for sem in bases] == [()] * len(bases)
+
+
+# -- decompose against the one-level-per-generator search it replaced ------
+
+
+def _level_by_level_decompose(sem, m):
+    """The reference: decompose as it was before forced-zero coefficients
+    were skipped.  Every generator takes one search level, its
+    coefficient-0 child is tested against the cone like the others, and
+    a negative weight is the only test up front."""
+    y0 = sem.interior_point
+    pointed = list(sem.pointed)
+    weights = [pair(h, y0) for h in pointed]
+    target = pair(m, y0)
+    if target < 0:
+        return None
+    order = sorted(range(len(pointed)), key=lambda i: -weights[i])
+    coeffs = [0] * len(pointed)
+    failed = set()
+
+    def close(residual):
+        if sem.lineality:
+            c = solve_in_basis(sem.lineality, residual)
+            if c is None or any(Fraction(x).denominator != 1 for x in c):
+                return None
+            return [int(x) for x in c]
+        return [] if is_zero_vec(residual) else None
+
+    def children(pos, residual, remaining):
+        i = order[pos]
+        for a in range(int(remaining // weights[i]), -1, -1):
+            rest = vsub(residual, vscale(a, pointed[i]))
+            if sem.contains(rest):
+                coeffs[i] = a
+                yield pos + 1, rest, remaining - a * weights[i]
+
+    path = []
+    state = (0, tuple(m), target)
+    while True:
+        if state is not None:
+            pos, residual, remaining = state
+            if pos == len(order):
+                lin_coeffs = close(residual) if remaining == 0 else None
+                if lin_coeffs is not None:
+                    break
+            elif (pos, residual) not in failed:
+                path.append((pos, residual, children(pos, residual, remaining)))
+        if not path:
+            return None
+        pos, residual, kids = path[-1]
+        state = next(kids, None)
+        if state is None:
+            failed.add((pos, residual))
+            path.pop()
+    out = list(coeffs)
+    for c in lin_coeffs:
+        out.append(max(c, 0))
+        out.append(max(-c, 0))
+    return tuple(out)
+
+
+def _localization_targets(atlas, sigma, tau):
+    """What Atlas._localization_rule decomposes in H(sigma) for tau: the
+    cutting functional alpha and each h + k*alpha, h in H(tau), k the
+    rule's shift; and h + (k - 1)*alpha where k > 0, which may fall
+    outside the semigroup."""
+    alpha = cutting_functional(sigma, tau)
+    _, _, rows, _ = atlas._localization_rule(sigma, tau)
+    targets = [alpha]
+    for h, (k, _) in zip(atlas.hilbert(tau).generators, rows):
+        targets += [vadd(h, vscale(j, alpha)) for j in range(max(k - 1, 0), k + 1)]
+    return targets
+
+
+@pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, *WPS_FANS, "wps_1_1_1_60", "p4", "p1^4"])
+def test_decompose_matches_level_by_level_search_on_localization_targets(name):
+    """The same coefficients, or None, as the level-by-level search on
+    every target of every localization rule sigma -> tau, tau a proper
+    face of sigma."""
+    fan = _named_fan(name)
+    atlas = tb.Atlas(fan)
+    checked = 0
+    for sigma in fan.cones():
+        sem = atlas.hilbert(sigma)
+        for tau in fan.faces(sigma):
+            if tau.rays == sigma.rays:
+                continue
+            for m in _localization_targets(atlas, sigma, tau):
+                assert decompose(sem, m) == _level_by_level_decompose(sem, m), (sigma.rays, tau.rays, m)
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, "wps_1_7", "wps_1_1_9"])
+def test_decompose_matches_level_by_level_search_on_seeded_points(name):
+    """The same answers on seeded points of every cone's semigroup
+    (sums of up to four generators) and on seeded lattice points of a
+    box, most of them outside it.  Every fan has cones with lineality
+    (its rays and the zero cone) and without (its maximal cones)."""
+    rng = random.Random(f"decompose:{name}")
+    found = {True: 0, False: 0}
+    for cone in _named_fan(name).cones():
+        sem = hilbert_basis(cone)
+        gens = sem.generators
+        for _ in range(10):
+            inside = tuple(sum(col) for col in zip(*(rng.choice(gens) for _ in range(rng.randint(1, 4)))))
+            box = tuple(rng.randint(-6, 6) for _ in range(cone.ambient_dim))
+            for m in (inside, box):
+                answer = decompose(sem, m)
+                assert answer == _level_by_level_decompose(sem, m), (cone.rays, m)
+                found[answer is not None] += 1
+    assert found[True] and found[False]

@@ -1,14 +1,20 @@
 """The library against its tooling: every name that bench/tracer.py
 wraps must exist, so that deleting or renaming one fails here and not
-only in a traced benchmark run; and the package imports only the
-standard library, as its empty `dependencies` promises."""
+only in a traced benchmark run; the package imports only the standard
+library, as its empty `dependencies` promises; and verify reports are
+strict JSON, with no NaN or Infinity, even when a float check sees NaN."""
 
 import ast
 import importlib
+import json
+import math
 import sys
 from pathlib import Path
 
-from toricball.charts import Atlas
+import toricball as tb
+from toricball import charts
+from toricball.charts import Atlas, ToricPoint
+from toricball.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
@@ -57,3 +63,39 @@ def test_library_imports_only_the_standard_library():
                 imported.setdefault(name.partition(".")[0], path.name)
     assert imported
     assert {name: where for name, where in imported.items() if name not in sys.stdlib_module_names} == {}
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN, Infinity and -Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_golden_reports_are_strict_json():
+    reports = sorted((ROOT / "tests" / "data" / "golden").rglob("report.json"))
+    assert reports
+    for path in reports:
+        _strict_json(path.read_text())
+
+
+def test_nan_control_report_is_strict_json(monkeypatch, tmp_path, capsys):
+    """With NaN from the triangular evaluator, the triangular inversion
+    and every localization, verify fails the three float checks and
+    writes each NaN gap as null."""
+    monkeypatch.setattr(charts, "triangular_eval", lambda chart, w: (math.nan,) * chart.n)
+    monkeypatch.setattr(charts, "invert_triangular", lambda b, y: (math.nan,) * len(b))
+    localize = Atlas.localize
+    monkeypatch.setattr(
+        Atlas, "localize", lambda self, p, tau: ToricPoint(tau, (math.nan,) * len(localize(self, p, tau).values))
+    )
+    assert main(["verify", str(tb.bundled_path("p112")), "--samples", "5", "--out", str(tmp_path)]) == 4
+    capsys.readouterr()
+    entries = {c["name"]: c for c in _strict_json((tmp_path / "report.json").read_text())["checks"]}
+    assert entries["monomial_diagram"]["worst_residual"] is None
+    assert entries["simplex_inversion"]["worst_gap"] is None
+    shared = [c for c in entries["intersection_gluing"]["counterexamples"] if c["kind"] == "shared"]
+    assert shared and all(c["gap"] is None for c in shared)
+    assert not any(entries[name]["passed"] for name in ("monomial_diagram", "simplex_inversion", "intersection_gluing"))

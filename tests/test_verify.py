@@ -14,6 +14,7 @@ import pytest
 
 import toricball as tb
 from toricball import charts, homeo, verify
+from toricball.bary import simplicial_coords
 from toricball.cones import dual_generators
 from toricball.exact import pair
 
@@ -38,23 +39,70 @@ def _context(fan, atlas=None, samples=0):
     return verify.Context(fan, atlas, chart_list, flags, fan.dim, 1e-9, samples, 0, random.Random(0))
 
 
-def _fraction_residuals(atlas, chart, rng, count):
+def _fraction_residuals(chart, rng, count):
     """monomial_diagram's samples through the exact point: x built from
-    Fraction coordinates, then Atlas.commutativity_residual."""
+    Fraction coordinates, then the two routes of
+    Atlas.commutativity_residual on the chart's n triangular rows."""
     gens = chart.flag.barycenters
     for _ in range(count):
         u = [Fraction(rng.randint(0, 4000), 1000) for _ in gens]
         x = tuple(sum(ui * g[i] for ui, g in zip(u, gens)) for i in range(len(gens[0])))
-        yield atlas.commutativity_residual(chart, x)
+        monomial = charts.psi_eval(chart, charts.theta(charts.exp_flag(simplicial_coords(chart.flag, x))))
+        direct = charts.exp_pairings(chart.generators, x)
+        yield max(abs(a - b) for a, b in zip(monomial[: chart.n], direct[: chart.n]))
 
 
 @pytest.mark.parametrize("seed", [3, 11])
 def test_diagram_residuals_match_fraction_route(atlas, seed):
+    """The first n rows of the exact route, sample for sample."""
     for chart in atlas.charts():
         pairings = [[pair(g, b) for b in chart.flag.barycenters] for g in chart.generators]
         new = list(verify._diagram_residuals(chart, pairings, random.Random(seed), 10))
-        old = list(_fraction_residuals(atlas, chart, random.Random(seed), 10))
+        old = list(_fraction_residuals(chart, random.Random(seed), 10))
         assert new == old
+
+
+def test_diagram_residuals_evaluate_triangular_rows_only(monkeypatch):
+    """On P(1,1,1,27), whose charts have up to 408 rows, each sample of
+    monomial_diagram evaluates exactly the n = 3 triangular monomials."""
+    atlas = tb.Atlas(tb.parse_and_validate(json.dumps(WPS_1_1_1_27)))
+    ctx = _context(atlas.fan, atlas, samples=4)
+    rows = []
+    monomials = charts._monomials
+    monkeypatch.setattr(charts, "_monomials", lambda terms, w: rows.append(len(terms)) or monomials(terms, w))
+    assert verify._monomial_diagram(ctx)[0]
+    assert rows == [3] * (4 * len(ctx.charts))
+
+
+def _diagram_with_triangular_eval(monkeypatch, edit):
+    """monomial_diagram on p112 with each triangular_eval result passed
+    through edit."""
+    fan = tb.load_bundled("p112")
+    triangular_eval = charts.triangular_eval
+    monkeypatch.setattr(charts, "triangular_eval", lambda chart, w: edit(triangular_eval(chart, w)))
+    return verify._monomial_diagram(_context(fan, tb.Atlas(fan), samples=5))
+
+
+def test_monomial_diagram_fails_on_off_triangular_evaluator(monkeypatch):
+    """A triangular-row evaluator off by 1e-6 fails the residual while
+    every exact identity holds."""
+    passed, details = _diagram_with_triangular_eval(monkeypatch, lambda y: tuple(v + 1e-6 for v in y))
+    assert not passed and "witness" not in details and "dual_witness" not in details
+    assert details["worst_residual"] >= 0.9e-6
+
+
+def test_monomial_diagram_fails_on_nan_residual(monkeypatch):
+    """A NaN in the second triangular value, where max alone would drop
+    it, fails the check; the residual is reported as None."""
+    passed, details = _diagram_with_triangular_eval(monkeypatch, lambda y: (y[0], math.nan, *y[2:]))
+    assert not passed and details["worst_residual"] is None
+
+
+def test_sup_gap_keeps_nan():
+    assert verify._sup_gap((0.5, 0.25), (0.5, 0.5)) == 0.25
+    assert math.isnan(verify._sup_gap((0.5, math.nan), (0.5, 0.5)))
+    assert math.isnan(verify._sup_gap((math.nan, 0.5), (0.5, 0.5)))
+    assert verify._sup_gap((), ()) == 0.0
 
 
 def test_dual_basis_gate_names_perturbed_inverse():
@@ -211,6 +259,14 @@ def _replace_chart(monkeypatch, ctx):
 def _off_inversion(monkeypatch, ctx):
     invert = charts.invert_triangular
     monkeypatch.setattr(charts, "invert_triangular", lambda b, y: tuple(w + 1e-6 for w in invert(b, y)))
+
+
+def test_simplex_inversion_fails_on_nan_gaps(monkeypatch):
+    """invert_triangular returning NaN for every sample fails the check,
+    with the worst gap reported as None."""
+    fan = tb.load_bundled("p112")
+    monkeypatch.setattr(charts, "invert_triangular", lambda b, y: (math.nan,) * len(b))
+    assert verify._simplex_inversion(_context(fan, tb.Atlas(fan))) == (False, {"worst_gap": None})
 
 
 def _path_independent_probe(monkeypatch, ctx):
