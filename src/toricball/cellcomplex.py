@@ -410,7 +410,8 @@ def _sample_coords(w):
 def _locate_cross_check(atlas: Atlas, flags, rng, count, tol):
     """Float cross-check of the evaluators behind the distinct half:
     count seeded interior points of each maximal flag F's simplex are
-    mapped through the chart's triangular rows, u and x are recovered
+    mapped through the chart's triangular rows, in one batch
+    (charts.triangular_eval), u and x are recovered
     from the values (_log_pairings, _cone_point), bary.locate_flag must
     return F, and u must match the sample's own coordinates
     (_sample_coords) within tol, each gap scaled by max(1, |u_j|).  Each
@@ -423,9 +424,11 @@ def _locate_cross_check(atlas: Atlas, flags, rng, count, tol):
     out = []
     for fi, flag in enumerate(flags):
         chart = atlas.chart(flag)
-        for xi in _interior_samples(rng, len(flag), count):
-            w = bary_to_delta(xi)
-            ells = _log_pairings(triangular_eval(chart, w))
+        samples = _interior_samples(rng, len(flag), count)
+        points = [bary_to_delta(xi) for xi in samples]
+        values = zip(*triangular_eval(chart, list(zip(*points))))
+        for xi, w, y in zip(samples, points, values):
+            ells = _log_pairings(y)
             u = located = None
             if ells is not None:
                 u, x = _cone_point(chart, ells)

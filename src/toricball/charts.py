@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, zip_longest
-from operator import sub
+from itertools import chain, repeat, zip_longest
+from operator import mul, sub, truediv
 
 from . import cones as _ck
 from .bary import Flag, enumerate_flags, simplicial_coords
@@ -144,7 +144,12 @@ def monomial_eval(exponents, w) -> float:
 
 def _monomials(rows, w) -> tuple:
     """Each row's monomial at w, a row given by its nonzero (column,
-    exponent) terms in column order: the float monomial_eval gives."""
+    exponent) terms in column order: the float monomial_eval gives.
+
+    The single-point evaluator, behind psi_eval, Atlas.chart_point and
+    the subflag cross-check.  triangular_eval is its batch form: per
+    sample it starts from 1.0 and multiplies the same powers in the same
+    order, so the two give the same floats."""
     w = [float(x) for x in w]
     values = []
     for terms in rows:
@@ -160,35 +165,64 @@ def psi_eval(chart: Chart, w):
     return _monomials(chart.terms, w)
 
 
-def triangular_eval(chart: Chart, w):
-    """The first n coordinates of psi_eval(chart, w): the monomials of
-    the triangular generators, the rows that psi_invert reads."""
-    return _monomials(chart.terms[: chart.n], w)
+def triangular_eval(chart: Chart, columns):
+    """The monomials of the chart's n triangular generators, the rows
+    that psi_invert reads, over a batch of simplex points.
+
+    columns[j] holds w_j of every point of the batch; the answer holds
+    one list per triangular row, its value at every point.  Each value
+    is the float _monomials gives at that point: the product starts from
+    1.0 and multiplies w_j ** e over the row's terms in column order,
+    one column of the batch at a time."""
+    columns = [list(map(float, col)) for col in columns] or [[]] * chart.n  # an empty batch
+    count = len(columns[0])
+    out = []
+    for terms in chart.terms[: chart.n]:
+        acc = [1.0] * count
+        for j, e in terms:
+            acc = list(map(mul, acc, map(pow, columns[j], repeat(e))))
+        out.append(acc)
+    return out
 
 
-def invert_triangular(b, y):
-    """Invert an upper-triangular monomial map on Delta_n.
+def invert_triangular(b, columns):
+    """Invert an upper-triangular monomial map on Delta_n, over a batch.
 
     b is an n x n nonnegative integer matrix with b[i][i] > 0 and
-    b[i][j] == 0 for j < i; y the image point.  Implements the
-    largest-zero-index rule: if y_i = 0 with i maximal, then w_j = 0 for
-    all j <= i and the remaining w_j are recovered by back-substitution
-    and root extraction.
-    """
+    b[i][j] == 0 for j < i; columns[i] holds the image coordinate y_i
+    of every point of the batch, and the answer holds w_j of every
+    point, one list per j.  Implements the largest-zero-index rule: if
+    y_i = 0 with i maximal, then w_j = 0 for all j <= i and the
+    remaining w_j are recovered by back-substitution and root
+    extraction.
+
+    Back-substitution runs one column j at a time, from j = n - 1 down,
+    over the points whose largest zero index is below j; no other point
+    is divided or raised to a power.  Per point, acc starts from 1.0 and
+    multiplies w_k ** b[j][k] for k > j in order, then w_j is
+    (y_j / acc) ** (1 / b[j][j]): the operations of back-substitution
+    point by point, so the floats are the same."""
     n = len(b)
-    w = [0.0] * n
-    i0 = -1
-    for i in range(n):
-        if y[i] <= 0.0:
-            i0 = i
-    for j in range(n - 1, i0, -1):
-        acc = 1.0
+    columns = list(columns) or [[]] * n  # an empty batch
+    count = len(columns[0])
+    zero = [-1] * count  # per point, its largest i with y_i <= 0
+    for i, col in enumerate(columns):
+        zero = [i if y <= 0.0 else z for y, z in zip(col, zero)]
+    w = [[0.0] * count for _ in range(n)]
+    live = range(count)
+    for j in reversed(range(n)):
+        live = [s for s in live if zero[s] < j]
+        acc = [1.0] * len(live)
         for k in range(j + 1, n):
             if b[j][k]:
-                acc *= w[k] ** b[j][k]
-        val = y[j] / acc
-        w[j] = val ** (1.0 / b[j][j])
-    return tuple(w)
+                acc = list(map(mul, acc, map(pow, map(w[k].__getitem__, live), repeat(b[j][k]))))
+        values = map(pow, map(truediv, map(columns[j].__getitem__, live), acc), repeat(1.0 / b[j][j]))
+        if len(live) == count:
+            w[j] = list(values)
+        else:
+            for s, v in zip(live, values):
+                w[j][s] = v
+    return w
 
 
 def psi_invert(chart: Chart, y, tol: float = 1e-9):
@@ -199,7 +233,7 @@ def psi_invert(chart: Chart, y, tol: float = 1e-9):
     when the worst mismatch exceeds tol or is NaN (see sup_gap).
     """
     n = chart.n
-    w = invert_triangular([chart.b[i] for i in range(n)], [float(y[i]) for i in range(n)])
+    w = tuple(col[0] for col in invert_triangular(chart.b[:n], [[float(y[i])] for i in range(n)]))
     residual = sup_gap(map(abs, map(sub, _monomials(chart.terms, w), map(float, y))))
     if not residual <= tol:
         raise NotInImage(f"residual {residual} exceeds {tol}", residual=residual)
@@ -384,7 +418,8 @@ class Atlas:
     def value_gap(self, p: ToricPoint, q: ToricPoint):
         """Sup gap between two points after localizing both to the chart
         of their carriers' intersection cone, each term scaled by the
-        magnitude of the values (localized values may leave [0, 1]).
+        magnitude of the values (localized values may leave [0, 1]);
+        NaN when some term is NaN (see sup_gap).
 
         None when at most one of them localizes: the points then live in
         different charts and are distinct.
@@ -395,7 +430,7 @@ class Atlas:
             lq = self.localize(q, shared)
         except NotInOpenSet:
             return None
-        return max(scaled_gaps(lp.values, lq.values), default=0.0)
+        return sup_gap(scaled_gaps(lp.values, lq.values))
 
     def points_equal(self, p: ToricPoint, q: ToricPoint, tol: float = 1e-9) -> bool:
         """Whether two intrinsic points coincide in the variety: both
@@ -480,8 +515,6 @@ def scaled_gaps(xs, ys):
 
 
 def values_within(xs, ys, tol: float) -> bool:
-    """max(scaled_gaps(xs, ys), default=0.0) <= tol, stopping at the
-    first gap past tol.  max keeps a leading NaN and skips a later one,
-    so the first gap is tested with <= and the others with >."""
-    gaps = scaled_gaps(xs, ys)
-    return next(gaps, 0.0) <= tol and not any(g > tol for g in gaps)
+    """sup_gap(scaled_gaps(xs, ys)) <= tol, stopping at the first gap
+    past tol: False as soon as a gap is NaN or exceeds tol."""
+    return all(g <= tol for g in scaled_gaps(xs, ys))

@@ -19,6 +19,16 @@ rows each localization rule reads (cellcomplex._subflag_cross_check).
 A NaN gap fails its check and is reported as null, so that the report
 stays strict JSON.
 
+The triangular rows are evaluated, and inverted, over each chart's
+whole sample batch at once, one column of the batch at a time
+(charts.triangular_eval and charts.invert_triangular).  Per point, the
+kernels do the float operations of the single-point evaluator
+charts._monomials and of point-by-point back-substitution, in the same
+order: every product starts from 1.0 and multiplies the row's terms in
+column order.  So each sampled float, and each report, is the one a
+point-by-point loop gives (tests/test_charts.py keeps those loops as
+the reference).
+
 Retired checks, which no input that verify accepts can fail, and the
 facts that cover them:
 
@@ -106,13 +116,13 @@ class Context:
 def _delta_samples(rng, n, count):
     """Simplex-chain samples: 50 on each zero-prefix boundary stratum,
     then interior ones."""
+    draw = rng.random
     out = []
     for j in range(1, n + 1):
-        for _ in range(50):
-            tail = sorted(rng.random() for _ in range(n - j))
-            out.append(tuple([0.0] * j + tail))
+        zeros = (0.0,) * j
+        out += [zeros + tuple(sorted([draw() for _ in range(n - j)])) for _ in range(50)]
     while len(out) < count:
-        out.append(tuple(sorted(rng.random() for _ in range(n))))
+        out.append(tuple(sorted([draw() for _ in range(n)])))
     return out[:count]
 
 
@@ -185,31 +195,40 @@ def _diagram_residuals(chart, pairings, rng, count):
     """Per seeded point x = sum_i u_i B_i of the flag cone, u_i = k_i/1000
     with k_i drawn from 0..4000: the sup gap, over the chart's n
     triangular generators g, between the monomial route
-    psi(theta(exp(-2 pi u))) (charts.triangular_eval) and the direct
-    route exp(-2 pi <g, x>) = exp(-2 pi (sum_i k_i <g, B_i>) / 1000),
-    read from the integer pairings <g, B_i> (the first n rows of
-    pairings).  Int / int division is correctly rounded, so these are
-    the floats of Atlas.commutativity_residual at x on those rows (it
-    recovers u through the left inverse that _monomial_diagram
-    certifies).
+    psi(theta(exp(-2 pi u))) and the direct route
+    exp(-2 pi <g, x>) = exp(-2 pi (sum_i k_i <g, B_i>) / 1000), read
+    from the integer pairings <g, B_i> (the first n rows of pairings).
+    Int / int division is correctly rounded, so these are the floats of
+    Atlas.commutativity_residual at x on those rows (it recovers u
+    through the left inverse that _monomial_diagram certifies).
+
+    All count points are drawn first, then the monomial route takes one
+    call of the batch kernel charts.triangular_eval for the chart.  Per
+    point, the kernel multiplies the same powers in the same order as
+    the single-point evaluator charts._monomials, so each gap is the
+    float of a point-by-point loop.
 
     The other m - n rows add nothing: _monomial_diagram's identities
     certify every b row exactly, chart_invariants certifies that
-    Chart.terms is exactly b's nonzero entries, and every row is
-    evaluated by the same code (charts._monomials) from its terms."""
+    Chart.terms is exactly b's nonzero entries, and psi_eval evaluates
+    every row from its terms with _monomials."""
     rows = pairings[: chart.n]
-    for _ in range(count):
-        k = [rng.randint(0, 4000) for _ in chart.flag.barycenters]
-        monomial = charts.triangular_eval(chart, charts.theta([math.exp(-TWO_PI * (ki / 1000)) for ki in k]))
-        direct = [math.exp(-TWO_PI * (sum(map(mul, k, row)) / 1000)) for row in rows]
-        yield _sup_gap(monomial, direct)
+    draws = [[rng.randint(0, 4000) for _ in chart.flag.barycenters] for _ in range(count)]
+    points = [charts.theta([math.exp(-TWO_PI * (ki / 1000)) for ki in k]) for k in draws]
+    monomial = charts.triangular_eval(chart, list(zip(*points)))
+    direct = [[math.exp(-TWO_PI * (sum(map(mul, k, row)) / 1000)) for k in draws] for row in rows]
+    return map(_sup_gap, zip(*monomial), zip(*direct))
 
 
 def _simplex_inversion(ctx):
     """The triangular inversion recovers simplex points: per chart, 500
-    seeded points w of Delta_n are mapped by psi's n triangular rows
-    (charts.triangular_eval) and recovered by back-substitution
-    (charts.invert_triangular).
+    seeded points w of Delta_n are mapped by psi's n triangular rows and
+    recovered by back-substitution, each step one call of a batch kernel
+    over the chart's 500 points (charts.triangular_eval, then
+    charts.invert_triangular).  Per point, the kernels do the float
+    operations of the point-by-point evaluation and back-substitution,
+    in the same order, so every gap is the float of a point-by-point
+    loop.
 
     Only those rows determine the preimage.  psi(w) lies in psi's image
     by construction, so a residual over the other m - n rows would
@@ -217,11 +236,12 @@ def _simplex_inversion(ctx):
     (see _diagram_residuals).  A NaN gap fails the check and is reported
     as null.
     """
-    worst = charts.sup_gap(
-        _sup_gap(w, charts.invert_triangular(chart.b[: chart.n], charts.triangular_eval(chart, w)))
-        for chart in ctx.charts
-        for w in _delta_samples(ctx.rng, ctx.n, 500)
-    )
+    gaps = []
+    for chart in ctx.charts:
+        columns = list(zip(*_delta_samples(ctx.rng, ctx.n, 500)))
+        back = charts.invert_triangular(chart.b[: chart.n], charts.triangular_eval(chart, columns))
+        gaps.append(charts.sup_gap(map(_sup_gap, columns, back)))
+    worst = charts.sup_gap(gaps)
     return worst <= 1e-10, {"worst_gap": _json_gap(worst)}
 
 

@@ -1,5 +1,6 @@
 """Chart matrices, monomial maps, intrinsic points, localization."""
 
+import itertools
 import math
 import random
 import time
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import toricball as tb
 from conftest import get_atlas
+from toricball import charts, verify
 from toricball.bary import Flag
 from toricball.cones import cutting_functional
 from toricball.exact import pair, vadd, vscale
@@ -28,6 +30,7 @@ from toricball.charts import (
     psi_invert,
     theta,
     theta_preimage,
+    triangular_eval,
 )
 
 TWO_PI = 2 * math.pi
@@ -130,9 +133,9 @@ def test_monomial_zero_conventions():
 
 def test_invert_triangular_by_hand():
     b = ((1, 1), (0, 1))
-    assert invert_triangular(b, (0.12, 0.4)) == (0.12 / 0.4, 0.4)
-    assert invert_triangular(b, (0.0, 0.5)) == (0.0, 0.5)
-    assert invert_triangular(b, (1.0, 1.0)) == (1.0, 1.0)
+    # One batch of three points, given and answered column by column.
+    assert invert_triangular(b, [[0.12, 0.0, 1.0], [0.4, 0.5, 1.0]]) == [[0.12 / 0.4, 0.0, 1.0], [0.4, 0.5, 1.0]]
+    assert invert_triangular(b, [[], []]) == [[], []]
 
 
 def test_psi_invert_roundtrip(atlas_p2):
@@ -163,7 +166,7 @@ def test_invert_triangular_synthetic_family():
         tail = sorted(rng.random() for _ in range(n - prefix))
         w = tuple([0.0] * prefix + tail)
         y = [monomial_eval(row, w) for row in b]
-        back = invert_triangular(b, y)
+        back = [v for (v,) in invert_triangular(b, [[v] for v in y])]
         assert max(abs(a - c) for a, c in zip(w, back)) < 1e-10
 
 
@@ -450,19 +453,17 @@ def test_exp_pairings_matches_fraction_pairing(case):
     assert exp_pairings(gens, x) == tuple(math.exp(-TWO_PI * float(pair(g, x))) for g in gens)
 
 
-def _wps_1_1_1_27():
-    return tb.validate_fan(
-        3,
-        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -27)],
-        [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
-    )
+def _wps(n, k):
+    """P(1,...,1,k) of rank n: the unit vectors and (-1,...,-1,-k)."""
+    rays = [tuple(int(i == j) for i in range(n)) for j in range(n)] + [(-1,) * (n - 1) + (-k,)]
+    return tb.validate_fan(n, rays, [[i for i in range(n + 1) if i != s] for s in range(n + 1)])
 
 
 def test_localization_rule_high_multiplicity_bounded():
     """The slowest rule of P(1,1,1,27), from its multiplicity-27 cone to
     the zero cone, stays within a budget (10 s on a 2-core VM), and
     every row recombines exactly to h + k*alpha."""
-    fan = _wps_1_1_1_27()
+    fan = _wps(3, 27)
     atlas = Atlas(fan)
     sigma, zero = fan.cone({0, 1, 3}), fan.zero_cone()
     start = time.perf_counter()
@@ -485,7 +486,7 @@ def test_localization_rule_high_multiplicity_bounded():
 
 
 @pytest.mark.parametrize(
-    "make_fan", [lambda: tb.load_bundled("twisted_p3"), _wps_1_1_1_27], ids=["twisted_p3", "wps_1_1_1_27"]
+    "make_fan", [lambda: tb.load_bundled("twisted_p3"), lambda: _wps(3, 27)], ids=["twisted_p3", "wps_1_1_1_27"]
 )
 def test_localization_shift_matches_probing_loop(make_fan):
     """Every row's shift k, taken in closed form from sigma's rays, is
@@ -543,10 +544,11 @@ _P112 = get_atlas("p112")
 @given(_point_pair(_P112), st.sampled_from([1e-9, 0.0, 0.5, math.inf, math.nan]))
 @settings(max_examples=400, deadline=None)
 def test_points_equal_matches_value_gap(points, tol):
-    """points_equal stops at the first coordinate whose gap exceeds tol,
-    yet answers as value_gap(p, q) <= tol does: max keeps a leading NaN
-    and skips a later one.  Each coordinate's own gap is tried as tol
-    too, so ties at tol are covered."""
+    """points_equal stops at the first coordinate whose gap exceeds tol
+    or is NaN, yet answers as value_gap(p, q) <= tol does: value_gap is
+    NaN when any gap is (charts.sup_gap), so a NaN anywhere makes both
+    say "not equal".  Each coordinate's own gap is tried as tol too, so
+    ties at tol are covered."""
     p, q = points
     shared = _P112.fan.cone(p.cone.rays & q.cone.rays)
     gap = _P112.value_gap(p, q)
@@ -573,3 +575,117 @@ def test_underflowing_shift_is_off_the_open_chart():
         q = ToricPoint(ray0, values)
         assert _P112.value_gap(p, q) is None and _P112.value_gap(q, p) is None
         assert _P112.points_equal(p, q) is False and _P112.points_equal(q, p) is False
+
+
+def test_nan_after_the_first_value_is_not_equal():
+    """On p112 at cone {0}, a NaN in a later value: value_gap is NaN and
+    points_equal answers False, however loose the tolerance (max alone
+    would keep the first gap, 0.0, and drop the NaN)."""
+    ray0 = _P112.fan.cone({0})
+    p = ToricPoint(ray0, (0.5, 0.5, 0.5))
+    for values in [(0.5, math.nan, math.nan), (0.5, 0.5, math.nan), (math.nan, 0.5, 0.5)]:
+        q = ToricPoint(ray0, values)
+        assert math.isnan(_P112.value_gap(p, q)) and math.isnan(_P112.value_gap(q, p))
+        assert _P112.points_equal(p, q, tol=math.inf) is False and _P112.points_equal(q, p) is False
+
+
+def _pointwise_triangular_eval(chart, w):
+    """The reference for triangular_eval: the triangular rows at one
+    point, through the single-point evaluator."""
+    return charts._monomials(chart.terms[: chart.n], w)
+
+
+def _pointwise_invert_triangular(b, y):
+    """The reference for invert_triangular: the largest-zero-index rule
+    and back-substitution at one point, as they were before the batch
+    kernel."""
+    n = len(b)
+    w = [0.0] * n
+    i0 = -1
+    for i in range(n):
+        if y[i] <= 0.0:
+            i0 = i
+    for j in range(n - 1, i0, -1):
+        acc = 1.0
+        for k in range(j + 1, n):
+            if b[j][k]:
+                acc *= w[k] ** b[j][k]
+        val = y[j] / acc
+        w[j] = val ** (1.0 / b[j][j])
+    return tuple(w)
+
+
+def _bits(columns):
+    """A batch's floats, point by point, by repr: equal exactly when the
+    floats are equal bit for bit (0.0 and -0.0 apart, NaN matching NaN)."""
+    return [tuple(map(repr, point)) for point in zip(*columns)]
+
+
+def _assert_kernels_match_pointwise(chart, points):
+    b = chart.b[: chart.n]
+    values = triangular_eval(chart, list(zip(*points)))
+    expected = [_pointwise_triangular_eval(chart, w) for w in points]
+    assert _bits(values) == _bits(zip(*expected)), chart.flag
+    back = invert_triangular(b, values)
+    assert _bits(back) == _bits(zip(*[_pointwise_invert_triangular(b, y) for y in expected])), chart.flag
+
+
+_KERNEL_FANS = {
+    **{name: (lambda name=name: tb.load_bundled(name)) for name in tb.BUNDLED_FANS},
+    **{f"wps_{'1_' * (n - 1)}{k}": (lambda n=n, k=k: _wps(n, k)) for n, k in ((2, 2), (2, 7), (2, 20), (3, 3), (3, 9), (3, 27))},
+    "steep_119": lambda: tb.validate_fan(2, [(1, 0), (-1, 119), (-1, 0), (0, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]]),
+    "wps_1_1_90": lambda: _wps(2, 90),
+    "wps_1_1_1_80": lambda: _wps(3, 80),
+    "wps_1_1_400": lambda: _wps(2, 400),
+}
+
+
+@pytest.mark.parametrize("name", list(_KERNEL_FANS))
+def test_batch_kernels_match_pointwise_reference(name):
+    """On every chart, at the points of every _delta_samples stratum
+    (50 per zero prefix, then 50 interior ones) at seeds 0-2, the batch
+    kernels give the floats of the point-by-point references bit for
+    bit: triangular_eval those of _monomials, and invert_triangular,
+    applied to them, those of back-substitution point by point.  The
+    fans are the benchmark's 13 and the four on which verify fails
+    today by underflow, where the floats are least tame."""
+    fan = _KERNEL_FANS[name]()
+    for chart in Atlas(fan).charts():
+        for seed in range(3):
+            _assert_kernels_match_pointwise(chart, verify._delta_samples(random.Random(seed), fan.dim, 50 * fan.dim + 50))
+
+
+_SPECIALS = (0.0, 5e-324, 1e-200, 0.25, 0.5, 1.0, math.inf, math.nan)
+
+
+def test_batch_kernels_match_pointwise_on_special_values():
+    """Hand-made batches of every triple of 0.0, a subnormal, 1e-200,
+    0.25, 0.5, 1.0, inf and NaN, in any order, so that zeros sit below
+    nonzeros and NaN anywhere: on p3's and P(1,1,1,9)'s charts, and on a
+    triangular matrix with every entry above the diagonal set, the
+    kernels match the references bit for bit.  A point on which the
+    reference inversion raises (a zero acc to divide by) raises the
+    same error in the batch kernel."""
+    points = list(itertools.product(_SPECIALS, repeat=3))
+    for chart in [*get_atlas("p3").charts(), *Atlas(_wps(3, 9)).charts()]:
+        values = triangular_eval(chart, list(zip(*points)))
+        assert _bits(values) == _bits(zip(*[_pointwise_triangular_eval(chart, w) for w in points])), chart.flag
+    raised = 0
+    for b in [((2, 1, 3), (0, 1, 2), (0, 0, 1)), ((1, 0, 0), (0, 3, 0), (0, 0, 2))]:
+        inverted, raising = [], []
+        for y in points:
+            try:
+                inverted.append((y, _pointwise_invert_triangular(b, y)))
+            except ArithmeticError as err:
+                raising.append((y, type(err)))
+        assert len(inverted) > len(points) // 2
+        ys, expected = zip(*inverted)
+        assert _bits(invert_triangular(b, list(zip(*ys)))) == _bits(zip(*expected))
+        for y, error in raising:
+            with pytest.raises(error):
+                invert_triangular(b, [[v] for v in y])
+        raised += len(raising)
+    assert raised
+    # The largest zero index wins: y_1 = 0 zeroes w_0 and w_1, whatever y_0.
+    b = ((2, 1, 3), (0, 1, 2), (0, 0, 1))
+    assert invert_triangular(b, [[0.5, 0.0], [0.0, 0.5], [0.25, 0.25]]) == [[0.0, 0.0], [0.0, 8.0], [0.25, 0.25]]

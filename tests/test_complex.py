@@ -315,7 +315,8 @@ def test_verify_gluing_distinct_pin():
     (pin,) = json.loads((data / "distinct.json").read_text())
     for f, xi in zip(pin["flags"], pin["xi"]):
         chart = atlas.chart(flags[f])
-        ells = cellcomplex._log_pairings(triangular_eval(chart, bary_to_delta(xi)))
+        (values,) = zip(*triangular_eval(chart, [[v] for v in bary_to_delta(xi)]))
+        ells = cellcomplex._log_pairings(values)
         assert locate_flag(atlas.fan, cellcomplex._cone_point(chart, ells)[1]) == flags[f]
 
 

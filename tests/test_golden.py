@@ -20,12 +20,22 @@ CASES = [
     # The 60-flag fan: 6,000 subflag samples and 1,500 located samples
     # through the gluing cross-checks.
     ("verify_twisted_p3", ["verify", "twisted_p3", "--seed", "0", "--samples", "20"], 0),
+    # (P^1)^3: 48 charts, each through every sample loop.
+    ("verify_p1xp1xp1", ["verify", "p1xp1xp1", "--seed", "0", "--samples", "20"], 0),
     ("verify_p2_tamper", ["verify", "p2", "--seed", "0", "--samples", "20", "--tamper"], 4),
+    ("verify_p112_tamper", ["verify", "p112", "--seed", "0", "--samples", "20", "--tamper"], 4),
     # P(1,1,1,9): multiplicity-9 cones, so large Hilbert bases and long
     # localization searches; the input fan is stored next to its report.
     (
         "verify_wps_1_1_1_9",
         ["verify", str(GOLDEN / "verify_wps_1_1_1_9" / "fan.json"), "--seed", "0", "--samples", "20"],
+        0,
+    ),
+    # P(1,1,1,27): charts of up to 408 rows, of which the sample loops
+    # read the n = 3 triangular ones.
+    (
+        "verify_wps_1_1_1_27",
+        ["verify", str(GOLDEN / "verify_wps_1_1_1_27" / "fan.json"), "--seed", "0", "--samples", "20"],
         0,
     ),
     # The chart dumps pin the triangular generators, the Hilbert basis

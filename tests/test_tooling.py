@@ -85,8 +85,8 @@ def test_nan_control_report_is_strict_json(monkeypatch, tmp_path, capsys):
     """With NaN from the triangular evaluator, the triangular inversion
     and every localization, verify fails the three float checks and
     writes each NaN gap as null."""
-    monkeypatch.setattr(charts, "triangular_eval", lambda chart, w: (math.nan,) * chart.n)
-    monkeypatch.setattr(charts, "invert_triangular", lambda b, y: (math.nan,) * len(b))
+    monkeypatch.setattr(charts, "triangular_eval", lambda chart, w: [[math.nan] * len(w[0]) for _ in range(chart.n)])
+    monkeypatch.setattr(charts, "invert_triangular", lambda b, y: [[math.nan] * len(y[0]) for _ in b])
     localize = Atlas.localize
     monkeypatch.setattr(
         Atlas, "localize", lambda self, p, tau: ToricPoint(tau, (math.nan,) * len(localize(self, p, tau).values))

@@ -62,24 +62,44 @@ def test_diagram_residuals_match_fraction_route(atlas, seed):
         assert new == old
 
 
+def _spy_triangular_eval(monkeypatch):
+    """Record the (rows, points) shape of every triangular_eval answer,
+    and that no other evaluator of psi is called."""
+    shapes = []
+    triangular_eval = charts.triangular_eval
+
+    def spy(chart, columns):
+        values = triangular_eval(chart, columns)
+        shapes.append((len(values), len(values[0])))
+        return values
+
+    def other(*args):
+        raise AssertionError("an evaluator other than triangular_eval")
+
+    monkeypatch.setattr(charts, "triangular_eval", spy)
+    monkeypatch.setattr(charts, "_monomials", other)
+    return shapes
+
+
 def test_diagram_residuals_evaluate_triangular_rows_only(monkeypatch):
-    """On P(1,1,1,27), whose charts have up to 408 rows, each sample of
-    monomial_diagram evaluates exactly the n = 3 triangular monomials."""
+    """On P(1,1,1,27), whose charts have up to 408 rows, monomial_diagram
+    evaluates exactly the n = 3 triangular monomials at each sample, in
+    one batch per chart."""
     atlas = tb.Atlas(tb.parse_and_validate(json.dumps(WPS_1_1_1_27)))
     ctx = _context(atlas.fan, atlas, samples=4)
-    rows = []
-    monomials = charts._monomials
-    monkeypatch.setattr(charts, "_monomials", lambda terms, w: rows.append(len(terms)) or monomials(terms, w))
+    shapes = _spy_triangular_eval(monkeypatch)
     assert verify._monomial_diagram(ctx)[0]
-    assert rows == [3] * (4 * len(ctx.charts))
+    assert shapes == [(3, 4)] * len(ctx.charts)
 
 
 def _diagram_with_triangular_eval(monkeypatch, edit):
-    """monomial_diagram on p112 with each triangular_eval result passed
-    through edit."""
+    """monomial_diagram on p112 with the triangular values of each
+    sample point passed through edit."""
     fan = tb.load_bundled("p112")
     triangular_eval = charts.triangular_eval
-    monkeypatch.setattr(charts, "triangular_eval", lambda chart, w: edit(triangular_eval(chart, w)))
+    monkeypatch.setattr(
+        charts, "triangular_eval", lambda chart, w: [list(r) for r in zip(*map(edit, zip(*triangular_eval(chart, w))))]
+    )
     return verify._monomial_diagram(_context(fan, tb.Atlas(fan), samples=5))
 
 
@@ -214,15 +234,14 @@ def test_simplex_inversion_matches_psi_route(name, seed):
 
 
 def test_simplex_inversion_evaluates_triangular_rows_only(monkeypatch):
-    """On P(1,1,1,27), whose charts have up to 408 rows, each sample
-    evaluates exactly the n = 3 triangular monomials."""
+    """On P(1,1,1,27), whose charts have up to 408 rows, each of the
+    500 samples of a chart evaluates exactly the n = 3 triangular
+    monomials, in one batch per chart."""
     atlas = tb.Atlas(tb.parse_and_validate(json.dumps(WPS_1_1_1_27)))
     ctx = _context(atlas.fan, atlas)
-    rows = []
-    monomials = charts._monomials
-    monkeypatch.setattr(charts, "_monomials", lambda terms, w: rows.append(len(terms)) or monomials(terms, w))
+    shapes = _spy_triangular_eval(monkeypatch)
     assert verify._simplex_inversion(ctx)[0]
-    assert rows == [3] * (500 * len(ctx.charts))
+    assert shapes == [(3, 500)] * len(ctx.charts)
 
 
 def _steep(k):
@@ -258,14 +277,14 @@ def _replace_chart(monkeypatch, ctx):
 
 def _off_inversion(monkeypatch, ctx):
     invert = charts.invert_triangular
-    monkeypatch.setattr(charts, "invert_triangular", lambda b, y: tuple(w + 1e-6 for w in invert(b, y)))
+    monkeypatch.setattr(charts, "invert_triangular", lambda b, y: [[w + 1e-6 for w in col] for col in invert(b, y)])
 
 
 def test_simplex_inversion_fails_on_nan_gaps(monkeypatch):
     """invert_triangular returning NaN for every sample fails the check,
     with the worst gap reported as None."""
     fan = tb.load_bundled("p112")
-    monkeypatch.setattr(charts, "invert_triangular", lambda b, y: (math.nan,) * len(b))
+    monkeypatch.setattr(charts, "invert_triangular", lambda b, y: [[math.nan] * len(y[0]) for _ in b])
     assert verify._simplex_inversion(_context(fan, tb.Atlas(fan))) == (False, {"worst_gap": None})
 
 
