@@ -25,10 +25,20 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import pairwise
 
 from .bary import NotInCone, enumerate_flags, locate_flag
-from .charts import TWO_PI, Atlas, NotInOpenSet, ToricPoint, _monomials, scaled_gaps, sup_gap, triangular_eval
+from .charts import (
+    TWO_PI,
+    Atlas,
+    NotInOpenSet,
+    ToricPoint,
+    _monomials,
+    invert_triangular,
+    scaled_gaps,
+    sup_gap,
+    theta_preimage,
+    triangular_eval,
+)
 from .exact import pair, vsub
 from .fan import Cone, Fan, ridge_pairing
 from .homeo import bary_to_delta
@@ -379,59 +389,41 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
     return out
 
 
-def _log_pairings(values):
-    """ell = -log(y) / 2 pi for each chart value y, the pairing <g, x>
-    when y = e^(-2 pi <g, x>); None when some y is 0.0 or not finite."""
-    if not all(0.0 < y < math.inf for y in values):
-        return None
-    return [-math.log(y) / TWO_PI for y in values]
-
-
-def _cone_point(chart, ells):
-    """The simplicial coordinates u and the point x = sum_k u_k B_k of
-    N_R whose pairings with the chart's n triangular generators are
-    ells.  Row i of the triangular block of chart.c, <alpha_i, B_k>,
-    vanishes for k < i and is positive at k = i, so u is found by
-    back-substitution."""
-    n = chart.n
-    u = [0.0] * n
-    for i in reversed(range(n)):
-        row = chart.c[i]
-        u[i] = (ells[i] - sum(row[k] * u[k] for k in range(i + 1, n))) / row[i]
-    return u, tuple(sum(uk * b[t] for uk, b in zip(u, chart.flag.barycenters)) for t in range(n))
-
-
 def _sample_coords(w):
-    """The simplicial coordinates of a simplex-chain point w, the u with
-    theta(e^(-2 pi u)) = w: u_j = -log(w_j / w_(j+1)) / 2 pi, w_(n+1) = 1."""
-    return [-math.log(a / b) / TWO_PI for a, b in pairwise([*w, 1.0])]
+    """The simplicial coordinates u of a simplex-chain point w, with
+    theta(e^(-2 pi u)) = w: u_j = -log(w_j / w_(j+1)) / 2 pi, w_(n+1) = 1,
+    read through theta_preimage.  None unless every w_j is positive and
+    finite."""
+    if not all(0.0 < v < math.inf for v in w):
+        return None
+    return [-math.log(z) / TWO_PI for z in theta_preimage(w)]
 
 
 def _locate_cross_check(atlas: Atlas, flags, rng, count, tol):
     """Float cross-check of the evaluators behind the distinct half:
     count seeded interior points of each maximal flag F's simplex are
-    mapped through the chart's triangular rows, in one batch
-    (charts.triangular_eval), u and x are recovered
-    from the values (_log_pairings, _cone_point), bary.locate_flag must
-    return F, and u must match the sample's own coordinates
-    (_sample_coords) within tol, each gap scaled by max(1, |u_j|).  Each
-    point lies a fixed margin inside F's open cone, so F is the only
-    answer.  Returns the counterexamples: a "locate" one names F, the
-    located flag (None when a chart value is 0.0 or not finite, or
-    nothing is located) and the sample; a "coordinates" one names F, the
-    worst scaled gap and the sample."""
+    mapped through the chart's triangular rows and recovered, in one
+    batch per step (charts.triangular_eval, charts.invert_triangular:
+    simplex_inversion's route).  The recovered u (_sample_coords) give
+    x = sum_k u_k B_k; bary.locate_flag must return F, and u must match
+    the sample's own coordinates within tol, each gap scaled by
+    max(1, |u_j|).  Each point lies a fixed margin inside F's open cone,
+    so F is the only answer.  Returns the counterexamples: a "locate"
+    one names F, the located flag (None when a recovered w_j is not
+    positive and finite, or nothing is located) and the sample; a
+    "coordinates" one names F, the worst scaled gap and the sample."""
     index = {flag: fi for fi, flag in enumerate(flags)}
     out = []
     for fi, flag in enumerate(flags):
         chart = atlas.chart(flag)
         samples = _interior_samples(rng, len(flag), count)
         points = [bary_to_delta(xi) for xi in samples]
-        values = zip(*triangular_eval(chart, list(zip(*points))))
-        for xi, w, y in zip(samples, points, values):
-            ells = _log_pairings(y)
-            u = located = None
-            if ells is not None:
-                u, x = _cone_point(chart, ells)
+        back = invert_triangular(chart.b[: chart.n], triangular_eval(chart, list(zip(*points))))
+        for xi, w, v in zip(samples, points, zip(*back)):
+            u = _sample_coords(v)
+            located = None
+            if u is not None:
+                x = tuple(sum(uk * b[t] for uk, b in zip(u, flag.barycenters)) for t in range(chart.n))
                 try:
                     located = index.get(locate_flag(atlas.fan, x))
                 except NotInCone:

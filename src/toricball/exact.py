@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import Sequence
 
 class DimensionMismatch(ValueError):
@@ -25,8 +25,15 @@ class SingularMatrix(ValueError):
 
 
 def vec(entries) -> tuple:
-    """Coerce an iterable of numbers to a tuple of exact rationals."""
-    return tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in entries)
+    """Coerce an iterable of finite numbers to a tuple of exact rationals;
+    an infinite or NaN entry, which has no exact value, is a ValueError."""
+    return tuple(x if isinstance(x, (int, Fraction)) else _rational(x) for x in entries)
+
+
+def _rational(x) -> Fraction:
+    if x != x or x in (inf, -inf):
+        raise ValueError(f"coordinates must be finite, got {x!r}")
+    return Fraction(x)
 
 
 def pair(alpha, x) -> "int | Fraction":

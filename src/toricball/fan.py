@@ -65,11 +65,6 @@ class Cone:
     dual_lineality: tuple
 
     @property
-    def facet_normals(self):
-        """Inward facet normals, one per facet, vanishing exactly on it."""
-        return tuple(normal for normal, _ in _ck.facets_of(self.generators, self.dual_rays))
-
-    @property
     def dual_generators(self):
         return _ck.generator_list(self.dual_lineality, self.dual_rays)
 

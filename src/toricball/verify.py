@@ -6,7 +6,9 @@ of the checks before it) and returns (passed, details), or None when it
 does not apply to the fan.  Checks run in table order.  Each draws from
 a generator seeded by the run's seed and its own name, so a fixed seed
 and configuration give a byte-identical report, and adding, removing or
-reordering a check leaves every other entry unchanged.
+reordering a check leaves every other entry unchanged.  The exception,
+intersection_gluing, draws from random.Random(seed), seeded by the run's
+seed alone inside cellcomplex.verify_gluing: no other check moves it.
 
 The float cross-checks are sized by the rank n, not by the Hilbert
 basis.  A chart's point is fixed by its n triangular rows, and the exact
@@ -74,8 +76,8 @@ Negative controls, each a test in tests/test_verify.py unless named:
 - hilbert_minimality: a generator sum added to every basis
   (test_cli.py::test_hilbert_minimality_names_witnesses).
 - intersection_gluing: a perturbed localization rule or exponent row
-  (test_complex.py); a sign flipped in cellcomplex._log_pairings, or in
-  cellcomplex._cone_point's back-substitution (test_complex.py);
+  (test_complex.py); an inversion off by 1e-6 in the locate cross-check
+  (test_complex.py::test_locate_cross_check_fails_on_off_inversion);
   Chart.terms alone perturbed, with the exact gates passing; --tamper on
   p2, which names monomial_diagram as a failed gate; a NaN localized
   value (test_complex.py::test_subflag_cross_check_fails_on_nan_gap).

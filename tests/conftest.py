@@ -55,6 +55,12 @@ def cube_faces_fan():
     return tb.validate_fan(3, rays, maxc)
 
 
+def wps_fan(n, k):
+    """P(1,...,1,k) of rank n: the unit vectors and (-1,...,-1,-k)."""
+    rays = [tuple(int(i == j) for i in range(n)) for j in range(n)] + [(-1,) * (n - 1) + (-k,)]
+    return tb.validate_fan(n, rays, [[i for i in range(n + 1) if i != s] for s in range(n + 1)])
+
+
 def stellar_fan(base, steps, c_max, seed):
     """Seeded stellar subdivisions of a simplicial fan.
 

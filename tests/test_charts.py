@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricball as tb
-from conftest import get_atlas
+from conftest import get_atlas, wps_fan
 from toricball import charts, verify
 from toricball.bary import Flag
 from toricball.cones import cutting_functional
@@ -453,17 +453,11 @@ def test_exp_pairings_matches_fraction_pairing(case):
     assert exp_pairings(gens, x) == tuple(math.exp(-TWO_PI * float(pair(g, x))) for g in gens)
 
 
-def _wps(n, k):
-    """P(1,...,1,k) of rank n: the unit vectors and (-1,...,-1,-k)."""
-    rays = [tuple(int(i == j) for i in range(n)) for j in range(n)] + [(-1,) * (n - 1) + (-k,)]
-    return tb.validate_fan(n, rays, [[i for i in range(n + 1) if i != s] for s in range(n + 1)])
-
-
 def test_localization_rule_high_multiplicity_bounded():
     """The slowest rule of P(1,1,1,27), from its multiplicity-27 cone to
     the zero cone, stays within a budget (10 s on a 2-core VM), and
     every row recombines exactly to h + k*alpha."""
-    fan = _wps(3, 27)
+    fan = wps_fan(3, 27)
     atlas = Atlas(fan)
     sigma, zero = fan.cone({0, 1, 3}), fan.zero_cone()
     start = time.perf_counter()
@@ -486,7 +480,7 @@ def test_localization_rule_high_multiplicity_bounded():
 
 
 @pytest.mark.parametrize(
-    "make_fan", [lambda: tb.load_bundled("twisted_p3"), lambda: _wps(3, 27)], ids=["twisted_p3", "wps_1_1_1_27"]
+    "make_fan", [lambda: tb.load_bundled("twisted_p3"), lambda: wps_fan(3, 27)], ids=["twisted_p3", "wps_1_1_1_27"]
 )
 def test_localization_shift_matches_probing_loop(make_fan):
     """Every row's shift k, taken in closed form from sigma's rays, is
@@ -632,11 +626,11 @@ def _assert_kernels_match_pointwise(chart, points):
 
 _KERNEL_FANS = {
     **{name: (lambda name=name: tb.load_bundled(name)) for name in tb.BUNDLED_FANS},
-    **{f"wps_{'1_' * (n - 1)}{k}": (lambda n=n, k=k: _wps(n, k)) for n, k in ((2, 2), (2, 7), (2, 20), (3, 3), (3, 9), (3, 27))},
+    **{f"wps_{'1_' * (n - 1)}{k}": (lambda n=n, k=k: wps_fan(n, k)) for n, k in ((2, 2), (2, 7), (2, 20), (3, 3), (3, 9), (3, 27))},
     "steep_119": lambda: tb.validate_fan(2, [(1, 0), (-1, 119), (-1, 0), (0, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]]),
-    "wps_1_1_90": lambda: _wps(2, 90),
-    "wps_1_1_1_80": lambda: _wps(3, 80),
-    "wps_1_1_400": lambda: _wps(2, 400),
+    "wps_1_1_90": lambda: wps_fan(2, 90),
+    "wps_1_1_1_80": lambda: wps_fan(3, 80),
+    "wps_1_1_400": lambda: wps_fan(2, 400),
 }
 
 
@@ -667,7 +661,7 @@ def test_batch_kernels_match_pointwise_on_special_values():
     reference inversion raises (a zero acc to divide by) raises the
     same error in the batch kernel."""
     points = list(itertools.product(_SPECIALS, repeat=3))
-    for chart in [*get_atlas("p3").charts(), *Atlas(_wps(3, 9)).charts()]:
+    for chart in [*get_atlas("p3").charts(), *Atlas(wps_fan(3, 9)).charts()]:
         values = triangular_eval(chart, list(zip(*points)))
         assert _bits(values) == _bits(zip(*[_pointwise_triangular_eval(chart, w) for w in points])), chart.flag
     raised = 0

@@ -21,7 +21,7 @@ from toricball.cellcomplex import (
     verify_gluing,
     verify_regularity,
 )
-from toricball.charts import triangular_eval
+from toricball.charts import TWO_PI, invert_triangular, triangular_eval
 from toricball.exact import pair
 from toricball.fan import star_fan, validate_fan
 from toricball.homeo import bary_to_delta
@@ -304,8 +304,9 @@ def test_gluing_identity_fails_on_perturbed_b():
 def test_verify_gluing_distinct_pin():
     """P(1,1,20) at seed 5, where the sampled distinct half used to report
     the pair stored in distinct.json: verify_gluing now passes, and each
-    point of the stored pair is located back to its own flag from its
-    chart values, so the locate cross-check tells the two apart."""
+    point of the stored pair is recovered from its chart values
+    (charts.invert_triangular) and located back to its own flag, so the
+    locate cross-check tells the two apart."""
     data = Path(__file__).parent / "data" / "gluing_wps_1_1_20_seed5"
     atlas = tb.Atlas(tb.parse_and_validate((data / "fan.json").read_text()))
     report = verify_gluing(atlas, samples_per_pair=50, tol=1e-9, seed=5)
@@ -315,9 +316,10 @@ def test_verify_gluing_distinct_pin():
     (pin,) = json.loads((data / "distinct.json").read_text())
     for f, xi in zip(pin["flags"], pin["xi"]):
         chart = atlas.chart(flags[f])
-        (values,) = zip(*triangular_eval(chart, [[v] for v in bary_to_delta(xi)]))
-        ells = cellcomplex._log_pairings(values)
-        assert locate_flag(atlas.fan, cellcomplex._cone_point(chart, ells)[1]) == flags[f]
+        back = invert_triangular(chart.b[: chart.n], triangular_eval(chart, [[v] for v in bary_to_delta(xi)]))
+        u = cellcomplex._sample_coords([v for (v,) in back])
+        x = tuple(sum(uk * b[t] for uk, b in zip(u, flags[f].barycenters)) for t in range(chart.n))
+        assert locate_flag(atlas.fan, x) == flags[f]
 
 
 @pytest.mark.xfail(
@@ -371,33 +373,13 @@ def test_locate_cross_check_fails_on_perturbed_terms():
     assert all(c["flag"] == 0 and c["located"] not in (0, None) for c in report.counterexamples)
 
 
-def test_locate_cross_check_fails_on_flipped_log_sign(monkeypatch):
-    """With -log(y) / 2 pi read as +log(y) / 2 pi, every sample of every
-    flag is recovered as -x, which lies in another flag's cone; each
-    counterexample names the flag and the flag it was located in."""
-    log_pairings = cellcomplex._log_pairings
-    monkeypatch.setattr(cellcomplex, "_log_pairings", lambda values: [-v for v in log_pairings(values)])
-    report = verify_gluing(tb.Atlas(tb.load_bundled("p2")), samples_per_pair=10, seed=0)
-    assert not report.passed
-    assert [c["kind"] for c in report.counterexamples] == ["locate"] * 6 * 5
-    assert [c["flag"] for c in report.counterexamples] == [f for f in range(6) for _ in range(5)]
-    assert all(c["located"] not in (c["flag"], None) for c in report.counterexamples)
-
-
-def test_locate_cross_check_fails_on_flipped_back_substitution(monkeypatch):
-    """With + for - in _cone_point's back-substitution every recovered
-    point of p2 stays in its own flag's cone, so locating alone passes;
-    the comparison with each sample's own coordinates fails it."""
-
-    def flipped(chart, ells):
-        n = chart.n
-        u = [0.0] * n
-        for i in reversed(range(n)):
-            row = chart.c[i]
-            u[i] = (ells[i] + sum(row[k] * u[k] for k in range(i + 1, n))) / row[i]
-        return u, tuple(sum(uk * b[t] for uk, b in zip(u, chart.flag.barycenters)) for t in range(n))
-
-    monkeypatch.setattr(cellcomplex, "_cone_point", flipped)
+def test_locate_cross_check_fails_on_off_inversion(monkeypatch):
+    """With every w recovered by invert_triangular off by 1e-6 in the
+    locate route, each sample's recovered coordinates miss its own by
+    more than tol: every sample of every flag is a counterexample, and
+    the subflag cross-check, which inverts nothing, still passes."""
+    invert = cellcomplex.invert_triangular
+    monkeypatch.setattr(cellcomplex, "invert_triangular", lambda b, y: [[w + 1e-6 for w in col] for col in invert(b, y)])
     report = verify_gluing(tb.Atlas(tb.load_bundled("p2")), samples_per_pair=10, seed=0)
     assert not report.passed
     expected = [("coordinates", f) for f in range(6) for _ in range(5)]
@@ -406,20 +388,22 @@ def test_locate_cross_check_fails_on_flipped_back_substitution(monkeypatch):
 
 
 def test_locate_cross_check_names_underflowed_values():
-    """A triangular value that underflows to 0.0 is a counterexample
-    with no located flag, not a math.log error.  With w1^2000 for flag
-    0's first row, most of its samples underflow; one that does not is
-    recovered at the wrong coordinates."""
+    """A triangular value that underflows to 0.0 is recovered as
+    w_1 = 0.0, which _sample_coords turns away: a counterexample with no
+    located flag, not a math.log error.  With w1^2000 for flag 0's first
+    row, most of its samples underflow; one that does not is recovered
+    at the wrong coordinates."""
     atlas, flags = _p2_with_terms(lambda terms: (((0, 2000),), *terms[1:]))
     report = verify_gluing(atlas, samples_per_pair=10, seed=0)
     found = report.counterexamples
     assert len(found) == 5 and all(c["flag"] == 0 for c in found)
     assert ("locate", None) in [(c["kind"], c.get("located")) for c in found]
     assert all(c["kind"] == "coordinates" or c["located"] is None for c in found)
-    assert cellcomplex._log_pairings([0.5, 0.0]) is None
-    assert cellcomplex._log_pairings([float("inf")]) is None
-    assert cellcomplex._log_pairings([float("nan")]) is None
-    assert cellcomplex._log_pairings([1.0, -0.5]) is None
+    assert cellcomplex._sample_coords([0.5, 0.0]) is None
+    assert cellcomplex._sample_coords([0.5, math.inf]) is None
+    assert cellcomplex._sample_coords([math.nan, 0.5]) is None
+    assert cellcomplex._sample_coords([-0.5, 1.0]) is None
+    assert cellcomplex._sample_coords([0.25, 0.5]) == [-math.log(0.5) / TWO_PI] * 2
 
 
 def test_verify_gluing_disjoint_flags_share_only_origin(atlas_p1xp1):

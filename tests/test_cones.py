@@ -9,13 +9,14 @@ from fractions import Fraction
 import pytest
 
 import toricball as tb
-from conftest import cube_faces_fan, stellar_fan
+from conftest import cube_faces_fan, stellar_fan, wps_fan
 from toricball import cones
 from toricball.cones import (
     SemigroupGens,
     cutting_functional,
     decompose,
     dual_generators,
+    facets_of,
     hilbert_basis,
     minimality_violations,
     relative_interior_point,
@@ -288,7 +289,7 @@ def test_facet_normals_sign_pattern():
         for cone in fan.cones():
             if cone.dim == 0:
                 continue
-            for normal in cone.facet_normals:
+            for normal, _ in facets_of(cone.generators, cone.dual_rays):
                 values = [pair(normal, g) for g in cone.generators]
                 assert all(v >= 0 for v in values)
                 # Vanishing locus is a proper face spanning one dim less.
@@ -530,22 +531,16 @@ def _pairwise_pointed_semigroup_generators(rays, normals, n):
     return tuple(sorted(g for g, _ in kept))
 
 
-def _wps(n, k):
-    """P(1,...,1,k) of rank n: the unit vectors and (-1,...,-1,-k)."""
-    rays = [tuple(int(i == j) for i in range(n)) for j in range(n)] + [(-1,) * (n - 1) + (-k,)]
-    return validate_fan(n, rays, [[i for i in range(n + 1) if i != s] for s in range(n + 1)])
-
-
 WPS_FANS = {f"wps_{'1_' * (n - 1)}{k}": (n, k) for n, k in ((2, 2), (2, 7), (2, 20), (3, 3), (3, 9), (3, 27))}
 
 
 def _named_fan(name):
     if name in WPS_FANS:
-        return _wps(*WPS_FANS[name])
+        return wps_fan(*WPS_FANS[name])
     if name == "wps_1_1_1_60":
-        return _wps(3, 60)
+        return wps_fan(3, 60)
     if name == "p4":
-        return _wps(4, 1)
+        return wps_fan(4, 1)
     if name == "p1^4":
         rays = [tuple(s * int(i == j) for i in range(4)) for j in range(4) for s in (1, -1)]
         return validate_fan(4, rays, [[2 * i + s for i, s in enumerate(p)] for p in itertools.product((0, 1), repeat=4)])

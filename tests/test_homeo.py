@@ -84,6 +84,15 @@ def test_rescale_global_rank_zero():
     assert rescale_global(fan, ()) == ()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rescale_global_rejects_nonfinite_points(p2, bad):
+    """A non-finite coordinate has no exact value: exact.vec names it,
+    where Fraction raised OverflowError or "cannot convert NaN"."""
+    for x in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            rescale_global(p2, x)
+
+
 def test_rescale_requires_membership(p2):
     flag = Flag((p2.cone({0}), p2.cone({0, 1})))
     with pytest.raises(NotInCone):

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import toricball as tb
+from conftest import wps_fan
 from toricball import charts, homeo, verify
 from toricball.bary import simplicial_coords
 from toricball.cones import dual_generators
@@ -266,6 +267,20 @@ def test_steep_fan_underflow_pin(name, k):
     ctx = _context(fan, atlas)
     ctx.rng = random.Random(f"0:{name}")
     assert dict(verify.CHECKS)[name](ctx)[0]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="w**k underflows to 0.0 in the linear-value floats; log-domain points (ROADMAP item 1)",
+)
+@pytest.mark.parametrize("k", [90, 400])
+def test_wps_underflow_gate(k):
+    """ROADMAP item 1's gates on valid complete fans that verify rejects
+    today.  P(1,1,90) fails simplex_inversion (worst gap 0.011);
+    P(1,1,400) fails it (0.376) and intersection_gluing, whose locate
+    cross-check finds no flag (located: null) for samples of flag 1."""
+    assert verify.run_verification(wps_fan(2, k), seed=0)["passed"]
 
 
 def _replace_chart(monkeypatch, ctx):
