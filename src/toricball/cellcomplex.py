@@ -14,10 +14,11 @@ fan it is a regular cell structure with a single top cell.
 
 The verification routines certify that the closed flag simplices glue
 along exactly their shared sub-simplices (by integer identities on the
-charts' exponents, with seeded samples as a cross-check of the float
-evaluators; distinct points separate by the exact gates of verify) and
-that every cell closure is again a combinatorial ball (by the link of
-each cone, read off the face lattice).
+charts' exponent rows and, once each, on the localization rules, with
+seeded samples as a cross-check of the float evaluators; distinct
+points separate by the exact gates of verify) and that every cell
+closure is again a combinatorial ball (by the link of each cone, read
+off the face lattice).
 """
 
 from __future__ import annotations
@@ -232,12 +233,12 @@ def _steps(barycenters):
     return [b if j == 0 else vsub(b, barycenters[j - 1]) for j, b in enumerate(barycenters)]
 
 
-def _compose(terms, rows, n):
-    """Exponent vector of a decomposition's terms under the exponent rows."""
-    out = [0] * n
+def _compose(terms, vectors):
+    """sum_i c_i * vectors[i] over a decomposition's (i, c_i) terms."""
+    out = [0] * len(vectors[0])
     for i, c in terms:
-        for j in range(n):
-            out[j] += c * rows[i][j]
+        for j, v in enumerate(vectors[i]):
+            out[j] += c * v
     return out
 
 
@@ -246,26 +247,47 @@ def gluing_identities(atlas: Atlas, flags):
 
     Returns (number of identities checked, witnesses of the failed ones).
 
-    The chart of a maximal flag F, with top cone sigma and barycenters
-    B_1..B_n (B_0 = 0), gives h in H(sigma) the value prod_j w_j^b_hj.
-    The localization rule sigma -> tau writes h' + k*alpha (h' in
-    H(tau)) and alpha in H(sigma); composed with the Hilbert rows of b
-    it gives the exponent of w_j in h''s localized value,
-    sum_h c_h b_hj - k sum_h a_h b_hj.  For every face tau of sigma
-    (sigma itself included, where the rule is the identity) and every
-    h' in H(tau), that exponent must equal <h', B_j> - <h', B_{j-1}>
-    for every j.  For tau != sigma the rule's alpha = sum_h a_h h must
-    also vanish on tau's rays and be positive on sigma's other rays.
+    Two kinds of identity are checked, each fact once:
+
+      rows, per maximal flag F with top cone sigma and barycenters
+      B_1..B_n (B_0 = 0): the Hilbert row of b of each h in H(sigma) is
+      b_hj = <h, B_j - B_(j-1)> for every j (witness: flag, face =
+      sigma, generator, found and expected rows);
+
+      rules, once per localization rule sigma -> tau, for sigma the
+      distinct top cones of flags in first-seen order and tau each
+      proper face of sigma in fan.faces order: the rule's alpha =
+      sum_h a_h h vanishes on tau's rays and is positive on sigma's
+      other rays (witness: cone, face, cutting_functional), and its row
+      of each h' in H(tau) satisfies sum_h c_h h = h' + k*alpha in M
+      (witness: cone, face, generator = h', found = sum_h c_h h,
+      expected = h' + k*alpha).
+
+    The rules hold for every flag ending in sigma.  For such a flag,
+    the rule composed with the Hilbert rows gives the exponent of w_j in
+    h''s localized value, sum_h c_h b_hj - k sum_h a_h b_hj.  By the
+    rows this is <sum_h c_h h - k*alpha, B_j - B_(j-1)>, and by the rule
+    <h', B_j - B_(j-1)>: the exponent of w_j in h''s value on tau's own
+    flag charts.  Conversely, the steps B_j - B_(j-1) form a basis of
+    N_Q (the barycenters do, and the steps are a unitriangular change of
+    them), so that exponent identity for every j forces the rule's
+    identity in M.  The rows and the rules thus certify exactly the
+    per-flag identities "the localized row of h' is
+    (<h', B_j - B_(j-1)>)_j, for every face tau of sigma", at
+    sum_F |H(sigma_F)| + sum_sigma sum_(tau < sigma) (1 + |H(tau)|)
+    identities rather than once per flag ending in sigma.  Each chart
+    has its own b, so the rows stay per flag: checking them here keeps
+    verify_gluing sound on its own.
 
     Why this certifies the gluing.  Let S be a subflag of F at positions
     s_1 < ... < s_k, with top cone tau (the zero cone if S is empty).  A
     point of S's closed simplex has xi = 0 off the origin vertex and S,
     so w_j = xi_0 + ... + xi_{j-1} is constant between members of S:
     w_j = W_t = xi_0 + xi_{s_1} + ... + xi_{s_t} for s_t < j <= s_{t+1}
-    (s_0 = 0), and w_j = 1 past s_k.  By the tau = sigma identities the
-    exponent of w_j in alpha's value is <alpha, B_j - B_{j-1}>, zero up
-    to s_k since alpha vanishes on tau, so alpha's value is 1 and the
-    point lies in tau's chart.  There the value of h' is
+    (s_0 = 0), and w_j = 1 past s_k.  By the rows, the exponent of w_j
+    in alpha's value is <alpha, B_j - B_{j-1}>, zero up to s_k since
+    alpha vanishes on tau, so alpha's value is 1 and the point lies in
+    tau's chart.  There the value of h' is
 
         prod_j w_j^<h', B_j - B_{j-1}>  =  prod_{t<k} W_t^<h', B_{s_{t+1}} - B_{s_t}>,
 
@@ -281,39 +303,30 @@ def gluing_identities(atlas: Atlas, flags):
     failures = []
     for fi, flag in enumerate(flags):
         chart = atlas.chart(flag)
-        sigma, n = chart.top_cone, chart.n
-        gens = atlas.hilbert(sigma).generators
-        rows = [chart.b[r] for r in chart.hilbert_rows]
+        face = sorted(chart.top_cone.rays)
         steps = _steps(flag.barycenters)
+        for h, r in zip(atlas.hilbert(chart.top_cone).generators, chart.hilbert_rows):
+            count += 1
+            found, expected = list(chart.b[r]), [pair(h, d) for d in steps]
+            if found != expected:
+                failures.append({"flag": fi, "face": face, "generator": list(h), "found": found, "expected": expected})
+    for sigma in dict.fromkeys(flag.cones[-1] for flag in flags):
+        gens = atlas.hilbert(sigma).generators
         for tau in atlas.fan.faces(sigma):
-            rule = atlas._localization_rule(sigma, tau)
-            if rule[0] == "identity":
-                found = [(h, list(row)) for h, row in zip(gens, rows)]
-            else:
-                _, alpha_terms, shifts, _ = rule
-                alpha = _compose(alpha_terms, gens, len(gens[0]))
+            if tau.rays == sigma.rays:
+                continue
+            _, alpha_terms, shifts, _ = atlas._localization_rule(sigma, tau)
+            alpha = _compose(alpha_terms, gens)
+            where = {"cone": sorted(sigma.rays), "face": sorted(tau.rays)}
+            count += 1
+            others = [r for i, r in zip(sorted(sigma.rays), sigma.generators) if i not in tau.rays]
+            if any(pair(alpha, r) != 0 for r in tau.generators) or any(pair(alpha, r) <= 0 for r in others):
+                failures.append({**where, "cutting_functional": alpha})
+            for h, (k, terms) in zip(atlas.hilbert(tau).generators, shifts):
                 count += 1
-                others = [r for i, r in zip(sorted(sigma.rays), sigma.generators) if i not in tau.rays]
-                if any(pair(alpha, r) != 0 for r in tau.generators) or any(pair(alpha, r) <= 0 for r in others):
-                    failures.append({"flag": fi, "face": sorted(tau.rays), "cutting_functional": alpha})
-                cut = _compose(alpha_terms, rows, n)
-                found = [
-                    (h, [e - k * a for e, a in zip(_compose(terms, rows, n), cut)])
-                    for h, (k, terms) in zip(atlas.hilbert(tau).generators, shifts)
-                ]
-            for h, exponents in found:
-                count += 1
-                expected = [pair(h, d) for d in steps]
-                if exponents != expected:
-                    failures.append(
-                        {
-                            "flag": fi,
-                            "face": sorted(tau.rays),
-                            "generator": list(h),
-                            "found": exponents,
-                            "expected": expected,
-                        }
-                    )
+                found, expected = _compose(terms, gens), [e + k * a for e, a in zip(h, alpha)]
+                if found != expected:
+                    failures.append({**where, "generator": list(h), "found": found, "expected": expected})
     return count, failures
 
 
@@ -345,10 +358,10 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
     The full flag, k = n, is certified instead of sampled.  Its rule is
     the identity, and its telescoped terms (_telescoped_terms) are the
     nonzero (j, <h, B_j - B_(j-1)>) pairs of each h in H(sigma).  By
-    gluing_identities' tau = sigma identities those are the nonzero
-    entries of h's row of b, which chart_invariants certifies to be
-    exactly chart.hilbert_terms.  Both sides would multiply the same
-    terms at the same w, so the gap is 0.0 by construction.
+    gluing_identities' rows those are the nonzero entries of h's row of
+    b, which chart_invariants certifies to be exactly
+    chart.hilbert_terms.  Both sides would multiply the same terms at
+    the same w, so the gap is 0.0 by construction.
 
     Returns the counterexamples, with gap None where the point does not
     localize or a gap is NaN; the worst passing gap goes to report, so
@@ -404,13 +417,25 @@ def _locate_cross_check(atlas: Atlas, flags, rng, count, tol):
     count seeded interior points of each maximal flag F's simplex are
     mapped through the chart's triangular rows and recovered, in one
     batch per step (charts.triangular_eval, charts.invert_triangular:
-    simplex_inversion's route).  The recovered u (_sample_coords) give
-    x = sum_k u_k B_k; bary.locate_flag must return F, and u must match
-    the sample's own coordinates within tol, each gap scaled by
-    max(1, |u_j|).  Each point lies a fixed margin inside F's open cone,
-    so F is the only answer.  Returns the counterexamples: a "locate"
-    one names F, the located flag (None when a recovered w_j is not
-    positive and finite, or nothing is located) and the sample; a
+    simplex_inversion's route).  Each point lies a fixed margin inside
+    F's simplex, so its own simplicial coordinates are positive, and
+    the recovered u (_sample_coords) must match them within tol, each
+    gap scaled by max(1, |u_j|).
+
+    What the locate half decides is whether the recovered point stays in
+    F's open flag cone, that is, whether every u_k > 0.  Such a point
+    x = sum_k u_k B_k is located in F without a search.  By the cover
+    certificate (bary.cover_check) the open flag cones of distinct
+    maximal flags are disjoint.  A maximal flag cone is the closure of
+    its open cone, so if it contained x, a point of the open set F's
+    open cone, the two open cones would meet.  So F is the only maximal
+    flag whose cone contains x, and bary.locate_flag would return F.
+    Only a sample whose u is None (a recovered w_j not positive and
+    finite) or has some u_k <= 0 is located by bary.locate_flag, so
+    that its counterexample names where it went.
+
+    Returns the counterexamples: a "locate" one names F, the located
+    flag (None when u is None or nothing is located) and the sample; a
     "coordinates" one names F, the worst scaled gap and the sample."""
     index = {flag: fi for fi, flag in enumerate(flags)}
     out = []
@@ -422,7 +447,9 @@ def _locate_cross_check(atlas: Atlas, flags, rng, count, tol):
         for xi, w, v in zip(samples, points, zip(*back)):
             u = _sample_coords(v)
             located = None
-            if u is not None:
+            if u is not None and all(uk > 0 for uk in u):
+                located = fi
+            elif u is not None:
                 x = tuple(sum(uk * b[t] for uk, b in zip(u, flag.barycenters)) for t in range(chart.n))
                 try:
                     located = index.get(locate_flag(atlas.fan, x))
@@ -468,10 +495,15 @@ def verify_gluing(atlas: Atlas, samples_per_pair: int = 50, tol: float = 1e-9, s
          differently with x and x', so the points differ.
 
     verify reports this half as exact and fails it when either gate
-    fails.  What the identities do not cover is the float evaluators;
-    _locate_cross_check locates samples of each maximal flag back to
-    it and compares their recovered simplicial coordinates with their
-    own, at samples_per_pair // 2 points per flag.
+    fails.  What the identities do not cover is the float evaluators.
+    _locate_cross_check recovers samples_per_pair // 2 interior points
+    of each maximal flag F through its chart's triangular rows, and
+    decides whether each recovered point stays in F's open flag cone
+    (every recovered u_k > 0).  That such a point is located in F is
+    fact 2, so it is not searched for; a point that leaves the open cone
+    is located by bary.locate_flag, to name where it went.  Points that
+    stay have their recovered simplicial coordinates compared with their
+    own.
 
     One seeded generator feeds the subflag cross-check, then the locate
     cross-check.  Counterexamples are listed identities first, then

@@ -33,7 +33,7 @@ from operator import mul, sub, truediv
 
 from . import cones as _ck
 from .bary import Flag, enumerate_flags, simplicial_coords
-from .exact import pair, vadd, vscale
+from .exact import DimensionMismatch, pair, vadd, vscale
 from .fan import Cone, Fan
 
 TWO_PI = 2.0 * math.pi
@@ -228,10 +228,13 @@ def invert_triangular(b, columns):
 def psi_invert(chart: Chart, y, tol: float = 1e-9):
     """Preimage in Delta_n of a chart point, using the triangular rows.
 
-    Only the first n coordinates determine the answer; the remaining
-    m - n coordinates are checked as a residual and NotInImage is raised
-    when the worst mismatch exceeds tol or is NaN (see sup_gap).
+    y must hold all m coordinates (DimensionMismatch otherwise).  Only
+    the first n determine the answer; the remaining m - n are checked as
+    a residual and NotInImage is raised when the worst mismatch exceeds
+    tol or is NaN (see sup_gap).
     """
+    if len(y) != chart.m:
+        raise DimensionMismatch(f"chart point of length {len(y)}, expected {chart.m}")
     n = chart.n
     w = tuple(col[0] for col in invert_triangular(chart.b[:n], [[float(y[i])] for i in range(n)]))
     residual = sup_gap(map(abs, map(sub, _monomials(chart.terms, w), map(float, y))))

@@ -15,9 +15,10 @@ basis.  A chart's point is fixed by its n triangular rows, and the exact
 gates certify every other row: monomial_diagram's identities each b row
 as linear in h, chart_invariants that Chart.terms is exactly b's
 nonzero entries, and intersection_gluing's identities every localized
-row.  So monomial_diagram and simplex_inversion evaluate the n
-triangular rows only, and intersection_gluing's shared half only the
-rows each localization rule reads (cellcomplex._subflag_cross_check).
+row (each flag's Hilbert rows, and each localization rule once, in M).
+So monomial_diagram and simplex_inversion evaluate the n triangular
+rows only, and intersection_gluing's shared half only the rows each
+localization rule reads (cellcomplex._subflag_cross_check).
 A NaN gap fails its check and is reported as null, so that the report
 stays strict JSON.
 
@@ -53,9 +54,11 @@ facts that cover them:
   relation h_i + h_j = h_k + h_l of a Hilbert basis.  Its values are
   e^(-2 pi <h, x>) of an exact bilinear pairing (charts.exp_pairings),
   and monomial_diagram's exact identities certify every chart row as
-  b_h = (<h, B_j - B_(j-1)>)_j, which is linear in h; intersection_gluing
-  certifies the same of the localized rows (cellcomplex.gluing_identities).  Equal generator sums thus
-  give equal monomials exactly.
+  b_h = (<h, B_j - B_(j-1)>)_j, which is linear in h.  intersection_gluing
+  certifies each localization rule sigma -> tau in M, as
+  sum_h c_h h = h' + k alpha (cellcomplex.gluing_identities), so by
+  that linearity each localized row is b_h' as well.  Equal generator
+  sums thus give equal monomials exactly.
 
 Negative controls, each a test in tests/test_verify.py unless named:
 
@@ -75,12 +78,18 @@ Negative controls, each a test in tests/test_verify.py unless named:
 - regularity: incomplete fans of rank 2 and 3 (test_regularity_names_failing_cells).
 - hilbert_minimality: a generator sum added to every basis
   (test_cli.py::test_hilbert_minimality_names_witnesses).
-- intersection_gluing: a perturbed localization rule or exponent row
-  (test_complex.py); an inversion off by 1e-6 in the locate cross-check
+- intersection_gluing: a perturbed localization rule row, cutting
+  functional or Hilbert row of b, and --tamper's b, each also failing
+  the per-flag reference test_complex.py::_per_flag_identities
+  (test_complex.py::test_gluing_identity_fails_on_*); an inversion off
+  by 1e-6 in the locate cross-check
   (test_complex.py::test_locate_cross_check_fails_on_off_inversion);
-  Chart.terms alone perturbed, with the exact gates passing; --tamper on
-  p2, which names monomial_diagram as a failed gate; a NaN localized
-  value (test_complex.py::test_subflag_cross_check_fails_on_nan_gap).
+  Chart.terms alone perturbed, with the exact gates passing, where the
+  locate cross-check names where each sample went
+  (test_perturbed_terms_fail_locate_cross_check_with_exact_gates_passing,
+  test_complex.py::test_locate_cross_check_fails_on_perturbed_terms);
+  --tamper on p2, which names monomial_diagram as a failed gate; a NaN
+  localized value (test_complex.py::test_subflag_cross_check_fails_on_nan_gap).
 """
 
 from __future__ import annotations

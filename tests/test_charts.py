@@ -16,7 +16,7 @@ from conftest import get_atlas, wps_fan
 from toricball import charts, verify
 from toricball.bary import Flag
 from toricball.cones import cutting_functional
-from toricball.exact import pair, vadd, vscale
+from toricball.exact import DimensionMismatch, pair, vadd, vscale
 from toricball.charts import (
     Atlas,
     NotInImage,
@@ -187,6 +187,19 @@ def test_psi_invert_rejects_nan_in_a_non_triangular_row(atlas_p2):
     with pytest.raises(NotInImage) as caught:
         psi_invert(chart, (*y[: chart.n], math.nan))
     assert math.isnan(caught.value.residual)
+
+
+def test_psi_invert_rejects_points_of_the_wrong_length(p112):
+    """A chart point must carry all m coordinates: on p112's first chart
+    (m = 3, n = 2) a point cut to its n triangular rows, or with an
+    extra coordinate, is refused instead of inverted without a residual."""
+    chart = tb.Atlas(p112).charts()[0]
+    assert (chart.m, chart.n) == (3, 2)
+    y = psi_eval(chart, (0.3, 0.6))
+    assert psi_invert(chart, y) == pytest.approx((0.3, 0.6))
+    for bad in (y[:2], (*y, 123.0)):
+        with pytest.raises(DimensionMismatch):
+            psi_invert(chart, bad)
 
 
 def test_expi_embed_rank1():

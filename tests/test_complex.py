@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import toricball as tb
-from conftest import cube_faces_fan
+from conftest import cube_faces_fan, wps_fan
 from toricball import cellcomplex
 from toricball.bary import locate_flag
 from toricball.cellcomplex import (
@@ -130,9 +130,11 @@ def test_verify_gluing_p2(atlas_p2):
     report = verify_gluing(atlas_p2, samples_per_pair=30, tol=1e-9, seed=0)
     assert report.passed
     assert report.worst_shared_gap <= 1e-9
-    # Per flag: |H| is 2 on the top cone, 3 on each ray and 4 on the zero
-    # cone, plus one cutting functional per proper face: 2 + 2*3 + 4 + 3.
-    assert report.identities == 6 * 15
+    # Rows: |H(sigma)| = 2 per maximal flag.  Rules, once per maximal cone
+    # sigma: one cutting functional plus |H(tau)| rows per proper face
+    # tau, with |H| = 3 on each of its two rays and 4 on the zero cone:
+    # (1 + 3) + (1 + 3) + (1 + 4) = 13.
+    assert report.identities == 6 * 2 + 3 * 13
     assert report.shared_samples == 6 * 2 * 15  # (flag, proper prefix subflag) x samples
     assert report.located_samples == 6 * 15  # maximal flag x samples
 
@@ -229,13 +231,108 @@ def test_subflag_cross_check_fails_on_nan_gap(monkeypatch):
     assert report.worst_shared_gap == 0.0
 
 
-def _perturbed_gluing(edit):
-    """gluing_identities and verify_gluing on a fresh p2 atlas after
-    edit(atlas, flag) has changed the exact data of flag 0."""
-    atlas = tb.Atlas(tb.load_bundled("p2"))
+def _compose_rows(terms, rows, n):
+    """Exponent vector of a decomposition's terms under the exponent rows."""
+    out = [0] * n
+    for i, c in terms:
+        for j in range(n):
+            out[j] += c * rows[i][j]
+    return out
+
+
+def _per_flag_identities(atlas, flags):
+    """The per-flag certificate that gluing_identities replaced, kept as
+    its reference: for every maximal flag F with top cone sigma, every
+    face tau of sigma (sigma itself included, where the rule is the
+    identity) and every h' in H(tau), the rule sigma -> tau composed
+    with F's Hilbert rows of b, in exponent space, must give h''s
+    localized row (<h', B_j - B_(j-1)>)_j; for tau != sigma the rule's
+    alpha must vanish on tau and be positive on sigma's other rays.
+    Each rule is checked once per flag ending in sigma.  Returns
+    (count, failures), with the failures named by flag and face."""
+    count = 0
+    failures = []
+    for fi, flag in enumerate(flags):
+        chart = atlas.chart(flag)
+        sigma, n = chart.top_cone, chart.n
+        gens = atlas.hilbert(sigma).generators
+        rows = [chart.b[r] for r in chart.hilbert_rows]
+        steps = cellcomplex._steps(flag.barycenters)
+        for tau in atlas.fan.faces(sigma):
+            rule = atlas._localization_rule(sigma, tau)
+            if rule[0] == "identity":
+                found = [(h, list(row)) for h, row in zip(gens, rows)]
+            else:
+                _, alpha_terms, shifts, _ = rule
+                alpha = _compose_rows(alpha_terms, gens, len(gens[0]))
+                count += 1
+                others = [r for i, r in zip(sorted(sigma.rays), sigma.generators) if i not in tau.rays]
+                if any(pair(alpha, r) != 0 for r in tau.generators) or any(pair(alpha, r) <= 0 for r in others):
+                    failures.append({"flag": fi, "face": sorted(tau.rays), "cutting_functional": alpha})
+                cut = _compose_rows(alpha_terms, rows, n)
+                found = [
+                    (h, [e - k * a for e, a in zip(_compose_rows(terms, rows, n), cut)])
+                    for h, (k, terms) in zip(atlas.hilbert(tau).generators, shifts)
+                ]
+            for h, exponents in found:
+                count += 1
+                expected = [pair(h, d) for d in steps]
+                if exponents != expected:
+                    failures.append(
+                        {"flag": fi, "face": sorted(tau.rays), "generator": list(h), "found": exponents, "expected": expected}
+                    )
+    return count, failures
+
+
+def _identity_fans():
+    """The bundled fans, the six benchmark P(1,...,1,k) and P^4."""
+    wps = [(f"wps_1_1_{k}", 2, k) for k in (2, 7, 20)] + [(f"wps_1_1_1_{k}", 3, k) for k in (3, 9, 27)]
+    return [*tb.BUNDLED_FANS, *wps, ("p4", 4, 1)]
+
+
+@pytest.mark.parametrize("spec", _identity_fans(), ids=lambda spec: spec if isinstance(spec, str) else spec[0])
+def test_gluing_identities_pass_with_the_per_flag_reference(spec):
+    """gluing_identities and its per-flag reference both pass, and
+    gluing_identities counts the Hilbert rows of every maximal flag plus,
+    once per maximal cone sigma, one cutting functional and |H(tau)|
+    rule rows per proper face tau."""
+    fan = tb.load_bundled(spec) if isinstance(spec, str) else wps_fan(*spec[1:])
+    atlas = tb.Atlas(fan)
+    flags = tb.enumerate_flags(fan, only_maximal=True)
+    count, failures = gluing_identities(atlas, flags)
+    assert failures == [] and _per_flag_identities(atlas, flags)[1] == []
+    size = {cone.rays: len(atlas.hilbert(cone).generators) for cone in fan.cones()}
+    tops = dict.fromkeys(flag.cones[-1] for flag in flags)
+    rules = sum(1 + size[tau.rays] for sigma in tops for tau in fan.faces(sigma) if tau != sigma)
+    assert count == sum(size[flag.cones[-1].rays] for flag in flags) + rules
+
+
+def test_gluing_identities_read_each_rule_once(monkeypatch, twisted_p3):
+    """Each localization rule sigma -> tau is read once per call, for
+    every proper face tau of every maximal cone sigma."""
+    atlas = tb.Atlas(twisted_p3)
+    flags = tb.enumerate_flags(twisted_p3, only_maximal=True)
+    calls = []
+    rule = atlas._localization_rule
+    monkeypatch.setattr(atlas, "_localization_rule", lambda s, t: calls.append((s.rays, t.rays)) or rule(s, t))
+    gluing_identities(atlas, flags)
+    tops = dict.fromkeys(flag.cones[-1] for flag in flags)
+    assert calls == [(s.rays, t.rays) for s in tops for t in twisted_p3.faces(s) if t != s]
+
+
+def _perturbed_gluing(edit, name="p2"):
+    """gluing_identities, its per-flag reference and verify_gluing on a
+    fresh atlas after edit(atlas, flag) has changed the exact data of
+    flag 0."""
+    atlas = tb.Atlas(tb.load_bundled(name))
     flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
     edit(atlas, flags[0])
-    return flags, gluing_identities(atlas, flags), verify_gluing(atlas, samples_per_pair=10, seed=0)
+    return (
+        flags,
+        gluing_identities(atlas, flags),
+        _per_flag_identities(atlas, flags),
+        verify_gluing(atlas, samples_per_pair=10, seed=0),
+    )
 
 
 def test_gluing_identity_fails_on_perturbed_rule():
@@ -248,17 +345,20 @@ def test_gluing_identity_fails_on_perturbed_rule():
         atlas._local_rules[(sigma.rays, tau.rays)] = (kind, alpha_terms, ((k, ((i, c + 1), *rest)), *others), top)
         state.update(face=sorted(tau.rays), generator=list(atlas.hilbert(tau).generators[0]), sigma=sigma)
 
-    flags, (count, failures), report = _perturbed_gluing(edit)
-    assert count == 6 * 15
-    # Every flag ending in sigma reads the perturbed rule, and only those.
+    flags, (count, failures), (_, reference), report = _perturbed_gluing(edit)
+    assert count == 6 * 2 + 3 * 13
+    # The rule is checked once, named by its cone and face.
+    cone = sorted(state["sigma"].rays)
+    assert [(w["cone"], w["face"], w["generator"]) for w in failures] == [(cone, state["face"], state["generator"])]
+    assert all(w["found"] != w["expected"] for w in failures)
+    # The reference reads it once per flag ending in sigma, and only there.
     ending = [i for i, f in enumerate(flags) if f.cones[-1] == state["sigma"]]
-    assert [(w["flag"], w["face"], w["generator"]) for w in failures] == [
+    assert [(w["flag"], w["face"], w["generator"]) for w in reference] == [
         (i, state["face"], state["generator"]) for i in ending
     ]
-    assert all(w["found"] != w["expected"] for w in failures)
     assert not report.passed
     kinds = [c["kind"] for c in report.counterexamples]
-    assert kinds[: len(ending)] == ["identity"] * len(ending)
+    assert kinds[:1] == ["identity"] and kinds.count("identity") == 1
     assert "shared" in kinds  # the float cross-check sees the rule too
 
 
@@ -272,12 +372,16 @@ def test_gluing_identity_fails_on_perturbed_cutting_functional():
         gens = atlas.hilbert(sigma).generators
         i = next(i for i, g in enumerate(gens) if all(pair(g, r) > 0 for r in tau.generators))
         atlas._local_rules[(sigma.rays, tau.rays)] = (kind, ((i, 1),), rows, top)
-        state.update(face=sorted(tau.rays), alpha=list(gens[i]))
+        state.update(cone=sorted(sigma.rays), face=sorted(tau.rays), alpha=list(gens[i]))
 
-    _, (_, failures), report = _perturbed_gluing(edit)
+    _, (_, failures), (_, reference), report = _perturbed_gluing(edit)
     cuts = [w for w in failures if "cutting_functional" in w]
-    assert cuts and all(w["face"] == state["face"] and w["cutting_functional"] == state["alpha"] for w in cuts)
-    assert 0 in [w["flag"] for w in cuts] and not report.passed
+    assert [(w["cone"], w["face"], w["cutting_functional"]) for w in cuts] == [
+        (state["cone"], state["face"], state["alpha"])
+    ]
+    old_cuts = [w for w in reference if "cutting_functional" in w]
+    assert old_cuts and all(w["face"] == state["face"] and w["cutting_functional"] == state["alpha"] for w in old_cuts)
+    assert 0 in [w["flag"] for w in old_cuts] and not report.passed
 
 
 def test_gluing_identity_fails_on_perturbed_b():
@@ -293,12 +397,34 @@ def test_gluing_identity_fails_on_perturbed_b():
         atlas._charts[flag] = dataclasses.replace(chart, b=tuple(map(tuple, b)))
         state.update(generator=list(chart.generators[row]), sigma=sorted(chart.top_cone.rays))
 
-    _, (_, failures), report = _perturbed_gluing(edit)
-    assert failures and all(w["flag"] == 0 for w in failures)
+    _, (_, failures), (_, reference), report = _perturbed_gluing(edit)
+    # The rules do not read b: the perturbed row is its only witness.
+    assert [(w["flag"], w["face"], w["generator"], w["found"][0] - w["expected"][0]) for w in failures] == [
+        (0, state["sigma"], state["generator"], 1)
+    ]
+    assert reference and all(w["flag"] == 0 for w in reference)
     # On the top cone itself the rule is the identity: the row is read as is.
-    top = [w for w in failures if w["face"] == state["sigma"]]
+    top = [w for w in reference if w["face"] == state["sigma"]]
     assert [(w["generator"], w["found"][0] - w["expected"][0]) for w in top] == [(state["generator"], 1)]
     assert not report.passed and report.counterexamples[0]["kind"] == "identity"
+
+
+@pytest.mark.parametrize("name", ["p2", "p112"])
+def test_gluing_identity_fails_on_tampered_b(name):
+    """verify --tamper's change, the last exponent of the first chart's
+    b plus one: gluing_identities names the one perturbed Hilbert row,
+    on flag 0's top cone, and the per-flag reference fails too."""
+    import dataclasses
+
+    def edit(atlas, flag):
+        chart = atlas.chart(flag)
+        b = [list(row) for row in chart.b]
+        b[-1][-1] += 1
+        atlas._charts[flag] = dataclasses.replace(chart, b=tuple(map(tuple, b)))
+
+    flags, (_, failures), (_, reference), report = _perturbed_gluing(edit, name)
+    assert [(w["flag"], w["face"]) for w in failures] == [(0, sorted(flags[0].cones[-1].rays))]
+    assert reference and not report.passed
 
 
 def test_verify_gluing_distinct_pin():
@@ -365,12 +491,29 @@ def _drop_diagonal(terms):
 def test_locate_cross_check_fails_on_perturbed_terms():
     atlas, flags = _p2_with_terms(_drop_diagonal)
     count, failures = gluing_identities(atlas, flags)
-    assert count == 6 * 15 and failures == []
+    assert count == 6 * 2 + 3 * 13 and failures == []
     report = verify_gluing(atlas, samples_per_pair=10, seed=0)
     assert not report.passed
     assert {c["kind"] for c in report.counterexamples} == {"locate"}
     assert len(report.counterexamples) == 5
     assert all(c["flag"] == 0 and c["located"] not in (0, None) for c in report.counterexamples)
+
+
+def test_locate_cross_check_searches_only_samples_that_leave_their_flag(monkeypatch):
+    """A recovered point with every u_k > 0 is in its flag by the cover
+    certificate and is not searched for: on p2, verify_gluing calls
+    bary.locate_flag on no sample; with flag 0's first triangular row
+    short of its w1, it calls it once per sample of flag 0, each of which
+    is named where it went."""
+    calls = []
+    locate = cellcomplex.locate_flag
+    monkeypatch.setattr(cellcomplex, "locate_flag", lambda fan, x: calls.append(x) or locate(fan, x))
+    assert verify_gluing(tb.Atlas(tb.load_bundled("p2")), samples_per_pair=10, seed=0).passed
+    assert calls == []
+    atlas, _ = _p2_with_terms(_drop_diagonal)
+    report = verify_gluing(atlas, samples_per_pair=10, seed=0)
+    assert len(calls) == len(report.counterexamples) == 5
+    assert all(c["kind"] == "locate" and c["located"] not in (0, None) for c in report.counterexamples)
 
 
 def test_locate_cross_check_fails_on_off_inversion(monkeypatch):
