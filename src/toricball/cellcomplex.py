@@ -112,11 +112,6 @@ def euler_characteristic(simplices: dict) -> int:
 class PseudomanifoldReport:
     passed: bool
     issues: tuple
-    top_count: int
-    connected: bool
-
-    def __bool__(self):
-        return self.passed
 
 
 def pseudomanifold_check(model: BallModel) -> PseudomanifoldReport:
@@ -132,7 +127,7 @@ def pseudomanifold_check(model: BallModel) -> PseudomanifoldReport:
     issues = []
     tops = list(model.simplices.get(n, ()))
     if not tops:
-        return PseudomanifoldReport(False, ("no top-dimensional simplices",), 0, False)
+        return PseudomanifoldReport(False, ("no top-dimensional simplices",))
 
     def facets(simplices):
         return ((s, s - {v}) for s in simplices for v in s)
@@ -153,10 +148,9 @@ def pseudomanifold_check(model: BallModel) -> PseudomanifoldReport:
                 issues.append(
                     f"boundary face {sorted(ridge)} lies in {count} boundary facets, expected 2"
                 )
-    connected = reached == len(tops)
-    if not connected:
+    if reached != len(tops):
         issues.append("dual adjacency graph of top simplices is disconnected")
-    return PseudomanifoldReport(not issues, tuple(issues), len(tops), connected)
+    return PseudomanifoldReport(not issues, tuple(issues))
 
 
 @dataclass(frozen=True)
@@ -199,9 +193,6 @@ class GluingReport:
     counterexamples: list = field(default_factory=list)
     identities: int = 0
     located_samples: int = 0
-
-    def __bool__(self):
-        return self.passed
 
 
 def _simplex_samples(rng, dim, count):
@@ -258,7 +249,9 @@ def gluing_identities(atlas: Atlas, flags):
       distinct top cones of flags in first-seen order and tau each
       proper face of sigma in fan.faces order: the rule's alpha =
       sum_h a_h h vanishes on tau's rays and is positive on sigma's
-      other rays (witness: cone, face, cutting_functional), and its row
+      other rays (witness: cone, face, cutting_functional) and the rule
+      has one row per h' in H(tau) (witness: cone, face, rows,
+      expected_rows), both counted as one identity; and its row
       of each h' in H(tau) satisfies sum_h c_h h = h' + k*alpha in M
       (witness: cone, face, generator = h', found = sum_h c_h h,
       expected = h' + k*alpha).
@@ -322,7 +315,10 @@ def gluing_identities(atlas: Atlas, flags):
             others = [r for i, r in zip(sorted(sigma.rays), sigma.generators) if i not in tau.rays]
             if any(pair(alpha, r) != 0 for r in tau.generators) or any(pair(alpha, r) <= 0 for r in others):
                 failures.append({**where, "cutting_functional": alpha})
-            for h, (k, terms) in zip(atlas.hilbert(tau).generators, shifts):
+            tau_gens = atlas.hilbert(tau).generators
+            if len(shifts) != len(tau_gens):
+                failures.append({**where, "rows": len(shifts), "expected_rows": len(tau_gens)})
+            for h, (k, terms) in zip(tau_gens, shifts):
                 count += 1
                 found, expected = _compose(terms, gens), [e + k * a for e, a in zip(h, alpha)]
                 if found != expected:
@@ -530,10 +526,7 @@ def verify_gluing(atlas: Atlas, samples_per_pair: int = 50, tol: float = 1e-9, s
 @dataclass
 class RegularityReport:
     passed: bool
-    cells: list  # per-cone dicts: rays, cell dim, the three tests, failed, ok
-
-    def __bool__(self):
-        return self.passed
+    cells: list  # per-cone dicts: rays, cell dim, the three tests, failed, ok, issues
 
 
 def sphere_euler(dim: int) -> int:
@@ -552,7 +545,10 @@ def verify_regularity(fan: Fan) -> RegularityReport:
     pseudomanifold check.  This is the checkable footprint of every
     closed cell being attached along a sphere.  The whole ball model is
     a cone over that boundary, so its own Euler characteristic is 1 for
-    any fan and tests nothing.
+    any fan and tests nothing.  At the zero cone the model is
+    build_ball_model(fan), the ball model of the fan itself, so that
+    cell certifies the ball model.  Each cell lists the pseudomanifold
+    check's issues.
 
     Why no star fan is built.  For a validated fan, the cones of
     star_fan(fan, sigma) match the cones of fan containing sigma one for
@@ -586,6 +582,7 @@ def verify_regularity(fan: Fan) -> RegularityReport:
                 "pseudomanifold": pm.passed,
                 "failed": failed,
                 "ok": not failed,
+                "issues": list(pm.issues),
             }
         )
         if failed:

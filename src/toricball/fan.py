@@ -290,7 +290,8 @@ def parse_fan(source) -> dict:
     """Parse a fan description (JSON text or an already-decoded dict).
 
     Required fields: dim (int), rays (list of integer vectors),
-    max_cones (list of ray-index lists).  Optional: name.
+    max_cones (list of ray-index lists).  Optional: name, a non-empty
+    string with no "/", "\\" or NUL, other than "." and "..".
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -315,6 +316,11 @@ def parse_fan(source) -> dict:
         for x in coll:
             if any(type(v) is not int for v in x):
                 raise ParseError(f"{kind} entries must be integers")
+    # mesh names its files after the fan, so a name must stay one plain
+    # path component.  Not in validate_fan: star_fan names contain "/".
+    name = data.get("name", "fan")
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ParseError("name must be a string naming one plain path component")
     return data
 
 

@@ -32,8 +32,8 @@ column order.  So each sampled float, and each report, is the one a
 point-by-point loop gives (tests/test_charts.py keeps those loops as
 the reference).
 
-Retired checks, which no input that verify accepts can fail, and the
-facts that cover them:
+Retired checks, which no input that verify accepts can fail or which
+another check already runs, and the facts that cover them:
 
 - rescale_gluing: Phi on a subflag is Phi on the flag, bit for bit
   (homeo.rescale_in_flag).
@@ -59,6 +59,12 @@ facts that cover them:
   sum_h c_h h = h' + k alpha (cellcomplex.gluing_identities), so by
   that linearity each localized row is b_h' as well.  Equal generator
   sums thus give equal monomials exactly.
+- ball_model: the Euler characteristic of the ball model's boundary
+  against S^(n-1), and the pseudomanifold check of the model.
+  regularity's zero-cone cell runs both tests on the same model,
+  build_ball_model(fan) (cellcomplex.verify_regularity), so ball_model
+  could fail only where regularity fails.  Each failing regularity cell
+  names its pseudomanifold issues.
 
 Negative controls, each a test in tests/test_verify.py unless named:
 
@@ -74,8 +80,8 @@ Negative controls, each a test in tests/test_verify.py unless named:
   (test_monomial_diagram_fails_on_off_triangular_evaluator); a NaN in
   a later triangular value (test_monomial_diagram_fails_on_nan_residual).
 - cover: incomplete fans of rank 2 and 3 (test_cover_fails_on_incomplete_fans).
-- ball_model: p2 less a maximal cone (test_ball_model_fails_on_incomplete_fan).
-- regularity: incomplete fans of rank 2 and 3 (test_regularity_names_failing_cells).
+- regularity: incomplete fans of rank 2 and 3, where the zero-cone
+  cell names its pseudomanifold issues (test_regularity_names_failing_cells).
 - hilbert_minimality: a generator sum added to every basis
   (test_cli.py::test_hilbert_minimality_names_witnesses).
 - intersection_gluing: a perturbed localization rule row, cutting
@@ -89,7 +95,9 @@ Negative controls, each a test in tests/test_verify.py unless named:
   (test_perturbed_terms_fail_locate_cross_check_with_exact_gates_passing,
   test_complex.py::test_locate_cross_check_fails_on_perturbed_terms);
   --tamper on p2, which names monomial_diagram as a failed gate; a NaN
-  localized value (test_complex.py::test_subflag_cross_check_fails_on_nan_gap).
+  localized value (test_complex.py::test_subflag_cross_check_fails_on_nan_gap);
+  a localization rule cut short by one row, which the per-flag
+  reference misses (test_complex.py::test_gluing_identity_fails_on_truncated_rule).
 """
 
 from __future__ import annotations
@@ -263,24 +271,6 @@ def _cover(ctx):
     return passed, {} if passed else {"witness": witness}
 
 
-def _ball_model(ctx):
-    """The ball model's boundary has the Euler characteristic of
-    S^(n-1) and the model is a pseudomanifold.  The model is a cone over
-    its boundary, so its own Euler characteristic is 1 for any fan: it
-    is reported, not tested."""
-    model = cellcomplex.build_ball_model(ctx.fan)
-    chi = cellcomplex.euler_characteristic(model.simplices)
-    boundary_chi = cellcomplex.euler_characteristic(model.boundary_simplices())
-    pm = cellcomplex.pseudomanifold_check(model)
-    return boundary_chi == cellcomplex.sphere_euler(ctx.n - 1) and pm.passed, {
-        "euler": chi,
-        "boundary_euler": boundary_chi,
-        "top_simplices": len(model.maximal_simplices()),
-        "pseudomanifold": pm.passed,
-        "issues": list(pm.issues),
-    }
-
-
 def _intersection_gluing(ctx):
     """Closed flag simplices meet exactly in their shared faces: exact
     identities on the shared faces; distinct interior points by the
@@ -317,11 +307,11 @@ def _regularity(ctx):
     sphere (see cellcomplex.verify_regularity).  On failure, up to five
     failing cells, each named by its cone's rays with the tests it
     failed: star completeness, Euler characteristic of the link sphere,
-    pseudomanifold."""
+    pseudomanifold; and the pseudomanifold check's issues."""
     reg = cellcomplex.verify_regularity(ctx.fan)
     if reg.passed:
         return True, {"cells": len(reg.cells)}
-    failures = [{"rays": cell["rays"], "failed": cell["failed"]} for cell in reg.cells if cell["failed"]]
+    failures = [{key: cell[key] for key in ("rays", "failed", "issues")} for cell in reg.cells if cell["failed"]]
     return False, {"cells": len(reg.cells), "failures": failures[:5]}
 
 
@@ -356,7 +346,6 @@ CHECKS = (
     ("monomial_diagram", _monomial_diagram),
     ("simplex_inversion", _simplex_inversion),
     ("cover", _cover),
-    ("ball_model", _ball_model),
     ("intersection_gluing", _intersection_gluing),
     ("regularity", _regularity),
     ("hilbert_minimality", _hilbert_minimality),

@@ -107,7 +107,16 @@ def test_verify_passes(capsys):
     doc = json.loads(out)
     assert doc["passed"]
     names = {c["name"] for c in doc["checks"]}
-    assert {"monomial_diagram", "intersection_gluing", "ball_model", "regularity"} <= names
+    assert names == {
+        "chart_invariants",
+        "monomial_diagram",
+        "simplex_inversion",
+        "cover",
+        "intersection_gluing",
+        "regularity",
+        "hilbert_minimality",
+        "nonextension_probe",
+    }
 
 
 def test_verify_tamper_fails(capsys):
@@ -231,6 +240,20 @@ def test_mesh_rejects_nonfinite_radii(tmp_path, capsys, radii):
     assert main(["mesh", fan_path("p2"), "--radii", radii, "--res", "4", "--out", str(tmp_path)]) == 2
     assert "finite" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.off"))
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", 7], ids=["parent", "slash", "number"])
+def test_mesh_rejects_unsafe_fan_name(tmp_path, capsys, name):
+    """mesh names its files after the fan, so a name that is not one
+    plain path component is a parse error, and nothing is written, in
+    --out or beside it."""
+    doc = json.loads(tb.bundled_path("p2").read_text())
+    f = tmp_path / "fan.json"
+    f.write_text(json.dumps({**doc, "name": name}))
+    out = tmp_path / "out"
+    assert main(["mesh", str(f), "--radii", "1", "--res", "2", "--out", str(out)]) == 1
+    assert "parse error" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["fan.json"]
 
 
 @pytest.mark.parametrize("name, counts", [("p2", (18, 1)), ("p1xp1xp1", (218, 432))])

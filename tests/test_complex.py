@@ -384,6 +384,28 @@ def test_gluing_identity_fails_on_perturbed_cutting_functional():
     assert 0 in [w["flag"] for w in old_cuts] and not report.passed
 
 
+def test_gluing_identity_fails_on_truncated_rule():
+    """A localization rule missing a row fails the certificate, with the
+    count of rows it has and should have, though its other rows hold;
+    the per-flag reference, which zips H(tau) with the rows, misses it.
+    The count of identities stays that of the intact rule."""
+    state = {}
+
+    def edit(atlas, flag):
+        sigma, tau = flag.cones[-1], atlas.fan.zero_cone()
+        kind, alpha_terms, rows, top = atlas._localization_rule(sigma, tau)
+        assert len(rows) == 4
+        atlas._local_rules[(sigma.rays, tau.rays)] = (kind, alpha_terms, rows[:3], top)
+        state.update(cone=sorted(sigma.rays))
+
+    _, (count, failures), (_, reference), report = _perturbed_gluing(edit)
+    assert count == 6 * 2 + 3 * 13 - 1
+    assert failures == [{"cone": state["cone"], "face": [], "rows": 3, "expected_rows": 4}]
+    assert reference == []
+    assert not report.passed
+    assert [c for c in report.counterexamples if c["kind"] == "identity"] == [{"kind": "identity", **failures[0]}]
+
+
 def test_gluing_identity_fails_on_perturbed_b():
     import dataclasses
 

@@ -1,18 +1,20 @@
 """The library against its tooling: every name that bench/tracer.py
 wraps must exist, so that deleting or renaming one fails here and not
 only in a traced benchmark run; the package imports only the standard
-library, as its empty `dependencies` promises; and verify reports are
-strict JSON, with no NaN or Infinity, even when a float check sees NaN."""
+library, as its empty `dependencies` promises; verify reports are
+strict JSON, with no NaN or Infinity, even when a float check sees NaN;
+and every check in verify.CHECKS keeps a negative control that exists."""
 
 import ast
 import importlib
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
 import toricball as tb
-from toricball import charts
+from toricball import charts, verify
 from toricball.charts import Atlas, ToricPoint
 from toricball.cli import main
 
@@ -99,3 +101,38 @@ def test_nan_control_report_is_strict_json(monkeypatch, tmp_path, capsys):
     shared = [c for c in entries["intersection_gluing"]["counterexamples"] if c["kind"] == "shared"]
     assert shared and all(c["gap"] is None for c in shared)
     assert not any(entries[name]["passed"] for name in ("monomial_diagram", "simplex_inversion", "intersection_gluing"))
+
+
+def _negative_controls():
+    """The negative-control bullets of verify's docstring, as
+    {check name: bullet text}; a bullet may name several checks."""
+    _, _, tail = verify.__doc__.partition("Negative controls")
+    bullets = {}
+    for bullet in re.split(r"\n- ", tail)[1:]:
+        names, _, text = bullet.partition(":")
+        for name in names.split(","):
+            bullets[name.strip()] = text
+    return bullets
+
+
+def _test_names(path):
+    """The names of the test functions defined in a test module."""
+    return {node.name for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)}
+
+
+def test_every_check_names_an_existing_negative_control():
+    """Each check in verify.CHECKS, and no other name, has a bullet in
+    the docstring's negative-control list, and each test a bullet names
+    exists: a bare test_x in tests/test_verify.py, file.py::test_x in
+    that file, and test_x* as a prefix of at least one test."""
+    bullets = _negative_controls()
+    assert sorted(bullets) == sorted(name for name, _ in verify.CHECKS)
+    missing = []
+    for check, text in bullets.items():
+        named = re.findall(r"(?:(\w+\.py)::)?(test_\w*)(\*?)(?!\w|\.py)", text)
+        assert named, check
+        for module, test, family in named:
+            tests = _test_names(ROOT / "tests" / (module or "test_verify.py"))
+            if not any(t == test or (family and t.startswith(test)) for t in tests):
+                missing.append(f"{check}: {module or 'test_verify.py'}::{test}{family}")
+    assert missing == []

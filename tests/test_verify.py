@@ -14,7 +14,7 @@ import pytest
 
 import toricball as tb
 from conftest import wps_fan
-from toricball import charts, homeo, verify
+from toricball import cellcomplex, charts, homeo, verify
 from toricball.bary import simplicial_coords
 from toricball.cones import dual_generators
 from toricball.exact import pair
@@ -166,33 +166,38 @@ def _incomplete_fans():
 def test_regularity_names_failing_cells():
     """On the complete p2 the entry is the cell count alone; on an
     unvalidated incomplete fan (p2 without one maximal cone) the check
-    names each failing cone with the tests it failed."""
+    names each failing cone with the tests it failed and the
+    pseudomanifold issues.  The zero-cone cell is the retired
+    ball_model check: its link is the boundary of build_ball_model(fan),
+    whose unpaired faces it names."""
     p2 = tb.load_bundled("p2")
     assert verify._regularity(_context(p2)) == (True, {"cells": 7})
     fan, rank3 = _incomplete_fans()
     failed = ["star_complete", "euler", "pseudomanifold"]
+    ray_issues = ["face [0] lies in 1 top simplices, expected 2"]
+    zero_issues = [
+        "face [0, 1] lies in 1 top simplices, expected 2",
+        "face [0, 3] lies in 1 top simplices, expected 2",
+        "boundary face [1] lies in 1 boundary facets, expected 2",
+        "boundary face [3] lies in 1 boundary facets, expected 2",
+    ]
+    assert list(cellcomplex.pseudomanifold_check(cellcomplex.build_ball_model(fan)).issues) == zero_issues
     assert verify._regularity(_context(fan)) == (
         False,
-        {"cells": 6, "failures": [{"rays": rays, "failed": failed} for rays in ([], [0], [2])]},
+        {
+            "cells": 6,
+            "failures": [
+                {"rays": rays, "failed": failed, "issues": issues}
+                for rays, issues in (([], zero_issues), ([0], ray_issues), ([2], ray_issues))
+            ],
+        },
     )
     # At most five failing cells are named.
     passed, details = verify._regularity(_context(rank3))
     assert not passed and details["cells"] == 14
     assert [f["rays"] for f in details["failures"]] == [[], [0], [1], [3], [0, 1]]
     # The link of every failing cell is no sphere.
-    assert all("euler" in f["failed"] for f in details["failures"])
-
-
-def test_ball_model_fails_on_incomplete_fan():
-    """The ball model's own Euler characteristic is 1 for every fan, so
-    it is reported but not tested; the boundary and pseudomanifold tests
-    still fail on p2 without one maximal cone."""
-    passed, details = verify._ball_model(_context(tb.load_bundled("p2")))
-    assert passed and details["euler"] == 1
-    fan = tb.validate_fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2]], require_complete=False)
-    passed, details = verify._ball_model(_context(fan))
-    assert not passed
-    assert details["euler"] == 1 and details["boundary_euler"] == 1 and not details["pseudomanifold"]
+    assert all("euler" in f["failed"] and f["issues"] for f in details["failures"])
 
 
 def test_cover_fails_on_incomplete_fans():
