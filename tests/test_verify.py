@@ -200,6 +200,21 @@ def test_regularity_names_failing_cells():
     assert all("euler" in f["failed"] and f["issues"] for f in details["failures"])
 
 
+def test_ball_model_fails_on_incomplete_fan():
+    """The facts the retired ball_model check tested, now run by
+    regularity's zero-cone cell: the ball model's own Euler
+    characteristic is 1 for every fan, while the boundary and
+    pseudomanifold tests fail on p2 without one maximal cone."""
+    p2 = cellcomplex.build_ball_model(tb.load_bundled("p2"))
+    assert cellcomplex.euler_characteristic(p2.simplices) == 1
+    assert cellcomplex.euler_characteristic(p2.boundary_simplices()) == cellcomplex.sphere_euler(1)
+    assert cellcomplex.pseudomanifold_check(p2).passed
+    model = cellcomplex.build_ball_model(_incomplete_fans()[0])
+    assert cellcomplex.euler_characteristic(model.simplices) == 1
+    assert cellcomplex.euler_characteristic(model.boundary_simplices()) == 1 != cellcomplex.sphere_euler(1)
+    assert not cellcomplex.pseudomanifold_check(model).passed
+
+
 def test_cover_fails_on_incomplete_fans():
     """The incomplete fans of test_regularity_names_failing_cells fail
     cover with a witness.  This is where the retired orbit_complex gate
