@@ -27,19 +27,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .bary import NotInCone, enumerate_flags, locate_flag
-from .charts import (
-    TWO_PI,
-    Atlas,
-    NotInOpenSet,
-    ToricPoint,
-    _monomials,
-    invert_triangular,
-    scaled_gaps,
-    sup_gap,
-    theta_preimage,
-    triangular_eval,
-)
+from .bary import enumerate_flags
+from .charts import Atlas, NotInOpenSet, ToricPoint, _monomials, scaled_gaps, sup_gap
 from .exact import pair, vsub
 from .fan import Cone, Fan, ridge_pairing
 from .homeo import bary_to_delta
@@ -192,7 +181,6 @@ class GluingReport:
     worst_shared_gap: float
     counterexamples: list = field(default_factory=list)
     identities: int = 0
-    located_samples: int = 0
 
 
 def _simplex_samples(rng, dim, count):
@@ -206,17 +194,6 @@ def _simplex_samples(rng, dim, count):
         total = sum(raw)
         out.append(tuple(x / total for x in raw))
     return out[:count]
-
-
-def _interior_samples(rng, dim, count):
-    """Seeded points of the open dim-simplex, each weight at least
-    0.05 before normalizing."""
-    out = []
-    for _ in range(count):
-        raw = [0.05 + rng.random() for _ in range(dim + 1)]
-        total = sum(raw)
-        out.append(tuple(x / total for x in raw))
-    return out
 
 
 def _steps(barycenters):
@@ -398,68 +375,6 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
     return out
 
 
-def _sample_coords(w):
-    """The simplicial coordinates u of a simplex-chain point w, with
-    theta(e^(-2 pi u)) = w: u_j = -log(w_j / w_(j+1)) / 2 pi, w_(n+1) = 1,
-    read through theta_preimage.  None unless every w_j is positive and
-    finite."""
-    if not all(0.0 < v < math.inf for v in w):
-        return None
-    return [-math.log(z) / TWO_PI for z in theta_preimage(w)]
-
-
-def _locate_cross_check(atlas: Atlas, flags, rng, count, tol):
-    """Float cross-check of the evaluators behind the distinct half:
-    count seeded interior points of each maximal flag F's simplex are
-    mapped through the chart's triangular rows and recovered, in one
-    batch per step (charts.triangular_eval, charts.invert_triangular:
-    simplex_inversion's route).  Each point lies a fixed margin inside
-    F's simplex, so its own simplicial coordinates are positive, and
-    the recovered u (_sample_coords) must match them within tol, each
-    gap scaled by max(1, |u_j|).
-
-    What the locate half decides is whether the recovered point stays in
-    F's open flag cone, that is, whether every u_k > 0.  Such a point
-    x = sum_k u_k B_k is located in F without a search.  By the cover
-    certificate (bary.cover_check) the open flag cones of distinct
-    maximal flags are disjoint.  A maximal flag cone is the closure of
-    its open cone, so if it contained x, a point of the open set F's
-    open cone, the two open cones would meet.  So F is the only maximal
-    flag whose cone contains x, and bary.locate_flag would return F.
-    Only a sample whose u is None (a recovered w_j not positive and
-    finite) or has some u_k <= 0 is located by bary.locate_flag, so
-    that its counterexample names where it went.
-
-    Returns the counterexamples: a "locate" one names F, the located
-    flag (None when u is None or nothing is located) and the sample; a
-    "coordinates" one names F, the worst scaled gap and the sample."""
-    index = {flag: fi for fi, flag in enumerate(flags)}
-    out = []
-    for fi, flag in enumerate(flags):
-        chart = atlas.chart(flag)
-        samples = _interior_samples(rng, len(flag), count)
-        points = [bary_to_delta(xi) for xi in samples]
-        back = invert_triangular(chart.b[: chart.n], triangular_eval(chart, list(zip(*points))))
-        for xi, w, v in zip(samples, points, zip(*back)):
-            u = _sample_coords(v)
-            located = None
-            if u is not None and all(uk > 0 for uk in u):
-                located = fi
-            elif u is not None:
-                x = tuple(sum(uk * b[t] for uk, b in zip(u, flag.barycenters)) for t in range(chart.n))
-                try:
-                    located = index.get(locate_flag(atlas.fan, x))
-                except NotInCone:
-                    pass
-            if located != fi:
-                out.append({"kind": "locate", "flag": fi, "located": located, "xi": list(xi)})
-                continue
-            gaps = [abs(a - b) / max(1.0, abs(b)) for a, b in zip(u, _sample_coords(w))]
-            if not all(g <= tol for g in gaps):
-                out.append({"kind": "coordinates", "flag": fi, "gap": max(gaps), "xi": list(xi)})
-    return out
-
-
 def verify_gluing(atlas: Atlas, samples_per_pair: int = 50, tol: float = 1e-9, seed: int = 0) -> GluingReport:
     """Certify that closed flag simplices intersect exactly in the closed
     simplex of the intersection flag.
@@ -491,29 +406,16 @@ def verify_gluing(atlas: Atlas, samples_per_pair: int = 50, tol: float = 1e-9, s
          differently with x and x', so the points differ.
 
     verify reports this half as exact and fails it when either gate
-    fails.  What the identities do not cover is the float evaluators.
-    _locate_cross_check recovers samples_per_pair // 2 interior points
-    of each maximal flag F through its chart's triangular rows, and
-    decides whether each recovered point stays in F's open flag cone
-    (every recovered u_k > 0).  That such a point is located in F is
-    fact 2, so it is not searched for; a point that leaves the open cone
-    is located by bary.locate_flag, to name where it went.  Points that
-    stay have their recovered simplicial coordinates compared with their
-    own.
+    fails.  The float evaluators it rests on, the chart's triangular
+    rows and their inversion, are sampled by verify's simplex_inversion.
 
-    One seeded generator feeds the subflag cross-check, then the locate
-    cross-check.  Counterexamples are listed identities first, then
-    shared, then those of the locate cross-check.
+    Counterexamples are listed identities first, then shared.
     """
     flags = enumerate_flags(atlas.fan, only_maximal=True)
-    rng = random.Random(seed)
     report = GluingReport(True, 0, 0.0)
     report.identities, witnesses = gluing_identities(atlas, flags)
-    half = max(samples_per_pair // 2, 1)
-    shared = _subflag_cross_check(atlas, flags, rng, half, tol, report)
-    located = _locate_cross_check(atlas, flags, rng, half, tol)
-    report.located_samples = len(flags) * half
-    report.counterexamples = [{"kind": "identity", **w} for w in witnesses] + shared + located
+    shared = _subflag_cross_check(atlas, flags, random.Random(seed), max(samples_per_pair // 2, 1), tol, report)
+    report.counterexamples = [{"kind": "identity", **w} for w in witnesses] + shared
     report.passed = not report.counterexamples
     return report
 

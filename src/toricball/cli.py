@@ -29,7 +29,7 @@ from .charts import Atlas
 from .exact import primitive
 from .fan import Fan, FanValidationError, ParseError, parse_and_validate
 from .homeo import bary_to_delta, param_boundary_point, phi_point
-from .verify import run_verification
+from .verify import SettingsError, run_verification
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -157,16 +157,17 @@ def cmd_param(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol > 0) or args.samples < 1:
-        print("tolerance must be finite and positive, and the sample count positive", file=sys.stderr)
-        return EXIT_INVALID
     fan, code = _load_or_exit(args)
     if fan is None:
         return code
     timings = {} if args.timings else None
-    report = run_verification(
-        fan, tol=args.tol, samples=args.samples, seed=args.seed, tamper=args.tamper, timings=timings
-    )
+    try:
+        report = run_verification(
+            fan, tol=args.tol, samples=args.samples, seed=args.seed, tamper=args.tamper, timings=timings
+        )
+    except SettingsError as e:
+        print(e, file=sys.stderr)
+        return EXIT_INVALID
     _emit(report, args.out)
     if args.timings:
         Path(args.timings).write_text(json.dumps({"fan": fan.name, "seconds": timings}, indent=2) + "\n")

@@ -192,17 +192,30 @@ class Fan:
         return True, None
 
 
+def _integer(value, what):
+    """value as an int; FanValidationError naming what when value is not
+    a finite integer (int() alone would truncate 1.5 and 0.7)."""
+    try:
+        if value == int(value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise FanValidationError(f"{what}: {value!r} is not a finite integer")
+
+
 def validate_fan(dim, rays, max_cones, require_complete=True, name="fan") -> Fan:
     """Build a Fan after checking the fan axioms exactly.
 
     Raises NotPrimitiveRay / NotStronglyConvex / FaceIntersectionViolation
-    for axiom violations, FanValidationError for other malformations, and
-    IncompleteFan when require_complete is set and the support is proper.
+    for axiom violations, FanValidationError for other malformations
+    (an entry of dim, a ray or a cone that is not a finite integer among
+    them), and IncompleteFan when require_complete is set and the support
+    is proper.
     """
-    n = int(dim)
+    n = _integer(dim, "dimension")
     if n < 0:
         raise FanValidationError("dimension must be nonnegative")
-    rays = tuple(tuple(int(a) for a in r) for r in rays)
+    rays = tuple(tuple(_integer(a, f"ray {idx}") for a in r) for idx, r in enumerate(rays))
     if n == 0:
         if rays:
             raise FanValidationError("rank-zero fan cannot have rays")
@@ -219,8 +232,8 @@ def validate_fan(dim, rays, max_cones, require_complete=True, name="fan") -> Fan
         raise FanValidationError("duplicate ray vectors")
 
     max_sets = []
-    for mc in max_cones:
-        s = frozenset(int(i) for i in mc)
+    for ci, mc in enumerate(max_cones):
+        s = frozenset(_integer(i, f"maximal cone {ci}") for i in mc)
         for i in s:
             if not 0 <= i < len(rays):
                 raise FanValidationError(f"ray index {i} out of range")

@@ -65,6 +65,14 @@ another check already runs, and the facts that cover them:
   build_ball_model(fan) (cellcomplex.verify_regularity), so ball_model
   could fail only where regularity fails.  Each failing regularity cell
   names its pseudomanifold issues.
+- intersection_gluing's locate cross-check: 25 interior points per
+  maximal flag through the chart's triangular rows and
+  charts.invert_triangular, whose recovered simplicial coordinates had
+  to be positive and within tol of their own.  simplex_inversion runs
+  the same round trip on 500 points per chart and compares w itself
+  within 1e-10.  In a sweep at seed 0 (P(1,1,k) up to k = 400,
+  P(1,1,1,27), steep and seeded stellar fans) every fan that it failed
+  also failed simplex_inversion, and every other had gaps <= 4e-16.
 
 Negative controls, each a test in tests/test_verify.py unless named:
 
@@ -73,7 +81,11 @@ Negative controls, each a test in tests/test_verify.py unless named:
   (test_chart_invariants_fail_on_perturbed_terms).
 - simplex_inversion, nonextension_probe: a replaced helper
   (test_check_fails_under_its_control); for simplex_inversion also an
-  inversion that returns NaN (test_simplex_inversion_fails_on_nan_gaps).
+  inversion that returns NaN (test_simplex_inversion_fails_on_nan_gaps),
+  and flag 0's first triangular row in Chart.terms alone short of its
+  w1, with the exact gates passing, or raised to w1^2000, each named by
+  the witness (test_perturbed_terms_fail_simplex_inversion_with_exact_gates_passing,
+  test_simplex_inversion_names_underflowed_values).
 - monomial_diagram: --tamper (test_cli.py::test_verify_tamper_fails);
   a left inverse off by 1/7 (test_dual_basis_gate_names_perturbed_inverse);
   a triangular-row evaluator off by 1e-6, with every identity holding
@@ -87,17 +99,11 @@ Negative controls, each a test in tests/test_verify.py unless named:
 - intersection_gluing: a perturbed localization rule row, cutting
   functional or Hilbert row of b, and --tamper's b, each also failing
   the per-flag reference test_complex.py::_per_flag_identities
-  (test_complex.py::test_gluing_identity_fails_on_*); an inversion off
-  by 1e-6 in the locate cross-check
-  (test_complex.py::test_locate_cross_check_fails_on_off_inversion);
-  Chart.terms alone perturbed, with the exact gates passing, where the
-  locate cross-check names where each sample went
-  (test_perturbed_terms_fail_locate_cross_check_with_exact_gates_passing,
-  test_complex.py::test_locate_cross_check_fails_on_perturbed_terms);
-  --tamper on p2, which names monomial_diagram as a failed gate; a NaN
-  localized value (test_complex.py::test_subflag_cross_check_fails_on_nan_gap);
-  a localization rule cut short by one row, which the per-flag
-  reference misses (test_complex.py::test_gluing_identity_fails_on_truncated_rule).
+  (test_complex.py::test_gluing_identity_fails_on_*); --tamper on p2,
+  which names monomial_diagram as a failed gate; a NaN localized value
+  (test_complex.py::test_subflag_cross_check_fails_on_nan_gap); a
+  localization rule cut short by one row, which the per-flag reference
+  misses (test_complex.py::test_gluing_identity_fails_on_truncated_rule).
 """
 
 from __future__ import annotations
@@ -116,6 +122,10 @@ from .bary import cover_check, enumerate_flags
 from .charts import TWO_PI
 from .exact import pair
 from .fan import Fan
+
+
+class SettingsError(ValueError):
+    """A tolerance or sample count that run_verification rejects."""
 
 
 @dataclass
@@ -150,10 +160,10 @@ def _sup_gap(a, b) -> float:
     return charts.sup_gap(map(abs, map(sub, a, b)))
 
 
-def _json_gap(gap):
-    """A gap for the report: None in place of NaN, so that the report
-    stays strict JSON."""
-    return None if math.isnan(gap) else gap
+def _json_float(x):
+    """A float for the report: None in place of NaN or an infinity, so
+    that the report stays strict JSON."""
+    return x if math.isfinite(x) else None
 
 
 def _chart_invariants(ctx):
@@ -190,7 +200,7 @@ def _monomial_diagram(ctx):
             dual_witness = _dual_basis_witness(index, chart.flag)
         residuals.extend(_diagram_residuals(chart, pairings, ctx.rng, ctx.samples))
     worst = charts.sup_gap(residuals)
-    details = {"identities": identities, "worst_residual": _json_gap(worst), "samples_per_chart": ctx.samples}
+    details = {"identities": identities, "worst_residual": _json_float(worst), "samples_per_chart": ctx.samples}
     if witness is not None:
         details["witness"] = witness
     if dual_witness is not None:
@@ -253,15 +263,24 @@ def _simplex_inversion(ctx):
     by construction, so a residual over the other m - n rows would
     measure only their float evaluation, which the exact gates certify
     (see _diagram_residuals).  A NaN gap fails the check and is reported
-    as null.
+    as null.  On failure, the witness is the worst sample, or the first
+    with a NaN gap: its flag, w, the recovered w and the number of
+    leading zeros of w, its boundary stratum.
     """
-    gaps = []
-    for chart in ctx.charts:
-        columns = list(zip(*_delta_samples(ctx.rng, ctx.n, 500)))
-        back = charts.invert_triangular(chart.b[: chart.n], charts.triangular_eval(chart, columns))
-        gaps.append(charts.sup_gap(map(_sup_gap, columns, back)))
-    worst = charts.sup_gap(gaps)
-    return worst <= 1e-10, {"worst_gap": _json_gap(worst)}
+    worst, worst_chart = 0.0, None
+    for index, chart in enumerate(ctx.charts):
+        points = _delta_samples(ctx.rng, ctx.n, 500)
+        back = charts.invert_triangular(chart.b[: chart.n], charts.triangular_eval(chart, list(zip(*points))))
+        gap = charts.sup_gap(map(_sup_gap, zip(*points), back))
+        if worst == worst and not gap <= worst:  # a new worst, or the first NaN
+            worst, worst_chart = gap, (index, points, back)
+    details = {"worst_gap": _json_float(worst)}
+    if not worst <= 1e-10:
+        index, points, back = worst_chart
+        w, v = next((w, v) for w, v in zip(points, zip(*back)) if (gap := _sup_gap(w, v)) == worst or gap != gap)
+        zeros = next((i for i, x in enumerate(w) if x != 0.0), len(w))
+        details["witness"] = {"flag": index, "w": list(w), "recovered": list(map(_json_float, v)), "zeros": zeros}
+    return worst <= 1e-10, details
 
 
 def _cover(ctx):
@@ -283,7 +302,6 @@ def _intersection_gluing(ctx):
         "identities": glue.identities,
         "coverage": {"shared": "exact", "distinct": "exact"},
         "gates": gates,
-        "located": glue.located_samples,
         "worst_shared_gap": glue.worst_shared_gap,
         "counterexamples": glue.counterexamples[:5],
     }
@@ -363,7 +381,13 @@ def run_verification(
     negative control: the monomial-diagram check must then fail.  When
     timings is a dict, the wall seconds of each check that applies are
     stored in it under the check's name; the report does not change.
+    Raises SettingsError, a ValueError, before any work unless tol is
+    finite and positive and samples is positive: NaN compares false
+    with every gap, inf passes every gap, and a check with no samples
+    looks at nothing.
     """
+    if not (math.isfinite(tol) and tol > 0) or samples < 1:
+        raise SettingsError("tolerance must be finite and positive, and the sample count positive")
     atlas = charts.Atlas(fan)
     chart_list = atlas.charts()
     if tamper and chart_list:

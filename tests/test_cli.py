@@ -144,6 +144,15 @@ def test_verify_rejects_nonfinite_tol(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_verify_rejects_nonpositive_samples(tmp_path, capsys):
+    # run_verification raises on these; the command maps that to exit 2.
+    for samples in ("0", "-5"):
+        out = tmp_path / f"samples{samples}"
+        assert main(["verify", fan_path("p2"), "--samples", samples, "--out", str(out)]) == 2
+        assert not out.exists()
+    assert "sample count positive" in capsys.readouterr().err
+
+
 def test_verify_incomplete_exit(tmp_path):
     f = tmp_path / "a2.json"
     f.write_text('{"dim": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]}')

@@ -21,7 +21,7 @@ from toricball.cellcomplex import (
     verify_gluing,
     verify_regularity,
 )
-from toricball.charts import TWO_PI, invert_triangular, triangular_eval
+from toricball.charts import TWO_PI, invert_triangular, theta_preimage, triangular_eval
 from toricball.exact import pair
 from toricball.fan import star_fan, validate_fan
 from toricball.homeo import bary_to_delta
@@ -136,7 +136,6 @@ def test_verify_gluing_p2(atlas_p2):
     # (1 + 3) + (1 + 3) + (1 + 4) = 13.
     assert report.identities == 6 * 2 + 3 * 13
     assert report.shared_samples == 6 * 2 * 15  # (flag, proper prefix subflag) x samples
-    assert report.located_samples == 6 * 15  # maximal flag x samples
 
 
 @pytest.mark.parametrize("name", ["p2", "p3"])
@@ -453,19 +452,20 @@ def test_verify_gluing_distinct_pin():
     """P(1,1,20) at seed 5, where the sampled distinct half used to report
     the pair stored in distinct.json: verify_gluing now passes, and each
     point of the stored pair is recovered from its chart values
-    (charts.invert_triangular) and located back to its own flag, so the
-    locate cross-check tells the two apart."""
+    (charts.invert_triangular, simplex_inversion's route) at simplicial
+    coordinates u_j = -log(w_j / w_(j+1)) / 2 pi that locate back to its
+    own flag."""
     data = Path(__file__).parent / "data" / "gluing_wps_1_1_20_seed5"
     atlas = tb.Atlas(tb.parse_and_validate((data / "fan.json").read_text()))
     report = verify_gluing(atlas, samples_per_pair=50, tol=1e-9, seed=5)
     assert report.passed and report.counterexamples == []
     flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
-    assert report.located_samples == len(flags) * 25
     (pin,) = json.loads((data / "distinct.json").read_text())
     for f, xi in zip(pin["flags"], pin["xi"]):
         chart = atlas.chart(flags[f])
         back = invert_triangular(chart.b[: chart.n], triangular_eval(chart, [[v] for v in bary_to_delta(xi)]))
-        u = cellcomplex._sample_coords([v for (v,) in back])
+        u = [-math.log(z) / TWO_PI for z in theta_preimage([v for (v,) in back])]
+        assert all(uk > 0 for uk in u)
         x = tuple(sum(uk * b[t] for uk, b in zip(u, flags[f].barycenters)) for t in range(chart.n))
         assert locate_flag(atlas.fan, x) == flags[f]
 
@@ -490,85 +490,6 @@ def test_points_equal_distinct_pin():
     assert i != j
     p, q = (atlas.chart_point(atlas.chart(flags[f]), bary_to_delta(xi)) for f, xi in zip(pin["flags"], pin["xi"]))
     assert not atlas.points_equal(p, q), "distinct"
-
-
-def _p2_with_terms(edit):
-    """A fresh p2 atlas whose flag-0 chart has Chart.terms changed by
-    edit and nothing else: its exponent matrices, and the Hilbert-row
-    terms that Atlas.chart_point reads, stay as built."""
-    atlas = tb.Atlas(tb.load_bundled("p2"))
-    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
-    chart = atlas.chart(flags[0])
-    chart.hilbert_terms  # cached from the unperturbed terms
-    chart.__dict__["terms"] = edit(list(chart.terms))
-    return atlas, flags
-
-
-def _drop_diagonal(terms):
-    # Row 0 is w1 * w2; without its w1 the recovered point leaves flag 0.
-    terms[0] = terms[0][1:]
-    return tuple(terms)
-
-
-def test_locate_cross_check_fails_on_perturbed_terms():
-    atlas, flags = _p2_with_terms(_drop_diagonal)
-    count, failures = gluing_identities(atlas, flags)
-    assert count == 6 * 2 + 3 * 13 and failures == []
-    report = verify_gluing(atlas, samples_per_pair=10, seed=0)
-    assert not report.passed
-    assert {c["kind"] for c in report.counterexamples} == {"locate"}
-    assert len(report.counterexamples) == 5
-    assert all(c["flag"] == 0 and c["located"] not in (0, None) for c in report.counterexamples)
-
-
-def test_locate_cross_check_searches_only_samples_that_leave_their_flag(monkeypatch):
-    """A recovered point with every u_k > 0 is in its flag by the cover
-    certificate and is not searched for: on p2, verify_gluing calls
-    bary.locate_flag on no sample; with flag 0's first triangular row
-    short of its w1, it calls it once per sample of flag 0, each of which
-    is named where it went."""
-    calls = []
-    locate = cellcomplex.locate_flag
-    monkeypatch.setattr(cellcomplex, "locate_flag", lambda fan, x: calls.append(x) or locate(fan, x))
-    assert verify_gluing(tb.Atlas(tb.load_bundled("p2")), samples_per_pair=10, seed=0).passed
-    assert calls == []
-    atlas, _ = _p2_with_terms(_drop_diagonal)
-    report = verify_gluing(atlas, samples_per_pair=10, seed=0)
-    assert len(calls) == len(report.counterexamples) == 5
-    assert all(c["kind"] == "locate" and c["located"] not in (0, None) for c in report.counterexamples)
-
-
-def test_locate_cross_check_fails_on_off_inversion(monkeypatch):
-    """With every w recovered by invert_triangular off by 1e-6 in the
-    locate route, each sample's recovered coordinates miss its own by
-    more than tol: every sample of every flag is a counterexample, and
-    the subflag cross-check, which inverts nothing, still passes."""
-    invert = cellcomplex.invert_triangular
-    monkeypatch.setattr(cellcomplex, "invert_triangular", lambda b, y: [[w + 1e-6 for w in col] for col in invert(b, y)])
-    report = verify_gluing(tb.Atlas(tb.load_bundled("p2")), samples_per_pair=10, seed=0)
-    assert not report.passed
-    expected = [("coordinates", f) for f in range(6) for _ in range(5)]
-    assert [(c["kind"], c["flag"]) for c in report.counterexamples] == expected
-    assert all(c["gap"] > 1e-9 for c in report.counterexamples)
-
-
-def test_locate_cross_check_names_underflowed_values():
-    """A triangular value that underflows to 0.0 is recovered as
-    w_1 = 0.0, which _sample_coords turns away: a counterexample with no
-    located flag, not a math.log error.  With w1^2000 for flag 0's first
-    row, most of its samples underflow; one that does not is recovered
-    at the wrong coordinates."""
-    atlas, flags = _p2_with_terms(lambda terms: (((0, 2000),), *terms[1:]))
-    report = verify_gluing(atlas, samples_per_pair=10, seed=0)
-    found = report.counterexamples
-    assert len(found) == 5 and all(c["flag"] == 0 for c in found)
-    assert ("locate", None) in [(c["kind"], c.get("located")) for c in found]
-    assert all(c["kind"] == "coordinates" or c["located"] is None for c in found)
-    assert cellcomplex._sample_coords([0.5, 0.0]) is None
-    assert cellcomplex._sample_coords([0.5, math.inf]) is None
-    assert cellcomplex._sample_coords([math.nan, 0.5]) is None
-    assert cellcomplex._sample_coords([-0.5, 1.0]) is None
-    assert cellcomplex._sample_coords([0.25, 0.5]) == [-math.log(0.5) / TWO_PI] * 2
 
 
 def test_verify_gluing_disjoint_flags_share_only_origin(atlas_p1xp1):

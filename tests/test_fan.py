@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -82,6 +84,33 @@ def test_face_intersection_violation():
 def test_non_extremal_generator_rejected():
     with pytest.raises(FanValidationError):
         validate_fan(2, [(1, 0), (0, 1), (1, 1)], [[0, 1, 2]], require_complete=False)
+
+
+P2_RAYS = [(1, 0), (0, 1), (-1, -1)]
+P2_CONES = [[0, 1], [1, 2], [2, 0]]
+
+
+@pytest.mark.parametrize(
+    "dim, rays, cones, named",
+    [
+        (2, [(1.5, 0), *P2_RAYS[1:]], P2_CONES, "ray 0: 1.5"),
+        (2.9, P2_RAYS, P2_CONES, "dimension: 2.9"),
+        (2, P2_RAYS, [*P2_CONES[:2], [2, 0.7]], "maximal cone 2: 0.7"),
+        (2, [P2_RAYS[0], (0, math.inf), P2_RAYS[2]], P2_CONES, "ray 1: inf"),
+        (2, [*P2_RAYS[:2], (math.nan, -1)], P2_CONES, "ray 2: nan"),
+    ],
+    ids=["fractional-ray", "fractional-dim", "fractional-index", "inf-ray", "nan-ray"],
+)
+def test_validate_fan_rejects_non_integral_entries(dim, rays, cones, named):
+    """The Python API, unlike parse_fan, takes any numbers: a non-finite
+    or fractional entry is named, not truncated by int()."""
+    with pytest.raises(FanValidationError, match=re.escape(named) + " is not a finite integer"):
+        validate_fan(dim, rays, cones)
+
+
+def test_validate_fan_accepts_integral_floats():
+    fan = validate_fan(2.0, [(1.0, 0), *P2_RAYS[1:]], [[0, 1.0], *P2_CONES[1:]])
+    assert fan.dim == 2 and fan.rays == tuple(P2_RAYS) and type(fan.rays[0][0]) is int
 
 
 def test_parse_errors():

@@ -17,8 +17,8 @@ CASES = [
     ("verify_p112", ["verify", "p112", "--seed", "0", "--samples", "20"], 0),
     # The bundled rank-3 fan: 24 charts through every sample loop.
     ("verify_p3", ["verify", "p3", "--seed", "0", "--samples", "20"], 0),
-    # The 60-flag fan: 6,000 subflag samples and 1,500 located samples
-    # through the gluing cross-checks.
+    # The 60-flag fan: 6,000 subflag samples through the gluing
+    # cross-check and 30,000 through simplex_inversion.
     ("verify_twisted_p3", ["verify", "twisted_p3", "--seed", "0", "--samples", "20"], 0),
     # (P^1)^3: 48 charts, each through every sample loop.
     ("verify_p1xp1xp1", ["verify", "p1xp1xp1", "--seed", "0", "--samples", "20"], 0),

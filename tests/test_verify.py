@@ -298,8 +298,8 @@ def test_steep_fan_underflow_pin(name, k):
 def test_wps_underflow_gate(k):
     """ROADMAP item 1's gates on valid complete fans that verify rejects
     today.  P(1,1,90) fails simplex_inversion (worst gap 0.011);
-    P(1,1,400) fails it (0.376) and intersection_gluing, whose locate
-    cross-check finds no flag (located: null) for samples of flag 1."""
+    P(1,1,400) fails it (0.376); its witness, on flag 4, is recovered
+    at w_1 = 0.0."""
     assert verify.run_verification(wps_fan(2, k), seed=0)["passed"]
 
 
@@ -317,10 +317,15 @@ def _off_inversion(monkeypatch, ctx):
 
 def test_simplex_inversion_fails_on_nan_gaps(monkeypatch):
     """invert_triangular returning NaN for every sample fails the check,
-    with the worst gap reported as None."""
+    with the worst gap reported as None and the first sample, on the
+    w_1 = 0 stratum, as the witness, its recovered w as nulls."""
     fan = tb.load_bundled("p112")
     monkeypatch.setattr(charts, "invert_triangular", lambda b, y: [[math.nan] * len(y[0]) for _ in b])
-    assert verify._simplex_inversion(_context(fan, tb.Atlas(fan))) == (False, {"worst_gap": None})
+    ctx = _context(fan, tb.Atlas(fan))
+    (w,) = verify._delta_samples(random.Random(0), 2, 1)
+    witness = {"flag": 0, "w": list(w), "recovered": [None, None], "zeros": 1}
+    assert verify._simplex_inversion(ctx) == (False, {"worst_gap": None, "witness": witness})
+    json.dumps(witness, allow_nan=False)
 
 
 def _path_independent_probe(monkeypatch, ctx):
@@ -340,7 +345,7 @@ def _drop_first_term(rows):
 @pytest.mark.parametrize("entry", ["terms", "hilbert_terms"])
 def test_chart_invariants_fail_on_perturbed_terms(entry):
     """Only Chart.terms of p2's flag-0 chart changes (its first row loses
-    its w1, the edit of test_complex.py::_p2_with_terms), or only its
+    its w1, the edit of _p2_with_terms), or only its
     first hilbert_terms row: b and c are as built, and chart_invariants
     counts the one entry that no longer matches b."""
     fan = tb.load_bundled("p2")
@@ -406,6 +411,16 @@ def test_entries_survive_a_reversed_table(monkeypatch):
     assert reversed_ == {name: entry for name, entry in full.items() if name != "intersection_gluing"}
 
 
+@pytest.mark.parametrize("tol, samples", [(1e-9, 0), (1e-9, -5), (math.inf, 100), (math.nan, 100), (0.0, 100)])
+def test_run_verification_rejects_bad_settings(monkeypatch, tol, samples):
+    """samples = 0 or -5 would report monomial_diagram passed with that
+    many samples per chart, and tol = inf would pass every sampled gap:
+    the library rejects them with a ValueError before any work."""
+    monkeypatch.setattr(charts, "Atlas", None)  # no atlas is built
+    with pytest.raises(ValueError, match="finite and positive"):
+        verify.run_verification(tb.load_bundled("p2"), tol=tol, samples=samples)
+
+
 def test_verify_p4_passes(tmp_path):
     """Rank 4: P^4 (120 maximal flags) passes verify at seed 0."""
     from toricball.cli import main
@@ -441,27 +456,47 @@ def _gluing_after_gates(fan, atlas):
     return ctx, verify._intersection_gluing(ctx)
 
 
-def test_perturbed_terms_fail_locate_cross_check_with_exact_gates_passing():
-    """Only Chart.terms of flag 0 changes (its first triangular row loses
-    its w1): the float evaluators are wrong, the exact data is not.  The
-    gates of the distinct half hold, and the locate cross-check fails,
-    naming flag 0 and where its samples were located."""
+def _p2_with_terms(edit):
+    """p2 whose flag-0 chart has Chart.terms changed by edit and nothing
+    else: its exponent matrices, and the Hilbert-row terms that
+    Atlas.chart_point reads, stay as built."""
     fan = tb.load_bundled("p2")
     atlas = tb.Atlas(fan)
-    chart = atlas.chart(atlas.charts()[0].flag)
+    chart = atlas.charts()[0]
     chart.hilbert_terms  # cached from the unperturbed terms
-    terms = list(chart.terms)
-    terms[0] = terms[0][1:]
-    chart.__dict__["terms"] = tuple(terms)
-    ctx, (passed, details) = _gluing_after_gates(fan, atlas)
+    chart.__dict__["terms"] = edit(chart.terms)
+    return fan, atlas
+
+
+def test_perturbed_terms_fail_simplex_inversion_with_exact_gates_passing():
+    """Only Chart.terms of flag 0 changes (its first triangular row, w1 *
+    w2, loses its w1): the float evaluators are wrong, the exact data is
+    not.  The exact gates of monomial_diagram and the gluing identities
+    hold, and simplex_inversion fails.  Its witness is flag 0's first
+    sample on the w_1 = 0 stratum, recovered at w_1 = w_2 / w_2 = 1."""
+    fan, atlas = _p2_with_terms(_drop_first_term)
+    ctx, (_, details) = _gluing_after_gates(fan, atlas)
     diagram = ctx.results["monomial_diagram"][1]
     assert "witness" not in diagram and "dual_witness" not in diagram
     assert details["gates"] == {"monomial_diagram": True, "cover": True}
-    assert details["coverage"] == {"shared": "exact", "distinct": "exact"}
-    assert not passed
-    assert details["counterexamples"] and all(
-        c["kind"] == "locate" and c["flag"] == 0 and c["located"] not in (0, None) for c in details["counterexamples"]
-    )
+    assert details["identities"] == 6 * 2 + 3 * 13 and details["counterexamples"] == []
+    passed, details = verify._simplex_inversion(ctx)
+    witness = details["witness"]
+    assert not passed and details["worst_gap"] == 1.0
+    assert witness["flag"] == 0 and witness["zeros"] == 1
+    assert witness["w"][0] == 0.0 and witness["recovered"] == [1.0, witness["w"][1]]
+
+
+def test_simplex_inversion_names_underflowed_values():
+    """With w1^2000 for flag 0's first triangular row, that value
+    underflows to 0.0 for w_1 below about 0.7, and is recovered at
+    w_1 = 0.0; above, at w_1^2000 / w_2, which is far below w_1.
+    simplex_inversion fails with a witness on flag 0, not an error."""
+    fan, atlas = _p2_with_terms(lambda terms: (((0, 2000),), *terms[1:]))
+    passed, details = verify._simplex_inversion(_context(fan, atlas))
+    witness = details["witness"]
+    assert not passed and witness["flag"] == 0 and witness["zeros"] == 0
+    assert witness["recovered"][0] < 1e-30 and details["worst_gap"] == witness["w"][0] - witness["recovered"][0]
 
 
 def test_distinct_half_fails_with_a_failed_gate():
@@ -516,7 +551,6 @@ def test_verify_passes_where_sampled_distinct_half_failed(fan, seed, tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     gluing = next(c for c in report["checks"] if c["name"] == "intersection_gluing")
     assert gluing["coverage"]["distinct"] == "exact" and gluing["passed"]
-    assert gluing["located"] == {"wps_1_1_20": 6, "wps_1_1_1_27": 24}[fan] * 25
 
 
 def _wps_1_1_1(k):
