@@ -130,3 +130,24 @@ def atlas_p2():
 @pytest.fixture(scope="session")
 def atlas_p1xp1():
     return get_atlas("p1xp1")
+
+
+def drop_first_term(rows):
+    """rows less the first term of its first row: for Chart.terms of
+    p2's flag 0, the triangular row w1 * w2 loses its w1."""
+    rows = list(rows)
+    assert rows[0]
+    rows[0] = rows[0][1:]
+    return tuple(rows)
+
+
+def p2_with_terms(edit):
+    """p2 whose flag-0 chart has Chart.terms changed by edit and nothing
+    else: its exponent matrices, and the Hilbert-row terms that
+    Atlas.chart_point reads, stay as built."""
+    fan = tb.load_bundled("p2")
+    atlas = tb.Atlas(fan)
+    chart = atlas.charts()[0]
+    chart.hilbert_terms  # cached from the unperturbed terms
+    chart.__dict__["terms"] = edit(chart.terms)
+    return fan, atlas

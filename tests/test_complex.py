@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 import toricball as tb
-from conftest import cube_faces_fan, wps_fan
-from toricball import cellcomplex
+from conftest import cube_faces_fan, drop_first_term, p2_with_terms, wps_fan
+from toricball import cellcomplex, charts, verify
 from toricball.bary import locate_flag
 from toricball.cellcomplex import (
     build_ball_model,
@@ -490,6 +490,43 @@ def test_points_equal_distinct_pin():
     assert i != j
     p, q = (atlas.chart_point(atlas.chart(flags[f]), bary_to_delta(xi)) for f, xi in zip(pin["flags"], pin["xi"]))
     assert not atlas.points_equal(p, q), "distinct"
+
+
+def _simplex_inversion(fan, atlas):
+    """verify's simplex_inversion check on atlas, which may be perturbed."""
+    chart_list = atlas.charts()
+    ctx = verify.Context(fan, atlas, chart_list, [c.flag for c in chart_list], fan.dim, 1e-9, 0, 0, random.Random(0))
+    return verify._simplex_inversion(ctx)
+
+
+def test_locate_cross_check_fails_on_perturbed_terms():
+    """Flag 0's first triangular row short of its w1, the edit that
+    verify_gluing's retired locate cross-check failed on: the exact
+    gluing identities hold, and verify_gluing, which no longer
+    round-trips chart values, passes.  simplex_inversion runs that round
+    trip and fails on flag 0."""
+    fan, atlas = p2_with_terms(drop_first_term)
+    count, failures = gluing_identities(atlas, tb.enumerate_flags(fan, only_maximal=True))
+    assert count == 6 * 2 + 3 * 13 and failures == []
+    assert verify_gluing(atlas, samples_per_pair=10, seed=0).passed
+    passed, details = _simplex_inversion(fan, atlas)
+    assert not passed and details["witness"]["flag"] == 0
+
+
+def test_locate_cross_check_fails_on_off_inversion(monkeypatch):
+    """With every w recovered by charts.invert_triangular off by 1e-6,
+    the retired locate cross-check's failure is simplex_inversion's: its
+    witness is recovered 1e-6 off in each coordinate.  verify_gluing,
+    which inverts nothing, still passes."""
+    invert = charts.invert_triangular
+    monkeypatch.setattr(charts, "invert_triangular", lambda b, y: [[w + 1e-6 for w in col] for col in invert(b, y)])
+    fan = tb.load_bundled("p2")
+    atlas = tb.Atlas(fan)
+    assert verify_gluing(atlas, samples_per_pair=10, seed=0).passed
+    passed, details = _simplex_inversion(fan, atlas)
+    witness = details["witness"]
+    assert not passed and details["worst_gap"] > 1e-9
+    assert witness["recovered"] == pytest.approx([w + 1e-6 for w in witness["w"]], rel=0, abs=1e-12)
 
 
 def test_verify_gluing_disjoint_flags_share_only_origin(atlas_p1xp1):

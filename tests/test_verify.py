@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import toricball as tb
-from conftest import wps_fan
+from conftest import drop_first_term, p2_with_terms, wps_fan
 from toricball import cellcomplex, charts, homeo, verify
 from toricball.bary import simplicial_coords
 from toricball.cones import dual_generators
@@ -335,25 +335,18 @@ def _path_independent_probe(monkeypatch, ctx):
     )
 
 
-def _drop_first_term(rows):
-    rows = list(rows)
-    assert rows[0]
-    rows[0] = rows[0][1:]
-    return tuple(rows)
-
-
 @pytest.mark.parametrize("entry", ["terms", "hilbert_terms"])
 def test_chart_invariants_fail_on_perturbed_terms(entry):
-    """Only Chart.terms of p2's flag-0 chart changes (its first row loses
-    its w1, the edit of _p2_with_terms), or only its
-    first hilbert_terms row: b and c are as built, and chart_invariants
-    counts the one entry that no longer matches b."""
+    """Only Chart.terms of p2's flag-0 chart changes (drop_first_term:
+    its first row loses its w1), or only its first hilbert_terms row: b
+    and c are as built, and chart_invariants counts the one entry that
+    no longer matches b."""
     fan = tb.load_bundled("p2")
     ctx = _context(fan, tb.Atlas(fan))
     assert verify._chart_invariants(ctx) == (True, {"charts": 6, "violations": 0})
     chart = ctx.charts[0]
     chart.hilbert_terms  # cached from the unperturbed terms
-    chart.__dict__[entry] = _drop_first_term(getattr(chart, entry))
+    chart.__dict__[entry] = drop_first_term(getattr(chart, entry))
     assert verify._chart_invariants(ctx) == (False, {"charts": 6, "violations": 1})
 
 
@@ -456,25 +449,13 @@ def _gluing_after_gates(fan, atlas):
     return ctx, verify._intersection_gluing(ctx)
 
 
-def _p2_with_terms(edit):
-    """p2 whose flag-0 chart has Chart.terms changed by edit and nothing
-    else: its exponent matrices, and the Hilbert-row terms that
-    Atlas.chart_point reads, stay as built."""
-    fan = tb.load_bundled("p2")
-    atlas = tb.Atlas(fan)
-    chart = atlas.charts()[0]
-    chart.hilbert_terms  # cached from the unperturbed terms
-    chart.__dict__["terms"] = edit(chart.terms)
-    return fan, atlas
-
-
 def test_perturbed_terms_fail_simplex_inversion_with_exact_gates_passing():
     """Only Chart.terms of flag 0 changes (its first triangular row, w1 *
     w2, loses its w1): the float evaluators are wrong, the exact data is
     not.  The exact gates of monomial_diagram and the gluing identities
     hold, and simplex_inversion fails.  Its witness is flag 0's first
     sample on the w_1 = 0 stratum, recovered at w_1 = w_2 / w_2 = 1."""
-    fan, atlas = _p2_with_terms(_drop_first_term)
+    fan, atlas = p2_with_terms(drop_first_term)
     ctx, (_, details) = _gluing_after_gates(fan, atlas)
     diagram = ctx.results["monomial_diagram"][1]
     assert "witness" not in diagram and "dual_witness" not in diagram
@@ -487,12 +468,30 @@ def test_perturbed_terms_fail_simplex_inversion_with_exact_gates_passing():
     assert witness["w"][0] == 0.0 and witness["recovered"] == [1.0, witness["w"][1]]
 
 
+def test_perturbed_terms_fail_locate_cross_check_with_exact_gates_passing(monkeypatch):
+    """The edit that intersection_gluing's retired locate cross-check
+    failed on (drop_first_term on flag 0's Chart.terms) still fails verify
+    end to end.  In the report, intersection_gluing passes with its exact
+    gates and has no located field; simplex_inversion, which runs the
+    same round trip, fails with a witness on flag 0."""
+    fan, atlas = p2_with_terms(drop_first_term)
+    monkeypatch.setattr(charts, "Atlas", lambda _: atlas)
+    report = verify.run_verification(fan, seed=0)
+    checks = {c["name"]: c for c in report["checks"]}
+    diagram, gluing, inversion = (checks[n] for n in ("monomial_diagram", "intersection_gluing", "simplex_inversion"))
+    assert not report["passed"]
+    assert "witness" not in diagram and "dual_witness" not in diagram
+    assert gluing["passed"] and gluing["gates"] == {"monomial_diagram": True, "cover": True}
+    assert gluing["coverage"] == {"shared": "exact", "distinct": "exact"} and "located" not in gluing
+    assert not inversion["passed"] and inversion["witness"]["flag"] == 0
+
+
 def test_simplex_inversion_names_underflowed_values():
     """With w1^2000 for flag 0's first triangular row, that value
     underflows to 0.0 for w_1 below about 0.7, and is recovered at
     w_1 = 0.0; above, at w_1^2000 / w_2, which is far below w_1.
     simplex_inversion fails with a witness on flag 0, not an error."""
-    fan, atlas = _p2_with_terms(lambda terms: (((0, 2000),), *terms[1:]))
+    fan, atlas = p2_with_terms(lambda terms: (((0, 2000),), *terms[1:]))
     passed, details = verify._simplex_inversion(_context(fan, atlas))
     witness = details["witness"]
     assert not passed and witness["flag"] == 0 and witness["zeros"] == 0
