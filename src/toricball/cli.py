@@ -3,7 +3,7 @@
 Commands (see README for examples):
 
     validate <file>                      exit 0 valid+complete, 2 invalid,
-                                         3 valid but incomplete, 1 parse error
+                                         3 valid but incomplete
     charts <file>                        per-flag generator/exponent dump
     param <file> --flag I --xi A,B,..    boundary-extended chart point
     verify <file> [--tol --samples --seed --out --tamper --timings FILE]
@@ -13,7 +13,9 @@ Commands (see README for examples):
 The checks behind `verify` are the table in toricball.verify; this
 module only parses arguments, loads fans and writes results.  Reports
 are JSON on stdout (or under --out); with a fixed seed and
-configuration they are byte-identical across runs.
+configuration they are byte-identical across runs.  Every command
+exits 1 when the input could not be read or parsed, or an output could
+not be written.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .homeo import bary_to_delta, param_boundary_point, phi_point
 from .verify import SettingsError, run_verification
 
 EXIT_OK = 0
-EXIT_PARSE = 1
+EXIT_PARSE = 1  # unreadable or unparsable input, or an unwritable output
 EXIT_INVALID = 2
 EXIT_INCOMPLETE = 3
 EXIT_CHECK_FAILED = 4
@@ -42,7 +44,7 @@ def _parse_or_exit(args):
     """(fan, EXIT_OK) for a valid fan file, else (None, exit code)."""
     try:
         return parse_and_validate(Path(args.file).read_text(), require_complete=False), EXIT_OK
-    except ParseError as e:
+    except (ParseError, UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return None, EXIT_PARSE
     except FanValidationError as e:
@@ -340,7 +342,11 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as e:
+        print(e, file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ on top of it.  All computations are exact; the only algorithms here are
     reduced to irreducibles in increasing degree against an interior
     functional (as in Normaliz): a candidate is kept unless it minus an
     earlier candidate stays in the cone,
-  * a depth-first decomposition over a semigroup's generators, pruned
-    at residuals outside the dual cone and at failed states,
+  * a greedy decomposition over a generating set of a semigroup: each
+    generator, heaviest first, takes the largest coefficient that keeps
+    the residual in the dual cone, which never backtracks,
   * a minimality certificate: a pointed generator g is flagged when
     g - h lies in the dual cone for another pointed generator h.
     An empty answer certifies minimality outright; a flagged g is
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import or_
@@ -299,8 +300,8 @@ class SemigroupGens:
 
     interior_point is a lattice point of the relative interior of the
     base cone; it pairs strictly positively with every pointed generator
-    and to zero with the lineality part, which is what the bounded
-    decomposition search keys on.
+    and to zero with the lineality part.  decompose orders the pointed
+    generators by that weight, and needs only that the set generates.
     """
 
     cone_rays: tuple
@@ -344,85 +345,48 @@ def hilbert_basis(cone) -> SemigroupGens:
 
 
 def decompose(sem: SemigroupGens, m) -> "tuple | None":
-    """Nonnegative integer coefficients over sem.generators summing to m.
+    """Nonnegative integer coefficients over sem.generators summing to m,
+    or None when m is not in the semigroup.
 
-    Bounded depth-first search: the pointed generators pair strictly
-    positively with the interior point, which bounds their coefficients;
-    the residual is then solved exactly in the lineality basis.  Returns
-    None when m is not in the semigroup.
+    sem.generators must generate the semigroup (dual cone) intersect M,
+    as hilbert_basis's do; minimality is not needed.  Over a set that
+    does not generate it the answer may be None for an m of the
+    subsemigroup the set generates.
 
-    Three prunings keep the search small without changing which solution
-    it finds first:
+    One greedy pass: the pointed generators are taken heaviest against
+    interior_point first (ties in index order), each with the largest
+    coefficient a that keeps the residual in the dual cone, the least
+    floor(<residual, r> / <h, r>) over the cone rays r with <h, r> > 0.
+    What is left is solved exactly in the lineality basis.
 
-    - A residual outside the dual cone cannot be completed (every
-      generator lies in the cone), so a child is kept only when its
-      residual is in the cone.  The coefficient-0 child keeps its
-      parent's residual, which is in the cone already (m is tested once
-      up front), so it is kept untested.
-    - The generators are tried heaviest first, so every generator from
-      the current one on that pairs with the interior point to more than
-      the residual's weight can only take 0.  The search skips that run
-      in one step (a bisection), instead of one level per generator.
-    - Whether a subtree fails depends only on its (position, residual)
-      state, so failed states are remembered and not searched again.
+    - It never dead-ends.  Once h is taken, residual - h stays outside
+      the cone, because every later residual is smaller by elements of
+      the cone.  A final residual off the lineality space would be a sum
+      of generators with some pointed h among them (the lineality pairs
+      to zero with interior_point), so residual - h would lie in the
+      cone, a contradiction.  So the residual ends in the lineality
+      lattice, and the lineality basis is a lattice basis of it.
+    - It gives the answer of the depth-first search that tries the
+      generators in this order and each coefficient from the top down:
+      the first coefficient that search tries that stays in the cone is
+      the greedy one, and it never leaves that first path.
     """
     if not sem.contains(m):
         return None
     y0 = sem.interior_point
     order = sorted(range(len(sem.pointed)), key=lambda i: -pair(sem.pointed[i], y0))
-    pointed = [sem.pointed[i] for i in order]
-    weights = [pair(h, y0) for h in pointed]
-    lighter = [-w for w in weights]  # nondecreasing, for the bisection
-    coeffs = [0] * len(pointed)  # by position in order
-    failed = set()
-
-    def close(residual):
-        if sem.lineality:
-            c = solve_in_basis(sem.lineality, residual)
-            if c is None or any(Fraction(x).denominator != 1 for x in c):
-                return None
-            return [int(x) for x in c]
-        return [] if is_zero_vec(residual) else None
-
-    def children(pos, residual, remaining):
-        h, w = pointed[pos], weights[pos]
-        for a in range(remaining // w, 0, -1):
-            rest = vsub(residual, vscale(a, h))
-            if sem.contains(rest):
-                coeffs[pos] = a
-                yield pos + 1, rest, remaining - a * w
-        coeffs[pos] = 0
-        yield pos + 1, residual, remaining
-
-    # Depth-first over an explicit stack of open states, each with the
-    # iterator of its remaining children, so the depth is not bounded by
-    # Python's recursion limit.
-    path = []
-    state = (0, tuple(m), pair(m, y0))
-    while True:
-        if state is not None:
-            pos, residual, remaining = state
-            light = bisect_left(lighter, -remaining, pos)
-            coeffs[pos:light] = [0] * (light - pos)
-            if light == len(order):
-                lin_coeffs = close(residual) if remaining == 0 else None
-                if lin_coeffs is not None:
-                    break
-            elif (light, residual) not in failed:
-                path.append((light, residual, children(light, residual, remaining)))
-        if not path:
-            return None
-        pos, residual, kids = path[-1]
-        state = next(kids, None)
-        if state is None:
-            failed.add((pos, residual))
-            path.pop()
     out = [0] * len(order)
-    for pos, i in enumerate(order):
-        out[i] = coeffs[pos]
-    for c in lin_coeffs:
-        out.append(max(c, 0))
-        out.append(max(-c, 0))
+    residual = tuple(m)
+    for i in order:
+        h = sem.pointed[i]
+        out[i] = min(pair(residual, r) // c for r in sem.cone_rays if (c := pair(h, r)) > 0)
+        if out[i]:
+            residual = vsub(residual, vscale(out[i], h))
+    lin = solve_in_basis(sem.lineality, residual)
+    if lin is None or any(Fraction(x).denominator != 1 for x in lin):
+        return None
+    for c in map(int, lin):
+        out += (max(c, 0), max(-c, 0))
     return tuple(out)
 
 

@@ -110,6 +110,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import random
 import time
 from dataclasses import dataclass, field
@@ -381,13 +382,14 @@ def run_verification(
     negative control: the monomial-diagram check must then fail.  When
     timings is a dict, the wall seconds of each check that applies are
     stored in it under the check's name; the report does not change.
-    Raises SettingsError, a ValueError, before any work unless tol is
-    finite and positive and samples is positive: NaN compares false
-    with every gap, inf passes every gap, and a check with no samples
-    looks at nothing.
+    Raises SettingsError, a ValueError, before any work unless tol is a
+    finite positive real number and samples a positive integer, neither
+    of them a bool: NaN compares false with every gap, inf passes every
+    gap, and a check with no samples looks at nothing.
     """
-    if not (math.isfinite(tol) and tol > 0) or samples < 1:
-        raise SettingsError("tolerance must be finite and positive, and the sample count positive")
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol > 0) or type(samples) is not int or samples < 1:
+        raise SettingsError("tolerance must be a finite and positive number, and the sample count positive and whole")
     atlas = charts.Atlas(fan)
     chart_list = atlas.charts()
     if tamper and chart_list:

@@ -53,6 +53,45 @@ def test_validate_invalid(tmp_path, capsys):
     assert main(["validate", str(f)]) == 2
 
 
+def test_validate_unreadable_input(tmp_path, capsys):
+    """A missing file and a directory exit 1 with the error on stderr,
+    not a traceback."""
+    for path in (tmp_path / "missing.json", tmp_path):
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(path) in captured.err
+
+
+def test_validate_non_utf8_input(tmp_path, capsys):
+    f = tmp_path / "latin1.json"
+    f.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    assert main(["validate", str(f)]) == 1
+    assert "parse error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify"], ["mesh", "--radii", "1", "--res", "2"]])
+def test_out_naming_a_regular_file(tmp_path, capsys, command):
+    """--out names a directory; an existing regular file there is an
+    output that cannot be written: exit 1, the file left as it was."""
+    f = tmp_path / "taken"
+    f.write_text("keep\n")
+    argv = [command[0], fan_path("p2"), *command[1:], "--out", str(f)]
+    if command[0] == "verify":
+        argv += ["--samples", "2"]
+    assert main(argv) == 1
+    assert str(f) in capsys.readouterr().err
+    assert f.read_text() == "keep\n"
+
+
+def test_verify_unwritable_timings(tmp_path, capsys):
+    """The report is already out when the timings file fails to open;
+    the command still exits 1 and names the path."""
+    timings = tmp_path / "missing" / "t.json"
+    assert main(["verify", fan_path("p1"), "--samples", "2", "--timings", str(timings)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["passed"] and str(timings) in captured.err
+
+
 def test_charts_p1(capsys):
     code, out = run(capsys, "charts", fan_path("p1"))
     assert code == 0

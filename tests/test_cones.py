@@ -212,24 +212,18 @@ def _unpruned_decompose(sem, m):
 
 
 def test_decompose_matches_unpruned_search():
-    """The prunings change no answer: same first solution, same None."""
+    """The greedy pass gives the search's first solution, or its None."""
     cones = [SINGULAR.cone({0, 1}), RAY2.cone({0}), _fan(2, [(1, 0), (1, 5)], [[0, 1]]).cone({0, 1})]
     cones += tb.load_bundled("p112").cones()
     for cone in cones:
         sem = hilbert_basis(cone)
         for p in itertools.product(range(-7, 8), repeat=2):
             assert decompose(sem, p) == _unpruned_decompose(sem, p), (cone, p)
-    # The numerical semigroup <3, 5> makes the search backtrack (9 = 3 * 3
-    # after 5 + 3 leaves 1), which a Hilbert basis of these cones never does.
-    line = validate_fan(1, [(1,), (-1,)], [[0], [1]]).cone({0})
-    sem = dataclasses.replace(hilbert_basis(line), pointed=((3,), (5,)))
-    for k in range(-2, 30):
-        assert decompose(sem, (k,)) == _unpruned_decompose(sem, (k,)), k
 
 
 def test_decompose_deeper_than_recursion_limit():
-    # 1500 pointed generators: one search level each, beyond Python's
-    # default recursion limit.
+    # 1500 pointed generators, more than Python's default recursion
+    # limit: the pass takes them in a loop, not one call level each.
     sem = SemigroupGens(
         cone_rays=((1,),), pointed=tuple((k,) for k in range(1, 1501)), lineality=(), interior_point=(1,)
     )
@@ -743,3 +737,52 @@ def test_decompose_matches_level_by_level_search_on_seeded_points(name):
                 assert answer == _level_by_level_decompose(sem, m), (cone.rays, m)
                 found[answer is not None] += 1
     assert found[True] and found[False]
+
+
+@pytest.mark.parametrize("name", ["p2", "p112", "wps_1_1_9"])
+def test_decompose_needs_a_generating_set_not_a_minimal_one(name):
+    """With the sum of two generators appended to H(sigma), as in the
+    minimality negative controls, the greedy pass still gives the
+    level-by-level search's answer on every localization target, and it
+    takes the appended generator in some of them."""
+    fan = _named_fan(name)
+    atlas = tb.Atlas(fan)
+    checked = used = 0
+    for sigma in fan.cones():
+        sem = atlas.hilbert(sigma)
+        if not sem.pointed:
+            continue
+        a, b = sem.generators[:2]
+        padded = _with_pointed(sem, vadd(a, b))
+        for tau in fan.faces(sigma):
+            if tau.rays == sigma.rays:
+                continue
+            for m in _localization_targets(atlas, sigma, tau):
+                answer = decompose(padded, m)
+                assert answer == _level_by_level_decompose(padded, m), (sigma.rays, tau.rays, m)
+                checked += 1
+                used += bool(answer and answer[len(sem.pointed)])
+    assert checked and used
+
+
+@pytest.mark.parametrize("name", ["twisted_p3", "wps_1_1_27"])
+def test_decompose_tests_cone_membership_once(monkeypatch, name):
+    """One pass, no search: SemigroupGens.contains runs once per call,
+    on m itself, for every localization target."""
+    fan = _named_fan(name)
+    atlas = tb.Atlas(fan)
+    cases = [
+        (atlas.hilbert(sigma), m)
+        for sigma in fan.cones()
+        for tau in fan.faces(sigma)
+        if tau.rays != sigma.rays
+        for m in _localization_targets(atlas, sigma, tau)
+    ]
+    calls = []
+    contains = SemigroupGens.contains
+    monkeypatch.setattr(SemigroupGens, "contains", lambda sem, m: calls.append(m) or contains(sem, m))
+    for sem, m in cases:
+        calls.clear()
+        decompose(sem, m)
+        assert calls == [m], (sem.cone_rays, m)
+    assert cases

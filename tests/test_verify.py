@@ -404,11 +404,28 @@ def test_entries_survive_a_reversed_table(monkeypatch):
     assert reversed_ == {name: entry for name, entry in full.items() if name != "intersection_gluing"}
 
 
-@pytest.mark.parametrize("tol, samples", [(1e-9, 0), (1e-9, -5), (math.inf, 100), (math.nan, 100), (0.0, 100)])
+@pytest.mark.parametrize(
+    "tol, samples",
+    [
+        (1e-9, 0),
+        (1e-9, -5),
+        (math.inf, 100),
+        (math.nan, 100),
+        (0.0, 100),
+        (1e-9, 2.5),
+        (1e-9, 100.0),
+        (1e-9, True),
+        ("x", 100),
+        (True, 100),
+        (None, 100),
+    ],
+)
 def test_run_verification_rejects_bad_settings(monkeypatch, tol, samples):
     """samples = 0 or -5 would report monomial_diagram passed with that
-    many samples per chart, and tol = inf would pass every sampled gap:
-    the library rejects them with a ValueError before any work."""
+    many samples per chart, and tol = inf would pass every sampled gap;
+    samples = 2.5 and tol = "x" would raise a TypeError mid-run, and
+    booleans are neither counts nor tolerances: the library rejects them
+    all with a ValueError before any work."""
     monkeypatch.setattr(charts, "Atlas", None)  # no atlas is built
     with pytest.raises(ValueError, match="finite and positive"):
         verify.run_verification(tb.load_bundled("p2"), tol=tol, samples=samples)
