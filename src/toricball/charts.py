@@ -397,7 +397,7 @@ class Atlas:
             alpha = _ck.cutting_functional(sigma, tau)
             alpha_coeffs = _ck.decompose(sem_s, alpha)
             assert alpha_coeffs is not None, "cutting functional must lie in the semigroup"
-            cuts = [(r, pair(alpha, r)) for r in sigma.generators if pair(alpha, r) > 0]
+            cuts = [(r, a) for r in sigma.generators if (a := pair(alpha, r)) > 0]
             rows = []
             for h in sem_t.generators:
                 k = max([0, *(-(pair(h, r) // a) for r, a in cuts)])

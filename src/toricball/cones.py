@@ -13,7 +13,9 @@ on top of it.  All computations are exact; the only algorithms here are
     earlier candidate stays in the cone,
   * a greedy decomposition over a generating set of a semigroup: each
     generator, heaviest first, takes the largest coefficient that keeps
-    the residual in the dual cone, which never backtracks,
+    the residual in the dual cone, which never backtracks; the order and
+    each generator's pairings with the cone's rays are planned once per
+    generating set, so a call pairs only m with the rays,
   * a minimality certificate: a pointed generator g is flagged when
     g - h lies in the dual cone for another pointed generator h.
     An empty answer certifies minimality outright; a flagged g is
@@ -32,6 +34,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import or_
 from typing import Sequence
 
@@ -302,6 +305,12 @@ class SemigroupGens:
     base cone; it pairs strictly positively with every pointed generator
     and to zero with the lineality part.  decompose orders the pointed
     generators by that weight, and needs only that the set generates.
+
+    greedy_plan is decompose's plan, computed on first use and cached on
+    the instance.  It reads only the fields, which are frozen, so it can
+    never go stale; it is not a field, so ==, hashing and
+    dataclasses.replace see only the four fields, and a replaced copy
+    plans afresh.
     """
 
     cone_rays: tuple
@@ -315,6 +324,21 @@ class SemigroupGens:
 
     def contains(self, m) -> bool:
         return all(pair(m, v) >= 0 for v in self.cone_rays)
+
+    @cached_property
+    def greedy_plan(self):
+        """(i, cuts) per pointed generator h = pointed[i], heaviest
+        against interior_point first (ties in index order), cuts the
+        (k, <h, cone_rays[k]>) pairs with a positive pairing.
+
+        A generator lies in the dual cone, so its other pairings are 0.
+        """
+        y0 = self.interior_point
+        order = sorted(range(len(self.pointed)), key=lambda i: -pair(self.pointed[i], y0))
+        return tuple(
+            (i, tuple((k, c) for k, r in enumerate(self.cone_rays) if (c := pair(self.pointed[i], r)) > 0))
+            for i in order
+        )
 
 
 def hilbert_basis(cone) -> SemigroupGens:
@@ -353,11 +377,13 @@ def decompose(sem: SemigroupGens, m) -> "tuple | None":
     does not generate it the answer may be None for an m of the
     subsemigroup the set generates.
 
-    One greedy pass: the pointed generators are taken heaviest against
-    interior_point first (ties in index order), each with the largest
-    coefficient a that keeps the residual in the dual cone, the least
-    floor(<residual, r> / <h, r>) over the cone rays r with <h, r> > 0.
-    What is left is solved exactly in the lineality basis.
+    One greedy pass along sem.greedy_plan: the pointed generators are
+    taken heaviest against interior_point first (ties in index order),
+    each with the largest coefficient a that keeps the residual in the
+    dual cone, the least floor(<residual, r> / <h, r>) over the cone
+    rays r with <h, r> > 0.  The residual's pairings with the rays are
+    kept up to date by subtracting a * <h, r>, so m is paired with the
+    rays once.  What is left is solved exactly in the lineality basis.
 
     - It never dead-ends.  Once h is taken, residual - h stays outside
       the cone, because every later residual is smaller by elements of
@@ -370,18 +396,26 @@ def decompose(sem: SemigroupGens, m) -> "tuple | None":
       generators in this order and each coefficient from the top down:
       the first coefficient that search tries that stays in the cone is
       the greedy one, and it never leaves that first path.
+    - It may stop as soon as the residual pairs to zero with every
+      cone ray.  The residual then lies in the dual's lineality space,
+      and every later generator h pairs positively with some ray (it
+      does with interior_point, a positive combination of the rays), so
+      its coefficient, a least floor(0 / <h, r>), would be 0.
     """
     if not sem.contains(m):
         return None
-    y0 = sem.interior_point
-    order = sorted(range(len(sem.pointed)), key=lambda i: -pair(sem.pointed[i], y0))
-    out = [0] * len(order)
+    values = [pair(m, r) for r in sem.cone_rays]
+    out = [0] * len(sem.pointed)
     residual = tuple(m)
-    for i in order:
-        h = sem.pointed[i]
-        out[i] = min(pair(residual, r) // c for r in sem.cone_rays if (c := pair(h, r)) > 0)
-        if out[i]:
-            residual = vsub(residual, vscale(out[i], h))
+    for i, cuts in sem.greedy_plan:
+        if not any(values):
+            break
+        a = min(values[k] // c for k, c in cuts)
+        if a:
+            out[i] = a
+            for k, c in cuts:
+                values[k] -= a * c
+            residual = vsub(residual, vscale(a, sem.pointed[i]))
     lin = solve_in_basis(sem.lineality, residual)
     if lin is None or any(Fraction(x).denominator != 1 for x in lin):
         return None

@@ -786,3 +786,40 @@ def test_decompose_tests_cone_membership_once(monkeypatch, name):
         decompose(sem, m)
         assert calls == [m], (sem.cone_rays, m)
     assert cases
+
+
+def test_decompose_pairs_generators_with_rays_once_per_basis(monkeypatch):
+    """Once a basis's greedy plan is warm, a call makes at most
+    2 * len(cone_rays) pairings, contains(m) and m's ray values, however
+    many pointed generators there are; a copy made by dataclasses.replace
+    plans for its own generators."""
+    fan = _named_fan("wps_1_1_27")
+    atlas = tb.Atlas(fan)
+    cases = [
+        (atlas.hilbert(sigma), m)
+        for sigma in fan.cones()
+        for tau in fan.faces(sigma)
+        if tau.rays != sigma.rays
+        for m in _localization_targets(atlas, sigma, tau)
+    ]
+    assert max(len(sem.pointed) for sem, _ in cases) > 400
+    calls = []
+    real = cones.pair
+    monkeypatch.setattr(cones, "pair", lambda a, b: calls.append(a) or real(a, b))
+    for sem, m in cases:
+        decompose(sem, m)
+        calls.clear()
+        decompose(sem, m)
+        assert len(calls) <= 2 * len(sem.cone_rays), (sem.cone_rays, m)
+
+    sem = max((sem for sem, _ in cases), key=lambda s: len(s.pointed))
+    a, b = sem.pointed[:2]
+    padded = _with_pointed(sem, vadd(a, b))
+    assert "greedy_plan" in vars(sem) and "greedy_plan" not in vars(padded)
+    plan = dict(padded.greedy_plan)
+    assert plan.keys() == set(range(len(sem.pointed) + 1))
+    cuts = tuple((k, c) for k, r in enumerate(sem.cone_rays) if (c := real(a, r) + real(b, r)) > 0)
+    assert plan[len(sem.pointed)] == cuts
+    copy = dataclasses.replace(sem)
+    assert copy == sem and hash(copy) == hash(sem) and "greedy_plan" not in vars(copy)
+    assert copy.greedy_plan == sem.greedy_plan and copy.greedy_plan is not sem.greedy_plan

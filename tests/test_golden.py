@@ -38,6 +38,13 @@ CASES = [
         ["verify", str(GOLDEN / "verify_wps_1_1_1_27" / "fan.json"), "--seed", "0", "--samples", "20"],
         0,
     ),
+    # P(1,1,1,60): a multiplicity-60 cone with 1,891 pointed Hilbert
+    # generators, whose rules decompose over that basis many times.
+    (
+        "verify_wps_1_1_1_60",
+        ["verify", str(GOLDEN / "verify_wps_1_1_1_60" / "fan.json"), "--seed", "0", "--samples", "20"],
+        0,
+    ),
     # The chart dumps pin the triangular generators, the Hilbert basis
     # order, c, b and the dual basis of every maximal flag.
     ("charts_p112", ["charts", "p112"], 0),
