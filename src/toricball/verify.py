@@ -22,7 +22,26 @@ localization rule reads (cellcomplex._subflag_cross_check).
 A NaN gap fails its check and is reported as null, so that the report
 stays strict JSON.
 
-The triangular rows are evaluated, and inverted, over each chart's
+The float cross-checks sample once per group of charts, not once per
+chart.  simplex_inversion's kernels read a chart's terms[:n] and b[:n]
+and nothing else, and monomial_diagram's residuals its terms[:n] and
+the pairing rows of its n triangular generators; the charts whose
+inputs are equal form a group, and groups are ordered by their first
+chart.  Each group is sampled as one chart was before (500 points of
+_delta_samples, or the run's sample count of residual draws, from the
+check's own generator), through its first chart.  Equal inputs give
+bit-equal floats at equal points, so more points spread over the
+duplicates of a group would show nothing that the same points on its
+first chart do not: a duplicate can differ only in its point set,
+never in its map.  A chart whose inputs are perturbed has a different
+key and forms a group of its own, sampled in full.  On many fans every
+chart has the same triangular rows (all 24 charts of p3 are one group,
+all 3,840 of (P^1)^5); P(1,1,1,27) has two groups of 24 charts.  A
+witness names its group's first flag and, as shared_by, how many flags
+share the group.  The exact parts, chart_invariants, monomial_diagram's
+identities and its dual_witness, stay per chart.
+
+The triangular rows are evaluated, and inverted, over each group's
 whole sample batch at once, one column of the batch at a time
 (charts.triangular_eval and charts.invert_triangular).  Per point, the
 kernels do the float operations of the single-point evaluator
@@ -69,8 +88,8 @@ another check already runs, and the facts that cover them:
   maximal flag through the chart's triangular rows and
   charts.invert_triangular, whose recovered simplicial coordinates had
   to be positive and within tol of their own.  simplex_inversion runs
-  the same round trip on 500 points per chart and compares w itself
-  within 1e-10.  In a sweep at seed 0 (P(1,1,k) up to k = 400,
+  the same round trip on 500 points per group of charts and compares w
+  itself within 1e-10.  In a sweep at seed 0 (P(1,1,k) up to k = 400,
   P(1,1,1,27), steep and seeded stellar fans) every fan that it failed
   also failed simplex_inversion, and every other had gaps <= 4e-16.
 
@@ -85,12 +104,18 @@ Negative controls, each a test in tests/test_verify.py unless named:
   and flag 0's first triangular row in Chart.terms alone short of its
   w1, with the exact gates passing, or raised to w1^2000, each named by
   the witness (test_perturbed_terms_fail_simplex_inversion_with_exact_gates_passing,
-  test_simplex_inversion_names_underflowed_values).
+  test_simplex_inversion_names_underflowed_values); one chart of p3,
+  not the first, with a perturbed triangular row in Chart.terms, which
+  forms a group of its own that the witness names
+  (test_perturbed_chart_forms_its_own_inversion_group).
 - monomial_diagram: --tamper (test_cli.py::test_verify_tamper_fails);
   a left inverse off by 1/7 (test_dual_basis_gate_names_perturbed_inverse);
   a triangular-row evaluator off by 1e-6, with every identity holding
   (test_monomial_diagram_fails_on_off_triangular_evaluator); a NaN in
-  a later triangular value (test_monomial_diagram_fails_on_nan_residual).
+  a later triangular value (test_monomial_diagram_fails_on_nan_residual);
+  one chart of p3, not the first, with an off triangular generator, so
+  an off pairing row, which forms a residual group of its own that
+  residual_witness names (test_off_pairing_row_forms_its_own_residual_group).
 - cover: incomplete fans of rank 2 and 3 (test_cover_fails_on_incomplete_fans).
 - regularity: incomplete fans of rank 2 and 3, where the zero-cone
   cell names its pseudomanifold issues (test_regularity_names_failing_cells).
@@ -143,6 +168,9 @@ class Context:
     results: dict = field(default_factory=dict)  # check name -> (passed, details), as they run
 
 
+INVERSION_SAMPLES = 500  # simplex_inversion's points per group
+
+
 def _delta_samples(rng, n, count):
     """Simplex-chain samples: 50 on each zero-prefix boundary stratum,
     then interior ones."""
@@ -183,12 +211,17 @@ def _monomial_diagram(ctx):
     barycenters, <beta_j, B_i> = delta_ij, so the simplicial coordinates
     of x = sum_i u_i B_i are u at every point of the cone.  On failure,
     the first witness of each.  As a cross-check of the evaluators, the
-    seeded residuals of _diagram_residuals on the n triangular rows of
-    each chart; a NaN residual fails the check and is reported as null.
+    seeded residuals of _diagram_residuals on the n triangular rows,
+    once per group of charts with equal terms[:n] and pairing rows[:n]
+    (see the module docstring); a NaN residual fails the check and is
+    reported as null.  On failure, residual_witness names the worst
+    sample, or the first with a NaN gap: its group's first flag, how
+    many flags share the group, the triangular row, the draws k and the
+    two routes' values there.
     """
     identities = 0
     witness = dual_witness = None
-    residuals = []
+    groups = {}  # (terms[:n], pairing rows[:n]) -> chart indices
     for index, chart in enumerate(ctx.charts):
         barys = chart.flag.barycenters
         pairings = [[pair(g, bary) for bary in barys] for g in chart.generators]
@@ -199,13 +232,40 @@ def _monomial_diagram(ctx):
                     witness = {"flag": index, "generator": list(g), "column": i, "found": found, "expected": want}
         if dual_witness is None:
             dual_witness = _dual_basis_witness(index, chart.flag)
-        residuals.extend(_diagram_residuals(chart, pairings, ctx.rng, ctx.samples))
-    worst = charts.sup_gap(residuals)
-    details = {"identities": identities, "worst_residual": _json_float(worst), "samples_per_chart": ctx.samples}
+        groups.setdefault((chart.terms[: chart.n], tuple(map(tuple, pairings[: chart.n]))), []).append(index)
+    worst, worst_group = 0.0, None
+    for (_, rows), flags in groups.items():
+        draws, monomial, direct = _diagram_residuals(ctx.charts[flags[0]], rows, ctx.rng, ctx.samples)
+        gap = charts.sup_gap(map(_sup_gap, zip(*monomial), zip(*direct)))
+        if worst == worst and not gap <= worst:  # a new worst, or the first NaN
+            worst, worst_group = gap, (flags, draws, monomial, direct)
+    details = {
+        "charts": len(ctx.charts),
+        "groups": len(groups),
+        "identities": identities,
+        "worst_residual": _json_float(worst),
+        "samples_per_group": ctx.samples,
+    }
     if witness is not None:
         details["witness"] = witness
     if dual_witness is not None:
         details["dual_witness"] = dual_witness
+    if not worst <= ctx.tol:
+        flags, draws, monomial, direct = worst_group
+        row, k, found, expected = next(
+            (row, k, found, expected)
+            for k, founds, expecteds in zip(draws, zip(*monomial), zip(*direct))
+            for row, (found, expected) in enumerate(zip(founds, expecteds))
+            if (gap := abs(found - expected)) == worst or gap != gap
+        )
+        details["residual_witness"] = {
+            "flag": flags[0],
+            "shared_by": len(flags),
+            "row": row,
+            "k": k,
+            "found": _json_float(found),
+            "expected": _json_float(expected),
+        }
     return witness is None and dual_witness is None and worst <= ctx.tol, details
 
 
@@ -221,40 +281,47 @@ def _dual_basis_witness(index, flag):
     return None
 
 
-def _diagram_residuals(chart, pairings, rng, count):
+def _diagram_residuals(chart, rows, rng, count):
     """Per seeded point x = sum_i u_i B_i of the flag cone, u_i = k_i/1000
-    with k_i drawn from 0..4000: the sup gap, over the chart's n
-    triangular generators g, between the monomial route
+    with k_i drawn from 0..4000: the monomial route
     psi(theta(exp(-2 pi u))) and the direct route
-    exp(-2 pi <g, x>) = exp(-2 pi (sum_i k_i <g, B_i>) / 1000), read
-    from the integer pairings <g, B_i> (the first n rows of pairings).
-    Int / int division is correctly rounded, so these are the floats of
-    Atlas.commutativity_residual at x on those rows (it recovers u
-    through the left inverse that _monomial_diagram certifies).
+    exp(-2 pi <g, x>) = exp(-2 pi (sum_i k_i <g, B_i>) / 1000) on the
+    chart's n triangular generators g, the direct route read from their
+    integer pairing rows (<g, B_i>)_i.  Int / int division is correctly
+    rounded, so these are the floats of Atlas.commutativity_residual at x
+    on those rows (it recovers u through the left inverse that
+    _monomial_diagram certifies).  Returns the draws, one list of n k_i
+    per point, and per triangular row its monomial and its direct value
+    at each point.
 
-    All count points are drawn first, then the monomial route takes one
-    call of the batch kernel charts.triangular_eval for the chart.  Per
-    point, the kernel multiplies the same powers in the same order as
-    the single-point evaluator charts._monomials, so each gap is the
-    float of a point-by-point loop.
+    All count points are drawn first, in one rng.choices call over
+    0..4000, then the monomial route takes one call of the batch kernel
+    charts.triangular_eval.  Per point, the kernel multiplies the same
+    powers in the same order as the single-point evaluator
+    charts._monomials, so each value is the float of a point-by-point
+    loop.  The answer depends on chart.terms[:n], rows and the draws
+    only: _monomial_diagram calls it once per group of charts with equal
+    terms and rows.
 
     The other m - n rows add nothing: _monomial_diagram's identities
     certify every b row exactly, chart_invariants certifies that
     Chart.terms is exactly b's nonzero entries, and psi_eval evaluates
     every row from its terms with _monomials."""
-    rows = pairings[: chart.n]
-    draws = [[rng.randint(0, 4000) for _ in chart.flag.barycenters] for _ in range(count)]
+    n = len(rows)
+    flat = rng.choices(range(4001), k=n * count)
+    draws = [flat[i : i + n] for i in range(0, n * count, n)]
     points = [charts.theta([math.exp(-TWO_PI * (ki / 1000)) for ki in k]) for k in draws]
     monomial = charts.triangular_eval(chart, list(zip(*points)))
     direct = [[math.exp(-TWO_PI * (sum(map(mul, k, row)) / 1000)) for k in draws] for row in rows]
-    return map(_sup_gap, zip(*monomial), zip(*direct))
+    return draws, monomial, direct
 
 
 def _simplex_inversion(ctx):
-    """The triangular inversion recovers simplex points: per chart, 500
-    seeded points w of Delta_n are mapped by psi's n triangular rows and
-    recovered by back-substitution, each step one call of a batch kernel
-    over the chart's 500 points (charts.triangular_eval, then
+    """The triangular inversion recovers simplex points: per group of
+    charts with equal terms[:n] and b[:n] (see the module docstring),
+    500 seeded points w of Delta_n are mapped by psi's n triangular rows
+    and recovered by back-substitution, each step one call of a batch
+    kernel over the group's 500 points (charts.triangular_eval, then
     charts.invert_triangular).  Per point, the kernels do the float
     operations of the point-by-point evaluation and back-substitution,
     in the same order, so every gap is the float of a point-by-point
@@ -265,22 +332,38 @@ def _simplex_inversion(ctx):
     measure only their float evaluation, which the exact gates certify
     (see _diagram_residuals).  A NaN gap fails the check and is reported
     as null.  On failure, the witness is the worst sample, or the first
-    with a NaN gap: its flag, w, the recovered w and the number of
-    leading zeros of w, its boundary stratum.
+    with a NaN gap: its group's first flag, how many flags share the
+    group, w, the recovered w and the number of leading zeros of w, its
+    boundary stratum.
     """
-    worst, worst_chart = 0.0, None
+    groups = {}  # (terms[:n], b[:n]) -> chart indices
     for index, chart in enumerate(ctx.charts):
-        points = _delta_samples(ctx.rng, ctx.n, 500)
+        groups.setdefault((chart.terms[: chart.n], chart.b[: chart.n]), []).append(index)
+    worst, worst_group = 0.0, None
+    for flags in groups.values():
+        chart = ctx.charts[flags[0]]
+        points = _delta_samples(ctx.rng, ctx.n, INVERSION_SAMPLES)
         back = charts.invert_triangular(chart.b[: chart.n], charts.triangular_eval(chart, list(zip(*points))))
         gap = charts.sup_gap(map(_sup_gap, zip(*points), back))
         if worst == worst and not gap <= worst:  # a new worst, or the first NaN
-            worst, worst_chart = gap, (index, points, back)
-    details = {"worst_gap": _json_float(worst)}
+            worst, worst_group = gap, (flags, points, back)
+    details = {
+        "charts": len(ctx.charts),
+        "groups": len(groups),
+        "samples_per_group": INVERSION_SAMPLES,
+        "worst_gap": _json_float(worst),
+    }
     if not worst <= 1e-10:
-        index, points, back = worst_chart
+        flags, points, back = worst_group
         w, v = next((w, v) for w, v in zip(points, zip(*back)) if (gap := _sup_gap(w, v)) == worst or gap != gap)
         zeros = next((i for i, x in enumerate(w) if x != 0.0), len(w))
-        details["witness"] = {"flag": index, "w": list(w), "recovered": list(map(_json_float, v)), "zeros": zeros}
+        details["witness"] = {
+            "flag": flags[0],
+            "shared_by": len(flags),
+            "w": list(w),
+            "recovered": list(map(_json_float, v)),
+            "zeros": zeros,
+        }
     return worst <= 1e-10, details
 
 
@@ -349,7 +432,9 @@ def _hilbert_minimality(ctx):
 
 
 def _nonextension_probe(ctx):
-    """Rank 2 only: the plain exponential limit is path dependent."""
+    """Rank 2 only: the plain exponential limit is path dependent.  The
+    probe runs in the chart of the first maximal flag, which the report
+    names."""
     if ctx.n != 2:
         return None
     vals = [homeo.nonextension_probe(ctx.atlas, ctx.flags[0], c, s) for c in (1.0, 2.0) for s in (0.5, 3.0, 9.0)]
@@ -357,7 +442,8 @@ def _nonextension_probe(ctx):
     stable = max(abs(second[i] - second[i + 1]) for i in (0, 1, 3, 4))
     separated = abs(second[0] - second[3]) > 0.1 * max(second[0], second[3])
     firsts_to_zero = vals[2][0] < 1e-10 and vals[5][0] < 1e-10
-    return stable <= 1e-12 and separated and firsts_to_zero, {"second_coordinates": [second[0], second[3]]}
+    passed = stable <= 1e-12 and separated and firsts_to_zero
+    return passed, {"flag": 0, "second_coordinates": [second[0], second[3]]}
 
 
 CHECKS = (

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import toricball as tb
-from conftest import drop_first_term, p2_with_terms, wps_fan
+from conftest import drop_first_term, p2_with_terms, stellar_fan, wps_fan
 from toricball import cellcomplex, charts, homeo, verify
 from toricball.bary import simplicial_coords
 from toricball.cones import dual_generators
@@ -41,12 +41,13 @@ def _context(fan, atlas=None, samples=0):
 
 
 def _fraction_residuals(chart, rng, count):
-    """monomial_diagram's samples through the exact point: x built from
-    Fraction coordinates, then the two routes of
+    """monomial_diagram's samples through the exact point: the same
+    draws, x built from Fraction coordinates, then the two routes of
     Atlas.commutativity_residual on the chart's n triangular rows."""
     gens = chart.flag.barycenters
-    for _ in range(count):
-        u = [Fraction(rng.randint(0, 4000), 1000) for _ in gens]
+    flat = rng.choices(range(4001), k=len(gens) * count)
+    for s in range(count):
+        u = [Fraction(k, 1000) for k in flat[s * len(gens) : (s + 1) * len(gens)]]
         x = tuple(sum(ui * g[i] for ui, g in zip(u, gens)) for i in range(len(gens[0])))
         monomial = charts.psi_eval(chart, charts.theta(charts.exp_flag(simplicial_coords(chart.flag, x))))
         direct = charts.exp_pairings(chart.generators, x)
@@ -57,8 +58,9 @@ def _fraction_residuals(chart, rng, count):
 def test_diagram_residuals_match_fraction_route(atlas, seed):
     """The first n rows of the exact route, sample for sample."""
     for chart in atlas.charts():
-        pairings = [[pair(g, b) for b in chart.flag.barycenters] for g in chart.generators]
-        new = list(verify._diagram_residuals(chart, pairings, random.Random(seed), 10))
+        rows = [[pair(g, b) for b in chart.flag.barycenters] for g in chart.generators[: chart.n]]
+        _, monomial, direct = verify._diagram_residuals(chart, rows, random.Random(seed), 10)
+        new = list(map(verify._sup_gap, zip(*monomial), zip(*direct)))
         old = list(_fraction_residuals(chart, random.Random(seed), 10))
         assert new == old
 
@@ -85,12 +87,14 @@ def _spy_triangular_eval(monkeypatch):
 def test_diagram_residuals_evaluate_triangular_rows_only(monkeypatch):
     """On P(1,1,1,27), whose charts have up to 408 rows, monomial_diagram
     evaluates exactly the n = 3 triangular monomials at each sample, in
-    one batch per chart."""
+    one batch per group: its 24 charts have two distinct pairs of
+    triangular terms and pairing rows."""
     atlas = tb.Atlas(tb.parse_and_validate(json.dumps(WPS_1_1_1_27)))
     ctx = _context(atlas.fan, atlas, samples=4)
     shapes = _spy_triangular_eval(monkeypatch)
-    assert verify._monomial_diagram(ctx)[0]
-    assert shapes == [(3, 4)] * len(ctx.charts)
+    passed, details = verify._monomial_diagram(ctx)
+    assert passed and (details["charts"], details["groups"]) == (24, 2)
+    assert shapes == [(3, 4)] * 2
 
 
 def _diagram_with_triangular_eval(monkeypatch, edit):
@@ -106,17 +110,26 @@ def _diagram_with_triangular_eval(monkeypatch, edit):
 
 def test_monomial_diagram_fails_on_off_triangular_evaluator(monkeypatch):
     """A triangular-row evaluator off by 1e-6 fails the residual while
-    every exact identity holds."""
+    every exact identity holds; residual_witness names the worst sample,
+    whose two routes differ by the worst residual."""
     passed, details = _diagram_with_triangular_eval(monkeypatch, lambda y: tuple(v + 1e-6 for v in y))
     assert not passed and "witness" not in details and "dual_witness" not in details
     assert details["worst_residual"] >= 0.9e-6
+    witness = details["residual_witness"]
+    assert (witness["flag"], witness["shared_by"], len(witness["k"])) == (0, 4, 2)
+    assert abs(witness["found"] - witness["expected"]) == details["worst_residual"]
 
 
 def test_monomial_diagram_fails_on_nan_residual(monkeypatch):
     """A NaN in the second triangular value, where max alone would drop
-    it, fails the check; the residual is reported as None."""
+    it, fails the check; the residual is reported as None, and
+    residual_witness is the first sample of the first group, at row 1,
+    its NaN value reported as null."""
     passed, details = _diagram_with_triangular_eval(monkeypatch, lambda y: (y[0], math.nan, *y[2:]))
     assert not passed and details["worst_residual"] is None
+    witness = details["residual_witness"]
+    assert (witness["flag"], witness["shared_by"], witness["row"], witness["found"]) == (0, 4, 1, None)
+    json.dumps(witness, allow_nan=False)
 
 
 def test_sup_gap_keeps_nan():
@@ -227,18 +240,25 @@ def test_cover_fails_on_incomplete_fans():
 
 def _psi_route_inversion(ctx):
     """simplex_inversion through all m rows: psi_eval, then psi_invert
-    with its residual over the m - n non-triangular rows."""
+    with its residual over the m - n non-triangular rows, on every chart.
+    Each distinct (terms[:n], b[:n]) draws its 500 points once, in order
+    of first chart, and every chart that shares it is run at them."""
     worst = 0.0
     ok = True
+    points = {}
     for chart in ctx.charts:
-        for w in verify._delta_samples(ctx.rng, ctx.n, 500):
+        key = (chart.terms[: chart.n], chart.b[: chart.n])
+        if key not in points:
+            points[key] = verify._delta_samples(ctx.rng, ctx.n, 500)
+        for w in points[key]:
             try:
                 back = charts.psi_invert(chart, charts.psi_eval(chart, w), tol=1e-8)
             except charts.NotInImage:
                 ok = False
                 continue
             worst = max(worst, verify._sup_gap(w, back))
-    return ok and worst <= 1e-10, {"worst_gap": worst}
+    details = {"charts": len(ctx.charts), "groups": len(points), "samples_per_group": 500, "worst_gap": worst}
+    return ok and worst <= 1e-10, details
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -256,13 +276,15 @@ def test_simplex_inversion_matches_psi_route(name, seed):
 
 def test_simplex_inversion_evaluates_triangular_rows_only(monkeypatch):
     """On P(1,1,1,27), whose charts have up to 408 rows, each of the
-    500 samples of a chart evaluates exactly the n = 3 triangular
-    monomials, in one batch per chart."""
+    500 samples of a group evaluates exactly the n = 3 triangular
+    monomials, in one batch per group: its 24 charts have two distinct
+    pairs of triangular terms and b rows."""
     atlas = tb.Atlas(tb.parse_and_validate(json.dumps(WPS_1_1_1_27)))
     ctx = _context(atlas.fan, atlas)
     shapes = _spy_triangular_eval(monkeypatch)
-    assert verify._simplex_inversion(ctx)[0]
-    assert shapes == [(3, 500)] * len(ctx.charts)
+    passed, details = verify._simplex_inversion(ctx)
+    assert passed and (details["charts"], details["groups"]) == (24, 2)
+    assert shapes == [(3, 500)] * 2
 
 
 def _steep(k):
@@ -297,10 +319,25 @@ def test_steep_fan_underflow_pin(name, k):
 @pytest.mark.parametrize("k", [90, 400])
 def test_wps_underflow_gate(k):
     """ROADMAP item 1's gates on valid complete fans that verify rejects
-    today.  P(1,1,90) fails simplex_inversion (worst gap 0.011);
-    P(1,1,400) fails it (0.376); its witness, on flag 4, is recovered
-    at w_1 = 0.0."""
+    today.  P(1,1,90) fails simplex_inversion (worst gap 7.7e-4);
+    P(1,1,400) fails it (0.374); its witness, on flag 1, which shares
+    its group with one other flag, is recovered at w_1 = 0.0."""
     assert verify.run_verification(wps_fan(2, k), seed=0)["passed"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="w**k underflows to 0.0 in the linear-value floats; log-domain points (ROADMAP item 1)",
+)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_stellar_underflow_gate(seed):
+    """ROADMAP item 1's gates on stellar subdivisions of p3 that verify
+    rejects today: stellar_fan(p3, 6, 12, s) fails simplex_inversion for
+    s = 0 (worst gap 0.157, 43 groups of 96 charts) and s = 3 (0.484,
+    50 groups of 96).  Their largest triangular exponents are 280 and
+    540."""
+    assert verify.run_verification(stellar_fan(tb.load_bundled("p3"), 6, 12, seed), seed=0)["passed"]
 
 
 def _replace_chart(monkeypatch, ctx):
@@ -317,14 +354,16 @@ def _off_inversion(monkeypatch, ctx):
 
 def test_simplex_inversion_fails_on_nan_gaps(monkeypatch):
     """invert_triangular returning NaN for every sample fails the check,
-    with the worst gap reported as None and the first sample, on the
-    w_1 = 0 stratum, as the witness, its recovered w as nulls."""
+    with the worst gap reported as None and the first sample of the
+    first group (flag 0, shared by 4 of p112's 6 flags), on the w_1 = 0
+    stratum, as the witness, its recovered w as nulls."""
     fan = tb.load_bundled("p112")
     monkeypatch.setattr(charts, "invert_triangular", lambda b, y: [[math.nan] * len(y[0]) for _ in b])
     ctx = _context(fan, tb.Atlas(fan))
     (w,) = verify._delta_samples(random.Random(0), 2, 1)
-    witness = {"flag": 0, "w": list(w), "recovered": [None, None], "zeros": 1}
-    assert verify._simplex_inversion(ctx) == (False, {"worst_gap": None, "witness": witness})
+    witness = {"flag": 0, "shared_by": 4, "w": list(w), "recovered": [None, None], "zeros": 1}
+    details = {"charts": 6, "groups": 2, "samples_per_group": 500, "worst_gap": None, "witness": witness}
+    assert verify._simplex_inversion(ctx) == (False, details)
     json.dumps(witness, allow_nan=False)
 
 
@@ -422,7 +461,7 @@ def test_entries_survive_a_reversed_table(monkeypatch):
 )
 def test_run_verification_rejects_bad_settings(monkeypatch, tol, samples):
     """samples = 0 or -5 would report monomial_diagram passed with that
-    many samples per chart, and tol = inf would pass every sampled gap;
+    many samples per group, and tol = inf would pass every sampled gap;
     samples = 2.5 and tol = "x" would raise a TypeError mid-run, and
     booleans are neither counts nor tolerances: the library rejects them
     all with a ValueError before any work."""
@@ -480,8 +519,8 @@ def test_perturbed_terms_fail_simplex_inversion_with_exact_gates_passing():
     assert details["identities"] == 6 * 2 + 3 * 13 and details["counterexamples"] == []
     passed, details = verify._simplex_inversion(ctx)
     witness = details["witness"]
-    assert not passed and details["worst_gap"] == 1.0
-    assert witness["flag"] == 0 and witness["zeros"] == 1
+    assert not passed and details["worst_gap"] == 1.0 and details["groups"] == 2
+    assert witness["flag"] == 0 and witness["shared_by"] == 1 and witness["zeros"] == 1
     assert witness["w"][0] == 0.0 and witness["recovered"] == [1.0, witness["w"][1]]
 
 
@@ -513,6 +552,56 @@ def test_simplex_inversion_names_underflowed_values():
     witness = details["witness"]
     assert not passed and witness["flag"] == 0 and witness["zeros"] == 0
     assert witness["recovered"][0] < 1e-30 and details["worst_gap"] == witness["w"][0] - witness["recovered"][0]
+
+
+P3_MIDDLE = 11  # a flag of p3 in the middle of its 24
+
+
+def test_perturbed_chart_forms_its_own_inversion_group():
+    """All 24 charts of p3 share their triangular rows, so
+    simplex_inversion samples them as one group.  With one triangular
+    row of a middle flag's Chart.terms short of a term, that chart forms
+    a group of its own, sampled in full: the check fails, and its
+    witness names that flag, shared by it alone."""
+    fan = tb.load_bundled("p3")
+    atlas = tb.Atlas(fan)
+    passed, details = verify._simplex_inversion(_context(fan, atlas))
+    assert passed and (details["charts"], details["groups"]) == (24, 1)
+    chart = atlas.charts()[P3_MIDDLE]
+    chart.__dict__["terms"] = drop_first_term(chart.terms)
+    passed, details = verify._simplex_inversion(_context(fan, atlas))
+    assert not passed and (details["charts"], details["groups"]) == (24, 2)
+    assert details["witness"]["flag"] == P3_MIDDLE and details["witness"]["shared_by"] == 1
+
+
+def test_off_pairing_row_forms_its_own_residual_group():
+    """The same for monomial_diagram's residuals: a middle flag of p3
+    whose first triangular generator is replaced by its last has an off
+    first pairing row, (0, 0, 1) in place of (1, 2, 3), so it forms a
+    residual group of its own.  The residual fails, and residual_witness
+    names that flag, shared by it alone, at row 0."""
+    fan = tb.load_bundled("p3")
+    atlas = tb.Atlas(fan)
+    passed, details = verify._monomial_diagram(_context(fan, atlas, samples=20))
+    assert passed and (details["charts"], details["groups"]) == (24, 1)
+    ctx = _context(fan, atlas, samples=20)
+    chart = ctx.charts[P3_MIDDLE]
+    ctx.charts[P3_MIDDLE] = dataclasses.replace(chart, generators=(chart.generators[2], *chart.generators[1:]))
+    passed, details = verify._monomial_diagram(ctx)
+    assert not passed and (details["charts"], details["groups"]) == (24, 2)
+    assert details["worst_residual"] > ctx.tol
+    witness = details["residual_witness"]
+    assert (witness["flag"], witness["shared_by"], witness["row"]) == (P3_MIDDLE, 1, 0)
+    assert abs(witness["found"] - witness["expected"]) == details["worst_residual"]
+
+
+def test_nonextension_probe_names_its_flag():
+    """The probe runs in the chart of the first maximal flag, and the
+    report names it."""
+    fan = tb.load_bundled("p2")
+    ctx = _context(fan, tb.Atlas(fan))
+    passed, details = verify._nonextension_probe(ctx)
+    assert passed and details["flag"] == 0 and ctx.flags[0] == ctx.charts[0].flag
 
 
 def test_distinct_half_fails_with_a_failed_gate():
