@@ -317,10 +317,12 @@ class Atlas:
             raise ValueError("charts are attached to maximal flags only")
         tri = _ck.triangular_generators(flag.cones)
         hb = self.hilbert(flag.cones[-1])
-        gens = list(tri)
-        for h in hb.generators:
-            if h not in gens:
-                gens.append(h)
+        # Each generator's row is its first occurrence, the triangular
+        # ones first (they are distinct: their pairing rows are triangular).
+        row_of = {}
+        for h in chain(tri, hb.generators):
+            row_of.setdefault(h, len(row_of))
+        gens = tuple(row_of)
         barys = flag.barycenters
         # The flag's exact inverse is built with its chart, so that once
         # the charts are built, locating a point needs no elimination.
@@ -330,10 +332,10 @@ class Atlas:
             tuple(row[0] if j == 0 else row[j] - row[j - 1] for j in range(n))
             for row in c_mat
         )
-        hilbert_rows = tuple(gens.index(h) for h in hb.generators)
+        hilbert_rows = tuple(row_of[h] for h in hb.generators)
         chart = Chart(
             flag=flag,
-            generators=tuple(gens),
+            generators=gens,
             c=c_mat,
             b=b_mat,
             hilbert_rows=hilbert_rows,

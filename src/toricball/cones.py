@@ -5,7 +5,7 @@ cones in either lattice), so it is usable both below the fan layer and
 on top of it.  All computations are exact; the only algorithms here are
 
   * a double description pass (halfspace-at-a-time) for dual cones and
-    facet enumeration,
+    facet enumeration, deciding adjacency by incidence bitmasks,
   * a placing triangulation plus lattice-coset enumeration of each
     simplex's fundamental parallelepiped for semigroup generators,
     reduced to irreducibles in increasing degree against an interior
@@ -65,41 +65,23 @@ def _dedupe(vectors):
     return out
 
 
-def _active_rank(ray, constraints) -> int:
-    active = [h for h in constraints if pair(h, ray) == 0]
-    return rank(active) if active else 0
+def _canonical(rays, lineality):
+    """Each ray's orthogonal projection onto the complement of the
+    lineality space, scaled to stay integral.
 
-
-def _prune_rays(rays, lineality, constraints, n):
-    """Keep one primitive representative per extreme ray class.
-
-    A ray is extreme iff its active constraints cut a face of dimension
-    dim(lineality) + 1.  Representatives are canonicalized modulo the
-    lineality space, as their orthogonal projection onto its complement,
-    so that duplicates collapse; a ray projecting to zero lies inside
-    the lineality space.
+    The projection is I - L^T (L L^T)^-1 L, from one Gram inverse, times
+    the common denominator d of (L L^T)^-1 L so that it applies in
+    integers (primitive() drops the factor d > 0).
     """
-    need = n - len(lineality) - 1
-    if lineality:
-        # The projection I - L^T (L L^T)^-1 L from one Gram inverse per
-        # step, times the common denominator d of (L L^T)^-1 L so that
-        # it applies in integers (primitive() drops the factor d > 0).
-        columns = list(zip(*lineality))
-        gram_inv = invert([[pair(a, b) for b in lineality] for a in lineality])
-        solved = [[pair(row, col) for row in gram_inv] for col in columns]
-        d = math.lcm(*(x.denominator for col in solved for x in col))
-        solved = [[int(x * d) for x in col] for col in solved]
-        project = [[d * (i == j) - pair(a, b) for j, b in enumerate(solved)] for i, a in enumerate(columns)]
-    out = []
-    for r in rays:
-        if _active_rank(r, constraints) != need:
-            continue
-        if lineality:
-            r = tuple(pair(row, r) for row in project)
-            if is_zero_vec(r):
-                continue
-        out.append(primitive(r))
-    return _dedupe(out)
+    if not lineality:
+        return rays
+    columns = list(zip(*lineality))
+    gram_inv = invert([[pair(a, b) for b in lineality] for a in lineality])
+    solved = [[pair(row, col) for row in gram_inv] for col in columns]
+    d = math.lcm(*(x.denominator for col in solved for x in col))
+    solved = [[int(x * d) for x in col] for col in solved]
+    project = [[d * (i == j) - pair(a, b) for j, b in enumerate(solved)] for i, a in enumerate(columns)]
+    return [tuple(pair(row, r) for row in project) for r in rays]
 
 
 def dual_generators(constraints: Sequence, n: int):
@@ -108,10 +90,27 @@ def dual_generators(constraints: Sequence, n: int):
     Returns (lineality_basis, extreme_rays): the cone is the sum of the
     linear span of the basis and the conic hull of the rays.  Rays are
     primitive and canonical modulo the lineality space.
+
+    One double description pass, a halfspace at a time, after Fukuda
+    and Prodon, "Double description method revisited" (1996).  Each ray
+    carries a bitmask, zeros, of the processed nonzero constraints it
+    lies on.  The rays are one representative per extreme ray of the
+    cone so far, so the face spanned by rays p and q has as its rays
+    exactly those whose mask contains zeros[p] & zeros[q], and it is a
+    2-face (p and q are adjacent) iff no third ray is among them.  Only
+    adjacent pairs across a new constraint give new extreme rays, each
+    from one pair, so nothing is pruned.  A constraint nonzero on the
+    lineality space cuts it down by l0 instead: every ray moves onto
+    the constraint along l0, and l0 joins the rays, on every earlier
+    constraint (they vanish on the lineality) but not this one.  Each
+    step acts on rays modulo the current lineality, which only shrinks,
+    so projecting off the final one once, at the end, gives the
+    canonical representatives.
     """
     lineality = [unit_vector(i, n) for i in range(n)]
     rays: list = []
-    processed: list = []
+    zeros: list = []
+    bit = 1
     for h in constraints:
         h = tuple(h)
         if is_zero_vec(h):
@@ -122,28 +121,27 @@ def dual_generators(constraints: Sequence, n: int):
             l0, v0 = lineality[i0], lv[i0]
             if v0 < 0:
                 l0, v0 = vneg(l0), -v0
-            new_lin = []
-            for j, l in enumerate(lineality):
-                if j == i0:
-                    continue
-                new_lin.append(primitive(vsub(vscale(v0, l), vscale(lv[j], l0))))
+            lineality = [primitive(vsub(vscale(v0, l), vscale(lv[j], l0))) for j, l in enumerate(lineality) if j != i0]
             rays = [primitive(vsub(vscale(v0, r), vscale(pair(h, r), l0))) for r in rays]
             rays.append(primitive(l0))
-            lineality = new_lin
+            zeros = [z | bit for z in zeros] + [bit - 1]
         else:
-            pos = [r for r in rays if pair(h, r) > 0]
-            neg = [r for r in rays if pair(h, r) < 0]
-            zero = [r for r in rays if pair(h, r) == 0]
-            new_rays = zero + pos
-            for rp in pos:
-                hp = pair(h, rp)
-                for rn in neg:
-                    hn = pair(h, rn)
-                    new_rays.append(primitive(vsub(vscale(hp, rn), vscale(hn, rp))))
-            rays = _dedupe(new_rays)
-        processed.append(h)
-        rays = _prune_rays(rays, lineality, processed, n)
-    return tuple(lineality), tuple(rays)
+            values = [pair(h, r) for r in rays]
+            pos = [i for i, v in enumerate(values) if v > 0]
+            neg = [i for i, v in enumerate(values) if v < 0]
+            keep = [i for i, v in enumerate(values) if v == 0] + pos
+            new_rays = [rays[i] for i in keep]
+            new_zeros = [zeros[i] | bit if values[i] == 0 else zeros[i] for i in keep]
+            for p in pos:
+                for q in neg:
+                    common = zeros[p] & zeros[q]
+                    if any(z & common == common for k, z in enumerate(zeros) if k != p and k != q):
+                        continue
+                    new_rays.append(primitive(vsub(vscale(values[p], rays[q]), vscale(values[q], rays[p]))))
+                    new_zeros.append(common | bit)
+            rays, zeros = new_rays, new_zeros
+        bit <<= 1
+    return tuple(lineality), tuple(_dedupe(primitive(r) for r in _canonical(rays, lineality)))
 
 
 def generator_list(lineality, rays):

@@ -159,13 +159,6 @@ def simplicial_to_barycentric(u):
     return tuple([1 / total] + [uj / total for uj in u])
 
 
-def barycentric_to_simplicial(xi):
-    """u_j = xi_j / xi_0 for interior points (xi_0 > 0)."""
-    if float(xi[0]) <= 0:
-        raise ValueError("interior points need xi_0 > 0")
-    return tuple(x / xi[0] for x in xi[1:])
-
-
 def nonextension_probe(atlas: Atlas, flag: Flag, c: float, s: float):
     """Chart coordinates along the path u = (s, c) in a rank-2 chart.
 

@@ -22,7 +22,20 @@ from toricball.cones import (
     relative_interior_point,
     triangular_generators,
 )
-from toricball.exact import invert, is_zero_vec, pair, primitive, quotient_projection, solve_in_basis, vadd, vscale, vsub
+from toricball.exact import (
+    invert,
+    is_zero_vec,
+    pair,
+    primitive,
+    quotient_projection,
+    rank,
+    solve_in_basis,
+    unit_vector,
+    vadd,
+    vneg,
+    vscale,
+    vsub,
+)
 from toricball.fan import validate_fan
 
 
@@ -823,3 +836,95 @@ def test_decompose_pairs_generators_with_rays_once_per_basis(monkeypatch):
     copy = dataclasses.replace(sem)
     assert copy == sem and hash(copy) == hash(sem) and "greedy_plan" not in vars(copy)
     assert copy.greedy_plan == sem.greedy_plan and copy.greedy_plan is not sem.greedy_plan
+
+
+# -- double description against the rank-pruned pass it replaced ----------
+
+
+def _rank_pruned_dual_generators(constraints, n):
+    """The reference: at each constraint, every positive x negative
+    combination, then a Fraction rank test per ray (extreme iff its
+    active constraints have rank n - dim(lineality) - 1) and the
+    projection off the current lineality.  Returns the answer and the
+    number of candidate rays the rank test dropped."""
+    lineality = [unit_vector(i, n) for i in range(n)]
+    rays, processed, dropped = [], [], 0
+    for h in map(tuple, constraints):
+        if is_zero_vec(h):
+            continue
+        lv = [pair(h, l) for l in lineality]
+        if any(lv):
+            i0 = next(i for i, v in enumerate(lv) if v != 0)
+            l0, v0 = lineality[i0], lv[i0]
+            if v0 < 0:
+                l0, v0 = vneg(l0), -v0
+            lineality = [primitive(vsub(vscale(v0, l), vscale(lv[j], l0))) for j, l in enumerate(lineality) if j != i0]
+            rays = [primitive(vsub(vscale(v0, r), vscale(pair(h, r), l0))) for r in rays] + [primitive(l0)]
+        else:
+            pos = [r for r in rays if pair(h, r) > 0]
+            neg = [r for r in rays if pair(h, r) < 0]
+            rays = [r for r in rays if pair(h, r) == 0] + pos
+            rays += [primitive(vsub(vscale(pair(h, p), q), vscale(pair(h, q), p))) for p in pos for q in neg]
+            rays = cones._dedupe(rays)
+        processed.append(h)
+        need = n - len(lineality) - 1
+        extreme = [r for r in rays if rank([c for c in processed if pair(c, r) == 0] or [(0,) * n]) == need]
+        dropped += len(rays) - len(extreme)
+        rays = cones._dedupe(primitive(r) for r in cones._canonical(extreme, lineality) if not is_zero_vec(r))
+    return (tuple(lineality), tuple(rays)), dropped
+
+
+def _random_constraint_sets(count, seed):
+    """Constraint sets in dimension 1-5 drawn from a random subspace of
+    rank 1-n, so that the cone often has lineality, with zero vectors,
+    repeated and negated constraints mixed in."""
+    rng = random.Random(seed)
+    sets = []
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        basis = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, n))]
+        constraints = []
+        for _ in range(rng.randint(0, 9)):
+            constraints.append(tuple(sum(rng.randint(-2, 2) * b[i] for b in basis) for i in range(n)))
+            extra = rng.choice([None] * 7 + [(0,) * n, constraints[-1], vneg(constraints[-1])])
+            if extra is not None:
+                constraints.append(extra)
+        sets.append((constraints, n))
+    return sets
+
+
+def test_dual_generators_match_rank_pruned_pass_on_random_sets():
+    """Equal (lineality, rays), order included, on seeded random sets;
+    among them cones with both lineality and rays, and non-adjacent
+    pairs."""
+    mixed = dropped = 0
+    for constraints, n in _random_constraint_sets(400, seed=27):
+        expected, k = _rank_pruned_dual_generators(constraints, n)
+        assert dual_generators(constraints, n) == expected, (constraints, n)
+        mixed += bool(expected[0]) and bool(expected[1])
+        dropped += k
+    assert mixed > 50 and dropped > 100
+
+
+def test_dual_generators_match_rank_pruned_pass_on_fans(monkeypatch):
+    """Equal (lineality, rays), order included, on every cone and every
+    pairwise-intersection constraint set that validating the bundled
+    fans, the cube-faces fan and stellar subdivisions of P^3 asks for.
+    Among them are non-adjacent positive/negative pairs, whose
+    combinations the rank test drops.  These sets are small: with the
+    adjacency test off, later constraints happen to cut every spurious
+    ray here, and only the random sets catch it."""
+    calls = []
+    monkeypatch.setattr("toricball.cones.dual_generators", lambda *args: calls.append(args) or dual_generators(*args))
+    for name in tb.BUNDLED_FANS:
+        fan = tb.load_bundled(name)
+        validate_fan(fan.dim, fan.rays, [sorted(c) for c in fan.max_cones])
+    cube_faces_fan()
+    for seed in range(4):
+        stellar_fan(tb.load_bundled("p3"), 3, 5, seed)
+    dropped = 0
+    for constraints, n in calls:
+        expected, k = _rank_pruned_dual_generators(constraints, n)
+        assert dual_generators(constraints, n) == expected, (constraints, n)
+        dropped += k
+    assert len(calls) > 800 and dropped > 0

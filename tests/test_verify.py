@@ -17,7 +17,7 @@ from conftest import drop_first_term, p2_with_terms, stellar_fan, wps_fan
 from toricball import cellcomplex, charts, homeo, verify
 from toricball.bary import simplicial_coords
 from toricball.cones import dual_generators
-from toricball.exact import pair
+from toricball.exact import pair, vscale
 
 WPS_1_1_1_9 = Path(__file__).parent / "data" / "golden" / "verify_wps_1_1_1_9" / "fan.json"
 FANS = ("p2", "p112", "twisted_p3", "wps_1_1_1_9")
@@ -593,6 +593,29 @@ def test_off_pairing_row_forms_its_own_residual_group():
     witness = details["residual_witness"]
     assert (witness["flag"], witness["shared_by"], witness["row"]) == (P3_MIDDLE, 1, 0)
     assert abs(witness["found"] - witness["expected"]) == details["worst_residual"]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="an absolute residual of values e^(-2 pi <g, x>) far below tol hides an off pairing row; "
+    "a scaled gap or log-domain points (ROADMAP item 1)",
+)
+def test_doubled_pairing_row_residual_pin():
+    """A middle flag of p3 whose first triangular generator is doubled
+    has the off first pairing row (2, 4, 6) in place of (1, 2, 3), and
+    the exact identities fail it.  The float residual reads 3.85e-14
+    over 20 draws, a pass: the values it compares are tiny."""
+    fan = tb.load_bundled("p3")
+    ctx = _context(fan, tb.Atlas(fan), samples=20)
+    chart = ctx.charts[P3_MIDDLE]
+    ctx.charts[P3_MIDDLE] = dataclasses.replace(chart, generators=(vscale(2, chart.generators[0]), *chart.generators[1:]))
+    _, details = verify._monomial_diagram(ctx)
+    # pytest.fail is no AssertionError, so if the exact identities stop
+    # naming the flag, the test fails instead of meeting its xfail.
+    if details.get("witness", {}).get("flag") != P3_MIDDLE:
+        pytest.fail("the exact identities no longer name the doubled row")
+    assert details["worst_residual"] > ctx.tol
 
 
 def test_nonextension_probe_names_its_flag():
