@@ -45,6 +45,12 @@ CASES = [
         ["verify", str(GOLDEN / "verify_wps_1_1_1_60" / "fan.json"), "--seed", "0", "--samples", "20"],
         0,
     ),
+    # P^4: the rank-4 golden, 120 charts through every check.
+    (
+        "verify_p4",
+        ["verify", str(GOLDEN / "verify_p4" / "fan.json"), "--seed", "0", "--samples", "20"],
+        0,
+    ),
     # The chart dumps pin the triangular generators, the Hilbert basis
     # order, c, b and the dual basis of every maximal flag.
     ("charts_p112", ["charts", "p112"], 0),
