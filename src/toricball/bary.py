@@ -20,7 +20,7 @@ from functools import cached_property
 from operator import mul
 
 from .cones import cutting_functional
-from .exact import DimensionMismatch, is_zero_vec, pair, span_inverse, vec
+from .exact import DimensionMismatch, is_zero_vec, pair, span_inverse, vec, vsub
 from .fan import Cone, Fan, ridge_pairing
 
 
@@ -77,6 +77,13 @@ class Flag:
     @cached_property
     def barycenters(self) -> tuple:
         return tuple(barycenter(c) for c in self.cones)
+
+    @cached_property
+    def steps(self) -> tuple:
+        """B_j - B_(j-1) for the barycenters B_1..B_k (B_0 = 0): h pairs
+        with them to its exponent row in the flag's chart."""
+        barys = self.barycenters
+        return tuple(b if j == 0 else vsub(b, barys[j - 1]) for j, b in enumerate(barys))
 
     @cached_property
     def inverse(self) -> tuple:

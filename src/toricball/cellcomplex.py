@@ -14,9 +14,9 @@ fan it is a regular cell structure with a single top cell.
 
 The verification routines certify that the closed flag simplices glue
 along exactly their shared sub-simplices (by integer identities on the
-charts' exponent rows and, once each, on the localization rules, with
-seeded samples as a cross-check of the float evaluators; distinct
-points separate by the exact gates of verify) and that every cell
+charts' Hilbert rows and, once each, on the localization rules, with
+seeded samples as a cross-check of the float evaluators; b's values and
+distinct points rest on the exact gates of verify) and that every cell
 closure is again a combinatorial ball (by the link of each cone, read
 off the face lattice).
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .bary import enumerate_flags
 from .charts import Atlas, NotInOpenSet, ToricPoint, _monomials, scaled_gaps, sup_gap
-from .exact import pair, vsub
+from .exact import pair
 from .fan import Cone, Fan, ridge_pairing
 from .homeo import bary_to_delta
 
@@ -196,11 +196,6 @@ def _simplex_samples(rng, dim, count):
     return out[:count]
 
 
-def _steps(barycenters):
-    """B_j - B_{j-1} for barycenters B_1..B_k, with B_0 = 0."""
-    return [b if j == 0 else vsub(b, barycenters[j - 1]) for j, b in enumerate(barycenters)]
-
-
 def _compose(terms, vectors):
     """sum_i c_i * vectors[i] over a decomposition's (i, c_i) terms."""
     out = [0] * len(vectors[0])
@@ -217,10 +212,11 @@ def gluing_identities(atlas: Atlas, flags):
 
     Two kinds of identity are checked, each fact once:
 
-      rows, per maximal flag F with top cone sigma and barycenters
-      B_1..B_n (B_0 = 0): the Hilbert row of b of each h in H(sigma) is
-      b_hj = <h, B_j - B_(j-1)> for every j (witness: flag, face =
-      sigma, generator, found and expected rows);
+      rows, per maximal flag F with top cone sigma: the generator at
+      the Hilbert row of each h in H(sigma) is h (witness: flag, face =
+      sigma, generator = h, found = the generator at that row).  With
+      verify's monomial_diagram identities, b_gj = <g, B_j - B_(j-1)>
+      for every row g (B_0 = 0), this is b_hj = <h, B_j - B_(j-1)>;
 
       rules, once per localization rule sigma -> tau, for sigma the
       distinct top cones of flags in first-seen order and tau each
@@ -246,8 +242,8 @@ def gluing_identities(atlas: Atlas, flags):
     (<h', B_j - B_(j-1)>)_j, for every face tau of sigma", at
     sum_F |H(sigma_F)| + sum_sigma sum_(tau < sigma) (1 + |H(tau)|)
     identities rather than once per flag ending in sigma.  Each chart
-    has its own b, so the rows stay per flag: checking them here keeps
-    verify_gluing sound on its own.
+    has its own rows, so they stay per flag; b's values rest on
+    monomial_diagram, which verify's intersection_gluing reads as a gate.
 
     Why this certifies the gluing.  Let S be a subflag of F at positions
     s_1 < ... < s_k, with top cone tau (the zero cone if S is empty).  A
@@ -273,13 +269,11 @@ def gluing_identities(atlas: Atlas, flags):
     failures = []
     for fi, flag in enumerate(flags):
         chart = atlas.chart(flag)
-        face = sorted(chart.top_cone.rays)
-        steps = _steps(flag.barycenters)
         for h, r in zip(atlas.hilbert(chart.top_cone).generators, chart.hilbert_rows):
             count += 1
-            found, expected = list(chart.b[r]), [pair(h, d) for d in steps]
-            if found != expected:
-                failures.append({"flag": fi, "face": face, "generator": list(h), "found": found, "expected": expected})
+            if chart.generators[r] != h:
+                face = sorted(chart.top_cone.rays)
+                failures.append({"flag": fi, "face": face, "generator": list(h), "found": list(chart.generators[r])})
     for sigma in dict.fromkeys(flag.cones[-1] for flag in flags):
         gens = atlas.hilbert(sigma).generators
         for tau in atlas.fan.faces(sigma):
@@ -303,11 +297,11 @@ def gluing_identities(atlas: Atlas, flags):
     return count, failures
 
 
-def _telescoped_terms(generators, barycenters):
+def _telescoped_terms(generators, steps):
     """Per generator h, the nonzero (t, <h, B_(t+1) - B_t>) pairs of the
-    telescoped monomial prod_t W_t^<h, B_(t+1) - B_t> (B_0 = 0), in
-    column order, so that _monomials gives the floats of monomial_eval."""
-    steps = _steps(barycenters)
+    telescoped monomial prod_t W_t^<h, B_(t+1) - B_t> (B_0 = 0, steps
+    a prefix of Flag.steps), in column order, so that _monomials gives
+    the floats of monomial_eval."""
     return [tuple((t, e) for t, d in enumerate(steps) if (e := pair(h, d))) for h in generators]
 
 
@@ -331,9 +325,9 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
     The full flag, k = n, is certified instead of sampled.  Its rule is
     the identity, and its telescoped terms (_telescoped_terms) are the
     nonzero (j, <h, B_j - B_(j-1)>) pairs of each h in H(sigma).  By
-    gluing_identities' rows those are the nonzero entries of h's row of
-    b, which chart_invariants certifies to be exactly
-    chart.hilbert_terms.  Both sides would multiply the same terms at
+    gluing_identities' rows and monomial_diagram's identities (a gate of
+    intersection_gluing) those are the nonzero entries of h's row of b,
+    which chart_invariants certifies to be exactly chart.hilbert_terms.  Both sides would multiply the same terms at
     the same w, so the gap is 0.0 by construction.
 
     Returns the counterexamples, with gap None where the point does not
@@ -350,7 +344,7 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
             _, alpha_terms, rows, _ = atlas._localization_rule(chart.top_cone, tau)
             read = sorted({i for i, _ in alpha_terms}.union(i for _, terms in rows for i, _ in terms))
             read_terms = [chart.hilbert_terms[i] for i in read]
-            terms = _telescoped_terms(atlas.hilbert(tau).generators, flag.barycenters[:k])
+            terms = _telescoped_terms(atlas.hilbert(tau).generators, flag.steps[:k])
             for sub_xi in _simplex_samples(rng, k, count):
                 w = bary_to_delta(sub_xi + (0.0,) * (n - k))
                 point = ToricPoint(chart.top_cone, dict(zip(read, _monomials(read_terms, w))))
@@ -379,10 +373,11 @@ def verify_gluing(atlas: Atlas, samples_per_pair: int = 50, tol: float = 1e-9, s
     """Certify that closed flag simplices intersect exactly in the closed
     simplex of the intersection flag.
 
-    (i) Shared faces agree: exactly, by gluing_identities, with a float
-    cross-check of the evaluators on the n proper prefix subflags of
-    each maximal flag, one per face map below the top cone; the full
-    flag's gap is 0.0 by construction.  See _subflag_cross_check.
+    (i) Shared faces agree: exactly, by gluing_identities and, for b's
+    values, verify's monomial_diagram identities (a gate, as in (ii)),
+    with a float cross-check of the evaluators on the n proper prefix
+    subflags of each maximal flag, one per face map below the top cone;
+    the full flag's gap is 0.0 by construction.  See _subflag_cross_check.
 
     (ii) Interior points of two different maximal flag simplices are
     distinct.  This is a corollary of three exact facts, not a sample:

@@ -2,14 +2,14 @@
 
 For each maximal flag the chart holds the distinguished semigroup
 generators (upper-triangular selection first, then the Hilbert basis of
-the top cone's dual) and the integer exponent matrices
+the top cone's dual) and the integer exponent matrix
 
-    c[i][k] = <alpha_i, B_k>,   b[i][0] = c[i][0],
-    b[i][j] = c[i][j] - c[i][j-1]   (j >= 1),
+    b[i][j] = <alpha_i, B_(j+1) - B_j>   (B_0 = 0, Flag.steps),
 
-which define the monomial map psi carrying the simplex
+which defines the monomial map psi carrying the simplex
 Delta_n = {0 <= w_1 <= ... <= w_n <= 1} onto the closure of the flag
-cone inside the ambient affine chart.
+cone inside the ambient affine chart.  Only verify's monomial_diagram
+certifies b's values (intersection_gluing reads it as a gate).
 
 Points of the space itself are represented intrinsically as nonnegative
 values on the Hilbert basis of a carrier cone's semigroup (ToricPoint);
@@ -53,12 +53,12 @@ class NotInOpenSet(ValueError):
 
 @dataclass(frozen=True)
 class Chart:
-    """Chart data attached to one maximal flag (see module docstring)."""
+    """Chart data attached to one maximal flag (see module docstring);
+    b's values are certified by verify's monomial_diagram alone."""
 
     flag: Flag
     generators: tuple  # alpha_1..alpha_m, triangular selection first
-    c: tuple  # m x n pairing matrix, nonnegative, rows nondecreasing
-    b: tuple  # m x n exponent matrix of psi
+    b: tuple  # m x n exponent matrix of psi, nonnegative
     hilbert_rows: tuple  # row index of each Hilbert basis element
 
     @property
@@ -261,10 +261,10 @@ def exp_pairings(gens, x):
 
 
 def chart_violations(chart: Chart) -> int:
-    """Number of broken invariants of the exponent data: one per pairing
-    row that is negative or decreasing, per triangular row with a nonzero
-    entry below the diagonal or a nonpositive diagonal, per b row whose
-    partial sums miss its pairing row, and per entry of Chart.terms or
+    """Number of broken invariants of the exponent data: one per b row
+    with a negative entry (its prefix sums <g, B_k> would be negative or
+    decreasing), per triangular row with a nonzero entry below the
+    diagonal or a nonpositive diagonal, and per entry of Chart.terms or
     Chart.hilbert_terms (a missing or extra one included) that is not
     its b row's nonzero (column, exponent) pairs: the float evaluators
     read only the terms, and the exact identities only b."""
@@ -273,9 +273,8 @@ def chart_violations(chart: Chart) -> int:
     hilbert = [expected[i] for i in chart.hilbert_rows]
     pairs = chain(zip_longest(chart.terms, expected), zip_longest(chart.hilbert_terms, hilbert))
     bad = sum(found != want for found, want in pairs)
-    bad += sum(any(v < 0 for v in row) or any(row[j] < row[j - 1] for j in range(1, n)) for row in chart.c)
+    bad += sum(any(v < 0 for v in row) for row in b)
     bad += sum(any(b[i][j] != 0 for j in range(i)) or b[i][i] <= 0 for i in range(n))
-    bad += sum(any(sum(b[i][: k + 1]) != row[k] for k in range(n)) for i, row in enumerate(chart.c))
     return bad
 
 
@@ -312,8 +311,7 @@ class Atlas:
         return self._charts[flag]
 
     def _build_chart(self, flag: Flag) -> Chart:
-        n = self.fan.dim
-        if len(flag) != n or flag.cones[-1].rays not in set(self.fan.max_cones):
+        if len(flag) != self.fan.dim or flag.cones[-1].rays not in set(self.fan.max_cones):
             raise ValueError("charts are attached to maximal flags only")
         tri = _ck.triangular_generators(flag.cones)
         hb = self.hilbert(flag.cones[-1])
@@ -323,22 +321,15 @@ class Atlas:
         for h in chain(tri, hb.generators):
             row_of.setdefault(h, len(row_of))
         gens = tuple(row_of)
-        barys = flag.barycenters
         # The flag's exact inverse is built with its chart, so that once
         # the charts are built, locating a point needs no elimination.
         flag.inverse
-        c_mat = tuple(tuple(int(pair(g, B)) for B in barys) for g in gens)
-        b_mat = tuple(
-            tuple(row[0] if j == 0 else row[j] - row[j - 1] for j in range(n))
-            for row in c_mat
-        )
-        hilbert_rows = tuple(row_of[h] for h in hb.generators)
+        steps = flag.steps
         chart = Chart(
             flag=flag,
             generators=gens,
-            c=c_mat,
-            b=b_mat,
-            hilbert_rows=hilbert_rows,
+            b=tuple(tuple(int(pair(g, d)) for d in steps) for g in gens),
+            hilbert_rows=tuple(row_of[h] for h in hb.generators),
         )
         # Forced by the construction; a violation is a bug here.
         assert chart_violations(chart) == 0, "chart exponent data breaks its invariants"

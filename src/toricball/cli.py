@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 from .bary import barycenter, enumerate_flags
@@ -110,7 +111,7 @@ def cmd_charts(args) -> int:
                 "flag": [sorted(c.rays) for c in chart.flag.cones],
                 "generators": [list(g) for g in chart.generators],
                 "dual_basis": [[str(x) for x in row] for row in chart.flag.inverse[0]],
-                "c": [list(r) for r in chart.c],
+                "c": [list(accumulate(r)) for r in chart.b],  # the pairings <g, B_k>
                 "b": [list(r) for r in chart.b],
                 "psi": chart.monomial_strings(),
             }

@@ -1,6 +1,6 @@
 """The certification suite: a table of named checks over one context.
 
-Each check reads the shared Context (fan, atlas, charts, maximal flags,
+Each check reads the shared Context (fan, atlas, maximal flag charts,
 rank, tolerance, sample count, its own seeded generator and the results
 of the checks before it) and returns (passed, details), or None when it
 does not apply to the fan.  Checks run in table order.  Each draws from
@@ -13,9 +13,10 @@ seed alone inside cellcomplex.verify_gluing: no other check moves it.
 The float cross-checks are sized by the rank n, not by the Hilbert
 basis.  A chart's point is fixed by its n triangular rows, and the exact
 gates certify every other row: monomial_diagram's identities each b row
-as linear in h, chart_invariants that Chart.terms is exactly b's
-nonzero entries, and intersection_gluing's identities every localized
-row (each flag's Hilbert rows, and each localization rule once, in M).
+as linear in h (the only certificate of b's values), chart_invariants
+that Chart.terms is exactly b's nonzero entries, and intersection_gluing's
+identities, with that gate, every localized row (each flag's Hilbert
+rows by generator, and each localization rule once, in M).
 So monomial_diagram and simplex_inversion evaluate the n triangular
 rows only, and intersection_gluing's shared half only the rows each
 localization rule reads (cellcomplex._subflag_cross_check).
@@ -121,9 +122,11 @@ Negative controls, each a test in tests/test_verify.py unless named:
   cell names its pseudomanifold issues (test_regularity_names_failing_cells).
 - hilbert_minimality: a generator sum added to every basis
   (test_cli.py::test_hilbert_minimality_names_witnesses).
-- intersection_gluing: a perturbed localization rule row, cutting
-  functional or Hilbert row of b, and --tamper's b, each also failing
-  the per-flag reference test_complex.py::_per_flag_identities
+- intersection_gluing: a perturbed localization rule row or cutting
+  functional, two Hilbert rows swapped in hilbert_rows (which
+  chart_invariants and monomial_diagram pass), and a perturbed Hilbert
+  row of b or --tamper's b (failed through the monomial_diagram gate),
+  each also failing the per-flag reference test_complex.py::_per_flag_identities
   (test_complex.py::test_gluing_identity_fails_on_*); --tamper on p2,
   which names monomial_diagram as a failed gate; a NaN localized value
   (test_complex.py::test_subflag_cross_check_fails_on_nan_gap); a
@@ -144,7 +147,7 @@ from operator import mul, sub
 
 from . import cellcomplex, charts, homeo
 from . import cones as _ck
-from .bary import cover_check, enumerate_flags
+from .bary import cover_check
 from .charts import TWO_PI
 from .exact import pair
 from .fan import Fan
@@ -158,8 +161,7 @@ class SettingsError(ValueError):
 class Context:
     fan: Fan
     atlas: charts.Atlas
-    charts: list
-    flags: list  # maximal flags, in enumeration order
+    charts: list  # one per maximal flag, in enumeration order
     n: int
     tol: float
     samples: int
@@ -376,10 +378,10 @@ def _cover(ctx):
 
 def _intersection_gluing(ctx):
     """Closed flag simplices meet exactly in their shared faces: exact
-    identities on the shared faces; distinct interior points by the
-    exact corollary of cellcomplex.verify_gluing, which rests on the
-    gates of _distinct_gates; float cross-checks of the evaluators on
-    both halves."""
+    identities on the shared faces, whose b values rest on the
+    monomial_diagram gate; distinct interior points by the exact
+    corollary of cellcomplex.verify_gluing, which rests on both gates of
+    _distinct_gates; float cross-checks of the evaluators on both halves."""
     glue = cellcomplex.verify_gluing(ctx.atlas, samples_per_pair=50, tol=ctx.tol, seed=ctx.seed)
     gates = _distinct_gates(ctx.results)
     return glue.passed and all(gates.values()), {
@@ -392,10 +394,11 @@ def _intersection_gluing(ctx):
 
 
 def _distinct_gates(results):
-    """The verdicts the distinct half rests on, read from the checks
-    already run: monomial_diagram's exact part (no identity witness and
-    no dual_witness; its float residuals are not a gate) and cover.  A
-    gate that has not run counts as failed."""
+    """The verdicts the distinct half rests on, and for monomial_diagram
+    the shared half too, read from the checks already run:
+    monomial_diagram's exact part (no identity witness and no
+    dual_witness; its float residuals are not a gate) and cover.  A gate
+    that has not run counts as failed."""
     diagram, cover = results.get("monomial_diagram"), results.get("cover")
     return {
         "monomial_diagram": diagram is not None and not {"witness", "dual_witness"} & diagram[1].keys(),
@@ -437,7 +440,7 @@ def _nonextension_probe(ctx):
     names."""
     if ctx.n != 2:
         return None
-    vals = [homeo.nonextension_probe(ctx.atlas, ctx.flags[0], c, s) for c in (1.0, 2.0) for s in (0.5, 3.0, 9.0)]
+    vals = [homeo.nonextension_probe(ctx.atlas, ctx.charts[0].flag, c, s) for c in (1.0, 2.0) for s in (0.5, 3.0, 9.0)]
     second = [v[1] for v in vals]
     stable = max(abs(second[i] - second[i + 1]) for i in (0, 1, 3, 4))
     separated = abs(second[0] - second[3]) > 0.1 * max(second[0], second[3])
@@ -489,7 +492,6 @@ def run_verification(
         fan=fan,
         atlas=atlas,
         charts=chart_list,
-        flags=enumerate_flags(fan, only_maximal=True),
         n=fan.dim,
         tol=tol,
         samples=samples,

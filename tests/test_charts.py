@@ -46,8 +46,9 @@ def test_p2_chart_matrices(atlas_p2):
     # then the leftover Hilbert element (1,0).
     chart = _chart(atlas_p2, {0}, {0, 1})
     assert chart.generators == ((1, 1), (0, 1), (1, 0))
-    assert chart.c == ((1, 2), (0, 1), (1, 1))
     assert chart.b == ((1, 1), (0, 1), (1, 0))
+    # The pairings <g, B_k>, b's prefix sums.
+    assert [list(itertools.accumulate(row)) for row in chart.b] == [[1, 2], [0, 1], [1, 1]]
     assert chart.flag.inverse[0] == ((1, -1), (0, 1))
 
 
@@ -67,8 +68,8 @@ def test_p1_chart():
     charts = atlas.charts()
     assert len(charts) == 2
     for chart in charts:
-        assert chart.c == ((1,),)
         assert chart.b == ((1,),)
+        assert [list(itertools.accumulate(row)) for row in chart.b] == [[1]]
         # psi is the identity in rank one.
         assert psi_eval(chart, (0.37,)) == (0.37,)
 

@@ -214,7 +214,7 @@ def test_cover_reports_witness_on_failure():
     from toricball import verify
 
     fan = tb.validate_fan(2, [(1, 0), (0, 1)], [[0, 1]], require_complete=False)
-    ctx = verify.Context(fan, None, [], [], fan.dim, 1e-9, 0, 0, random.Random(0))
+    ctx = verify.Context(fan, None, [], fan.dim, 1e-9, 0, 0, random.Random(0))
     witness = {"reason": "ridge not shared by exactly two maximal flags", "ridge": [[0]], "count": 1}
     assert verify._cover(ctx) == (False, {"witness": witness})
 
@@ -334,7 +334,7 @@ def test_hilbert_minimality_names_witnesses():
 
     fan = tb.load_bundled("p112")
     atlas = tb.Atlas(fan)
-    ctx = verify.Context(fan, atlas, [], [], fan.dim, 1e-9, 0, 0, random.Random(0))
+    ctx = verify.Context(fan, atlas, [], fan.dim, 1e-9, 0, 0, random.Random(0))
     cones = fan.cones()
     assert verify._hilbert_minimality(ctx) == (True, {"cones": len(cones)})
     for cone in cones:

@@ -1,5 +1,6 @@
 """Ball model, orbit complex, gluing and regularity verification."""
 
+import dataclasses
 import json
 import math
 import random
@@ -203,7 +204,7 @@ def test_full_prefix_telescoped_terms_are_the_hilbert_terms(name):
     atlas = tb.Atlas(_gluing_fan(name))
     for chart in atlas.charts():
         generators = atlas.hilbert(chart.top_cone).generators
-        assert tuple(cellcomplex._telescoped_terms(generators, chart.flag.barycenters)) == chart.hilbert_terms
+        assert tuple(cellcomplex._telescoped_terms(generators, chart.flag.steps)) == chart.hilbert_terms
 
 
 def _nan_in_second_value(monkeypatch, atlas):
@@ -256,7 +257,7 @@ def _per_flag_identities(atlas, flags):
         sigma, n = chart.top_cone, chart.n
         gens = atlas.hilbert(sigma).generators
         rows = [chart.b[r] for r in chart.hilbert_rows]
-        steps = cellcomplex._steps(flag.barycenters)
+        steps = flag.steps
         for tau in atlas.fan.faces(sigma):
             rule = atlas._localization_rule(sigma, tau)
             if rule[0] == "identity":
@@ -405,9 +406,38 @@ def test_gluing_identity_fails_on_truncated_rule():
     assert [c for c in report.counterexamples if c["kind"] == "identity"] == [{"kind": "identity", **failures[0]}]
 
 
-def test_gluing_identity_fails_on_perturbed_b():
-    import dataclasses
+def _verified_checks(monkeypatch, atlas):
+    """run_verification's checks, by name, on atlas as edited."""
+    monkeypatch.setattr(charts, "Atlas", lambda _: atlas)
+    return {c["name"]: c for c in verify.run_verification(atlas.fan, seed=0)["checks"]}
 
+
+def _b_caught_by_the_diagram_gate(monkeypatch, edit, name):
+    """After edit(atlas, flag 0) has changed one Hilbert row of b: the
+    per-flag reference, which pairs the rows afresh, fails on flag 0;
+    gluing_identities, which names each Hilbert row by its generator and
+    pairs none, passes with its count unchanged; and run_verification
+    fails intersection_gluing through its monomial_diagram gate.
+    Returns the reference's witnesses and monomial_diagram's."""
+    atlas = tb.Atlas(tb.load_bundled(name))
+    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    edit(atlas, flags[0])
+    count, failures = gluing_identities(atlas, flags)
+    reference = _per_flag_identities(atlas, flags)[1]
+    assert failures == [] and count == gluing_identities(tb.Atlas(atlas.fan), flags)[0]
+    assert reference and all(w["flag"] == 0 for w in reference)
+    checks = _verified_checks(monkeypatch, atlas)
+    gluing = checks["intersection_gluing"]
+    assert not gluing["passed"] and gluing["gates"] == {"monomial_diagram": False, "cover": True}
+    assert not any(c["kind"] == "identity" for c in gluing["counterexamples"])
+    return reference, checks["monomial_diagram"]["witness"]
+
+
+def test_gluing_identity_fails_on_perturbed_b(monkeypatch):
+    """Flag 0's first Hilbert row of b, its first entry one up: the
+    reference names it on the top cone, where the rule is the identity
+    and the row is read as is, and monomial_diagram's witness names it
+    at column 0."""
     state = {}
 
     def edit(atlas, flag):
@@ -418,34 +448,59 @@ def test_gluing_identity_fails_on_perturbed_b():
         atlas._charts[flag] = dataclasses.replace(chart, b=tuple(map(tuple, b)))
         state.update(generator=list(chart.generators[row]), sigma=sorted(chart.top_cone.rays))
 
-    _, (_, failures), (_, reference), report = _perturbed_gluing(edit)
-    # The rules do not read b: the perturbed row is its only witness.
-    assert [(w["flag"], w["face"], w["generator"], w["found"][0] - w["expected"][0]) for w in failures] == [
-        (0, state["sigma"], state["generator"], 1)
-    ]
-    assert reference and all(w["flag"] == 0 for w in reference)
-    # On the top cone itself the rule is the identity: the row is read as is.
+    reference, witness = _b_caught_by_the_diagram_gate(monkeypatch, edit, "p2")
     top = [w for w in reference if w["face"] == state["sigma"]]
     assert [(w["generator"], w["found"][0] - w["expected"][0]) for w in top] == [(state["generator"], 1)]
-    assert not report.passed and report.counterexamples[0]["kind"] == "identity"
+    assert (witness["flag"], witness["generator"], witness["column"]) == (0, state["generator"], 0)
+    assert witness["found"] == witness["expected"] + 1
 
 
 @pytest.mark.parametrize("name", ["p2", "p112"])
-def test_gluing_identity_fails_on_tampered_b(name):
+def test_gluing_identity_fails_on_tampered_b(monkeypatch, name):
     """verify --tamper's change, the last exponent of the first chart's
-    b plus one: gluing_identities names the one perturbed Hilbert row,
-    on flag 0's top cone, and the per-flag reference fails too."""
-    import dataclasses
+    b plus one, on a Hilbert row of flag 0: monomial_diagram's witness
+    names that generator at the last column."""
+    state = {}
 
     def edit(atlas, flag):
         chart = atlas.chart(flag)
         b = [list(row) for row in chart.b]
         b[-1][-1] += 1
         atlas._charts[flag] = dataclasses.replace(chart, b=tuple(map(tuple, b)))
+        assert chart.m - 1 in chart.hilbert_rows
+        state.update(generator=list(chart.generators[-1]), column=chart.n - 1)
 
-    flags, (_, failures), (_, reference), report = _perturbed_gluing(edit, name)
-    assert [(w["flag"], w["face"]) for w in failures] == [(0, sorted(flags[0].cones[-1].rays))]
-    assert reference and not report.passed
+    _, witness = _b_caught_by_the_diagram_gate(monkeypatch, edit, name)
+    assert (witness["flag"], witness["generator"], witness["column"]) == (0, state["generator"], state["column"])
+    assert witness["found"] == witness["expected"] + 1
+
+
+def test_gluing_identity_fails_on_swapped_hilbert_rows(monkeypatch):
+    """p112's flag 0 with its first two Hilbert rows swapped in
+    hilbert_rows: b, the generators and the terms stay consistent, so
+    chart_invariants and monomial_diagram pass, but each row now stands
+    for the other generator.  gluing_identities names both, with the
+    generator found at the row, and intersection_gluing fails with both
+    gates passing."""
+    atlas = tb.Atlas(tb.load_bundled("p112"))
+    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    chart = atlas.chart(flags[0])
+    first, second, *rest = chart.hilbert_rows
+    atlas._charts[flags[0]] = dataclasses.replace(chart, hilbert_rows=(second, first, *rest))
+    count, failures = gluing_identities(atlas, flags)
+    face = sorted(chart.top_cone.rays)
+    h = [list(g) for g in atlas.hilbert(chart.top_cone).generators[:2]]
+    assert failures == [
+        {"flag": 0, "face": face, "generator": h[0], "found": h[1]},
+        {"flag": 0, "face": face, "generator": h[1], "found": h[0]},
+    ]
+    assert count == gluing_identities(tb.Atlas(atlas.fan), flags)[0]
+    assert _per_flag_identities(atlas, flags)[1]
+    checks = _verified_checks(monkeypatch, atlas)
+    assert checks["chart_invariants"]["passed"] and checks["monomial_diagram"]["passed"]
+    gluing = checks["intersection_gluing"]
+    assert not gluing["passed"] and gluing["gates"] == {"monomial_diagram": True, "cover": True}
+    assert gluing["counterexamples"][:2] == [{"kind": "identity", **w} for w in failures]
 
 
 def test_verify_gluing_distinct_pin():
@@ -495,7 +550,7 @@ def test_points_equal_distinct_pin():
 def _simplex_inversion(fan, atlas):
     """verify's simplex_inversion check on atlas, which may be perturbed."""
     chart_list = atlas.charts()
-    ctx = verify.Context(fan, atlas, chart_list, [c.flag for c in chart_list], fan.dim, 1e-9, 0, 0, random.Random(0))
+    ctx = verify.Context(fan, atlas, chart_list, fan.dim, 1e-9, 0, 0, random.Random(0))
     return verify._simplex_inversion(ctx)
 
 

@@ -36,8 +36,7 @@ def atlas(request):
 
 def _context(fan, atlas=None, samples=0):
     chart_list = atlas.charts() if atlas else []
-    flags = [c.flag for c in chart_list]
-    return verify.Context(fan, atlas, chart_list, flags, fan.dim, 1e-9, samples, 0, random.Random(0))
+    return verify.Context(fan, atlas, chart_list, fan.dim, 1e-9, samples, 0, random.Random(0))
 
 
 def _fraction_residuals(chart, rng, count):
@@ -148,7 +147,7 @@ def test_dual_basis_gate_names_perturbed_inverse():
     ctx = _context(fan, atlas, samples=5)
     passed, details = verify._monomial_diagram(ctx)
     assert passed and "dual_witness" not in details
-    flag = ctx.flags[3]
+    flag = ctx.charts[3].flag
     left, annihilator = flag.inverse
     left = [list(row) for row in left]
     left[1][0] += Fraction(1, 7)
@@ -618,13 +617,16 @@ def test_doubled_pairing_row_residual_pin():
     assert details["worst_residual"] > ctx.tol
 
 
-def test_nonextension_probe_names_its_flag():
+def test_nonextension_probe_names_its_flag(monkeypatch):
     """The probe runs in the chart of the first maximal flag, and the
     report names it."""
     fan = tb.load_bundled("p2")
     ctx = _context(fan, tb.Atlas(fan))
+    seen, probe = [], homeo.nonextension_probe
+    monkeypatch.setattr(homeo, "nonextension_probe", lambda a, flag, *rest: seen.append(flag) or probe(a, flag, *rest))
     passed, details = verify._nonextension_probe(ctx)
-    assert passed and details["flag"] == 0 and ctx.flags[0] == ctx.charts[0].flag
+    assert passed and details["flag"] == 0
+    assert set(seen) == {tb.enumerate_flags(fan, only_maximal=True)[0]}
 
 
 def test_distinct_half_fails_with_a_failed_gate():
