@@ -104,39 +104,40 @@ class PseudomanifoldReport:
 
 
 def pseudomanifold_check(model: BallModel) -> PseudomanifoldReport:
-    """Ball/sphere combinatorics of the model, dimension by dimension.
+    """Ball combinatorics of the model: every interior (m-1)-simplex (one
+    through the origin) lies in exactly two top m-simplices, and the dual
+    adjacency graph of the tops is connected.
 
-    Interior (n-1)-simplices (containing the origin) must lie in exactly
-    two n-simplices, boundary ones in exactly one; the boundary complex
-    must itself be closed (every boundary (n-2)-simplex in exactly two
-    boundary (n-1)-simplices); and the dual adjacency graph of the
-    n-simplices must be connected.
+    Every model that build_ball_model(fan, sigma) makes is the cone from
+    the origin over the chains of cones strictly above sigma, of rank
+    m = n - dim sigma (model.n).  Its tops are {0} u C, C a chain of m cones; since
+    dimensions run from dim sigma + 1 to n, each step of C raises the
+    dimension by one.  Two ridge counts are therefore not tested, as
+    neither can decide a verdict:
+
+      a boundary (m-1)-simplex C lies only in the top {0} u C (no chain
+      of m + 1 cones exists above sigma), so it lies in exactly one top;
+
+      a boundary (m-2)-simplex R, a chain of m - 1 cones, lies in the
+      boundary facets C that contain R, and these are exactly the tops
+      {0} u C over the interior ridge {0} u R; so R lies in two boundary
+      facets exactly where {0} u R lies in two tops, and the boundary
+      is closed exactly where the interior count passes.
+
+    ridge_pairing reads every facet of every top: a boundary facet lies
+    in one top only, so it joins no two tops, and it lets the single top
+    {0} of a rank-0 model count as reached.
     """
     n = model.n
-    issues = []
     tops = list(model.simplices.get(n, ()))
     if not tops:
         return PseudomanifoldReport(False, ("no top-dimensional simplices",))
-
-    def facets(simplices):
-        return ((s, s - {v}) for s in simplices for v in s)
-
-    bounds, reached = ridge_pairing(facets(tops))
-    for ridge in sorted(model.simplices.get(n - 1, ()), key=sorted):
-        count = len(bounds.get(ridge, ()))
-        expected = 2 if 0 in ridge else 1
-        if count != expected:
-            issues.append(f"face {sorted(ridge)} lies in {count} top simplices, expected {expected}")
-    if n >= 2:
-        boundary_tops = [s for s in model.simplices.get(n - 1, ()) if 0 not in s]
-        boundary_bounds, _ = ridge_pairing(facets(boundary_tops))
-        boundary_ridges = [s for s in model.simplices.get(n - 2, ()) if 0 not in s]
-        for ridge in sorted(boundary_ridges, key=sorted):
-            count = len(boundary_bounds.get(ridge, ()))
-            if count != 2:
-                issues.append(
-                    f"boundary face {sorted(ridge)} lies in {count} boundary facets, expected 2"
-                )
+    bounds, reached = ridge_pairing((s, s - {v}) for s in tops for v in s)
+    issues = [
+        f"face {sorted(ridge)} lies in {count} top simplices, expected 2"
+        for ridge in sorted(model.simplices.get(n - 1, ()), key=sorted)
+        if 0 in ridge and (count := len(bounds.get(ridge, ()))) != 2
+    ]
     if reached != len(tops):
         issues.append("dual adjacency graph of top simplices is disconnected")
     return PseudomanifoldReport(not issues, tuple(issues))
@@ -212,7 +213,10 @@ def gluing_identities(atlas: Atlas, flags):
 
     Two kinds of identity are checked, each fact once:
 
-      rows, per maximal flag F with top cone sigma: the generator at
+      rows, per maximal flag F with top cone sigma: the chart has one
+      Hilbert row per h in H(sigma) (witness: flag, face = sigma, rows,
+      expected_rows; a precondition of the identities that follow,
+      not counted as one), and the generator at
       the Hilbert row of each h in H(sigma) is h (witness: flag, face =
       sigma, generator = h, found = the generator at that row).  With
       verify's monomial_diagram identities, b_gj = <g, B_j - B_(j-1)>
@@ -269,10 +273,12 @@ def gluing_identities(atlas: Atlas, flags):
     failures = []
     for fi, flag in enumerate(flags):
         chart = atlas.chart(flag)
-        for h, r in zip(atlas.hilbert(chart.top_cone).generators, chart.hilbert_rows):
+        gens, face = atlas.hilbert(chart.top_cone).generators, sorted(chart.top_cone.rays)
+        if len(chart.hilbert_rows) != len(gens):
+            failures.append({"flag": fi, "face": face, "rows": len(chart.hilbert_rows), "expected_rows": len(gens)})
+        for h, r in zip(gens, chart.hilbert_rows):
             count += 1
             if chart.generators[r] != h:
-                face = sorted(chart.top_cone.rays)
                 failures.append({"flag": fi, "face": face, "generator": list(h), "found": list(chart.generators[r])})
     for sigma in dict.fromkeys(flag.cones[-1] for flag in flags):
         gens = atlas.hilbert(sigma).generators
@@ -330,6 +336,10 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
     which chart_invariants certifies to be exactly chart.hilbert_terms.  Both sides would multiply the same terms at
     the same w, so the gap is 0.0 by construction.
 
+    A flag whose chart has the wrong number of Hilbert rows is skipped:
+    its Chart.hilbert_terms do not line up with H(sigma), which the
+    rules index, and gluing_identities already names the flag.
+
     Returns the counterexamples, with gap None where the point does not
     localize or a gap is NaN; the worst passing gap goes to report, so
     every gap is computed in full."""
@@ -337,6 +347,8 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
     out = []
     for fi, flag in enumerate(flags):
         chart = atlas.chart(flag)
+        if len(chart.hilbert_rows) != len(atlas.hilbert(chart.top_cone).generators):
+            continue  # gluing_identities names the row count; the rules' terms would not line up
         n = len(flag)
         for k in range(n):
             members = flag.cones[:k]
@@ -423,7 +435,7 @@ def verify_gluing(atlas: Atlas, samples_per_pair: int = 50, tol: float = 1e-9, s
 @dataclass
 class RegularityReport:
     passed: bool
-    cells: list  # per-cone dicts: rays, cell dim, the three tests, failed, ok, issues
+    cells: list  # per-cone dicts: rays, cell dim, euler, pseudomanifold, failed, issues
 
 
 def sphere_euler(dim: int) -> int:
@@ -434,8 +446,7 @@ def sphere_euler(dim: int) -> int:
 def verify_regularity(fan: Fan) -> RegularityReport:
     """Each cell closure must be a combinatorial ball.
 
-    For every cone sigma, the star of sigma must be complete
-    (fan.is_complete(sigma)), the boundary of its ball model
+    For every cone sigma, the boundary of its ball model
     (build_ball_model(fan, sigma): the link of the cell, a sphere of one
     dimension less than the star's rank m = n - dim sigma) must have the
     Euler characteristic of S^(m-1), and the model must pass the
@@ -444,41 +455,60 @@ def verify_regularity(fan: Fan) -> RegularityReport:
     a cone over that boundary, so its own Euler characteristic is 1 for
     any fan and tests nothing.  At the zero cone the model is
     build_ball_model(fan), the ball model of the fan itself, so that
-    cell certifies the ball model.  Each cell lists the pseudomanifold
-    check's issues.
+    cell certifies the ball model.  Each cell lists the tests it failed
+    and the pseudomanifold check's issues.
 
     Why no star fan is built.  For a validated fan, the cones of
     star_fan(fan, sigma) match the cones of fan containing sigma one for
     one; the match keeps inclusion and lowers each dimension by
-    dim sigma.  So the star's maximal cones, its facets and their
-    pairing, its nonzero cones and its flags are those of the face
-    lattice above sigma, and the completeness test and the ball model
-    read off that lattice give the star fan's answers exactly.
+    dim sigma.  So the star's nonzero cones and its flags are those of
+    the face lattice above sigma, and the ball model read off that
+    lattice is the star fan's exactly.
+
+    Why star completeness is not tested: on a validated fan, a cell
+    that passes the pseudomanifold check has a complete star, so that
+    test could never decide a verdict.  Face lattices are graded, so
+    each (n-1)-cone tau containing sigma ends a chain R of cones above
+    sigma whose dimensions rise by one at each step.
+
+      R extends only by an n-cone containing tau, so two tops over the
+      interior ridge {0} u R mean that tau is a facet of exactly two
+      maximal cones containing sigma.
+
+      Two adjacent tops end in the same n-cone or in two n-cones that
+      share a facet (they differ in one cone of the chain), so
+      connected tops give facet-connected maximal cones.
+
+      A maximal cone rho of dimension below n containing sigma: by the
+      degree argument of bary.cover_check (Fulton, Introduction to
+      Toric Varieties, section 2), the n-cones containing sigma, paired
+      along their facets and connected, cover a neighbourhood of the
+      relative interior of sigma.  So the relative interior of rho meets
+      one of them, rho', and the fan axiom makes rho a face of rho':
+      rho is not maximal after all.
+
+      If sigma itself is maximal with dim sigma < n, the model has no
+      tops and the check fails.
+
+    So a cell whose star is incomplete fails pseudomanifold as well.
     """
     report = RegularityReport(True, [])
     for cone in fan.cones():
-        complete, _ = fan.is_complete(cone)
         model = build_ball_model(fan, cone)
         chi = euler_characteristic(model.boundary_simplices())
         pm = pseudomanifold_check(model)
         failed = [
             test
-            for test, ok in (
-                ("star_complete", complete),
-                ("euler", chi == sphere_euler(model.n - 1)),
-                ("pseudomanifold", pm.passed),
-            )
+            for test, ok in (("euler", chi == sphere_euler(model.n - 1)), ("pseudomanifold", pm.passed))
             if not ok
         ]
         report.cells.append(
             {
                 "rays": sorted(cone.rays),
                 "cell_dim": fan.dim - cone.dim,
-                "star_complete": complete,
                 "euler": chi,
                 "pseudomanifold": pm.passed,
                 "failed": failed,
-                "ok": not failed,
                 "issues": list(pm.issues),
             }
         )

@@ -85,6 +85,15 @@ another check already runs, and the facts that cover them:
   build_ball_model(fan) (cellcomplex.verify_regularity), so ball_model
   could fail only where regularity fails.  Each failing regularity cell
   names its pseudomanifold issues.
+- star completeness, per regularity cell: the facet-pairing test of
+  the maximal cones containing sigma, the completeness of
+  star_fan(fan, sigma).  On a validated fan every cell that fails it
+  fails regularity's pseudomanifold test too: two tops over each
+  interior ridge pair the (n-1)-cones above sigma, connected tops make
+  the n-cones above sigma facet-connected, and by the degree argument
+  of bary.cover_check those n-cones cover a neighbourhood of sigma's
+  relative interior, so no lower-dimensional cone above sigma is
+  maximal (the proof is in cellcomplex.verify_regularity).
 - intersection_gluing's locate cross-check: 25 interior points per
   maximal flag through the chart's triangular rows and
   charts.invert_triangular, whose recovered simplicial coordinates had
@@ -124,7 +133,11 @@ Negative controls, each a test in tests/test_verify.py unless named:
   (test_cli.py::test_hilbert_minimality_names_witnesses).
 - intersection_gluing: a perturbed localization rule row or cutting
   functional, two Hilbert rows swapped in hilbert_rows (which
-  chart_invariants and monomial_diagram pass), and a perturbed Hilbert
+  chart_invariants and monomial_diagram pass), hilbert_rows one row
+  short or one row long, named by the row-count witness with no float
+  cross-check of that flag
+  (test_complex.py::test_gluing_identity_fails_on_hilbert_row_count),
+  and a perturbed Hilbert
   row of b or --tamper's b (failed through the monomial_diagram gate),
   each also failing the per-flag reference test_complex.py::_per_flag_identities
   (test_complex.py::test_gluing_identity_fails_on_*); --tamper on p2,
@@ -407,12 +420,13 @@ def _distinct_gates(results):
 
 
 def _regularity(ctx):
-    """Every cell closure is a combinatorial ball: each cone's star,
-    read off the fan's face lattice, is complete and its link is a
-    sphere (see cellcomplex.verify_regularity).  On failure, up to five
-    failing cells, each named by its cone's rays with the tests it
-    failed: star completeness, Euler characteristic of the link sphere,
-    pseudomanifold; and the pseudomanifold check's issues."""
+    """Every cell closure is a combinatorial ball: each cone's star ball
+    model, read off the fan's face lattice, is a pseudomanifold whose
+    boundary, the cell's link, has the Euler characteristic of a sphere
+    (see cellcomplex.verify_regularity; star completeness follows).  On
+    failure, up to five failing cells, each named by its cone's rays
+    with the tests it failed, Euler characteristic of the link sphere
+    and pseudomanifold, and the pseudomanifold check's issues."""
     reg = cellcomplex.verify_regularity(ctx.fan)
     if reg.passed:
         return True, {"cells": len(reg.cells)}

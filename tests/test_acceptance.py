@@ -177,7 +177,7 @@ def test_criterion_08_regularity():
         rep = verify_regularity(get_fan(name))
         cells += len(rep.cells)
         if not rep.passed:
-            bad = [c for c in rep.cells if not c["ok"]]
+            bad = [c for c in rep.cells if c["failed"]]
             report(8, False, f"{name}: {bad[:3]}")
     report(8, True, f"{cells} cells across {len(BUNDLED)} fans")
 

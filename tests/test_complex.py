@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import toricball as tb
-from conftest import cube_faces_fan, drop_first_term, p2_with_terms, wps_fan
+from conftest import cube_faces_fan, drop_first_term, p2_with_terms, stellar_fan, wps_fan
 from toricball import cellcomplex, charts, verify
 from toricball.bary import locate_flag
 from toricball.cellcomplex import (
@@ -503,6 +503,32 @@ def test_gluing_identity_fails_on_swapped_hilbert_rows(monkeypatch):
     assert gluing["counterexamples"][:2] == [{"kind": "identity", **w} for w in failures]
 
 
+@pytest.mark.parametrize("edit", ["short", "long"])
+def test_gluing_identity_fails_on_hilbert_row_count(monkeypatch, edit):
+    """p112's flag 0 with hilbert_rows one row short, or with one row
+    appended: chart_invariants and monomial_diagram pass, zip would pair
+    the rows that are there, and the shared half would index past the
+    short terms.  gluing_identities names the row count, and
+    intersection_gluing fails with both gates passing, raises nothing,
+    and samples no point of that flag."""
+    atlas = tb.Atlas(tb.load_bundled("p112"))
+    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    chart = atlas.chart(flags[0])
+    rows = chart.hilbert_rows[:-1] if edit == "short" else (*chart.hilbert_rows, 0)
+    atlas._charts[flags[0]] = dataclasses.replace(chart, hilbert_rows=rows)
+    _, failures = gluing_identities(atlas, flags)
+    witness = {"flag": 0, "face": sorted(chart.top_cone.rays), "rows": len(rows), "expected_rows": len(chart.hilbert_rows)}
+    assert failures == [witness]
+    checks = _verified_checks(monkeypatch, atlas)
+    assert checks["chart_invariants"]["passed"] and checks["monomial_diagram"]["passed"]
+    gluing = checks["intersection_gluing"]
+    assert not gluing["passed"] and gluing["gates"] == {"monomial_diagram": True, "cover": True}
+    assert gluing["counterexamples"] == [{"kind": "identity", **witness}]
+    report = verify_gluing(atlas, samples_per_pair=50, tol=1e-9, seed=0)
+    full = verify_gluing(tb.Atlas(atlas.fan), samples_per_pair=50, tol=1e-9, seed=0)
+    assert report.shared_samples == full.shared_samples - 25 * len(flags[0])
+
+
 def test_verify_gluing_distinct_pin():
     """P(1,1,20) at seed 5, where the sampled distinct half used to report
     the pair stored in distinct.json: verify_gluing now passes, and each
@@ -635,7 +661,7 @@ def test_verify_regularity_maximal_cell_is_point(p2):
             assert entry["cell_dim"] == 0
             # The link of a point cell is the empty sphere S^-1.
             assert entry["euler"] == 0
-            assert entry["failed"] == [] and entry["ok"]
+            assert entry["failed"] == []
 
 
 def test_nonsimplicial_fan_end_to_end():
@@ -680,11 +706,15 @@ def _regularity_reference_fans():
     return fans
 
 
-@pytest.mark.parametrize("fan", _regularity_reference_fans(), ids=lambda fan: fan.name)
-def test_regularity_matches_star_fan_reference(monkeypatch, fan):
-    """Each cell's tests read off the face lattice agree with those of
-    the star fan rebuilt in the quotient lattice, and verify_regularity
-    builds no star fan and no subdivision of one."""
+def _regularity_against_star_fans(monkeypatch, fan):
+    """verify_regularity on fan, with no star fan and no subdivision of
+    one built, checked cell by cell against the star fan of each cone
+    rebuilt in the quotient lattice: the Euler characteristic of its
+    ball model's boundary, the pseudomanifold check of that model and
+    the failed tests agree, and the star fan is complete exactly where
+    the cell passes pseudomanifold (verify_regularity's proof that star
+    completeness needs no test of its own).  Returns the number of cells
+    whose star is incomplete."""
     from toricball import bary
     from toricball import fan as fan_module
 
@@ -696,6 +726,7 @@ def test_regularity_matches_star_fan_reference(monkeypatch, fan):
     monkeypatch.undo()
     assert set(bary._SUBDIVISIONS) <= set(before)
 
+    incomplete = 0
     for cone, cell in zip(fan.cones(), report.cells, strict=True):
         star = star_fan(fan, cone)
         complete = star.is_complete()[0]
@@ -703,18 +734,58 @@ def test_regularity_matches_star_fan_reference(monkeypatch, fan):
         chi = euler_characteristic(model.boundary_simplices())
         pm = pseudomanifold_check(model)
         expected = {
-            "star_complete": complete,
+            "rays": sorted(cone.rays),
             "euler": chi,
             "pseudomanifold": pm.passed,
             "failed": [
                 test
                 for test, ok in (
-                    ("star_complete", complete),
                     ("euler", chi == cellcomplex.sphere_euler(star.dim - 1)),
                     ("pseudomanifold", pm.passed),
                 )
                 if not ok
             ],
         }
-        assert {key: cell[key] for key in expected} == expected, (fan.name, sorted(cone.rays))
-        assert cell["rays"] == sorted(cone.rays)
+        where = (fan.name, sorted(cone.rays))
+        assert {key: cell[key] for key in expected} == expected, where
+        assert complete == cell["pseudomanifold"], where
+        incomplete += not complete
+    assert report.passed == (not any(cell["failed"] for cell in report.cells))
+    return incomplete
+
+
+@pytest.mark.parametrize("fan", _regularity_reference_fans(), ids=lambda fan: fan.name)
+def test_regularity_matches_star_fan_reference(monkeypatch, fan):
+    """Each cell's tests read off the face lattice agree with those of
+    the star fan rebuilt in the quotient lattice, and verify_regularity
+    builds no star fan and no subdivision of one."""
+    _regularity_against_star_fans(monkeypatch, fan)
+
+
+def _drop_maximal_cones(fan, rng):
+    """fan without one to three of its maximal cones, chosen by rng, and
+    without the rays that no remaining cone uses; not required complete."""
+    tops = [sorted(c) for c in fan.max_cones]
+    keep = sorted(rng.sample(tops, len(tops) - rng.randint(1, 3)))
+    index = {r: i for i, r in enumerate(sorted(set().union(*keep)))}
+    rays = [fan.rays[r] for r in index]
+    return validate_fan(fan.dim, rays, [[index[r] for r in c] for c in keep], require_complete=False, name=f"{fan.name}-dropped")
+
+
+def test_regularity_star_fan_reference_on_seeded_corpus(monkeypatch):
+    """The star-fan reference on seeded stellar subdivisions of p2, p3
+    and twisted_p3 (three steps, coefficients up to 5, seeds 0 and 1),
+    each also with two copies that drop one to three maximal cones:
+    every cell agrees, and the dropped copies give incomplete stars, on
+    which star completeness and pseudomanifold must agree."""
+    incomplete = 0
+    for name in ("p2", "p3", "twisted_p3"):
+        for seed in (0, 1):
+            fan = stellar_fan(tb.load_bundled(name), 3, 5, seed)
+            assert _regularity_against_star_fans(monkeypatch, fan) == 0
+            rng = random.Random(fan.name)
+            for _ in range(2):
+                dropped = _drop_maximal_cones(fan, rng)
+                assert not dropped.is_complete()[0]
+                incomplete += _regularity_against_star_fans(monkeypatch, dropped)
+    assert incomplete > 0
