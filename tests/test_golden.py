@@ -45,6 +45,13 @@ CASES = [
         ["verify", str(GOLDEN / "verify_wps_1_1_1_60" / "fan.json"), "--seed", "0", "--samples", "20"],
         0,
     ),
+    # The parent's bytes at seeds that no sample kernel was developed on.
+    ("verify_twisted_p3_seed7", ["verify", "twisted_p3", "--seed", "7", "--samples", "20"], 0),
+    (
+        "verify_wps_1_1_1_9_seed3",
+        ["verify", str(GOLDEN / "verify_wps_1_1_1_9_seed3" / "fan.json"), "--seed", "3", "--samples", "20"],
+        0,
+    ),
     # P^4: the rank-4 golden, 120 charts through every check.
     (
         "verify_p4",
