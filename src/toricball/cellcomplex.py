@@ -26,12 +26,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from operator import add
 
 from .bary import enumerate_flags
-from .charts import Atlas, NotInOpenSet, ToricPoint, _monomials, scaled_gaps, sup_gap
+from .charts import Atlas, monomial_columns, scaled_gap_column, sup_gap
 from .exact import pair
 from .fan import Cone, Fan, ridge_pairing
-from .homeo import bary_to_delta
 
 
 @dataclass
@@ -187,13 +187,14 @@ class GluingReport:
 def _simplex_samples(rng, dim, count):
     """Points of the standard dim-simplex: vertices, then seeded random
     points, some forced onto the xi_0 = 0 boundary stratum."""
+    draw = rng.random
     out = [tuple(1.0 if j == i else 0.0 for j in range(dim + 1)) for i in range(dim + 1)]
     while len(out) < count:
-        raw = [rng.random() for _ in range(dim + 1)]
+        raw = [draw() for _ in range(dim + 1)]
         if dim >= 1 and len(out) % 3 == 2:
             raw[0] = 0.0  # face at infinity
         total = sum(raw)
-        out.append(tuple(x / total for x in raw))
+        out.append(tuple([x / total for x in raw]))
     return out[:count]
 
 
@@ -306,8 +307,8 @@ def gluing_identities(atlas: Atlas, flags):
 def _telescoped_terms(generators, steps):
     """Per generator h, the nonzero (t, <h, B_(t+1) - B_t>) pairs of the
     telescoped monomial prod_t W_t^<h, B_(t+1) - B_t> (B_0 = 0, steps
-    a prefix of Flag.steps), in column order, so that _monomials gives
-    the floats of monomial_eval."""
+    a prefix of Flag.steps), in column order, so that monomial_columns
+    gives, per point, the floats of monomial_eval."""
     return [tuple((t, e) for t, d in enumerate(steps) if (e := pair(h, d))) for h in generators]
 
 
@@ -315,26 +316,43 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
     """Float cross-check of the evaluators behind the identities above:
     at count seeded points of each proper prefix subflag S = F[:k],
     k = 0..n-1, of each maximal flag F (vertices and the face at infinity
-    included), the chart point localized to S's top cone tau
-    (Atlas.localize, the rule that the identities certify) must match
-    the telescoped monomials prod_t W_t^<h', B_{t+1} - B_t>, computed
-    from S alone.  Each face map F -> tau below the top is sampled once,
-    on the prefix that ends at tau.
+    included), the chart point localized to S's top cone tau (by the
+    rule that the identities certify) must match the telescoped
+    monomials prod_t W_t^<h', B_{t+1} - B_t>, computed from S alone.
+    Each face map F -> tau below the top is sampled once, on the prefix
+    that ends at tau.
 
-    The chart point carries only the Hilbert rows that the rule
-    sigma -> tau reads (its alpha_terms and the terms of each of its
-    rows), keyed by generator index.  Each is the float that
-    Atlas.chart_point gives, so the localized values are those of
-    Atlas.localize(Atlas.chart_point(chart, w), tau) bit for bit, at a
-    cost that follows the rule rather than |H(sigma)|.
+    Each (F, k) is one batch, held a column per coordinate.  Its count
+    samples are drawn from rng as before, in loop order; the w columns
+    are bary_to_delta's partial sums, added one column at a time (past
+    W_k the zero padding adds 0.0, which moves no float); the Hilbert
+    rows that the rule sigma -> tau reads (its alpha_terms and the terms
+    of each of its rows) and the telescoped rows go through
+    charts.monomial_columns; Atlas.localize_columns applies the rule
+    (charts._shifted_columns); and the gaps are scaled_gaps' terms
+    (charts.scaled_gap_column), reduced per sample by sup_gap.  The
+    floats are the per-point floats: per point, each kernel does the
+    operations of its single-point form in the same order.  A product
+    starts from 1.0 and multiplies the same powers in term order, as
+    charts._monomials and charts._value_at do; a row is divided by
+    v_alpha**k only after charts._shifted's off-chart test; and each
+    float operation is correctly rounded, so equal operands give equal
+    results in a list or one at a time.  So every value, gap and
+    counterexample is the one of Atlas.localize(Atlas.chart_point(chart,
+    w), tau), point by point (tests/test_complex.py keeps that loop as
+    the reference), at a cost that follows the rule rather than
+    |H(sigma)|.  The read set of each rule, and the telescoped terms of
+    each prefix, which every maximal flag through it shares, are
+    computed once per call.
 
     The full flag, k = n, is certified instead of sampled.  Its rule is
     the identity, and its telescoped terms (_telescoped_terms) are the
     nonzero (j, <h, B_j - B_(j-1)>) pairs of each h in H(sigma).  By
     gluing_identities' rows and monomial_diagram's identities (a gate of
     intersection_gluing) those are the nonzero entries of h's row of b,
-    which chart_invariants certifies to be exactly chart.hilbert_terms.  Both sides would multiply the same terms at
-    the same w, so the gap is 0.0 by construction.
+    which chart_invariants certifies to be exactly chart.hilbert_terms.
+    Both sides would multiply the same terms at the same w, so the gap
+    is 0.0 by construction.
 
     A flag whose chart has the wrong number of Hilbert rows is skipped:
     its Chart.hilbert_terms do not line up with H(sigma), which the
@@ -344,36 +362,47 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
     localize or a gap is NaN; the worst passing gap goes to report, so
     every gap is computed in full."""
     zero = atlas.fan.zero_cone()
+    reads, telescoped = {}, {}
     out = []
     for fi, flag in enumerate(flags):
         chart = atlas.chart(flag)
-        if len(chart.hilbert_rows) != len(atlas.hilbert(chart.top_cone).generators):
+        sigma = chart.top_cone
+        if len(chart.hilbert_rows) != len(atlas.hilbert(sigma).generators):
             continue  # gluing_identities names the row count; the rules' terms would not line up
         n = len(flag)
         for k in range(n):
             members = flag.cones[:k]
             tau = members[-1] if members else zero
-            _, alpha_terms, rows, _ = atlas._localization_rule(chart.top_cone, tau)
-            read = sorted({i for i, _ in alpha_terms}.union(i for _, terms in rows for i, _ in terms))
-            read_terms = [chart.hilbert_terms[i] for i in read]
-            terms = _telescoped_terms(atlas.hilbert(tau).generators, flag.steps[:k])
-            for sub_xi in _simplex_samples(rng, k, count):
-                w = bary_to_delta(sub_xi + (0.0,) * (n - k))
-                point = ToricPoint(chart.top_cone, dict(zip(read, _monomials(read_terms, w))))
-                telescoped = _monomials(terms, bary_to_delta(sub_xi))  # at W_0..W_{k-1}
-                report.shared_samples += 1
-                try:
-                    gap = sup_gap(scaled_gaps(atlas.localize(point, tau).values, telescoped))
-                except NotInOpenSet:
-                    gap = math.nan
-                if not gap <= tol:
+            if (sigma.rays, tau.rays) not in reads:
+                _, alpha_terms, rows, _ = atlas._localization_rule(sigma, tau)
+                reads[sigma.rays, tau.rays] = sorted(
+                    {i for i, _ in alpha_terms}.union(i for _, terms in rows for i, _ in terms)
+                )
+            read = reads[sigma.rays, tau.rays]
+            prefix = tuple(c.rays for c in members)
+            if prefix not in telescoped:
+                telescoped[prefix] = _telescoped_terms(atlas.hilbert(tau).generators, flag.steps[:k])
+            samples = _simplex_samples(rng, k, count)
+            size = len(samples)
+            sums, acc = [], [0.0] * size  # W_0..W_k: bary_to_delta's partial sums
+            for column in zip(*samples):
+                acc = list(map(add, acc, column))
+                sums.append(acc)
+            w = sums + sums[-1:] * (n - k - 1)  # past W_k, the zero padding adds 0.0
+            values = monomial_columns([chart.hilbert_terms[i] for i in read], w, size)
+            off, local = atlas.localize_columns(sigma, dict(zip(read, values)), tau, size)
+            tele = monomial_columns(telescoped[prefix], sums, size)
+            gaps = [sup_gap(g) for g in zip(*map(scaled_gap_column, local, tele))] or [0.0] * size
+            report.shared_samples += size
+            for sub_xi, gap, o in zip(samples, gaps, off):
+                if o or not gap <= tol:
                     out.append(
                         {
                             "kind": "shared",
                             "flag": fi,
                             "subflag": [sorted(c.rays) for c in members],
                             "xi": list(sub_xi),
-                            "gap": None if math.isnan(gap) else gap,
+                            "gap": None if o or math.isnan(gap) else gap,
                         }
                     )
                 else:
@@ -389,7 +418,10 @@ def verify_gluing(atlas: Atlas, samples_per_pair: int = 50, tol: float = 1e-9, s
     values, verify's monomial_diagram identities (a gate, as in (ii)),
     with a float cross-check of the evaluators on the n proper prefix
     subflags of each maximal flag, one per face map below the top cone;
-    the full flag's gap is 0.0 by construction.  See _subflag_cross_check.
+    the full flag's gap is 0.0 by construction.  Each prefix's samples
+    are one batch, evaluated one column at a time by kernels whose
+    floats are those of the point-by-point route through
+    Atlas.localize.  See _subflag_cross_check.
 
     (ii) Interior points of two different maximal flag simplices are
     distinct.  This is a corollary of three exact facts, not a sample:

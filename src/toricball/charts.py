@@ -146,10 +146,10 @@ def _monomials(rows, w) -> tuple:
     """Each row's monomial at w, a row given by its nonzero (column,
     exponent) terms in column order: the float monomial_eval gives.
 
-    The single-point evaluator, behind psi_eval, Atlas.chart_point and
-    the subflag cross-check.  triangular_eval is its batch form: per
-    sample it starts from 1.0 and multiplies the same powers in the same
-    order, so the two give the same floats."""
+    The single-point evaluator, behind psi_eval and Atlas.chart_point.
+    monomial_columns is its batch form: per point it starts from 1.0
+    and multiplies the same powers in the same order, so the two give
+    the same floats."""
     w = [float(x) for x in w]
     values = []
     for terms in rows:
@@ -165,24 +165,32 @@ def psi_eval(chart: Chart, w):
     return _monomials(chart.terms, w)
 
 
-def triangular_eval(chart: Chart, columns):
-    """The monomials of the chart's n triangular generators, the rows
-    that psi_invert reads, over a batch of simplex points.
+def monomial_columns(rows, columns, count):
+    """Each row's monomial at every point of a batch of count points, a
+    row given by its (column, exponent) terms as for _monomials.
 
-    columns[j] holds w_j of every point of the batch; the answer holds
-    one list per triangular row, its value at every point.  Each value
-    is the float _monomials gives at that point: the product starts from
-    1.0 and multiplies w_j ** e over the row's terms in column order,
-    one column of the batch at a time."""
-    columns = [list(map(float, col)) for col in columns] or [[]] * chart.n  # an empty batch
-    count = len(columns[0])
+    columns[j] holds coordinate j of every point (columns may be any
+    mapping, read only at the rows' columns); the answer holds one list
+    per row, its value at every point.  Each value is the float
+    _monomials gives at that point: the product starts from 1.0 and
+    multiplies x_j ** e over the row's terms in order, one column of the
+    batch at a time."""
     out = []
-    for terms in chart.terms[: chart.n]:
+    for terms in rows:
         acc = [1.0] * count
         for j, e in terms:
             acc = list(map(mul, acc, map(pow, columns[j], repeat(e))))
         out.append(acc)
     return out
+
+
+def triangular_eval(chart: Chart, columns):
+    """The monomials of the chart's n triangular generators, the rows
+    that psi_invert reads, over a batch of simplex points: columns[j]
+    holds w_j of every point, and the answer one list per triangular
+    row (monomial_columns)."""
+    columns = [list(map(float, col)) for col in columns] or [[]] * chart.n  # an empty batch
+    return monomial_columns(chart.terms[: chart.n], columns, len(columns[0]))
 
 
 def invert_triangular(b, columns):
@@ -411,6 +419,13 @@ class Atlas:
             raise NotInOpenSet("value at the cutting functional is zero or underflows")
         return ToricPoint(cone=tau, values=tuple(values))
 
+    def localize_columns(self, sigma: Cone, columns, tau: Cone, count: int):
+        """The batch form of localize, for a proper face tau of sigma:
+        columns[i] holds the value of generator i of H(S_sigma) at each
+        of count points, for every i that the rule sigma -> tau reads.
+        Returns (off, rows) as _shifted_columns does."""
+        return _shifted_columns(self._localization_rule(sigma, tau), columns, count)
+
     def value_gap(self, p: ToricPoint, q: ToricPoint):
         """Sup gap between two points after localizing both to the chart
         of their carriers' intersection cone, each term scaled by the
@@ -490,6 +505,24 @@ def _shifted(rule, values):
     return (_value_at(values, terms) / v_alpha**k for k, terms in rows)
 
 
+def _shifted_columns(rule, columns, count):
+    """A shift rule applied to a batch of count points, columns[i]
+    holding generator i's value at each point: (off, rows), off[s]
+    telling whether point s is off tau's open chart by _shifted's test,
+    and rows one list per generator of S_tau, its value at each point
+    (at an off point a value divided by 1.0 instead, which no caller
+    reads).  Per point, each float is _shifted's: v_alpha and each
+    row's value are _value_at's products (monomial_columns), and each
+    row is divided by v_alpha**k.  Atlas.localize_columns reads it."""
+    _, alpha_terms, rows, top = rule
+    (v_alpha,) = monomial_columns([alpha_terms], columns, count)
+    off = [v <= 0.0 or v**top == 0.0 for v in v_alpha]
+    if any(off):
+        v_alpha = [1.0 if o else v for o, v in zip(off, v_alpha)]
+    values = monomial_columns([terms for _, terms in rows], columns, count)
+    return off, [list(map(truediv, row, map(pow, v_alpha, repeat(k)))) for (k, _), row in zip(rows, values)]
+
+
 def sup_gap(gaps) -> float:
     """The largest of some nonnegative gaps (0.0 when there are none),
     or NaN as soon as one of them is NaN, so that a check reading it
@@ -508,6 +541,12 @@ def scaled_gaps(xs, ys):
     """|a - b| / max(1, |a|, |b|) for each pair of values, lazily: the
     terms of Atlas.value_gap."""
     return (abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(xs, ys))
+
+
+def scaled_gap_column(xs, ys):
+    """scaled_gaps over two equal-length sequences, one map per
+    operation: the same float operations on each pair."""
+    return list(map(truediv, map(abs, map(sub, xs, ys)), map(max, repeat(1.0), map(abs, xs), map(abs, ys))))
 
 
 def values_within(xs, ys, tol: float) -> bool:

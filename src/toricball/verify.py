@@ -48,9 +48,14 @@ whole sample batch at once, one column of the batch at a time
 kernels do the float operations of the single-point evaluator
 charts._monomials and of point-by-point back-substitution, in the same
 order: every product starts from 1.0 and multiplies the row's terms in
-column order.  So each sampled float, and each report, is the one a
-point-by-point loop gives (tests/test_charts.py keeps those loops as
-the reference).
+column order.  intersection_gluing's shared half runs the same way,
+one batch per (maximal flag, prefix subflag): the read Hilbert rows and
+the telescoped rows through the same monomial kernel
+(charts.monomial_columns, which triangular_eval calls), the rule
+through Atlas.localize_columns, the batch form of charts._shifted.  So
+each sampled float, and each report, is the one a point-by-point loop
+gives (tests/test_charts.py and tests/test_complex.py keep those loops
+as the reference).
 
 Retired checks, which no input that verify accepts can fail or which
 another check already runs, and the facts that cover them:

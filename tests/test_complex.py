@@ -141,21 +141,27 @@ def test_verify_gluing_p2(atlas_p2):
 
 @pytest.mark.parametrize("name", ["p2", "p3"])
 def test_subflag_cross_check_samples_each_prefix_top(monkeypatch, name):
-    """The shared half localizes count samples of each maximal flag's
-    chart to each of its n proper prefix tops (the zero cone, then each
-    cone of the flag but the last, in order), through Atlas.localize and
-    nothing else."""
+    """The shared half localizes one batch of count samples of each
+    maximal flag's chart to each of its n proper prefix tops (the zero
+    cone, then each cone of the flag but the last, in order), through
+    Atlas.localize_columns and nothing else."""
     atlas = tb.Atlas(tb.load_bundled(name))
     flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
     calls = []
-    localize = atlas.localize
-    monkeypatch.setattr(atlas, "localize", lambda p, tau: calls.append((p.cone.rays, tau.rays)) or localize(p, tau))
+    localize_columns = atlas.localize_columns
+
+    def spy(sigma, columns, tau, count):
+        calls.append((sigma.rays, tau.rays, count, {len(c) for c in columns.values()}))
+        return localize_columns(sigma, columns, tau, count)
+
+    monkeypatch.setattr(atlas, "localize_columns", spy)
+    monkeypatch.setattr(atlas, "localize", lambda p, tau: pytest.fail("a sample localized point by point"))
     report = verify_gluing(atlas, samples_per_pair=10, seed=0)
     assert report.passed
     count, n = 5, atlas.fan.dim
     zero = atlas.fan.zero_cone()
     assert calls == [
-        (flag.cones[-1].rays, tau.rays) for flag in flags for tau in (zero, *flag.cones[:-1]) for _ in range(count)
+        (flag.cones[-1].rays, tau.rays, count, {count}) for flag in flags for tau in (zero, *flag.cones[:-1])
     ]
     assert report.shared_samples == len(flags) * n * count
 
@@ -168,15 +174,22 @@ def _gluing_fan(name):
 
 @pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, "wps_1_1_1_9"])
 def test_subflag_read_rows_localize_as_the_chart_point(monkeypatch, name):
-    """Each sample of the shared half carries only the Hilbert rows that
-    the rule sigma -> tau reads, and localizes to the floats of
-    Atlas.localize(Atlas.chart_point(chart, w), tau), bit for bit: the
-    samples are replayed from verify_gluing's seed in its loop order."""
+    """Each batch of the shared half carries only the Hilbert rows that
+    the rule sigma -> tau reads, and localizes each of its samples to
+    the floats of Atlas.localize(Atlas.chart_point(chart, w), tau), bit
+    for bit: the samples are replayed from verify_gluing's seed in its
+    loop order."""
     atlas = tb.Atlas(_gluing_fan(name))
     flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
     seen = []
-    localize = atlas.localize
-    monkeypatch.setattr(atlas, "localize", lambda p, tau: seen.append((p, tau, localize(p, tau))) or seen[-1][2])
+    localize_columns = atlas.localize_columns
+
+    def spy(sigma, columns, tau, count):
+        off, rows = localize_columns(sigma, columns, tau, count)
+        seen.extend((set(columns), tau, o, [row[s] for row in rows]) for s, o in enumerate(off))
+        return off, rows
+
+    monkeypatch.setattr(atlas, "localize_columns", spy)
     assert verify_gluing(atlas, samples_per_pair=10, seed=3).passed
     rng, count, zero = random.Random(3), 5, atlas.fan.zero_cone()
     expected = []
@@ -188,11 +201,11 @@ def test_subflag_read_rows_localize_as_the_chart_point(monkeypatch, name):
             read = {i for i, _ in alpha_terms} | {i for _, terms in rows for i, _ in terms}
             for xi in cellcomplex._simplex_samples(rng, k, count):
                 w = bary_to_delta(xi + (0.0,) * (n - k))
-                expected.append((read, tau, localize(atlas.chart_point(chart, w), tau).values))
+                expected.append((read, tau, atlas.localize(atlas.chart_point(chart, w), tau).values))
     assert len(seen) == len(expected) == len(flags) * atlas.fan.dim * count
-    for (point, tau, local), (read, want_tau, want) in zip(seen, expected):
-        assert set(point.values) == read and tau == want_tau
-        assert list(map(float.hex, local.values)) == list(map(float.hex, want))
+    for (read, tau, off, local), (want_read, want_tau, want) in zip(seen, expected):
+        assert read == want_read and tau == want_tau and not off
+        assert list(map(float.hex, local)) == list(map(float.hex, want))
 
 
 @pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, "wps_1_1_1_9"])
@@ -207,17 +220,139 @@ def test_full_prefix_telescoped_terms_are_the_hilbert_terms(name):
         assert tuple(cellcomplex._telescoped_terms(generators, chart.flag.steps)) == chart.hilbert_terms
 
 
+def _per_point_cross_check(atlas, flags, rng, count, tol, report):
+    """The point-by-point loop that cellcomplex._subflag_cross_check
+    batches, kept as its reference: each sample becomes a ToricPoint
+    carrying the read Hilbert rows, is localized by Atlas.localize and
+    compared with the telescoped monomials of its own subflag."""
+    zero = atlas.fan.zero_cone()
+    out = []
+    for fi, flag in enumerate(flags):
+        chart = atlas.chart(flag)
+        if len(chart.hilbert_rows) != len(atlas.hilbert(chart.top_cone).generators):
+            continue
+        n = len(flag)
+        for k in range(n):
+            members = flag.cones[:k]
+            tau = members[-1] if members else zero
+            _, alpha_terms, rows, _ = atlas._localization_rule(chart.top_cone, tau)
+            read = sorted({i for i, _ in alpha_terms}.union(i for _, terms in rows for i, _ in terms))
+            read_terms = [chart.hilbert_terms[i] for i in read]
+            terms = cellcomplex._telescoped_terms(atlas.hilbert(tau).generators, flag.steps[:k])
+            for sub_xi in cellcomplex._simplex_samples(rng, k, count):
+                w = bary_to_delta(sub_xi + (0.0,) * (n - k))
+                point = tb.ToricPoint(chart.top_cone, dict(zip(read, charts._monomials(read_terms, w))))
+                telescoped = charts._monomials(terms, bary_to_delta(sub_xi))  # at W_0..W_{k-1}
+                report.shared_samples += 1
+                try:
+                    gap = charts.sup_gap(charts.scaled_gaps(atlas.localize(point, tau).values, telescoped))
+                except charts.NotInOpenSet:
+                    gap = math.nan
+                if not gap <= tol:
+                    out.append(
+                        {
+                            "kind": "shared",
+                            "flag": fi,
+                            "subflag": [sorted(c.rays) for c in members],
+                            "xi": list(sub_xi),
+                            "gap": None if math.isnan(gap) else gap,
+                        }
+                    )
+                else:
+                    report.worst_shared_gap = max(report.worst_shared_gap, gap)
+    return out
+
+
+def _batch_and_per_point(atlas, seed, tol=1e-9):
+    """The batch cross-check and its per-point reference at one seed,
+    25 samples per prefix as in verify: each as (counterexamples with
+    xi and gap written by float.hex, worst_shared_gap by float.hex,
+    shared_samples)."""
+    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    out = []
+    for check in (cellcomplex._subflag_cross_check, _per_point_cross_check):
+        report = cellcomplex.GluingReport(True, 0, 0.0)
+        found = check(atlas, flags, random.Random(seed), 25, tol, report)
+        hexed = [
+            {**c, "xi": list(map(float.hex, c["xi"])), "gap": None if c["gap"] is None else c["gap"].hex()}
+            for c in found
+        ]
+        out.append((hexed, report.worst_shared_gap.hex(), report.shared_samples))
+    return out
+
+
+def _parity_fan(name):
+    if name == "wps_1_1_400":
+        return wps_fan(2, 400)
+    if name == "steep_119":
+        return validate_fan(2, [(1, 0), (-1, 119), (-1, 0), (0, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]])
+    return _gluing_fan(name)
+
+
+@pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, "wps_1_1_1_9", "wps_1_1_400", "steep_119"])
+def test_subflag_cross_check_matches_the_per_point_reference(name):
+    """The batch cross-check gives the per-point loop's counterexamples
+    in order, its worst_shared_gap bit for bit and its sample count, at
+    seeds 0 and 3."""
+    atlas = tb.Atlas(_parity_fan(name))
+    for seed in (0, 3):
+        batch, reference = _batch_and_per_point(atlas, seed)
+        assert batch == reference, seed
+        assert batch[2] == len(tb.enumerate_flags(atlas.fan, only_maximal=True)) * atlas.fan.dim * 25
+
+
+def _with_w1_in_alpha(atlas, exponent):
+    """P(1,1,2)'s flag-3 chart with w1^exponent put in front of one
+    Hilbert row's terms, a row that the rule to the flag's first ray
+    reads for alpha (so it has no w1 term); that rule's largest shift
+    is 2.  The chart's b and Chart.terms stay as built."""
+    chart = atlas.charts()[3]
+    _, alpha_terms, _, top = atlas._localization_rule(chart.top_cone, chart.flag.cones[0])
+    i = alpha_terms[0][0]
+    rows = list(chart.hilbert_terms)
+    assert top == 2 and rows[i][0][0] != 0
+    rows[i] = ((0, exponent), *rows[i])
+    chart.__dict__["hilbert_terms"] = tuple(rows)
+
+
+@pytest.mark.parametrize("exponent", [1, math.nan, 1000], ids=["extra_w1", "nan_value", "off_chart"])
+def test_subflag_cross_check_matches_the_per_point_reference_on_failures(monkeypatch, exponent):
+    """Three injected failures of the shared half, each seen alike by
+    the batch and by the per-point loop: alpha's value times w1 (real
+    gaps above tol), times w1^NaN (gap None) and times w1^1000, which is
+    0.0 or, for w1 in about (0.47, 0.69), squares to 0.0 (points off
+    tau's chart, gap None)."""
+    atlas = tb.Atlas(wps_fan(2, 2))
+    _with_w1_in_alpha(atlas, exponent)
+    offs = []
+    localize_columns = atlas.localize_columns
+
+    def spy(sigma, columns, tau, count):
+        off, rows = localize_columns(sigma, columns, tau, count)
+        offs.extend(off)
+        return off, rows
+
+    monkeypatch.setattr(atlas, "localize_columns", spy)
+    batch, reference = _batch_and_per_point(atlas, 0)
+    assert batch == reference
+    gaps = [c["gap"] for c in batch[0]]
+    if exponent == 1:
+        assert any(g is not None and float.fromhex(g) > 1e-9 for g in gaps)
+    else:
+        assert None in gaps and any(offs) == (exponent == 1000)
+
+
 def _nan_in_second_value(monkeypatch, atlas):
-    """Atlas.localize with its second value replaced by NaN, where max
-    alone would drop it."""
-    localize = atlas.localize
+    """Atlas.localize_columns with its second row replaced by NaN at
+    every point, where max alone would drop it."""
+    localize_columns = atlas.localize_columns
 
-    def patched(p, tau):
-        values = list(localize(p, tau).values)
-        values[1] = math.nan
-        return tb.ToricPoint(tau, tuple(values))
+    def patched(sigma, columns, tau, count):
+        off, rows = localize_columns(sigma, columns, tau, count)
+        rows[1] = [math.nan] * count
+        return off, rows
 
-    monkeypatch.setattr(atlas, "localize", patched)
+    monkeypatch.setattr(atlas, "localize_columns", patched)
 
 
 def test_subflag_cross_check_fails_on_nan_gap(monkeypatch):

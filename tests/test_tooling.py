@@ -15,7 +15,7 @@ from pathlib import Path
 
 import toricball as tb
 from toricball import charts, verify
-from toricball.charts import Atlas, ToricPoint
+from toricball.charts import Atlas
 from toricball.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,14 +85,17 @@ def test_golden_reports_are_strict_json():
 
 def test_nan_control_report_is_strict_json(monkeypatch, tmp_path, capsys):
     """With NaN from the triangular evaluator, the triangular inversion
-    and every localization, verify fails the three float checks and
-    writes each NaN gap as null."""
+    and every batch of localized values, verify fails the three float
+    checks and writes each NaN gap as null."""
     monkeypatch.setattr(charts, "triangular_eval", lambda chart, w: [[math.nan] * len(w[0]) for _ in range(chart.n)])
     monkeypatch.setattr(charts, "invert_triangular", lambda b, y: [[math.nan] * len(y[0]) for _ in b])
-    localize = Atlas.localize
-    monkeypatch.setattr(
-        Atlas, "localize", lambda self, p, tau: ToricPoint(tau, (math.nan,) * len(localize(self, p, tau).values))
-    )
+    localize_columns = Atlas.localize_columns
+
+    def nan_rows(self, sigma, columns, tau, count):
+        off, rows = localize_columns(self, sigma, columns, tau, count)
+        return off, [[math.nan] * count for _ in rows]
+
+    monkeypatch.setattr(Atlas, "localize_columns", nan_rows)
     assert main(["verify", str(tb.bundled_path("p112")), "--samples", "5", "--out", str(tmp_path)]) == 4
     capsys.readouterr()
     entries = {c["name"]: c for c in _strict_json((tmp_path / "report.json").read_text())["checks"]}
