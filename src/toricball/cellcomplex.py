@@ -323,9 +323,9 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
     that ends at tau.
 
     Each (F, k) is one batch, held a column per coordinate.  Its count
-    samples are drawn from rng as before, in loop order; the w columns
-    are bary_to_delta's partial sums, added one column at a time (past
-    W_k the zero padding adds 0.0, which moves no float); the Hilbert
+    samples are drawn from rng in loop order (_simplex_samples); the w
+    columns are bary_to_delta's partial sums, added one column at a time
+    (past W_k the zero padding adds 0.0, which moves no float); the Hilbert
     rows that the rule sigma -> tau reads (its alpha_terms and the terms
     of each of its rows) and the telescoped rows go through
     charts.monomial_columns; Atlas.localize_columns applies the rule
@@ -392,7 +392,7 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
             values = monomial_columns([chart.hilbert_terms[i] for i in read], w, size)
             off, local = atlas.localize_columns(sigma, dict(zip(read, values)), tau, size)
             tele = monomial_columns(telescoped[prefix], sums, size)
-            gaps = [sup_gap(g) for g in zip(*map(scaled_gap_column, local, tele))] or [0.0] * size
+            gaps = [sup_gap(g) for g in zip(*map(scaled_gap_column, local, tele))]
             report.shared_samples += size
             for sub_xi, gap, o in zip(samples, gaps, off):
                 if o or not gap <= tol:

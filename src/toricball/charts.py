@@ -545,7 +545,9 @@ def scaled_gaps(xs, ys):
 
 def scaled_gap_column(xs, ys):
     """scaled_gaps over two equal-length sequences, one map per
-    operation: the same float operations on each pair."""
+    operation: the same float operations on each pair.  scaled_gaps
+    stays lazy, since values_within stops at the first gap past tol of
+    values that _shifted yields one at a time."""
     return list(map(truediv, map(abs, map(sub, xs, ys)), map(max, repeat(1.0), map(abs, xs), map(abs, ys))))
 
 

@@ -169,6 +169,10 @@ def test_subflag_cross_check_samples_each_prefix_top(monkeypatch, name):
 def _gluing_fan(name):
     if name == "wps_1_1_1_9":
         return tb.parse_and_validate(WPS_1_1_1_9.read_text())
+    if name == "wps_1_1_400":
+        return wps_fan(2, 400)
+    if name == "steep_119":
+        return validate_fan(2, [(1, 0), (-1, 119), (-1, 0), (0, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]])
     return tb.load_bundled(name)
 
 
@@ -281,20 +285,12 @@ def _batch_and_per_point(atlas, seed, tol=1e-9):
     return out
 
 
-def _parity_fan(name):
-    if name == "wps_1_1_400":
-        return wps_fan(2, 400)
-    if name == "steep_119":
-        return validate_fan(2, [(1, 0), (-1, 119), (-1, 0), (0, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]])
-    return _gluing_fan(name)
-
-
 @pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, "wps_1_1_1_9", "wps_1_1_400", "steep_119"])
 def test_subflag_cross_check_matches_the_per_point_reference(name):
     """The batch cross-check gives the per-point loop's counterexamples
     in order, its worst_shared_gap bit for bit and its sample count, at
     seeds 0 and 3."""
-    atlas = tb.Atlas(_parity_fan(name))
+    atlas = tb.Atlas(_gluing_fan(name))
     for seed in (0, 3):
         batch, reference = _batch_and_per_point(atlas, seed)
         assert batch == reference, seed
