@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
 from .cones import cutting_functional
-from .exact import DimensionMismatch, is_zero_vec, pair, span_inverse, vec, vsub
+from .exact import DimensionMismatch, integer_numerators, pair, span_inverse, vsub
 from .fan import Cone, Fan, ridge_pairing
 
 
@@ -87,10 +88,13 @@ class Flag:
 
     @cached_property
     def inverse(self) -> tuple:
-        """Exact (left inverse, annihilator) of the barycenters, computed
-        once per flag object; see exact.span_inverse.  The barycenters of
-        a flag are always linearly independent, so SingularMatrix here is
-        a bug.  Undefined for the empty flag."""
+        """Exact left inverse of the barycenters in integers, computed
+        once per flag object: (L, d, A) with integer rows L over one
+        positive denominator d, <L_j, B_i> = d * delta_ij, and integer
+        annihilator rows A of the barycenters' span; see
+        exact.span_inverse.  The barycenters of a flag are always
+        linearly independent, so SingularMatrix here is a bug.
+        Undefined for the empty flag."""
         return span_inverse(self.barycenters)
 
     def __repr__(self):
@@ -196,15 +200,18 @@ def coords_in_flag(flag: Flag, x):
     """Coordinates of x in the barycenter basis of the flag's cone.
 
     Returns exact rationals, or None when x is off the linear span.
-    The empty flag spans only the origin.
+    The empty flag spans only the origin.  With x = nums / denom, the
+    j-th coordinate is <L_j, nums> / (d * denom) for the flag's integer
+    inverse (L, d, A), so every pairing is an integer one.
     """
-    x = vec(x)
+    nums, denom = integer_numerators(x)
     if not flag.cones:
-        return () if is_zero_vec(x) else None
-    left, annihilator = flag.inverse
-    if any(pair(a, x) != 0 for a in annihilator):
+        return None if any(nums) else ()
+    left, d, annihilator = flag.inverse
+    if any(pair(a, nums) for a in annihilator):
         return None
-    return tuple(pair(row, x) for row in left)
+    denom *= d
+    return tuple(Fraction(pair(row, nums), denom) for row in left)
 
 
 def simplicial_coords(flag: Flag, x):
@@ -248,9 +255,7 @@ def locate_flag(fan: Fan, x) -> Flag:
     if len(x) != fan.dim:
         raise DimensionMismatch(f"point of length {len(x)} in a rank-{fan.dim} fan")
     # One common denominator makes every sign test an integer pairing.
-    exact = vec(x)
-    denom = math.lcm(*(c.denominator for c in exact))
-    nums = [c.numerator * (denom // c.denominator) for c in exact]
+    nums, _ = integer_numerators(x)
     found = []
     for rays, duals in sub.simplicial:
         lam = [sum(map(mul, d, nums)) for d in duals]  # pair() without its length check
@@ -280,9 +285,9 @@ def cover_check(fan: Fan):
       1. every ridge of a maximal flag (the flag without its member k)
          bounds exactly two maximal flags (witness: ridge, count);
       2. the two lie on opposite sides of it: row k of the first flag's
-         left inverse vanishes on the ridge and is 1 on B_k, so it must
-         be negative at the other flag's dropped barycenter (witness:
-         ridge and the two flag indices);
+         integer left inverse vanishes on the ridge and is d > 0 on B_k,
+         so it must be negative at the other flag's dropped barycenter
+         (witness: ridge and the two flag indices);
       3. the interior point sum_j B_j of the first maximal flag lies in
          exactly one maximal flag cone (witness: point, count).
 

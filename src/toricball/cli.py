@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 
@@ -105,12 +106,13 @@ def cmd_charts(args) -> int:
     atlas = Atlas(fan)
     charts = []
     for idx, chart in enumerate(atlas.charts()):
+        left, d, _ = chart.flag.inverse
         charts.append(
             {
                 "index": idx,
                 "flag": [sorted(c.rays) for c in chart.flag.cones],
                 "generators": [list(g) for g in chart.generators],
-                "dual_basis": [[str(x) for x in row] for row in chart.flag.inverse[0]],
+                "dual_basis": [[str(Fraction(a, d)) for a in row] for row in left],
                 "c": [list(accumulate(r)) for r in chart.b],  # the pairings <g, B_k>
                 "b": [list(r) for r in chart.b],
                 "psi": chart.monomial_strings(),

@@ -30,7 +30,6 @@ concurrently.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,7 +38,7 @@ from operator import or_
 from typing import Sequence
 
 from .exact import (
-    invert,
+    integer_inverse,
     is_zero_vec,
     pair,
     primitive,
@@ -69,17 +68,15 @@ def _canonical(rays, lineality):
     """Each ray's orthogonal projection onto the complement of the
     lineality space, scaled to stay integral.
 
-    The projection is I - L^T (L L^T)^-1 L, from one Gram inverse, times
-    the common denominator d of (L L^T)^-1 L so that it applies in
-    integers (primitive() drops the factor d > 0).
+    The projection is I - L^T (L L^T)^-1 L, from one Gram inverse
+    G / d in integers, times d so that it applies in integers
+    (primitive() drops the factor d > 0).
     """
     if not lineality:
         return rays
     columns = list(zip(*lineality))
-    gram_inv = invert([[pair(a, b) for b in lineality] for a in lineality])
+    gram_inv, d = integer_inverse([[pair(a, b) for b in lineality] for a in lineality])
     solved = [[pair(row, col) for row in gram_inv] for col in columns]
-    d = math.lcm(*(x.denominator for col in solved for x in col))
-    solved = [[int(x * d) for x in col] for col in solved]
     project = [[d * (i == j) - pair(a, b) for j, b in enumerate(solved)] for i, a in enumerate(columns)]
     return [tuple(pair(row, r) for row in project) for r in rays]
 
@@ -225,15 +222,14 @@ def _parallelepiped_points(simplex_rays: Sequence):
     sum floor(t_i) r_i, t = R^-1 x, lies in the parallelepiped.
     """
     pivots = [row[i] for i, row in enumerate(row_hermite(simplex_rays)[0])]
-    det = math.prod(pivots)
-    # |det R| R^-1 (R's columns are the rays) is integral, so floor(t_i)
+    # R^-1 (R's columns are the rays) is L / d in integers, so floor(t_i)
     # is an integer division.
-    inv = [[int(a * det) for a in row] for row in invert(list(zip(*simplex_rays)))]
+    left, d = integer_inverse(list(zip(*simplex_rays)))
     points = []
     for x in itertools.islice(itertools.product(*map(range, pivots)), 1, None):
         point = x
-        for row, r in zip(inv, simplex_rays):
-            shift = pair(row, x) // det
+        for row, r in zip(left, simplex_rays):
+            shift = pair(row, x) // d
             if shift:
                 point = vsub(point, vscale(shift, r))
         points.append(point)

@@ -5,6 +5,14 @@ vectors.  Everything in this module is exact; floating point never
 enters, so the combinatorial layers built on top can certify their
 identities by equality instead of tolerances.
 
+One elimination kernel, _rref, serves rank, invert, dual_basis,
+span_inverse and solve_in_basis.  It is fraction-free: each row is
+integer numerators over one positive denominator, so an elimination
+step costs integer products and one gcd per row instead of a gcd per
+Fraction operation.  Callers that need integers read them directly
+through span_inverse and integer_inverse; invert and solve_in_basis
+return Fractions, equal to those of a Gauss-Jordan elimination over Q.
+
 All values are immutable after construction and safe to share between
 threads.
 """
@@ -13,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, lcm
 from typing import Sequence
 
 class DimensionMismatch(ValueError):
@@ -111,33 +119,69 @@ def primitive(v) -> tuple:
     return tuple(a // g for a in ints)
 
 
+def integer_numerators(v) -> tuple:
+    """v's integer numerators over one positive common denominator:
+    (nums, den) with v = nums / den."""
+    exact = vec(v)
+    den = lcm(*(c.denominator for c in exact))
+    return [c.numerator * (den // c.denominator) for c in exact], den
+
+
+def _lowest(nums: list, den: int) -> tuple:
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [a // g for a in nums], den // g
+
+
 def _rref(rows, ncols: int):
-    """Gauss-Jordan elimination over the first ncols columns.
+    """Fraction-free Gauss-Jordan elimination over the first ncols columns.
 
     The one elimination kernel of this module: rows may carry augmented
-    columns past ncols, which are reduced along.  Returns the reduced
-    rows (lists of Fractions, pivot rows on top, each pivot 1 and alone
-    in its column) and the pivot column indices.
+    columns past ncols, which are reduced along.  Each row is held as
+    integer numerators over one positive denominator, in lowest terms,
+    so no operation pays for a Fraction's gcd; the integer-preserving
+    elimination is Bareiss's (Math. Comp. 22, 1968), with the gcd of
+    each updated row divided out.  A pivot row p / p_c gets its pivot
+    p_c > 0 as denominator; every other row i with a nonzero entry a in
+    the pivot column becomes (p_c * row_i - a * p) / (den_i * p_c).
+
+    Returns the reduced rows as (numerators, denominator) pairs, pivot
+    rows on top (each pivot 1 and alone in its column), and the pivot
+    column indices.  Row by row, numerators over denominator are the
+    rows of the textbook elimination over the rationals, with the same
+    pivot choices (the first nonzero entry at or below the pivot row).
     """
-    work = [[Fraction(a) for a in r] for r in rows]
+    work = [_lowest(*integer_numerators(r)) for r in rows]
     m = len(work)
     pivots = []
     for c in range(ncols):
         r = len(pivots)
         if r == m:
             break
-        piv = next((i for i in range(r, m) if work[i][c] != 0), None)
+        piv = next((i for i in range(r, m) if work[i][0][c]), None)
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [a * inv for a in work[r]]
+        prow = work[r][0]
+        if prow[c] < 0:
+            prow = [-a for a in prow]
+        prow, p = _lowest(prow, prow[c])
+        work[r] = prow, p
         for i in range(m):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+            nums, den = work[i]
+            a = nums[c]
+            if a and i != r:
+                work[i] = _lowest([p * x - a * y for x, y in zip(nums, prow)], den * p)
         pivots.append(c)
     return work, pivots
+
+
+def _one_denominator(rows) -> tuple:
+    """(numerators, denominator) rows as integer rows over their least
+    common denominator d > 0: returns (rows, d)."""
+    d = lcm(*(den for _, den in rows))
+    return tuple(tuple(a * (d // den) for a in nums) for nums, den in rows), d
 
 
 def rank(rows) -> int:
@@ -147,15 +191,22 @@ def rank(rows) -> int:
     return len(_rref(rows, len(rows[0]))[1])
 
 
-def invert(rows) -> tuple:
-    """Exact inverse of a square rational matrix (rows of rows)."""
+def integer_inverse(rows) -> tuple:
+    """Inverse of a square rational matrix as (integer rows, d > 0): the
+    inverse is rows / d."""
     m = len(rows)
     if any(len(r) != m for r in rows):
         raise DimensionMismatch("inversion needs a square matrix")
     work, pivots = _rref([list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)], m)
     if len(pivots) < m:
         raise SingularMatrix("matrix is singular")
-    return tuple(tuple(row[m:]) for row in work)
+    return _one_denominator([(nums[m:], den) for nums, den in work])
+
+
+def invert(rows) -> tuple:
+    """Exact inverse of a square rational matrix (rows of rows)."""
+    inv, d = integer_inverse(rows)
+    return tuple(tuple(Fraction(a, d) for a in row) for row in inv)
 
 
 def dual_basis(basis: Sequence) -> tuple:
@@ -182,17 +233,21 @@ def _reduce_columns(basis: Sequence, extra: Sequence) -> list:
 
 
 def span_inverse(basis: Sequence) -> tuple:
-    """Exact left inverse L and annihilator A of independent vectors.
+    """Exact left inverse and annihilator of independent vectors, in
+    integers: returns (L, d, A).
 
-    For k linearly independent n-vectors (k >= 1), L is k x n with
-    L @ basis_j = e_j, and the n - k rows of A span the functionals
-    vanishing on their span: x lies in the span iff A @ x == 0, and then
-    L @ x are its coordinates.  Raises SingularMatrix on dependent input.
+    For k linearly independent n-vectors (k >= 1), L is a k x n integer
+    matrix and d > 0 with L @ basis_j = d * e_j, and the n - k integer
+    rows of A span the functionals vanishing on their span: x lies in
+    the span iff A @ x == 0, and then L @ x / d are its coordinates.
+    L / d and A are, row by row up to a positive factor on A, the
+    reduced rows of the elimination.  Raises SingularMatrix on
+    dependent input.
     """
     k, n = len(basis), len(basis[0])
     work = _reduce_columns(basis, [unit_vector(i, n) for i in range(n)])
-    rows = tuple(tuple(row[k:]) for row in work)
-    return rows[:k], rows[k:]
+    left, d = _one_denominator([(nums[k:], den) for nums, den in work[:k]])
+    return left, d, tuple(tuple(nums[k:]) for nums, _ in work[k:])
 
 
 def solve_in_basis(basis: Sequence, x) -> "tuple | None":
@@ -207,9 +262,9 @@ def solve_in_basis(basis: Sequence, x) -> "tuple | None":
     if len(x) != len(basis[0]):
         raise DimensionMismatch("solve_in_basis")
     work = _reduce_columns(basis, [(a,) for a in x])
-    if any(row[k] != 0 for row in work[k:]):
+    if any(nums[k] for nums, _ in work[k:]):
         return None
-    return tuple(row[k] for row in work[:k])
+    return tuple(Fraction(nums[k], den) for nums, den in work[:k])
 
 
 def row_hermite(rows: Sequence) -> tuple:
@@ -294,12 +349,10 @@ def quotient_projection(gens: Sequence, n: int) -> LatticeProjection:
     A = [tuple(g[i] for g in gens) for i in range(n)]
     H, U = row_hermite(A)
     k = sum(1 for row in H if not is_zero_vec(row))
-    uinv = invert(U)
-    for row in uinv:
-        for a in row:
-            if Fraction(a).denominator != 1:
-                raise AssertionError("unimodular inverse must be integral")
-    uinv_cols = transpose(tuple(tuple(int(a) for a in row) for row in uinv))
+    uinv, d = integer_inverse(U)
+    if d != 1:
+        raise AssertionError("unimodular inverse must be integral")
+    uinv_cols = transpose(uinv)
     return LatticeProjection(
         matrix=tuple(tuple(int(a) for a in U[i]) for i in range(k, n)),
         kernel=tuple(uinv_cols[:k]),

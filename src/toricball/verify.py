@@ -124,7 +124,8 @@ Negative controls, each a test in tests/test_verify.py unless named:
   forms a group of its own that the witness names
   (test_perturbed_chart_forms_its_own_inversion_group).
 - monomial_diagram: --tamper (test_cli.py::test_verify_tamper_fails);
-  a left inverse off by 1/7 (test_dual_basis_gate_names_perturbed_inverse);
+  an integer left inverse with one entry off by one, so a row off by
+  1/7 (test_dual_basis_gate_names_perturbed_inverse);
   a triangular-row evaluator off by 1e-6, with every identity holding
   (test_monomial_diagram_fails_on_off_triangular_evaluator); a NaN in
   a later triangular value (test_monomial_diagram_fails_on_nan_residual);
@@ -160,6 +161,7 @@ import numbers
 import random
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import accumulate
 from operator import mul, sub
 
@@ -292,12 +294,15 @@ def _monomial_diagram(ctx):
 def _dual_basis_witness(index, flag):
     """The first (row j, column i) where the flag's left inverse breaks
     <beta_j, B_i> = delta_ij, named with the flag's index; None when it
-    is dual to the barycenters."""
-    for j, beta in enumerate(flag.inverse[0]):
+    is dual to the barycenters.  The inverse is integer rows L over one
+    denominator d > 0, beta_j = L_j / d, so the test is the integer one
+    <L_j, B_i> = d * delta_ij; found is <beta_j, B_i> as a fraction."""
+    left, d, _ = flag.inverse
+    for j, row in enumerate(left):
         for i, bary in enumerate(flag.barycenters):
-            found, expected = pair(beta, bary), int(i == j)
-            if found != expected:
-                return {"flag": index, "row": j, "column": i, "found": str(found), "expected": expected}
+            found, expected = pair(row, bary), int(i == j)
+            if found != d * expected:
+                return {"flag": index, "row": j, "column": i, "found": str(Fraction(found, d)), "expected": expected}
     return None
 
 

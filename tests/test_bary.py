@@ -271,4 +271,6 @@ def test_coords_in_flag_matches_reference_solve(name):
             points.append(off_span)
         assert [coords_in_flag(flag, x) for x in points] == _solve_columns(gens, points, fan.dim)
     for chart in get_atlas(name).charts():
-        assert chart.flag.inverse[0] == dual_basis(chart.flag.barycenters)
+        left, d, annihilator = chart.flag.inverse
+        assert d > 0 and annihilator == ()
+        assert tuple(tuple(Fraction(a, d) for a in row) for row in left) == dual_basis(chart.flag.barycenters)

@@ -54,13 +54,21 @@ def test_p2_chart_matrices(atlas_p2):
 
 def test_charts_build_their_flags_inverse():
     """Building the charts computes each maximal flag's exact inverse
-    (Flag.inverse), so that once an Atlas is warm, locating a point
-    needs no elimination."""
-    fan = tb.load_bundled("p2")
+    (Flag.inverse: integer rows L over one positive denominator d, and
+    the annihilator, empty for a maximal flag), so that once an Atlas is
+    warm, locating a point needs no elimination."""
+    fan = tb.load_bundled("p112")
     flags = tb.enumerate_flags(fan, only_maximal=True)
     assert not any("inverse" in flag.__dict__ for flag in flags)
     Atlas(fan).charts()
     assert all("inverse" in flag.__dict__ for flag in flags)
+    for flag in flags:
+        left, d, annihilator = flag.__dict__["inverse"]
+        assert type(d) is int and d > 0 and annihilator == ()
+        assert all(type(a) is int for row in left for a in row)
+        pairings = [[pair(row, b) for b in flag.barycenters] for row in left]
+        assert pairings == [[d * (i == j) for j in range(2)] for i in range(2)]
+    assert {flag.inverse[1] for flag in flags} == {1, 2}
 
 
 def test_p1_chart():

@@ -334,8 +334,8 @@ def test_triangular_generators_p1xp1():
 
 def test_triangular_pattern_generic(p3=None):
     # Strict/zero pattern against barycenters holds for every maximal
-    # flag of a bigger fan (chart construction asserts it through
-    # charts.chart_violations; re-check here).
+    # flag of a bigger fan (verify's chart_invariants certifies it
+    # through charts.chart_violations; re-check here).
     fan = tb.load_bundled("p3")
     for flag in tb.enumerate_flags(fan, only_maximal=True):
         alphas = triangular_generators(flag.cones)

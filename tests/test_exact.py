@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from toricball.exact import (
     DimensionMismatch,
     SingularMatrix,
+    _rref,
     dual_basis,
     invert,
     pair,
@@ -18,6 +19,7 @@ from toricball.exact import (
     rank,
     row_hermite,
     solve_in_basis,
+    span_inverse,
     unit_vector,
 )
 
@@ -187,3 +189,134 @@ def test_quotient_projection_properties(gens):
         assert proj.apply(k) == tuple([0] * proj.target_dim)
     if gens:
         assert rank(proj.kernel) == rank(gens)
+
+
+def _rref_reference(rows, ncols: int):
+    """Gauss-Jordan elimination over the first ncols columns in Fractions:
+    the elimination kernel before it went fraction-free, kept as the
+    reference.  Returns the reduced rows (lists of Fractions, pivot rows
+    on top, each pivot 1 and alone in its column) and the pivot column
+    indices."""
+    work = [[Fraction(a) for a in r] for r in rows]
+    m = len(work)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [a * inv for a in work[r]]
+        for i in range(m):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+    return work, pivots
+
+
+_SMALL_INT = st.integers(-6, 6)
+_SMALL_RATIONAL = st.one_of(_SMALL_INT, st.fractions(min_value=-6, max_value=6, max_denominator=7))
+
+
+@st.composite
+def _matrices(draw, square=False):
+    """(rows, ncols): a matrix over ncols eliminated columns plus up to
+    three augmented ones, integer or rational, with zero rows and
+    integer combinations of the other rows mixed in at random places,
+    so rank deficiency is common."""
+    ncols = draw(st.integers(1, 4))
+    width = ncols if square else ncols + draw(st.integers(0, 3))
+    entry = draw(st.sampled_from([_SMALL_INT, _SMALL_RATIONAL]))
+    row = st.lists(entry, min_size=width, max_size=width)
+    base = draw(st.lists(row, min_size=1, max_size=ncols if square else 4))
+    rows = list(base)
+    for _ in range(ncols - len(base) if square else draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            rows.append([0] * width)
+        else:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, base)) for j in range(width)])
+    return [tuple(r) for r in draw(st.permutations(rows))], ncols
+
+
+def _as_fractions(nums, den):
+    return [Fraction(a, den) for a in nums]
+
+
+@given(_matrices())
+@settings(max_examples=250, deadline=None)
+def test_rref_matches_fraction_reference(case):
+    """Every row of the fraction-free kernel, pivot or not, is exactly the
+    Fraction elimination's row, in lowest terms over a positive
+    denominator, with the same pivots."""
+    rows, ncols = case
+    work, pivots = _rref(rows, ncols)
+    expected, expected_pivots = _rref_reference(rows, ncols)
+    assert pivots == expected_pivots
+    assert [_as_fractions(nums, den) for nums, den in work] == expected
+    for nums, den in work:
+        assert den > 0 and gcd(den, *nums) == 1
+        assert all(type(a) is int for a in nums)
+    assert rank(rows) == len(_rref_reference(rows, len(rows[0]))[1])
+
+
+@given(_matrices(square=True))
+@settings(max_examples=200, deadline=None)
+def test_invert_matches_fraction_reference(case):
+    rows, m = case
+    expected, pivots = _rref_reference([list(r) + list(unit_vector(i, m)) for i, r in enumerate(rows)], m)
+    if len(pivots) < m:
+        with pytest.raises(SingularMatrix):
+            invert(rows)
+        return
+    inv = invert(rows)
+    assert inv == tuple(tuple(row[m:]) for row in expected)
+    assert all(type(a) is Fraction for row in inv for a in row)
+
+
+@st.composite
+def _bases(draw):
+    """(basis, x): k independent n-vectors (integer or rational) and a
+    point that is a combination of them or arbitrary, so often off
+    their span."""
+    n = draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([_SMALL_INT, _SMALL_RATIONAL]))
+    vector = st.lists(entry, min_size=n, max_size=n).map(tuple)
+    basis = draw(st.lists(vector, min_size=1, max_size=n).filter(lambda b: rank(b) == len(b)))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(_SMALL_RATIONAL, min_size=len(basis), max_size=len(basis)))
+        x = tuple(sum(c * b[i] for c, b in zip(coeffs, basis)) for i in range(n))
+    else:
+        x = draw(vector)
+    return basis, x
+
+
+@given(_bases())
+@settings(max_examples=200, deadline=None)
+def test_solve_and_span_inverse_match_fraction_reference(case):
+    """solve_in_basis (None off the span) and span_inverse's (L, d, A)
+    against the Fraction elimination of [basis^T | x] and [basis^T | I]:
+    L / d is its pivot rows, and each integer row of A is a positive
+    multiple of a non-pivot row."""
+    basis, x = case
+    k, n = len(basis), len(basis[0])
+    columns = [[b[i] for b in basis] for i in range(n)]
+    solved, _ = _rref_reference([c + [a] for c, a in zip(columns, x)], k)
+    on_span = all(row[k] == 0 for row in solved[k:])
+    expected = tuple(row[k] for row in solved[:k]) if on_span else None
+    assert solve_in_basis(basis, x) == expected
+    reduced, _ = _rref_reference([c + list(unit_vector(i, n)) for i, c in enumerate(columns)], k)
+    left, d, annihilator = span_inverse(basis)
+    assert d > 0 and all(type(a) is int for row in left + annihilator for a in row)
+    assert [_as_fractions(row, d) for row in left] == [row[k:] for row in reduced[:k]]
+    assert len(annihilator) == n - k
+    for row, ref in zip(annihilator, reduced[k:]):
+        scale = next(a / b for a, b in zip(row, ref[k:]) if b)
+        assert scale > 0 and list(row) == [scale * b for b in ref[k:]]
+    if on_span:
+        assert tuple(_as_fractions([pair(row, x) for row in left], d)) == expected
+    assert any(pair(row, x) for row in annihilator) == (not on_span)

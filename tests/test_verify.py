@@ -138,26 +138,36 @@ def test_sup_gap_keeps_nan():
     assert verify._sup_gap((), ()) == 0.0
 
 
+def _perturb_inverse(flag):
+    """Put the flag's integer inverse (L, d, A) over 7 * d, the same
+    rational rows, then add 1 to the integer entry L[1][0]: beta_1 moves
+    by (1/(7d), 0)."""
+    left, d, annihilator = flag.inverse
+    left = [[7 * a for a in row] for row in left]
+    left[1][0] += 1
+    flag.__dict__["inverse"] = (tuple(map(tuple, left)), 7 * d, annihilator)
+
+
 def test_dual_basis_gate_names_perturbed_inverse():
-    """With one entry of a flag's left inverse off by 1/7, the samples
-    cannot see it (they never solve for coordinates), but the exact gate
-    fails and names the flag, the row j and the column i."""
+    """With one integer entry of a flag's left inverse off by one (beta_1
+    off by 1/7), the samples cannot see it (they never solve for
+    coordinates), but the exact gate fails and names the flag, the row j
+    and the column i, with the pairing found as a fraction."""
     fan = tb.load_bundled("p2")
     atlas = tb.Atlas(fan)
     ctx = _context(fan, atlas, samples=5)
     passed, details = verify._monomial_diagram(ctx)
     assert passed and "dual_witness" not in details
     flag = ctx.charts[3].flag
-    left, annihilator = flag.inverse
-    left = [list(row) for row in left]
-    left[1][0] += Fraction(1, 7)
-    flag.__dict__["inverse"] = (tuple(map(tuple, left)), annihilator)
+    assert flag.inverse[1] == 1
+    _perturb_inverse(flag)
     ctx.rng = random.Random(0)
     passed, bad = verify._monomial_diagram(ctx)
     assert not passed
     assert bad["worst_residual"] == details["worst_residual"]
-    # Flag 3 is [1] < [1, 2], with B = ((0, 1), (-1, 0)): beta_1 is now
-    # (-6/7, 0), which still vanishes on B_0 but pairs to 6/7 with B_1.
+    # Flag 3 is [1] < [1, 2], with B = ((0, 1), (-1, 0)): L_1 is now
+    # (-6, 0) over d = 7, which still vanishes on B_0 but pairs to 6, not
+    # 7, with B_1.
     assert bad["dual_witness"] == {"flag": 3, "row": 1, "column": 1, "found": "6/7", "expected": 1}
 
 
@@ -628,16 +638,13 @@ def test_nonextension_probe_names_its_flag(monkeypatch):
 
 
 def test_distinct_half_fails_with_a_failed_gate():
-    """A left inverse off by 1/7 fails monomial_diagram's dual_witness:
-    the samples of intersection_gluing still pass, its verdict does not.
-    A gate that has not run counts as failed."""
+    """A left inverse with one integer entry off by one fails
+    monomial_diagram's dual_witness: the samples of intersection_gluing
+    still pass, its verdict does not.  A gate that has not run counts as
+    failed."""
     fan = tb.load_bundled("p2")
     atlas = tb.Atlas(fan)
-    flag = atlas.charts()[3].flag
-    left, annihilator = flag.inverse
-    left = [list(row) for row in left]
-    left[1][0] += Fraction(1, 7)
-    flag.__dict__["inverse"] = (tuple(map(tuple, left)), annihilator)
+    _perturb_inverse(atlas.charts()[3].flag)
     ctx, (passed, details) = _gluing_after_gates(fan, atlas)
     assert "dual_witness" in ctx.results["monomial_diagram"][1]
     assert details["gates"] == {"monomial_diagram": False, "cover": True}
