@@ -121,7 +121,10 @@ def primitive(v) -> tuple:
 
 def integer_numerators(v) -> tuple:
     """v's integer numerators over one positive common denominator:
-    (nums, den) with v = nums / den."""
+    (nums, den) with v = nums / den.  Integer input, the common case,
+    skips the Fractions."""
+    if all(type(a) is int for a in v):
+        return list(v), 1
     exact = vec(v)
     den = lcm(*(c.denominator for c in exact))
     return [c.numerator * (den // c.denominator) for c in exact], den
