@@ -33,7 +33,7 @@ from operator import mul, sub, truediv
 
 from . import cones as _ck
 from .bary import Flag, enumerate_flags, simplicial_coords
-from .exact import DimensionMismatch, pair, vadd, vscale
+from .exact import DimensionMismatch, integer_numerators, pair, vadd, vscale
 from .fan import Cone, Fan
 
 TWO_PI = 2.0 * math.pi
@@ -263,8 +263,7 @@ def exp_pairings(gens, x):
     denominator d; int / int true division is correctly rounded, so each
     float equals float(pair(g, x)) without Fraction arithmetic per g.
     """
-    d = math.lcm(*(c.denominator for c in x))
-    nums = [int(c * d) for c in x]
+    nums, d = integer_numerators(x)
     return tuple(math.exp(-TWO_PI * (pair(g, nums) / d)) for g in gens)
 
 

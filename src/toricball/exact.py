@@ -5,13 +5,8 @@ vectors.  Everything in this module is exact; floating point never
 enters, so the combinatorial layers built on top can certify their
 identities by equality instead of tolerances.
 
-One elimination kernel, _rref, serves rank, invert, dual_basis,
-span_inverse and solve_in_basis.  It is fraction-free: each row is
-integer numerators over one positive denominator, so an elimination
-step costs integer products and one gcd per row instead of a gcd per
-Fraction operation.  Callers that need integers read them directly
-through span_inverse and integer_inverse; invert and solve_in_basis
-return Fractions, equal to those of a Gauss-Jordan elimination over Q.
+One fraction-free elimination kernel, _rref, serves every solve;
+span_inverse and integer_inverse hand its integer rows to callers.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -98,25 +93,13 @@ def primitive(v) -> tuple:
 
     Accepts rational entries: denominators are cleared first, then the
     gcd is divided out.  The direction (sign) is preserved.  Raises on
-    the zero vector.  Integer input, the common case, skips the
-    Fractions.
+    the zero vector.
     """
-    v = tuple(v)
-    if all(type(a) is int for a in v):
-        g = gcd(*v)
-        if g == 0:
-            raise ValueError("zero vector has no primitive representative")
-        return tuple(a // g for a in v)
-    fracs = [Fraction(a) for a in v]
-    if all(f == 0 for f in fracs):
+    nums, _ = integer_numerators(tuple(v))
+    g = gcd(*nums)
+    if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    denom_lcm = 1
-    for f in fracs:
-        d = f.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = gcd_vec(ints)
-    return tuple(a // g for a in ints)
+    return tuple(a // g for a in nums)
 
 
 def integer_numerators(v) -> tuple:
@@ -138,22 +121,18 @@ def _lowest(nums: list, den: int) -> tuple:
 
 
 def _rref(rows, ncols: int):
-    """Fraction-free Gauss-Jordan elimination over the first ncols columns.
+    """Gauss-Jordan elimination over the first ncols columns, in integers.
 
     The one elimination kernel of this module: rows may carry augmented
-    columns past ncols, which are reduced along.  Each row is held as
-    integer numerators over one positive denominator, in lowest terms,
-    so no operation pays for a Fraction's gcd; the integer-preserving
-    elimination is Bareiss's (Math. Comp. 22, 1968), with the gcd of
-    each updated row divided out.  A pivot row p / p_c gets its pivot
-    p_c > 0 as denominator; every other row i with a nonzero entry a in
-    the pivot column becomes (p_c * row_i - a * p) / (den_i * p_c).
-
+    columns past ncols, which are reduced along.  Each row is integer
+    numerators over one positive denominator, in lowest terms, so no
+    step pays a Fraction's gcd per entry (integer-preserving
+    elimination, Bareiss, Math. Comp. 22, 1968): a pivot row p gets
+    denominator p_c > 0, and a row with entry a in the pivot column
+    becomes (p_c * row - a * p) / (den * p_c), its gcd divided out.
     Returns the reduced rows as (numerators, denominator) pairs, pivot
     rows on top (each pivot 1 and alone in its column), and the pivot
-    column indices.  Row by row, numerators over denominator are the
-    rows of the textbook elimination over the rationals, with the same
-    pivot choices (the first nonzero entry at or below the pivot row).
+    column indices: row by row, the rows of the elimination over Q.
     """
     work = [_lowest(*integer_numerators(r)) for r in rows]
     m = len(work)
@@ -243,9 +222,7 @@ def span_inverse(basis: Sequence) -> tuple:
     matrix and d > 0 with L @ basis_j = d * e_j, and the n - k integer
     rows of A span the functionals vanishing on their span: x lies in
     the span iff A @ x == 0, and then L @ x / d are its coordinates.
-    L / d and A are, row by row up to a positive factor on A, the
-    reduced rows of the elimination.  Raises SingularMatrix on
-    dependent input.
+    Raises SingularMatrix on dependent input.
     """
     k, n = len(basis), len(basis[0])
     work = _reduce_columns(basis, [unit_vector(i, n) for i in range(n)])
