@@ -95,7 +95,7 @@ def primitive(v) -> tuple:
     gcd is divided out.  The direction (sign) is preserved.  Raises on
     the zero vector.
     """
-    nums, _ = integer_numerators(tuple(v))
+    nums, _ = integer_numerators(v)
     g = gcd(*nums)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
@@ -106,6 +106,7 @@ def integer_numerators(v) -> tuple:
     """v's integer numerators over one positive common denominator:
     (nums, den) with v = nums / den.  Integer input, the common case,
     skips the Fractions."""
+    v = tuple(v)
     if all(type(a) is int for a in v):
         return list(v), 1
     exact = vec(v)
