@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import toricball as tb
-from conftest import cover_samples, cube_faces_fan, get_atlas, get_fan
+from conftest import cover_samples, cube_faces_fan, get_atlas, get_fan, stellar_fan, wps_fan
 from toricball import bary
 from toricball.bary import (
     Flag,
@@ -25,7 +25,7 @@ from toricball.bary import (
     locate_flag,
     simplicial_coords,
 )
-from toricball.exact import dual_basis, rank, solve_in_basis, unit_vector
+from toricball.exact import dual_basis, pair, rank, solve_in_basis, unit_vector
 from toricball.fan import Fan, _build_cone
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -222,6 +222,32 @@ def test_locate_flag_does_not_scan(monkeypatch, twisted_p3):
     assert calls == []
     containing_flags(twisted_p3, (1, 2, 3))
     assert calls  # the counters do see a scan
+
+
+def test_locate_index_rows_are_scaled_dual_rays():
+    """The stated contract of Subdivision.simplicial, read directly: on
+    every full-dimensional simplicial maximal cone the index rows d_i
+    pair with its rays r_j as <d_i, r_j> = c * delta_ij, with one
+    integer c > 0 per cone, and every other full-dimensional maximal
+    cone is listed in Subdivision.other."""
+    fans = [get_fan(name) for name in tb.BUNDLED_FANS]
+    fans += [wps_fan(n, k) for n in (2, 3) for k in (2, 3, 7, 9, 20, 27)]
+    fans += [tb.validate_fan(0, [], [[]]), cube_faces_fan()]
+    fans += [stellar_fan(get_fan("p3"), 3, 5, seed) for seed in range(4)]
+    for fan in fans:
+        sub = bary.subdivision(fan)
+        tops = [c for c in fan.maximal_cones() if c.dim == fan.dim]
+        assert sorted(rays for rays, _ in sub.simplicial) == sorted(
+            tuple(sorted(c.rays)) for c in tops if len(c.rays) == c.dim
+        )
+        assert [cone for cone, _ in sub.other] == [c for c in tops if len(c.rays) != c.dim]
+        for rays, duals in sub.simplicial:
+            gens = fan.cone(frozenset(rays)).generators
+            assert all(type(a) is int for d in duals for a in d)
+            table = [[pair(d, r) for r in gens] for d in duals]
+            c = table[0][0] if rays else 1
+            assert c > 0, (fan.name, rays)
+            assert table == [[c * (i == j) for j in range(len(rays))] for i in range(len(duals))], (fan.name, rays)
 
 
 def test_locate_flag_incomplete_raises():

@@ -66,6 +66,32 @@ def test_solve_in_basis():
     assert solve_in_basis((), (1, 0)) is None
 
 
+def test_inverse_edge_inputs():
+    """invert, dual_basis and solve_in_basis on empty, non-square and
+    dependent input; span_inverse on dependent input."""
+    assert invert(()) == ()
+    assert dual_basis(()) == ()
+    for ragged in (((1, 2),), ((1, 2), (3,)), ((1, 0), (0, 1), (1, 1))):
+        with pytest.raises(DimensionMismatch):
+            invert(ragged)
+        with pytest.raises(DimensionMismatch):
+            dual_basis(ragged)
+    with pytest.raises(DimensionMismatch):
+        solve_in_basis(((1, 0),), (1, 0, 0))
+    for dependent in (((1, 2), (2, 4)), ((0, 0), (0, 1))):
+        with pytest.raises(SingularMatrix):
+            invert(dependent)
+        with pytest.raises(SingularMatrix):
+            dual_basis(dependent)
+    for dependent in (((1, 0), (2, 0)), ((1, 0), (0, 1), (1, 1))):
+        with pytest.raises(SingularMatrix):
+            span_inverse(dependent)
+        # Raised before the point is read, on the span or off it.
+        for x in ((1, 0), (0, 1)):
+            with pytest.raises(SingularMatrix):
+                solve_in_basis(dependent, x)
+
+
 def test_primitive():
     assert primitive((2, 4)) == (1, 2)
     assert primitive((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
@@ -276,6 +302,23 @@ def test_invert_matches_fraction_reference(case):
     inv = invert(rows)
     assert inv == tuple(tuple(row[m:]) for row in expected)
     assert all(type(a) is Fraction for row in inv for a in row)
+
+
+@given(_matrices(square=True))
+@settings(max_examples=200, deadline=None)
+def test_dual_basis_matches_fraction_reference(case):
+    """dual_basis(B) is the inverse of B's transpose: the Fraction
+    elimination of [B^T | I]."""
+    basis, m = case
+    columns = [[b[i] for b in basis] for i in range(m)]
+    expected, pivots = _rref_reference([c + list(unit_vector(i, m)) for i, c in enumerate(columns)], m)
+    if len(pivots) < m:
+        with pytest.raises(SingularMatrix):
+            dual_basis(basis)
+        return
+    beta = dual_basis(basis)
+    assert beta == tuple(tuple(row[m:]) for row in expected)
+    assert all(type(a) is Fraction for row in beta for a in row)
 
 
 @st.composite
