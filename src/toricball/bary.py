@@ -13,14 +13,12 @@ by that key, so chart indices are stable across runs.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .cones import cutting_functional
 from .exact import DimensionMismatch, integer_numerators, pair, span_inverse, vsub
 from .fan import Cone, Fan, ridge_pairing
 
@@ -126,11 +124,12 @@ class Subdivision:
     by_chain maps each flag's chain of ray sets to its Flag.  simplicial
     and other are the index of locate_flag: simplicial lists, for every
     full-dimensional simplicial maximal cone, its sorted ray indices and
-    the integer dual rays d_i opposite them (d_i vanishes on the other
-    rays, and every <d_i, r_i> is the same positive number, so the
-    pairings <d_i, x> are the ray coordinates of x up to one common
-    positive factor); other lists every other full-dimensional maximal
-    cone with its maximal flags in enumeration order.
+    the rows d_i of the integer left inverse of its rays r_j
+    (exact.span_inverse: <d_i, r_j> = c * delta_ij for one c > 0 per
+    cone, so the pairings <d_i, x> are the ray coordinates of x up to
+    that common positive factor); other lists every other
+    full-dimensional maximal cone with its maximal flags in enumeration
+    order.
     """
 
     flags: tuple
@@ -168,11 +167,8 @@ def subdivision(fan: Fan) -> Subdivision:
         if len(gens) != cone.dim:
             other.append((cone, tuple(f for f in maximal if f.cones[-1].rays == cone.rays)))
             continue
-        # The cutting functional of the facet opposite r_i is the one dual ray there.
-        duals = [cutting_functional(cone, fan.cone(cone.rays - {r})) for r in sorted(cone.rays)]
-        scale = math.lcm(*(pair(d, g) for d, g in zip(duals, gens)))
-        duals = tuple(tuple(a * (scale // pair(d, g)) for a in d) for d, g in zip(duals, gens))
-        simplicial.append((tuple(sorted(cone.rays)), duals))
+        # The zero cone of the rank-0 fan has no rays and no rows.
+        simplicial.append((tuple(sorted(cone.rays)), span_inverse(gens)[0] if gens else ()))
     sub = _SUBDIVISIONS[fan] = Subdivision(
         flags=tuple(flags),
         maximal=maximal,
@@ -196,22 +192,33 @@ def flag_intersection(f1: Flag, f2: Flag) -> Flag:
     return Flag(tuple(c for c in f1.cones if c.rays in common_rays))
 
 
+def _pairings(flag: Flag, x):
+    """x's coordinates in the flag's barycenter basis as integer
+    numerators over one positive denominator, or None when x is off the
+    linear span: with x = nums / denom and the flag's integer inverse
+    (L, d, A), the j-th coordinate is <L_j, nums> / (d * denom).  The
+    empty flag spans only the origin."""
+    nums, denom = integer_numerators(x)
+    if not flag.cones:
+        return None if any(nums) else ((), denom)
+    left, d, annihilator = flag.inverse
+    if any(pair(a, nums) for a in annihilator):
+        return None
+    return [pair(row, nums) for row in left], d * denom
+
+
 def coords_in_flag(flag: Flag, x):
     """Coordinates of x in the barycenter basis of the flag's cone.
 
     Returns exact rationals, or None when x is off the linear span.
-    The empty flag spans only the origin.  With x = nums / denom, the
-    j-th coordinate is <L_j, nums> / (d * denom) for the flag's integer
-    inverse (L, d, A), so every pairing is an integer one.
+    The empty flag spans only the origin.  Every pairing is an integer
+    one (see _pairings).
     """
-    nums, denom = integer_numerators(x)
-    if not flag.cones:
-        return None if any(nums) else ()
-    left, d, annihilator = flag.inverse
-    if any(pair(a, nums) for a in annihilator):
+    found = _pairings(flag, x)
+    if found is None:
         return None
-    denom *= d
-    return tuple(Fraction(pair(row, nums), denom) for row in left)
+    pairings, denom = found
+    return tuple(Fraction(a, denom) for a in pairings)
 
 
 def simplicial_coords(flag: Flag, x):
@@ -229,8 +236,10 @@ def simplicial_coords(flag: Flag, x):
 
 
 def flag_contains(flag: Flag, x) -> bool:
-    u = coords_in_flag(flag, x)
-    return u is not None and all(c >= 0 for c in u)
+    """Whether x lies in the flag's cone: the sign test on the integer
+    pairings of _pairings, whose denominator is positive."""
+    found = _pairings(flag, x)
+    return found is not None and min(found[0], default=0) >= 0
 
 
 def containing_flags(fan: Fan, x):

@@ -38,7 +38,6 @@ from operator import or_
 from typing import Sequence
 
 from .exact import (
-    integer_inverse,
     is_zero_vec,
     pair,
     primitive,
@@ -46,6 +45,7 @@ from .exact import (
     rank,
     row_hermite,
     solve_in_basis,
+    span_inverse,
     unit_vector,
     vadd,
     vneg,
@@ -69,13 +69,14 @@ def _canonical(rays, lineality):
     lineality space, scaled to stay integral.
 
     The projection is I - L^T (L L^T)^-1 L, from one Gram inverse
-    G / d in integers, times d so that it applies in integers
+    G / d in integers (the Gram matrix is symmetric, so it is the left
+    inverse of its rows), times d so that it applies in integers
     (primitive() drops the factor d > 0).
     """
     if not lineality:
         return rays
     columns = list(zip(*lineality))
-    gram_inv, d = integer_inverse([[pair(a, b) for b in lineality] for a in lineality])
+    gram_inv, d, _ = span_inverse([[pair(a, b) for b in lineality] for a in lineality])
     solved = [[pair(row, col) for row in gram_inv] for col in columns]
     project = [[d * (i == j) - pair(a, b) for j, b in enumerate(solved)] for i, a in enumerate(columns)]
     return [tuple(pair(row, r) for row in project) for r in rays]
@@ -224,7 +225,7 @@ def _parallelepiped_points(simplex_rays: Sequence):
     pivots = [row[i] for i, row in enumerate(row_hermite(simplex_rays)[0])]
     # R^-1 (R's columns are the rays) is L / d in integers, so floor(t_i)
     # is an integer division.
-    left, d = integer_inverse(list(zip(*simplex_rays)))
+    left, d, _ = span_inverse(simplex_rays)
     points = []
     for x in itertools.islice(itertools.product(*map(range, pivots)), 1, None):
         point = x

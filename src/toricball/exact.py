@@ -5,8 +5,10 @@ vectors.  Everything in this module is exact; floating point never
 enters, so the combinatorial layers built on top can certify their
 identities by equality instead of tolerances.
 
-One fraction-free elimination kernel, _rref, serves every solve;
-span_inverse and integer_inverse hand its integer rows to callers.
+One fraction-free elimination kernel, _rref, serves every solve, and
+one front end reads it: span_inverse, the integer left inverse and
+annihilator of independent vectors.  invert, dual_basis and
+solve_in_basis are its Fraction readers; rank reads the pivots alone.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -160,59 +162,11 @@ def _rref(rows, ncols: int):
     return work, pivots
 
 
-def _one_denominator(rows) -> tuple:
-    """(numerators, denominator) rows as integer rows over their least
-    common denominator d > 0: returns (rows, d)."""
-    d = lcm(*(den for _, den in rows))
-    return tuple(tuple(a * (d // den) for a in nums) for nums, den in rows), d
-
-
 def rank(rows) -> int:
     """Rank of a matrix over the rationals, by exact elimination."""
     if not rows:
         return 0
     return len(_rref(rows, len(rows[0]))[1])
-
-
-def integer_inverse(rows) -> tuple:
-    """Inverse of a square rational matrix as (integer rows, d > 0): the
-    inverse is rows / d."""
-    m = len(rows)
-    if any(len(r) != m for r in rows):
-        raise DimensionMismatch("inversion needs a square matrix")
-    work, pivots = _rref([list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(rows)], m)
-    if len(pivots) < m:
-        raise SingularMatrix("matrix is singular")
-    return _one_denominator([(nums[m:], den) for nums, den in work])
-
-
-def invert(rows) -> tuple:
-    """Exact inverse of a square rational matrix (rows of rows)."""
-    inv, d = integer_inverse(rows)
-    return tuple(tuple(Fraction(a, d) for a in row) for row in inv)
-
-
-def dual_basis(basis: Sequence) -> tuple:
-    """Basis beta_1..beta_n dual to B_1..B_n: pair(beta_i, B_j) = delta_ij.
-
-    The input vectors must be linearly independent over Q; the result is
-    exact (rows of the inverse-transpose).
-    """
-    n = len(basis)
-    if any(len(b) != n for b in basis):
-        raise DimensionMismatch("dual basis needs n vectors of length n")
-    inv = invert(basis)
-    return transpose(inv)
-
-
-def _reduce_columns(basis: Sequence, extra: Sequence) -> list:
-    """Reduce [basis^T | extra] over the basis columns; raise
-    SingularMatrix when the basis vectors are linearly dependent."""
-    k = len(basis)
-    work, pivots = _rref([[b[i] for b in basis] + list(e) for i, e in enumerate(extra)], k)
-    if len(pivots) < k:
-        raise SingularMatrix("basis vectors are linearly dependent")
-    return work
 
 
 def span_inverse(basis: Sequence) -> tuple:
@@ -223,12 +177,41 @@ def span_inverse(basis: Sequence) -> tuple:
     matrix and d > 0 with L @ basis_j = d * e_j, and the n - k integer
     rows of A span the functionals vanishing on their span: x lies in
     the span iff A @ x == 0, and then L @ x / d are its coordinates.
-    Raises SingularMatrix on dependent input.
+    One elimination of [basis^T | I]; raises SingularMatrix on
+    dependent input.
     """
     k, n = len(basis), len(basis[0])
-    work = _reduce_columns(basis, [unit_vector(i, n) for i in range(n)])
-    left, d = _one_denominator([(nums[k:], den) for nums, den in work[:k]])
+    if any(len(b) != n for b in basis):
+        raise DimensionMismatch("basis vectors of different lengths")
+    work, pivots = _rref([[b[i] for b in basis] + [int(i == j) for j in range(n)] for i in range(n)], k)
+    if len(pivots) < k:
+        raise SingularMatrix("basis vectors are linearly dependent")
+    # The pivot rows over their least common denominator.
+    d = lcm(*(den for _, den in work[:k]))
+    left = tuple(tuple(a * (d // den) for a in nums[k:]) for nums, den in work[:k])
     return left, d, tuple(tuple(nums[k:]) for nums, _ in work[k:])
+
+
+def invert(rows) -> tuple:
+    """Exact inverse of a square rational matrix (rows of rows): the
+    left inverse of its columns."""
+    if any(len(r) != len(rows) for r in rows):
+        raise DimensionMismatch("inversion needs a square matrix")
+    return dual_basis(transpose(rows))
+
+
+def dual_basis(basis: Sequence) -> tuple:
+    """Basis beta_1..beta_n dual to B_1..B_n: pair(beta_i, B_j) = delta_ij.
+
+    The input vectors must be linearly independent over Q; the result is
+    exact, the rows L / d of span_inverse.
+    """
+    if any(len(b) != len(basis) for b in basis):
+        raise DimensionMismatch("dual basis needs n vectors of length n")
+    if not basis:
+        return ()
+    left, d, _ = span_inverse(basis)
+    return tuple(tuple(Fraction(a, d) for a in row) for row in left)
 
 
 def solve_in_basis(basis: Sequence, x) -> "tuple | None":
@@ -236,16 +219,19 @@ def solve_in_basis(basis: Sequence, x) -> "tuple | None":
 
     The basis vectors must be linearly independent (k of them, ambient
     dimension n >= k); uniqueness then holds whenever a solution exists.
+    With x = nums / den, u_j = <L_j, nums> / (d * den) for span_inverse's
+    (L, d, A), and x is off the span iff some row of A pairs nonzero
+    with nums.
     """
-    k = len(basis)
-    if k == 0:
+    if not basis:
         return () if is_zero_vec(x) else None
     if len(x) != len(basis[0]):
         raise DimensionMismatch("solve_in_basis")
-    work = _reduce_columns(basis, [(a,) for a in x])
-    if any(nums[k] for nums, _ in work[k:]):
+    left, d, annihilator = span_inverse(basis)
+    nums, den = integer_numerators(x)
+    if any(pair(a, nums) for a in annihilator):
         return None
-    return tuple(Fraction(nums[k], den) for nums, den in work[:k])
+    return tuple(Fraction(pair(row, nums), d * den) for row in left)
 
 
 def row_hermite(rows: Sequence) -> tuple:
@@ -330,10 +316,10 @@ def quotient_projection(gens: Sequence, n: int) -> LatticeProjection:
     A = [tuple(g[i] for g in gens) for i in range(n)]
     H, U = row_hermite(A)
     k = sum(1 for row in H if not is_zero_vec(row))
-    uinv, d = integer_inverse(U)
+    # The rows of span_inverse(U) are the columns of U^-1.
+    uinv_cols, d, _ = span_inverse(U)
     if d != 1:
         raise AssertionError("unimodular inverse must be integral")
-    uinv_cols = transpose(uinv)
     return LatticeProjection(
         matrix=tuple(tuple(int(a) for a in U[i]) for i in range(k, n)),
         kernel=tuple(uinv_cols[:k]),
