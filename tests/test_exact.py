@@ -67,17 +67,24 @@ def test_solve_in_basis():
 
 
 def test_inverse_edge_inputs():
-    """invert, dual_basis and solve_in_basis on empty, non-square and
-    dependent input; span_inverse on dependent input."""
+    """invert, dual_basis and solve_in_basis on empty, non-square,
+    ragged and dependent input; span_inverse on ragged and dependent
+    input."""
     assert invert(()) == ()
     assert dual_basis(()) == ()
-    for ragged in (((1, 2),), ((1, 2), (3,)), ((1, 0), (0, 1), (1, 1))):
+    for ragged in (((1, 2),), ((1, 2), (3,)), ((1, 0, 5), (0, 1)), ((1, 0), (0, 1), (1, 1))):
         with pytest.raises(DimensionMismatch):
             invert(ragged)
         with pytest.raises(DimensionMismatch):
             dual_basis(ragged)
     with pytest.raises(DimensionMismatch):
         solve_in_basis(((1, 0),), (1, 0, 0))
+    # Vectors of different lengths, read through span_inverse.
+    for ragged in (((1, 0), (1,)), ((1,), (1, 0))):
+        with pytest.raises(DimensionMismatch):
+            span_inverse(ragged)
+        with pytest.raises(DimensionMismatch):
+            solve_in_basis(ragged, (1,) * len(ragged[0]))
     for dependent in (((1, 2), (2, 4)), ((0, 0), (0, 1))):
         with pytest.raises(SingularMatrix):
             invert(dependent)
