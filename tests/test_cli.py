@@ -18,6 +18,67 @@ def run(capsys, *argv):
     return code, out
 
 
+def run_failing(capsys, workdir, *argv):
+    """Exit code and stderr of a command that must fail with nothing on
+    stdout and no file written under workdir, the working directory."""
+    before = sorted(workdir.rglob("*"))
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert sorted(workdir.rglob("*")) == before
+    return code, captured.err
+
+
+# Each way a fan file can fail to load: its bytes (None: no file), the
+# exit code and the one line on stderr.
+LOAD_FAILURES = {
+    "missing": (None, 1, "[Errno 2] No such file or directory: 'fan.json'"),
+    "non_utf8": (
+        '{"name": "caf\xe9"}'.encode("latin-1"),
+        1,
+        "parse error: 'utf-8' codec can't decode byte 0xe9 in position 13: invalid continuation byte",
+    ),
+    "malformed": (
+        b"{nope",
+        1,
+        "parse error: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    "nonprimitive": (
+        b'{"dim": 2, "rays": [[2, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2], [2, 0]]}',
+        2,
+        "invalid fan: ray 0 = (2, 0) is not primitive",
+    ),
+    "incomplete": (
+        b'{"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 1], [1, 2]]}',
+        3,
+        "fan is not complete",
+    ),
+}
+
+COMMAND_OPTIONS = {
+    "validate": [],
+    "charts": [],
+    "param": ["--flag", "0", "--xi", "1,0,0"],
+    "verify": ["--samples", "2"],
+    "mesh": ["--radii", "1", "--res", "2"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, failure",
+    [(c, f) for c in COMMAND_OPTIONS for f in LOAD_FAILURES if (c, f) != ("validate", "incomplete")],
+)
+def test_load_failure(tmp_path, monkeypatch, capsys, command, failure):
+    """Every command that cannot load its fan exits with the failure's
+    code and one line on stderr, writing nothing.  validate instead
+    reports an incomplete fan on stdout (test_validate_incomplete)."""
+    data, code, message = LOAD_FAILURES[failure]
+    monkeypatch.chdir(tmp_path)
+    if data is not None:
+        (tmp_path / "fan.json").write_bytes(data)
+    assert run_failing(capsys, tmp_path, command, "fan.json", *COMMAND_OPTIONS[command]) == (code, message + "\n")
+
+
 def test_validate_complete(capsys):
     code, out = run(capsys, "validate", fan_path("p2"))
     assert code == 0
@@ -131,13 +192,18 @@ def test_param_vertices(capsys):
     assert json.loads(out)["values"] == [0.0, 0.0]
 
 
-def test_param_bad_xi(capsys):
-    assert main(["param", fan_path("p2"), "--flag", "0", "--xi", "0.5,0.7,0.5"]) == 2
-    assert main(["param", fan_path("p2"), "--flag", "99", "--xi", "1,0,0"]) == 2
-    capsys.readouterr()
-    assert main(["param", fan_path("p2"), "--flag", "0", "--xi", "nan,0.5,0.5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "finite" in captured.err
+def test_param_bad_xi(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for flag, xi, message in [
+        ("0", "0.5,0.7,0.5", "bad barycentric coordinates: barycentric coordinates must sum to 1"),
+        ("0", "0.2,0.3", "bad barycentric coordinates: barycentric coordinates must sum to 1"),
+        ("0", "nan,0.5,0.5", "bad barycentric coordinates: barycentric coordinates must be finite"),
+        ("0", "a,b", "could not parse --xi"),
+        ("9", "1,0,0", "flag index out of range (0..5)"),
+        ("99", "1,0,0", "flag index out of range (0..5)"),
+    ]:
+        argv = ["param", fan_path("p2"), "--flag", flag, "--xi", xi]
+        assert run_failing(capsys, tmp_path, *argv) == (2, message + "\n")
 
 
 def test_verify_passes(capsys):
@@ -319,8 +385,19 @@ def test_mesh_tiny_radius_keeps_every_vertex(tmp_path, capsys, name, counts):
     assert meshes[0] == meshes[1] and meshes[0][0] == counts
 
 
-def test_mesh_unsupported_dim(capsys):
-    assert main(["mesh", fan_path("p1"), "--radii", "1", "--res", "4"]) == 2
+def test_mesh_unsupported_dim(tmp_path, monkeypatch, capsys):
+    """An unsupported rank, like an unparsable or non-positive option,
+    exits 2 before any mesh is written to the working directory."""
+    monkeypatch.chdir(tmp_path)
+    for argv, message in [
+        ([fan_path("p1"), "--radii", "1", "--res", "4"], "mesh export supports dimensions 2 and 3 only"),
+        ([fan_path("p2"), "--radii", "x"], "could not parse --radii"),
+        (
+            [fan_path("p2"), "--radii", "1", "--res", "0"],
+            "resolution must be positive, and the radii finite and positive",
+        ),
+    ]:
+        assert run_failing(capsys, tmp_path, "mesh", *argv) == (2, message + "\n")
 
 
 def test_hilbert_minimality_names_witnesses():
