@@ -38,8 +38,7 @@ from .fan import Cone, Fan, ridge_pairing
 class BallModel:
     fan: Fan
     n: int
-    vertex_labels: tuple  # index 0 is the origin; others name cones by ray set
-    simplices: dict  # dim -> frozenset of frozensets of vertex ids
+    simplices: dict  # dim -> frozenset of frozensets of vertex ids; 0 is the origin
 
     def f_vector(self):
         top = max(self.simplices) if self.simplices else -1
@@ -70,7 +69,6 @@ def build_ball_model(fan: Fan, sigma: Cone | None = None) -> BallModel:
     sigma = sigma or fan.zero_cone()
     cones = [c for c in fan.cones() if sigma.rays < c.rays]
     vid = {c.rays: i + 1 for i, c in enumerate(cones)}
-    labels = ("origin",) + tuple(tuple(sorted(c.rays)) for c in cones)
     simplices = {}
 
     def add(simplex):
@@ -87,7 +85,6 @@ def build_ball_model(fan: Fan, sigma: Cone | None = None) -> BallModel:
     return BallModel(
         fan=fan,
         n=fan.dim - sigma.dim,
-        vertex_labels=labels,
         simplices={d: frozenset(s) for d, s in simplices.items()},
     )
 

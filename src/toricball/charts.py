@@ -408,10 +408,7 @@ class Atlas:
 
     def localize(self, p: ToricPoint, tau: Cone) -> ToricPoint:
         """Extension of p to the face chart of tau, or NotInOpenSet."""
-        rule = self._localization_rule(p.cone, tau)
-        if rule[0] == "identity":
-            return p
-        values = _shifted(rule, p.values)
+        values = self._local_values(p, tau)
         if values is None:
             raise NotInOpenSet("value at the cutting functional is zero or underflows")
         return ToricPoint(cone=tau, values=tuple(values))
@@ -433,12 +430,11 @@ class Atlas:
         different charts and are distinct.
         """
         shared = self.fan.cone(p.cone.rays & q.cone.rays)
-        try:
-            lp = self.localize(p, shared)
-            lq = self.localize(q, shared)
-        except NotInOpenSet:
+        lp = self._local_values(p, shared)
+        lq = self._local_values(q, shared)
+        if lp is None or lq is None:
             return None
-        return sup_gap(scaled_gaps(lp.values, lq.values))
+        return sup_gap(scaled_gaps(lp, lq))
 
     def points_equal(self, p: ToricPoint, q: ToricPoint, tol: float = 1e-9) -> bool:
         """Whether two intrinsic points coincide in the variety: both
@@ -451,7 +447,9 @@ class Atlas:
         return lp is not None and lq is not None and values_within(lp, lq, tol)
 
     def _local_values(self, p: ToricPoint, tau: Cone):
-        """p's values on the chart of tau, lazily, or None off it."""
+        """p's values on the chart of tau, lazily, or None off it: the
+        one route from a point to a face chart, for localize, value_gap
+        and points_equal."""
         rule = self._localization_rule(p.cone, tau)
         return p.values if rule[0] == "identity" else _shifted(rule, p.values)
 
@@ -494,7 +492,7 @@ def _shifted(rule, values):
     off tau's open chart: when the cutting functional's value v_alpha
     is zero, or so small that v_alpha**k underflows to 0.0 for the
     rule's largest k, so that no row would divide by zero.
-    Shared by Atlas.localize and Atlas.points_equal."""
+    Atlas._local_values reads it."""
     _, alpha_terms, rows, top = rule
     v_alpha = _value_at(values, alpha_terms)
     if v_alpha <= 0.0 or v_alpha**top == 0.0:

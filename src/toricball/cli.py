@@ -13,9 +13,15 @@ Commands (see README for examples):
 The checks behind `verify` are the table in toricball.verify; this
 module only parses arguments, loads fans and writes results.  Reports
 are JSON on stdout (or under --out); with a fixed seed and
-configuration they are byte-identical across runs.  Every command
-exits 1 when the input could not be read or parsed, or an output could
-not be written.
+configuration they are byte-identical across runs.
+
+Every failure raises CommandError(code, message), or OSError for a
+file that cannot be read or written, and main alone prints the message
+to stderr and returns the code: 1 when the input could not be read or
+parsed or an output could not be written, 2 for an invalid fan or
+option, 3 for an incomplete fan.  validate's verdict on an incomplete
+fan (3, after its JSON) and a failed verify check (4) are results, not
+failures.
 """
 
 from __future__ import annotations
@@ -42,16 +48,22 @@ EXIT_INCOMPLETE = 3
 EXIT_CHECK_FAILED = 4
 
 
-def _parse_or_exit(args):
-    """(fan, EXIT_OK) for a valid fan file, else (None, exit code)."""
+class CommandError(Exception):
+    """A command's failure: main prints the message and exits with code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+def _parse(args) -> Fan:
+    """The valid, not necessarily complete, fan in the file args.file."""
     try:
-        return parse_and_validate(Path(args.file).read_text(), require_complete=False), EXIT_OK
+        return parse_and_validate(Path(args.file).read_text(), require_complete=False)
     except (ParseError, UnicodeDecodeError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return None, EXIT_PARSE
+        raise CommandError(EXIT_PARSE, f"parse error: {e}") from e
     except FanValidationError as e:
-        print(f"invalid fan: {e}", file=sys.stderr)
-        return None, EXIT_INVALID
+        raise CommandError(EXIT_INVALID, f"invalid fan: {e}") from e
 
 
 def _emit(doc, out):
@@ -69,9 +81,7 @@ def _emit(doc, out):
 
 
 def cmd_validate(args) -> int:
-    fan, code = _parse_or_exit(args)
-    if fan is None:
-        return code
+    fan = _parse(args)
     complete, cert = fan.is_complete()
     doc = {
         "fan": fan.name,
@@ -87,22 +97,16 @@ def cmd_validate(args) -> int:
     return EXIT_OK if complete else EXIT_INCOMPLETE
 
 
-def _load_or_exit(args):
-    """Shared loading contract for chart-level commands."""
-    fan, code = _parse_or_exit(args)
-    if fan is None:
-        return None, code
-    complete, _ = fan.is_complete()
-    if not complete:
-        print("fan is not complete", file=sys.stderr)
-        return None, EXIT_INCOMPLETE
-    return fan, EXIT_OK
+def _load(args) -> Fan:
+    """The complete fan that every command but validate needs."""
+    fan = _parse(args)
+    if not fan.is_complete()[0]:
+        raise CommandError(EXIT_INCOMPLETE, "fan is not complete")
+    return fan
 
 
 def cmd_charts(args) -> int:
-    fan, code = _load_or_exit(args)
-    if fan is None:
-        return code
+    fan = _load(args)
     atlas = Atlas(fan)
     charts = []
     for idx, chart in enumerate(atlas.charts()):
@@ -123,25 +127,19 @@ def cmd_charts(args) -> int:
 
 
 def cmd_param(args) -> int:
-    fan, code = _load_or_exit(args)
-    if fan is None:
-        return code
+    fan = _load(args)
     atlas = Atlas(fan)
     flags = enumerate_flags(fan, only_maximal=True)
     if not 0 <= args.flag < len(flags):
-        print(f"flag index out of range (0..{len(flags) - 1})", file=sys.stderr)
-        return EXIT_INVALID
+        raise CommandError(EXIT_INVALID, f"flag index out of range (0..{len(flags) - 1})")
     try:
         xi = [float(x) for x in args.xi.split(",")]
     except ValueError:
-        print("could not parse --xi", file=sys.stderr)
-        return EXIT_INVALID
-    flag = flags[args.flag]
+        raise CommandError(EXIT_INVALID, "could not parse --xi") from None
     try:
-        point = param_boundary_point(atlas, flag, xi)
+        point = param_boundary_point(atlas, flags[args.flag], xi)
     except ValueError as e:
-        print(f"bad barycentric coordinates: {e}", file=sys.stderr)
-        return EXIT_INVALID
+        raise CommandError(EXIT_INVALID, f"bad barycentric coordinates: {e}") from e
     sem = atlas.hilbert(point.cone)
     doc = {
         "fan": fan.name,
@@ -162,17 +160,14 @@ def cmd_param(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    fan, code = _load_or_exit(args)
-    if fan is None:
-        return code
+    fan = _load(args)
     timings = {} if args.timings else None
     try:
         report = run_verification(
             fan, tol=args.tol, samples=args.samples, seed=args.seed, tamper=args.tamper, timings=timings
         )
     except SettingsError as e:
-        print(e, file=sys.stderr)
-        return EXIT_INVALID
+        raise CommandError(EXIT_INVALID, str(e)) from e
     _emit(report, args.out)
     if args.timings:
         Path(args.timings).write_text(json.dumps({"fan": fan.name, "seconds": timings}, indent=2) + "\n")
@@ -221,8 +216,8 @@ def _mesh_sphere(fan: Fan, radius: float, res: int):
         gens = flag.barycenters
         if fan.dim == 2:
             # Simplicial coordinates scale with the point, so they come
-            # straight from the interpolation weights; the closed polygon
-            # is assembled from all boundary vertices afterwards.
+            # straight from the interpolation weights; cmd_mesh closes
+            # the vertices into one polygon.
             b1, b2 = gens
             for t in range(res + 1):
                 a, c = (res - t) / res, t / res
@@ -242,16 +237,13 @@ def _mesh_sphere(fan: Fan, radius: float, res: int):
                     faces.append([grid[(i, j)], grid[(i + 1, j)], grid[(i, j + 1)]])
                     if j < res - i - 1:
                         faces.append([grid[(i + 1, j)], grid[(i + 1, j + 1)], grid[(i, j + 1)]])
-    if fan.dim == 2:
-        # Reassemble boundary segments into one closed polygon.
-        order = sorted(range(len(vertices)), key=lambda i: math.atan2(vertices[i][1], vertices[i][0]))
-        faces = [order]
     return vertices, faces
 
 
 def _mesh_boundary(fan: Fan):
     """The limiting boundary model: one vertex per nonzero cone at its
-    normalized barycenter, one (n-1)-simplex per maximal flag."""
+    normalized barycenter, one (n-1)-simplex per maximal flag (in rank
+    two cmd_mesh joins the segments into one polygon)."""
     cones = [c for c in fan.cones() if c.dim > 0]
     ids = {}
     vertices = []
@@ -263,39 +255,34 @@ def _mesh_boundary(fan: Fan):
     faces = []
     for flag in enumerate_flags(fan, only_maximal=True):
         faces.append([ids[c.rays] for c in flag.cones])
-    if fan.dim == 2:
-        order = sorted(ids.values(), key=lambda i: math.atan2(vertices[i][1], vertices[i][0]))
-        faces = [order]
     return vertices, faces
 
 
 def cmd_mesh(args) -> int:
-    fan, code = _load_or_exit(args)
-    if fan is None:
-        return code
+    fan = _load(args)
     if fan.dim not in (2, 3):
-        print("mesh export supports dimensions 2 and 3 only", file=sys.stderr)
-        return EXIT_INVALID
+        raise CommandError(EXIT_INVALID, "mesh export supports dimensions 2 and 3 only")
     try:
         radii = [float(r) for r in args.radii.split(",")]
     except ValueError:
-        print("could not parse --radii", file=sys.stderr)
-        return EXIT_INVALID
+        raise CommandError(EXIT_INVALID, "could not parse --radii") from None
     if args.res < 1 or not all(math.isfinite(r) and r > 0 for r in radii):
-        print("resolution must be positive, and the radii finite and positive", file=sys.stderr)
-        return EXIT_INVALID
+        raise CommandError(EXIT_INVALID, "resolution must be positive, and the radii finite and positive")
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    for r in radii:
-        vertices, faces = _mesh_sphere(fan, r, args.res)
-        name = f"{fan.name}_r{r:g}.off"
+
+    def write(name, vertices, faces):
+        if fan.dim == 2:
+            # In rank two the mesh is one closed polygon: every vertex,
+            # in angular order.
+            faces = [sorted(range(len(vertices)), key=lambda i: math.atan2(vertices[i][1], vertices[i][0]))]
         (outdir / name).write_text(_off_text(vertices, faces))
         written.append(name)
-    vertices, faces = _mesh_boundary(fan)
-    name = f"{fan.name}_boundary.off"
-    (outdir / name).write_text(_off_text(vertices, faces))
-    written.append(name)
+
+    for r in radii:
+        write(f"{fan.name}_r{r:g}.off", *_mesh_sphere(fan, r, args.res))
+    write(f"{fan.name}_boundary.off", *_mesh_boundary(fan))
     print(json.dumps({"written": written}, indent=2))
     return EXIT_OK
 
@@ -350,6 +337,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(e, file=sys.stderr)
         return EXIT_PARSE
+    except CommandError as e:
+        print(e, file=sys.stderr)
+        return e.code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 wraps must exist, so that deleting or renaming one fails here and not
 only in a traced benchmark run; the package imports only the standard
 library, as its empty `dependencies` promises; the elimination kernel
-exact._rref has one front end; verify reports are strict JSON, with no
+exact._rref has one front end; cli.main alone writes to stderr; verify reports are strict JSON, with no
 NaN or Infinity, even when a float check sees NaN; and every check in
 verify.CHECKS keeps a negative control that exists."""
 
@@ -68,17 +68,25 @@ def test_library_imports_only_the_standard_library():
     assert {name: where for name, where in imported.items() if name not in sys.stdlib_module_names} == {}
 
 
-def _kernel_readers(node, module, where="<module>"):
-    """"module.function" for every reference to _rref under node (a
-    call, a name bound to it, an import of it), naming the innermost
-    enclosing function, or <module> outside every function."""
+def _readers(node, module, name, where="<module>"):
+    """"module.function" for every reference to name under node (a
+    call, a name bound to it, an import of it, an attribute), naming the
+    innermost enclosing function, or <module> outside every function."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         where = node.name
     named = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-    if named == "_rref" and not isinstance(node, ast.FunctionDef):
+    if named == name and not isinstance(node, ast.FunctionDef):
         yield f"{module}.{where}"
     for child in ast.iter_child_nodes(node):
-        yield from _kernel_readers(child, module, where)
+        yield from _readers(child, module, name, where)
+
+
+def _library_readers(name):
+    return {
+        reader
+        for path in sorted((ROOT / "src" / "toricball").rglob("*.py"))
+        for reader in _readers(ast.parse(path.read_text()), path.stem, name)
+    }
 
 
 def test_only_rank_and_span_inverse_call_the_kernel():
@@ -86,12 +94,14 @@ def test_only_rank_and_span_inverse_call_the_kernel():
     exact.rank or exact.span_inverse: every inverse and coordinate
     solve reads the kernel through span_inverse, and rank reads its
     pivots alone."""
-    readers = {
-        reader
-        for path in sorted((ROOT / "src" / "toricball").rglob("*.py"))
-        for reader in _kernel_readers(ast.parse(path.read_text()), path.stem)
-    }
-    assert readers == {"exact.rank", "exact.span_inverse"}
+    assert _library_readers("_rref") == {"exact.rank", "exact.span_inverse"}
+
+
+def test_only_cli_main_writes_to_stderr():
+    """A command fails by raising CommandError (or OSError), and
+    cli.main alone prints the message and returns the exit code, so no
+    other function in src/toricball names stderr."""
+    assert _library_readers("stderr") == {"cli.main"}
 
 
 def _strict_json(text):
