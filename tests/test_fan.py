@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import toricball as tb
-from conftest import cube_faces_fan, get_fan
+from conftest import cube_faces_fan, get_fan, wps_fan
 from toricball.cones import dual_generators, face_index_sets, generator_list
-from toricball.exact import is_zero_vec, primitive, quotient_projection
+from toricball.exact import is_zero_vec, primitive, quotient_projection, rank
 from toricball.fan import (
     FaceIntersectionViolation,
     FanValidationError,
@@ -71,8 +71,20 @@ def test_not_primitive():
 
 
 def test_not_strongly_convex():
-    with pytest.raises(NotStronglyConvex):
-        validate_fan(2, [(1, 0), (-1, 0), (0, 1)], [[0, 1, 2]], require_complete=False)
+    # A half-plane, a line, a line plus a ray, and a plane.
+    for dim, rays in [
+        (2, [(1, 0), (-1, 0), (0, 1)]),
+        (2, [(1, 0), (-1, 0)]),
+        (3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]),
+        (3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]),
+    ]:
+        cone = list(range(len(rays)))
+        with pytest.raises(NotStronglyConvex, match=re.escape(f"cone {cone} contains a line")):
+            validate_fan(dim, rays, [cone], require_complete=False)
+    # A pointed cone below full dimension is strongly convex.
+    fan = validate_fan(3, [(1, 0, 0), (0, 1, 0)], [[0, 1]], require_complete=False)
+    assert [c.dim for c in fan.cones()] == [0, 1, 1, 2]
+    assert fan.is_complete()[1] == {"reason": "maximal cone not full-dimensional", "cone": [0, 1]}
 
 
 def test_face_intersection_violation():
@@ -343,6 +355,39 @@ def test_single_zero_cone_fan():
     fan = validate_fan(2, [], [[]], require_complete=False)
     assert len(fan.cones()) == 1
     assert not fan.is_complete()[0]
+    # In rank 0 it is the fan of the point N_R = R^0, which is complete.
+    fan = validate_fan(0, [], [[]])
+    assert [(c.rays, c.dim) for c in fan.cones()] == [(frozenset(), 0)]
+    assert fan.max_cones == (frozenset(),) and fan.faces(fan.zero_cone()) == [fan.zero_cone()]
+    assert fan.is_complete() == (True, None)
+
+
+# The benchmark's six P(1,...,1,k) and P^4, as (rank, k).
+DIM_WPS = {f"wps_{'1_' * (n - 1)}{k}": (n, k) for n, k in ((2, 2), (2, 7), (2, 20), (3, 3), (3, 9), (3, 27), (4, 1))}
+
+
+def _dim_reference_fans(name):
+    if name == "rank0":
+        return [validate_fan(0, [], [[]])]
+    if name == "cube_faces":
+        return [cube_faces_fan()]
+    if name == "p1^4":
+        rays = [tuple(s * int(i == j) for i in range(4)) for j in range(4) for s in (1, -1)]
+        return [validate_fan(4, rays, [[2 * i + s for i, s in enumerate(p)] for p in itertools.product((0, 1), repeat=4)])]
+    if name == "p3_stars":
+        p3 = get_fan("p3")
+        return [star_fan(p3, cone) for cone in p3.cones()]
+    if name in DIM_WPS:
+        return [wps_fan(*DIM_WPS[name])]
+    return [get_fan(name)]
+
+
+@pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, *DIM_WPS, "p1^4", "cube_faces", "rank0", "p3_stars"])
+def test_cone_dim_is_rank_of_generators(name):
+    fans = _dim_reference_fans(name)
+    for fan in fans:
+        for cone in fan.cones():
+            assert cone.dim == rank(cone.generators), (fan.name, cone)
 
 
 def test_star_fan_foreign_cone_rejected(p2, p1xp1):
