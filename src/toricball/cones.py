@@ -42,7 +42,6 @@ from .exact import (
     pair,
     primitive,
     quotient_projection,
-    rank,
     row_hermite,
     solve_in_basis,
     span_inverse,
@@ -52,16 +51,6 @@ from .exact import (
     vscale,
     vsub,
 )
-
-
-def _dedupe(vectors):
-    seen = set()
-    out = []
-    for v in vectors:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
 
 
 def _canonical(rays, lineality):
@@ -139,7 +128,7 @@ def dual_generators(constraints: Sequence, n: int):
                     new_zeros.append(common | bit)
             rays, zeros = new_rays, new_zeros
         bit <<= 1
-    return tuple(lineality), tuple(_dedupe(primitive(r) for r in _canonical(rays, lineality)))
+    return tuple(lineality), tuple(dict.fromkeys(primitive(r) for r in _canonical(rays, lineality)))
 
 
 def generator_list(lineality, rays):
@@ -193,15 +182,16 @@ def face_index_sets(gens: Sequence, drays: Sequence):
 # ---------------------------------------------------------------------------
 
 
-def _placing_triangulation(rays: Sequence, n: int):
+def _placing_triangulation(rays: Sequence, n: int, dim: int):
     """Simplicial subcones (tuples of rays) triangulating a pointed cone.
 
-    Standard placing recursion: the first ray is joined to the
-    triangulations of the facets that do not contain it.
+    rays are the cone's extreme rays in Z^n and dim its dimension, so
+    the cone is simplicial exactly when it has dim rays.  Standard
+    placing recursion: the first ray is joined to the triangulations of
+    the facets that do not contain it, each of dimension dim - 1.
     """
     rays = list(rays)
-    k = rank(rays)
-    if len(rays) == k:
+    if len(rays) == dim:
         return [tuple(rays)]
     r0 = rays[0]
     simplices = []
@@ -209,7 +199,7 @@ def _placing_triangulation(rays: Sequence, n: int):
         face_rays = [rays[i] for i in sorted(face)]
         if r0 in face_rays or not face_rays:
             continue
-        for sub in _placing_triangulation(face_rays, n):
+        for sub in _placing_triangulation(face_rays, n, dim - 1):
             simplices.append((r0,) + sub)
     return simplices
 
@@ -278,11 +268,12 @@ def _pointed_semigroup_generators(rays: Sequence, normals: Sequence, n: int):
     """
     if not rays:
         return ()
-    candidates = _dedupe([primitive(r) for r in rays])
-    for simplex in _placing_triangulation(list(rays), n):
+    candidates = list(dict.fromkeys(primitive(r) for r in rays))
+    # The cone is full-dimensional, so its dimension is n.
+    for simplex in _placing_triangulation(list(rays), n, n):
         candidates.extend(_parallelepiped_points(simplex))
     y = tuple(sum(d[i] for d in normals) for i in range(n))
-    ordered = sorted(_dedupe(candidates), key=lambda v: pair(v, y))
+    ordered = sorted(dict.fromkeys(candidates), key=lambda v: pair(v, y))
     below = _dominated_by([[pair(d, g) for d in normals] for g in ordered])
     return tuple(sorted(g for i, g in enumerate(ordered) if not below[i] & ((1 << i) - 1)))
 

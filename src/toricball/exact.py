@@ -6,9 +6,12 @@ enters, so the combinatorial layers built on top can certify their
 identities by equality instead of tolerances.
 
 One fraction-free elimination kernel, _rref, serves every solve, and
-one front end reads it: span_inverse, the integer left inverse and
-annihilator of independent vectors.  invert, dual_basis and
-solve_in_basis are its Fraction readers; rank reads the pivots alone.
+the library reads it through one front end alone: span_inverse, the
+integer left inverse and annihilator of independent vectors.  invert,
+dual_basis and solve_in_basis are its Fraction readers.  rank, which
+reads the pivots alone, remains for callers outside the library (the
+tests' reference and the benchmark's tracer); no library module calls
+it.
 
 All values are immutable after construction and safe to share between
 threads.
@@ -77,17 +80,6 @@ def is_zero_vec(u) -> bool:
 
 def unit_vector(i: int, n: int) -> tuple:
     return tuple(1 if j == i else 0 for j in range(n))
-
-
-def transpose(rows) -> tuple:
-    return tuple(zip(*rows)) if rows else ()
-
-
-def gcd_vec(v) -> int:
-    g = 0
-    for a in v:
-        g = gcd(g, abs(int(a)))
-    return g
 
 
 def primitive(v) -> tuple:
@@ -197,7 +189,7 @@ def invert(rows) -> tuple:
     left inverse of its columns."""
     if any(len(r) != len(rows) for r in rows):
         raise DimensionMismatch("inversion needs a square matrix")
-    return dual_basis(transpose(rows))
+    return dual_basis(tuple(zip(*rows)))
 
 
 def dual_basis(basis: Sequence) -> tuple:

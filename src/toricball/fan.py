@@ -4,7 +4,10 @@ A fan is stored by its primitive ray vectors and the ray-index sets of
 its maximal cones; validation enumerates the full face lattice (all
 faces of all listed cones, down to the zero cone) and checks the fan
 axioms exactly.  Non-simplicial maximal cones are supported; facet data
-comes from the double description kernel in `cones`.
+comes from the double description kernel in `cones`.  A cone's
+dimension and strong convexity are read off its one double description
+and the face lattice built on it, with no rank computation, and one
+path validates every rank, 0 included.
 
 Fans are immutable after validation and safe for concurrent reads.
 """
@@ -13,10 +16,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from . import cones as _ck
-from .exact import gcd_vec, is_zero_vec, pair, primitive, quotient_projection, rank
+from .exact import is_zero_vec, pair, primitive, quotient_projection
 
 
 class FanError(Exception):
@@ -79,11 +83,18 @@ class Cone:
 
 
 def _build_cone(ray_indices: frozenset, fan_rays: Sequence, n: int) -> Cone:
+    """The cone on the given rays, with its dual description.
+
+    The dual's lineality basis spans sigma^perp, of dimension
+    n - dim sigma: the double description starts from n unit vectors,
+    and each constraint it cuts them with drops one and keeps the rest
+    independent.
+    """
     gens = tuple(fan_rays[i] for i in sorted(ray_indices))
     dlin, drays = _ck.dual_generators(gens, n)
     return Cone(
         rays=ray_indices,
-        dim=rank(gens),
+        dim=n - len(dlin),
         ambient_dim=n,
         generators=gens,
         dual_rays=drays,
@@ -202,22 +213,21 @@ def validate_fan(dim, rays, max_cones, require_complete=True, name="fan") -> Fan
     (an entry of dim, a ray or a cone that is not a finite integer among
     them), and IncompleteFan when require_complete is set and the support
     is proper.
+
+    Each cone's dimension and strong convexity are read off its double
+    description and the face lattice built on it, and one path serves
+    every rank: in rank 0 the only fan is the zero cone, listed as [[]].
     """
     n = _integer(dim, "dimension")
     if n < 0:
         raise FanValidationError("dimension must be nonnegative")
     rays = tuple(tuple(_integer(a, f"ray {idx}") for a in r) for idx, r in enumerate(rays))
-    if n == 0:
-        if rays:
-            raise FanValidationError("rank-zero fan cannot have rays")
-        zero = _build_cone(frozenset(), rays, 0)
-        return Fan(0, (), (frozenset(),), {frozenset(): zero}, {frozenset(): {frozenset()}}, name)
     for idx, r in enumerate(rays):
         if len(r) != n:
             raise FanValidationError(f"ray {idx} has length {len(r)}, expected {n}")
         if is_zero_vec(r):
             raise NotPrimitiveRay(f"ray {idx} is zero")
-        if gcd_vec(r) != 1:
+        if gcd(*r) != 1:
             raise NotPrimitiveRay(f"ray {idx} = {r} is not primitive")
     if len(set(rays)) != len(rays):
         raise FanValidationError("duplicate ray vectors")
@@ -237,7 +247,7 @@ def validate_fan(dim, rays, max_cones, require_complete=True, name="fan") -> Fan
         for b in max_sets:
             if a != b and a <= b:
                 raise FanValidationError(f"listed cone {sorted(a)} is a face of {sorted(b)}")
-    used = set().union(*max_sets) if max_sets else set()
+    used = set().union(*max_sets)
     if used != set(range(len(rays))):
         missing = sorted(set(range(len(rays))) - used)
         raise FanValidationError(f"rays {missing} appear in no maximal cone")
@@ -249,10 +259,13 @@ def validate_fan(dim, rays, max_cones, require_complete=True, name="fan") -> Fan
     faces_of = {}
     for s in max_sets:
         cone = cones_by_rays[s] = _build_cone(s, rays, n)
-        # Strong convexity: the dual description must be full-dimensional.
-        if rank(cone.dual_generators) != n:
-            raise NotStronglyConvex(f"cone {sorted(s)} contains a line")
         face_sets = _ck.face_index_sets(cone.generators, cone.dual_rays)
+        # Strong convexity: the least face of cone(gens) is its lineality
+        # space L, and a face is spanned by the generators it holds, so
+        # L holds a generator exactly when L != {0}.  Every face contains
+        # L, so the empty index set is a face exactly when L = {0}.
+        if frozenset() not in face_sets:
+            raise NotStronglyConvex(f"cone {sorted(s)} contains a line")
         # Every listed ray must span a one-dimensional face (extremality).
         if sum(len(f) == 1 for f in face_sets) != len(s):
             raise FanValidationError(f"cone {sorted(s)} lists a non-extremal generator")

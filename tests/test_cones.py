@@ -526,12 +526,12 @@ def _pairwise_pointed_semigroup_generators(rays, normals, n):
     elements kept so far."""
     if not rays:
         return ()
-    candidates = cones._dedupe([primitive(r) for r in rays])
-    for simplex in cones._placing_triangulation(list(rays), n):
+    candidates = list(dict.fromkeys(primitive(r) for r in rays))
+    for simplex in cones._placing_triangulation(list(rays), n, n):
         candidates.extend(cones._parallelepiped_points(simplex))
     y = tuple(sum(d[i] for d in normals) for i in range(n))
     kept = []
-    for g in sorted(cones._dedupe(candidates), key=lambda v: pair(v, y)):
+    for g in sorted(dict.fromkeys(candidates), key=lambda v: pair(v, y)):
         vg = [pair(d, g) for d in normals]
         if not any(all(a >= b for a, b in zip(vg, vh)) for _, vh in kept):
             kept.append((g, vg))
@@ -611,7 +611,8 @@ def _quotient_simplices(cone):
     space."""
     proj = quotient_projection(cone.dual_lineality, cone.ambient_dim)
     rays = [primitive(proj.apply(r)) for r in cone.dual_rays]
-    return cones._placing_triangulation(rays, proj.target_dim) if rays else []
+    m = proj.target_dim
+    return cones._placing_triangulation(rays, m, m) if rays else []
 
 
 @pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, *WPS_FANS, "wps_1_1_1_60", "p4", "p1^4", "cube_faces"])
@@ -865,12 +866,12 @@ def _rank_pruned_dual_generators(constraints, n):
             neg = [r for r in rays if pair(h, r) < 0]
             rays = [r for r in rays if pair(h, r) == 0] + pos
             rays += [primitive(vsub(vscale(pair(h, p), q), vscale(pair(h, q), p))) for p in pos for q in neg]
-            rays = cones._dedupe(rays)
+            rays = list(dict.fromkeys(rays))
         processed.append(h)
         need = n - len(lineality) - 1
         extreme = [r for r in rays if rank([c for c in processed if pair(c, r) == 0] or [(0,) * n]) == need]
         dropped += len(rays) - len(extreme)
-        rays = cones._dedupe(primitive(r) for r in cones._canonical(extreme, lineality) if not is_zero_vec(r))
+        rays = list(dict.fromkeys(primitive(r) for r in cones._canonical(extreme, lineality) if not is_zero_vec(r)))
     return (tuple(lineality), tuple(rays)), dropped
 
 

@@ -362,6 +362,22 @@ def test_single_zero_cone_fan():
     assert fan.is_complete() == (True, None)
 
 
+@pytest.mark.parametrize(
+    "rays, cones, error, message",
+    [
+        ([], [], FanValidationError, "fan needs at least one cone"),
+        ([], [[0]], FanValidationError, "ray index 0 out of range"),
+        ([], [[5], [2]], FanValidationError, "ray index 5 out of range"),
+        ([[]], [[0]], NotPrimitiveRay, "ray 0 is zero"),
+    ],
+    ids=["no-cone", "index-0", "index-5", "zero-ray"],
+)
+def test_rank_zero_malformed_rejected(rays, cones, error, message):
+    # Rank 0 is validated by the path of every other rank.
+    with pytest.raises(error, match=re.escape(message)):
+        validate_fan(0, rays, cones)
+
+
 # The benchmark's six P(1,...,1,k) and P^4, as (rank, k).
 DIM_WPS = {f"wps_{'1_' * (n - 1)}{k}": (n, k) for n, k in ((2, 2), (2, 7), (2, 20), (3, 3), (3, 9), (3, 27), (4, 1))}
 

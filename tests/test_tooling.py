@@ -2,7 +2,8 @@
 wraps must exist, so that deleting or renaming one fails here and not
 only in a traced benchmark run; the package imports only the standard
 library, as its empty `dependencies` promises; the elimination kernel
-exact._rref has one front end; cli.main alone writes to stderr; verify reports are strict JSON, with no
+exact._rref has one front end, and no library function calls exact.rank;
+cli.main alone writes to stderr; verify reports are strict JSON, with no
 NaN or Infinity, even when a float check sees NaN; and every check in
 verify.CHECKS keeps a negative control that exists."""
 
@@ -95,6 +96,14 @@ def test_only_rank_and_span_inverse_call_the_kernel():
     solve reads the kernel through span_inverse, and rank reads its
     pivots alone."""
     assert _library_readers("_rref") == {"exact.rank", "exact.span_inverse"}
+
+
+def test_library_calls_no_rank():
+    """No function in src/toricball references exact.rank: a cone's
+    dimension and pointedness come from its double description and face
+    lattice, and a placing triangulation tracks its dimension.  rank
+    stays in exact for the tests and the tracer."""
+    assert _library_readers("rank") == set()
 
 
 def test_only_cli_main_writes_to_stderr():
