@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 import toricball as tb
 from toricball.bary import barycenter
 from toricball.exact import primitive, vec, vscale
+from toricball.fan import Fan, _build_cone
 
 # Atlases are expensive to warm up (Hilbert bases, localization rules),
 # so they are shared per session.  Everything in the library is
@@ -53,6 +55,17 @@ def cube_faces_fan():
         [2, 3, 6, 7], [0, 2, 4, 6], [1, 3, 5, 7],
     ]
     return tb.validate_fan(3, rays, maxc)
+
+
+def unvalidated_fan(rays, max_cones):
+    """A simplicial Fan built directly, for inputs validate_fan rejects."""
+
+    def subsets(s):
+        return {frozenset(c) for k in range(len(s) + 1) for c in itertools.combinations(sorted(s), k)}
+
+    faces_of = {face: subsets(face) for mc in max_cones for face in subsets(mc)}
+    cones = {face: _build_cone(face, rays, len(rays[0])) for face in faces_of}
+    return Fan(len(rays[0]), tuple(rays), tuple(frozenset(mc) for mc in max_cones), cones, faces_of)
 
 
 def wps_fan(n, k):

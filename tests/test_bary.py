@@ -3,13 +3,14 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import toricball as tb
-from conftest import cover_samples, cube_faces_fan, get_atlas, get_fan, stellar_fan, wps_fan
+from conftest import cover_samples, cube_faces_fan, get_atlas, get_fan, stellar_fan, unvalidated_fan, wps_fan
 from toricball import bary
 from toricball.bary import (
     Flag,
@@ -25,8 +26,7 @@ from toricball.bary import (
     locate_flag,
     simplicial_coords,
 )
-from toricball.exact import dual_basis, pair, rank, solve_in_basis, unit_vector
-from toricball.fan import Fan, _build_cone
+from toricball.exact import DimensionMismatch, dual_basis, pair, rank, solve_in_basis, unit_vector
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -127,17 +127,6 @@ def test_cover_check_agrees_with_samples():
             assert containing_flags(fan, x), (name, x)
 
 
-def _unvalidated_fan(rays, max_cones):
-    """A simplicial Fan built directly, for inputs validate_fan rejects."""
-
-    def subsets(s):
-        return {frozenset(c) for k in range(len(s) + 1) for c in itertools.combinations(sorted(s), k)}
-
-    faces_of = {face: subsets(face) for mc in max_cones for face in subsets(mc)}
-    cones = {face: _build_cone(face, rays, len(rays[0])) for face in faces_of}
-    return Fan(len(rays[0]), tuple(rays), tuple(frozenset(mc) for mc in max_cones), cones, faces_of)
-
-
 def test_cover_check_fails_count_on_quadrant():
     fan = tb.validate_fan(2, [(1, 0), (0, 1)], [[0, 1]], require_complete=False)
     witness = {"reason": "ridge not shared by exactly two maximal flags", "ridge": [[0]], "count": 1}
@@ -145,7 +134,7 @@ def test_cover_check_fails_count_on_quadrant():
 
 
 def test_cover_check_fails_sign_on_same_side_rays():
-    fan = _unvalidated_fan([(1,), (2,)], [[0], [1]])
+    fan = unvalidated_fan([(1,), (2,)], [[0], [1]])
     witness = {"reason": "flags on the same side of their shared ridge", "ridge": [], "flags": [0, 1]}
     assert cover_check(fan) == (False, witness)
 
@@ -154,7 +143,7 @@ def test_cover_check_fails_point_on_double_winding():
     # Six rays winding twice round the origin: every ridge pairs with a
     # flag on its other side, yet each point is covered twice.
     rays = [(1, 0), (0, 1), (-1, -1)] * 2
-    fan = _unvalidated_fan(rays, [[i, (i + 1) % 6] for i in range(6)])
+    fan = unvalidated_fan(rays, [[i, (i + 1) % 6] for i in range(6)])
     witness = {"reason": "point not in exactly one flag cone", "point": [2, 1], "count": 2}
     assert cover_check(fan) == (False, witness)
 
@@ -300,3 +289,28 @@ def test_coords_in_flag_matches_reference_solve(name):
         left, d, annihilator = chart.flag.inverse
         assert d > 0 and annihilator == ()
         assert tuple(tuple(Fraction(a, d) for a in row) for row in left) == dual_basis(chart.flag.barycenters)
+
+
+# Input errors of the bary module that no other test reaches: the call,
+# the exception class and its message.
+BARY_INPUT_ERRORS = {
+    "coords-off-span": (
+        lambda: simplicial_coords(Flag((get_fan("p2").cone({0}),)), (0, 1)),
+        NotInCone,
+        "(0, 1) is not in the span of Flag([0])",
+    ),
+    "locate-wrong-length": (
+        lambda: locate_flag(get_fan("p2"), (1, 2, 3)),
+        DimensionMismatch,
+        "point of length 3 in a rank-2 fan",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BARY_INPUT_ERRORS)
+def test_bary_input_errors(case):
+    call, error, message = BARY_INPUT_ERRORS[case]
+    with pytest.raises(error, match=re.escape(message)) as err:
+        call()
+    if error is NotInCone:
+        assert err.value.coords is None

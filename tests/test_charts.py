@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -705,3 +706,25 @@ def test_batch_kernels_match_pointwise_on_special_values():
     # The largest zero index wins: y_1 = 0 zeroes w_0 and w_1, whatever y_0.
     b = ((2, 1, 3), (0, 1, 2), (0, 0, 1))
     assert invert_triangular(b, [[0.5, 0.0], [0.0, 0.5], [0.25, 0.25]]) == [[0.0, 0.0], [0.0, 8.0], [0.25, 0.25]]
+
+
+# Input errors of the charts module that no other test reaches: the
+# call, the exception class and its message.
+CHARTS_INPUT_ERRORS = {
+    "chart-non-maximal-flag": (
+        lambda atlas, fan: atlas.chart(Flag((fan.cone({0}),))),
+        "charts are attached to maximal flags only",
+    ),
+    "localize-to-non-face": (
+        lambda atlas, fan: atlas.localize(atlas.expi_point((1, 1), fan.cone({0, 1})), fan.cone({1, 2})),
+        "localization target must be a face of the carrier",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CHARTS_INPUT_ERRORS)
+def test_charts_input_errors(case):
+    call, message = CHARTS_INPUT_ERRORS[case]
+    atlas = get_atlas("p2")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(atlas, atlas.fan)

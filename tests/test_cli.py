@@ -5,7 +5,8 @@ import json
 import pytest
 
 import toricball as tb
-from toricball.cli import main
+from toricball import cli
+from toricball.cli import build_parser, main
 
 
 def fan_path(name):
@@ -77,6 +78,20 @@ def test_load_failure(tmp_path, monkeypatch, capsys, command, failure):
     if data is not None:
         (tmp_path / "fan.json").write_bytes(data)
     assert run_failing(capsys, tmp_path, command, "fan.json", *COMMAND_OPTIONS[command]) == (code, message + "\n")
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_parser_reads_file_and_out(capsys, command):
+    """Every command takes the fan file and --out, and dispatches to its
+    cmd_ function; --help exits 0 with the command's usage."""
+    parser = build_parser()
+    args = parser.parse_args([command, "fan.json", *COMMAND_OPTIONS[command]])
+    assert (args.file, args.out, args.func) == ("fan.json", None, getattr(cli, f"cmd_{command}"))
+    assert parser.parse_args([command, "fan.json", "--out", "dir", *COMMAND_OPTIONS[command]]).out == "dir"
+    with pytest.raises(SystemExit) as exit_info:
+        parser.parse_args([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: toricball {command} ")
 
 
 def test_validate_complete(capsys):

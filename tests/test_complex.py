@@ -139,6 +139,13 @@ def test_verify_gluing_p2(atlas_p2):
     assert report.shared_samples == 6 * 2 * 15  # (flag, proper prefix subflag) x samples
 
 
+def test_verify_gluing_defaults_draw_25_samples_per_prefix(atlas_p2):
+    """Called with its defaults, verify_gluing samples 25 points of each
+    (maximal flag, proper prefix) of P^2: 6 flags, 2 prefixes each."""
+    report = verify_gluing(atlas_p2)
+    assert report.passed and report.shared_samples == 6 * 2 * 25
+
+
 @pytest.mark.parametrize("name", ["p2", "p3"])
 def test_subflag_cross_check_samples_each_prefix_top(monkeypatch, name):
     """The shared half localizes one batch of count samples of each

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -929,3 +930,21 @@ def test_dual_generators_match_rank_pruned_pass_on_fans(monkeypatch):
         assert dual_generators(constraints, n) == expected, (constraints, n)
         dropped += k
     assert len(calls) > 800 and dropped > 0
+
+
+# Input errors of the cones module that no other test reaches: the call,
+# the exception class and its message.
+CONES_INPUT_ERRORS = {
+    "triangular-top-not-full": (
+        lambda: triangular_generators([tb.load_bundled("p2").cone({0})]),
+        ValueError,
+        "top cone of the chain must be full-dimensional",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CONES_INPUT_ERRORS)
+def test_cones_input_errors(case):
+    call, error, message = CONES_INPUT_ERRORS[case]
+    with pytest.raises(error, match=re.escape(message)):
+        call()

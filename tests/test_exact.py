@@ -1,5 +1,6 @@
 """Exact linear algebra and lattice utilities."""
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -21,6 +22,8 @@ from toricball.exact import (
     solve_in_basis,
     span_inverse,
     unit_vector,
+    vadd,
+    vsub,
 )
 
 
@@ -370,3 +373,28 @@ def test_solve_and_span_inverse_match_fraction_reference(case):
     if on_span:
         assert tuple(_as_fractions([pair(row, x) for row in left], d)) == expected
     assert any(pair(row, x) for row in annihilator) == (not on_span)
+
+
+# Input errors of the exact module that no other test reaches: the call,
+# the exception class and its message.
+EXACT_INPUT_ERRORS = {
+    "vadd-lengths": (lambda: vadd((1,), (1, 2)), DimensionMismatch, "vector addition"),
+    "vsub-lengths": (lambda: vsub((1,), (1, 2)), DimensionMismatch, "vector subtraction"),
+    "apply-wrong-length": (
+        lambda: quotient_projection([(1, 0)], 2).apply((1, 2, 3)),
+        DimensionMismatch,
+        "projection applied to wrong dimension",
+    ),
+    "quotient-generator-length": (
+        lambda: quotient_projection([(1, 2, 3)], 2),
+        DimensionMismatch,
+        "generator has wrong length",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EXACT_INPUT_ERRORS)
+def test_exact_input_errors(case):
+    call, error, message = EXACT_INPUT_ERRORS[case]
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import toricball as tb
-from conftest import cube_faces_fan, get_fan, wps_fan
+from conftest import cube_faces_fan, get_fan, unvalidated_fan, wps_fan
 from toricball.cones import dual_generators, face_index_sets, generator_list
 from toricball.exact import is_zero_vec, primitive, quotient_projection, rank
 from toricball.fan import (
@@ -20,6 +20,7 @@ from toricball.fan import (
     NotStronglyConvex,
     ParseError,
     parse_and_validate,
+    parse_fan,
     ridge_pairing,
     star_fan,
     validate_fan,
@@ -88,9 +89,16 @@ def test_not_strongly_convex():
 
 
 def test_face_intersection_violation():
-    # Two quadrant-like cones overlapping in a 2-dimensional wedge.
-    with pytest.raises(FaceIntersectionViolation):
-        validate_fan(2, [(1, 0), (0, 1), (1, -1)], [[0, 1], [1, 2]], require_complete=False)
+    for dim, rays, cones in [
+        # Two quadrant-like cones overlapping in a 2-dimensional wedge.
+        (2, [(1, 0), (0, 1), (1, -1)], [[0, 1], [1, 2]]),
+        # A T-junction: the cones meet in the face cone(e1, e1 + e3) of
+        # the second, which is not a face of the first (the octant).
+        (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, -1, 0)], [[0, 1, 2], [0, 3, 4]]),
+    ]:
+        a, b = cones
+        with pytest.raises(FaceIntersectionViolation, match=re.escape(f"cones {a} and {b} do not meet in a common face")):
+            validate_fan(dim, rays, cones, require_complete=False)
 
 
 def test_non_extremal_generator_rejected():
@@ -123,6 +131,83 @@ def test_validate_fan_rejects_non_integral_entries(dim, rays, cones, named):
 def test_validate_fan_accepts_integral_floats():
     fan = validate_fan(2.0, [(1.0, 0), *P2_RAYS[1:]], [[0, 1.0], *P2_CONES[1:]])
     assert fan.dim == 2 and fan.rays == tuple(P2_RAYS) and type(fan.rays[0][0]) is int
+
+
+# Each input error of the fan module and of load_bundled that no other
+# test reaches: the call, the exception class and its message.
+FAN_INPUT_ERRORS = {
+    "cone-unknown-rays": (lambda: get_fan("p2").cone({0, 5}), KeyError, "no cone with rays [0, 5] in this fan"),
+    "faces-foreign-cone": (
+        lambda: get_fan("p2").faces(get_fan("p1xp1").cone({2, 3})),
+        KeyError,
+        "cone does not belong to this fan",
+    ),
+    "negative-dim": (lambda: validate_fan(-1, [], [[]]), FanValidationError, "dimension must be nonnegative"),
+    "ray-length": (
+        lambda: validate_fan(2, [(1, 0), (0, 1, 0), (-1, -1)], P2_CONES),
+        FanValidationError,
+        "ray 1 has length 3, expected 2",
+    ),
+    "duplicate-rays": (
+        lambda: validate_fan(2, [(1, 0), (1, 0), (0, 1)], [[0, 2], [1, 2]]),
+        FanValidationError,
+        "duplicate ray vectors",
+    ),
+    "cone-twice": (
+        lambda: validate_fan(2, P2_RAYS, [[0, 1], [1, 0], *P2_CONES[1:]]),
+        FanValidationError,
+        "maximal cone [0, 1] listed twice",
+    ),
+    "cone-is-face": (
+        lambda: validate_fan(2, P2_RAYS, [[0, 1], [0]]),
+        FanValidationError,
+        "listed cone [0] is a face of [0, 1]",
+    ),
+    "unused-ray": (
+        lambda: validate_fan(2, P2_RAYS, [[0, 1]], require_complete=False),
+        FanValidationError,
+        "rays [2] appear in no maximal cone",
+    ),
+    "parse-int": (lambda: parse_fan(5), ParseError, "cannot parse fan from int"),
+    "parse-not-object": (lambda: parse_fan("[1, 2]"), ParseError, "fan description must be an object"),
+    "parse-rays-not-list": (
+        lambda: parse_fan('{"dim": 2, "rays": 5, "max_cones": []}'),
+        ParseError,
+        "rays must be a list of lists",
+    ),
+    "unknown-bundled": (lambda: tb.load_bundled("p9"), KeyError, "unknown bundled fan 'p9'"),
+}
+
+
+@pytest.mark.parametrize("case", FAN_INPUT_ERRORS)
+def test_fan_input_errors(case):
+    call, error, message = FAN_INPUT_ERRORS[case]
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+def test_parse_fan_accepts_a_decoded_dict():
+    data = {"dim": 2, "rays": [list(r) for r in P2_RAYS], "max_cones": P2_CONES}
+    assert parse_fan(data) is data
+
+
+@pytest.mark.parametrize(
+    "fan, certificate",
+    [
+        (lambda: unvalidated_fan(P2_RAYS, []), {"reason": "no maximal cones"}),
+        (
+            lambda: unvalidated_fan(P2_RAYS * 2, [*P2_CONES, *([i + 3 for i in c] for c in P2_CONES)]),
+            {"reason": "maximal cones not facet-connected", "reached": 3},
+        ),
+    ],
+    ids=["no-maximal-cone", "two-copies-of-p2"],
+)
+def test_is_complete_negative_controls(fan, certificate):
+    """The two clauses of Fan.is_complete that validation makes
+    unreachable, on Fans built without it: validate_fan needs a cone,
+    and rejects the duplicate rays of two copies of P^2, whose facets
+    each pair within their copy."""
+    assert fan().is_complete() == (False, certificate)
 
 
 def test_parse_errors():
@@ -288,6 +373,14 @@ def test_star_fan_maximal_cone(p2):
     star = star_fan(p2, p2.cone({0, 1}))
     assert star.dim == 0
     assert star.is_complete()[0]
+
+
+def test_star_fan_of_a_full_cone_is_the_rank_zero_fan(p2):
+    star, point = star_fan(p2, p2.cone({0, 1})), validate_fan(0, [], [[]])
+    assert (star.dim, star.rays, star.max_cones) == (point.dim, point.rays, point.max_cones)
+    assert [(c.rays, c.dim) for c in star.cones()] == [(c.rays, c.dim) for c in point.cones()]
+    assert star.faces(star.zero_cone()) == point.faces(point.zero_cone())
+    assert star.is_complete() == point.is_complete() == (True, None)
 
 
 def test_star_fans_complete_everywhere(cube_fan, twisted_p3):

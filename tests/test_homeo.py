@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -251,3 +252,22 @@ def test_nonextension_requires_rank2(cube_fan):
     flag = enumerate_flags(cube_fan, only_maximal=True)[0]
     with pytest.raises(ValueError):
         nonextension_probe(atlas, flag, 1.0, 1.0)
+
+
+# Input errors of the homeo module that no other test reaches: the call,
+# the exception class and its message.
+HOMEO_INPUT_ERRORS = {
+    "phi-index-above": (lambda atlas: phi_jk((1.0,), 2), "coordinate index out of range"),
+    "phi-index-zero": (lambda atlas: phi_jk((1.0,), 0), "coordinate index out of range"),
+    "probe-c-zero": (
+        lambda atlas: nonextension_probe(atlas, enumerate_flags(atlas.fan, only_maximal=True)[0], 0.0, 1.0),
+        "the probe path needs c > 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HOMEO_INPUT_ERRORS)
+def test_homeo_input_errors(case, atlas_p2):
+    call, message = HOMEO_INPUT_ERRORS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(atlas_p2)
