@@ -56,9 +56,6 @@ class Flag:
     def __len__(self):
         return len(self.cones)
 
-    def __iter__(self):
-        return iter(self.cones)
-
     def sort_key(self):
         return tuple(c.sort_key() for c in self.cones)
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 
 from .bary import enumerate_flags
-from .charts import Atlas, monomial_columns, scaled_gap_column, sup_gap
+from .charts import Atlas, monomial_columns, scaled_gaps, sup_gap
 from .exact import pair
 from .fan import Cone, Fan, ridge_pairing
 
@@ -171,14 +171,16 @@ def build_orbit_complex(fan: Fan) -> OrbitComplex:
 # Gluing verification
 # ---------------------------------------------------------------------------
 
+SHARED_SAMPLES = 25  # verify_gluing's points per (maximal flag, proper prefix)
 
-@dataclass
+
+@dataclass(frozen=True)
 class GluingReport:
     passed: bool
     shared_samples: int
     worst_shared_gap: float
-    counterexamples: list = field(default_factory=list)
-    identities: int = 0
+    counterexamples: list
+    identities: int
 
 
 def _simplex_samples(rng, dim, count):
@@ -309,7 +311,7 @@ def _telescoped_terms(generators, steps):
     return [tuple((t, e) for t, d in enumerate(steps) if (e := pair(h, d))) for h in generators]
 
 
-def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
+def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol):
     """Float cross-check of the evaluators behind the identities above:
     at count seeded points of each proper prefix subflag S = F[:k],
     k = 0..n-1, of each maximal flag F (vertices and the face at infinity
@@ -326,8 +328,8 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
     rows that the rule sigma -> tau reads (its alpha_terms and the terms
     of each of its rows) and the telescoped rows go through
     charts.monomial_columns; Atlas.localize_columns applies the rule
-    (charts._shifted_columns); and the gaps are scaled_gaps' terms
-    (charts.scaled_gap_column), reduced per sample by sup_gap.  The
+    (charts._shifted_columns); and the gaps are charts.scaled_gaps'
+    terms, taken row by row and reduced per sample by sup_gap.  The
     floats are the per-point floats: per point, each kernel does the
     operations of its single-point form in the same order.  A product
     starts from 1.0 and multiplies the same powers in term order, as
@@ -355,12 +357,12 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
     its Chart.hilbert_terms do not line up with H(sigma), which the
     rules index, and gluing_identities already names the flag.
 
-    Returns the counterexamples, with gap None where the point does not
-    localize or a gap is NaN; the worst passing gap goes to report, so
-    every gap is computed in full."""
+    Returns (counterexamples, samples drawn, worst passing gap), the
+    counterexamples with gap None where the point does not localize or
+    a gap is NaN; every gap is computed in full."""
     zero = atlas.fan.zero_cone()
     reads, telescoped = {}, {}
-    out = []
+    out, drawn, worst = [], 0, 0.0
     for fi, flag in enumerate(flags):
         chart = atlas.chart(flag)
         sigma = chart.top_cone
@@ -389,8 +391,8 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
             values = monomial_columns([chart.hilbert_terms[i] for i in read], w, size)
             off, local = atlas.localize_columns(sigma, dict(zip(read, values)), tau, size)
             tele = monomial_columns(telescoped[prefix], sums, size)
-            gaps = [sup_gap(g) for g in zip(*map(scaled_gap_column, local, tele))]
-            report.shared_samples += size
+            gaps = [sup_gap(g) for g in zip(*map(scaled_gaps, local, tele))]
+            drawn += size
             for sub_xi, gap, o in zip(samples, gaps, off):
                 if o or not gap <= tol:
                     out.append(
@@ -403,19 +405,20 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol, report):
                         }
                     )
                 else:
-                    report.worst_shared_gap = max(report.worst_shared_gap, gap)
-    return out
+                    worst = max(worst, gap)
+    return out, drawn, worst
 
 
-def verify_gluing(atlas: Atlas, samples_per_pair: int = 50, tol: float = 1e-9, seed: int = 0) -> GluingReport:
+def verify_gluing(atlas: Atlas, tol: float = 1e-9, seed: int = 0) -> GluingReport:
     """Certify that closed flag simplices intersect exactly in the closed
     simplex of the intersection flag.
 
     (i) Shared faces agree: exactly, by gluing_identities and, for b's
     values, verify's monomial_diagram identities (a gate, as in (ii)),
     with a float cross-check of the evaluators on the n proper prefix
-    subflags of each maximal flag, one per face map below the top cone;
-    the full flag's gap is 0.0 by construction.  Each prefix's samples
+    subflags of each maximal flag, one per face map below the top cone,
+    at SHARED_SAMPLES points each drawn from random.Random(seed); the
+    full flag's gap is 0.0 by construction.  Each prefix's samples
     are one batch, evaluated one column at a time by kernels whose
     floats are those of the point-by-point route through
     Atlas.localize.  See _subflag_cross_check.
@@ -448,12 +451,10 @@ def verify_gluing(atlas: Atlas, samples_per_pair: int = 50, tol: float = 1e-9, s
     Counterexamples are listed identities first, then shared.
     """
     flags = enumerate_flags(atlas.fan, only_maximal=True)
-    report = GluingReport(True, 0, 0.0)
-    report.identities, witnesses = gluing_identities(atlas, flags)
-    shared = _subflag_cross_check(atlas, flags, random.Random(seed), max(samples_per_pair // 2, 1), tol, report)
-    report.counterexamples = [{"kind": "identity", **w} for w in witnesses] + shared
-    report.passed = not report.counterexamples
-    return report
+    identities, witnesses = gluing_identities(atlas, flags)
+    shared, drawn, worst = _subflag_cross_check(atlas, flags, random.Random(seed), SHARED_SAMPLES, tol)
+    counterexamples = [{"kind": "identity", **w} for w in witnesses] + shared
+    return GluingReport(not counterexamples, drawn, worst, counterexamples, identities)
 
 
 # ---------------------------------------------------------------------------

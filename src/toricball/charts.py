@@ -534,16 +534,10 @@ def sup_gap(gaps) -> float:
 
 def scaled_gaps(xs, ys):
     """|a - b| / max(1, |a|, |b|) for each pair of values, lazily: the
-    terms of Atlas.value_gap."""
+    terms of Atlas.value_gap and of cellcomplex's shared-face
+    cross-check.  Lazy, since values_within stops at the first gap past
+    tol of values that _shifted yields one at a time."""
     return (abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(xs, ys))
-
-
-def scaled_gap_column(xs, ys):
-    """scaled_gaps over two equal-length sequences, one map per
-    operation: the same float operations on each pair.  scaled_gaps
-    stays lazy, since values_within stops at the first gap past tol of
-    values that _shifted yields one at a time."""
-    return list(map(truediv, map(abs, map(sub, xs, ys)), map(max, repeat(1.0), map(abs, xs), map(abs, ys))))
 
 
 def values_within(xs, ys, tol: float) -> bool:

@@ -294,39 +294,31 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="toricball", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check fan axioms and completeness")
-    p.add_argument("file")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_validate)
+    def command(name, func, summary):
+        """A command reading the fan file and writing under --out."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("file")
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("charts", help="dump per-flag chart data")
-    p.add_argument("file")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_charts)
+    command("validate", cmd_validate, "check fan axioms and completeness")
+    command("charts", cmd_charts, "dump per-flag chart data")
 
-    p = sub.add_parser("param", help="evaluate the boundary parameterization")
-    p.add_argument("file")
+    p = command("param", cmd_param, "evaluate the boundary parameterization")
     p.add_argument("--flag", type=int, required=True)
     p.add_argument("--xi", type=str, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_param)
 
-    p = sub.add_parser("verify", help="run the full certification suite")
-    p.add_argument("file")
+    p = command("verify", cmd_verify, "run the full certification suite")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.add_argument("--tamper", action="store_true", help="negative control: perturb one chart")
     p.add_argument("--timings", default=None, help="write each check's wall seconds to this JSON file")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("mesh", help="export OFF meshes of rescaled spheres")
-    p.add_argument("file")
+    p = command("mesh", cmd_mesh, "export OFF meshes of rescaled spheres")
     p.add_argument("--radii", type=str, required=True)
     p.add_argument("--res", type=int, default=8)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_mesh)
     return parser
 
 

@@ -276,24 +276,25 @@ def validate_fan(dim, rays, max_cones, require_complete=True, name="fan") -> Fan
             if f not in cones_by_rays:
                 cones_by_rays[f] = _build_cone(f, rays, n)
 
-    # Pairwise intersections of maximal cones must be common faces.
+    # Pairwise intersections of maximal cones must be common faces: the
+    # shared rays must span a face of both cones, and that face must be
+    # the intersection, whose extreme rays the dual description of the
+    # sum of the two duals gives.  Its lineality part is empty, so it is
+    # not read: the intersection lies in a, which passed the strong
+    # convexity test above.  The face tests come first, so the shared
+    # rays then key cones_by_rays, which holds every face of every
+    # maximal cone.
     for i, a in enumerate(max_sets):
         for b in max_sets[i + 1 :]:
-            ca, cb = cones_by_rays[a], cones_by_rays[b]
-            constraints = list(ca.dual_generators) + list(cb.dual_generators)
-            ilin, irays = _ck.dual_generators(constraints, n)
-            if ilin:
-                raise FaceIntersectionViolation(
-                    f"intersection of {sorted(a)} and {sorted(b)} is not strongly convex"
-                )
             shared = a & b
-            expected = cones_by_rays.get(shared)
-            got = frozenset(primitive(r) for r in irays)
-            want = frozenset(expected.generators) if expected is not None else frozenset()
-            if got != want or expected is None or shared not in faces_of[a] or shared not in faces_of[b]:
-                raise FaceIntersectionViolation(
-                    f"cones {sorted(a)} and {sorted(b)} do not meet in a common face"
-                )
+            ca, cb = cones_by_rays[a], cones_by_rays[b]
+            _, extreme = _ck.dual_generators([*ca.dual_generators, *cb.dual_generators], n)
+            if (
+                shared not in faces_of[a]
+                or shared not in faces_of[b]
+                or {primitive(r) for r in extreme} != set(cones_by_rays[shared].generators)
+            ):
+                raise FaceIntersectionViolation(f"cones {sorted(a)} and {sorted(b)} do not meet in a common face")
 
     fan = Fan(n, rays, tuple(max_sets), cones_by_rays, faces_of, name)
     if require_complete:
@@ -360,17 +361,16 @@ def star_fan(fan: Fan, sigma: Cone) -> Fan:
     any generator of tau outside sigma; a maximal cone containing sigma
     maps to the cone of the rays of the taus it contains (its faces
     containing sigma are the faces of its image).  The result is
-    revalidated as a fan of rank n - dim(sigma).
+    revalidated as a fan of rank n - dim(sigma).  A full-dimensional
+    sigma has no tau and is the one maximal cone containing itself, so
+    its star is the rank-0 fan [[]].
     """
     if sigma.rays not in fan._cones:
         raise KeyError("cone does not belong to this fan")
     proj = quotient_projection(sigma.generators, fan.dim)
-    m = proj.target_dim
-    if m == 0:
-        return validate_fan(0, (), (frozenset(),), require_complete=False, name=f"{fan.name}/star")
     taus = [tau for tau in fan.cones(dim=sigma.dim + 1) if sigma.rays < tau.rays]
     rays = [primitive(proj.apply(fan.rays[min(tau.rays - sigma.rays)])) for tau in taus]
     tops = [c for c in fan.maximal_cones() if sigma.rays <= c.rays]
     max_cones = [[i for i, tau in enumerate(taus) if tau.rays <= c.rays] for c in tops]
     name = f"{fan.name}/star{sorted(sigma.rays)}"
-    return validate_fan(m, rays, max_cones, require_complete=False, name=name)
+    return validate_fan(proj.target_dim, rays, max_cones, require_complete=False, name=name)

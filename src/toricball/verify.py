@@ -9,6 +9,7 @@ and configuration give a byte-identical report, and adding, removing or
 reordering a check leaves every other entry unchanged.  The exception,
 intersection_gluing, draws from random.Random(seed), seeded by the run's
 seed alone inside cellcomplex.verify_gluing: no other check moves it.
+Its sample count is cellcomplex.SHARED_SAMPLES, not the run's.
 
 The float cross-checks are sized by the rank n, not by the Hilbert
 basis.  A chart's point is fixed by its n triangular rows, and the exact
@@ -52,7 +53,8 @@ column order.  intersection_gluing's shared half runs the same way,
 one batch per (maximal flag, prefix subflag): the read Hilbert rows and
 the telescoped rows through the same monomial kernel
 (charts.monomial_columns, which triangular_eval calls), the rule
-through Atlas.localize_columns, the batch form of charts._shifted.  So
+through Atlas.localize_columns, the batch form of charts._shifted, and
+the gaps through charts.scaled_gaps, the terms of Atlas.value_gap.  So
 each sampled float, and each report, is the one a point-by-point loop
 gives (tests/test_charts.py and tests/test_complex.py keep those loops
 as the reference).
@@ -405,7 +407,7 @@ def _intersection_gluing(ctx):
     monomial_diagram gate; distinct interior points by the exact
     corollary of cellcomplex.verify_gluing, which rests on both gates of
     _distinct_gates; float cross-checks of the evaluators on both halves."""
-    glue = cellcomplex.verify_gluing(ctx.atlas, samples_per_pair=50, tol=ctx.tol, seed=ctx.seed)
+    glue = cellcomplex.verify_gluing(ctx.atlas, tol=ctx.tol, seed=ctx.seed)
     gates = _distinct_gates(ctx.results)
     return glue.passed and all(gates.values()), {
         "identities": glue.identities,

@@ -128,7 +128,7 @@ def test_orbit_euler_all(p1, p2, p1xp1, p3, cube_fan, p112, twisted_p3):
 
 
 def test_verify_gluing_p2(atlas_p2):
-    report = verify_gluing(atlas_p2, samples_per_pair=30, tol=1e-9, seed=0)
+    report = verify_gluing(atlas_p2, tol=1e-9, seed=0)
     assert report.passed
     assert report.worst_shared_gap <= 1e-9
     # Rows: |H(sigma)| = 2 per maximal flag.  Rules, once per maximal cone
@@ -136,7 +136,7 @@ def test_verify_gluing_p2(atlas_p2):
     # tau, with |H| = 3 on each of its two rays and 4 on the zero cone:
     # (1 + 3) + (1 + 3) + (1 + 4) = 13.
     assert report.identities == 6 * 2 + 3 * 13
-    assert report.shared_samples == 6 * 2 * 15  # (flag, proper prefix subflag) x samples
+    assert report.shared_samples == 6 * 2 * 25  # (flag, proper prefix subflag) x samples
 
 
 def test_verify_gluing_defaults_draw_25_samples_per_prefix(atlas_p2):
@@ -163,9 +163,9 @@ def test_subflag_cross_check_samples_each_prefix_top(monkeypatch, name):
 
     monkeypatch.setattr(atlas, "localize_columns", spy)
     monkeypatch.setattr(atlas, "localize", lambda p, tau: pytest.fail("a sample localized point by point"))
-    report = verify_gluing(atlas, samples_per_pair=10, seed=0)
+    report = verify_gluing(atlas, seed=0)
     assert report.passed
-    count, n = 5, atlas.fan.dim
+    count, n = 25, atlas.fan.dim
     zero = atlas.fan.zero_cone()
     assert calls == [
         (flag.cones[-1].rays, tau.rays, count, {count}) for flag in flags for tau in (zero, *flag.cones[:-1])
@@ -201,8 +201,8 @@ def test_subflag_read_rows_localize_as_the_chart_point(monkeypatch, name):
         return off, rows
 
     monkeypatch.setattr(atlas, "localize_columns", spy)
-    assert verify_gluing(atlas, samples_per_pair=10, seed=3).passed
-    rng, count, zero = random.Random(3), 5, atlas.fan.zero_cone()
+    assert verify_gluing(atlas, seed=3).passed
+    rng, count, zero = random.Random(3), 25, atlas.fan.zero_cone()
     expected = []
     for flag in flags:
         chart, n = atlas.chart(flag), len(flag)
@@ -231,13 +231,14 @@ def test_full_prefix_telescoped_terms_are_the_hilbert_terms(name):
         assert tuple(cellcomplex._telescoped_terms(generators, chart.flag.steps)) == chart.hilbert_terms
 
 
-def _per_point_cross_check(atlas, flags, rng, count, tol, report):
+def _per_point_cross_check(atlas, flags, rng, count, tol):
     """The point-by-point loop that cellcomplex._subflag_cross_check
     batches, kept as its reference: each sample becomes a ToricPoint
     carrying the read Hilbert rows, is localized by Atlas.localize and
-    compared with the telescoped monomials of its own subflag."""
+    compared with the telescoped monomials of its own subflag.  Returns
+    (counterexamples, samples drawn, worst passing gap)."""
     zero = atlas.fan.zero_cone()
-    out = []
+    out, drawn, worst = [], 0, 0.0
     for fi, flag in enumerate(flags):
         chart = atlas.chart(flag)
         if len(chart.hilbert_rows) != len(atlas.hilbert(chart.top_cone).generators):
@@ -254,7 +255,7 @@ def _per_point_cross_check(atlas, flags, rng, count, tol, report):
                 w = bary_to_delta(sub_xi + (0.0,) * (n - k))
                 point = tb.ToricPoint(chart.top_cone, dict(zip(read, charts._monomials(read_terms, w))))
                 telescoped = charts._monomials(terms, bary_to_delta(sub_xi))  # at W_0..W_{k-1}
-                report.shared_samples += 1
+                drawn += 1
                 try:
                     gap = charts.sup_gap(charts.scaled_gaps(atlas.localize(point, tau).values, telescoped))
                 except charts.NotInOpenSet:
@@ -270,25 +271,24 @@ def _per_point_cross_check(atlas, flags, rng, count, tol, report):
                         }
                     )
                 else:
-                    report.worst_shared_gap = max(report.worst_shared_gap, gap)
-    return out
+                    worst = max(worst, gap)
+    return out, drawn, worst
 
 
 def _batch_and_per_point(atlas, seed, tol=1e-9):
     """The batch cross-check and its per-point reference at one seed,
-    25 samples per prefix as in verify: each as (counterexamples with
-    xi and gap written by float.hex, worst_shared_gap by float.hex,
-    shared_samples)."""
+    SHARED_SAMPLES per prefix as in verify_gluing: each as
+    (counterexamples with xi and gap written by float.hex, worst passing
+    gap by float.hex, samples drawn)."""
     flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
     out = []
     for check in (cellcomplex._subflag_cross_check, _per_point_cross_check):
-        report = cellcomplex.GluingReport(True, 0, 0.0)
-        found = check(atlas, flags, random.Random(seed), 25, tol, report)
+        found, drawn, worst = check(atlas, flags, random.Random(seed), cellcomplex.SHARED_SAMPLES, tol)
         hexed = [
             {**c, "xi": list(map(float.hex, c["xi"])), "gap": None if c["gap"] is None else c["gap"].hex()}
             for c in found
         ]
-        out.append((hexed, report.worst_shared_gap.hex(), report.shared_samples))
+        out.append((hexed, worst.hex(), drawn))
     return out
 
 
@@ -363,7 +363,7 @@ def test_subflag_cross_check_fails_on_nan_gap(monkeypatch):
     writes the gap as None."""
     atlas = tb.Atlas(tb.load_bundled("p2"))
     _nan_in_second_value(monkeypatch, atlas)
-    report = verify_gluing(atlas, samples_per_pair=10, seed=0)
+    report = verify_gluing(atlas, seed=0)
     shared = [c for c in report.counterexamples if c["kind"] == "shared"]
     assert not report.passed and shared and all(c["gap"] is None for c in shared)
     assert report.worst_shared_gap == 0.0
@@ -469,7 +469,7 @@ def _perturbed_gluing(edit, name="p2"):
         flags,
         gluing_identities(atlas, flags),
         _per_flag_identities(atlas, flags),
-        verify_gluing(atlas, samples_per_pair=10, seed=0),
+        verify_gluing(atlas, seed=0),
     )
 
 
@@ -662,8 +662,8 @@ def test_gluing_identity_fails_on_hilbert_row_count(monkeypatch, edit):
     gluing = checks["intersection_gluing"]
     assert not gluing["passed"] and gluing["gates"] == {"monomial_diagram": True, "cover": True}
     assert gluing["counterexamples"] == [{"kind": "identity", **witness}]
-    report = verify_gluing(atlas, samples_per_pair=50, tol=1e-9, seed=0)
-    full = verify_gluing(tb.Atlas(atlas.fan), samples_per_pair=50, tol=1e-9, seed=0)
+    report = verify_gluing(atlas, tol=1e-9, seed=0)
+    full = verify_gluing(tb.Atlas(atlas.fan), tol=1e-9, seed=0)
     assert report.shared_samples == full.shared_samples - 25 * len(flags[0])
 
 
@@ -676,7 +676,7 @@ def test_verify_gluing_distinct_pin():
     own flag."""
     data = Path(__file__).parent / "data" / "gluing_wps_1_1_20_seed5"
     atlas = tb.Atlas(tb.parse_and_validate((data / "fan.json").read_text()))
-    report = verify_gluing(atlas, samples_per_pair=50, tol=1e-9, seed=5)
+    report = verify_gluing(atlas, tol=1e-9, seed=5)
     assert report.passed and report.counterexamples == []
     flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
     (pin,) = json.loads((data / "distinct.json").read_text())
@@ -727,7 +727,7 @@ def test_locate_cross_check_fails_on_perturbed_terms():
     fan, atlas = p2_with_terms(drop_first_term)
     count, failures = gluing_identities(atlas, tb.enumerate_flags(fan, only_maximal=True))
     assert count == 6 * 2 + 3 * 13 and failures == []
-    assert verify_gluing(atlas, samples_per_pair=10, seed=0).passed
+    assert verify_gluing(atlas, seed=0).passed
     passed, details = _simplex_inversion(fan, atlas)
     assert not passed and details["witness"]["flag"] == 0
 
@@ -741,7 +741,7 @@ def test_locate_cross_check_fails_on_off_inversion(monkeypatch):
     monkeypatch.setattr(charts, "invert_triangular", lambda b, y: [[w + 1e-6 for w in col] for col in invert(b, y)])
     fan = tb.load_bundled("p2")
     atlas = tb.Atlas(fan)
-    assert verify_gluing(atlas, samples_per_pair=10, seed=0).passed
+    assert verify_gluing(atlas, seed=0).passed
     passed, details = _simplex_inversion(fan, atlas)
     witness = details["witness"]
     assert not passed and details["worst_gap"] > 1e-9

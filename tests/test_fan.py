@@ -381,6 +381,7 @@ def test_star_fan_of_a_full_cone_is_the_rank_zero_fan(p2):
     assert [(c.rays, c.dim) for c in star.cones()] == [(c.rays, c.dim) for c in point.cones()]
     assert star.faces(star.zero_cone()) == point.faces(point.zero_cone())
     assert star.is_complete() == point.is_complete() == (True, None)
+    assert star.name == "p2/star[0, 1]"
 
 
 def test_star_fans_complete_everywhere(cube_fan, twisted_p3):
