@@ -41,7 +41,6 @@ from .charts import (
     psi_eval,
     psi_invert,
     theta,
-    theta_preimage,
 )
 from .cones import (
     SemigroupGens,
@@ -68,7 +67,6 @@ from .homeo import (
     nonextension_probe,
     param_boundary_point,
     phi_coords,
-    phi_inverse_coords,
     phi_jk,
     rescale_global,
     rescale_in_flag,

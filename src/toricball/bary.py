@@ -330,6 +330,11 @@ def cover_check(fan: Fan):
             dropped = next(
                 b for c, b in zip(flags[other].cones, flags[other].barycenters) if c.rays not in ridge
             )
+            # Never 0 on a valid fan, so "> 0" would decide the same: the
+            # nonzero row vanishes on the ridge's barycenters, which the
+            # other flag shares, so a 0 at its dropped one would make the
+            # other flag's n barycenters dependent, which Flag.inverse
+            # rejects.
             if pair(flag.inverse[0][k], dropped) >= 0:
                 return False, {
                     "reason": "flags on the same side of their shared ridge",
@@ -338,6 +343,8 @@ def cover_check(fan: Fan):
                 }
     point = tuple(sum(b[j] for b in flags[0].barycenters) for j in range(n)) if flags else (0,) * n
     count = len(containing_flags(fan, point))
+    # The point is interior to flag 0's own cone, so count >= 1 and
+    # "> 1" would decide the same.
     if count != 1:
         return False, {"reason": "point not in exactly one flag cone", "point": list(point), "count": count}
     return True, None

@@ -40,10 +40,6 @@ class BallModel:
     n: int
     simplices: dict  # dim -> frozenset of frozensets of vertex ids; 0 is the origin
 
-    def f_vector(self):
-        top = max(self.simplices) if self.simplices else -1
-        return tuple(len(self.simplices.get(d, ())) for d in range(top + 1))
-
     def boundary_simplices(self):
         """Simplices omitting the origin vertex: the faces at infinity."""
         out = {}
@@ -52,9 +48,6 @@ class BallModel:
             if keep:
                 out[d] = keep
         return out
-
-    def maximal_simplices(self):
-        return sorted(self.simplices.get(self.n, ()), key=sorted)
 
 
 def build_ball_model(fan: Fan, sigma: Cone | None = None) -> BallModel:
@@ -150,15 +143,6 @@ class OrbitComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d for _, d in self.cells)
-
-    def top_cells(self):
-        n = self.fan.dim
-        return [c for c, d in self.cells if d == n]
-
-    def in_closure(self, inner, outer) -> bool:
-        """cell(inner) lies in the closure of cell(outer) iff the cone of
-        outer is a face of the cone of inner."""
-        return frozenset(outer) <= frozenset(inner)
 
 
 def build_orbit_complex(fan: Fan) -> OrbitComplex:
@@ -307,7 +291,7 @@ def _telescoped_terms(generators, steps):
     """Per generator h, the nonzero (t, <h, B_(t+1) - B_t>) pairs of the
     telescoped monomial prod_t W_t^<h, B_(t+1) - B_t> (B_0 = 0, steps
     a prefix of Flag.steps), in column order, so that monomial_columns
-    gives, per point, the floats of monomial_eval."""
+    gives, per point, the floats of charts._monomials."""
     return [tuple((t, e) for t, d in enumerate(steps) if (e := pair(h, d))) for h in generators]
 
 

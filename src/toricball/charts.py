@@ -76,8 +76,8 @@ class Chart:
     @cached_property
     def terms(self) -> tuple:
         """Per row of b, its (column, exponent) pairs with a nonzero
-        exponent, in column order: psi's monomials, multiplied in the
-        order of monomial_eval."""
+        exponent, in column order: psi's monomials, each multiplied
+        from 1.0 in that order (_monomials)."""
         return tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in self.b)
 
     @cached_property
@@ -117,34 +117,10 @@ def theta(z):
     return tuple(reversed(out))
 
 
-def theta_preimage(w):
-    """A z in [0,1]^n with theta(z) = w, for w in Delta_n.
-
-    z_j = w_j / w_{j+1}; when w_{j+1} = 0 any value works and 1 is used.
-    """
-    w = list(w)
-    n = len(w)
-    z = [0.0] * n
-    for j in range(n):
-        if j == n - 1:
-            z[j] = w[j]
-        else:
-            z[j] = w[j] / w[j + 1] if w[j + 1] != 0 else 1.0
-    return tuple(z)
-
-
-def monomial_eval(exponents, w) -> float:
-    """prod_j w_j**e_j with the 0**0 == 1 convention."""
-    out = 1.0
-    for e, x in zip(exponents, w):
-        if e != 0:
-            out *= float(x) ** e
-    return out
-
-
 def _monomials(rows, w) -> tuple:
     """Each row's monomial at w, a row given by its nonzero (column,
-    exponent) terms in column order: the float monomial_eval gives.
+    exponent) terms in column order: prod_j w_j**e_j, multiplied from
+    1.0 in column order (a zero exponent has no term, so 0**0 == 1).
 
     The single-point evaluator, behind psi_eval and Atlas.chart_point.
     monomial_columns is its batch form: per point it starts from 1.0
@@ -350,8 +326,9 @@ class Atlas:
 
     def chart_point(self, chart: Chart, w) -> ToricPoint:
         """ToricPoint of the chart's top cone at simplex coordinates w:
-        psi's monomials at the Hilbert rows only, multiplied in the order
-        of monomial_eval, so each value is the same float."""
+        psi's monomials at the Hilbert rows only, by psi_eval's kernel
+        (_monomials), so each value is the float psi_eval gives at that
+        row."""
         return ToricPoint(cone=chart.top_cone, values=_monomials(chart.hilbert_terms, w))
 
     def commutativity_residual(self, chart: Chart, x) -> float:
@@ -420,22 +397,6 @@ class Atlas:
         Returns (off, rows) as _shifted_columns does."""
         return _shifted_columns(self._localization_rule(sigma, tau), columns, count)
 
-    def value_gap(self, p: ToricPoint, q: ToricPoint):
-        """Sup gap between two points after localizing both to the chart
-        of their carriers' intersection cone, each term scaled by the
-        magnitude of the values (localized values may leave [0, 1]);
-        NaN when some term is NaN (see sup_gap).
-
-        None when at most one of them localizes: the points then live in
-        different charts and are distinct.
-        """
-        shared = self.fan.cone(p.cone.rays & q.cone.rays)
-        lp = self._local_values(p, shared)
-        lq = self._local_values(q, shared)
-        if lp is None or lq is None:
-            return None
-        return sup_gap(scaled_gaps(lp, lq))
-
     def points_equal(self, p: ToricPoint, q: ToricPoint, tol: float = 1e-9) -> bool:
         """Whether two intrinsic points coincide in the variety: both
         localize to the shared chart and their value gap is within tol.
@@ -448,8 +409,8 @@ class Atlas:
 
     def _local_values(self, p: ToricPoint, tau: Cone):
         """p's values on the chart of tau, lazily, or None off it: the
-        one route from a point to a face chart, for localize, value_gap
-        and points_equal."""
+        one route from a point to a face chart, for localize and
+        points_equal."""
         rule = self._localization_rule(p.cone, tau)
         return p.values if rule[0] == "identity" else _shifted(rule, p.values)
 
@@ -534,9 +495,10 @@ def sup_gap(gaps) -> float:
 
 def scaled_gaps(xs, ys):
     """|a - b| / max(1, |a|, |b|) for each pair of values, lazily: the
-    terms of Atlas.value_gap and of cellcomplex's shared-face
-    cross-check.  Lazy, since values_within stops at the first gap past
-    tol of values that _shifted yields one at a time."""
+    terms of Atlas.points_equal's test (values_within) and of
+    cellcomplex's shared-face cross-check.  Lazy, since values_within
+    stops at the first gap past tol of values that _shifted yields one
+    at a time."""
     return (abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(xs, ys))
 
 

@@ -42,16 +42,6 @@ def phi_coords(u):
     return tuple(phi_jk(u, j) for j in range(1, len(u) + 1))
 
 
-def phi_inverse_coords(v):
-    """Exact inverse of phi_coords: u_j = (e^(2 pi v_j) - 1) e^(2 pi sum_{i<j} v_i)."""
-    out = []
-    prefix = 0.0
-    for vj in v:
-        out.append((math.exp(TWO_PI * float(vj)) - 1.0) * math.exp(TWO_PI * prefix))
-        prefix += float(vj)
-    return tuple(out)
-
-
 def phi_point(generators, u, n: int):
     """Phi of simplicial coordinates u on the cone of the given
     barycenters, re-assembled as a point of R^n in that basis."""
@@ -107,19 +97,22 @@ def bary_to_delta(xi):
     return tuple(out)
 
 
-def check_barycentric(xi, tol: float = 1e-12):
+BARYCENTRIC_TOL = 1e-12  # check_barycentric's float slack
+
+
+def check_barycentric(xi):
     """Raise ValueError unless xi is a barycentric vector: finite entries,
-    none below -tol, and a sum of exactly 1 when every entry is an int or
-    Fraction, else a float sum within tol of 1."""
+    none below -BARYCENTRIC_TOL, and a sum of exactly 1 when every entry
+    is an int or Fraction, else a float sum within BARYCENTRIC_TOL of 1."""
     floats = tuple(map(float, xi))
     if not all(map(math.isfinite, floats)):
         raise ValueError("barycentric coordinates must be finite")
-    if any(v < -tol for v in floats):
+    if any(v < -BARYCENTRIC_TOL for v in floats):
         raise ValueError("barycentric coordinates must be nonnegative")
     if all(isinstance(x, (int, Fraction)) for x in xi):
         off = sum(xi) != 1
     else:
-        off = abs(sum(floats) - 1.0) > tol
+        off = abs(sum(floats) - 1.0) > BARYCENTRIC_TOL
     if off:
         raise ValueError("barycentric coordinates must sum to 1")
 
@@ -139,8 +132,8 @@ def param_boundary_point(atlas: Atlas, flag: Flag, xi) -> ToricPoint:
         theta(e^(-2 pi Phi(u)))_j = prod_(i >= j) (1 + U_(i-1)) / (1 + U_i)
                                   = (1 + U_(j-1)) / (1 + U_n),
 
-    which is bary_to_delta(simplicial_to_barycentric(u))_j, the
-    partial sum xi_0 + ... + xi_(j-1) at xi_0 = 1 / (1 + U_n),
+    which is bary_to_delta(xi)_j, the partial sum xi_0 + ... + xi_(j-1),
+    at the compactifying chart's xi_0 = 1 / (1 + U_n),
     xi_i = u_i / (1 + U_n).  The evaluators behind psi . theta . exp are
     cross-checked on every chart by verify's monomial_diagram
     (_diagram_residuals).
@@ -151,12 +144,6 @@ def param_boundary_point(atlas: Atlas, flag: Flag, xi) -> ToricPoint:
     chart = atlas.chart(flag)
     w = tuple(float(v) for v in bary_to_delta(xi))
     return atlas.chart_point(chart, w)
-
-
-def simplicial_to_barycentric(u):
-    """xi_0 = 1/(1+sum u), xi_j = u_j/(1+sum u): the compactifying chart."""
-    total = 1 + sum(u)
-    return tuple([1 / total] + [uj / total for uj in u])
 
 
 def nonextension_probe(atlas: Atlas, flag: Flag, c: float, s: float):

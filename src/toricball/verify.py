@@ -1,9 +1,9 @@
 """The certification suite: a table of named checks over one context.
 
 Each check reads the shared Context (fan, atlas, maximal flag charts,
-rank, tolerance, sample count, its own seeded generator and the results
-of the checks before it) and returns (passed, details), or None when it
-does not apply to the fan.  Checks run in table order.  Each draws from
+tolerance, sample count, its own seeded generator and the results of
+the checks before it; the rank is the fan's) and returns (passed,
+details), or None when it does not apply to the fan.  Checks run in table order.  Each draws from
 a generator seeded by the run's seed and its own name, so a fixed seed
 and configuration give a byte-identical report, and adding, removing or
 reordering a check leaves every other entry unchanged.  The exception,
@@ -54,7 +54,7 @@ one batch per (maximal flag, prefix subflag): the read Hilbert rows and
 the telescoped rows through the same monomial kernel
 (charts.monomial_columns, which triangular_eval calls), the rule
 through Atlas.localize_columns, the batch form of charts._shifted, and
-the gaps through charts.scaled_gaps, the terms of Atlas.value_gap.  So
+the gaps through charts.scaled_gaps, the terms of Atlas.points_equal.  So
 each sampled float, and each report, is the one a point-by-point loop
 gives (tests/test_charts.py and tests/test_complex.py keep those loops
 as the reference).
@@ -71,12 +71,14 @@ another check already runs, and the facts that cover them:
   supported Euler characteristics (-1)^dim sigma sum to (-1)^n), and the
   zero cone is the only top cell.  Only an incomplete fan could fail
   it, and cover fails there too.  regularity reports the cell count.
-- theta_map: theta maps [0, 1]^n into the chain
-  0 <= w_1 <= ... <= w_n <= 1 and theta_preimage inverts it, a float
-  identity at the rank n whatever the fan
+- theta_map: theta maps [0, 1]^n onto the chain
+  0 <= w_1 <= ... <= w_n <= 1 (z_j = w_j / w_(j+1) is a preimage), a
+  float identity at the rank n whatever the fan
   (tests/test_charts.py::test_theta_image_in_simplex, for n <= 8).
-- rescale_roundtrip: phi_inverse_coords inverts phi_coords, likewise
-  (tests/test_homeo.py::test_phi_roundtrip_property, for k <= 8).
+- rescale_roundtrip: the closed-form inverse
+  u_j = (e^(2 pi v_j) - 1) e^(2 pi (v_1 + ... + v_(j-1))) inverts
+  phi_coords, likewise (tests/test_homeo.py::test_phi_roundtrip_property,
+  for k <= 8).
 - semigroup_law: an embedded point's values multiply along every
   relation h_i + h_j = h_k + h_l of a Hilbert basis.  Its values are
   e^(-2 pi <h, x>) of an exact bilinear pairing (charts.exp_pairings),
@@ -114,7 +116,9 @@ Negative controls, each a test in tests/test_verify.py unless named:
 
 - chart_invariants: a replaced chart (test_check_fails_under_its_control);
   Chart.terms alone perturbed, or one Chart.hilbert_terms row
-  (test_chart_invariants_fail_on_perturbed_terms).
+  (test_chart_invariants_fail_on_perturbed_terms); a zero diagonal
+  entry of b, with Chart.terms following b, which the positive-diagonal
+  clause alone counts (test_chart_invariants_fail_on_zero_diagonal).
 - simplex_inversion, nonextension_probe: a replaced helper
   (test_check_fails_under_its_control); for simplex_inversion also an
   inversion that returns NaN (test_simplex_inversion_fails_on_nan_gaps),
@@ -136,7 +140,10 @@ Negative controls, each a test in tests/test_verify.py unless named:
   residual_witness names (test_off_pairing_row_forms_its_own_residual_group).
 - cover: incomplete fans of rank 2 and 3 (test_cover_fails_on_incomplete_fans).
 - regularity: incomplete fans of rank 2 and 3, where the zero-cone
-  cell names its pseudomanifold issues (test_regularity_names_failing_cells).
+  cell names its pseudomanifold issues (test_regularity_names_failing_cells);
+  the ball model of two copies of P^2, every interior ridge in two tops,
+  which pseudomanifold_check fails by its connectivity clause alone
+  (test_complex.py::test_pseudomanifold_fails_on_two_disjoint_spheres).
 - hilbert_minimality: a generator sum added to every basis
   (test_cli.py::test_hilbert_minimality_names_witnesses).
 - intersection_gluing: a perturbed localization rule row or cutting
@@ -152,7 +159,9 @@ Negative controls, each a test in tests/test_verify.py unless named:
   which names monomial_diagram as a failed gate; a NaN localized value
   (test_complex.py::test_subflag_cross_check_fails_on_nan_gap); a
   localization rule cut short by one row, which the per-flag reference
-  misses (test_complex.py::test_gluing_identity_fails_on_truncated_rule).
+  misses (test_complex.py::test_gluing_identity_fails_on_truncated_rule);
+  a zero cutting functional, which vanishes on sigma's rays off tau
+  (test_complex.py::test_gluing_identity_fails_on_zero_cutting_functional).
 """
 
 from __future__ import annotations
@@ -184,7 +193,6 @@ class Context:
     fan: Fan
     atlas: charts.Atlas
     charts: list  # one per maximal flag, in enumeration order
-    n: int
     tol: float
     samples: int
     seed: int
@@ -369,7 +377,7 @@ def _simplex_inversion(ctx):
     worst, worst_group = 0.0, None
     for flags in groups.values():
         chart = ctx.charts[flags[0]]
-        points = _delta_samples(ctx.rng, ctx.n, INVERSION_SAMPLES)
+        points = _delta_samples(ctx.rng, ctx.fan.dim, INVERSION_SAMPLES)
         back = charts.invert_triangular(chart.b[: chart.n], charts.triangular_eval(chart, list(zip(*points))))
         gap = charts.sup_gap(map(_sup_gap, zip(*points), back))
         if worst == worst and not gap <= worst:  # a new worst, or the first NaN
@@ -464,7 +472,7 @@ def _nonextension_probe(ctx):
     """Rank 2 only: the plain exponential limit is path dependent.  The
     probe runs in the chart of the first maximal flag, which the report
     names."""
-    if ctx.n != 2:
+    if ctx.fan.dim != 2:
         return None
     vals = [homeo.nonextension_probe(ctx.atlas, ctx.charts[0].flag, c, s) for c in (1.0, 2.0) for s in (0.5, 3.0, 9.0)]
     second = [v[1] for v in vals]
@@ -518,7 +526,6 @@ def run_verification(
         fan=fan,
         atlas=atlas,
         charts=chart_list,
-        n=fan.dim,
         tol=tol,
         samples=samples,
         seed=seed,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 import toricball as tb
 from toricball.bary import barycenter
+from toricball.charts import TWO_PI
 from toricball.exact import primitive, vec, vscale
 from toricball.fan import Fan, _build_cone
 
@@ -42,6 +44,17 @@ def cover_samples(fan, count, seed, box=7):
     for _ in range(count):
         samples.append(tuple(rng.randint(-box, box) for _ in range(fan.dim)))
     return samples
+
+
+def phi_inverse_coords(v):
+    """The closed-form inverse of homeo.phi_coords, the reference of its
+    round trips: u_j = (e^(2 pi v_j) - 1) e^(2 pi sum_{i<j} v_i)."""
+    out = []
+    prefix = 0.0
+    for vj in v:
+        out.append((math.exp(TWO_PI * float(vj)) - 1.0) * math.exp(TWO_PI * prefix))
+        prefix += float(vj)
+    return tuple(out)
 
 
 def cube_faces_fan():

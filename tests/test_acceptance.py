@@ -24,10 +24,9 @@ from toricball.homeo import (
     nonextension_probe,
     param_boundary_point,
     phi_coords,
-    phi_inverse_coords,
 )
 
-from conftest import get_atlas, get_fan
+from conftest import get_atlas, get_fan, phi_inverse_coords
 from test_cones import box_points_in_dual, oracle_generates
 
 BUNDLED = list(tb.BUNDLED_FANS)
@@ -43,7 +42,7 @@ def test_criterion_01_simplex_counts():
     counts = {}
     for n, name in ((1, "p1"), (2, "p1xp1"), (3, "p1xp1xp1")):
         model = build_ball_model(get_fan(name))
-        counts[name] = len(model.maximal_simplices())
+        counts[name] = len(model.simplices[model.n])
         if counts[name] != 2**n * math.factorial(n):
             report(1, False, f"{name}: {counts[name]}")
     report(1, True, str(counts))
@@ -64,8 +63,9 @@ def test_criterion_02_ball_sphere_combinatorics():
 
 def test_criterion_03_orbit_complex():
     for name in BUNDLED:
-        orbit = build_orbit_complex(get_fan(name))
-        ok = orbit.euler_characteristic() == 1 and len(orbit.top_cells()) == 1
+        fan = get_fan(name)
+        orbit = build_orbit_complex(fan)
+        ok = orbit.euler_characteristic() == 1 and sum(d == fan.dim for _, d in orbit.cells) == 1
         if not ok:
             report(3, False, name)
     report(3, True, f"{len(BUNDLED)} fans")

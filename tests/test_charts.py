@@ -26,15 +26,37 @@ from toricball.charts import (
     exp_flag,
     exp_pairings,
     invert_triangular,
-    monomial_eval,
     psi_eval,
     psi_invert,
     theta,
-    theta_preimage,
     triangular_eval,
 )
 
 TWO_PI = 2 * math.pi
+
+
+def _monomial_eval(exponents, w) -> float:
+    """prod_j w_j**e_j with the 0**0 == 1 convention, from a dense
+    exponent row: the reference of psi_eval."""
+    out = 1.0
+    for e, x in zip(exponents, w):
+        if e != 0:
+            out *= float(x) ** e
+    return out
+
+
+def _theta_preimage(w):
+    """A z in [0,1]^n with theta(z) = w, for w in Delta_n: z_j =
+    w_j / w_{j+1}, and 1 when w_{j+1} = 0."""
+    w = list(w)
+    n = len(w)
+    z = [0.0] * n
+    for j in range(n):
+        if j == n - 1:
+            z[j] = w[j]
+        else:
+            z[j] = w[j] / w[j + 1] if w[j + 1] != 0 else 1.0
+    return tuple(z)
 
 
 def _chart(atlas, *raysets):
@@ -108,24 +130,18 @@ def test_theta_four_coordinates():
 def test_theta_examples():
     assert theta((1.0, 1.0, 1.0)) == (1.0, 1.0, 1.0)
     assert theta((0.5, 0.5)) == (0.25, 0.5)
+    # A zero coordinate zeroes every w_j at or below it.
+    assert theta((1.0, 0.0, 0.5)) == (0.0, 0.0, 0.5)
 
 
 @given(st.integers(1, 8).flatmap(lambda n: st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
 @settings(max_examples=300, deadline=None)
 def test_theta_image_in_simplex(z):
     """theta maps [0, 1]^n into the chain 0 <= w_1 <= ... <= w_n <= 1,
-    compared exactly, and theta_preimage inverts it to 1e-12."""
+    compared exactly, and onto it: _theta_preimage inverts it to 1e-12."""
     w = theta(z)
     assert 0.0 <= w[0] and all(a <= b for a, b in zip(w, w[1:])) and w[-1] <= 1.0
-    assert max(abs(a - b) for a, b in zip(theta(theta_preimage(w)), w)) <= 1e-12
-
-
-def test_theta_preimage():
-    w = (0.25, 0.5)
-    assert theta(theta_preimage(w)) == w
-    # Zero suffix: w2 = 0 forces the convention z1 = 1.
-    assert theta_preimage((0.0, 0.0, 0.5)) == (1.0, 0.0, 0.5)
-    assert theta(theta_preimage((0.0, 0.0, 0.5))) == (0.0, 0.0, 0.5)
+    assert max(abs(a - b) for a, b in zip(theta(_theta_preimage(w)), w)) <= 1e-12
 
 
 def test_psi_eval_examples(atlas_p2):
@@ -137,8 +153,10 @@ def test_psi_eval_examples(atlas_p2):
 
 
 def test_monomial_zero_conventions():
-    assert monomial_eval((0, 0), (0.0, 0.0)) == 1.0
-    assert monomial_eval((2, 0), (0.0, 0.7)) == 0.0
+    # A zero exponent has no term, so 0**0 == 1; rows as Chart.terms.
+    assert charts._monomials([(), ((0, 2),)], (0.0, 0.7)) == (1.0, 0.0)
+    assert _monomial_eval((0, 0), (0.0, 0.0)) == 1.0
+    assert _monomial_eval((2, 0), (0.0, 0.7)) == 0.0
 
 
 def test_invert_triangular_by_hand():
@@ -175,7 +193,7 @@ def test_invert_triangular_synthetic_family():
         prefix = rng.randint(0, n)
         tail = sorted(rng.random() for _ in range(n - prefix))
         w = tuple([0.0] * prefix + tail)
-        y = [monomial_eval(row, w) for row in b]
+        y = [_monomial_eval(row, w) for row in b]
         back = [v for (v,) in invert_triangular(b, [[v] for v in y])]
         assert max(abs(a - c) for a, c in zip(w, back)) < 1e-10
 
@@ -382,7 +400,7 @@ def test_concurrent_reads_consistent(atlas_p2):
 
 def test_psi_eval_matches_row_by_row_monomial_eval():
     """psi_eval and psi_invert's residual read Chart.terms; both give
-    the floats of monomial_eval row by row, including 0**0 == 1 where a
+    the floats of _monomial_eval row by row, including 0**0 == 1 where a
     zero coordinate meets a zero exponent.  Chart.hilbert_terms are the
     same tuples as the Hilbert rows' terms, not a copy."""
     path = Path(__file__).parent / "data" / "golden" / "verify_wps_1_1_1_9" / "fan.json"
@@ -393,9 +411,9 @@ def test_psi_eval_matches_row_by_row_monomial_eval():
         for _ in range(10):
             w = tuple(sorted(rng.choice((0.0, rng.random())) for _ in range(chart.n)))
             y = psi_eval(chart, w)
-            assert y == tuple(monomial_eval(row, w) for row in chart.b)
+            assert y == tuple(_monomial_eval(row, w) for row in chart.b)
             back = psi_invert(chart, y, tol=1.0)
-            residual = max(abs(monomial_eval(row, back) - yi) for row, yi in zip(chart.b, y))
+            residual = max(abs(_monomial_eval(row, back) - yi) for row, yi in zip(chart.b, y))
             if residual > 0:
                 with pytest.raises(NotInImage) as err:
                     psi_invert(chart, y, tol=residual / 2)
@@ -558,17 +576,31 @@ def _point_pair(draw, atlas):
 _P112 = get_atlas("p112")
 
 
+def _value_gap(atlas, p, q):
+    """Sup gap between two points after localizing both to the chart of
+    their carriers' intersection cone, each term scaled by the magnitude
+    of the values; NaN when some term is NaN (see sup_gap), and None
+    when at most one of them localizes.  The reference of points_equal,
+    which stops at the first gap past tol."""
+    shared = atlas.fan.cone(p.cone.rays & q.cone.rays)
+    lp = atlas._local_values(p, shared)
+    lq = atlas._local_values(q, shared)
+    if lp is None or lq is None:
+        return None
+    return charts.sup_gap(charts.scaled_gaps(lp, lq))
+
+
 @given(_point_pair(_P112), st.sampled_from([1e-9, 0.0, 0.5, math.inf, math.nan]))
 @settings(max_examples=400, deadline=None)
 def test_points_equal_matches_value_gap(points, tol):
     """points_equal stops at the first coordinate whose gap exceeds tol
-    or is NaN, yet answers as value_gap(p, q) <= tol does: value_gap is
+    or is NaN, yet answers as _value_gap(p, q) <= tol does: the gap is
     NaN when any gap is (charts.sup_gap), so a NaN anywhere makes both
     say "not equal".  Each coordinate's own gap is tried as tol too, so
     ties at tol are covered."""
     p, q = points
     shared = _P112.fan.cone(p.cone.rays & q.cone.rays)
-    gap = _P112.value_gap(p, q)
+    gap = _value_gap(_P112, p, q)
     tols = [tol]
     if gap is not None:
         lp, lq = _P112.localize(p, shared).values, _P112.localize(q, shared).values
@@ -590,19 +622,19 @@ def test_underflowing_shift_is_off_the_open_chart():
     ray0 = fan.cone({0})
     for values in [(0.5, 0.5, 0.5), (1.0, 1.0, 1.0), (0.0, 1e-200, 1.0)]:
         q = ToricPoint(ray0, values)
-        assert _P112.value_gap(p, q) is None and _P112.value_gap(q, p) is None
+        assert _value_gap(_P112, p, q) is None and _value_gap(_P112, q, p) is None
         assert _P112.points_equal(p, q) is False and _P112.points_equal(q, p) is False
 
 
 def test_nan_after_the_first_value_is_not_equal():
-    """On p112 at cone {0}, a NaN in a later value: value_gap is NaN and
+    """On p112 at cone {0}, a NaN in a later value: _value_gap is NaN and
     points_equal answers False, however loose the tolerance (max alone
     would keep the first gap, 0.0, and drop the NaN)."""
     ray0 = _P112.fan.cone({0})
     p = ToricPoint(ray0, (0.5, 0.5, 0.5))
     for values in [(0.5, math.nan, math.nan), (0.5, 0.5, math.nan), (math.nan, 0.5, 0.5)]:
         q = ToricPoint(ray0, values)
-        assert math.isnan(_P112.value_gap(p, q)) and math.isnan(_P112.value_gap(q, p))
+        assert math.isnan(_value_gap(_P112, p, q)) and math.isnan(_value_gap(_P112, q, p))
         assert _P112.points_equal(p, q, tol=math.inf) is False and _P112.points_equal(q, p) is False
 
 

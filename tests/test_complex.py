@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import toricball as tb
-from conftest import cube_faces_fan, drop_first_term, p2_with_terms, stellar_fan, wps_fan
+from conftest import cube_faces_fan, drop_first_term, p2_with_terms, stellar_fan, unvalidated_fan, wps_fan
 from toricball import cellcomplex, charts, verify
 from toricball.bary import locate_flag
 from toricball.cellcomplex import (
@@ -22,7 +22,7 @@ from toricball.cellcomplex import (
     verify_gluing,
     verify_regularity,
 )
-from toricball.charts import TWO_PI, invert_triangular, theta_preimage, triangular_eval
+from toricball.charts import TWO_PI, invert_triangular, triangular_eval
 from toricball.exact import pair
 from toricball.fan import star_fan, validate_fan
 from toricball.homeo import bary_to_delta
@@ -32,7 +32,7 @@ WPS_1_1_1_9 = Path(__file__).parent / "data" / "golden" / "verify_wps_1_1_1_9" /
 
 def test_ball_model_p1(p1):
     model = build_ball_model(p1)
-    assert len(model.maximal_simplices()) == 2
+    assert len(model.simplices[model.n]) == 2
     assert euler_characteristic(model.simplices) == 1
     boundary = model.boundary_simplices()
     assert euler_characteristic(boundary) == 2  # two points
@@ -42,7 +42,7 @@ def test_ball_model_p1(p1):
 def test_ball_model_p2(p2):
     model = build_ball_model(p2)
     # 7 vertices (origin + 6 cones), 12 edges, 6 triangles.
-    assert model.f_vector() == (7, 12, 6)
+    assert {d: len(s) for d, s in model.simplices.items()} == {0: 7, 1: 12, 2: 6}
     assert euler_characteristic(model.simplices) == 1
     boundary = model.boundary_simplices()
     # Boundary hexagon: 6 vertices, 6 edges.
@@ -53,7 +53,7 @@ def test_ball_model_p2(p2):
 
 def test_ball_model_cube_fan(cube_fan):
     model = build_ball_model(cube_fan)
-    assert len(model.maximal_simplices()) == 48
+    assert len(model.simplices[model.n]) == 48
     assert euler_characteristic(model.simplices) == 1
     assert euler_characteristic(model.boundary_simplices()) == 2
     assert pseudomanifold_check(model).passed
@@ -63,7 +63,7 @@ def test_ball_model_matches_flag_count(p3, twisted_p3):
     for fan in (p3, twisted_p3):
         model = build_ball_model(fan)
         flags = tb.enumerate_flags(fan, only_maximal=True)
-        assert len(model.maximal_simplices()) == len(flags)
+        assert len(model.simplices[model.n]) == len(flags)
         boundary = model.boundary_simplices()
         assert len(boundary[fan.dim - 1]) == len(flags)
 
@@ -104,27 +104,42 @@ def test_pseudomanifold_fails_on_incomplete():
     assert report.issues  # names the unpaired faces
 
 
+def test_pseudomanifold_fails_on_two_disjoint_spheres():
+    """The ball model of two copies of P^2 (a Fan that validate_fan
+    rejects for its duplicate rays): every interior ridge lies in two
+    tops, so the connectivity clause alone fails it."""
+    rays, cones = [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 0]]
+    fan = unvalidated_fan(rays * 2, [*cones, *([i + 3 for i in c] for c in cones)])
+    report = pseudomanifold_check(build_ball_model(fan))
+    assert report.issues == ("dual adjacency graph of top simplices is disconnected",)
+    assert not report.passed
+
+
 def test_orbit_complex_p2(p2):
     orbit = build_orbit_complex(p2)
     # 3 zero-cells (max cones), 3 one-cells (rays), 1 two-cell.
     dims = sorted(d for _, d in orbit.cells)
     assert dims == [0, 0, 0, 1, 1, 1, 2]
     assert orbit.euler_characteristic() == 1
-    assert orbit.top_cells() == [()]
+    assert [c for c, d in orbit.cells if d == p2.dim] == [()]
 
 
 def test_orbit_complex_incidence(p2):
     orbit = build_orbit_complex(p2)
-    # Closure of the ray cell contains the adjacent fixed points.
-    assert orbit.in_closure((0, 1), (0,))
-    assert not orbit.in_closure((0,), (0, 1))
+    # Incidence reverses cone inclusion: the closure of the ray cell
+    # contains the fixed points of the two maximal cones through the ray,
+    # and a cell lies in the closure of a cell of a face of its cone only
+    # when its dimension is lower.
+    dims = dict(orbit.cells)
+    assert [c for c in dims if {0} < set(c)] == [(0, 1), (0, 2)]
+    assert all(dims[inner] < dims[outer] for inner in dims for outer in dims if set(outer) < set(inner))
 
 
 def test_orbit_euler_all(p1, p2, p1xp1, p3, cube_fan, p112, twisted_p3):
     for fan in (p1, p2, p1xp1, p3, cube_fan, p112, twisted_p3):
         orbit = build_orbit_complex(fan)
         assert orbit.euler_characteristic() == 1
-        assert len(orbit.top_cells()) == 1
+        assert sum(d == fan.dim for _, d in orbit.cells) == 1
 
 
 def test_verify_gluing_p2(atlas_p2):
@@ -522,6 +537,24 @@ def test_gluing_identity_fails_on_perturbed_cutting_functional():
     assert 0 in [w["flag"] for w in old_cuts] and not report.passed
 
 
+def test_gluing_identity_fails_on_zero_cutting_functional():
+    """A rule whose cutting functional is 0 (no alpha terms): it
+    vanishes on tau's rays, as it should, but also on sigma's rays off
+    tau, which the certificate names by the cutting_functional witness."""
+    state = {}
+
+    def edit(atlas, flag):
+        sigma, tau = flag.cones[-1], flag.cones[0]
+        kind, _, rows, top = atlas._localization_rule(sigma, tau)
+        atlas._local_rules[(sigma.rays, tau.rays)] = (kind, (), rows, top)
+        state.update(cone=sorted(sigma.rays), face=sorted(tau.rays))
+
+    _, (_, failures), _, report = _perturbed_gluing(edit)
+    cuts = [w for w in failures if "cutting_functional" in w]
+    assert cuts == [{"cone": state["cone"], "face": state["face"], "cutting_functional": [0, 0]}]
+    assert not report.passed
+
+
 def test_gluing_identity_fails_on_truncated_rule():
     """A localization rule missing a row fails the certificate, with the
     count of rows it has and should have, though its other rows hold;
@@ -683,7 +716,8 @@ def test_verify_gluing_distinct_pin():
     for f, xi in zip(pin["flags"], pin["xi"]):
         chart = atlas.chart(flags[f])
         back = invert_triangular(chart.b[: chart.n], triangular_eval(chart, [[v] for v in bary_to_delta(xi)]))
-        u = [-math.log(z) / TWO_PI for z in theta_preimage([v for (v,) in back])]
+        w = [v for (v,) in back] + [1.0]
+        u = [-math.log(a / b) / TWO_PI for a, b in zip(w, w[1:])]
         assert all(uk > 0 for uk in u)
         x = tuple(sum(uk * b[t] for uk, b in zip(u, flags[f].barycenters)) for t in range(chart.n))
         assert locate_flag(atlas.fan, x) == flags[f]
@@ -714,7 +748,7 @@ def test_points_equal_distinct_pin():
 def _simplex_inversion(fan, atlas):
     """verify's simplex_inversion check on atlas, which may be perturbed."""
     chart_list = atlas.charts()
-    ctx = verify.Context(fan, atlas, chart_list, fan.dim, 1e-9, 0, 0, random.Random(0))
+    ctx = verify.Context(fan, atlas, chart_list, 1e-9, 0, 0, random.Random(0))
     return verify._simplex_inversion(ctx)
 
 
@@ -806,7 +840,7 @@ def test_nonsimplicial_fan_end_to_end():
     fan = cube_faces_fan()
     model = build_ball_model(fan)
     # Flags through square cones: 6 cones x (4 ridges x 2 rays) = 48.
-    assert len(model.maximal_simplices()) == 48
+    assert len(model.simplices[model.n]) == 48
     assert euler_characteristic(model.simplices) == 1
     assert pseudomanifold_check(model).passed
     atlas = tb.Atlas(fan)

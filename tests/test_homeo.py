@@ -18,12 +18,12 @@ from toricball.homeo import (
     nonextension_probe,
     param_boundary_point,
     phi_coords,
-    phi_inverse_coords,
     phi_jk,
     rescale_global,
     rescale_in_flag,
-    simplicial_to_barycentric,
 )
+
+from conftest import phi_inverse_coords
 
 TWO_PI = 2 * math.pi
 
@@ -42,12 +42,6 @@ def test_phi_coords_k3_formula():
     s = [1.0, 1.3, 2.5, 3.2]
     expected = tuple(math.log(s[j + 1] / s[j]) / TWO_PI for j in range(3))
     assert max(abs(a - b) for a, b in zip(v, expected)) < 1e-15
-
-
-def test_phi_inverse_examples():
-    assert phi_inverse_coords((0.0, 0.0)) == (0.0, 0.0)
-    u = phi_inverse_coords((math.log(2) / TWO_PI,))
-    assert abs(u[0] - 1.0) < 1e-12
 
 
 def test_phi_roundtrip_property():
@@ -136,13 +130,6 @@ def test_bary_to_delta_partial_sums():
     assert all(a <= b for a, b in zip(w, w[1:])) and w[-1] <= 1
 
 
-def test_barycentric_simplicial_roundtrip():
-    u = (Fraction(1, 2), Fraction(3), Fraction(0))
-    xi = simplicial_to_barycentric(u)
-    assert sum(xi) == 1
-    assert tuple(x / xi[0] for x in xi[1:]) == u
-
-
 def test_check_barycentric():
     check_barycentric((0.25, 0.25, 0.5))
     with pytest.raises(ValueError, match="sum to 1"):
@@ -224,11 +211,14 @@ def test_composite_identity_interior(atlas_p2):
 @settings(max_examples=300, deadline=None)
 def test_telescoping_identity(u):
     """theta(e^(-2 pi Phi(u)))_j = (1 + u_1 + ... + u_(j-1)) / (1 + sum u)
-    = bary_to_delta(simplicial_to_barycentric(u))_j over u >= 0: the
+    = bary_to_delta(xi)_j over u >= 0, at the compactifying chart's
+    xi_0 = 1 / (1 + sum u), xi_j = u_j / (1 + sum u): the
     fan-independent identity behind param_boundary_point on the
     interior, which replaced verify's barycentric_composite."""
     ratios = [(1 + sum(u[:j])) / (1 + sum(u)) for j in range(len(u))]
-    for route in (theta(exp_flag(phi_coords(u))), bary_to_delta(simplicial_to_barycentric(u))):
+    total = 1 + sum(u)
+    xi = (1 / total, *(uj / total for uj in u))
+    for route in (theta(exp_flag(phi_coords(u))), bary_to_delta(xi)):
         assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(route, ratios, strict=True))
 
 

@@ -4,8 +4,9 @@ only in a traced benchmark run; the package imports only the standard
 library, as its empty `dependencies` promises; the elimination kernel
 exact._rref has one front end, and no library function calls exact.rank;
 cli.main alone writes to stderr; verify reports are strict JSON, with no
-NaN or Infinity, even when a float check sees NaN; and every check in
-verify.CHECKS keeps a negative control that exists."""
+NaN or Infinity, even when a float check sees NaN; every check in
+verify.CHECKS keeps a negative control that exists; the README's library
+sketch runs; and every public name of the library has a reader."""
 
 import ast
 import importlib
@@ -34,6 +35,15 @@ def _tracer_tables():
                 if isinstance(target, ast.Name) and target.id in ("FUNCTIONS", "ATLAS_METHODS"):
                     tables[target.id] = ast.literal_eval(node.value)
     return tables["FUNCTIONS"], tables["ATLAS_METHODS"]
+
+
+def test_readme_library_sketch_runs():
+    """The README's library sketch runs as shown, so a public name it
+    uses cannot be removed or renamed without editing it."""
+    _, _, section = (ROOT / "README.md").read_text().partition("\n## Library sketch\n")
+    code = re.search(r"```python\n(.*?)```", section, re.S)
+    assert code
+    exec(compile(code.group(1), "README.md", "exec"), {})
 
 
 def test_tracer_names_resolve():
@@ -69,25 +79,34 @@ def test_library_imports_only_the_standard_library():
     assert {name: where for name, where in imported.items() if name not in sys.stdlib_module_names} == {}
 
 
-def _readers(node, module, name, where="<module>"):
-    """"module.function" for every reference to name under node (a
-    call, a name bound to it, an import of it, an attribute), naming the
-    innermost enclosing function, or <module> outside every function."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        where = node.name
-    named = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-    if named == name and not isinstance(node, ast.FunctionDef):
-        yield f"{module}.{where}"
+def _references(node, module, scope=()):
+    """(name, where) for every name, attribute and import under node,
+    where being the qualified name of the innermost enclosing definition
+    (module.function, module.Class.method), or the module's name outside
+    every definition."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = (*scope, node.name)
+    if isinstance(node, ast.Name):
+        yield node.id, ".".join((module, *scope))
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, ".".join((module, *scope))
+    elif isinstance(node, ast.alias):
+        yield node.name, ".".join((module, *scope))
     for child in ast.iter_child_nodes(node):
-        yield from _readers(child, module, name, where)
+        yield from _references(child, module, scope)
+
+
+def _library_references():
+    """(name, where) for every reference in src/toricball."""
+    return [
+        reference
+        for path in sorted((ROOT / "src" / "toricball").glob("*.py"))
+        for reference in _references(ast.parse(path.read_text()), path.stem)
+    ]
 
 
 def _library_readers(name):
-    return {
-        reader
-        for path in sorted((ROOT / "src" / "toricball").rglob("*.py"))
-        for reader in _readers(ast.parse(path.read_text()), path.stem, name)
-    }
+    return {where for named, where in _library_references() if named == name}
 
 
 def test_only_rank_and_span_inverse_call_the_kernel():
@@ -185,3 +204,67 @@ def test_every_check_names_an_existing_negative_control():
             if not any(t == test or (family and t.startswith(test)) for t in tests):
                 missing.append(f"{check}: {module or 'test_verify.py'}::{test}{family}")
     assert missing == []
+
+
+# The outputs the library keeps for its callers although no library code
+# reads them: the paper's outputs (the ball model, the orbit complex,
+# the parameterization and the rescaling, Atlas's point methods), and
+# the bundled fans.
+OUTPUTS = {
+    "cellcomplex.build_ball_model",
+    "cellcomplex.BallModel",
+    "cellcomplex.build_orbit_complex",
+    "cellcomplex.OrbitComplex",
+    "cellcomplex.OrbitComplex.euler_characteristic",
+    "homeo.rescale_global",
+    "homeo.param_boundary_point",
+    "homeo.phi_coords",
+    "charts.psi_eval",
+    "charts.Atlas.expi_point",
+    "charts.Atlas.chart_point",
+    "charts.Atlas.localize",
+    "charts.Atlas.points_equal",
+    "__init__.load_bundled",
+    "__init__.bundled_path",
+}
+
+
+def _public_definitions(path):
+    """The public top-level functions and classes of a module, and the
+    public methods of its public classes, as module.name and
+    module.Class.method."""
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            out.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                out += [
+                    (f"{path.stem}.{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    return out
+
+
+def test_every_public_name_has_a_reader():
+    """Each public function, class and method of src/toricball is read
+    in the library outside its own definition and __init__, or wrapped
+    by bench/tracer.py, or one of the OUTPUTS, each of which exists;
+    names match by their last part, so a method is read by any attribute
+    of its name.  Anything else belongs in the tests that read it."""
+    read = {}
+    for name, where in _library_references():
+        if where.partition(".")[0] != "__init__":
+            read.setdefault(name, set()).add(where)
+    functions, methods = _tracer_tables()
+    traced = {f"{module}.{name}" for module, names in functions.items() for name in names}
+    traced |= {f"charts.Atlas.{name}" for name in methods}
+    defined = [d for path in sorted((ROOT / "src" / "toricball").glob("*.py")) for d in _public_definitions(path)]
+    assert OUTPUTS <= {qualname for qualname, _ in defined}
+    unread = [
+        qualname
+        for qualname, name in defined
+        if not any(where != qualname and not where.startswith(qualname + ".") for where in read.get(name, ()))
+        and qualname not in traced | OUTPUTS
+    ]
+    assert unread == []

@@ -36,7 +36,7 @@ def atlas(request):
 
 def _context(fan, atlas=None, samples=0):
     chart_list = atlas.charts() if atlas else []
-    return verify.Context(fan, atlas, chart_list, fan.dim, 1e-9, samples, 0, random.Random(0))
+    return verify.Context(fan, atlas, chart_list, 1e-9, samples, 0, random.Random(0))
 
 
 def _fraction_residuals(chart, rng, count):
@@ -256,7 +256,7 @@ def _psi_route_inversion(ctx):
     for chart in ctx.charts:
         key = (chart.terms[: chart.n], chart.b[: chart.n])
         if key not in points:
-            points[key] = verify._delta_samples(ctx.rng, ctx.n, 500)
+            points[key] = verify._delta_samples(ctx.rng, ctx.fan.dim, 500)
         for w in points[key]:
             try:
                 back = charts.psi_invert(chart, charts.psi_eval(chart, w), tol=1e-8)
@@ -393,6 +393,20 @@ def test_chart_invariants_fail_on_perturbed_terms(entry):
     chart = ctx.charts[0]
     chart.hilbert_terms  # cached from the unperturbed terms
     chart.__dict__[entry] = drop_first_term(getattr(chart, entry))
+    assert verify._chart_invariants(ctx) == (False, {"charts": 6, "violations": 1})
+
+
+def test_chart_invariants_fail_on_zero_diagonal():
+    """p2's flag-0 chart with b's second diagonal entry set to 0: the row
+    stays nonnegative, nothing below the diagonal changes, and Chart.terms
+    follow the new b, so only the positive-diagonal clause counts it."""
+    fan = tb.load_bundled("p2")
+    ctx = _context(fan, tb.Atlas(fan))
+    b = [list(row) for row in ctx.charts[0].b]
+    assert b[1][1] > 0
+    b[1][1] = 0
+    ctx.charts[0] = dataclasses.replace(ctx.charts[0], b=tuple(map(tuple, b)))
+    assert charts.chart_violations(ctx.charts[0]) == 1
     assert verify._chart_invariants(ctx) == (False, {"charts": 6, "violations": 1})
 
 
