@@ -67,7 +67,6 @@ from .homeo import (
     nonextension_probe,
     param_boundary_point,
     phi_coords,
-    phi_jk,
     rescale_global,
     rescale_in_flag,
 )

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .exact import DimensionMismatch, integer_numerators, pair, span_inverse, vsub
+from .exact import DimensionMismatch, integer_numerators, pair, span_inverse, vsub, vsum
 from .fan import Cone, Fan, ridge_pairing
 
 
@@ -36,8 +36,7 @@ def barycenter(cone: Cone):
     """Sum of the primitive ray generators of a nonzero cone."""
     if cone.dim == 0:
         raise ValueError("the zero cone has no barycenter")
-    n = cone.ambient_dim
-    return tuple(sum(g[i] for g in cone.generators) for i in range(n))
+    return vsum(cone.generators, cone.ambient_dim)
 
 
 @dataclass(frozen=True)
@@ -341,7 +340,7 @@ def cover_check(fan: Fan):
                     "ridge": [sorted(rays) for rays in ridge],
                     "flags": [i, other],
                 }
-    point = tuple(sum(b[j] for b in flags[0].barycenters) for j in range(n)) if flags else (0,) * n
+    point = vsum(flags[0].barycenters if flags else (), n)
     count = len(containing_flags(fan, point))
     # The point is interior to flag 0's own cone, so count >= 1 and
     # "> 1" would decide the same.

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import add
 
 from .bary import enumerate_flags
-from .charts import Atlas, monomial_columns, scaled_gaps, sup_gap
+from .charts import Atlas, monomial_columns, scaled_gaps, shifted_columns, sup_gap
 from .exact import pair
 from .fan import Cone, Fan, ridge_pairing
 
@@ -311,8 +311,8 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol):
     (past W_k the zero padding adds 0.0, which moves no float); the Hilbert
     rows that the rule sigma -> tau reads (its alpha_terms and the terms
     of each of its rows) and the telescoped rows go through
-    charts.monomial_columns; Atlas.localize_columns applies the rule
-    (charts._shifted_columns); and the gaps are charts.scaled_gaps'
+    charts.monomial_columns; charts.shifted_columns, the batch form of
+    charts._shifted, applies the rule; and the gaps are charts.scaled_gaps'
     terms, taken row by row and reduced per sample by sup_gap.  The
     floats are the per-point floats: per point, each kernel does the
     operations of its single-point form in the same order.  A product
@@ -324,9 +324,10 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol):
     counterexample is the one of Atlas.localize(Atlas.chart_point(chart,
     w), tau), point by point (tests/test_complex.py keeps that loop as
     the reference), at a cost that follows the rule rather than
-    |H(sigma)|.  The read set of each rule, and the telescoped terms of
-    each prefix, which every maximal flag through it shares, are
-    computed once per call.
+    |H(sigma)|.  Each rule sigma -> tau is fetched from
+    Atlas._localization_rule once per call and kept with its read set,
+    and the telescoped terms of each prefix, which every maximal flag
+    through it shares, are computed once per call.
 
     The full flag, k = n, is certified instead of sampled.  Its rule is
     the identity, and its telescoped terms (_telescoped_terms) are the
@@ -345,7 +346,7 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol):
     counterexamples with gap None where the point does not localize or
     a gap is NaN; every gap is computed in full."""
     zero = atlas.fan.zero_cone()
-    reads, telescoped = {}, {}
+    rules, telescoped = {}, {}
     out, drawn, worst = [], 0, 0.0
     for fi, flag in enumerate(flags):
         chart = atlas.chart(flag)
@@ -356,12 +357,12 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol):
         for k in range(n):
             members = flag.cones[:k]
             tau = members[-1] if members else zero
-            if (sigma.rays, tau.rays) not in reads:
-                _, alpha_terms, rows, _ = atlas._localization_rule(sigma, tau)
-                reads[sigma.rays, tau.rays] = sorted(
-                    {i for i, _ in alpha_terms}.union(i for _, terms in rows for i, _ in terms)
-                )
-            read = reads[sigma.rays, tau.rays]
+            if (sigma.rays, tau.rays) not in rules:
+                rule = atlas._localization_rule(sigma, tau)
+                _, alpha_terms, rows, _ = rule
+                read = {i for i, _ in alpha_terms}.union(i for _, terms in rows for i, _ in terms)
+                rules[sigma.rays, tau.rays] = rule, sorted(read)
+            rule, read = rules[sigma.rays, tau.rays]
             prefix = tuple(c.rays for c in members)
             if prefix not in telescoped:
                 telescoped[prefix] = _telescoped_terms(atlas.hilbert(tau).generators, flag.steps[:k])
@@ -373,7 +374,7 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol):
                 sums.append(acc)
             w = sums + sums[-1:] * (n - k - 1)  # past W_k, the zero padding adds 0.0
             values = monomial_columns([chart.hilbert_terms[i] for i in read], w, size)
-            off, local = atlas.localize_columns(sigma, dict(zip(read, values)), tau, size)
+            off, local = shifted_columns(rule, dict(zip(read, values)), size)
             tele = monomial_columns(telescoped[prefix], sums, size)
             gaps = [sup_gap(g) for g in zip(*map(scaled_gaps, local, tele))]
             drawn += size

@@ -160,15 +160,6 @@ def monomial_columns(rows, columns, count):
     return out
 
 
-def triangular_eval(chart: Chart, columns):
-    """The monomials of the chart's n triangular generators, the rows
-    that psi_invert reads, over a batch of simplex points: columns[j]
-    holds w_j of every point, and the answer one list per triangular
-    row (monomial_columns)."""
-    columns = [list(map(float, col)) for col in columns] or [[]] * chart.n  # an empty batch
-    return monomial_columns(chart.terms[: chart.n], columns, len(columns[0]))
-
-
 def invert_triangular(b, columns):
     """Invert an upper-triangular monomial map on Delta_n, over a batch.
 
@@ -180,32 +171,29 @@ def invert_triangular(b, columns):
     remaining w_j are recovered by back-substitution and root
     extraction.
 
-    Back-substitution runs one column j at a time, from j = n - 1 down,
-    over the points whose largest zero index is below j; no other point
-    is divided or raised to a power.  Per point, acc starts from 1.0 and
-    multiplies w_k ** b[j][k] for k > j in order, then w_j is
-    (y_j / acc) ** (1 / b[j][j]): the operations of back-substitution
-    point by point, so the floats are the same."""
+    Back-substitution runs one column j at a time, from j = n - 1 down.
+    Column j's mask holds the points whose largest zero index is below
+    j; only those are multiplied, divided or raised to a power, and
+    every other point gets 0.0 (powering it could raise OverflowError,
+    where the point-by-point rule never computes it).  Per masked point,
+    acc starts from 1.0 and multiplies w_k ** b[j][k] for k > j in
+    order, then w_j is (y_j / acc) ** (1 / b[j][j]): the operations of
+    back-substitution point by point, so the floats are the same."""
     n = len(b)
     columns = list(columns) or [[]] * n  # an empty batch
     count = len(columns[0])
     zero = [-1] * count  # per point, its largest i with y_i <= 0
     for i, col in enumerate(columns):
         zero = [i if y <= 0.0 else z for y, z in zip(col, zero)]
-    w = [[0.0] * count for _ in range(n)]
-    live = range(count)
+    w = [None] * n
     for j in reversed(range(n)):
-        live = [s for s in live if zero[s] < j]
-        acc = [1.0] * len(live)
+        live = [z < j for z in zero]
+        acc = [1.0] * count
         for k in range(j + 1, n):
-            if b[j][k]:
-                acc = list(map(mul, acc, map(pow, map(w[k].__getitem__, live), repeat(b[j][k]))))
-        values = map(pow, map(truediv, map(columns[j].__getitem__, live), acc), repeat(1.0 / b[j][j]))
-        if len(live) == count:
-            w[j] = list(values)
-        else:
-            for s, v in zip(live, values):
-                w[j][s] = v
+            if e := b[j][k]:
+                acc = [a * x**e if m else a for a, x, m in zip(acc, w[k], live)]
+        root = 1.0 / b[j][j]
+        w[j] = [(y / a) ** root if m else 0.0 for y, a, m in zip(columns[j], acc, live)]
     return w
 
 
@@ -274,6 +262,7 @@ class Atlas:
         self._charts = {}
         self._hilbert = {}
         self._local_rules = {}
+        self._maximal = frozenset(fan.max_cones)
 
     # -- semigroups -----------------------------------------------------
 
@@ -294,7 +283,7 @@ class Atlas:
         return self._charts[flag]
 
     def _build_chart(self, flag: Flag) -> Chart:
-        if len(flag) != self.fan.dim or flag.cones[-1].rays not in set(self.fan.max_cones):
+        if not flag.cones or len(flag) != self.fan.dim or flag.cones[-1].rays not in self._maximal:
             raise ValueError("charts are attached to maximal flags only")
         tri = _ck.triangular_generators(flag.cones)
         hb = self.hilbert(flag.cones[-1])
@@ -390,13 +379,6 @@ class Atlas:
             raise NotInOpenSet("value at the cutting functional is zero or underflows")
         return ToricPoint(cone=tau, values=tuple(values))
 
-    def localize_columns(self, sigma: Cone, columns, tau: Cone, count: int):
-        """The batch form of localize, for a proper face tau of sigma:
-        columns[i] holds the value of generator i of H(S_sigma) at each
-        of count points, for every i that the rule sigma -> tau reads.
-        Returns (off, rows) as _shifted_columns does."""
-        return _shifted_columns(self._localization_rule(sigma, tau), columns, count)
-
     def points_equal(self, p: ToricPoint, q: ToricPoint, tol: float = 1e-9) -> bool:
         """Whether two intrinsic points coincide in the variety: both
         localize to the shared chart and their value gap is within tol.
@@ -461,7 +443,7 @@ def _shifted(rule, values):
     return (_value_at(values, terms) / v_alpha**k for k, terms in rows)
 
 
-def _shifted_columns(rule, columns, count):
+def shifted_columns(rule, columns, count):
     """A shift rule applied to a batch of count points, columns[i]
     holding generator i's value at each point: (off, rows), off[s]
     telling whether point s is off tau's open chart by _shifted's test,
@@ -469,7 +451,8 @@ def _shifted_columns(rule, columns, count):
     (at an off point a value divided by 1.0 instead, which no caller
     reads).  Per point, each float is _shifted's: v_alpha and each
     row's value are _value_at's products (monomial_columns), and each
-    row is divided by v_alpha**k.  Atlas.localize_columns reads it."""
+    row is divided by v_alpha**k.  cellcomplex._subflag_cross_check
+    reads it, with the rule it fetched from Atlas._localization_rule."""
     _, alpha_terms, rows, top = rule
     (v_alpha,) = monomial_columns([alpha_terms], columns, count)
     off = [v <= 0.0 or v**top == 0.0 for v in v_alpha]

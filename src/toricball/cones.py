@@ -46,10 +46,10 @@ from .exact import (
     solve_in_basis,
     span_inverse,
     unit_vector,
-    vadd,
     vneg,
     vscale,
     vsub,
+    vsum,
 )
 
 
@@ -272,7 +272,7 @@ def _pointed_semigroup_generators(rays: Sequence, normals: Sequence, n: int):
     # The cone is full-dimensional, so its dimension is n.
     for simplex in _placing_triangulation(list(rays), n, n):
         candidates.extend(_parallelepiped_points(simplex))
-    y = tuple(sum(d[i] for d in normals) for i in range(n))
+    y = vsum(normals, n)
     ordered = sorted(dict.fromkeys(candidates), key=lambda v: pair(v, y))
     below = _dominated_by([[pair(d, g) for d in normals] for g in ordered])
     return tuple(sorted(g for i, g in enumerate(ordered) if not below[i] & ((1 << i) - 1)))
@@ -338,7 +338,7 @@ def hilbert_basis(cone) -> SemigroupGens:
     """
     gens = tuple(cone.generators)
     n = cone.ambient_dim
-    interior = tuple(sum(g[i] for g in gens) for i in range(n))
+    interior = vsum(gens, n)
     proj = quotient_projection(cone.dual_lineality, n)
     # The dual's rays are canonical modulo its lineality, so their
     # images are the distinct extreme rays of the pointed quotient.
@@ -451,10 +451,7 @@ def relative_interior_point(face_rays: Sequence):
     face_rays = list(face_rays)
     if not face_rays:
         raise ValueError("the zero face has no relative interior lattice point")
-    total = face_rays[0]
-    for r in face_rays[1:]:
-        total = vadd(total, r)
-    return tuple(total)
+    return vsum(face_rays, len(face_rays[0]))
 
 
 def cutting_functional(sigma, tau):

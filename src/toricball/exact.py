@@ -60,6 +60,12 @@ def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
+def vsum(vectors, n: int):
+    """The sum of a sequence of n-vectors, each coordinate added in
+    order; the zero vector of length n when there are none."""
+    return tuple(sum(v[i] for v in vectors) for i in range(n))
+
+
 def vsub(u, v):
     if len(u) != len(v):
         raise DimensionMismatch("vector subtraction")

@@ -22,24 +22,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from .bary import Flag, locate_flag, simplicial_coords
 from .charts import TWO_PI, Atlas, ToricPoint, psi_eval, theta
 from .fan import Fan
 
 
-def phi_jk(u, j: int) -> float:
-    """The j-th rescaling coordinate (1-indexed) of a length-k input."""
-    if not 1 <= j <= len(u):
-        raise ValueError("coordinate index out of range")
-    upper = 1.0 + sum(float(x) for x in u[:j])
-    lower = 1.0 + sum(float(x) for x in u[: j - 1])
-    return math.log(upper / lower) / TWO_PI
-
-
 def phi_coords(u):
-    """All rescaling coordinates of u (simplicial coordinates, >= 0)."""
-    return tuple(phi_jk(u, j) for j in range(1, len(u) + 1))
+    """All rescaling coordinates of u (simplicial coordinates, >= 0):
+    v_j = log((1 + S_j) / (1 + S_(j-1))) / 2 pi, from the float prefix
+    sums S_j = u_1 + ... + u_j (S_0 = 0.0), each added left to right
+    once."""
+    sums = list(accumulate(map(float, u), initial=0.0))
+    return tuple(math.log((1.0 + s) / (1.0 + r)) / TWO_PI for r, s in zip(sums, sums[1:]))
 
 
 def phi_point(generators, u, n: int):

@@ -44,17 +44,17 @@ share the group.  The exact parts, chart_invariants, monomial_diagram's
 identities and its dual_witness, stay per chart.
 
 The triangular rows are evaluated, and inverted, over each group's
-whole sample batch at once, one column of the batch at a time
-(charts.triangular_eval and charts.invert_triangular).  Per point, the
-kernels do the float operations of the single-point evaluator
-charts._monomials and of point-by-point back-substitution, in the same
-order: every product starts from 1.0 and multiplies the row's terms in
-column order.  intersection_gluing's shared half runs the same way,
-one batch per (maximal flag, prefix subflag): the read Hilbert rows and
-the telescoped rows through the same monomial kernel
-(charts.monomial_columns, which triangular_eval calls), the rule
-through Atlas.localize_columns, the batch form of charts._shifted, and
-the gaps through charts.scaled_gaps, the terms of Atlas.points_equal.  So
+whole sample batch at once, one column of the batch at a time, by the
+bare batch kernels: charts.monomial_columns on the chart's terms[:n],
+then charts.invert_triangular.  Per point, the kernels do the float
+operations of the single-point evaluator charts._monomials and of
+point-by-point back-substitution, in the same order: every product
+starts from 1.0 and multiplies the row's terms in column order.
+intersection_gluing's shared half runs the same way, one batch per
+(maximal flag, prefix subflag): the read Hilbert rows and the
+telescoped rows through the same monomial kernel, the rule through
+charts.shifted_columns, the batch form of charts._shifted, and the gaps
+through charts.scaled_gaps, the terms of Atlas.points_equal.  So
 each sampled float, and each report, is the one a point-by-point loop
 gives (tests/test_charts.py and tests/test_complex.py keep those loops
 as the reference).
@@ -331,10 +331,10 @@ def _diagram_residuals(chart, rows, rng, count):
 
     All count points are drawn first, in one rng.choices call over
     0..4000, then the monomial route takes one call of the batch kernel
-    charts.triangular_eval.  Per point, the kernel multiplies the same
-    powers in the same order as the single-point evaluator
-    charts._monomials, so each value is the float of a point-by-point
-    loop.  The answer depends on chart.terms[:n], rows and the draws
+    charts.monomial_columns on chart.terms[:n], over the count points'
+    columns.  Per point, the kernel multiplies the same powers in the
+    same order as the single-point evaluator charts._monomials, so each
+    value is the float of a point-by-point loop.  The answer depends on chart.terms[:n], rows and the draws
     only: _monomial_diagram calls it once per group of charts with equal
     terms and rows.
 
@@ -346,7 +346,7 @@ def _diagram_residuals(chart, rows, rng, count):
     flat = rng.choices(range(4001), k=n * count)
     draws = [flat[i : i + n] for i in range(0, n * count, n)]
     points = [charts.theta([math.exp(-TWO_PI * (ki / 1000)) for ki in k]) for k in draws]
-    monomial = charts.triangular_eval(chart, list(zip(*points)))
+    monomial = charts.monomial_columns(chart.terms[:n], list(zip(*points)), count)
     direct = [[math.exp(-TWO_PI * (sum(map(mul, k, row)) / 1000)) for k in draws] for row in rows]
     return draws, monomial, direct
 
@@ -356,8 +356,8 @@ def _simplex_inversion(ctx):
     charts with equal terms[:n] and b[:n] (see the module docstring),
     500 seeded points w of Delta_n are mapped by psi's n triangular rows
     and recovered by back-substitution, each step one call of a batch
-    kernel over the group's 500 points (charts.triangular_eval, then
-    charts.invert_triangular).  Per point, the kernels do the float
+    kernel over the group's 500 points (charts.monomial_columns on
+    terms[:n], then charts.invert_triangular).  Per point, the kernels do the float
     operations of the point-by-point evaluation and back-substitution,
     in the same order, so every gap is the float of a point-by-point
     loop.
@@ -378,7 +378,8 @@ def _simplex_inversion(ctx):
     for flags in groups.values():
         chart = ctx.charts[flags[0]]
         points = _delta_samples(ctx.rng, ctx.fan.dim, INVERSION_SAMPLES)
-        back = charts.invert_triangular(chart.b[: chart.n], charts.triangular_eval(chart, list(zip(*points))))
+        values = charts.monomial_columns(chart.terms[: chart.n], list(zip(*points)), len(points))
+        back = charts.invert_triangular(chart.b[: chart.n], values)
         gap = charts.sup_gap(map(_sup_gap, zip(*points), back))
         if worst == worst and not gap <= worst:  # a new worst, or the first NaN
             worst, worst_group = gap, (flags, points, back)

@@ -26,10 +26,10 @@ from toricball.charts import (
     exp_flag,
     exp_pairings,
     invert_triangular,
+    monomial_columns,
     psi_eval,
     psi_invert,
     theta,
-    triangular_eval,
 )
 
 TWO_PI = 2 * math.pi
@@ -638,8 +638,14 @@ def test_nan_after_the_first_value_is_not_equal():
         assert _P112.points_equal(p, q, tol=math.inf) is False and _P112.points_equal(q, p) is False
 
 
-def _pointwise_triangular_eval(chart, w):
-    """The reference for triangular_eval: the triangular rows at one
+def _triangular_columns(chart, points):
+    """The chart's n triangular rows over a batch of points, through the
+    batch kernel monomial_columns, as verify's float checks call it."""
+    return monomial_columns(chart.terms[: chart.n], list(zip(*points)), len(points))
+
+
+def _pointwise_triangular_rows(chart, w):
+    """The reference for _triangular_columns: the triangular rows at one
     point, through the single-point evaluator."""
     return charts._monomials(chart.terms[: chart.n], w)
 
@@ -672,8 +678,8 @@ def _bits(columns):
 
 def _assert_kernels_match_pointwise(chart, points):
     b = chart.b[: chart.n]
-    values = triangular_eval(chart, list(zip(*points)))
-    expected = [_pointwise_triangular_eval(chart, w) for w in points]
+    values = _triangular_columns(chart, points)
+    expected = [_pointwise_triangular_rows(chart, w) for w in points]
     assert _bits(values) == _bits(zip(*expected)), chart.flag
     back = invert_triangular(b, values)
     assert _bits(back) == _bits(zip(*[_pointwise_invert_triangular(b, y) for y in expected])), chart.flag
@@ -694,7 +700,7 @@ def test_batch_kernels_match_pointwise_reference(name):
     """On every chart, at the points of every _delta_samples stratum
     (50 per zero prefix, then 50 interior ones) at seeds 0-2, the batch
     kernels give the floats of the point-by-point references bit for
-    bit: triangular_eval those of _monomials, and invert_triangular,
+    bit: monomial_columns those of _monomials, and invert_triangular,
     applied to them, those of back-substitution point by point.  The
     fans are the benchmark's 13 and the four on which verify fails
     today by underflow, where the floats are least tame."""
@@ -714,11 +720,14 @@ def test_batch_kernels_match_pointwise_on_special_values():
     triangular matrix with every entry above the diagonal set, the
     kernels match the references bit for bit.  A point on which the
     reference inversion raises (a zero acc to divide by) raises the
-    same error in the batch kernel."""
+    same error in the batch kernel.  A point whose zero prefix covers
+    column j is not powered there: at y = (0, 1e200, 1), w_1 = 1e200
+    and 1e200**2 would raise OverflowError in column 0, which the
+    largest-zero-index rule never computes."""
     points = list(itertools.product(_SPECIALS, repeat=3))
     for chart in [*get_atlas("p3").charts(), *Atlas(wps_fan(3, 9)).charts()]:
-        values = triangular_eval(chart, list(zip(*points)))
-        assert _bits(values) == _bits(zip(*[_pointwise_triangular_eval(chart, w) for w in points])), chart.flag
+        values = _triangular_columns(chart, points)
+        assert _bits(values) == _bits(zip(*[_pointwise_triangular_rows(chart, w) for w in points])), chart.flag
     raised = 0
     for b in [((2, 1, 3), (0, 1, 2), (0, 0, 1)), ((1, 0, 0), (0, 3, 0), (0, 0, 2))]:
         inverted, raising = [], []
@@ -735,6 +744,11 @@ def test_batch_kernels_match_pointwise_on_special_values():
                 invert_triangular(b, [[v] for v in y])
         raised += len(raising)
     assert raised
+    trap = ((1, 2, 0), (0, 1, 0), (0, 0, 1))
+    ys = [(0.0, 1e200, 1.0), (0.5, 0.5, 1.0)]
+    expected = [_pointwise_invert_triangular(trap, y) for y in ys]
+    assert _bits(invert_triangular(trap, list(zip(*ys)))) == _bits(zip(*expected))
+    assert invert_triangular(trap, [[0.0], [1e200], [1.0]]) == [[0.0], [1e200], [1.0]]
     # The largest zero index wins: y_1 = 0 zeroes w_0 and w_1, whatever y_0.
     b = ((2, 1, 3), (0, 1, 2), (0, 0, 1))
     assert invert_triangular(b, [[0.5, 0.0], [0.0, 0.5], [0.25, 0.25]]) == [[0.0, 0.0], [0.0, 8.0], [0.25, 0.25]]
@@ -745,6 +759,10 @@ def test_batch_kernels_match_pointwise_on_special_values():
 CHARTS_INPUT_ERRORS = {
     "chart-non-maximal-flag": (
         lambda atlas, fan: atlas.chart(Flag((fan.cone({0}),))),
+        "charts are attached to maximal flags only",
+    ),
+    "chart-rank-0-empty-flag": (
+        lambda atlas, fan: tb.Atlas(tb.validate_fan(0, [], [[]])).chart(Flag(())),
         "charts are attached to maximal flags only",
     ),
     "localize-to-non-face": (

@@ -22,7 +22,7 @@ from toricball.cellcomplex import (
     verify_gluing,
     verify_regularity,
 )
-from toricball.charts import TWO_PI, invert_triangular, triangular_eval
+from toricball.charts import TWO_PI, invert_triangular, monomial_columns
 from toricball.exact import pair
 from toricball.fan import star_fan, validate_fan
 from toricball.homeo import bary_to_delta
@@ -166,17 +166,17 @@ def test_subflag_cross_check_samples_each_prefix_top(monkeypatch, name):
     """The shared half localizes one batch of count samples of each
     maximal flag's chart to each of its n proper prefix tops (the zero
     cone, then each cone of the flag but the last, in order), through
-    Atlas.localize_columns and nothing else."""
+    charts.shifted_columns and nothing else."""
     atlas = tb.Atlas(tb.load_bundled(name))
     flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
     calls = []
-    localize_columns = atlas.localize_columns
+    shifted_columns = cellcomplex.shifted_columns
 
-    def spy(sigma, columns, tau, count):
-        calls.append((sigma.rays, tau.rays, count, {len(c) for c in columns.values()}))
-        return localize_columns(sigma, columns, tau, count)
+    def spy(rule, columns, count):
+        calls.append((*_rule_key(atlas, rule), count, {len(c) for c in columns.values()}))
+        return shifted_columns(rule, columns, count)
 
-    monkeypatch.setattr(atlas, "localize_columns", spy)
+    monkeypatch.setattr(cellcomplex, "shifted_columns", spy)
     monkeypatch.setattr(atlas, "localize", lambda p, tau: pytest.fail("a sample localized point by point"))
     report = verify_gluing(atlas, seed=0)
     assert report.passed
@@ -186,6 +186,12 @@ def test_subflag_cross_check_samples_each_prefix_top(monkeypatch, name):
         (flag.cones[-1].rays, tau.rays, count, {count}) for flag in flags for tau in (zero, *flag.cones[:-1])
     ]
     assert report.shared_samples == len(flags) * n * count
+
+
+def _rule_key(atlas, rule):
+    """The (sigma rays, tau rays) under which atlas cached a
+    localization rule: shifted_columns gets the rule alone."""
+    return next(key for key, cached in atlas._local_rules.items() if cached is rule)
 
 
 def _gluing_fan(name):
@@ -208,14 +214,15 @@ def test_subflag_read_rows_localize_as_the_chart_point(monkeypatch, name):
     atlas = tb.Atlas(_gluing_fan(name))
     flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
     seen = []
-    localize_columns = atlas.localize_columns
+    shifted_columns = cellcomplex.shifted_columns
 
-    def spy(sigma, columns, tau, count):
-        off, rows = localize_columns(sigma, columns, tau, count)
+    def spy(rule, columns, count):
+        off, rows = shifted_columns(rule, columns, count)
+        tau = atlas.fan.cone(_rule_key(atlas, rule)[1])
         seen.extend((set(columns), tau, o, [row[s] for row in rows]) for s, o in enumerate(off))
         return off, rows
 
-    monkeypatch.setattr(atlas, "localize_columns", spy)
+    monkeypatch.setattr(cellcomplex, "shifted_columns", spy)
     assert verify_gluing(atlas, seed=3).passed
     rng, count, zero = random.Random(3), 25, atlas.fan.zero_cone()
     expected = []
@@ -343,14 +350,14 @@ def test_subflag_cross_check_matches_the_per_point_reference_on_failures(monkeyp
     atlas = tb.Atlas(wps_fan(2, 2))
     _with_w1_in_alpha(atlas, exponent)
     offs = []
-    localize_columns = atlas.localize_columns
+    shifted_columns = cellcomplex.shifted_columns
 
-    def spy(sigma, columns, tau, count):
-        off, rows = localize_columns(sigma, columns, tau, count)
+    def spy(rule, columns, count):
+        off, rows = shifted_columns(rule, columns, count)
         offs.extend(off)
         return off, rows
 
-    monkeypatch.setattr(atlas, "localize_columns", spy)
+    monkeypatch.setattr(cellcomplex, "shifted_columns", spy)
     batch, reference = _batch_and_per_point(atlas, 0)
     assert batch == reference
     gaps = [c["gap"] for c in batch[0]]
@@ -360,24 +367,25 @@ def test_subflag_cross_check_matches_the_per_point_reference_on_failures(monkeyp
         assert None in gaps and any(offs) == (exponent == 1000)
 
 
-def _nan_in_second_value(monkeypatch, atlas):
-    """Atlas.localize_columns with its second row replaced by NaN at
-    every point, where max alone would drop it."""
-    localize_columns = atlas.localize_columns
+def _nan_in_second_value(monkeypatch):
+    """charts.shifted_columns, where the shared half reads it, with its
+    second row replaced by NaN at every point, where max alone would
+    drop it."""
+    shifted_columns = cellcomplex.shifted_columns
 
-    def patched(sigma, columns, tau, count):
-        off, rows = localize_columns(sigma, columns, tau, count)
+    def patched(rule, columns, count):
+        off, rows = shifted_columns(rule, columns, count)
         rows[1] = [math.nan] * count
         return off, rows
 
-    monkeypatch.setattr(atlas, "localize_columns", patched)
+    monkeypatch.setattr(cellcomplex, "shifted_columns", patched)
 
 
 def test_subflag_cross_check_fails_on_nan_gap(monkeypatch):
     """A NaN localized value fails the shared half, and its counterexample
     writes the gap as None."""
     atlas = tb.Atlas(tb.load_bundled("p2"))
-    _nan_in_second_value(monkeypatch, atlas)
+    _nan_in_second_value(monkeypatch)
     report = verify_gluing(atlas, seed=0)
     shared = [c for c in report.counterexamples if c["kind"] == "shared"]
     assert not report.passed and shared and all(c["gap"] is None for c in shared)
@@ -715,7 +723,8 @@ def test_verify_gluing_distinct_pin():
     (pin,) = json.loads((data / "distinct.json").read_text())
     for f, xi in zip(pin["flags"], pin["xi"]):
         chart = atlas.chart(flags[f])
-        back = invert_triangular(chart.b[: chart.n], triangular_eval(chart, [[v] for v in bary_to_delta(xi)]))
+        y = monomial_columns(chart.terms[: chart.n], [[float(v)] for v in bary_to_delta(xi)], 1)
+        back = invert_triangular(chart.b[: chart.n], y)
         w = [v for (v,) in back] + [1.0]
         u = [-math.log(a / b) / TWO_PI for a, b in zip(w, w[1:])]
         assert all(uk > 0 for uk in u)

@@ -4,9 +4,11 @@ import math
 import random
 import re
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toricball as tb
@@ -18,7 +20,6 @@ from toricball.homeo import (
     nonextension_probe,
     param_boundary_point,
     phi_coords,
-    phi_jk,
     rescale_global,
     rescale_in_flag,
 )
@@ -26,6 +27,16 @@ from toricball.homeo import (
 from conftest import phi_inverse_coords
 
 TWO_PI = 2 * math.pi
+
+
+def phi_jk(u, j: int) -> float:
+    """The j-th rescaling coordinate (1-indexed) of u from fresh prefix
+    sums, the per-coordinate reference of phi_coords.  Each sum adds
+    left to right from 0.0, as sum() does before Python 3.12 (from 3.12
+    on it compensates the rounding, and phi_coords does not)."""
+    upper = 1.0 + reduce(add, map(float, u[:j]), 0.0)
+    lower = 1.0 + reduce(add, map(float, u[: j - 1]), 0.0)
+    return math.log(upper / lower) / TWO_PI
 
 
 def test_phi_jk_examples():
@@ -42,6 +53,25 @@ def test_phi_coords_k3_formula():
     s = [1.0, 1.3, 2.5, 3.2]
     expected = tuple(math.log(s[j + 1] / s[j]) / TWO_PI for j in range(3))
     assert max(abs(a - b) for a, b in zip(v, expected)) < 1e-15
+
+
+_PHI_INPUT = st.one_of(
+    st.fractions(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**9),
+    st.floats(min_value=0.0, max_value=1e300),  # zeros and subnormals included
+)
+
+
+@given(st.lists(_PHI_INPUT, max_size=8))
+@example([1.0, 1e-16, 1e-16])
+@example([0.0, 5e-324, Fraction(1, 3), 7, 0.0])
+@settings(max_examples=300, deadline=None)
+def test_phi_coords_matches_the_per_coordinate_reference(u):
+    """phi_coords, from one pass of prefix sums, gives phi_jk's floats
+    bit for bit, on Fractions, ints and floats up to k = 8.  The first
+    example is one where a compensated sum would differ in the last bit
+    from the left-to-right one."""
+    assert list(map(float.hex, phi_coords(u))) == [phi_jk(u, j).hex() for j in range(1, len(u) + 1)]
 
 
 def test_phi_roundtrip_property():
@@ -247,8 +277,10 @@ def test_nonextension_requires_rank2(cube_fan):
 # Input errors of the homeo module that no other test reaches: the call,
 # the exception class and its message.
 HOMEO_INPUT_ERRORS = {
-    "phi-index-above": (lambda atlas: phi_jk((1.0,), 2), "coordinate index out of range"),
-    "phi-index-zero": (lambda atlas: phi_jk((1.0,), 0), "coordinate index out of range"),
+    "param-rank-0-empty-flag": (
+        lambda atlas: param_boundary_point(tb.Atlas(tb.validate_fan(0, [], [[]])), Flag(()), (1.0,)),
+        "charts are attached to maximal flags only",
+    ),
     "probe-c-zero": (
         lambda atlas: nonextension_probe(atlas, enumerate_flags(atlas.fan, only_maximal=True)[0], 0.0, 1.0),
         "the probe path needs c > 0",

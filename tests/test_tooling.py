@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 import toricball as tb
-from toricball import charts, verify
+from toricball import cellcomplex, charts, verify
 from toricball.charts import Atlas
 from toricball.cli import main
 
@@ -149,18 +149,20 @@ def test_golden_reports_are_strict_json():
 
 
 def test_nan_control_report_is_strict_json(monkeypatch, tmp_path, capsys):
-    """With NaN from the triangular evaluator, the triangular inversion
-    and every batch of localized values, verify fails the three float
-    checks and writes each NaN gap as null."""
-    monkeypatch.setattr(charts, "triangular_eval", lambda chart, w: [[math.nan] * len(w[0]) for _ in range(chart.n)])
+    """With NaN from the triangular evaluator (charts.monomial_columns,
+    where verify's float checks read it), the triangular inversion and
+    every batch of localized values (charts.shifted_columns, where the
+    shared half reads it), verify fails the three float checks and
+    writes each NaN gap as null."""
+    monkeypatch.setattr(charts, "monomial_columns", lambda rows, columns, count: [[math.nan] * count for _ in rows])
     monkeypatch.setattr(charts, "invert_triangular", lambda b, y: [[math.nan] * len(y[0]) for _ in b])
-    localize_columns = Atlas.localize_columns
+    shifted_columns = cellcomplex.shifted_columns
 
-    def nan_rows(self, sigma, columns, tau, count):
-        off, rows = localize_columns(self, sigma, columns, tau, count)
+    def nan_rows(rule, columns, count):
+        off, rows = shifted_columns(rule, columns, count)
         return off, [[math.nan] * count for _ in rows]
 
-    monkeypatch.setattr(Atlas, "localize_columns", nan_rows)
+    monkeypatch.setattr(cellcomplex, "shifted_columns", nan_rows)
     assert main(["verify", str(tb.bundled_path("p112")), "--samples", "5", "--out", str(tmp_path)]) == 4
     capsys.readouterr()
     entries = {c["name"]: c for c in _strict_json((tmp_path / "report.json").read_text())["checks"]}

@@ -64,21 +64,22 @@ def test_diagram_residuals_match_fraction_route(atlas, seed):
         assert new == old
 
 
-def _spy_triangular_eval(monkeypatch):
-    """Record the (rows, points) shape of every triangular_eval answer,
-    and that no other evaluator of psi is called."""
+def _spy_monomial_columns(monkeypatch):
+    """Record the (rows, points) shape of every batch that verify's
+    float checks evaluate through charts.monomial_columns, and that no
+    other evaluator of psi is called."""
     shapes = []
-    triangular_eval = charts.triangular_eval
+    monomial_columns = charts.monomial_columns
 
-    def spy(chart, columns):
-        values = triangular_eval(chart, columns)
+    def spy(rows, columns, count):
+        values = monomial_columns(rows, columns, count)
         shapes.append((len(values), len(values[0])))
         return values
 
     def other(*args):
-        raise AssertionError("an evaluator other than triangular_eval")
+        raise AssertionError("an evaluator other than monomial_columns")
 
-    monkeypatch.setattr(charts, "triangular_eval", spy)
+    monkeypatch.setattr(charts, "monomial_columns", spy)
     monkeypatch.setattr(charts, "_monomials", other)
     return shapes
 
@@ -90,19 +91,21 @@ def test_diagram_residuals_evaluate_triangular_rows_only(monkeypatch):
     triangular terms and pairing rows."""
     atlas = tb.Atlas(tb.parse_and_validate(json.dumps(WPS_1_1_1_27)))
     ctx = _context(atlas.fan, atlas, samples=4)
-    shapes = _spy_triangular_eval(monkeypatch)
+    shapes = _spy_monomial_columns(monkeypatch)
     passed, details = verify._monomial_diagram(ctx)
     assert passed and (details["charts"], details["groups"]) == (24, 2)
     assert shapes == [(3, 4)] * 2
 
 
-def _diagram_with_triangular_eval(monkeypatch, edit):
+def _diagram_with_monomial_columns(monkeypatch, edit):
     """monomial_diagram on p112 with the triangular values of each
-    sample point passed through edit."""
+    sample point, from charts.monomial_columns, passed through edit."""
     fan = tb.load_bundled("p112")
-    triangular_eval = charts.triangular_eval
+    monomial_columns = charts.monomial_columns
     monkeypatch.setattr(
-        charts, "triangular_eval", lambda chart, w: [list(r) for r in zip(*map(edit, zip(*triangular_eval(chart, w))))]
+        charts,
+        "monomial_columns",
+        lambda rows, columns, count: [list(r) for r in zip(*map(edit, zip(*monomial_columns(rows, columns, count))))],
     )
     return verify._monomial_diagram(_context(fan, tb.Atlas(fan), samples=5))
 
@@ -111,7 +114,7 @@ def test_monomial_diagram_fails_on_off_triangular_evaluator(monkeypatch):
     """A triangular-row evaluator off by 1e-6 fails the residual while
     every exact identity holds; residual_witness names the worst sample,
     whose two routes differ by the worst residual."""
-    passed, details = _diagram_with_triangular_eval(monkeypatch, lambda y: tuple(v + 1e-6 for v in y))
+    passed, details = _diagram_with_monomial_columns(monkeypatch, lambda y: tuple(v + 1e-6 for v in y))
     assert not passed and "witness" not in details and "dual_witness" not in details
     assert details["worst_residual"] >= 0.9e-6
     witness = details["residual_witness"]
@@ -124,7 +127,7 @@ def test_monomial_diagram_fails_on_nan_residual(monkeypatch):
     it, fails the check; the residual is reported as None, and
     residual_witness is the first sample of the first group, at row 1,
     its NaN value reported as null."""
-    passed, details = _diagram_with_triangular_eval(monkeypatch, lambda y: (y[0], math.nan, *y[2:]))
+    passed, details = _diagram_with_monomial_columns(monkeypatch, lambda y: (y[0], math.nan, *y[2:]))
     assert not passed and details["worst_residual"] is None
     witness = details["residual_witness"]
     assert (witness["flag"], witness["shared_by"], witness["row"], witness["found"]) == (0, 4, 1, None)
@@ -288,7 +291,7 @@ def test_simplex_inversion_evaluates_triangular_rows_only(monkeypatch):
     pairs of triangular terms and b rows."""
     atlas = tb.Atlas(tb.parse_and_validate(json.dumps(WPS_1_1_1_27)))
     ctx = _context(atlas.fan, atlas)
-    shapes = _spy_triangular_eval(monkeypatch)
+    shapes = _spy_monomial_columns(monkeypatch)
     passed, details = verify._simplex_inversion(ctx)
     assert passed and (details["charts"], details["groups"]) == (24, 2)
     assert shapes == [(3, 500)] * 2
@@ -323,13 +326,20 @@ def test_steep_fan_underflow_pin(name, k):
     raises=AssertionError,
     reason="w**k underflows to 0.0 in the linear-value floats; log-domain points (ROADMAP item 1)",
 )
-@pytest.mark.parametrize("k", [90, 400])
-def test_wps_underflow_gate(k):
+@pytest.mark.parametrize(
+    "weights, seed",
+    [((1, 1, 90), 0), ((1, 1, 400), 0), ((1, 1, 1, 60), 7)],
+    ids=["1_1_90-0", "1_1_400-0", "1_1_1_60-7"],
+)
+def test_wps_underflow_gate(weights, seed):
     """ROADMAP item 1's gates on valid complete fans that verify rejects
-    today.  P(1,1,90) fails simplex_inversion (worst gap 7.7e-4);
-    P(1,1,400) fails it (0.374); its witness, on flag 1, which shares
-    its group with one other flag, is recovered at w_1 = 0.0."""
-    assert verify.run_verification(wps_fan(2, k), seed=0)["passed"]
+    today.  P(1,1,90) fails simplex_inversion at seed 0 (worst gap
+    7.7e-4); P(1,1,400) fails it (0.374); its witness, on flag 1, which
+    shares its group with one other flag, is recovered at w_1 = 0.0.
+    P(1,1,1,60) passes at seed 0 (a CI step runs it) but fails
+    simplex_inversion at seed 7, and nothing else: worst gap 5.1e-4 on
+    flag 1, where w_1 underflows."""
+    assert verify.run_verification(wps_fan(len(weights) - 1, weights[-1]), seed=seed)["passed"]
 
 
 @pytest.mark.xfail(
