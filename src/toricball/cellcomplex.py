@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
 from operator import add
 
 from .bary import enumerate_flags
@@ -176,7 +177,9 @@ def _simplex_samples(rng, dim, count):
         raw = [draw() for _ in range(dim + 1)]
         if dim >= 1 and len(out) % 3 == 2:
             raw[0] = 0.0  # face at infinity
-        total = sum(raw)
+        # Left to right: from Python 3.12 on, sum() of floats compensates
+        # its rounding and would move the samples off the 3.10/3.11 floats.
+        total = reduce(add, raw)
         out.append(tuple([x / total for x in raw]))
     return out[:count]
 

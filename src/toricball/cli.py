@@ -181,63 +181,65 @@ def cmd_verify(args) -> int:
 
 def _off_text(vertices, faces):
     lines = ["OFF", f"{len(vertices)} {len(faces)} 0"]
-    for v in vertices:
-        coords = list(v) + [0.0] * (3 - len(v))
-        lines.append(" ".join(f"{c:.9f}" for c in coords))
-    for f in faces:
-        lines.append(" ".join([str(len(f))] + [str(i) for i in f]))
+    lines += ["%.9f %.9f %.9f" % (*v, 0.0)[:3] for v in vertices]  # z = 0.0 in rank two
+    lines += [" ".join(map(str, (len(f), *f))) for f in faces]
     return "\n".join(lines) + "\n"
 
 
-def _sphere_point(gens, direction, radius: float, weights):
-    """Phi of the point at the given radius along direction, which is
-    sum_j weights_j B_j for the barycenters gens."""
-    scale = radius / math.sqrt(sum(v * v for v in direction))
-    return phi_point(gens, [w * scale for w in weights], len(direction))
-
-
-def _mesh_sphere(fan: Fan, radius: float, res: int):
-    """Triangulated image of the radius-r sphere under the rescaling map,
-    sampled flag cone by flag cone.  Flags that share a grid direction
-    share its vertex, so each vertex is keyed by the primitive vector of
-    its integer direction and evaluated on first sight."""
-    vertices = []
+def _sphere_grid(fan: Fan, res: int):
+    """The part of every sphere mesh that does not depend on the radius,
+    built once per mesh command: (points, faces), sampled flag cone by
+    flag cone.  The grid direction sum_j weights_j B_j of the flag's
+    barycenters B gives one point (B, weights, |direction|) per vertex,
+    in first-seen order.  Flags that share a grid direction share its
+    vertex, so each vertex is keyed by the primitive vector of its
+    integer direction.  In rank two faces is empty: cmd_mesh closes the
+    vertices into one polygon."""
+    points = []
     vertex_ids = {}
     faces = []
 
-    def vid(direction, point):
-        key = primitive(direction)
+    def vid(lattice, gens, weights, direction):
+        key = primitive(lattice)
         if key not in vertex_ids:
-            vertex_ids[key] = len(vertices)
-            vertices.append(point())
+            vertex_ids[key] = len(points)
+            # The norm is a sum of integers in rank three and of two
+            # floats in rank two, so the compensated float sum() of
+            # Python 3.12+ gives the floats of a left-to-right sum.
+            points.append((gens, weights, math.sqrt(sum(v * v for v in direction))))
         return vertex_ids[key]
 
     for flag in enumerate_flags(fan, only_maximal=True):
         gens = flag.barycenters
         if fan.dim == 2:
             # Simplicial coordinates scale with the point, so they come
-            # straight from the interpolation weights; cmd_mesh closes
-            # the vertices into one polygon.
+            # straight from the interpolation weights.
             b1, b2 = gens
             for t in range(res + 1):
                 a, c = (res - t) / res, t / res
-                direction = tuple(a * x + c * y for x, y in zip(b1, b2))
                 lattice = [(res - t) * x + t * y for x, y in zip(b1, b2)]
-                vid(lattice, lambda: _sphere_point(gens, direction, radius, (a, c)))
+                vid(lattice, gens, (a, c), [a * x + c * y for x, y in zip(b1, b2)])
         else:
             grid = {}
             b1, b2, b3 = gens
             for i in range(res + 1):
                 for j in range(res + 1 - i):
                     k = res - i - j
-                    direction = tuple(i * x + j * y + k * z for x, y, z in zip(b1, b2, b3))
-                    grid[(i, j)] = vid(direction, lambda: _sphere_point(gens, direction, radius, (i, j, k)))
+                    direction = [i * x + j * y + k * z for x, y, z in zip(b1, b2, b3)]
+                    grid[(i, j)] = vid(direction, gens, (i, j, k), direction)
             for i in range(res):
                 for j in range(res - i):
                     faces.append([grid[(i, j)], grid[(i + 1, j)], grid[(i, j + 1)]])
                     if j < res - i - 1:
                         faces.append([grid[(i + 1, j)], grid[(i + 1, j + 1)], grid[(i, j + 1)]])
-    return vertices, faces
+    return points, faces
+
+
+def _sphere_vertices(points, radius: float, n: int):
+    """The per-radius pass over _sphere_grid's points: Phi of the point at
+    the given radius along each direction, whose simplicial coordinates
+    are the weights times radius / |direction|."""
+    return [phi_point(gens, [w * (radius / norm) for w in weights], n) for gens, weights, norm in points]
 
 
 def _mesh_boundary(fan: Fan):
@@ -249,25 +251,30 @@ def _mesh_boundary(fan: Fan):
     vertices = []
     for c in cones:
         b = barycenter(c)
-        norm = math.sqrt(sum(v * v for v in b))
+        norm = math.sqrt(sum(v * v for v in b))  # an integer sum: no float rounding
         ids[c.rays] = len(vertices)
         vertices.append(tuple(v / norm for v in b))
-    faces = []
-    for flag in enumerate_flags(fan, only_maximal=True):
-        faces.append([ids[c.rays] for c in flag.cones])
-    return vertices, faces
+    return vertices, [[ids[c.rays] for c in flag.cones] for flag in enumerate_flags(fan, only_maximal=True)]
 
 
 def cmd_mesh(args) -> int:
+    """Write one OFF file per radius, then the boundary model's.  The
+    sphere grid is built once and each radius is one pass of Phi over it.
+    Every file is checked to have its own name before any is written."""
     fan = _load(args)
     if fan.dim not in (2, 3):
         raise CommandError(EXIT_INVALID, "mesh export supports dimensions 2 and 3 only")
+    texts = [r.strip() for r in args.radii.split(",")]
     try:
-        radii = [float(r) for r in args.radii.split(",")]
+        radii = [float(r) for r in texts]
     except ValueError:
         raise CommandError(EXIT_INVALID, "could not parse --radii") from None
     if args.res < 1 or not all(math.isfinite(r) and r > 0 for r in radii):
         raise CommandError(EXIT_INVALID, "resolution must be positive, and the radii finite and positive")
+    names = [f"{fan.name}_r{r:g}.off" for r in radii]
+    for i, name in enumerate(names):
+        if (first := names.index(name)) < i:
+            raise CommandError(EXIT_INVALID, f"radii {texts[first]} and {texts[i]} would both be written to {name}")
     outdir = Path(args.out or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -280,8 +287,9 @@ def cmd_mesh(args) -> int:
         (outdir / name).write_text(_off_text(vertices, faces))
         written.append(name)
 
-    for r in radii:
-        write(f"{fan.name}_r{r:g}.off", *_mesh_sphere(fan, r, args.res))
+    points, faces = _sphere_grid(fan, args.res)
+    for name, r in zip(names, radii):
+        write(name, _sphere_vertices(points, r, fan.dim), faces)
     write(f"{fan.name}_boundary.off", *_mesh_boundary(fan))
     print(json.dumps({"written": written}, indent=2))
     return EXIT_OK

@@ -1,12 +1,17 @@
 """Exit-code contract, report shape, determinism of the CLI."""
 
 import json
+import math
 
 import pytest
 
 import toricball as tb
+from conftest import get_fan, wps_fan
 from toricball import cli
+from toricball.bary import enumerate_flags
 from toricball.cli import build_parser, main
+from toricball.exact import primitive
+from toricball.homeo import phi_point
 
 
 def fan_path(name):
@@ -413,6 +418,145 @@ def test_mesh_unsupported_dim(tmp_path, monkeypatch, capsys):
         ),
     ]:
         assert run_failing(capsys, tmp_path, "mesh", *argv) == (2, message + "\n")
+
+
+def test_mesh_rejects_radii_that_share_a_file(tmp_path, monkeypatch, capsys):
+    """Each radius names its file with 6 significant digits, so radii
+    that agree in them would overwrite one file: that exits 2 before
+    anything is written, naming the first two such radii as given."""
+    monkeypatch.chdir(tmp_path)
+    for radii, message in [
+        ("1,1.0000001,1e0", "radii 1 and 1.0000001 would both be written to p2_r1.off"),
+        ("3, 0.5, 3.0", "radii 3 and 3.0 would both be written to p2_r3.off"),
+    ]:
+        argv = [fan_path("p2"), "--radii", radii, "--res", "2", "--out", "out"]
+        assert run_failing(capsys, tmp_path, "mesh", *argv) == (2, message + "\n")
+
+
+def _reference_off_text(vertices, faces):
+    """cli._off_text as it was, one format call per coordinate."""
+    lines = ["OFF", f"{len(vertices)} {len(faces)} 0"]
+    for v in vertices:
+        coords = list(v) + [0.0] * (3 - len(v))
+        lines.append(" ".join(f"{c:.9f}" for c in coords))
+    for f in faces:
+        lines.append(" ".join([str(len(f))] + [str(i) for i in f]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_mesh_sphere(fan, radius, res):
+    """The per-radius sphere mesh that cli._sphere_grid and
+    cli._sphere_vertices split in two, kept as their reference: every
+    grid direction is formed and keyed again for each radius."""
+    vertices = []
+    vertex_ids = {}
+    faces = []
+
+    def vid(direction, point):
+        key = primitive(direction)
+        if key not in vertex_ids:
+            vertex_ids[key] = len(vertices)
+            vertices.append(point())
+        return vertex_ids[key]
+
+    def sphere_point(gens, direction, weights):
+        scale = radius / math.sqrt(sum(v * v for v in direction))
+        return phi_point(gens, [w * scale for w in weights], len(direction))
+
+    for flag in enumerate_flags(fan, only_maximal=True):
+        gens = flag.barycenters
+        if fan.dim == 2:
+            b1, b2 = gens
+            for t in range(res + 1):
+                a, c = (res - t) / res, t / res
+                direction = tuple(a * x + c * y for x, y in zip(b1, b2))
+                lattice = [(res - t) * x + t * y for x, y in zip(b1, b2)]
+                vid(lattice, lambda: sphere_point(gens, direction, (a, c)))
+        else:
+            grid = {}
+            b1, b2, b3 = gens
+            for i in range(res + 1):
+                for j in range(res + 1 - i):
+                    k = res - i - j
+                    direction = tuple(i * x + j * y + k * z for x, y, z in zip(b1, b2, b3))
+                    grid[(i, j)] = vid(direction, lambda: sphere_point(gens, direction, (i, j, k)))
+            for i in range(res):
+                for j in range(res - i):
+                    faces.append([grid[(i, j)], grid[(i + 1, j)], grid[(i, j + 1)]])
+                    if j < res - i - 1:
+                        faces.append([grid[(i + 1, j)], grid[(i + 1, j + 1)], grid[(i, j + 1)]])
+    return vertices, faces
+
+
+def _reference_off(fan, vertices, faces):
+    """The OFF text of a mesh, closed into one polygon in rank two."""
+    if fan.dim == 2:
+        faces = [sorted(range(len(vertices)), key=lambda i: math.atan2(vertices[i][1], vertices[i][0]))]
+    return _reference_off_text(vertices, faces)
+
+
+# The rank-2 and rank-3 bundled fans and the benchmark's six
+# P(1,...,1,k), as (rank, k).
+MESH_WPS = {f"wps_{'1_' * (n - 1)}{k}": (n, k) for n, k in ((2, 2), (2, 7), (2, 20), (3, 3), (3, 9), (3, 27))}
+MESH_FANS = [name for name in tb.BUNDLED_FANS if get_fan(name).dim in (2, 3)] + list(MESH_WPS)
+
+
+def _mesh_fan_file(directory, name):
+    """The path of a fan file named name, and its fan."""
+    if name not in MESH_WPS:
+        return fan_path(name), get_fan(name)
+    fan = wps_fan(*MESH_WPS[name])
+    doc = {"name": name, "dim": fan.dim, "rays": [list(r) for r in fan.rays], "max_cones": [sorted(c) for c in fan.max_cones]}
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path), tb.parse_and_validate(path.read_text())
+
+
+@pytest.mark.parametrize("res", [1, 3, 8])
+@pytest.mark.parametrize("name", MESH_FANS)
+def test_mesh_matches_the_per_radius_reference(tmp_path, capsys, name, res):
+    """One mesh command writes, byte for byte, the files of the
+    per-radius reference, from a radius whose coordinates all print as
+    0 to one where they near the boundary model's."""
+    path, fan = _mesh_fan_file(tmp_path, name)
+    radii = {"1e-12": 1e-12, "1": 1.0, "16": 16.0, "1e+06": 1e6}
+    code, out = run(capsys, "mesh", path, "--radii", ",".join(radii), "--res", str(res), "--out", str(tmp_path / "out"))
+    names = [f"{name}_r{r}.off" for r in radii] + [f"{name}_boundary.off"]
+    assert code == 0 and json.loads(out) == {"written": names}
+    expected = [_reference_off(fan, *_reference_mesh_sphere(fan, r, res)) for r in radii.values()]
+    expected.append(_reference_off(fan, *cli._mesh_boundary(fan)))
+    assert [(tmp_path / "out" / f).read_text() for f in names] == expected
+
+
+@pytest.mark.parametrize("name", ["p2", "twisted_p3"])
+def test_mesh_radii_together_as_alone(tmp_path, capsys, name):
+    """Each file of a command with several radii is the file that a
+    command with that radius alone writes."""
+    radii = ["0.5", "1", "4", "16"]
+    assert run(capsys, "mesh", fan_path(name), "--radii", ",".join(radii), "--res", "4", "--out", str(tmp_path / "all"))[0] == 0
+    for r in radii:
+        assert run(capsys, "mesh", fan_path(name), "--radii", r, "--res", "4", "--out", str(tmp_path / r))[0] == 0
+        for f in (f"{name}_r{r}.off", f"{name}_boundary.off"):
+            assert (tmp_path / "all" / f).read_bytes() == (tmp_path / r / f).read_bytes()
+
+
+def test_mesh_builds_the_grid_once_per_command(tmp_path, monkeypatch, capsys):
+    """The sphere grid does not depend on the radius, so one command
+    keys its 48 flags x 10 grid points by primitive direction once,
+    whether it meshes one radius or four."""
+    calls = []
+
+    def spy(v):
+        calls.append(v)
+        return primitive(v)
+
+    monkeypatch.setattr(cli, "primitive", spy)
+    counts = []
+    for radii in ("1", "1,2,3,4"):
+        calls.clear()
+        assert run(capsys, "mesh", fan_path("p1xp1xp1"), "--radii", radii, "--res", "3", "--out", str(tmp_path))[0] == 0
+        counts.append(len(calls))
+    assert counts == [480, 480]
 
 
 def test_hilbert_minimality_names_witnesses():

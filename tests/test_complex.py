@@ -297,6 +297,24 @@ def _per_point_cross_check(atlas, flags, rng, count, tol):
     return out, drawn, worst
 
 
+def test_simplex_samples_normalize_by_a_left_to_right_sum():
+    """A sample is its draws over their left-to-right sum, the float
+    sum() of Python 3.10/3.11, not a compensated one: on these draws
+    0.5 + 2^-54 + 2^-54 is 0.5 left to right and 0.5 + 2^-53 exactly."""
+    draws = [0.5, 2.0**-54, 2.0**-54]
+
+    class Stub:
+        def __init__(self):
+            self.draws = iter(draws)
+
+        def random(self):
+            return next(self.draws)
+
+    assert math.fsum(draws) != (draws[0] + draws[1]) + draws[2] == 0.5
+    vertices = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+    assert cellcomplex._simplex_samples(Stub(), 2, 4) == [*vertices, (1.0, 2.0**-53, 2.0**-53)]
+
+
 def _batch_and_per_point(atlas, seed, tol=1e-9):
     """The batch cross-check and its per-point reference at one seed,
     SHARED_SAMPLES per prefix as in verify_gluing: each as
