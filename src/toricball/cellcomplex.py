@@ -156,7 +156,7 @@ def build_orbit_complex(fan: Fan) -> OrbitComplex:
 # Gluing verification
 # ---------------------------------------------------------------------------
 
-SHARED_SAMPLES = 25  # verify_gluing's points per (maximal flag, proper prefix)
+SHARED_SAMPLES = 25  # verify_gluing's points per (maximal flag, nonempty proper prefix)
 
 
 @dataclass(frozen=True)
@@ -169,19 +169,24 @@ class GluingReport:
 
 
 def _simplex_samples(rng, dim, count):
-    """Points of the standard dim-simplex: vertices, then seeded random
-    points, some forced onto the xi_0 = 0 boundary stratum."""
+    """count points of the standard dim-simplex, dim >= 1: its vertices
+    but e_0 (the origin, where the cross-check cannot fail), then seeded
+    random points, every third of them forced onto the xi_0 = 0 stratum
+    (the face at infinity) when dim >= 2; at dim 1 that point is the
+    vertex e_1 again.  The random points' numbers are drawn in one list,
+    dim + 1 per point, in generator order."""
+    width = dim + 1
+    out = [tuple(float(j == i) for j in range(width)) for i in range(1, width)][:count]
     draw = rng.random
-    out = [tuple(1.0 if j == i else 0.0 for j in range(dim + 1)) for i in range(dim + 1)]
-    while len(out) < count:
-        raw = [draw() for _ in range(dim + 1)]
-        if dim >= 1 and len(out) % 3 == 2:
-            raw[0] = 0.0  # face at infinity
+    raws = [draw() for _ in range((count - len(out)) * width)]
+    for p, raw in enumerate(zip(*[iter(raws)] * width)):
+        if dim >= 2 and p % 3 == 2:
+            raw = (0.0, *raw[1:])  # face at infinity
         # Left to right: from Python 3.12 on, sum() of floats compensates
         # its rounding and would move the samples off the 3.10/3.11 floats.
         total = reduce(add, raw)
         out.append(tuple([x / total for x in raw]))
-    return out[:count]
+    return out
 
 
 def _compose(terms, vectors):
@@ -300,16 +305,18 @@ def _telescoped_terms(generators, steps):
 
 def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol):
     """Float cross-check of the evaluators behind the identities above:
-    at count seeded points of each proper prefix subflag S = F[:k],
-    k = 0..n-1, of each maximal flag F (vertices and the face at infinity
-    included), the chart point localized to S's top cone tau (by the
-    rule that the identities certify) must match the telescoped
-    monomials prod_t W_t^<h', B_{t+1} - B_t>, computed from S alone.
-    Each face map F -> tau below the top is sampled once, on the prefix
-    that ends at tau.
+    at count seeded points of each nonempty proper prefix subflag
+    S = F[:k], k = 1..n-1, of each maximal flag F (the vertices but the
+    origin, and the face at infinity, included), the chart point
+    localized to S's top cone tau (by the rule that the identities
+    certify) must match the telescoped monomials
+    prod_t W_t^<h', B_{t+1} - B_t>, computed from S alone.  Each face
+    map F -> tau between the zero cone and the top is sampled once, on
+    the prefix that ends at tau.
 
     Each (F, k) is one batch, held a column per coordinate.  Its count
-    samples are drawn from rng in loop order (_simplex_samples); the w
+    samples are drawn from rng in loop order, one list of numbers per
+    batch (_simplex_samples); the w
     columns are bary_to_delta's partial sums, added one column at a time
     (past W_k the zero padding adds 0.0, which moves no float); the Hilbert
     rows that the rule sigma -> tau reads (its alpha_terms and the terms
@@ -332,6 +339,13 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol):
     and the telescoped terms of each prefix, which every maximal flag
     through it shares, are computed once per call.
 
+    The origin is certified instead of sampled: the empty prefix, k = 0,
+    whose only point it is, and the vertex e_0 of every other prefix.
+    There every w_j is 1.0, so every Hilbert value, v_alpha, localized
+    row and telescoped row is a product of integer powers of 1.0 (a
+    localized row one over v_alpha's), exactly 1.0, and every gap is
+    0.0, for any integer chart data.
+
     The full flag, k = n, is certified instead of sampled.  Its rule is
     the identity, and its telescoped terms (_telescoped_terms) are the
     nonzero (j, <h, B_j - B_(j-1)>) pairs of each h in H(sigma).  By
@@ -348,7 +362,6 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol):
     Returns (counterexamples, samples drawn, worst passing gap), the
     counterexamples with gap None where the point does not localize or
     a gap is NaN; every gap is computed in full."""
-    zero = atlas.fan.zero_cone()
     rules, telescoped = {}, {}
     out, drawn, worst = [], 0, 0.0
     for fi, flag in enumerate(flags):
@@ -357,9 +370,9 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol):
         if len(chart.hilbert_rows) != len(atlas.hilbert(sigma).generators):
             continue  # gluing_identities names the row count; the rules' terms would not line up
         n = len(flag)
-        for k in range(n):
+        for k in range(1, n):
             members = flag.cones[:k]
-            tau = members[-1] if members else zero
+            tau = members[-1]
             if (sigma.rays, tau.rays) not in rules:
                 rule = atlas._localization_rule(sigma, tau)
                 _, alpha_terms, rows, _ = rule
@@ -397,16 +410,17 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol):
     return out, drawn, worst
 
 
-def verify_gluing(atlas: Atlas, tol: float = 1e-9, seed: int = 0) -> GluingReport:
+def verify_gluing(atlas: Atlas, tol: float = 1e-9, rng: random.Random | None = None) -> GluingReport:
     """Certify that closed flag simplices intersect exactly in the closed
     simplex of the intersection flag.
 
     (i) Shared faces agree: exactly, by gluing_identities and, for b's
     values, verify's monomial_diagram identities (a gate, as in (ii)),
-    with a float cross-check of the evaluators on the n proper prefix
-    subflags of each maximal flag, one per face map below the top cone,
-    at SHARED_SAMPLES points each drawn from random.Random(seed); the
-    full flag's gap is 0.0 by construction.  Each prefix's samples
+    with a float cross-check of the evaluators on the n - 1 nonempty
+    proper prefix subflags of each maximal flag, one per face map
+    between the zero cone and the top cone, at SHARED_SAMPLES points
+    each drawn from rng (random.Random(0) when None); the gap is 0.0 by
+    construction at the origin and on the full flag.  Each prefix's samples
     are one batch, evaluated one column at a time by kernels whose
     floats are those of the point-by-point route through
     Atlas.localize.  See _subflag_cross_check.
@@ -440,7 +454,8 @@ def verify_gluing(atlas: Atlas, tol: float = 1e-9, seed: int = 0) -> GluingRepor
     """
     flags = enumerate_flags(atlas.fan, only_maximal=True)
     identities, witnesses = gluing_identities(atlas, flags)
-    shared, drawn, worst = _subflag_cross_check(atlas, flags, random.Random(seed), SHARED_SAMPLES, tol)
+    rng = random.Random(0) if rng is None else rng
+    shared, drawn, worst = _subflag_cross_check(atlas, flags, rng, SHARED_SAMPLES, tol)
     counterexamples = [{"kind": "identity", **w} for w in witnesses] + shared
     return GluingReport(not counterexamples, drawn, worst, counterexamples, identities)
 

@@ -131,7 +131,8 @@ def cmd_param(args) -> int:
     atlas = Atlas(fan)
     flags = enumerate_flags(fan, only_maximal=True)
     if not 0 <= args.flag < len(flags):
-        raise CommandError(EXIT_INVALID, f"flag index out of range (0..{len(flags) - 1})")
+        message = f"flag index out of range (0..{len(flags) - 1})" if flags else "fan has no maximal flags"
+        raise CommandError(EXIT_INVALID, message)
     try:
         xi = [float(x) for x in args.xi.split(",")]
     except ValueError:

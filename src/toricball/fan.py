@@ -143,9 +143,8 @@ class Fan:
             raise KeyError(f"no cone with rays {sorted(key)} in this fan")
         return self._cones[key]
 
-    def cones(self, dim=None):
-        out = [c for c in self._cones.values() if dim is None or c.dim == dim]
-        return sorted(out, key=Cone.sort_key)
+    def cones(self):
+        return sorted(self._cones.values(), key=Cone.sort_key)
 
     def maximal_cones(self):
         return [self._cones[r] for r in self.max_cones]
@@ -368,7 +367,7 @@ def star_fan(fan: Fan, sigma: Cone) -> Fan:
     if sigma.rays not in fan._cones:
         raise KeyError("cone does not belong to this fan")
     proj = quotient_projection(sigma.generators, fan.dim)
-    taus = [tau for tau in fan.cones(dim=sigma.dim + 1) if sigma.rays < tau.rays]
+    taus = [tau for tau in fan.cones() if tau.dim == sigma.dim + 1 and sigma.rays < tau.rays]
     rays = [primitive(proj.apply(fan.rays[min(tau.rays - sigma.rays)])) for tau in taus]
     tops = [c for c in fan.maximal_cones() if sigma.rays <= c.rays]
     max_cones = [[i for i, tau in enumerate(taus) if tau.rays <= c.rays] for c in tops]

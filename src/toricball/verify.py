@@ -3,13 +3,13 @@
 Each check reads the shared Context (fan, atlas, maximal flag charts,
 tolerance, sample count, its own seeded generator and the results of
 the checks before it; the rank is the fan's) and returns (passed,
-details), or None when it does not apply to the fan.  Checks run in table order.  Each draws from
-a generator seeded by the run's seed and its own name, so a fixed seed
-and configuration give a byte-identical report, and adding, removing or
-reordering a check leaves every other entry unchanged.  The exception,
-intersection_gluing, draws from random.Random(seed), seeded by the run's
-seed alone inside cellcomplex.verify_gluing: no other check moves it.
-Its sample count is cellcomplex.SHARED_SAMPLES, not the run's.
+details), or None when it does not apply to the fan.  Checks run in
+table order.  Each draws from a generator seeded by the run's seed and
+its own name, intersection_gluing included (it hands its generator to
+cellcomplex.verify_gluing), so a fixed seed and configuration give a
+byte-identical report, and adding, removing or reordering a check
+leaves every other entry unchanged.  intersection_gluing's sample count
+is cellcomplex.SHARED_SAMPLES, not the run's.
 
 The float cross-checks are sized by the rank n, not by the Hilbert
 basis.  A chart's point is fixed by its n triangular rows, and the exact
@@ -51,8 +51,8 @@ operations of the single-point evaluator charts._monomials and of
 point-by-point back-substitution, in the same order: every product
 starts from 1.0 and multiplies the row's terms in column order.
 intersection_gluing's shared half runs the same way, one batch per
-(maximal flag, prefix subflag): the read Hilbert rows and the
-telescoped rows through the same monomial kernel, the rule through
+(maximal flag, nonempty proper prefix subflag): the read Hilbert rows
+and the telescoped rows through the same monomial kernel, the rule through
 charts.shifted_columns, the batch form of charts._shifted, and the gaps
 through charts.scaled_gaps, the terms of Atlas.points_equal.  So
 each sampled float, and each report, is the one a point-by-point loop
@@ -111,6 +111,12 @@ another check already runs, and the facts that cover them:
   itself within 1e-10.  In a sweep at seed 0 (P(1,1,k) up to k = 400,
   P(1,1,1,27), steep and seeded stellar fans) every fan that it failed
   also failed simplex_inversion, and every other had gaps <= 4e-16.
+- intersection_gluing's shared samples at the origin: the empty prefix
+  subflag of each maximal flag, and the vertex e_0 of every other
+  prefix.  At the origin every w_j is 1.0, so every Hilbert value,
+  v_alpha, localized row and telescoped row is exactly 1.0 and every
+  gap is 0.0, for any integer chart data
+  (cellcomplex._subflag_cross_check).
 
 Negative controls, each a test in tests/test_verify.py unless named:
 
@@ -195,7 +201,6 @@ class Context:
     charts: list  # one per maximal flag, in enumeration order
     tol: float
     samples: int
-    seed: int
     rng: random.Random  # the running check's own generator
     results: dict = field(default_factory=dict)  # check name -> (passed, details), as they run
 
@@ -416,7 +421,7 @@ def _intersection_gluing(ctx):
     monomial_diagram gate; distinct interior points by the exact
     corollary of cellcomplex.verify_gluing, which rests on both gates of
     _distinct_gates; float cross-checks of the evaluators on both halves."""
-    glue = cellcomplex.verify_gluing(ctx.atlas, tol=ctx.tol, seed=ctx.seed)
+    glue = cellcomplex.verify_gluing(ctx.atlas, tol=ctx.tol, rng=ctx.rng)
     gates = _distinct_gates(ctx.results)
     return glue.passed and all(gates.values()), {
         "identities": glue.identities,
@@ -523,15 +528,7 @@ def run_verification(
         b[-1][-1] += 1
         atlas._charts[first.flag] = dataclasses.replace(first, b=tuple(tuple(r) for r in b))
         chart_list = atlas.charts()
-    ctx = Context(
-        fan=fan,
-        atlas=atlas,
-        charts=chart_list,
-        tol=tol,
-        samples=samples,
-        seed=seed,
-        rng=None,
-    )
+    ctx = Context(fan=fan, atlas=atlas, charts=chart_list, tol=tol, samples=samples, rng=None)
     checks = []
     for name, check in CHECKS:
         # A str seed: tuple seeds raise TypeError on Python >= 3.11.

@@ -164,7 +164,7 @@ def test_criterion_07_intersection_gluing():
     worst = 0.0
     for name in BUNDLED:
         atlas = get_atlas(name)
-        rep = verify_gluing(atlas, tol=1e-9, seed=7)
+        rep = verify_gluing(atlas, tol=1e-9, rng=random.Random(7))
         worst = max(worst, rep.worst_shared_gap)
         if not rep.passed:
             report(7, False, f"{name}: {rep.counterexamples[:2]}")

@@ -213,16 +213,22 @@ def test_param_vertices(capsys):
 
 
 def test_param_bad_xi(tmp_path, monkeypatch, capsys):
+    """Each bad --flag or --xi exits 2 with its stderr line; the rank-0
+    fan, whose zero cone is its one maximal cone, has no maximal flag to
+    index."""
+    point = tmp_path / "point.json"
+    point.write_text('{"dim": 0, "rays": [], "max_cones": [[]]}')
     monkeypatch.chdir(tmp_path)
-    for flag, xi, message in [
-        ("0", "0.5,0.7,0.5", "bad barycentric coordinates: barycentric coordinates must sum to 1"),
-        ("0", "0.2,0.3", "bad barycentric coordinates: barycentric coordinates must sum to 1"),
-        ("0", "nan,0.5,0.5", "bad barycentric coordinates: barycentric coordinates must be finite"),
-        ("0", "a,b", "could not parse --xi"),
-        ("9", "1,0,0", "flag index out of range (0..5)"),
-        ("99", "1,0,0", "flag index out of range (0..5)"),
+    for fan, flag, xi, message in [
+        (fan_path("p2"), "0", "0.5,0.7,0.5", "bad barycentric coordinates: barycentric coordinates must sum to 1"),
+        (fan_path("p2"), "0", "0.2,0.3", "bad barycentric coordinates: barycentric coordinates must sum to 1"),
+        (fan_path("p2"), "0", "nan,0.5,0.5", "bad barycentric coordinates: barycentric coordinates must be finite"),
+        (fan_path("p2"), "0", "a,b", "could not parse --xi"),
+        (fan_path("p2"), "9", "1,0,0", "flag index out of range (0..5)"),
+        (fan_path("p2"), "99", "1,0,0", "flag index out of range (0..5)"),
+        (str(point), "0", "1", "fan has no maximal flags"),
     ]:
-        argv = ["param", fan_path("p2"), "--flag", flag, "--xi", xi]
+        argv = ["param", fan, "--flag", flag, "--xi", xi]
         assert run_failing(capsys, tmp_path, *argv) == (2, message + "\n")
 
 
@@ -300,7 +306,7 @@ def test_cover_reports_witness_on_failure():
     from toricball import verify
 
     fan = tb.validate_fan(2, [(1, 0), (0, 1)], [[0, 1]], require_complete=False)
-    ctx = verify.Context(fan, None, [], 1e-9, 0, 0, random.Random(0))
+    ctx = verify.Context(fan, None, [], 1e-9, 0, random.Random(0))
     witness = {"reason": "ridge not shared by exactly two maximal flags", "ridge": [[0]], "count": 1}
     assert verify._cover(ctx) == (False, {"witness": witness})
 
@@ -570,7 +576,7 @@ def test_hilbert_minimality_names_witnesses():
 
     fan = tb.load_bundled("p112")
     atlas = tb.Atlas(fan)
-    ctx = verify.Context(fan, atlas, [], 1e-9, 0, 0, random.Random(0))
+    ctx = verify.Context(fan, atlas, [], 1e-9, 0, random.Random(0))
     cones = fan.cones()
     assert verify._hilbert_minimality(ctx) == (True, {"cones": len(cones)})
     for cone in cones:

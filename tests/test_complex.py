@@ -143,7 +143,7 @@ def test_orbit_euler_all(p1, p2, p1xp1, p3, cube_fan, p112, twisted_p3):
 
 
 def test_verify_gluing_p2(atlas_p2):
-    report = verify_gluing(atlas_p2, tol=1e-9, seed=0)
+    report = verify_gluing(atlas_p2, tol=1e-9)
     assert report.passed
     assert report.worst_shared_gap <= 1e-9
     # Rows: |H(sigma)| = 2 per maximal flag.  Rules, once per maximal cone
@@ -151,22 +151,23 @@ def test_verify_gluing_p2(atlas_p2):
     # tau, with |H| = 3 on each of its two rays and 4 on the zero cone:
     # (1 + 3) + (1 + 3) + (1 + 4) = 13.
     assert report.identities == 6 * 2 + 3 * 13
-    assert report.shared_samples == 6 * 2 * 25  # (flag, proper prefix subflag) x samples
+    assert report.shared_samples == 6 * 1 * 25  # (flag, nonempty proper prefix subflag) x samples
 
 
 def test_verify_gluing_defaults_draw_25_samples_per_prefix(atlas_p2):
     """Called with its defaults, verify_gluing samples 25 points of each
-    (maximal flag, proper prefix) of P^2: 6 flags, 2 prefixes each."""
+    (maximal flag, nonempty proper prefix) of P^2: 6 flags, 1 prefix
+    each, the flag's ray."""
     report = verify_gluing(atlas_p2)
-    assert report.passed and report.shared_samples == 6 * 2 * 25
+    assert report.passed and report.shared_samples == 6 * 1 * 25
 
 
 @pytest.mark.parametrize("name", ["p2", "p3"])
 def test_subflag_cross_check_samples_each_prefix_top(monkeypatch, name):
     """The shared half localizes one batch of count samples of each
-    maximal flag's chart to each of its n proper prefix tops (the zero
-    cone, then each cone of the flag but the last, in order), through
-    charts.shifted_columns and nothing else."""
+    maximal flag's chart to each of its n - 1 nonempty proper prefix
+    tops (each cone of the flag but the last, in order; never the zero
+    cone), through charts.shifted_columns and nothing else."""
     atlas = tb.Atlas(tb.load_bundled(name))
     flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
     calls = []
@@ -178,14 +179,11 @@ def test_subflag_cross_check_samples_each_prefix_top(monkeypatch, name):
 
     monkeypatch.setattr(cellcomplex, "shifted_columns", spy)
     monkeypatch.setattr(atlas, "localize", lambda p, tau: pytest.fail("a sample localized point by point"))
-    report = verify_gluing(atlas, seed=0)
+    report = verify_gluing(atlas)
     assert report.passed
     count, n = 25, atlas.fan.dim
-    zero = atlas.fan.zero_cone()
-    assert calls == [
-        (flag.cones[-1].rays, tau.rays, count, {count}) for flag in flags for tau in (zero, *flag.cones[:-1])
-    ]
-    assert report.shared_samples == len(flags) * n * count
+    assert calls == [(flag.cones[-1].rays, tau.rays, count, {count}) for flag in flags for tau in flag.cones[:-1]]
+    assert report.shared_samples == len(flags) * (n - 1) * count
 
 
 def _rule_key(atlas, rule):
@@ -223,19 +221,19 @@ def test_subflag_read_rows_localize_as_the_chart_point(monkeypatch, name):
         return off, rows
 
     monkeypatch.setattr(cellcomplex, "shifted_columns", spy)
-    assert verify_gluing(atlas, seed=3).passed
-    rng, count, zero = random.Random(3), 25, atlas.fan.zero_cone()
+    assert verify_gluing(atlas, rng=random.Random(3)).passed
+    rng, count = random.Random(3), 25
     expected = []
     for flag in flags:
         chart, n = atlas.chart(flag), len(flag)
-        for k in range(n):
-            tau = flag.cones[k - 1] if k else zero
+        for k in range(1, n):
+            tau = flag.cones[k - 1]
             _, alpha_terms, rows, _ = atlas._localization_rule(chart.top_cone, tau)
             read = {i for i, _ in alpha_terms} | {i for _, terms in rows for i, _ in terms}
             for xi in cellcomplex._simplex_samples(rng, k, count):
                 w = bary_to_delta(xi + (0.0,) * (n - k))
                 expected.append((read, tau, atlas.localize(atlas.chart_point(chart, w), tau).values))
-    assert len(seen) == len(expected) == len(flags) * atlas.fan.dim * count
+    assert len(seen) == len(expected) == len(flags) * (atlas.fan.dim - 1) * count
     for (read, tau, off, local), (want_read, want_tau, want) in zip(seen, expected):
         assert read == want_read and tau == want_tau and not off
         assert list(map(float.hex, local)) == list(map(float.hex, want))
@@ -259,16 +257,15 @@ def _per_point_cross_check(atlas, flags, rng, count, tol):
     carrying the read Hilbert rows, is localized by Atlas.localize and
     compared with the telescoped monomials of its own subflag.  Returns
     (counterexamples, samples drawn, worst passing gap)."""
-    zero = atlas.fan.zero_cone()
     out, drawn, worst = [], 0, 0.0
     for fi, flag in enumerate(flags):
         chart = atlas.chart(flag)
         if len(chart.hilbert_rows) != len(atlas.hilbert(chart.top_cone).generators):
             continue
         n = len(flag)
-        for k in range(n):
+        for k in range(1, n):
             members = flag.cones[:k]
-            tau = members[-1] if members else zero
+            tau = members[-1]
             _, alpha_terms, rows, _ = atlas._localization_rule(chart.top_cone, tau)
             read = sorted({i for i, _ in alpha_terms}.union(i for _, terms in rows for i, _ in terms))
             read_terms = [chart.hilbert_terms[i] for i in read]
@@ -311,8 +308,99 @@ def test_simplex_samples_normalize_by_a_left_to_right_sum():
             return next(self.draws)
 
     assert math.fsum(draws) != (draws[0] + draws[1]) + draws[2] == 0.5
-    vertices = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-    assert cellcomplex._simplex_samples(Stub(), 2, 4) == [*vertices, (1.0, 2.0**-53, 2.0**-53)]
+    vertices = [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+    assert cellcomplex._simplex_samples(Stub(), 2, 3) == [*vertices, (1.0, 2.0**-53, 2.0**-53)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_simplex_samples_skip_the_origin(dim):
+    """The samples of a dim-simplex are its vertices e_1..e_dim, then
+    random points, never e_0 (the origin of the prefix's simplex).  From
+    dim 2 on, every third random point lies on xi_0 = 0; at dim 1 no
+    point is forced there, where it would be e_1 again, so all 25 points
+    are distinct (the sampler that listed e_0 and forced every third
+    point gave 17 distinct points at dim 1 from random.Random(0))."""
+    samples = cellcomplex._simplex_samples(random.Random(0), dim, 25)
+    origin = (1.0,) + (0.0,) * dim
+    vertices = [tuple(float(j == i) for j in range(dim + 1)) for i in range(1, dim + 1)]
+    assert len(samples) == len(set(samples)) == 25 and origin not in samples
+    assert samples[:dim] == vertices
+    forced = [p for p, xi in enumerate(samples[dim:]) if xi[0] == 0.0]
+    assert forced == (list(range(2, 25 - dim, 3)) if dim >= 2 else [])
+
+
+@pytest.mark.parametrize("dim, count", [(1, 25), (2, 25), (3, 25), (4, 25), (3, 2), (3, 3)])
+def test_simplex_samples_draw_one_list_per_batch(dim, count):
+    """One batch draws dim + 1 numbers per random point, count - dim
+    points, and nothing for the vertices e_1..e_dim, of which it keeps
+    the first count; the points take the numbers in generator order, the
+    forced xi_0 = 0 included (its number is drawn and dropped)."""
+
+    class Counting:
+        calls = 0
+
+        def random(self):
+            self.calls += 1
+            return float(self.calls)
+
+    rng = Counting()
+    samples = cellcomplex._simplex_samples(rng, dim, count)
+    width, points = dim + 1, max(count - dim, 0)
+    assert rng.calls == points * width and len(samples) == count
+    assert samples[:dim] == [tuple(float(j == i) for j in range(width)) for i in range(1, width)][:count]
+    for p, xi in enumerate(samples[dim:]):
+        raw = [float(p * width + j + 1) for j in range(width)]
+        if dim >= 2 and p % 3 == 2:
+            raw[0] = 0.0
+        assert xi == tuple(x / sum(raw) for x in raw)
+
+
+def _tamper(atlas):
+    """verify --tamper's edit: the last exponent of the first chart's b
+    plus one."""
+    chart = atlas.charts()[0]
+    b = [list(row) for row in chart.b]
+    b[-1][-1] += 1
+    atlas._charts[chart.flag] = dataclasses.replace(chart, b=tuple(map(tuple, b)))
+
+
+@pytest.mark.parametrize("tampered", [False, True], ids=["intact", "tamper"])
+@pytest.mark.parametrize("name", tb.BUNDLED_FANS)
+def test_shared_half_cannot_fail_at_the_origin(monkeypatch, name, tampered):
+    """The certificate for the unsampled origin: at w = (1, ..., 1), on
+    every maximal flag and every proper prefix, the empty one included,
+    the shared half's kernels give every read Hilbert value, v_alpha,
+    localized row and telescoped row exactly 1.0, no point off tau's
+    chart and every gap 0.0; also with --tamper's edit of b.  So
+    verify_gluing draws no sample there (xi_0 = 1)."""
+    atlas = tb.Atlas(tb.load_bundled(name))
+    if tampered:
+        _tamper(atlas)
+    batches = []
+    simplex_samples = cellcomplex._simplex_samples
+    monkeypatch.setattr(
+        cellcomplex, "_simplex_samples", lambda *args: batches.append(simplex_samples(*args)) or batches[-1]
+    )
+    verify_gluing(atlas)
+    assert len(batches) == len(atlas.charts()) * (atlas.fan.dim - 1)
+    assert all(xi[0] < 1.0 for batch in batches for xi in batch)
+    zero = atlas.fan.zero_cone()
+    for chart in atlas.charts():
+        flag, n = chart.flag, chart.n
+        ones = [[1.0]] * n
+        for k in range(n):
+            tau = flag.cones[k - 1] if k else zero
+            rule = atlas._localization_rule(chart.top_cone, tau)
+            _, alpha_terms, rows, _ = rule
+            read = sorted({i for i, _ in alpha_terms} | {i for _, terms in rows for i, _ in terms})
+            values = monomial_columns([chart.hilbert_terms[i] for i in read], ones, 1)
+            (v_alpha,) = monomial_columns([alpha_terms], dict(zip(read, values)), 1)
+            off, local = charts.shifted_columns(rule, dict(zip(read, values)), 1)
+            generators = atlas.hilbert(tau).generators
+            tele = monomial_columns(cellcomplex._telescoped_terms(generators, flag.steps[:k]), ones[: k + 1], 1)
+            assert off == [False] and len(local) == len(tele) == len(generators)
+            assert {x for row in (*values, v_alpha, *local, *tele) for x in row} <= {1.0}
+            assert [g for a, b in zip(local, tele) for g in charts.scaled_gaps(a, b)] == [0.0] * len(generators)
 
 
 def _batch_and_per_point(atlas, seed, tol=1e-9):
@@ -341,7 +429,7 @@ def test_subflag_cross_check_matches_the_per_point_reference(name):
     for seed in (0, 3):
         batch, reference = _batch_and_per_point(atlas, seed)
         assert batch == reference, seed
-        assert batch[2] == len(tb.enumerate_flags(atlas.fan, only_maximal=True)) * atlas.fan.dim * 25
+        assert batch[2] == len(tb.enumerate_flags(atlas.fan, only_maximal=True)) * (atlas.fan.dim - 1) * 25
 
 
 def _with_w1_in_alpha(atlas, exponent):
@@ -404,10 +492,31 @@ def test_subflag_cross_check_fails_on_nan_gap(monkeypatch):
     writes the gap as None."""
     atlas = tb.Atlas(tb.load_bundled("p2"))
     _nan_in_second_value(monkeypatch)
-    report = verify_gluing(atlas, seed=0)
+    report = verify_gluing(atlas)
     shared = [c for c in report.counterexamples if c["kind"] == "shared"]
     assert not report.passed and shared and all(c["gap"] is None for c in shared)
     assert report.worst_shared_gap == 0.0
+
+
+@pytest.mark.parametrize("nan", [False, True], ids=["intact", "nan_gaps"])
+@pytest.mark.parametrize("name", ["p2", "p112", "p3"])
+def test_intersection_gluing_draws_from_its_own_generator(monkeypatch, name, nan):
+    """intersection_gluing's report entry is verify_gluing's report on
+    the check's own generator, random.Random(f"{seed}:intersection_gluing"),
+    the seeding of every check, at seeds 0 and 3.  With every gap NaN
+    each sample is a counterexample, so the entry names the drawn
+    points."""
+    if nan:
+        _nan_in_second_value(monkeypatch)
+    fan = tb.load_bundled(name)
+    for seed in (0, 3):
+        checks = verify.run_verification(fan, seed=seed)["checks"]
+        (entry,) = [c for c in checks if c["name"] == "intersection_gluing"]
+        glue = verify_gluing(tb.Atlas(fan), rng=random.Random(f"{seed}:intersection_gluing"))
+        assert entry["passed"] == glue.passed != nan
+        found = (entry["identities"], entry["worst_shared_gap"], entry["counterexamples"])
+        assert found == (glue.identities, glue.worst_shared_gap, glue.counterexamples[:5])
+        assert len(glue.counterexamples) == (glue.shared_samples if nan else 0)
 
 
 def _compose_rows(terms, rows, n):
@@ -510,7 +619,7 @@ def _perturbed_gluing(edit, name="p2"):
         flags,
         gluing_identities(atlas, flags),
         _per_flag_identities(atlas, flags),
-        verify_gluing(atlas, seed=0),
+        verify_gluing(atlas),
     )
 
 
@@ -721,9 +830,9 @@ def test_gluing_identity_fails_on_hilbert_row_count(monkeypatch, edit):
     gluing = checks["intersection_gluing"]
     assert not gluing["passed"] and gluing["gates"] == {"monomial_diagram": True, "cover": True}
     assert gluing["counterexamples"] == [{"kind": "identity", **witness}]
-    report = verify_gluing(atlas, tol=1e-9, seed=0)
-    full = verify_gluing(tb.Atlas(atlas.fan), tol=1e-9, seed=0)
-    assert report.shared_samples == full.shared_samples - 25 * len(flags[0])
+    report = verify_gluing(atlas, tol=1e-9)
+    full = verify_gluing(tb.Atlas(atlas.fan), tol=1e-9)
+    assert report.shared_samples == full.shared_samples - 25 * (len(flags[0]) - 1)
 
 
 def test_verify_gluing_distinct_pin():
@@ -735,7 +844,7 @@ def test_verify_gluing_distinct_pin():
     own flag."""
     data = Path(__file__).parent / "data" / "gluing_wps_1_1_20_seed5"
     atlas = tb.Atlas(tb.parse_and_validate((data / "fan.json").read_text()))
-    report = verify_gluing(atlas, tol=1e-9, seed=5)
+    report = verify_gluing(atlas, tol=1e-9, rng=random.Random(5))
     assert report.passed and report.counterexamples == []
     flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
     (pin,) = json.loads((data / "distinct.json").read_text())
@@ -775,7 +884,7 @@ def test_points_equal_distinct_pin():
 def _simplex_inversion(fan, atlas):
     """verify's simplex_inversion check on atlas, which may be perturbed."""
     chart_list = atlas.charts()
-    ctx = verify.Context(fan, atlas, chart_list, 1e-9, 0, 0, random.Random(0))
+    ctx = verify.Context(fan, atlas, chart_list, 1e-9, 0, random.Random(0))
     return verify._simplex_inversion(ctx)
 
 
@@ -788,7 +897,7 @@ def test_locate_cross_check_fails_on_perturbed_terms():
     fan, atlas = p2_with_terms(drop_first_term)
     count, failures = gluing_identities(atlas, tb.enumerate_flags(fan, only_maximal=True))
     assert count == 6 * 2 + 3 * 13 and failures == []
-    assert verify_gluing(atlas, seed=0).passed
+    assert verify_gluing(atlas).passed
     passed, details = _simplex_inversion(fan, atlas)
     assert not passed and details["witness"]["flag"] == 0
 
@@ -802,7 +911,7 @@ def test_locate_cross_check_fails_on_off_inversion(monkeypatch):
     monkeypatch.setattr(charts, "invert_triangular", lambda b, y: [[w + 1e-6 for w in col] for col in invert(b, y)])
     fan = tb.load_bundled("p2")
     atlas = tb.Atlas(fan)
-    assert verify_gluing(atlas, seed=0).passed
+    assert verify_gluing(atlas).passed
     passed, details = _simplex_inversion(fan, atlas)
     witness = details["witness"]
     assert not passed and details["worst_gap"] > 1e-9

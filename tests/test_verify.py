@@ -36,7 +36,7 @@ def atlas(request):
 
 def _context(fan, atlas=None, samples=0):
     chart_list = atlas.charts() if atlas else []
-    return verify.Context(fan, atlas, chart_list, 1e-9, samples, 0, random.Random(0))
+    return verify.Context(fan, atlas, chart_list, 1e-9, samples, random.Random(0))
 
 
 def _fraction_residuals(chart, rng, count):
