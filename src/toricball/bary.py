@@ -117,13 +117,15 @@ class Subdivision:
 
     flags lists every flag (the empty one first) and maximal the maximal
     ones (length n, ending in a maximal cone), in enumeration order;
-    by_chain maps each flag's chain of ray sets to its Flag.  simplicial
-    and other are the index of locate_flag: simplicial lists, for every
-    full-dimensional simplicial maximal cone, its sorted ray indices and
-    the rows d_i of the integer left inverse of its rays r_j
-    (exact.span_inverse: <d_i, r_j> = c * delta_ij for one c > 0 per
-    cone, so the pairings <d_i, x> are the ray coordinates of x up to
-    that common positive factor); other lists every other
+    by_chain maps each flag's chain of ray sets to its Flag, and
+    position each Flag to its index in flags, so the least of some
+    flags is the one of least position, with no sort key rebuilt.
+    simplicial and other are the index of locate_flag: simplicial
+    lists, for every full-dimensional simplicial maximal cone, its
+    sorted ray indices and the rows d_i of the integer left inverse of
+    its rays r_j (exact.span_inverse: <d_i, r_j> = c * delta_ij for one
+    c > 0 per cone, so the pairings <d_i, x> are the ray coordinates of
+    x up to that common positive factor); other lists every other
     full-dimensional maximal cone with its maximal flags in enumeration
     order.
     """
@@ -131,6 +133,7 @@ class Subdivision:
     flags: tuple
     maximal: tuple
     by_chain: dict
+    position: dict
     simplicial: tuple
     other: tuple
 
@@ -169,6 +172,7 @@ def subdivision(fan: Fan) -> Subdivision:
         flags=tuple(flags),
         maximal=maximal,
         by_chain={tuple(c.rays for c in f.cones): f for f in flags},
+        position={f: i for i, f in enumerate(flags)},
         simplicial=tuple(simplicial),
         other=tuple(other),
     )
@@ -255,30 +259,58 @@ def locate_flag(fan: Fan, x) -> Flag:
     A non-simplicial cone that passes the dual sign test is scanned flag
     by flag.  Same result as containing_flags(fan, x)[0], which stays as
     the exhaustive reference.
+
+    The scan (see _locate) stops at the first cone sigma where every
+    lambda_i > 0, with at least one lambda: x is then in sigma's
+    interior, and in no other maximal cone tau.  In a fan sigma and tau
+    meet in a common face, which contains x; the only face of sigma
+    that meets its interior is sigma itself, so sigma lies in tau, and
+    two maximal cones of the same dimension that nest are equal.
     """
+    return _locate(fan, x)[0]
+
+
+def _locate(fan: Fan, x):
+    """(flag, u): locate_flag's flag, and x's coordinates u in it as
+    floats.  With x = nums / den (integer_numerators, run once) and the
+    flag's integer inverse (L, d), u_j = <L_j, nums> / (d * den), an int
+    over an int, which Python rounds correctly: bit for bit
+    float(Fraction(...)) of coords_in_flag, with no second sign test,
+    since the flag contains x by construction.  A simplicial cone's rows
+    are paired up to the first negative lambda, and the least flag found
+    is the one of least Subdivision.position."""
     sub = subdivision(fan)
     if len(x) != fan.dim:
         raise DimensionMismatch(f"point of length {len(x)} in a rank-{fan.dim} fan")
     # One common denominator makes every sign test an integer pairing.
-    nums, _ = integer_numerators(x)
+    nums, den = integer_numerators(x)
     found = []
     for rays, duals in sub.simplicial:
-        lam = [sum(map(mul, d, nums)) for d in duals]  # pair() without its length check
-        if min(lam, default=0) >= 0:
+        lam = []
+        for dual in duals:
+            lam.append(sum(map(mul, dual, nums)))  # pair() without its length check
+            if lam[-1] < 0:
+                break  # x is not in this cone
+        else:
             chain, members = [], set()
             # The sort is stable, so tied coordinates keep ray-index order.
             for i in sorted(range(len(rays)), key=lambda i: -lam[i]):
                 members.add(rays[i])
                 chain.append(frozenset(members))
             found.append(sub.by_chain[tuple(chain)])
-    for cone, flags in sub.other:
-        if cone.contains(nums):
-            hit = next((f for f in flags if flag_contains(f, x)), None)
-            if hit is not None:
-                found.append(hit)
+            if lam and min(lam) > 0:
+                break  # x is interior to this cone, hence in no other: end the scan
+    else:  # no simplicial cone holds x in its interior
+        for cone, flags in sub.other:
+            if cone.contains(nums):
+                hit = next((f for f in flags if flag_contains(f, x)), None)
+                if hit is not None:
+                    found.append(hit)
     if not found:
         raise NotInCone(f"{x} is not covered by any maximal flag cone (incomplete fan?)")
-    return min(found, key=Flag.sort_key)
+    flag = min(found, key=sub.position.__getitem__)
+    left, d, _ = flag.inverse if flag.cones else ((), 1, ())
+    return flag, [sum(map(mul, row, nums)) / (d * den) for row in left]
 
 
 def cover_check(fan: Fan):

@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
-from .bary import Flag, locate_flag, simplicial_coords
+from .bary import Flag, _locate, simplicial_coords
 from .charts import TWO_PI, Atlas, ToricPoint, psi_eval, theta
 from .fan import Fan
 
@@ -73,9 +73,13 @@ def rescale_global(fan: Fan, x):
 
     Evaluates flag-locally in the lexicographically least maximal flag
     containing x; agreement across overlapping flags is a checked
-    property, not an assumption (see the verification suites).
+    property, not an assumption (see the verification suites).  One
+    exact pass (bary._locate) finds that flag and x's coordinates in
+    it, so the result is rescale_in_flag(locate_flag(fan, x), x) bit
+    for bit, without its second denominator clearing and sign test.
     """
-    return rescale_in_flag(locate_flag(fan, x), x)
+    flag, u = _locate(fan, x)
+    return phi_point(flag.barycenters, u, len(x))
 
 
 def bary_to_delta(xi):

@@ -427,6 +427,7 @@ def _intersection_gluing(ctx):
         "identities": glue.identities,
         "coverage": {"shared": "exact", "distinct": "exact"},
         "gates": gates,
+        "shared_samples": glue.shared_samples,
         "worst_shared_gap": glue.worst_shared_gap,
         "counterexamples": glue.counterexamples[:5],
     }

@@ -1,5 +1,6 @@
 """Barycenters, flags, flag cones, covering."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -11,7 +12,7 @@ import pytest
 
 import toricball as tb
 from conftest import cover_samples, cube_faces_fan, get_atlas, get_fan, stellar_fan, unvalidated_fan, wps_fan
-from toricball import bary
+from toricball import bary, homeo
 from toricball.bary import (
     Flag,
     NotInCone,
@@ -26,7 +27,8 @@ from toricball.bary import (
     locate_flag,
     simplicial_coords,
 )
-from toricball.exact import DimensionMismatch, dual_basis, pair, rank, solve_in_basis, unit_vector
+from toricball.exact import DimensionMismatch, dual_basis, pair, rank, solve_in_basis, unit_vector, vsum
+from toricball.homeo import rescale_global, rescale_in_flag
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -179,6 +181,10 @@ LOCATE_FANS = list(tb.BUNDLED_FANS) + ["cube_faces", "wps_1_1_1_9"]
 def _locate_fan(name):
     if name == "cube_faces":
         return cube_faces_fan()
+    if name == "rank_0":
+        return tb.validate_fan(0, [], [[]])
+    if name.startswith("p3_stellar_"):
+        return stellar_fan(get_fan("p3"), 3, 5, int(name.rpartition("_")[2]))
     if name == "wps_1_1_1_9":
         return tb.parse_and_validate((GOLDEN / "verify_wps_1_1_1_9" / "fan.json").read_text())
     return get_fan(name)
@@ -211,6 +217,94 @@ def test_locate_flag_does_not_scan(monkeypatch, twisted_p3):
     assert calls == []
     containing_flags(twisted_p3, (1, 2, 3))
     assert calls  # the counters do see a scan
+
+
+# The rank-0 fan's zero cone has no rows, so its lambda is empty and
+# its answer the empty flag; p1 is the rank-1 fan.
+REFERENCE_FANS = LOCATE_FANS + [f"p3_stellar_{seed}" for seed in range(3)] + ["rank_0"]
+
+
+def _query_points(fan, rng, per_flag):
+    """The benchmark's locate queries: x = sum u_j B_j in each maximal
+    flag's cone, each u_j 0 with probability 1/4, else k / 1000 with k
+    drawn from 1..4000."""
+    for flag in enumerate_flags(fan, only_maximal=True):
+        for _ in range(per_flag):
+            u = [0 if rng.random() < 0.25 else Fraction(rng.randint(1, 4000), 1000) for _ in flag.cones]
+            yield tuple(sum(uj * b[i] for uj, b in zip(u, flag.barycenters)) for i in range(fan.dim))
+
+
+@pytest.mark.parametrize("name", REFERENCE_FANS)
+def test_rescale_global_matches_reference(name):
+    """rescale_global's one exact pass against the reference route: Phi
+    in the exhaustive scan's first flag, through coords_in_flag's
+    Fractions, equal float for float (repr tells -0.0 from 0.0), and
+    locate_flag returns that very flag.  Points: lattice box points (ties
+    and boundary points), barycenters and their midpoints, random
+    rationals, floats of every magnitude, and the benchmark's queries.
+    The rank-0 fan has no maximal flag of positive length; its empty
+    flag covers its one point."""
+    fan = _locate_fan(name)
+    rng = random.Random(1)
+    points = list(itertools.product(range(-2, 3), repeat=fan.dim))
+    points += cover_samples(fan, count=0, seed=0)
+    points += [tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(fan.dim)) for _ in range(40)]
+    points += [tuple(rng.uniform(-3, 3) * scale for _ in range(fan.dim)) for scale in (1.0, 1e-300, 1e300)]
+    points.append(tuple(5e-324 if i == 0 else 1.0 for i in range(fan.dim)))
+    points += _query_points(fan, rng, per_flag=2)
+    for x in points:
+        flag = containing_flags(fan, x)[0] if fan.dim else bary.subdivision(fan).flags[0]
+        assert locate_flag(fan, x) is flag, x
+        assert repr(rescale_global(fan, x)) == repr(rescale_in_flag(flag, x)), x
+
+
+def _counted(monkeypatch, names):
+    """Record the name of each call to the given bary and homeo functions."""
+    calls = []
+    for module in (bary, homeo):
+        for name in names:
+            if hasattr(module, name):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["twisted_p3", "wps_1_1_1_9"])
+def test_rescale_global_makes_one_exact_pass(monkeypatch, name):
+    """One rescale_global call clears x's denominators once, and neither
+    solves for nor sign-tests coordinates flag by flag: the located
+    flag's inverse rows pair with the numerators of the locate scan."""
+    fan = _locate_fan(name)
+    points = cover_samples(fan, count=20, seed=2) + list(_query_points(fan, random.Random(2), per_flag=1))
+    calls = _counted(monkeypatch, ("integer_numerators", "simplicial_coords", "coords_in_flag", "flag_contains"))
+    for x in points + [tuple(0.5 + i for i in range(fan.dim))]:
+        calls.clear()
+        rescale_global(fan, x)
+        assert calls == ["integer_numerators"], x
+
+
+class _Unread:
+    """A locate index entry that fails when the scan unpacks it."""
+
+    def __iter__(self):
+        raise AssertionError("a cone after the one holding x in its interior was read")
+
+
+@pytest.mark.parametrize("name", ["twisted_p3", "wps_1_1_1_9"])
+def test_locate_stops_at_the_interior_cone(monkeypatch, name):
+    """x = sum_j B_j is interior to its flag's top cone, so the scan
+    stops there: every later entry of the locate index is replaced by
+    one that raises when read, and the answer is unchanged."""
+    fan = _locate_fan(name)
+    sub = bary.subdivision(fan)
+    index = [rays for rays, _ in sub.simplicial]
+    for flag in sub.maximal:
+        x = vsum(flag.barycenters, fan.dim)
+        k = index.index(tuple(sorted(flag.cones[-1].rays)))
+        cut = sub.simplicial[: k + 1] + (_Unread(),) * (len(index) - k - 1)
+        monkeypatch.setitem(bary._SUBDIVISIONS, fan, dataclasses.replace(sub, simplicial=cut))
+        assert locate_flag(fan, x) is flag
+        assert repr(rescale_global(fan, x)) == repr(rescale_in_flag(flag, x))
 
 
 def test_locate_index_rows_are_scaled_dual_rays():
@@ -304,6 +398,21 @@ BARY_INPUT_ERRORS = {
         DimensionMismatch,
         "point of length 3 in a rank-2 fan",
     ),
+    "rescale-wrong-length": (
+        lambda: rescale_global(get_fan("p2"), (1, 2, 3)),
+        DimensionMismatch,
+        "point of length 3 in a rank-2 fan",
+    ),
+    "rescale-non-finite": (
+        lambda: rescale_global(get_fan("p2"), (1.0, math.nan)),
+        ValueError,
+        "coordinates must be finite, got nan",
+    ),
+    "rescale-incomplete-fan": (
+        lambda: rescale_global(tb.validate_fan(2, [(1, 0), (0, 1)], [[0, 1]], require_complete=False), (-5, -7)),
+        NotInCone,
+        "(-5, -7) is not covered by any maximal flag cone (incomplete fan?)",
+    ),
 }
 
 
@@ -312,5 +421,6 @@ def test_bary_input_errors(case):
     call, error, message = BARY_INPUT_ERRORS[case]
     with pytest.raises(error, match=re.escape(message)) as err:
         call()
+    assert type(err.value) is error
     if error is NotInCone:
         assert err.value.coords is None

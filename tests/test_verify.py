@@ -16,6 +16,7 @@ import toricball as tb
 from conftest import drop_first_term, p2_with_terms, stellar_fan, wps_fan
 from toricball import cellcomplex, charts, homeo, verify
 from toricball.bary import simplicial_coords
+from toricball.cli import main
 from toricball.cones import dual_generators
 from toricball.exact import pair, vscale
 
@@ -524,6 +525,18 @@ def test_verify_runs_no_dual_description_after_validation(monkeypatch, name):
     monkeypatch.setattr("toricball.cones.dual_generators", lambda *args: calls.append(args) or dual_generators(*args))
     assert verify.run_verification(fan, seed=0)["passed"]
     assert calls == []
+
+
+@pytest.mark.parametrize("name, shared", [("p1", 0), ("p2", 6 * 1 * 25)])
+def test_verify_reports_intersection_gluing_shared_samples(name, shared, tmp_path, capsys):
+    """intersection_gluing's entry counts its shared samples: (maximal
+    flags) x (nonempty proper prefixes) x SHARED_SAMPLES.  A rank-1 fan
+    has no nonempty proper prefix, so its worst_shared_gap of 0.0 rests
+    on no sample, and the count of 0 says so."""
+    assert main(["verify", str(tb.bundled_path(name)), "--seed", "0", "--samples", "5", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    checks = {c["name"]: c for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
+    assert checks["intersection_gluing"]["shared_samples"] == shared
 
 
 def _gluing_after_gates(fan, atlas):
