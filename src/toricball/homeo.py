@@ -134,9 +134,9 @@ def param_boundary_point(atlas: Atlas, flag: Flag, xi) -> ToricPoint:
 
     which is bary_to_delta(xi)_j, the partial sum xi_0 + ... + xi_(j-1),
     at the compactifying chart's xi_0 = 1 / (1 + U_n),
-    xi_i = u_i / (1 + U_n).  The evaluators behind psi . theta . exp are
-    cross-checked on every chart by verify's monomial_diagram
-    (_diagram_residuals).
+    xi_i = u_i / (1 + U_n).  psi's exponents are certified on every chart
+    by verify's monomial_diagram identities, and its evaluator is
+    cross-checked by simplex_inversion's round trip.
     """
     check_barycentric(xi)
     if len(xi) != len(flag) + 1:

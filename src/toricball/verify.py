@@ -1,15 +1,16 @@
 """The certification suite: a table of named checks over one context.
 
 Each check reads the shared Context (fan, atlas, maximal flag charts,
-tolerance, sample count, its own seeded generator and the results of
-the checks before it; the rank is the fan's) and returns (passed,
-details), or None when it does not apply to the fan.  Checks run in
-table order.  Each draws from a generator seeded by the run's seed and
-its own name, intersection_gluing included (it hands its generator to
+tolerance, its own seeded generator and the results of the checks
+before it; the rank is the fan's) and returns (passed, details), or
+None when it does not apply to the fan.  Checks run in table order.
+Each draws from a generator seeded by the run's seed and its own name,
+intersection_gluing included (it hands its generator to
 cellcomplex.verify_gluing), so a fixed seed and configuration give a
 byte-identical report, and adding, removing or reordering a check
-leaves every other entry unchanged.  intersection_gluing's sample count
-is cellcomplex.SHARED_SAMPLES, not the run's.
+leaves every other entry unchanged.  Each sampling check fixes its own
+sample count: INVERSION_SAMPLES points per group for simplex_inversion,
+cellcomplex.SHARED_SAMPLES per prefix for intersection_gluing.
 
 The float cross-checks are sized by the rank n, not by the Hilbert
 basis.  A chart's point is fixed by its n triangular rows, and the exact
@@ -18,30 +19,27 @@ as linear in h (the only certificate of b's values), chart_invariants
 that Chart.terms is exactly b's nonzero entries, and intersection_gluing's
 identities, with that gate, every localized row (each flag's Hilbert
 rows by generator, and each localization rule once, in M).
-So monomial_diagram and simplex_inversion evaluate the n triangular
-rows only, and intersection_gluing's shared half only the rows each
-localization rule reads (cellcomplex._subflag_cross_check).
+So simplex_inversion evaluates the n triangular rows only, and
+intersection_gluing's shared half only the rows each localization rule
+reads (cellcomplex._subflag_cross_check).
 A NaN gap fails its check and is reported as null, so that the report
 stays strict JSON.
 
-The float cross-checks sample once per group of charts, not once per
-chart.  simplex_inversion's kernels read a chart's terms[:n] and b[:n]
-and nothing else, and monomial_diagram's residuals its terms[:n] and
-the pairing rows of its n triangular generators; the charts whose
-inputs are equal form a group, and groups are ordered by their first
-chart.  Each group is sampled as one chart was before (500 points of
-_delta_samples, or the run's sample count of residual draws, from the
-check's own generator), through its first chart.  Equal inputs give
-bit-equal floats at equal points, so more points spread over the
-duplicates of a group would show nothing that the same points on its
-first chart do not: a duplicate can differ only in its point set,
-never in its map.  A chart whose inputs are perturbed has a different
-key and forms a group of its own, sampled in full.  On many fans every
-chart has the same triangular rows (all 24 charts of p3 are one group,
-all 3,840 of (P^1)^5); P(1,1,1,27) has two groups of 24 charts.  A
-witness names its group's first flag and, as shared_by, how many flags
-share the group.  The exact parts, chart_invariants, monomial_diagram's
-identities and its dual_witness, stay per chart.
+simplex_inversion samples once per group of charts, not once per
+chart.  Its kernels read a chart's terms[:n] and b[:n] and nothing
+else; the charts whose inputs are equal form a group, and groups are
+ordered by their first chart.  Each group is sampled as one chart was
+before (500 points of _delta_samples, from the check's own generator),
+through its first chart.  Equal inputs give bit-equal floats at equal
+points, so more points spread over the duplicates of a group would
+show nothing that the same points on its first chart do not: a
+duplicate can differ only in its point set, never in its map.  A chart
+whose inputs are perturbed has a different key and forms a group of
+its own, sampled in full.  On many fans every chart has the same
+triangular rows (all 24 charts of p3 are one group, all 3,840 of
+(P^1)^5); P(1,1,1,27) has two groups of 24 charts.  A witness names its
+group's first flag and, as shared_by, how many flags share the group.
+The exact checks, chart_invariants and monomial_diagram, run per chart.
 
 The triangular rows are evaluated, and inverted, over each group's
 whole sample batch at once, one column of the batch at a time, by the
@@ -111,6 +109,21 @@ another check already runs, and the facts that cover them:
   itself within 1e-10.  In a sweep at seed 0 (P(1,1,k) up to k = 400,
   P(1,1,1,27), steep and seeded stellar fans) every fan that it failed
   also failed simplex_inversion, and every other had gaps <= 4e-16.
+- monomial_diagram's float residual: psi(theta(e^(-2 pi u))) against
+  e^(-2 pi <g, x>) at seeded points x = sum_i u_i B_i, on each group's
+  triangular rows.  theta gives w_j = e^(-2 pi (u_j + ... + u_n)), so
+  psi's row b_g has log -2 pi sum_j b_gj (u_j + ... + u_n)
+  = -2 pi sum_i u_i (b_g1 + ... + b_gi), a telescoping sum.  The check's
+  exact identities certify each partial sum b_g1 + ... + b_gi as
+  <g, B_i>, so that log is -2 pi <g, x>, and its dual-basis gate
+  certifies that u are x's simplicial coordinates.  The two routes thus
+  agree on every fan, and the residual measured only the rounding of
+  charts.theta and charts.monomial_columns, fan-independent kernels
+  that simplex_inversion runs on the same rows
+  (tests/test_charts.py::test_batch_kernels_match_pointwise_reference
+  and test_theta_image_in_simplex).  Being absolute, it also missed a
+  doubled triangular generator whose values stay far below tol, an edit
+  the identities fail (test_doubled_pairing_row_fails_the_identities).
 - intersection_gluing's shared samples at the origin: the empty prefix
   subflag of each maximal flag, and the vertex e_0 of every other
   prefix.  At the origin every w_j is 1.0, so every Hilbert value,
@@ -134,16 +147,18 @@ Negative controls, each a test in tests/test_verify.py unless named:
   test_simplex_inversion_names_underflowed_values); one chart of p3,
   not the first, with a perturbed triangular row in Chart.terms, which
   forms a group of its own that the witness names
-  (test_perturbed_chart_forms_its_own_inversion_group).
+  (test_perturbed_chart_forms_its_own_inversion_group).  The float
+  edits that monomial_diagram's retired residual caught fail it too:
+  the triangular-row evaluator off by 1e-6
+  (test_monomial_diagram_fails_on_off_triangular_evaluator) and a NaN
+  in a later triangular value (test_monomial_diagram_fails_on_nan_residual).
 - monomial_diagram: --tamper (test_cli.py::test_verify_tamper_fails);
   an integer left inverse with one entry off by one, so a row off by
-  1/7 (test_dual_basis_gate_names_perturbed_inverse);
-  a triangular-row evaluator off by 1e-6, with every identity holding
-  (test_monomial_diagram_fails_on_off_triangular_evaluator); a NaN in
-  a later triangular value (test_monomial_diagram_fails_on_nan_residual);
-  one chart of p3, not the first, with an off triangular generator, so
-  an off pairing row, which forms a residual group of its own that
-  residual_witness names (test_off_pairing_row_forms_its_own_residual_group).
+  1/7 (test_dual_basis_gate_names_perturbed_inverse); one chart of p3,
+  not the first, with its first triangular generator replaced by its
+  last, or doubled, each named by the identity witness
+  (test_off_pairing_row_forms_its_own_residual_group,
+  test_doubled_pairing_row_fails_the_identities).
 - cover: incomplete fans of rank 2 and 3 (test_cover_fails_on_incomplete_fans).
 - regularity: incomplete fans of rank 2 and 3, where the zero-cone
   cell names its pseudomanifold issues (test_regularity_names_failing_cells);
@@ -180,18 +195,18 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul, sub
+from operator import sub
 
 from . import cellcomplex, charts, homeo
 from . import cones as _ck
 from .bary import cover_check
-from .charts import TWO_PI
 from .exact import pair
 from .fan import Fan
 
 
 class SettingsError(ValueError):
-    """A tolerance or sample count that run_verification rejects."""
+    """A setting that run_verification rejects: a tolerance that is not
+    finite and positive, or a tamper with no chart to perturb."""
 
 
 @dataclass
@@ -200,7 +215,6 @@ class Context:
     atlas: charts.Atlas
     charts: list  # one per maximal flag, in enumeration order
     tol: float
-    samples: int
     rng: random.Random  # the running check's own generator
     results: dict = field(default_factory=dict)  # check name -> (passed, details), as they run
 
@@ -240,70 +254,30 @@ def _chart_invariants(ctx):
 
 
 def _monomial_diagram(ctx):
-    """Both routes into the ambient chart agree.
-
-    Exactly, per chart: each partial sum b_g1 + ... + b_gi of the
-    exponent rows equals <g, B_i>, computed from the chart's generators
-    and barycenters; and the flag's left inverse is dual to the
-    barycenters, <beta_j, B_i> = delta_ij, so the simplicial coordinates
-    of x = sum_i u_i B_i are u at every point of the cone.  On failure,
-    the first witness of each.  As a cross-check of the evaluators, the
-    seeded residuals of _diagram_residuals on the n triangular rows,
-    once per group of charts with equal terms[:n] and pairing rows[:n]
-    (see the module docstring); a NaN residual fails the check and is
-    reported as null.  On failure, residual_witness names the worst
-    sample, or the first with a NaN gap: its group's first flag, how
-    many flags share the group, the triangular row, the draws k and the
-    two routes' values there.
+    """Both routes into the ambient chart agree, exactly, per chart: each
+    partial sum b_g1 + ... + b_gi of the exponent rows equals <g, B_i>,
+    computed from the chart's generators and barycenters; and the flag's
+    left inverse is dual to the barycenters, <beta_j, B_i> = delta_ij, so
+    the simplicial coordinates of x = sum_i u_i B_i are u at every point
+    of the cone.  On failure, the first witness of each.
     """
     identities = 0
     witness = dual_witness = None
-    groups = {}  # (terms[:n], pairing rows[:n]) -> chart indices
     for index, chart in enumerate(ctx.charts):
         barys = chart.flag.barycenters
-        pairings = [[pair(g, bary) for bary in barys] for g in chart.generators]
-        for g, row, expected in zip(chart.generators, chart.b, pairings):
-            for i, (found, want) in enumerate(zip(accumulate(row), expected)):
+        for g, row in zip(chart.generators, chart.b):
+            for i, (found, want) in enumerate(zip(accumulate(row), (pair(g, bary) for bary in barys))):
                 identities += 1
                 if witness is None and found != want:
                     witness = {"flag": index, "generator": list(g), "column": i, "found": found, "expected": want}
         if dual_witness is None:
             dual_witness = _dual_basis_witness(index, chart.flag)
-        groups.setdefault((chart.terms[: chart.n], tuple(map(tuple, pairings[: chart.n]))), []).append(index)
-    worst, worst_group = 0.0, None
-    for (_, rows), flags in groups.items():
-        draws, monomial, direct = _diagram_residuals(ctx.charts[flags[0]], rows, ctx.rng, ctx.samples)
-        gap = charts.sup_gap(map(_sup_gap, zip(*monomial), zip(*direct)))
-        if worst == worst and not gap <= worst:  # a new worst, or the first NaN
-            worst, worst_group = gap, (flags, draws, monomial, direct)
-    details = {
-        "charts": len(ctx.charts),
-        "groups": len(groups),
-        "identities": identities,
-        "worst_residual": _json_float(worst),
-        "samples_per_group": ctx.samples,
-    }
+    details = {"charts": len(ctx.charts), "identities": identities}
     if witness is not None:
         details["witness"] = witness
     if dual_witness is not None:
         details["dual_witness"] = dual_witness
-    if not worst <= ctx.tol:
-        flags, draws, monomial, direct = worst_group
-        row, k, found, expected = next(
-            (row, k, found, expected)
-            for k, founds, expecteds in zip(draws, zip(*monomial), zip(*direct))
-            for row, (found, expected) in enumerate(zip(founds, expecteds))
-            if (gap := abs(found - expected)) == worst or gap != gap
-        )
-        details["residual_witness"] = {
-            "flag": flags[0],
-            "shared_by": len(flags),
-            "row": row,
-            "k": k,
-            "found": _json_float(found),
-            "expected": _json_float(expected),
-        }
-    return witness is None and dual_witness is None and worst <= ctx.tol, details
+    return witness is None and dual_witness is None, details
 
 
 def _dual_basis_witness(index, flag):
@@ -321,41 +295,6 @@ def _dual_basis_witness(index, flag):
     return None
 
 
-def _diagram_residuals(chart, rows, rng, count):
-    """Per seeded point x = sum_i u_i B_i of the flag cone, u_i = k_i/1000
-    with k_i drawn from 0..4000: the monomial route
-    psi(theta(exp(-2 pi u))) and the direct route
-    exp(-2 pi <g, x>) = exp(-2 pi (sum_i k_i <g, B_i>) / 1000) on the
-    chart's n triangular generators g, the direct route read from their
-    integer pairing rows (<g, B_i>)_i.  Int / int division is correctly
-    rounded, so these are the floats of Atlas.commutativity_residual at x
-    on those rows (it recovers u through the left inverse that
-    _monomial_diagram certifies).  Returns the draws, one list of n k_i
-    per point, and per triangular row its monomial and its direct value
-    at each point.
-
-    All count points are drawn first, in one rng.choices call over
-    0..4000, then the monomial route takes one call of the batch kernel
-    charts.monomial_columns on chart.terms[:n], over the count points'
-    columns.  Per point, the kernel multiplies the same powers in the
-    same order as the single-point evaluator charts._monomials, so each
-    value is the float of a point-by-point loop.  The answer depends on chart.terms[:n], rows and the draws
-    only: _monomial_diagram calls it once per group of charts with equal
-    terms and rows.
-
-    The other m - n rows add nothing: _monomial_diagram's identities
-    certify every b row exactly, chart_invariants certifies that
-    Chart.terms is exactly b's nonzero entries, and psi_eval evaluates
-    every row from its terms with _monomials."""
-    n = len(rows)
-    flat = rng.choices(range(4001), k=n * count)
-    draws = [flat[i : i + n] for i in range(0, n * count, n)]
-    points = [charts.theta([math.exp(-TWO_PI * (ki / 1000)) for ki in k]) for k in draws]
-    monomial = charts.monomial_columns(chart.terms[:n], list(zip(*points)), count)
-    direct = [[math.exp(-TWO_PI * (sum(map(mul, k, row)) / 1000)) for k in draws] for row in rows]
-    return draws, monomial, direct
-
-
 def _simplex_inversion(ctx):
     """The triangular inversion recovers simplex points: per group of
     charts with equal terms[:n] and b[:n] (see the module docstring),
@@ -370,7 +309,7 @@ def _simplex_inversion(ctx):
     Only those rows determine the preimage.  psi(w) lies in psi's image
     by construction, so a residual over the other m - n rows would
     measure only their float evaluation, which the exact gates certify
-    (see _diagram_residuals).  A NaN gap fails the check and is reported
+    (see the module docstring).  A NaN gap fails the check and is reported
     as null.  On failure, the witness is the worst sample, or the first
     with a NaN gap: its group's first flag, how many flags share the
     group, w, the recovered w and the number of leading zeros of w, its
@@ -436,14 +375,10 @@ def _intersection_gluing(ctx):
 def _distinct_gates(results):
     """The verdicts the distinct half rests on, and for monomial_diagram
     the shared half too, read from the checks already run:
-    monomial_diagram's exact part (no identity witness and no
-    dual_witness; its float residuals are not a gate) and cover.  A gate
-    that has not run counts as failed."""
+    monomial_diagram and cover.  A gate that has not run counts as
+    failed."""
     diagram, cover = results.get("monomial_diagram"), results.get("cover")
-    return {
-        "monomial_diagram": diagram is not None and not {"witness", "dual_witness"} & diagram[1].keys(),
-        "cover": cover is not None and cover[0],
-    }
+    return {"monomial_diagram": diagram is not None and diagram[0], "cover": cover is not None and cover[0]}
 
 
 def _regularity(ctx):
@@ -502,9 +437,7 @@ CHECKS = (
 )
 
 
-def run_verification(
-    fan: Fan, tol: float = 1e-9, samples: int = 100, seed: int = 0, tamper: bool = False, timings=None
-):
+def run_verification(fan: Fan, tol: float = 1e-9, seed: int = 0, tamper: bool = False, timings=None):
     """Run every certification check on a complete fan.
 
     Returns a JSON-ready report; report["passed"] is the overall verdict.
@@ -513,23 +446,26 @@ def run_verification(
     timings is a dict, the wall seconds of each check that applies are
     stored in it under the check's name; the report does not change.
     Raises SettingsError, a ValueError, before any work unless tol is a
-    finite positive real number and samples a positive integer, neither
-    of them a bool: NaN compares false with every gap, inf passes every
-    gap, and a check with no samples looks at nothing.
+    finite positive real number and not a bool: NaN compares false with
+    every gap, and inf passes every gap.  Raises it too, once the charts
+    are built, when tamper is set on a fan with no chart (rank 0), where
+    a negative control would perturb nothing and pass.
     """
     real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-    if not (real and math.isfinite(tol) and tol > 0) or type(samples) is not int or samples < 1:
-        raise SettingsError("tolerance must be a finite and positive number, and the sample count positive and whole")
+    if not (real and math.isfinite(tol) and tol > 0):
+        raise SettingsError("tolerance must be a finite and positive number")
     atlas = charts.Atlas(fan)
     chart_list = atlas.charts()
-    if tamper and chart_list:
+    if tamper:
+        if not chart_list:
+            raise SettingsError("tamper needs a chart to perturb, and a rank-0 fan has none")
         # Negative control: perturb the last exponent of the first chart.
         first = chart_list[0]
         b = [list(r) for r in first.b]
         b[-1][-1] += 1
         atlas._charts[first.flag] = dataclasses.replace(first, b=tuple(tuple(r) for r in b))
         chart_list = atlas.charts()
-    ctx = Context(fan=fan, atlas=atlas, charts=chart_list, tol=tol, samples=samples, rng=None)
+    ctx = Context(fan=fan, atlas=atlas, charts=chart_list, tol=tol, rng=None)
     checks = []
     for name, check in CHECKS:
         # A str seed: tuple seeds raise TypeError on Python >= 3.11.

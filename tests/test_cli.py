@@ -65,7 +65,7 @@ COMMAND_OPTIONS = {
     "validate": [],
     "charts": [],
     "param": ["--flag", "0", "--xi", "1,0,0"],
-    "verify": ["--samples", "2"],
+    "verify": [],
     "mesh": ["--radii", "1", "--res", "2"],
 }
 
@@ -156,10 +156,7 @@ def test_out_naming_a_regular_file(tmp_path, capsys, command):
     output that cannot be written: exit 1, the file left as it was."""
     f = tmp_path / "taken"
     f.write_text("keep\n")
-    argv = [command[0], fan_path("p2"), *command[1:], "--out", str(f)]
-    if command[0] == "verify":
-        argv += ["--samples", "2"]
-    assert main(argv) == 1
+    assert main([command[0], fan_path("p2"), *command[1:], "--out", str(f)]) == 1
     assert str(f) in capsys.readouterr().err
     assert f.read_text() == "keep\n"
 
@@ -168,7 +165,7 @@ def test_verify_unwritable_timings(tmp_path, capsys):
     """The report is already out when the timings file fails to open;
     the command still exits 1 and names the path."""
     timings = tmp_path / "missing" / "t.json"
-    assert main(["verify", fan_path("p1"), "--samples", "2", "--timings", str(timings)]) == 1
+    assert main(["verify", fan_path("p1"), "--timings", str(timings)]) == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["passed"] and str(timings) in captured.err
 
@@ -233,7 +230,7 @@ def test_param_bad_xi(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_passes(capsys):
-    code, out = run(capsys, "verify", fan_path("p2"), "--samples", "20")
+    code, out = run(capsys, "verify", fan_path("p2"))
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"]
@@ -251,7 +248,7 @@ def test_verify_passes(capsys):
 
 
 def test_verify_tamper_fails(capsys):
-    code, out = run(capsys, "verify", fan_path("p2"), "--samples", "20", "--tamper")
+    code, out = run(capsys, "verify", fan_path("p2"), "--tamper")
     assert code == 4
     doc = json.loads(out)
     failed = {c["name"] for c in doc["checks"] if not c["passed"]}
@@ -270,18 +267,9 @@ def test_verify_rejects_nonfinite_tol(tmp_path, capsys):
     # gap pass, so neither is a tolerance; no report is written.
     for tol in ("nan", "inf", "-inf", "0"):
         out = tmp_path / tol
-        assert main(["verify", fan_path("p2"), f"--tol={tol}", "--samples", "2", "--out", str(out)]) == 2
+        assert main(["verify", fan_path("p2"), f"--tol={tol}", "--out", str(out)]) == 2
         assert not out.exists()
     assert "finite" in capsys.readouterr().err
-
-
-def test_verify_rejects_nonpositive_samples(tmp_path, capsys):
-    # run_verification raises on these; the command maps that to exit 2.
-    for samples in ("0", "-5"):
-        out = tmp_path / f"samples{samples}"
-        assert main(["verify", fan_path("p2"), "--samples", samples, "--out", str(out)]) == 2
-        assert not out.exists()
-    assert "sample count positive" in capsys.readouterr().err
 
 
 def test_verify_incomplete_exit(tmp_path):
@@ -300,13 +288,23 @@ def test_verify_rank0(tmp_path, capsys):
     assert {"name": "cover", "passed": True} in json.loads(out)["checks"]
 
 
+def test_verify_tamper_rank0_exits_2(tmp_path, capsys):
+    """The rank-0 fan has no chart for --tamper to perturb, so the
+    negative control would pass unperturbed: exit 2 with one line on
+    stderr and no report."""
+    f = tmp_path / "point.json"
+    f.write_text('{"dim": 0, "rays": [], "max_cones": [[]]}')
+    message = "tamper needs a chart to perturb, and a rank-0 fan has none\n"
+    assert run_failing(capsys, tmp_path, "verify", str(f), "--tamper", "--out", str(tmp_path / "out")) == (2, message)
+
+
 def test_cover_reports_witness_on_failure():
     import random
 
     from toricball import verify
 
     fan = tb.validate_fan(2, [(1, 0), (0, 1)], [[0, 1]], require_complete=False)
-    ctx = verify.Context(fan, None, [], 1e-9, 0, random.Random(0))
+    ctx = verify.Context(fan, None, [], 1e-9, random.Random(0))
     witness = {"reason": "ridge not shared by exactly two maximal flags", "ridge": [[0]], "count": 1}
     assert verify._cover(ctx) == (False, {"witness": witness})
 
@@ -314,8 +312,8 @@ def test_cover_reports_witness_on_failure():
 def test_verify_timings_separate_artifact(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     timings = tmp_path / "timings.json"
-    main(["verify", fan_path("p2"), "--samples", "5", "--out", str(a), "--timings", str(timings)])
-    main(["verify", fan_path("p2"), "--samples", "5", "--out", str(b)])
+    main(["verify", fan_path("p2"), "--out", str(a), "--timings", str(timings)])
+    main(["verify", fan_path("p2"), "--out", str(b)])
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     doc = json.loads(timings.read_text())
     names = [c["name"] for c in json.loads((a / "report.json").read_text())["checks"]]
@@ -325,8 +323,8 @@ def test_verify_timings_separate_artifact(tmp_path, capsys):
 
 def test_verify_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    main(["verify", fan_path("p112"), "--seed", "5", "--samples", "15", "--out", str(a)])
-    main(["verify", fan_path("p112"), "--seed", "5", "--samples", "15", "--out", str(b)])
+    main(["verify", fan_path("p112"), "--seed", "5", "--out", str(a)])
+    main(["verify", fan_path("p112"), "--seed", "5", "--out", str(b)])
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
@@ -576,7 +574,7 @@ def test_hilbert_minimality_names_witnesses():
 
     fan = tb.load_bundled("p112")
     atlas = tb.Atlas(fan)
-    ctx = verify.Context(fan, atlas, [], 1e-9, 0, random.Random(0))
+    ctx = verify.Context(fan, atlas, [], 1e-9, random.Random(0))
     cones = fan.cones()
     assert verify._hilbert_minimality(ctx) == (True, {"cones": len(cones)})
     for cone in cones:

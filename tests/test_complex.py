@@ -884,7 +884,7 @@ def test_points_equal_distinct_pin():
 def _simplex_inversion(fan, atlas):
     """verify's simplex_inversion check on atlas, which may be perturbed."""
     chart_list = atlas.charts()
-    ctx = verify.Context(fan, atlas, chart_list, 1e-9, 0, random.Random(0))
+    ctx = verify.Context(fan, atlas, chart_list, 1e-9, random.Random(0))
     return verify._simplex_inversion(ctx)
 
 

@@ -13,49 +13,49 @@ from toricball.cli import main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 CASES = [
-    ("verify_p2", ["verify", "p2", "--seed", "0", "--samples", "20"], 0),
-    ("verify_p112", ["verify", "p112", "--seed", "0", "--samples", "20"], 0),
+    ("verify_p2", ["verify", "p2", "--seed", "0"], 0),
+    ("verify_p112", ["verify", "p112", "--seed", "0"], 0),
     # The bundled rank-3 fan: 24 charts through every sample loop.
-    ("verify_p3", ["verify", "p3", "--seed", "0", "--samples", "20"], 0),
+    ("verify_p3", ["verify", "p3", "--seed", "0"], 0),
     # The 60-flag fan: 6,000 subflag samples through the gluing
     # cross-check and 30,000 through simplex_inversion.
-    ("verify_twisted_p3", ["verify", "twisted_p3", "--seed", "0", "--samples", "20"], 0),
+    ("verify_twisted_p3", ["verify", "twisted_p3", "--seed", "0"], 0),
     # (P^1)^3: 48 charts, each through every sample loop.
-    ("verify_p1xp1xp1", ["verify", "p1xp1xp1", "--seed", "0", "--samples", "20"], 0),
-    ("verify_p2_tamper", ["verify", "p2", "--seed", "0", "--samples", "20", "--tamper"], 4),
-    ("verify_p112_tamper", ["verify", "p112", "--seed", "0", "--samples", "20", "--tamper"], 4),
+    ("verify_p1xp1xp1", ["verify", "p1xp1xp1", "--seed", "0"], 0),
+    ("verify_p2_tamper", ["verify", "p2", "--seed", "0", "--tamper"], 4),
+    ("verify_p112_tamper", ["verify", "p112", "--seed", "0", "--tamper"], 4),
     # P(1,1,1,9): multiplicity-9 cones, so large Hilbert bases and long
     # localization searches; the input fan is stored next to its report.
     (
         "verify_wps_1_1_1_9",
-        ["verify", str(GOLDEN / "verify_wps_1_1_1_9" / "fan.json"), "--seed", "0", "--samples", "20"],
+        ["verify", str(GOLDEN / "verify_wps_1_1_1_9" / "fan.json"), "--seed", "0"],
         0,
     ),
     # P(1,1,1,27): charts of up to 408 rows, of which the sample loops
     # read the n = 3 triangular ones.
     (
         "verify_wps_1_1_1_27",
-        ["verify", str(GOLDEN / "verify_wps_1_1_1_27" / "fan.json"), "--seed", "0", "--samples", "20"],
+        ["verify", str(GOLDEN / "verify_wps_1_1_1_27" / "fan.json"), "--seed", "0"],
         0,
     ),
     # P(1,1,1,60): a multiplicity-60 cone with 1,891 pointed Hilbert
     # generators, whose rules decompose over that basis many times.
     (
         "verify_wps_1_1_1_60",
-        ["verify", str(GOLDEN / "verify_wps_1_1_1_60" / "fan.json"), "--seed", "0", "--samples", "20"],
+        ["verify", str(GOLDEN / "verify_wps_1_1_1_60" / "fan.json"), "--seed", "0"],
         0,
     ),
     # The parent's bytes at seeds that no sample kernel was developed on.
-    ("verify_twisted_p3_seed7", ["verify", "twisted_p3", "--seed", "7", "--samples", "20"], 0),
+    ("verify_twisted_p3_seed7", ["verify", "twisted_p3", "--seed", "7"], 0),
     (
         "verify_wps_1_1_1_9_seed3",
-        ["verify", str(GOLDEN / "verify_wps_1_1_1_9_seed3" / "fan.json"), "--seed", "3", "--samples", "20"],
+        ["verify", str(GOLDEN / "verify_wps_1_1_1_9_seed3" / "fan.json"), "--seed", "3"],
         0,
     ),
     # P^4: the rank-4 golden, 120 charts through every check.
     (
         "verify_p4",
-        ["verify", str(GOLDEN / "verify_p4" / "fan.json"), "--seed", "0", "--samples", "20"],
+        ["verify", str(GOLDEN / "verify_p4" / "fan.json"), "--seed", "0"],
         0,
     ),
     # The chart dumps pin the triangular generators, the Hilbert basis

@@ -4,15 +4,19 @@ only in a traced benchmark run; the package imports only the standard
 library, as its empty `dependencies` promises; the elimination kernel
 exact._rref has one front end, and no library function calls exact.rank;
 cli.main alone writes to stderr; verify reports are strict JSON, with no
-NaN or Infinity, even when a float check sees NaN; every check in
-verify.CHECKS keeps a negative control that exists; the README's library
-sketch runs; and every public name of the library has a reader."""
+NaN or Infinity, even when a float check sees NaN; the golden and CLI
+tests pass under an emulation of Python 3.12's compensated float sum();
+every check in verify.CHECKS keeps a negative control that exists; the
+README's library sketch runs; and every public name of the library has
+a reader."""
 
 import ast
 import importlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -152,8 +156,9 @@ def test_nan_control_report_is_strict_json(monkeypatch, tmp_path, capsys):
     """With NaN from the triangular evaluator (charts.monomial_columns,
     where verify's float checks read it), the triangular inversion and
     every batch of localized values (charts.shifted_columns, where the
-    shared half reads it), verify fails the three float checks and
-    writes each NaN gap as null."""
+    shared half reads it), verify fails the two float checks and writes
+    each NaN gap as null; monomial_diagram, exact, reads no float and
+    passes."""
     monkeypatch.setattr(charts, "monomial_columns", lambda rows, columns, count: [[math.nan] * count for _ in rows])
     monkeypatch.setattr(charts, "invert_triangular", lambda b, y: [[math.nan] * len(y[0]) for _ in b])
     shifted_columns = cellcomplex.shifted_columns
@@ -163,14 +168,29 @@ def test_nan_control_report_is_strict_json(monkeypatch, tmp_path, capsys):
         return off, [[math.nan] * count for _ in rows]
 
     monkeypatch.setattr(cellcomplex, "shifted_columns", nan_rows)
-    assert main(["verify", str(tb.bundled_path("p112")), "--samples", "5", "--out", str(tmp_path)]) == 4
+    assert main(["verify", str(tb.bundled_path("p112")), "--out", str(tmp_path)]) == 4
     capsys.readouterr()
     entries = {c["name"]: c for c in _strict_json((tmp_path / "report.json").read_text())["checks"]}
-    assert entries["monomial_diagram"]["worst_residual"] is None
     assert entries["simplex_inversion"]["worst_gap"] is None
     shared = [c for c in entries["intersection_gluing"]["counterexamples"] if c["kind"] == "shared"]
     assert shared and all(c["gap"] is None for c in shared)
-    assert not any(entries[name]["passed"] for name in ("monomial_diagram", "simplex_inversion", "intersection_gluing"))
+    assert not any(entries[name]["passed"] for name in ("simplex_inversion", "intersection_gluing"))
+    assert entries["monomial_diagram"]["passed"]
+
+
+def test_goldens_and_cli_under_compensated_sum():
+    """The golden and CLI tests pass under tests/compensated_sum.py,
+    which emulates the compensated float sum() of Python 3.12 on any
+    interpreter: no report, mesh or exit code rests on a float sum().
+    tests/sum_emulation_control.py runs beside them as the plugin's
+    negative control."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
+    files = [str(ROOT / "tests" / name) for name in ("test_golden.py", "test_cli.py", "sum_emulation_control.py")]
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "compensated_sum", *files]
+    run = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+    sums = int(re.search(r"^compensated float sums: (\d+)$", run.stdout, re.M).group(1))
+    assert sums > 0 and re.search(r"^\d+ passed in ", run.stdout, re.M)
 
 
 def _negative_controls():

@@ -15,13 +15,11 @@ import pytest
 import toricball as tb
 from conftest import drop_first_term, p2_with_terms, stellar_fan, wps_fan
 from toricball import cellcomplex, charts, homeo, verify
-from toricball.bary import simplicial_coords
 from toricball.cli import main
 from toricball.cones import dual_generators
-from toricball.exact import pair, vscale
+from toricball.exact import vscale
 
 WPS_1_1_1_9 = Path(__file__).parent / "data" / "golden" / "verify_wps_1_1_1_9" / "fan.json"
-FANS = ("p2", "p112", "twisted_p3", "wps_1_1_1_9")
 
 
 def _atlas(name):
@@ -30,39 +28,9 @@ def _atlas(name):
     return tb.Atlas(tb.load_bundled(name))
 
 
-@pytest.fixture(scope="module", params=FANS)
-def atlas(request):
-    return _atlas(request.param)
-
-
-def _context(fan, atlas=None, samples=0):
+def _context(fan, atlas=None):
     chart_list = atlas.charts() if atlas else []
-    return verify.Context(fan, atlas, chart_list, 1e-9, samples, random.Random(0))
-
-
-def _fraction_residuals(chart, rng, count):
-    """monomial_diagram's samples through the exact point: the same
-    draws, x built from Fraction coordinates, then the two routes of
-    Atlas.commutativity_residual on the chart's n triangular rows."""
-    gens = chart.flag.barycenters
-    flat = rng.choices(range(4001), k=len(gens) * count)
-    for s in range(count):
-        u = [Fraction(k, 1000) for k in flat[s * len(gens) : (s + 1) * len(gens)]]
-        x = tuple(sum(ui * g[i] for ui, g in zip(u, gens)) for i in range(len(gens[0])))
-        monomial = charts.psi_eval(chart, charts.theta(charts.exp_flag(simplicial_coords(chart.flag, x))))
-        direct = charts.exp_pairings(chart.generators, x)
-        yield max(abs(a - b) for a, b in zip(monomial[: chart.n], direct[: chart.n]))
-
-
-@pytest.mark.parametrize("seed", [3, 11])
-def test_diagram_residuals_match_fraction_route(atlas, seed):
-    """The first n rows of the exact route, sample for sample."""
-    for chart in atlas.charts():
-        rows = [[pair(g, b) for b in chart.flag.barycenters] for g in chart.generators[: chart.n]]
-        _, monomial, direct = verify._diagram_residuals(chart, rows, random.Random(seed), 10)
-        new = list(map(verify._sup_gap, zip(*monomial), zip(*direct)))
-        old = list(_fraction_residuals(chart, random.Random(seed), 10))
-        assert new == old
+    return verify.Context(fan, atlas, chart_list, 1e-9, random.Random(0))
 
 
 def _spy_monomial_columns(monkeypatch):
@@ -85,21 +53,8 @@ def _spy_monomial_columns(monkeypatch):
     return shapes
 
 
-def test_diagram_residuals_evaluate_triangular_rows_only(monkeypatch):
-    """On P(1,1,1,27), whose charts have up to 408 rows, monomial_diagram
-    evaluates exactly the n = 3 triangular monomials at each sample, in
-    one batch per group: its 24 charts have two distinct pairs of
-    triangular terms and pairing rows."""
-    atlas = tb.Atlas(tb.parse_and_validate(json.dumps(WPS_1_1_1_27)))
-    ctx = _context(atlas.fan, atlas, samples=4)
-    shapes = _spy_monomial_columns(monkeypatch)
-    passed, details = verify._monomial_diagram(ctx)
-    assert passed and (details["charts"], details["groups"]) == (24, 2)
-    assert shapes == [(3, 4)] * 2
-
-
-def _diagram_with_monomial_columns(monkeypatch, edit):
-    """monomial_diagram on p112 with the triangular values of each
+def _inversion_with_monomial_columns(monkeypatch, edit):
+    """simplex_inversion on p112 with the triangular values of each
     sample point, from charts.monomial_columns, passed through edit."""
     fan = tb.load_bundled("p112")
     monomial_columns = charts.monomial_columns
@@ -108,31 +63,33 @@ def _diagram_with_monomial_columns(monkeypatch, edit):
         "monomial_columns",
         lambda rows, columns, count: [list(r) for r in zip(*map(edit, zip(*monomial_columns(rows, columns, count))))],
     )
-    return verify._monomial_diagram(_context(fan, tb.Atlas(fan), samples=5))
+    return verify._simplex_inversion(_context(fan, tb.Atlas(fan)))
 
 
 def test_monomial_diagram_fails_on_off_triangular_evaluator(monkeypatch):
-    """A triangular-row evaluator off by 1e-6 fails the residual while
-    every exact identity holds; residual_witness names the worst sample,
-    whose two routes differ by the worst residual."""
-    passed, details = _diagram_with_monomial_columns(monkeypatch, lambda y: tuple(v + 1e-6 for v in y))
-    assert not passed and "witness" not in details and "dual_witness" not in details
-    assert details["worst_residual"] >= 0.9e-6
-    witness = details["residual_witness"]
-    assert (witness["flag"], witness["shared_by"], len(witness["k"])) == (0, 4, 2)
-    assert abs(witness["found"] - witness["expected"]) == details["worst_residual"]
+    """The control of monomial_diagram's retired float residual, now
+    failed by simplex_inversion: a triangular-row evaluator off by 1e-6
+    moves the values off psi's image, so back-substitution lands far
+    from w.  The worst gap is 1.0, and the witness names flag 0, whose
+    group all 4 charts of p112 share, with w and the recovered point
+    that far apart."""
+    passed, details = _inversion_with_monomial_columns(monkeypatch, lambda y: tuple(v + 1e-6 for v in y))
+    witness = details["witness"]
+    assert not passed and details["worst_gap"] == 1.0
+    assert (witness["flag"], witness["shared_by"]) == (0, 4)
+    assert verify._sup_gap(witness["w"], witness["recovered"]) == 1.0
 
 
 def test_monomial_diagram_fails_on_nan_residual(monkeypatch):
-    """A NaN in the second triangular value, where max alone would drop
-    it, fails the check; the residual is reported as None, and
-    residual_witness is the first sample of the first group, at row 1,
-    its NaN value reported as null."""
-    passed, details = _diagram_with_monomial_columns(monkeypatch, lambda y: (y[0], math.nan, *y[2:]))
-    assert not passed and details["worst_residual"] is None
-    witness = details["residual_witness"]
-    assert (witness["flag"], witness["shared_by"], witness["row"], witness["found"]) == (0, 4, 1, None)
-    json.dumps(witness, allow_nan=False)
+    """The control of monomial_diagram's retired float residual, now
+    failed by simplex_inversion: a NaN in the second triangular value,
+    where max alone would drop it, fails the check; the worst gap is
+    reported as null, and the witness is reported, strict JSON."""
+    passed, details = _inversion_with_monomial_columns(monkeypatch, lambda y: (y[0], math.nan, *y[2:]))
+    assert not passed and details["worst_gap"] is None
+    witness = details["witness"]
+    assert (witness["flag"], witness["shared_by"]) == (0, 4) and None in witness["recovered"]
+    json.dumps(details, allow_nan=False)
 
 
 def test_sup_gap_keeps_nan():
@@ -154,21 +111,19 @@ def _perturb_inverse(flag):
 
 def test_dual_basis_gate_names_perturbed_inverse():
     """With one integer entry of a flag's left inverse off by one (beta_1
-    off by 1/7), the samples cannot see it (they never solve for
-    coordinates), but the exact gate fails and names the flag, the row j
-    and the column i, with the pairing found as a fraction."""
+    off by 1/7), every identity on b still holds, but the dual-basis
+    gate fails and names the flag, the row j and the column i, with the
+    pairing found as a fraction."""
     fan = tb.load_bundled("p2")
     atlas = tb.Atlas(fan)
-    ctx = _context(fan, atlas, samples=5)
+    ctx = _context(fan, atlas)
     passed, details = verify._monomial_diagram(ctx)
     assert passed and "dual_witness" not in details
     flag = ctx.charts[3].flag
     assert flag.inverse[1] == 1
     _perturb_inverse(flag)
-    ctx.rng = random.Random(0)
     passed, bad = verify._monomial_diagram(ctx)
-    assert not passed
-    assert bad["worst_residual"] == details["worst_residual"]
+    assert not passed and "witness" not in bad
     # Flag 3 is [1] < [1, 2], with B = ((0, 1), (-1, 0)): L_1 is now
     # (-6, 0) over d = 7, which still vanishes on B_0 but pairs to 6, not
     # 7, with B_1.
@@ -434,8 +389,8 @@ def test_check_fails_under_its_control(monkeypatch, name):
     with one chart replaced or one helper it reads monkeypatched."""
     fan = tb.load_bundled("p112")
     check = dict(verify.CHECKS)[name]
-    assert check(_context(fan, tb.Atlas(fan), samples=5))[0]
-    ctx = _context(fan, tb.Atlas(fan), samples=5)
+    assert check(_context(fan, tb.Atlas(fan)))[0]
+    ctx = _context(fan, tb.Atlas(fan))
     CONTROLS[name](monkeypatch, ctx)
     assert not check(ctx)[0]
 
@@ -447,7 +402,7 @@ def test_every_check_lists_its_negative_control():
 
 
 def _entries(fan, **kwargs):
-    return {c["name"]: c for c in verify.run_verification(fan, samples=10, **kwargs)["checks"]}
+    return {c["name"]: c for c in verify.run_verification(fan, **kwargs)["checks"]}
 
 
 @pytest.mark.parametrize("dropped", [name for name, _ in verify.CHECKS if name not in ("monomial_diagram", "cover")])
@@ -475,31 +430,15 @@ def test_entries_survive_a_reversed_table(monkeypatch):
     assert reversed_ == {name: entry for name, entry in full.items() if name != "intersection_gluing"}
 
 
-@pytest.mark.parametrize(
-    "tol, samples",
-    [
-        (1e-9, 0),
-        (1e-9, -5),
-        (math.inf, 100),
-        (math.nan, 100),
-        (0.0, 100),
-        (1e-9, 2.5),
-        (1e-9, 100.0),
-        (1e-9, True),
-        ("x", 100),
-        (True, 100),
-        (None, 100),
-    ],
-)
-def test_run_verification_rejects_bad_settings(monkeypatch, tol, samples):
-    """samples = 0 or -5 would report monomial_diagram passed with that
-    many samples per group, and tol = inf would pass every sampled gap;
-    samples = 2.5 and tol = "x" would raise a TypeError mid-run, and
-    booleans are neither counts nor tolerances: the library rejects them
-    all with a ValueError before any work."""
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, "x", True, None])
+def test_run_verification_rejects_bad_settings(monkeypatch, tol):
+    """tol = inf would pass every sampled gap and NaN fail every one,
+    tol = "x" would raise a TypeError mid-run, and a boolean is not a
+    tolerance: the library rejects them all with a ValueError before any
+    work."""
     monkeypatch.setattr(charts, "Atlas", None)  # no atlas is built
     with pytest.raises(ValueError, match="finite and positive"):
-        verify.run_verification(tb.load_bundled("p2"), tol=tol, samples=samples)
+        verify.run_verification(tb.load_bundled("p2"), tol=tol)
 
 
 def test_verify_p4_passes(tmp_path):
@@ -533,7 +472,7 @@ def test_verify_reports_intersection_gluing_shared_samples(name, shared, tmp_pat
     flags) x (nonempty proper prefixes) x SHARED_SAMPLES.  A rank-1 fan
     has no nonempty proper prefix, so its worst_shared_gap of 0.0 rests
     on no sample, and the count of 0 says so."""
-    assert main(["verify", str(tb.bundled_path(name)), "--seed", "0", "--samples", "5", "--out", str(tmp_path)]) == 0
+    assert main(["verify", str(tb.bundled_path(name)), "--seed", "0", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     checks = {c["name"]: c for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
     assert checks["intersection_gluing"]["shared_samples"] == shared
@@ -542,7 +481,7 @@ def test_verify_reports_intersection_gluing_shared_samples(name, shared, tmp_pat
 def _gluing_after_gates(fan, atlas):
     """intersection_gluing as run_verification runs it: after the
     monomial_diagram and cover checks, whose results it reads."""
-    ctx = _context(fan, atlas, samples=5)
+    ctx = _context(fan, atlas)
     checks = dict(verify.CHECKS)
     for name in ("monomial_diagram", "cover"):
         ctx.results[name] = checks[name](ctx)
@@ -618,48 +557,41 @@ def test_perturbed_chart_forms_its_own_inversion_group():
     assert details["witness"]["flag"] == P3_MIDDLE and details["witness"]["shared_by"] == 1
 
 
+def _diagram_with_first_generator(replace):
+    """monomial_diagram on p3 with a middle flag's first triangular
+    generator g_0 replaced by replace(chart), its b left as it was."""
+    fan = tb.load_bundled("p3")
+    ctx = _context(fan, tb.Atlas(fan))
+    assert verify._monomial_diagram(ctx)[0]
+    chart = ctx.charts[P3_MIDDLE]
+    ctx.charts[P3_MIDDLE] = dataclasses.replace(chart, generators=(replace(chart), *chart.generators[1:]))
+    return verify._monomial_diagram(ctx)
+
+
 def test_off_pairing_row_forms_its_own_residual_group():
-    """The same for monomial_diagram's residuals: a middle flag of p3
-    whose first triangular generator is replaced by its last has an off
-    first pairing row, (0, 0, 1) in place of (1, 2, 3), so it forms a
-    residual group of its own.  The residual fails, and residual_witness
-    names that flag, shared by it alone, at row 0."""
-    fan = tb.load_bundled("p3")
-    atlas = tb.Atlas(fan)
-    passed, details = verify._monomial_diagram(_context(fan, atlas, samples=20))
-    assert passed and (details["charts"], details["groups"]) == (24, 1)
-    ctx = _context(fan, atlas, samples=20)
-    chart = ctx.charts[P3_MIDDLE]
-    ctx.charts[P3_MIDDLE] = dataclasses.replace(chart, generators=(chart.generators[2], *chart.generators[1:]))
-    passed, details = verify._monomial_diagram(ctx)
-    assert not passed and (details["charts"], details["groups"]) == (24, 2)
-    assert details["worst_residual"] > ctx.tol
-    witness = details["residual_witness"]
-    assert (witness["flag"], witness["shared_by"], witness["row"]) == (P3_MIDDLE, 1, 0)
-    assert abs(witness["found"] - witness["expected"]) == details["worst_residual"]
+    """The control of monomial_diagram's retired residual groups, now
+    failed by its identities: a middle flag of p3 whose first triangular
+    generator is replaced by its last has the off first pairing row
+    (0, 0, 1) in place of (1, 2, 3), so its b row's first partial sum,
+    1, is not <g, B_0> = 0.  The identity witness names that flag at
+    column 0."""
+    passed, details = _diagram_with_first_generator(lambda chart: chart.generators[2])
+    witness = details["witness"]
+    assert not passed and "dual_witness" not in details
+    assert (witness["flag"], witness["column"], witness["found"], witness["expected"]) == (P3_MIDDLE, 0, 1, 0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="an absolute residual of values e^(-2 pi <g, x>) far below tol hides an off pairing row; "
-    "a scaled gap or log-domain points (ROADMAP item 1)",
-)
-def test_doubled_pairing_row_residual_pin():
+def test_doubled_pairing_row_fails_the_identities():
     """A middle flag of p3 whose first triangular generator is doubled
-    has the off first pairing row (2, 4, 6) in place of (1, 2, 3), and
-    the exact identities fail it.  The float residual reads 3.85e-14
-    over 20 draws, a pass: the values it compares are tiny."""
-    fan = tb.load_bundled("p3")
-    ctx = _context(fan, tb.Atlas(fan), samples=20)
-    chart = ctx.charts[P3_MIDDLE]
-    ctx.charts[P3_MIDDLE] = dataclasses.replace(chart, generators=(vscale(2, chart.generators[0]), *chart.generators[1:]))
-    _, details = verify._monomial_diagram(ctx)
-    # pytest.fail is no AssertionError, so if the exact identities stop
-    # naming the flag, the test fails instead of meeting its xfail.
-    if details.get("witness", {}).get("flag") != P3_MIDDLE:
-        pytest.fail("the exact identities no longer name the doubled row")
-    assert details["worst_residual"] > ctx.tol
+    has the off first pairing row (2, 4, 6) in place of (1, 2, 3).  The
+    retired float residual read 3.85e-14 there over 20 draws, a pass,
+    since the values it compared were tiny; the exact identities fail
+    it, and the witness names that flag at column 0, found 1 where
+    <2 g_0, B_0> = 2 is expected."""
+    passed, details = _diagram_with_first_generator(lambda chart: vscale(2, chart.generators[0]))
+    witness = details["witness"]
+    assert not passed and "dual_witness" not in details
+    assert (witness["flag"], witness["column"], witness["found"], witness["expected"]) == (P3_MIDDLE, 0, 1, 2)
 
 
 def test_nonextension_probe_names_its_flag(monkeypatch):
@@ -692,7 +624,7 @@ def test_distinct_half_fails_with_a_failed_gate():
 def test_tamper_names_monomial_diagram_as_failed_gate(tmp_path):
     from toricball.cli import main
 
-    assert main(["verify", str(tb.bundled_path("p2")), "--samples", "20", "--tamper", "--out", str(tmp_path)]) == 4
+    assert main(["verify", str(tb.bundled_path("p2")), "--tamper", "--out", str(tmp_path)]) == 4
     report = json.loads((tmp_path / "report.json").read_text())
     gluing = next(c for c in report["checks"] if c["name"] == "intersection_gluing")
     assert not gluing["passed"]
