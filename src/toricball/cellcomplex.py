@@ -30,7 +30,7 @@ from functools import reduce
 from operator import add
 
 from .bary import enumerate_flags
-from .charts import Atlas, monomial_columns, scaled_gaps, shifted_columns, sup_gap
+from .charts import EQUAL_TOL, Atlas, monomial_columns, scaled_gaps, shifted_columns, sup_gap
 from .exact import pair
 from .fan import Cone, Fan, ridge_pairing
 
@@ -303,13 +303,13 @@ def _telescoped_terms(generators, steps):
     return [tuple((t, e) for t, d in enumerate(steps) if (e := pair(h, d))) for h in generators]
 
 
-def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol):
+def _subflag_cross_check(atlas: Atlas, flags, rng, count):
     """Float cross-check of the evaluators behind the identities above:
     at count seeded points of each nonempty proper prefix subflag
     S = F[:k], k = 1..n-1, of each maximal flag F (the vertices but the
     origin, and the face at infinity, included), the chart point
     localized to S's top cone tau (by the rule that the identities
-    certify) must match the telescoped monomials
+    certify) must match, within EQUAL_TOL, the telescoped monomials
     prod_t W_t^<h', B_{t+1} - B_t>, computed from S alone.  Each face
     map F -> tau between the zero cone and the top is sampled once, on
     the prefix that ends at tau.
@@ -395,7 +395,7 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol):
             gaps = [sup_gap(g) for g in zip(*map(scaled_gaps, local, tele))]
             drawn += size
             for sub_xi, gap, o in zip(samples, gaps, off):
-                if o or not gap <= tol:
+                if o or not gap <= EQUAL_TOL:
                     out.append(
                         {
                             "kind": "shared",
@@ -410,7 +410,7 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count, tol):
     return out, drawn, worst
 
 
-def verify_gluing(atlas: Atlas, tol: float = 1e-9, rng: random.Random | None = None) -> GluingReport:
+def verify_gluing(atlas: Atlas, rng: random.Random | None = None) -> GluingReport:
     """Certify that closed flag simplices intersect exactly in the closed
     simplex of the intersection flag.
 
@@ -455,7 +455,7 @@ def verify_gluing(atlas: Atlas, tol: float = 1e-9, rng: random.Random | None = N
     flags = enumerate_flags(atlas.fan, only_maximal=True)
     identities, witnesses = gluing_identities(atlas, flags)
     rng = random.Random(0) if rng is None else rng
-    shared, drawn, worst = _subflag_cross_check(atlas, flags, rng, SHARED_SAMPLES, tol)
+    shared, drawn, worst = _subflag_cross_check(atlas, flags, rng, SHARED_SAMPLES)
     counterexamples = [{"kind": "identity", **w} for w in witnesses] + shared
     return GluingReport(not counterexamples, drawn, worst, counterexamples, identities)
 

@@ -37,6 +37,11 @@ from .exact import DimensionMismatch, integer_numerators, pair, vadd, vscale
 from .fan import Cone, Fan
 
 TWO_PI = 2.0 * math.pi
+# The one equality tolerance: values are equal when each of their
+# scaled_gaps is within it (Atlas.points_equal, cellcomplex's shared-face
+# cross-check, and psi_invert's residual, an absolute gap that is the
+# scaled gap on Delta_n, whose chart values lie in [0, 1]).
+EQUAL_TOL = 1e-9
 
 
 class NotInImage(ValueError):
@@ -197,7 +202,7 @@ def invert_triangular(b, columns):
     return w
 
 
-def psi_invert(chart: Chart, y, tol: float = 1e-9):
+def psi_invert(chart: Chart, y, tol: float = EQUAL_TOL):
     """Preimage in Delta_n of a chart point, using the triangular rows.
 
     y must hold all m coordinates (DimensionMismatch otherwise).  Only
@@ -379,7 +384,7 @@ class Atlas:
             raise NotInOpenSet("value at the cutting functional is zero or underflows")
         return ToricPoint(cone=tau, values=tuple(values))
 
-    def points_equal(self, p: ToricPoint, q: ToricPoint, tol: float = 1e-9) -> bool:
+    def points_equal(self, p: ToricPoint, q: ToricPoint, tol: float = EQUAL_TOL) -> bool:
         """Whether two intrinsic points coincide in the variety: both
         localize to the shared chart and their value gap is within tol.
         Localized values are computed only up to the first coordinate

@@ -6,7 +6,7 @@ Commands (see README for examples):
                                          3 valid but incomplete
     charts <file>                        per-flag generator/exponent dump
     param <file> --flag I --xi A,B,..    boundary-extended chart point
-    verify <file> [--tol --seed --out --tamper --timings FILE]
+    verify <file> [--seed --out --tamper --timings FILE]
                                          full check suite, exit 4 on failure
     mesh <file> --radii R,.. --res K     OFF meshes of rescaled spheres
 
@@ -19,10 +19,11 @@ Every failure raises CommandError(code, message), or OSError for a
 file that cannot be read or written, and main alone prints the message
 to stderr and returns the code: 1 when the input could not be read or
 parsed or an output could not be written, 2 for an invalid fan or
-option (verify's --tol not finite and positive, or --tamper on a fan
-with no chart), 3 for an incomplete fan.  validate's verdict on an incomplete
-fan (3, after its JSON) and a failed verify check (4) are results, not
-failures.
+option value (param's --flag or --xi, mesh's --radii or --res, or
+verify's --tamper on a fan with no chart), 3 for an incomplete fan.
+An unknown option is argparse's usage error: SystemExit(2) before any
+command runs.  validate's verdict on an incomplete fan (3, after its
+JSON) and a failed verify check (4) are results, not failures.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def cmd_verify(args) -> int:
     fan = _load(args)
     timings = {} if args.timings else None
     try:
-        report = run_verification(fan, tol=args.tol, seed=args.seed, tamper=args.tamper, timings=timings)
+        report = run_verification(fan, seed=args.seed, tamper=args.tamper, timings=timings)
     except SettingsError as e:
         raise CommandError(EXIT_INVALID, str(e)) from e
     _emit(report, args.out)
@@ -318,7 +319,6 @@ def build_parser():
     p.add_argument("--xi", type=str, required=True)
 
     p = command("verify", cmd_verify, "run the full certification suite")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tamper", action="store_true", help="negative control: perturb one chart")
     p.add_argument("--timings", default=None, help="write each check's wall seconds to this JSON file")

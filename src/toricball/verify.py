@@ -1,16 +1,19 @@
 """The certification suite: a table of named checks over one context.
 
 Each check reads the shared Context (fan, atlas, maximal flag charts,
-tolerance, its own seeded generator and the results of the checks
-before it; the rank is the fan's) and returns (passed, details), or
-None when it does not apply to the fan.  Checks run in table order.
+its own seeded generator and the results of the checks before it; the
+rank is the fan's) and returns (passed, details), or None when it does
+not apply to the fan.  Checks run in table order.
 Each draws from a generator seeded by the run's seed and its own name,
 intersection_gluing included (it hands its generator to
 cellcomplex.verify_gluing), so a fixed seed and configuration give a
 byte-identical report, and adding, removing or reordering a check
 leaves every other entry unchanged.  Each sampling check fixes its own
-sample count: INVERSION_SAMPLES points per group for simplex_inversion,
-cellcomplex.SHARED_SAMPLES per prefix for intersection_gluing.
+sample count and tolerance, its contract: INVERSION_SAMPLES points per
+group for simplex_inversion, each recovered within INVERSION_TOL
+(1e-10); cellcomplex.SHARED_SAMPLES per prefix for intersection_gluing,
+each scaled gap within charts.EQUAL_TOL (1e-9), the report's
+"tolerance".
 
 The float cross-checks are sized by the rank n, not by the Hilbert
 basis.  A chart's point is fixed by its n triangular rows, and the exact
@@ -104,11 +107,12 @@ another check already runs, and the facts that cover them:
 - intersection_gluing's locate cross-check: 25 interior points per
   maximal flag through the chart's triangular rows and
   charts.invert_triangular, whose recovered simplicial coordinates had
-  to be positive and within tol of their own.  simplex_inversion runs
-  the same round trip on 500 points per group of charts and compares w
-  itself within 1e-10.  In a sweep at seed 0 (P(1,1,k) up to k = 400,
-  P(1,1,1,27), steep and seeded stellar fans) every fan that it failed
-  also failed simplex_inversion, and every other had gaps <= 4e-16.
+  to be positive and within charts.EQUAL_TOL of their own.
+  simplex_inversion runs the same round trip on 500 points per group of
+  charts and compares w itself within INVERSION_TOL.  In a sweep at
+  seed 0 (P(1,1,k) up to k = 400, P(1,1,1,27), steep and seeded stellar
+  fans) every fan that it failed also failed simplex_inversion, and
+  every other had gaps <= 4e-16.
 - monomial_diagram's float residual: psi(theta(e^(-2 pi u))) against
   e^(-2 pi <g, x>) at seeded points x = sum_i u_i B_i, on each group's
   triangular rows.  theta gives w_j = e^(-2 pi (u_j + ... + u_n)), so
@@ -122,8 +126,9 @@ another check already runs, and the facts that cover them:
   that simplex_inversion runs on the same rows
   (tests/test_charts.py::test_batch_kernels_match_pointwise_reference
   and test_theta_image_in_simplex).  Being absolute, it also missed a
-  doubled triangular generator whose values stay far below tol, an edit
-  the identities fail (test_doubled_pairing_row_fails_the_identities).
+  doubled triangular generator whose values stay far below
+  charts.EQUAL_TOL, an edit the identities fail
+  (test_doubled_pairing_row_fails_the_identities).
 - intersection_gluing's shared samples at the origin: the empty prefix
   subflag of each maximal flag, and the vertex e_0 of every other
   prefix.  At the origin every w_j is 1.0, so every Hilbert value,
@@ -189,7 +194,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import numbers
 import random
 import time
 from dataclasses import dataclass, field
@@ -205,8 +209,8 @@ from .fan import Fan
 
 
 class SettingsError(ValueError):
-    """A setting that run_verification rejects: a tolerance that is not
-    finite and positive, or a tamper with no chart to perturb."""
+    """A setting that run_verification rejects: a tamper with no chart
+    to perturb."""
 
 
 @dataclass
@@ -214,12 +218,12 @@ class Context:
     fan: Fan
     atlas: charts.Atlas
     charts: list  # one per maximal flag, in enumeration order
-    tol: float
     rng: random.Random  # the running check's own generator
     results: dict = field(default_factory=dict)  # check name -> (passed, details), as they run
 
 
 INVERSION_SAMPLES = 500  # simplex_inversion's points per group
+INVERSION_TOL = 1e-10  # simplex_inversion's bound on each recovered point's gap
 
 
 def _delta_samples(rng, n, count):
@@ -333,7 +337,8 @@ def _simplex_inversion(ctx):
         "samples_per_group": INVERSION_SAMPLES,
         "worst_gap": _json_float(worst),
     }
-    if not worst <= 1e-10:
+    passed = worst <= INVERSION_TOL
+    if not passed:
         flags, points, back = worst_group
         w, v = next((w, v) for w, v in zip(points, zip(*back)) if (gap := _sup_gap(w, v)) == worst or gap != gap)
         zeros = next((i for i, x in enumerate(w) if x != 0.0), len(w))
@@ -344,7 +349,7 @@ def _simplex_inversion(ctx):
             "recovered": list(map(_json_float, v)),
             "zeros": zeros,
         }
-    return worst <= 1e-10, details
+    return passed, details
 
 
 def _cover(ctx):
@@ -360,7 +365,7 @@ def _intersection_gluing(ctx):
     monomial_diagram gate; distinct interior points by the exact
     corollary of cellcomplex.verify_gluing, which rests on both gates of
     _distinct_gates; float cross-checks of the evaluators on both halves."""
-    glue = cellcomplex.verify_gluing(ctx.atlas, tol=ctx.tol, rng=ctx.rng)
+    glue = cellcomplex.verify_gluing(ctx.atlas, rng=ctx.rng)
     gates = _distinct_gates(ctx.results)
     return glue.passed and all(gates.values()), {
         "identities": glue.identities,
@@ -437,7 +442,7 @@ CHECKS = (
 )
 
 
-def run_verification(fan: Fan, tol: float = 1e-9, seed: int = 0, tamper: bool = False, timings=None):
+def run_verification(fan: Fan, seed: int = 0, tamper: bool = False, timings=None):
     """Run every certification check on a complete fan.
 
     Returns a JSON-ready report; report["passed"] is the overall verdict.
@@ -445,15 +450,11 @@ def run_verification(fan: Fan, tol: float = 1e-9, seed: int = 0, tamper: bool = 
     negative control: the monomial-diagram check must then fail.  When
     timings is a dict, the wall seconds of each check that applies are
     stored in it under the check's name; the report does not change.
-    Raises SettingsError, a ValueError, before any work unless tol is a
-    finite positive real number and not a bool: NaN compares false with
-    every gap, and inf passes every gap.  Raises it too, once the charts
-    are built, when tamper is set on a fan with no chart (rank 0), where
-    a negative control would perturb nothing and pass.
+    Raises SettingsError, a ValueError, once the charts are built, when
+    tamper is set on a fan with no chart (rank 0), where a negative
+    control would perturb nothing and pass.  The report's "tolerance" is
+    charts.EQUAL_TOL, the bound of intersection_gluing's scaled gaps.
     """
-    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-    if not (real and math.isfinite(tol) and tol > 0):
-        raise SettingsError("tolerance must be a finite and positive number")
     atlas = charts.Atlas(fan)
     chart_list = atlas.charts()
     if tamper:
@@ -465,7 +466,7 @@ def run_verification(fan: Fan, tol: float = 1e-9, seed: int = 0, tamper: bool = 
         b[-1][-1] += 1
         atlas._charts[first.flag] = dataclasses.replace(first, b=tuple(tuple(r) for r in b))
         chart_list = atlas.charts()
-    ctx = Context(fan=fan, atlas=atlas, charts=chart_list, tol=tol, rng=None)
+    ctx = Context(fan=fan, atlas=atlas, charts=chart_list, rng=None)
     checks = []
     for name, check in CHECKS:
         # A str seed: tuple seeds raise TypeError on Python >= 3.11.
@@ -483,7 +484,7 @@ def run_verification(fan: Fan, tol: float = 1e-9, seed: int = 0, tamper: bool = 
         "fan": fan.name,
         "dim": fan.dim,
         "seed": seed,
-        "tolerance": tol,
+        "tolerance": charts.EQUAL_TOL,
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
     }

@@ -23,7 +23,6 @@ from toricball.charts import (
     NotInImage,
     NotInOpenSet,
     ToricPoint,
-    exp_flag,
     exp_pairings,
     invert_triangular,
     monomial_columns,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -263,13 +264,23 @@ def test_verify_tamper_fails(capsys):
 
 
 def test_verify_rejects_nonfinite_tol(tmp_path, capsys):
-    # NaN compares false with everything, and inf makes every sampled
-    # gap pass, so neither is a tolerance; no report is written.
-    for tol in ("nan", "inf", "-inf", "0"):
-        out = tmp_path / tol
-        assert main(["verify", fan_path("p2"), f"--tol={tol}", "--out", str(out)]) == 2
-        assert not out.exists()
-    assert "finite" in capsys.readouterr().err
+    """verify takes no tolerance: the equality tolerance is the constant
+    charts.EQUAL_TOL, so --tol, even at that value, is argparse's usage
+    error, exit 2 before any work, and no report is written."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", fan_path("p2"), "--tol", "1e-9", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert not out.exists()
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_verify_option_set(capsys):
+    """verify's options, as its usage line names them."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "--help"])
+    usage = capsys.readouterr().out.partition("\n\n")[0]
+    assert set(re.findall(r"\[(--[a-z]+)", usage)) == {"--out", "--seed", "--tamper", "--timings"}
 
 
 def test_verify_incomplete_exit(tmp_path):
@@ -304,7 +315,7 @@ def test_cover_reports_witness_on_failure():
     from toricball import verify
 
     fan = tb.validate_fan(2, [(1, 0), (0, 1)], [[0, 1]], require_complete=False)
-    ctx = verify.Context(fan, None, [], 1e-9, random.Random(0))
+    ctx = verify.Context(fan, None, [], random.Random(0))
     witness = {"reason": "ridge not shared by exactly two maximal flags", "ridge": [[0]], "count": 1}
     assert verify._cover(ctx) == (False, {"witness": witness})
 
@@ -574,7 +585,7 @@ def test_hilbert_minimality_names_witnesses():
 
     fan = tb.load_bundled("p112")
     atlas = tb.Atlas(fan)
-    ctx = verify.Context(fan, atlas, [], 1e-9, random.Random(0))
+    ctx = verify.Context(fan, atlas, [], random.Random(0))
     cones = fan.cones()
     assert verify._hilbert_minimality(ctx) == (True, {"cones": len(cones)})
     for cone in cones:

@@ -143,7 +143,7 @@ def test_orbit_euler_all(p1, p2, p1xp1, p3, cube_fan, p112, twisted_p3):
 
 
 def test_verify_gluing_p2(atlas_p2):
-    report = verify_gluing(atlas_p2, tol=1e-9)
+    report = verify_gluing(atlas_p2)
     assert report.passed
     assert report.worst_shared_gap <= 1e-9
     # Rows: |H(sigma)| = 2 per maximal flag.  Rules, once per maximal cone
@@ -251,7 +251,7 @@ def test_full_prefix_telescoped_terms_are_the_hilbert_terms(name):
         assert tuple(cellcomplex._telescoped_terms(generators, chart.flag.steps)) == chart.hilbert_terms
 
 
-def _per_point_cross_check(atlas, flags, rng, count, tol):
+def _per_point_cross_check(atlas, flags, rng, count):
     """The point-by-point loop that cellcomplex._subflag_cross_check
     batches, kept as its reference: each sample becomes a ToricPoint
     carrying the read Hilbert rows, is localized by Atlas.localize and
@@ -279,7 +279,7 @@ def _per_point_cross_check(atlas, flags, rng, count, tol):
                     gap = charts.sup_gap(charts.scaled_gaps(atlas.localize(point, tau).values, telescoped))
                 except charts.NotInOpenSet:
                     gap = math.nan
-                if not gap <= tol:
+                if not gap <= charts.EQUAL_TOL:
                     out.append(
                         {
                             "kind": "shared",
@@ -403,7 +403,7 @@ def test_shared_half_cannot_fail_at_the_origin(monkeypatch, name, tampered):
             assert [g for a, b in zip(local, tele) for g in charts.scaled_gaps(a, b)] == [0.0] * len(generators)
 
 
-def _batch_and_per_point(atlas, seed, tol=1e-9):
+def _batch_and_per_point(atlas, seed):
     """The batch cross-check and its per-point reference at one seed,
     SHARED_SAMPLES per prefix as in verify_gluing: each as
     (counterexamples with xi and gap written by float.hex, worst passing
@@ -411,7 +411,7 @@ def _batch_and_per_point(atlas, seed, tol=1e-9):
     flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
     out = []
     for check in (cellcomplex._subflag_cross_check, _per_point_cross_check):
-        found, drawn, worst = check(atlas, flags, random.Random(seed), cellcomplex.SHARED_SAMPLES, tol)
+        found, drawn, worst = check(atlas, flags, random.Random(seed), cellcomplex.SHARED_SAMPLES)
         hexed = [
             {**c, "xi": list(map(float.hex, c["xi"])), "gap": None if c["gap"] is None else c["gap"].hex()}
             for c in found
@@ -830,8 +830,8 @@ def test_gluing_identity_fails_on_hilbert_row_count(monkeypatch, edit):
     gluing = checks["intersection_gluing"]
     assert not gluing["passed"] and gluing["gates"] == {"monomial_diagram": True, "cover": True}
     assert gluing["counterexamples"] == [{"kind": "identity", **witness}]
-    report = verify_gluing(atlas, tol=1e-9)
-    full = verify_gluing(tb.Atlas(atlas.fan), tol=1e-9)
+    report = verify_gluing(atlas)
+    full = verify_gluing(tb.Atlas(atlas.fan))
     assert report.shared_samples == full.shared_samples - 25 * (len(flags[0]) - 1)
 
 
@@ -844,7 +844,7 @@ def test_verify_gluing_distinct_pin():
     own flag."""
     data = Path(__file__).parent / "data" / "gluing_wps_1_1_20_seed5"
     atlas = tb.Atlas(tb.parse_and_validate((data / "fan.json").read_text()))
-    report = verify_gluing(atlas, tol=1e-9, rng=random.Random(5))
+    report = verify_gluing(atlas, rng=random.Random(5))
     assert report.passed and report.counterexamples == []
     flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
     (pin,) = json.loads((data / "distinct.json").read_text())
@@ -884,7 +884,7 @@ def test_points_equal_distinct_pin():
 def _simplex_inversion(fan, atlas):
     """verify's simplex_inversion check on atlas, which may be perturbed."""
     chart_list = atlas.charts()
-    ctx = verify.Context(fan, atlas, chart_list, 1e-9, random.Random(0))
+    ctx = verify.Context(fan, atlas, chart_list, random.Random(0))
     return verify._simplex_inversion(ctx)
 
 

@@ -3,7 +3,9 @@ wraps must exist, so that deleting or renaming one fails here and not
 only in a traced benchmark run; the package imports only the standard
 library, as its empty `dependencies` promises; the elimination kernel
 exact._rref has one front end, and no library function calls exact.rank;
-cli.main alone writes to stderr; verify reports are strict JSON, with no
+cli.main alone writes to stderr; the equality tolerance 1e-9 is written
+once, as charts.EQUAL_TOL; no module imports a name that it never
+reads; verify reports are strict JSON, with no
 NaN or Infinity, even when a float check sees NaN; the golden and CLI
 tests pass under an emulation of Python 3.12's compensated float sum();
 every check in verify.CHECKS keeps a negative control that exists; the
@@ -134,6 +136,49 @@ def test_only_cli_main_writes_to_stderr():
     cli.main alone prints the message and returns the exit code, so no
     other function in src/toricball names stderr."""
     assert _library_readers("stderr") == {"cli.main"}
+
+
+def test_equal_tolerance_is_stated_once():
+    """The float literal 1e-9, the equality tolerance, appears in
+    src/toricball only as the value of charts.EQUAL_TOL, and verify's
+    report states that constant as its tolerance."""
+    found = []
+    for path in sorted((ROOT / "src" / "toricball").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        assigned = {id(node.value): [t.id for t in node.targets] for node in tree.body if isinstance(node, ast.Assign)}
+        found += [
+            (path.stem, assigned.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-9
+        ]
+    assert found == [("charts", ["EQUAL_TOL"])]
+    assert verify.run_verification(tb.load_bundled("p1"))["tolerance"] is charts.EQUAL_TOL
+
+
+def _unread_imports(path):
+    """The names that a module imports at module level and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = [
+        (alias.asname or alias.name).partition(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_an_unread_name():
+    """Every name imported at module level under src/toricball and tests
+    is read in its module; the package's __init__ re-exports are
+    exempt."""
+    paths = [*(ROOT / "src" / "toricball").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]
+    unread = {
+        str(path.relative_to(ROOT)): names
+        for path in sorted(paths)
+        if path.name != "__init__.py" and (names := _unread_imports(path))
+    }
+    assert unread == {}
 
 
 def _strict_json(text):
