@@ -316,8 +316,8 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count):
 
     Each (F, k) is one batch, held a column per coordinate.  Its count
     samples are drawn from rng in loop order, one list of numbers per
-    batch (_simplex_samples); the w
-    columns are bary_to_delta's partial sums, added one column at a time
+    batch (_simplex_samples); the w columns are
+    homeo.check_barycentric's partial sums, added one column at a time
     (past W_k the zero padding adds 0.0, which moves no float); the Hilbert
     rows that the rule sigma -> tau reads (its alpha_terms and the terms
     of each of its rows) and the telescoped rows go through
@@ -384,7 +384,7 @@ def _subflag_cross_check(atlas: Atlas, flags, rng, count):
                 telescoped[prefix] = _telescoped_terms(atlas.hilbert(tau).generators, flag.steps[:k])
             samples = _simplex_samples(rng, k, count)
             size = len(samples)
-            sums, acc = [], [0.0] * size  # W_0..W_k: bary_to_delta's partial sums
+            sums, acc = [], [0.0] * size  # W_0..W_k: check_barycentric's partial sums
             for column in zip(*samples):
                 acc = list(map(add, acc, column))
                 sums.append(acc)

@@ -40,7 +40,7 @@ from .bary import barycenter, enumerate_flags
 from .charts import Atlas
 from .exact import primitive
 from .fan import Fan, FanValidationError, ParseError, parse_and_validate
-from .homeo import bary_to_delta, param_boundary_point, phi_point
+from .homeo import check_barycentric, param_boundary_point, phi_point
 from .verify import SettingsError, run_verification
 
 EXIT_OK = 0
@@ -148,7 +148,7 @@ def cmd_param(args) -> int:
         "fan": fan.name,
         "flag": args.flag,
         "xi": xi,
-        "w": [float(v) for v in bary_to_delta(xi)],
+        "w": [float(v) for v in check_barycentric(xi)],
         "carrier": sorted(point.cone.rays),
         "generators": [list(g) for g in sem.generators],
         "values": list(point.values),

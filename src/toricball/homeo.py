@@ -82,39 +82,42 @@ def rescale_global(fan: Fan, x):
     return phi_point(flag.barycenters, u, len(x))
 
 
-def bary_to_delta(xi):
-    """Partial-sum parameterization of the simplex: w_j = xi_0+...+xi_{j-1}.
-
-    Exact when xi is rational; the output always satisfies the simplex
-    chain inequalities when xi is a valid barycentric vector.
-    """
-    n = len(xi) - 1
-    out = []
-    acc = xi[0] * 0  # keeps Fractions exact, floats float
-    for j in range(n):
-        acc = acc + xi[j]
-        out.append(acc)
-    return tuple(out)
-
-
 BARYCENTRIC_TOL = 1e-12  # check_barycentric's float slack
 
 
 def check_barycentric(xi):
-    """Raise ValueError unless xi is a barycentric vector: finite entries,
-    none below -BARYCENTRIC_TOL, and a sum of exactly 1 when every entry
-    is an int or Fraction, else a float sum within BARYCENTRIC_TOL of 1."""
+    """The chart simplex point w of a barycentric vector xi, or ValueError.
+
+    One left-to-right pass, accumulate(xi), gives the partial sums
+    w_j = xi_0 + ... + xi_(j-1) and last the total.  They stay exact
+    (int or Fraction) up to the first float entry and are floats, added
+    left to right, from it on.  xi is accepted when
+
+    - no entry, as a float, is below -BARYCENTRIC_TOL, and
+    - the total is exactly 1 when it is exact (every entry an int or a
+      Fraction), else a float within BARYCENTRIC_TOL of 1, which a
+      non-finite entry's inf or NaN total never is.
+
+    The verdict rests on that running total, never on sum(), whose float
+    rounding depends on the interpreter (compensated from Python 3.12
+    on).  A rejected xi is told why in this order: an entry that is not
+    finite, then one below -BARYCENTRIC_TOL, then the sum.
+    """
+    w = list(accumulate(xi))
+    total = w.pop() if w else 0
+    if isinstance(total, (int, Fraction)):
+        ok = total == 1
+    else:
+        ok = abs(total - 1.0) <= BARYCENTRIC_TOL
+    # A finite total leaves no NaN for min to skip past.
+    if ok and min(map(float, xi)) >= -BARYCENTRIC_TOL:
+        return tuple(w)
     floats = tuple(map(float, xi))
     if not all(map(math.isfinite, floats)):
         raise ValueError("barycentric coordinates must be finite")
     if any(v < -BARYCENTRIC_TOL for v in floats):
         raise ValueError("barycentric coordinates must be nonnegative")
-    if all(isinstance(x, (int, Fraction)) for x in xi):
-        off = sum(xi) != 1
-    else:
-        off = abs(sum(floats) - 1.0) > BARYCENTRIC_TOL
-    if off:
-        raise ValueError("barycentric coordinates must sum to 1")
+    raise ValueError("barycentric coordinates must sum to 1")
 
 
 def param_boundary_point(atlas: Atlas, flag: Flag, xi) -> ToricPoint:
@@ -123,6 +126,10 @@ def param_boundary_point(atlas: Atlas, flag: Flag, xi) -> ToricPoint:
     Defined for every valid xi including the xi_0 = 0 face at infinity;
     xi = (1, 0, ..., 0) is the image of the origin of N_R and
     xi = (0, ..., 0, 1) the torus-fixed point of the top cone's chart.
+    xi is checked, and its partial sums w taken, in check_barycentric's
+    one pass: ints and Fractions must sum to exactly 1, any other xi
+    within BARYCENTRIC_TOL by its left-to-right float total.  A valid
+    xi of the wrong length is refused after that check.
 
     On the interior this is psi . theta . exp . Phi, by an identity that
     does not depend on the fan.  Let U_j = u_1 + ... + u_j (U_0 = 0).
@@ -132,18 +139,16 @@ def param_boundary_point(atlas: Atlas, flag: Flag, xi) -> ToricPoint:
         theta(e^(-2 pi Phi(u)))_j = prod_(i >= j) (1 + U_(i-1)) / (1 + U_i)
                                   = (1 + U_(j-1)) / (1 + U_n),
 
-    which is bary_to_delta(xi)_j, the partial sum xi_0 + ... + xi_(j-1),
-    at the compactifying chart's xi_0 = 1 / (1 + U_n),
-    xi_i = u_i / (1 + U_n).  psi's exponents are certified on every chart
-    by verify's monomial_diagram identities, and its evaluator is
-    cross-checked by simplex_inversion's round trip.
+    which is w_j, the partial sum xi_0 + ... + xi_(j-1), at the
+    compactifying chart's xi_0 = 1 / (1 + U_n), xi_i = u_i / (1 + U_n).
+    psi's exponents are certified on every chart by verify's
+    monomial_diagram identities, and its evaluator is cross-checked by
+    simplex_inversion's round trip.
     """
-    check_barycentric(xi)
-    if len(xi) != len(flag) + 1:
+    w = check_barycentric(xi)
+    if len(w) != len(flag):
         raise ValueError(f"expected {len(flag) + 1} barycentric coordinates")
-    chart = atlas.chart(flag)
-    w = tuple(float(v) for v in bary_to_delta(xi))
-    return atlas.chart_point(chart, w)
+    return atlas.chart_point(atlas.chart(flag), tuple(map(float, w)))
 
 
 def nonextension_probe(atlas: Atlas, flag: Flag, c: float, s: float):

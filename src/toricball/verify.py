@@ -13,7 +13,12 @@ sample count and tolerance, its contract: INVERSION_SAMPLES points per
 group for simplex_inversion, each recovered within INVERSION_TOL
 (1e-10); cellcomplex.SHARED_SAMPLES per prefix for intersection_gluing,
 each scaled gap within charts.EQUAL_TOL (1e-9), the report's
-"tolerance".
+"tolerance".  nonextension_probe (rank 2) samples two fixed paths and
+holds them to three named thresholds: each path's second coordinate
+moves by at most PROBE_STABLE_TOL (1e-12), the two paths' second
+coordinates differ by more than PROBE_SEPARATION (0.1) of the larger,
+and each first coordinate at the last point is below PROBE_LIMIT_TOL
+(1e-10).
 
 The float cross-checks are sized by the rank n, not by the Hilbert
 basis.  A chart's point is fixed by its n triangular rows, and the exact
@@ -224,6 +229,9 @@ class Context:
 
 INVERSION_SAMPLES = 500  # simplex_inversion's points per group
 INVERSION_TOL = 1e-10  # simplex_inversion's bound on each recovered point's gap
+PROBE_STABLE_TOL = 1e-12  # nonextension_probe: a second coordinate's drift along its path
+PROBE_LIMIT_TOL = 1e-10  # nonextension_probe: a first coordinate at the path's end, tending to 0
+PROBE_SEPARATION = 0.1  # nonextension_probe: the two paths' relative gap in the second coordinate
 
 
 def _delta_samples(rng, n, count):
@@ -418,15 +426,16 @@ def _hilbert_minimality(ctx):
 def _nonextension_probe(ctx):
     """Rank 2 only: the plain exponential limit is path dependent.  The
     probe runs in the chart of the first maximal flag, which the report
-    names."""
+    names, along u = (s, c) for c = 1, 2 and s = 0.5, 3, 9, held to
+    PROBE_STABLE_TOL, PROBE_SEPARATION and PROBE_LIMIT_TOL."""
     if ctx.fan.dim != 2:
         return None
     vals = [homeo.nonextension_probe(ctx.atlas, ctx.charts[0].flag, c, s) for c in (1.0, 2.0) for s in (0.5, 3.0, 9.0)]
     second = [v[1] for v in vals]
     stable = max(abs(second[i] - second[i + 1]) for i in (0, 1, 3, 4))
-    separated = abs(second[0] - second[3]) > 0.1 * max(second[0], second[3])
-    firsts_to_zero = vals[2][0] < 1e-10 and vals[5][0] < 1e-10
-    passed = stable <= 1e-12 and separated and firsts_to_zero
+    separated = abs(second[0] - second[3]) > PROBE_SEPARATION * max(second[0], second[3])
+    firsts_to_zero = vals[2][0] < PROBE_LIMIT_TOL and vals[5][0] < PROBE_LIMIT_TOL
+    passed = stable <= PROBE_STABLE_TOL and separated and firsts_to_zero
     return passed, {"flag": 0, "second_coordinates": [second[0], second[3]]}
 
 

@@ -57,6 +57,19 @@ def phi_inverse_coords(v):
     return tuple(out)
 
 
+def bary_to_delta(xi):
+    """The partial sums w_j = xi_0 + ... + xi_(j-1) one addition at a
+    time from xi_0 * 0, exact for ints and Fractions: the reference route
+    of homeo.param_boundary_point, which takes them from
+    check_barycentric's single pass."""
+    out = []
+    acc = xi[0] * 0  # keeps Fractions exact, floats float
+    for x in xi[:-1]:
+        acc = acc + x
+        out.append(acc)
+    return tuple(out)
+
+
 def cube_faces_fan():
     """The fan over the cube's faces: singular, non-simplicial, complete."""
     rays = [

@@ -210,6 +210,16 @@ def test_param_vertices(capsys):
     assert json.loads(out)["values"] == [0.0, 0.0]
 
 
+def test_param_verdict_rests_on_left_to_right_total(capsys):
+    """Added left to right, 1.0000000000009999 + 6e-17 + 6e-17 stays
+    1.0000000000009999, within 1e-12 of 1; a compensated sum() (Python
+    3.12 on, or tests/compensated_sum.py) rounds it up past 1e-12.  The
+    verdict must not depend on the interpreter."""
+    code, out = run(capsys, "param", fan_path("p2"), "--flag", "0", "--xi", "1.0000000000009999,6e-17,6e-17")
+    assert code == 0
+    assert json.loads(out)["w"] == [1.0000000000009999, 1.0000000000009999]
+
+
 def test_param_bad_xi(tmp_path, monkeypatch, capsys):
     """Each bad --flag or --xi exits 2 with its stderr line; the rank-0
     fan, whose zero cone is its one maximal cone, has no maximal flag to

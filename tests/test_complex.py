@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import toricball as tb
-from conftest import cube_faces_fan, drop_first_term, p2_with_terms, stellar_fan, unvalidated_fan, wps_fan
+from conftest import bary_to_delta, cube_faces_fan, drop_first_term, p2_with_terms, stellar_fan, unvalidated_fan, wps_fan
 from toricball import cellcomplex, charts, verify
 from toricball.bary import locate_flag
 from toricball.cellcomplex import (
@@ -25,7 +25,6 @@ from toricball.cellcomplex import (
 from toricball.charts import TWO_PI, invert_triangular, monomial_columns
 from toricball.exact import pair
 from toricball.fan import star_fan, validate_fan
-from toricball.homeo import bary_to_delta
 
 WPS_1_1_1_9 = Path(__file__).parent / "data" / "golden" / "verify_wps_1_1_1_9" / "fan.json"
 

@@ -15,7 +15,6 @@ import toricball as tb
 from toricball.bary import Flag, NotInCone, enumerate_flags, locate_flag
 from toricball.charts import exp_flag, psi_eval, theta
 from toricball.homeo import (
-    bary_to_delta,
     check_barycentric,
     nonextension_probe,
     param_boundary_point,
@@ -24,7 +23,7 @@ from toricball.homeo import (
     rescale_in_flag,
 )
 
-from conftest import phi_inverse_coords
+from conftest import bary_to_delta, get_atlas, phi_inverse_coords
 
 TWO_PI = 2 * math.pi
 
@@ -153,11 +152,23 @@ def test_rescale_subflag_restriction(cube_fan):
 
 
 def test_bary_to_delta_partial_sums():
+    """conftest.bary_to_delta, the reference, and check_barycentric,
+    which returns the same partial sums w of an accepted xi."""
     xi = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
-    assert bary_to_delta(xi) == (Fraction(1, 6), Fraction(1, 2))
+    assert bary_to_delta(xi) == check_barycentric(xi) == (Fraction(1, 6), Fraction(1, 2))
     # Monotone chain, exactly.
     w = bary_to_delta((Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10)))
     assert all(a <= b for a, b in zip(w, w[1:])) and w[-1] <= 1
+    assert check_barycentric((0, 1, 0)) == (0, 1)
+    assert check_barycentric((1.0,)) == ()
+    assert check_barycentric((0.1, 0.2, 0.7)) == (0.1, 0.1 + 0.2)
+    # Exact up to the first float entry, floats from it on.
+    assert check_barycentric((Fraction(1, 3), Fraction(1, 3), 1 / 3)) == (Fraction(1, 3), Fraction(2, 3))
+    assert check_barycentric((0.25, Fraction(1, 4), Fraction(1, 2))) == (0.25, 0.5)
+    # The total is added left to right: 6e-17 is below half an ulp of
+    # 1.0000000000009999, so it stays within BARYCENTRIC_TOL of 1, where
+    # a compensated sum() (Python 3.12 on) rounds it up past it.
+    assert check_barycentric((1.0000000000009999, 6e-17, 6e-17)) == (1.0000000000009999,) * 2
 
 
 def test_check_barycentric():
@@ -189,6 +200,56 @@ def test_check_barycentric():
     for bad in ((math.nan,), (math.nan, 0.5, 0.5), (math.inf, 0.0), (0.5, -math.inf, 0.5)):
         with pytest.raises(ValueError, match="finite"):
             check_barycentric(bad)
+    # Acceptance is decided on the one pass's running total; a rejection
+    # is then told in the order above: not finite, negative, the sum.
+    for bad, message in [
+        ((1.0, math.nan), "finite"),
+        ((0.0, math.inf, 0.0), "finite"),
+        ((math.inf, -math.inf), "finite"),  # a NaN total
+        ((-math.inf, 2.0, math.nan), "finite"),  # not "nonnegative"
+        ((1e308, 1e308), "sum to 1"),  # finite entries, an inf total
+        ((1e308, -1e308, 1.0), "nonnegative"),  # a total of exactly 1.0
+        ((Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**13)), "sum to 1"),  # exactly 1 - 1e-13
+        ((0.5, 0.6, -1e-11), "nonnegative"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            check_barycentric(bad)
+
+
+def _seeded_xi(rng, n):
+    """Valid barycentric vectors of length n + 1: float, Fraction, int
+    and mixed, on the interior, on the face xi_0 = 0 and at vertices."""
+    raw = [rng.random() + 0.01 for _ in range(n + 1)]
+    total = sum(raw)
+    floats = [x / total for x in raw]
+    face = [0.0] + [x / (total - raw[0]) for x in raw[1:]]
+    weights = [rng.randint(1, 50) for _ in range(n + 1)]
+    fractions = [Fraction(x, sum(weights)) for x in weights]
+    out = [tuple(floats), tuple(face), (-0.0, *face[1:])]  # the face xi_0 = 0, as 0.0 and as -0.0
+    out += [tuple(fractions), (Fraction(0), *fractions[1:-1], 1 - sum(fractions[1:-1]))]
+    out += [tuple(int(i == k) for i in range(n + 1)) for k in range(n + 1)]  # int vertices
+    out += [tuple(float(i == k) for i in range(n + 1)) for k in range(n + 1)]  # float vertices
+    # Mixed: a float first, then Fractions; and Fractions, then a float.
+    out.append((1.0 - float(sum(fractions[1:])), *fractions[1:]))
+    out.append((*fractions[:-1], float(fractions[-1])))
+    return out
+
+
+@pytest.mark.parametrize("name", ["p2", "p112", "twisted_p3"])
+def test_param_matches_two_step_route(name):
+    """param_boundary_point's one pass gives, bit for bit, the values of
+    the two-step route it replaced: the float partial sums of
+    conftest.bary_to_delta into Atlas.chart_point."""
+    atlas = get_atlas(name)
+    rng = random.Random(4301)
+    for chart in atlas.charts():
+        n = len(chart.flag)
+        for _ in range(4):
+            for xi in _seeded_xi(rng, n):
+                direct = param_boundary_point(atlas, chart.flag, xi)
+                route = atlas.chart_point(chart, tuple(float(v) for v in bary_to_delta(xi)))
+                assert direct.cone == route.cone
+                assert [v.hex() for v in direct.values] == [v.hex() for v in route.values], xi
 
 
 def test_param_vertices(atlas_p2):
