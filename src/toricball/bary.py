@@ -5,10 +5,12 @@ flag is allowed and its cone is the origin.  The cone of a flag is
 spanned by the barycenters of its members, where the barycenter of a
 cone is the sum of its primitive ray generators.
 
-Flag enumeration descends the face lattice from each nonzero cone,
-once per fan object (see subdivision), and is deterministic: cones are
-ordered by (dimension, sorted ray indices) and flags lexicographically
-by that key, so chart indices are stable across runs.
+The flags are the empty one and the chains above the zero cone that
+Fan.chains_above yields, the fan's one descent of its face lattice,
+read once per fan object (see subdivision).  Their order is
+deterministic: cones are ordered by (dimension, sorted ray indices) and
+flags lexicographically by that key, so chart indices are stable
+across runs.
 """
 
 from __future__ import annotations
@@ -148,14 +150,7 @@ def subdivision(fan: Fan) -> Subdivision:
     sub = _SUBDIVISIONS.get(fan)
     if sub is not None:
         return sub
-    # Chains are built top-down (largest cone first) then reversed.
-    flags = [Flag(())]
-    stack = [[c] for c in fan.cones() if c.dim > 0]
-    while stack:
-        chain = stack.pop()
-        flags.append(Flag(tuple(reversed(chain))))
-        stack.extend(chain + [c] for c in fan.faces(chain[-1]) if c.dim > 0 and c.rays < chain[-1].rays)
-    flags.sort(key=Flag.sort_key)
+    flags = sorted(map(Flag, [(), *fan.chains_above(fan.zero_cone())]), key=Flag.sort_key)
     tops = set(fan.max_cones)
     maximal = tuple(f for f in flags if len(f) == fan.dim and f.cones and f.cones[-1].rays in tops)
     simplicial, other = [], []

@@ -55,27 +55,21 @@ def build_ball_model(fan: Fan, sigma: Cone | None = None) -> BallModel:
     """The ball model of the fan, or with sigma that of its star.
 
     The vertices past the origin are the cones strictly containing sigma
-    (the zero cone by default), and the simplices come from the flags
-    whose first cone strictly contains sigma, the empty flag included;
-    the model has rank fan.dim - sigma.dim.  Its boundary is the order
-    complex of those cones: the link of sigma's cell.
+    (the zero cone by default), numbered in fan.cones() order.  The
+    simplices are {0}, and {0} u C and C for each chain C of those cones
+    that fan.chains_above(sigma) yields, so the model reads the face
+    lattice above sigma and no flag of the fan; it has rank
+    fan.dim - sigma.dim.  Its boundary is the order complex of those
+    cones: the link of sigma's cell.
     """
     sigma = sigma or fan.zero_cone()
     cones = [c for c in fan.cones() if sigma.rays < c.rays]
     vid = {c.rays: i + 1 for i, c in enumerate(cones)}
-    simplices = {}
-
-    def add(simplex):
-        d = len(simplex) - 1
-        simplices.setdefault(d, set()).add(frozenset(simplex))
-
-    for flag in enumerate_flags(fan, only_maximal=False):
-        if flag.cones and flag.cones[0].rays not in vid:
-            continue
-        ids = [vid[c.rays] for c in flag.cones]
-        add([0] + ids)
-        if ids:
-            add(ids)
+    simplices = {0: {frozenset([0])}}
+    for chain in fan.chains_above(sigma):
+        ids = frozenset(vid[c.rays] for c in chain)
+        simplices.setdefault(len(ids), set()).add(ids | {0})
+        simplices.setdefault(len(ids) - 1, set()).add(ids)
     return BallModel(
         fan=fan,
         n=fan.dim - sigma.dim,
@@ -489,7 +483,9 @@ def verify_regularity(fan: Fan) -> RegularityReport:
     any fan and tests nothing.  At the zero cone the model is
     build_ball_model(fan), the ball model of the fan itself, so that
     cell certifies the ball model.  Each cell lists the tests it failed
-    and the pseudomanifold check's issues.
+    and the pseudomanifold check's issues.  Each model reads only the
+    chains above its cone (Fan.chains_above), so no cell walks the
+    fan's flags, and the check builds no subdivision.
 
     Why no star fan is built.  For a validated fan, the cones of
     star_fan(fan, sigma) match the cones of fan containing sigma one for

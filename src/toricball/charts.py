@@ -364,14 +364,14 @@ class Atlas:
             rule = ("identity",)
         else:
             alpha = _ck.cutting_functional(sigma, tau)
-            alpha_coeffs = _ck.decompose(sem_s, alpha)
-            assert alpha_coeffs is not None, "cutting functional must lie in the semigroup"
+            if (alpha_coeffs := _ck.decompose(sem_s, alpha)) is None:
+                raise AssertionError("cutting functional must lie in the semigroup")
             cuts = [(r, a) for r in sigma.generators if (a := pair(alpha, r)) > 0]
             rows = []
             for h in sem_t.generators:
                 k = max([0, *(-(pair(h, r) // a) for r, a in cuts)])
-                coeffs = _ck.decompose(sem_s, vadd(h, vscale(k, alpha)))
-                assert coeffs is not None, "shifted generator must decompose"
+                if (coeffs := _ck.decompose(sem_s, vadd(h, vscale(k, alpha)))) is None:
+                    raise AssertionError("shifted generator must decompose")
                 rows.append((k, _terms(coeffs)))
             rule = ("shift", _terms(alpha_coeffs), tuple(rows), max(k for k, _ in rows))
         self._local_rules[key] = rule

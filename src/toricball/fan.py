@@ -161,6 +161,20 @@ class Fan:
     def zero_cone(self) -> Cone:
         return self._cones[frozenset()]
 
+    def chains_above(self, sigma: Cone):
+        """Each nonempty chain of cones strictly containing sigma, once,
+        as a tuple from its smallest cone up, in no fixed order.
+
+        The one descent of the face lattice: every chain is grown down
+        from its largest cone through faces still strictly above sigma.
+        """
+        stack = [[c] for rays, c in self._cones.items() if sigma.rays < rays]
+        while stack:
+            chain = stack.pop()
+            yield tuple(reversed(chain))
+            low = chain[-1].rays
+            stack.extend(chain + [self._cones[f]] for f in self._faces_of[low] if sigma.rays < f < low)
+
     def is_complete(self):
         """Facet-pairing completeness test with a certificate.
 

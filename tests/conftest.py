@@ -83,6 +83,20 @@ def cube_faces_fan():
     return tb.validate_fan(3, rays, maxc)
 
 
+def incomplete_fans():
+    """p2 without one maximal cone, and P^3 without one: incomplete fans
+    of rank 2 and 3, validated with require_complete=False."""
+    return (
+        tb.validate_fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2]], require_complete=False),
+        tb.validate_fan(
+            3,
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+            [[0, 1, 2], [1, 2, 3], [0, 2, 3]],
+            require_complete=False,
+        ),
+    )
+
+
 def unvalidated_fan(rays, max_cones):
     """A simplicial Fan built directly, for inputs validate_fan rejects."""
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import toricball as tb
 from conftest import get_atlas, wps_fan
-from toricball import charts, verify
+from toricball import charts, cones, verify
 from toricball.bary import Flag
 from toricball.cones import cutting_functional
 from toricball.exact import DimensionMismatch, pair, vadd, vscale
@@ -548,6 +548,29 @@ def test_localization_shift_matches_probing_loop(make_fan):
                 for i, c in terms:
                     total = vadd(total, vscale(c, sem.generators[i]))
                 assert total == vadd(h, vscale(k, alpha))
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [("alpha", "cutting functional must lie in the semigroup"), ("shifted", "shifted generator must decompose")],
+)
+def test_localization_rule_guards_hold_under_O(monkeypatch, target, message):
+    """A basis in which the cutting functional alpha, or a shifted
+    generator h + k*alpha, has no decomposition stops the rule with its
+    AssertionError, raised explicitly so that python -O keeps it (a None
+    decomposition would otherwise end in a TypeError from _terms)."""
+    fan = tb.load_bundled("p2")
+    atlas = Atlas(fan)
+    sigma, tau = fan.cone({0, 1}), fan.cone({0})
+    alpha = cutting_functional(sigma, tau)
+    decompose = cones.decompose
+
+    def failing(semigroup, v):
+        return None if (tuple(v) == tuple(alpha)) == (target == "alpha") else decompose(semigroup, v)
+
+    monkeypatch.setattr(cones, "decompose", failing)
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        atlas._localization_rule(sigma, tau)
 
 
 _SPECIAL = st.sampled_from([0.0, 1.0, 0.5, 1e-9, 1e-200, math.inf, math.nan])

@@ -10,9 +10,18 @@ from pathlib import Path
 import pytest
 
 import toricball as tb
-from conftest import bary_to_delta, cube_faces_fan, drop_first_term, p2_with_terms, stellar_fan, unvalidated_fan, wps_fan
-from toricball import cellcomplex, charts, verify
-from toricball.bary import locate_flag
+from conftest import (
+    bary_to_delta,
+    cube_faces_fan,
+    drop_first_term,
+    incomplete_fans,
+    p2_with_terms,
+    stellar_fan,
+    unvalidated_fan,
+    wps_fan,
+)
+from toricball import bary, cellcomplex, charts, verify
+from toricball.bary import enumerate_flags, locate_flag
 from toricball.cellcomplex import (
     build_ball_model,
     build_orbit_complex,
@@ -1013,6 +1022,66 @@ def _regularity_reference_fans():
     return fans
 
 
+def _chains_above_reference(fan, sigma):
+    """The chains above sigma read off the fan's flags: the flags of
+    enumerate_flags(fan) whose first cone strictly contains sigma."""
+    return [f.cones for f in enumerate_flags(fan) if f.cones and sigma.rays < f.cones[0].rays]
+
+
+def _ball_model_reference(fan, sigma):
+    """The simplices of sigma's ball model built by filtering every flag
+    of the fan: {0} u C for the empty flag and for each flag C whose
+    first cone strictly contains sigma, and C itself when nonempty."""
+    vid = {c.rays: i + 1 for i, c in enumerate(c for c in fan.cones() if sigma.rays < c.rays)}
+    simplices = {}
+    for flag in enumerate_flags(fan):
+        if flag.cones and flag.cones[0].rays not in vid:
+            continue
+        ids = [vid[c.rays] for c in flag.cones]
+        for simplex in ([0, *ids], ids) if ids else ([0],):
+            simplices.setdefault(len(simplex) - 1, set()).add(frozenset(simplex))
+    return {d: frozenset(s) for d, s in simplices.items()}
+
+
+def _chains_above_fans():
+    """The regularity reference fans (the bundled fans, the cube-faces
+    fan, P^4, (P^1)^4 and three incomplete fans), the incomplete fans
+    of the verify tests and the rank-0 fan."""
+    fans = _regularity_reference_fans()
+    for fan, name in zip(incomplete_fans(), ("p2-minus-cone", "p3-minus-cone")):
+        fan.name = name
+        fans.append(fan)
+    return fans + [validate_fan(0, [], [[]], name="rank0")]
+
+
+@pytest.mark.parametrize("fan", _chains_above_fans(), ids=lambda fan: fan.name)
+def test_chains_above_matches_flag_filter(fan):
+    """For every cone sigma, Fan.chains_above(sigma) yields each chain of
+    the flag filter exactly once, smallest cone first (sorted, the two
+    lists agree, and the filter's flags are distinct), and
+    build_ball_model(fan, sigma) has the filter's simplices."""
+    for sigma in fan.cones():
+        chains = sorted(fan.chains_above(sigma), key=lambda chain: tuple(c.sort_key() for c in chain))
+        assert chains == _chains_above_reference(fan, sigma), (fan.name, sorted(sigma.rays))
+        assert build_ball_model(fan, sigma).simplices == _ball_model_reference(fan, sigma)
+
+
+def test_regularity_reads_no_flag(monkeypatch):
+    """verify_regularity reads the face lattice through Fan.chains_above
+    alone: on freshly validated fans, passing and failing, it gives the
+    same report while bary.subdivision and cellcomplex.enumerate_flags
+    fail when called, and it leaves no subdivision behind."""
+    make = [lambda: tb.load_bundled("twisted_p3"), cube_faces_fan, lambda: incomplete_fans()[1]]
+    expected = [verify_regularity(m()) for m in make]
+    for module, name in ((bary, "subdivision"), (cellcomplex, "enumerate_flags")):
+        monkeypatch.setattr(module, name, lambda *args, _n=name, **kwargs: pytest.fail(f"{_n} called"))
+    for m, report in zip(make, expected):
+        fan = m()
+        assert verify_regularity(fan) == report
+        assert fan not in bary._SUBDIVISIONS
+    assert [r.passed for r in expected] == [True, True, False]
+
+
 def _regularity_against_star_fans(monkeypatch, fan):
     """verify_regularity on fan, with no star fan and no subdivision of
     one built, checked cell by cell against the star fan of each cone
@@ -1022,7 +1091,6 @@ def _regularity_against_star_fans(monkeypatch, fan):
     the cell passes pseudomanifold (verify_regularity's proof that star
     completeness needs no test of its own).  Returns the number of cells
     whose star is incomplete."""
-    from toricball import bary
     from toricball import fan as fan_module
 
     bary.subdivision(fan)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import toricball as tb
-from conftest import drop_first_term, p2_with_terms, stellar_fan, wps_fan
+from conftest import drop_first_term, incomplete_fans, p2_with_terms, stellar_fan, wps_fan
 from toricball import cellcomplex, charts, homeo, verify
 from toricball.cli import main
 from toricball.cones import dual_generators
@@ -130,20 +130,6 @@ def test_dual_basis_gate_names_perturbed_inverse():
     assert bad["dual_witness"] == {"flag": 3, "row": 1, "column": 1, "found": "6/7", "expected": 1}
 
 
-def _incomplete_fans():
-    """p2 without one maximal cone, and P^3 without one: unvalidated
-    incomplete fans of rank 2 and 3."""
-    return (
-        tb.validate_fan(2, [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2]], require_complete=False),
-        tb.validate_fan(
-            3,
-            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
-            [[0, 1, 2], [1, 2, 3], [0, 2, 3]],
-            require_complete=False,
-        ),
-    )
-
-
 def test_regularity_names_failing_cells():
     """On the complete p2 the entry is the cell count alone; on an
     unvalidated incomplete fan (p2 without one maximal cone) the check
@@ -153,7 +139,7 @@ def test_regularity_names_failing_cells():
     whose unpaired faces it names."""
     p2 = tb.load_bundled("p2")
     assert verify._regularity(_context(p2)) == (True, {"cells": 7})
-    fan, rank3 = _incomplete_fans()
+    fan, rank3 = incomplete_fans()
     failed = ["euler", "pseudomanifold"]
     ray_issues = ["face [0] lies in 1 top simplices, expected 2"]
     zero_issues = [
@@ -188,7 +174,7 @@ def test_ball_model_fails_on_incomplete_fan():
     assert cellcomplex.euler_characteristic(p2.simplices) == 1
     assert cellcomplex.euler_characteristic(p2.boundary_simplices()) == cellcomplex.sphere_euler(1)
     assert cellcomplex.pseudomanifold_check(p2).passed
-    model = cellcomplex.build_ball_model(_incomplete_fans()[0])
+    model = cellcomplex.build_ball_model(incomplete_fans()[0])
     assert cellcomplex.euler_characteristic(model.simplices) == 1
     assert cellcomplex.euler_characteristic(model.boundary_simplices()) == 1 != cellcomplex.sphere_euler(1)
     assert not cellcomplex.pseudomanifold_check(model).passed
@@ -199,7 +185,7 @@ def test_cover_fails_on_incomplete_fans():
     cover with a witness.  This is where the retired orbit_complex gate
     could have failed: on a complete fan its Euler sum and top cell
     count are 1 whatever the fan."""
-    for fan in _incomplete_fans():
+    for fan in incomplete_fans():
         passed, details = verify._cover(_context(fan))
         assert not passed and details["witness"]
 
