@@ -118,10 +118,11 @@ def pseudomanifold_check(model: BallModel) -> PseudomanifoldReport:
     if not tops:
         return PseudomanifoldReport(False, ("no top-dimensional simplices",))
     bounds, reached = ridge_pairing((s, s - {v}) for s in tops for v in s)
+    # Only the failing interior ridges are sorted: a passing model has none.
+    unpaired = [r for r in model.simplices.get(n - 1, ()) if 0 in r and len(bounds.get(r, ())) != 2]
     issues = [
-        f"face {sorted(ridge)} lies in {count} top simplices, expected 2"
-        for ridge in sorted(model.simplices.get(n - 1, ()), key=sorted)
-        if 0 in ridge and (count := len(bounds.get(ridge, ()))) != 2
+        f"face {sorted(ridge)} lies in {len(bounds.get(ridge, ()))} top simplices, expected 2"
+        for ridge in sorted(unpaired, key=sorted)
     ]
     if reached != len(tops):
         issues.append("dual adjacency graph of top simplices is disconnected")

@@ -33,14 +33,15 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import mul, truediv
 from pathlib import Path
 
 from .bary import barycenter, enumerate_flags
 from .charts import Atlas
 from .exact import primitive
 from .fan import Fan, FanValidationError, ParseError, parse_and_validate
-from .homeo import check_barycentric, param_boundary_point, phi_point
+from .homeo import check_barycentric, param_boundary_point, phi_columns
 from .verify import SettingsError, run_verification
 
 EXIT_OK = 0
@@ -180,34 +181,44 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _off_text(vertices, faces):
-    lines = ["OFF", f"{len(vertices)} {len(faces)} 0"]
-    lines += ["%.9f %.9f %.9f" % (*v, 0.0)[:3] for v in vertices]  # z = 0.0 in rank two
-    lines += [" ".join(map(str, (len(f), *f))) for f in faces]
-    return "\n".join(lines) + "\n"
+def _face_block(faces):
+    """The face lines of an OFF file, each ending in a newline."""
+    return "".join(" ".join(map(str, (len(f), *f))) + "\n" for f in faces)
+
+
+def _off_text(vertices, faces, face_block):
+    """An OFF file whose face lines, _face_block(faces), are given
+    rendered, so that one rendering serves every file with those faces."""
+    lines = "".join("%.9f %.9f %.9f\n" % (*v, 0.0)[:3] for v in vertices)  # z = 0.0 in rank two
+    return f"OFF\n{len(vertices)} {len(faces)} 0\n{lines}{face_block}"
 
 
 def _sphere_grid(fan: Fan, res: int):
     """The part of every sphere mesh that does not depend on the radius,
-    built once per mesh command: (points, faces), sampled flag cone by
-    flag cone.  The grid direction sum_j weights_j B_j of the flag's
-    barycenters B gives one point (B, weights, |direction|) per vertex,
-    in first-seen order.  Flags that share a grid direction share its
-    vertex, so each vertex is keyed by the primitive vector of its
-    integer direction.  In rank two faces is empty: cmd_mesh closes the
-    vertices into one polygon."""
-    points = []
+    built once per mesh command: (weights, barycenters, norms, faces),
+    sampled flag cone by flag cone.  The grid direction sum_j w_j B_j of
+    the flag's barycenters B gives one vertex per direction, in
+    first-seen order, and the first three are its columns for
+    homeo.phi_columns: weights[j] holds w_j of every vertex,
+    barycenters[j][i] coordinate i of its B_j, and norms its
+    |direction|.  Flags that share a grid direction share its vertex, so
+    each vertex is keyed by the primitive vector of its integer
+    direction.  In rank two faces is empty: cmd_mesh closes the vertices
+    into one polygon."""
+    rows, gens_rows, norms = [], [], []  # one entry per vertex
     vertex_ids = {}
     faces = []
 
     def vid(lattice, gens, weights, direction):
         key = primitive(lattice)
         if key not in vertex_ids:
-            vertex_ids[key] = len(points)
+            vertex_ids[key] = len(norms)
+            rows.append(weights)
+            gens_rows.append(gens)
             # The norm is a sum of integers in rank three and of two
             # floats in rank two, so the compensated float sum() of
             # Python 3.12+ gives the floats of a left-to-right sum.
-            points.append((gens, weights, math.sqrt(sum(v * v for v in direction))))
+            norms.append(math.sqrt(sum(map(mul, direction, direction))))
         return vertex_ids[key]
 
     for flag in enumerate_flags(fan, only_maximal=True):
@@ -233,14 +244,17 @@ def _sphere_grid(fan: Fan, res: int):
                     faces.append([grid[(i, j)], grid[(i + 1, j)], grid[(i, j + 1)]])
                     if j < res - i - 1:
                         faces.append([grid[(i + 1, j)], grid[(i + 1, j + 1)], grid[(i, j + 1)]])
-    return points, faces
+    return list(zip(*rows)), [list(zip(*b)) for b in zip(*gens_rows)], norms, faces
 
 
-def _sphere_vertices(points, radius: float, n: int):
-    """The per-radius pass over _sphere_grid's points: Phi of the point at
-    the given radius along each direction, whose simplicial coordinates
-    are the weights times radius / |direction|."""
-    return [phi_point(gens, [w * (radius / norm) for w in weights], n) for gens, weights, norm in points]
+def _sphere_vertices(weights, barycenters, norms, radius: float, n: int):
+    """The per-radius pass over _sphere_grid's columns: Phi of the point
+    at the given radius along each direction, whose simplicial
+    coordinates are the weights times radius / |direction|, in one
+    homeo.phi_columns call.  Each coordinate column is formed as the
+    kernel reads it, so none is held beside the kernel's own."""
+    scales = list(map(truediv, repeat(radius), norms))
+    return list(zip(*phi_columns(barycenters, (map(mul, w, scales) for w in weights), n, len(norms))))
 
 
 def _mesh_boundary(fan: Fan):
@@ -260,7 +274,9 @@ def _mesh_boundary(fan: Fan):
 
 def cmd_mesh(args) -> int:
     """Write one OFF file per radius, then the boundary model's.  The
-    sphere grid is built once and each radius is one pass of Phi over it.
+    sphere grid is built once, each radius is one batch pass of Phi over
+    it (homeo.phi_columns), and in rank three the spheres' face lines
+    are rendered once for all of them.
     Every file is checked to have its own name before any is written."""
     fan = _load(args)
     if fan.dim not in (2, 3):
@@ -280,17 +296,22 @@ def cmd_mesh(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def write(name, vertices, faces):
+    def write(name, vertices, faces, face_block=None):
+        """Write one OFF file; face_block, when given, is _face_block(faces)."""
         if fan.dim == 2:
             # In rank two the mesh is one closed polygon: every vertex,
             # in angular order.
             faces = [sorted(range(len(vertices)), key=lambda i: math.atan2(vertices[i][1], vertices[i][0]))]
-        (outdir / name).write_text(_off_text(vertices, faces))
+        if face_block is None:
+            face_block = _face_block(faces)
+        (outdir / name).write_text(_off_text(vertices, faces, face_block))
         written.append(name)
 
-    points, faces = _sphere_grid(fan, args.res)
+    *grid, faces = _sphere_grid(fan, args.res)
+    # In rank three every sphere has the grid's faces, rendered here once.
+    face_block = _face_block(faces) if fan.dim == 3 else None
     for name, r in zip(names, radii):
-        write(name, _sphere_vertices(points, r, fan.dim), faces)
+        write(name, _sphere_vertices(*grid, r, fan.dim), faces, face_block)
     write(f"{fan.name}_boundary.off", *_mesh_boundary(fan))
     print(json.dumps({"written": written}, indent=2))
     return EXIT_OK

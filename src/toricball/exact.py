@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
+from operator import mul
 from typing import Sequence
 
 class DimensionMismatch(ValueError):
@@ -51,7 +52,7 @@ def pair(alpha, x) -> "int | Fraction":
     """
     if len(alpha) != len(x):
         raise DimensionMismatch(f"pairing {len(alpha)}-vector with {len(x)}-vector")
-    return sum(a * b for a, b in zip(alpha, x))
+    return sum(map(mul, alpha, x))
 
 
 def vadd(u, v):
@@ -99,7 +100,7 @@ def primitive(v) -> tuple:
     g = gcd(*nums)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(a // g for a in nums)
+    return tuple(nums) if g == 1 else tuple([a // g for a in nums])
 
 
 def integer_numerators(v) -> tuple:
@@ -107,7 +108,7 @@ def integer_numerators(v) -> tuple:
     (nums, den) with v = nums / den.  Integer input, the common case,
     skips the Fractions."""
     v = tuple(v)
-    if all(type(a) is int for a in v):
+    if {int}.issuperset(map(type, v)):  # every entry an int (a bool is not)
         return list(v), 1
     exact = vec(v)
     den = lcm(*(c.denominator for c in exact))

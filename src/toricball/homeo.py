@@ -7,6 +7,10 @@ In simplicial coordinates u_1..u_k on a flag cone the map is
     v_j = (1 / 2 pi) * log((1 + u_1 + ... + u_j) / (1 + u_1 + ... + u_{j-1}))
 
 with exact inverse u_j = (e^(2 pi v_j) - 1) * e^(2 pi (v_1+...+v_{j-1})).
+phi_point evaluates it at one point, for queries; phi_columns is the
+batch pass over the mesh spheres, and its floats are phi_point's, bit
+for bit.
+
 The boundary-extended parameterization of a closed flag simplex goes
 through barycentric coordinates xi_0..xi_n (xi_0 = 0 is the face at
 infinity): the chart simplex point is the partial-sum vector
@@ -22,7 +26,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import add, mul, truediv
 
 from .bary import Flag, _locate, simplicial_coords
 from .charts import TWO_PI, Atlas, ToricPoint, psi_eval, theta
@@ -46,6 +51,38 @@ def phi_point(generators, u, n: int):
         for i in range(n):
             out[i] += vj * g[i]
     return tuple(out)
+
+
+def phi_columns(generators, u, n: int, count: int):
+    """phi_point over a batch of count points, each on the cone of its
+    own barycenters, as n columns: coordinate i of every point's image.
+
+    u yields the column u_j of every point's simplicial coordinate, for
+    j in order (each may be any iterable, read once), and
+    generators[j][i] holds coordinate i of every point's barycenter B_j.
+    Each float is phi_point's at that point, bit for bit, because each
+    step applies phi_coords' and phi_point's float operation to the same
+    operands, with map over one column of the batch at a time:
+
+    - the prefix sums S_j = S_(j-1) + float(u_j) from S_0 = 0.0, as
+      accumulate adds them;
+    - v_j = log((1.0 + S_j) / (1.0 + S_(j-1))) / 2 pi, where 1.0 + S_j
+      is kept for the next j (it is the same float) and 1.0 + S_0 is 1.0;
+    - out_i from 0.0, adding v_j * B_j[i] for j in order.
+
+    No sum() enters, so the interpreter's rounding of one (compensated
+    from Python 3.12 on) cannot either.  The mesh sphere passes read it;
+    point queries stay on phi_point."""
+    sums, below = [0.0] * count, [1.0] * count
+    out = [[0.0] * count for _ in range(n)]
+    for uj, bj in zip(u, generators):
+        sums = list(map(add, sums, map(float, uj)))
+        above = list(map(add, repeat(1.0), sums))
+        v = list(map(truediv, map(math.log, map(truediv, above, below)), repeat(TWO_PI)))
+        for i, b in enumerate(bj):
+            out[i] = list(map(add, out[i], map(mul, v, b)))
+        below = above
+    return out
 
 
 def rescale_in_flag(flag: Flag, x):

@@ -584,6 +584,27 @@ def test_mesh_builds_the_grid_once_per_command(tmp_path, monkeypatch, capsys):
     assert counts == [480, 480]
 
 
+def test_mesh_renders_the_face_block_once_per_command(tmp_path, monkeypatch, capsys):
+    """In rank three every sphere file has the grid's face lines, so one
+    command renders its 48 flags x 9 triangles once, whether it meshes
+    one radius or four; the boundary model's 48 triangles are the only
+    other face lines it renders."""
+    calls = []
+
+    def spy(faces):
+        calls.append(len(faces))
+        return face_block(faces)
+
+    face_block = cli._face_block
+    monkeypatch.setattr(cli, "_face_block", spy)
+    counts = []
+    for radii in ("1", "1,2,3,4"):
+        calls.clear()
+        assert run(capsys, "mesh", fan_path("p1xp1xp1"), "--radii", radii, "--res", "3", "--out", str(tmp_path))[0] == 0
+        counts.append(list(calls))
+    assert counts == [[432, 48], [432, 48]]
+
+
 def test_hilbert_minimality_names_witnesses():
     """A passing check reports only the cone count; with the sum of two
     generators appended to every basis it names at most five cones with

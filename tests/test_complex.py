@@ -33,7 +33,7 @@ from toricball.cellcomplex import (
 )
 from toricball.charts import TWO_PI, invert_triangular, monomial_columns
 from toricball.exact import pair
-from toricball.fan import star_fan, validate_fan
+from toricball.fan import ridge_pairing, star_fan, validate_fan
 
 WPS_1_1_1_9 = Path(__file__).parent / "data" / "golden" / "verify_wps_1_1_1_9" / "fan.json"
 
@@ -121,6 +121,42 @@ def test_pseudomanifold_fails_on_two_disjoint_spheres():
     report = pseudomanifold_check(build_ball_model(fan))
     assert report.issues == ("dual adjacency graph of top simplices is disconnected",)
     assert not report.passed
+
+
+def _pseudomanifold_issues_reference(model):
+    """pseudomanifold_check's ridge issues as they were: every
+    (m-1)-simplex sorted, then the interior ones whose top count is not
+    2 kept."""
+    n = model.n
+    bounds, _ = ridge_pairing((s, s - {v}) for s in model.simplices.get(n, ()) for v in s)
+    return [
+        f"face {sorted(ridge)} lies in {count} top simplices, expected 2"
+        for ridge in sorted(model.simplices.get(n - 1, ()), key=sorted)
+        if 0 in ridge and (count := len(bounds.get(ridge, ()))) != 2
+    ]
+
+
+def test_pseudomanifold_issues_match_the_sort_then_filter_reference():
+    """Filtering before the sort keeps the issue list: on every cell
+    link of the non-sphere controls (the incomplete fans of rank 2 and 3,
+    p2's first maximal cone alone, and two disjoint copies of P^2) the
+    ridge issues equal the reference's, in order."""
+    rays, cones = [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 0]]
+    fans = [
+        *incomplete_fans(),
+        validate_fan(2, [(1, 0), (0, 1)], [[0, 1]], require_complete=False),
+        unvalidated_fan(rays * 2, [*cones, *([i + 3 for i in c] for c in cones)]),
+    ]
+    failing = 0
+    for fan in fans:
+        for sigma in fan.cones():
+            model = build_ball_model(fan, sigma)
+            expected = _pseudomanifold_issues_reference(model)
+            issues = list(pseudomanifold_check(model).issues)
+            assert issues[: len(expected)] == expected, (fan.name, sorted(sigma.rays))
+            assert issues[len(expected) :] in ([], ["dual adjacency graph of top simplices is disconnected"])
+            failing += bool(expected)
+    assert failing >= 5
 
 
 def test_orbit_complex_p2(p2):

@@ -18,7 +18,9 @@ from toricball.homeo import (
     check_barycentric,
     nonextension_probe,
     param_boundary_point,
+    phi_columns,
     phi_coords,
+    phi_point,
     rescale_global,
     rescale_in_flag,
 )
@@ -71,6 +73,28 @@ def test_phi_coords_matches_the_per_coordinate_reference(u):
     example is one where a compensated sum would differ in the last bit
     from the left-to-right one."""
     assert list(map(float.hex, phi_coords(u))) == [phi_jk(u, j).hex() for j in range(1, len(u) + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_phi_columns_matches_phi_point_bit_for_bit(n):
+    """The batch kernel gives phi_point's floats, compared as hex, at
+    every point of a seeded batch: each point on its own integer
+    barycenters, about a quarter of its coordinates exactly 0.0 (whole
+    points among them), the rest scaled by 1e-12 to 1e6."""
+    rng = random.Random(f"phi-columns/{n}")
+    scales = [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 16.0, 1e3, 1e6]
+    points = []
+    for _ in range(240):
+        gens = [tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)]
+        scale = rng.choice(scales) * rng.uniform(0.5, 2.0)
+        points.append((gens, [0.0 if rng.random() < 0.25 else scale * rng.random() for _ in range(n)]))
+    u = [[p[1][j] for p in points] for j in range(n)]
+    barycenters = [[[p[0][j][i] for p in points] for i in range(n)] for j in range(n)]
+    columns = phi_columns(barycenters, u, n, len(points))
+    assert len(columns) == n and all(len(c) == len(points) for c in columns)
+    got = [[c[k].hex() for c in columns] for k in range(len(points))]
+    assert got == [[x.hex() for x in phi_point(gens, coords, n)] for gens, coords in points]
+    assert any(not any(coords) for _, coords in points)
 
 
 def test_phi_roundtrip_property():
