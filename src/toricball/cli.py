@@ -33,13 +33,12 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul, truediv
+from itertools import accumulate, chain, repeat
+from operator import itemgetter, mul, truediv
 from pathlib import Path
 
 from .bary import barycenter, enumerate_flags
 from .charts import Atlas
-from .exact import primitive
 from .fan import Fan, FanValidationError, ParseError, parse_and_validate
 from .homeo import check_barycentric, param_boundary_point, phi_columns
 from .verify import SettingsError, run_verification
@@ -182,68 +181,110 @@ def cmd_verify(args) -> int:
 
 
 def _face_block(faces):
-    """The face lines of an OFF file, each ending in a newline."""
-    return "".join(" ".join(map(str, (len(f), *f))) + "\n" for f in faces)
+    """The face lines of an OFF file, each ending in a newline.  Every
+    call passes faces of one length (sphere triangles, boundary
+    triangles or segments, or the rank-2 polygon), so one format string
+    renders them all."""
+    k = len(faces[0])
+    return (f"{k}{' %d' * k}\n" * len(faces)) % tuple(chain.from_iterable(faces))
 
 
 def _off_text(vertices, faces, face_block):
     """An OFF file whose face lines, _face_block(faces), are given
-    rendered, so that one rendering serves every file with those faces."""
-    lines = "".join("%.9f %.9f %.9f\n" % (*v, 0.0)[:3] for v in vertices)  # z = 0.0 in rank two
+    rendered, so that one rendering serves every file with those faces.
+    The vertex lines are one format string over the flattened
+    coordinates, with z = 0 in rank two."""
+    line = "%.9f %.9f %.9f\n" if len(vertices[0]) == 3 else "%.9f %.9f 0.000000000\n"
+    lines = (line * len(vertices)) % tuple(chain.from_iterable(vertices))
     return f"OFF\n{len(vertices)} {len(faces)} 0\n{lines}{face_block}"
 
 
 def _sphere_grid(fan: Fan, res: int):
     """The part of every sphere mesh that does not depend on the radius,
-    built once per mesh command: (weights, barycenters, norms, faces),
-    sampled flag cone by flag cone.  The grid direction sum_j w_j B_j of
-    the flag's barycenters B gives one vertex per direction, in
-    first-seen order, and the first three are its columns for
-    homeo.phi_columns: weights[j] holds w_j of every vertex,
-    barycenters[j][i] coordinate i of its B_j, and norms its
-    |direction|.  Flags that share a grid direction share its vertex, so
-    each vertex is keyed by the primitive vector of its integer
-    direction.  In rank two faces is empty: cmd_mesh closes the vertices
-    into one polygon."""
+    built once per mesh command: (weights, barycenters, norms, faces).
+
+    Each maximal flag's cone is sampled at its grid points: the
+    directions sum_j w_j B_j of its barycenters B_1..B_n with integer
+    weights w_j >= 0 that sum to res, in one order for every flag.  Each
+    grid point gives one vertex, in first-seen order, and the first
+    three are its columns for homeo.phi_columns: weights[j] holds w_j of
+    every vertex (over res in rank two), barycenters[j][i] coordinate i
+    of its B_j, and norms |sum_j w_j B_j|.  In rank three each flag
+    adds the res^2 triangles of one template of local grid indices,
+    built here once; in rank two faces is empty, and cmd_mesh closes
+    the vertices into one polygon.
+
+    Flags that share a grid point share its vertex.  Which points they
+    share is read off the flags, with no integer arithmetic:
+
+    - A point whose weights are all positive lies in its flag's open
+      cone.  The open cones of the subdivision's flags are disjoint, so
+      no other flag has a point on its ray: it is a new vertex, and only
+      then is its direction formed, for its norm.
+    - A point with some weight zero lies in the open cone of the
+      subflag S of the cones with nonzero weight.  It is keyed by the
+      pairs (cone.rays, weight) over S, in S's order.  Two flags that
+      contain S list S's barycenters in that order, so one key is one
+      direction.  Conversely, two grid points on one ray lie in one open
+      flag cone, so they have one S; S's barycenters are linearly
+      independent, so their weights on S are proportional, and as both
+      sum to res they are equal: one ray is one key.
+
+    So the keys split the grid points into the classes that the
+    primitive vectors of their integer directions do, and the vertices,
+    their order, weights, norms and the faces are those of keying by
+    that vector.  Rank two follows the same rule: only a segment's two
+    endpoints are keyed."""
+    n = fan.dim
+    if n == 2:
+        points = [(res - t, t) for t in range(res + 1)]
+    else:
+        points = [(i, j, res - i - j) for i in range(res + 1) for j in range(res + 1 - i)]
+    # The positions of each point's nonzero weights, or None inside the cone.
+    supports = [None if all(w) else [j for j, x in enumerate(w) if x] for w in points]
     rows, gens_rows, norms = [], [], []  # one entry per vertex
     vertex_ids = {}
     faces = []
+    if n == 3:
+        local = {w[:2]: m for m, w in enumerate(points)}
+        template = []
+        for i in range(res):
+            for j in range(res - i):
+                template += (local[i, j], local[i + 1, j], local[i, j + 1])
+                if j < res - i - 1:
+                    template += (local[i + 1, j], local[i + 1, j + 1], local[i, j + 1])
+        corners = itemgetter(*template)
 
-    def vid(lattice, gens, weights, direction):
-        key = primitive(lattice)
-        if key not in vertex_ids:
-            vertex_ids[key] = len(norms)
-            rows.append(weights)
+    for flag in enumerate_flags(fan, only_maximal=True):
+        gens = flag.barycenters
+        rays = [c.rays for c in flag.cones]
+        ids = []
+        for w, support in zip(points, supports):
+            if support is not None:
+                key = tuple([(rays[j], w[j]) for j in support])
+                if key in vertex_ids:
+                    ids.append(vertex_ids[key])
+                    continue
+                vertex_ids[key] = len(norms)
+            ids.append(len(norms))
+            if n == 2:
+                # Simplicial coordinates scale with the point, so they
+                # come straight from the interpolation weights.
+                a, c = w[0] / res, w[1] / res
+                w = (a, c)
+                direction = [a * x + c * y for x, y in zip(*gens)]
+            else:
+                i, j, k = w
+                direction = [i * x + j * y + k * z for x, y, z in zip(*gens)]
+            rows.append(w)
             gens_rows.append(gens)
             # The norm is a sum of integers in rank three and of two
             # floats in rank two, so the compensated float sum() of
             # Python 3.12+ gives the floats of a left-to-right sum.
             norms.append(math.sqrt(sum(map(mul, direction, direction))))
-        return vertex_ids[key]
-
-    for flag in enumerate_flags(fan, only_maximal=True):
-        gens = flag.barycenters
-        if fan.dim == 2:
-            # Simplicial coordinates scale with the point, so they come
-            # straight from the interpolation weights.
-            b1, b2 = gens
-            for t in range(res + 1):
-                a, c = (res - t) / res, t / res
-                lattice = [(res - t) * x + t * y for x, y in zip(b1, b2)]
-                vid(lattice, gens, (a, c), [a * x + c * y for x, y in zip(b1, b2)])
-        else:
-            grid = {}
-            b1, b2, b3 = gens
-            for i in range(res + 1):
-                for j in range(res + 1 - i):
-                    k = res - i - j
-                    direction = [i * x + j * y + k * z for x, y, z in zip(b1, b2, b3)]
-                    grid[(i, j)] = vid(direction, gens, (i, j, k), direction)
-            for i in range(res):
-                for j in range(res - i):
-                    faces.append([grid[(i, j)], grid[(i + 1, j)], grid[(i, j + 1)]])
-                    if j < res - i - 1:
-                        faces.append([grid[(i + 1, j)], grid[(i + 1, j + 1)], grid[(i, j + 1)]])
+        if n == 3:
+            flat = iter(corners(ids))
+            faces += zip(flat, flat, flat)
     return list(zip(*rows)), [list(zip(*b)) for b in zip(*gens_rows)], norms, faces
 
 

@@ -1,13 +1,15 @@
 """Exit-code contract, report shape, determinism of the CLI."""
 
+import itertools
 import json
 import math
 import re
+from collections import Counter
 
 import pytest
 
 import toricball as tb
-from conftest import get_fan, wps_fan
+from conftest import cube_faces_fan, get_fan, stellar_fan, wps_fan
 from toricball import cli
 from toricball.bary import enumerate_flags
 from toricball.cli import build_parser, main
@@ -520,17 +522,30 @@ def _reference_off(fan, vertices, faces):
     return _reference_off_text(vertices, faces)
 
 
-# The rank-2 and rank-3 bundled fans and the benchmark's six
-# P(1,...,1,k), as (rank, k).
+# The rank-2 and rank-3 bundled fans, the benchmark's six
+# P(1,...,1,k), as (rank, k), and fans where many flags meet on one
+# subflag: the non-simplicial cube-faces fan (48 flags) and three
+# stellar subdivisions, as (base, steps, c_max, seed).
 MESH_WPS = {f"wps_{'1_' * (n - 1)}{k}": (n, k) for n, k in ((2, 2), (2, 7), (2, 20), (3, 3), (3, 9), (3, 27))}
-MESH_FANS = [name for name in tb.BUNDLED_FANS if get_fan(name).dim in (2, 3)] + list(MESH_WPS)
+MESH_STELLAR = {
+    f"{base}_stellar_{steps}_{c_max}_{seed}": (base, steps, c_max, seed)
+    for base, steps, c_max, seed in (("p3", 6, 12, 0), ("twisted_p3", 8, 3, 2), ("p2", 6, 5, 0))
+}
+MESH_BUNDLED = [name for name in tb.BUNDLED_FANS if get_fan(name).dim in (2, 3)]
+MESH_FANS = MESH_BUNDLED + list(MESH_WPS) + ["cube_faces"] + list(MESH_STELLAR)
 
 
 def _mesh_fan_file(directory, name):
     """The path of a fan file named name, and its fan."""
-    if name not in MESH_WPS:
+    if name in MESH_BUNDLED:
         return fan_path(name), get_fan(name)
-    fan = wps_fan(*MESH_WPS[name])
+    if name in MESH_WPS:
+        fan = wps_fan(*MESH_WPS[name])
+    elif name in MESH_STELLAR:
+        base, *rest = MESH_STELLAR[name]
+        fan = stellar_fan(get_fan(base), *rest)
+    else:
+        fan = cube_faces_fan()
     doc = {"name": name, "dim": fan.dim, "rays": [list(r) for r in fan.rays], "max_cones": [sorted(c) for c in fan.max_cones]}
     path = directory / f"{name}.json"
     path.write_text(json.dumps(doc))
@@ -567,21 +582,27 @@ def test_mesh_radii_together_as_alone(tmp_path, capsys, name):
 
 def test_mesh_builds_the_grid_once_per_command(tmp_path, monkeypatch, capsys):
     """The sphere grid does not depend on the radius, so one command
-    keys its 48 flags x 10 grid points by primitive direction once,
-    whether it meshes one radius or four."""
+    builds it once, whether it meshes one radius or four: one
+    _sphere_grid call, which reads the flags once, and one more reading
+    of the flags for the boundary model.  The grid keys its points
+    without primitive, so the spies watch the grid and the flags."""
     calls = []
 
-    def spy(v):
-        calls.append(v)
-        return primitive(v)
+    def spy(name, func):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "primitive", spy)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    spy("_sphere_grid", cli._sphere_grid)
+    spy("enumerate_flags", cli.enumerate_flags)
     counts = []
     for radii in ("1", "1,2,3,4"):
         calls.clear()
         assert run(capsys, "mesh", fan_path("p1xp1xp1"), "--radii", radii, "--res", "3", "--out", str(tmp_path))[0] == 0
-        counts.append(len(calls))
-    assert counts == [480, 480]
+        counts.append(list(calls))
+    assert counts == [["_sphere_grid", "enumerate_flags", "enumerate_flags"]] * 2
 
 
 def test_mesh_renders_the_face_block_once_per_command(tmp_path, monkeypatch, capsys):
@@ -603,6 +624,65 @@ def test_mesh_renders_the_face_block_once_per_command(tmp_path, monkeypatch, cap
         assert run(capsys, "mesh", fan_path("p1xp1xp1"), "--radii", radii, "--res", "3", "--out", str(tmp_path))[0] == 0
         counts.append(list(calls))
     assert counts == [[432, 48], [432, 48]]
+
+
+def _read_off(path):
+    """The vertex count and the faces of an OFF file."""
+    lines = path.read_text().splitlines()
+    nv, nf, _ = map(int, lines[1].split())
+    return nv, [[int(x) for x in line.split()[1:]] for line in lines[2 + nv : 2 + nv + nf]]
+
+
+def _surface_defects(nv, triangles):
+    """How triangles on vertices 0..nv-1 fail to be a closed surface of
+    Euler characteristic 2: "edge" if an undirected edge lies in other
+    than two triangles, "unused" if a vertex is in none, and "euler" if
+    V - E + F != 2."""
+    edges = Counter(frozenset(e) for a, b, c in triangles for e in ((a, b), (b, c), (c, a)))
+    defects = []
+    if any(count != 2 for count in edges.values()):
+        defects.append("edge")
+    if set(itertools.chain.from_iterable(triangles)) != set(range(nv)):
+        defects.append("unused")
+    if nv - len(edges) + len(triangles) != 2:
+        defects.append("euler")
+    return defects
+
+
+@pytest.mark.parametrize("res", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["p1xp1xp1", "p3", "twisted_p3", "cube_faces", "p3_stellar_6_12_0"])
+def test_sphere_mesh_is_a_closed_surface(tmp_path, capsys, name, res):
+    """Every rank-3 sphere file triangulates a 2-sphere: flags that
+    share a grid point share its vertex, and no others do, so each edge
+    lies in two triangles, every vertex is used, and V - E + F = 2."""
+    path, fan = _mesh_fan_file(tmp_path, name)
+    assert fan.dim == 3
+    radii = ["1e-12", "1", "16"]
+    assert run(capsys, "mesh", path, "--radii", ",".join(radii), "--res", str(res), "--out", str(tmp_path / "out"))[0] == 0
+    for r in radii:
+        assert _surface_defects(*_read_off(tmp_path / "out" / f"{name}_r{r}.off")) == []
+
+
+def test_closed_surface_check_catches_split_and_merged_vertices(tmp_path, capsys):
+    """Negative controls on a real sphere mesh: one triangle's corner
+    given a vertex of its own leaves two edges in one triangle, and two
+    vertices with no common neighbour merged into one leave every edge
+    in two triangles but V - E + F = 1."""
+    assert run(capsys, "mesh", fan_path("p3"), "--radii", "1", "--res", "2", "--out", str(tmp_path))[0] == 0
+    nv, triangles = _read_off(tmp_path / "p3_r1.off")
+    assert _surface_defects(nv, triangles) == []
+
+    split = [list(t) for t in triangles]
+    split[0][0] = nv
+    assert "edge" in _surface_defects(nv + 1, split)
+
+    closed = [set() for _ in range(nv)]  # each vertex and its neighbours
+    for t in triangles:
+        for v in t:
+            closed[v].update(t)
+    a, b = next((a, b) for a in range(nv) for b in range(a + 1, nv) if not closed[a] & closed[b])
+    merged = [[a if v == b else v - (v > b) for v in t] for t in triangles]
+    assert _surface_defects(nv - 1, merged) == ["euler"]
 
 
 def test_hilbert_minimality_names_witnesses():
