@@ -5,9 +5,10 @@ flag is allowed and its cone is the origin.  The cone of a flag is
 spanned by the barycenters of its members, where the barycenter of a
 cone is the sum of its primitive ray generators.
 
-The flags are the empty one and the chains above the zero cone that
-Fan.chains_above yields, the fan's one descent of its face lattice,
-read once per fan object (see subdivision).  Their order is
+The library reads only the maximal flags, one cone of each dimension
+1, ..., n, so those are the only flags built: Fan.maximal_chains
+grows each down from an n-dimensional cone through faces of one
+dimension less, once per fan object (see subdivision).  Their order is
 deterministic: cones are ordered by (dimension, sorted ray indices) and
 flags lexicographically by that key, so chart indices are stable
 across runs.
@@ -115,13 +116,17 @@ def flag_cone(flag: Flag) -> FlagCone:
 
 @dataclass(frozen=True)
 class Subdivision:
-    """The barycentric subdivision of one fan, built once per fan object.
+    """The maximal flags of one fan, built once per fan object: the
+    chains of Fan.maximal_chains, each grown down from an n-cone, sorted;
+    no other flag is built.
 
-    flags lists every flag (the empty one first) and maximal the maximal
-    ones (length n, ending in a maximal cone), in enumeration order;
-    by_chain maps each flag's chain of ray sets to its Flag, and
-    position each Flag to its index in flags, so the least of some
-    flags is the one of least position, with no sort key rebuilt.
+    maximal lists the maximal flags (length n, ending in a maximal
+    cone) in enumeration order; by_chain maps each one's chain of ray
+    sets to its Flag, and position each Flag to its index in maximal, so
+    the least of some flags is the one of least position, with no sort
+    key rebuilt.  At rank 0 maximal is empty, and by_chain and position
+    hold the empty flag alone: locate's chain there is (), and the
+    empty flag covers the one point.
     simplicial and other are the index of locate_flag: simplicial
     lists, for every full-dimensional simplicial maximal cone, its
     sorted ray indices and the rows d_i of the integer left inverse of
@@ -132,7 +137,6 @@ class Subdivision:
     order.
     """
 
-    flags: tuple
     maximal: tuple
     by_chain: dict
     position: dict
@@ -150,9 +154,9 @@ def subdivision(fan: Fan) -> Subdivision:
     sub = _SUBDIVISIONS.get(fan)
     if sub is not None:
         return sub
-    flags = sorted(map(Flag, [(), *fan.chains_above(fan.zero_cone())]), key=Flag.sort_key)
-    tops = set(fan.max_cones)
-    maximal = tuple(f for f in flags if len(f) == fan.dim and f.cones and f.cones[-1].rays in tops)
+    # At rank 0 the one chain is the empty one: locate's, not a maximal flag.
+    flags = sorted(map(Flag, fan.maximal_chains()), key=Flag.sort_key)
+    maximal = tuple(flags) if fan.dim else ()
     simplicial, other = [], []
     for cone in fan.maximal_cones():
         if cone.dim != fan.dim:
@@ -164,7 +168,6 @@ def subdivision(fan: Fan) -> Subdivision:
         # The zero cone of the rank-0 fan has no rays and no rows.
         simplicial.append((tuple(sorted(cone.rays)), span_inverse(gens)[0] if gens else ()))
     sub = _SUBDIVISIONS[fan] = Subdivision(
-        flags=tuple(flags),
         maximal=maximal,
         by_chain={tuple(c.rays for c in f.cones): f for f in flags},
         position={f: i for i, f in enumerate(flags)},
@@ -174,11 +177,14 @@ def subdivision(fan: Fan) -> Subdivision:
     return sub
 
 
-def enumerate_flags(fan: Fan, only_maximal: bool = False):
-    """All flags of the fan, or only the maximal ones (length n, ending
-    in a maximal cone), in deterministic order."""
-    sub = subdivision(fan)
-    return list(sub.maximal if only_maximal else sub.flags)
+def enumerate_flags(fan: Fan, only_maximal: bool = True):
+    """The maximal flags of the fan (length n, ending in a maximal
+    cone), in deterministic order.  only_maximal=False raises
+    ValueError: no other flags are built, and the enumeration of every
+    flag is the tests' reference (all_flags in tests/conftest.py)."""
+    if not only_maximal:
+        raise ValueError("only the maximal flags are built; all_flags in tests/conftest.py lists every flag")
+    return list(subdivision(fan).maximal)
 
 
 def flag_intersection(f1: Flag, f2: Flag) -> Flag:
@@ -239,7 +245,7 @@ def flag_contains(flag: Flag, x) -> bool:
 
 def containing_flags(fan: Fan, x):
     """Maximal flags whose cone contains x, in enumeration order."""
-    return [f for f in enumerate_flags(fan, only_maximal=True) if flag_contains(f, x)]
+    return [f for f in enumerate_flags(fan) if flag_contains(f, x)]
 
 
 def locate_flag(fan: Fan, x) -> Flag:
@@ -338,7 +344,7 @@ def cover_check(fan: Fan):
     n = fan.dim
     if n == 0:
         return True, None
-    flags = enumerate_flags(fan, only_maximal=True)
+    flags = enumerate_flags(fan)
     ridges = [[tuple(c.rays for j, c in enumerate(f.cones) if j != k) for k in range(n)] for f in flags]
     bounds, _ = ridge_pairing((i, ridge) for i, rs in enumerate(ridges) for ridge in rs)
     for i, flag in enumerate(flags):

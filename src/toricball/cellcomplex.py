@@ -447,7 +447,7 @@ def verify_gluing(atlas: Atlas, rng: random.Random | None = None) -> GluingRepor
 
     Counterexamples are listed identities first, then shared.
     """
-    flags = enumerate_flags(atlas.fan, only_maximal=True)
+    flags = enumerate_flags(atlas.fan)
     identities, witnesses = gluing_identities(atlas, flags)
     rng = random.Random(0) if rng is None else rng
     shared, drawn, worst = _subflag_cross_check(atlas, flags, rng, SHARED_SAMPLES)

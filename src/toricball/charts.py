@@ -280,7 +280,7 @@ class Atlas:
     # -- charts ---------------------------------------------------------
 
     def charts(self):
-        return [self.chart(f) for f in enumerate_flags(self.fan, only_maximal=True)]
+        return [self.chart(f) for f in enumerate_flags(self.fan)]
 
     def chart(self, flag: Flag) -> Chart:
         if flag not in self._charts:

@@ -131,7 +131,7 @@ def cmd_charts(args) -> int:
 def cmd_param(args) -> int:
     fan = _load(args)
     atlas = Atlas(fan)
-    flags = enumerate_flags(fan, only_maximal=True)
+    flags = enumerate_flags(fan)
     if not 0 <= args.flag < len(flags):
         message = f"flag index out of range (0..{len(flags) - 1})" if flags else "fan has no maximal flags"
         raise CommandError(EXIT_INVALID, message)
@@ -255,7 +255,7 @@ def _sphere_grid(fan: Fan, res: int):
                     template += (local[i + 1, j], local[i + 1, j + 1], local[i, j + 1])
         corners = itemgetter(*template)
 
-    for flag in enumerate_flags(fan, only_maximal=True):
+    for flag in enumerate_flags(fan):
         gens = flag.barycenters
         rays = [c.rays for c in flag.cones]
         ids = []
@@ -310,7 +310,7 @@ def _mesh_boundary(fan: Fan):
         norm = math.sqrt(sum(v * v for v in b))  # an integer sum: no float rounding
         ids[c.rays] = len(vertices)
         vertices.append(tuple(v / norm for v in b))
-    return vertices, [[ids[c.rays] for c in flag.cones] for flag in enumerate_flags(fan, only_maximal=True)]
+    return vertices, [[ids[c.rays] for c in flag.cones] for flag in enumerate_flags(fan)]
 
 
 def cmd_mesh(args) -> int:

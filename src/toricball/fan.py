@@ -165,8 +165,10 @@ class Fan:
         """Each nonempty chain of cones strictly containing sigma, once,
         as a tuple from its smallest cone up, in no fixed order.
 
-        The one descent of the face lattice: every chain is grown down
-        from its largest cone through faces still strictly above sigma.
+        The descent of the face lattice that reaches every such chain:
+        each is grown down from its largest cone through faces still
+        strictly above sigma.  Cell links read it (see
+        cellcomplex.build_ball_model); the flags read maximal_chains.
         """
         stack = [[c] for rays, c in self._cones.items() if sigma.rays < rays]
         while stack:
@@ -174,6 +176,21 @@ class Fan:
             yield tuple(reversed(chain))
             low = chain[-1].rays
             stack.extend(chain + [self._cones[f]] for f in self._faces_of[low] if sigma.rays < f < low)
+
+    def maximal_chains(self):
+        """Each chain of cones of dimensions 1, ..., n once, as a tuple
+        from its ray up, in no fixed order; rank 0 has the empty chain.
+
+        The descent of the face lattice that reaches only these chains:
+        each is grown down from an n-dimensional cone through faces of
+        one dimension less, down to a ray.
+        """
+        n = self.dim
+        chains = [(c,) for c in self.maximal_cones() if c.dim == n] if n else [()]
+        cone = self._cones.__getitem__
+        for d in range(n - 1, 0, -1):
+            chains = [(f, *chain) for chain in chains for f in map(cone, self._faces_of[chain[0].rays]) if f.dim == d]
+        return chains
 
     def is_complete(self):
         """Facet-pairing completeness test with a certificate.

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import toricball as tb
-from toricball.bary import barycenter
+from toricball.bary import Flag, barycenter
 from toricball.charts import TWO_PI
 from toricball.exact import primitive, vec, vscale
 from toricball.fan import Fan, _build_cone
@@ -29,6 +29,14 @@ def get_atlas(name):
     if name not in _ATLAS_CACHE:
         _ATLAS_CACHE[name] = tb.Atlas(get_fan(name))
     return _ATLAS_CACHE[name]
+
+
+def all_flags(fan):
+    """Every flag of the fan, the empty one first, in enumeration order:
+    the chains above the zero cone that Fan.chains_above yields, sorted.
+    The library builds only the maximal flags; this is the reference of
+    the tests that read the others."""
+    return sorted(map(Flag, [(), *fan.chains_above(fan.zero_cone())]), key=Flag.sort_key)
 
 
 def cover_samples(fan, count, seed, box=7):

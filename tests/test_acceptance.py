@@ -129,7 +129,7 @@ def test_criterion_06_rescaling_calculus():
         from toricball.bary import Flag
         from toricball.homeo import rescale_in_flag
 
-        for flag in tb.enumerate_flags(fan, only_maximal=True):
+        for flag in tb.enumerate_flags(fan):
             members = list(flag.cones)
             for mask in range(1, 2**n - 1):
                 sub = Flag(tuple(members[i] for i in range(n) if mask >> i & 1))
@@ -184,7 +184,7 @@ def test_criterion_08_regularity():
 
 def test_criterion_09_nonextension_witness():
     atlas = get_atlas("p2")
-    flag = tb.enumerate_flags(atlas.fan, only_maximal=True)[0]
+    flag = tb.enumerate_flags(atlas.fan)[0]
     seconds = {}
     firsts = {}
     for c in (1.0, 2.0):

@@ -11,7 +11,17 @@ from pathlib import Path
 import pytest
 
 import toricball as tb
-from conftest import cover_samples, cube_faces_fan, get_atlas, get_fan, stellar_fan, unvalidated_fan, wps_fan
+from conftest import (
+    all_flags,
+    cover_samples,
+    cube_faces_fan,
+    get_atlas,
+    get_fan,
+    incomplete_fans,
+    stellar_fan,
+    unvalidated_fan,
+    wps_fan,
+)
 from toricball import bary, homeo
 from toricball.bary import (
     Flag,
@@ -28,6 +38,7 @@ from toricball.bary import (
     simplicial_coords,
 )
 from toricball.exact import DimensionMismatch, dual_basis, pair, rank, solve_in_basis, unit_vector, vsum
+from toricball.fan import Fan
 from toricball.homeo import rescale_global, rescale_in_flag
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -42,15 +53,77 @@ def test_barycenter_examples(p2, cube_fan):
 
 
 def test_flag_counts(p1, p2, cube_fan, p3):
-    assert len(enumerate_flags(p1, only_maximal=True)) == 2
-    assert len(enumerate_flags(p2, only_maximal=True)) == 6
-    assert len(enumerate_flags(cube_fan, only_maximal=True)) == 48
-    assert len(enumerate_flags(p3, only_maximal=True)) == 24
+    assert len(enumerate_flags(p1)) == 2
+    assert len(enumerate_flags(p2)) == 6
+    assert len(enumerate_flags(cube_fan)) == 48
+    assert len(enumerate_flags(p3)) == 24
 
 
 def test_all_flags_p2(p2):
     # Empty flag + 6 singleton flags + 6 length-2 chains.
-    assert len(enumerate_flags(p2)) == 13
+    assert len(all_flags(p2)) == 13
+
+
+def test_enumerate_flags_refuses_all_flags(p2):
+    """Only the maximal flags are built, so asking for every flag is an
+    error that names the tests' reference, never the maximal flags
+    returned in silence."""
+    with pytest.raises(ValueError, match="all_flags in tests/conftest.py"):
+        enumerate_flags(p2, only_maximal=False)
+    assert enumerate_flags(p2, only_maximal=True) == enumerate_flags(p2)
+
+
+def _p1_power(k):
+    rays = [[s * (i == j) for j in range(k)] for i in range(k) for s in (1, -1)]
+    cones = [[2 * i + b for i, b in enumerate(p)] for p in itertools.product((0, 1), repeat=k)]
+    return tb.validate_fan(k, rays, cones, name=f"p1^{k}")
+
+
+def _subdivision_fans():
+    """Complete, non-simplicial, generated and incomplete fans, one
+    without a full-dimensional cone, and the rank-0 fan."""
+    fans = [get_fan(name) for name in tb.BUNDLED_FANS] + [cube_faces_fan(), _p1_power(4)]
+    fans += [wps_fan(n, k) for n in (2, 3) for k in (2, 9, 27)]
+    fans += [stellar_fan(get_fan("p3"), 3, 5, seed) for seed in range(3)]
+    fans += incomplete_fans()
+    fans.append(tb.validate_fan(2, [(1, 0), (-1, 0)], [[0], [1]], require_complete=False, name="line"))
+    return fans + [tb.validate_fan(0, [], [[]], name="rank0")]
+
+
+def _maximal_reference(fan):
+    """The maximal flags filtered out of every flag: length n, ending in
+    a maximal cone (so none at rank 0)."""
+    tops = set(fan.max_cones)
+    return [f for f in all_flags(fan) if len(f) == fan.dim and f.cones and f.cones[-1].rays in tops]
+
+
+def test_subdivision_is_the_maximal_flags_of_the_reference():
+    """Subdivision.maximal is the reference's maximal flags, in order,
+    and by_chain and position index exactly those flags in that order;
+    at rank 0 there is no maximal flag, and the index holds the empty
+    flag alone."""
+    for fan in _subdivision_fans():
+        sub = bary.subdivision(fan)
+        maximal = _maximal_reference(fan)
+        assert list(sub.maximal) == maximal, fan.name
+        indexed = maximal if fan.dim else [Flag(())]
+        assert list(sub.by_chain.items()) == [(tuple(c.rays for c in f.cones), f) for f in indexed], fan.name
+        assert list(sub.position.items()) == [(f, i) for i, f in enumerate(indexed)], fan.name
+        assert all(a is b for a, b in zip(sub.by_chain.values(), sub.position)), fan.name
+        assert all(a is b for a, b in zip(sub.maximal, sub.position)), fan.name
+
+
+def test_subdivision_walks_no_chain_above(monkeypatch):
+    """bary.subdivision on fresh fans builds the maximal flags without
+    Fan.chains_above, the walk of every chain: with it patched to fail,
+    the flags still equal the reference taken before the patch."""
+    make = [lambda: tb.load_bundled("twisted_p3"), cube_faces_fan, lambda: _p1_power(3), lambda: incomplete_fans()[1]]
+    expected = [_maximal_reference(m()) for m in make]
+    monkeypatch.setattr(Fan, "chains_above", lambda *args: pytest.fail("Fan.chains_above called"))
+    for m, flags in zip(make, expected):
+        fan = m()
+        assert fan not in bary._SUBDIVISIONS
+        assert list(bary.subdivision(fan).maximal) == flags
 
 
 def test_flag_strictness(p2):
@@ -77,7 +150,7 @@ def test_flag_intersection_disjoint(p1xp1):
 def test_flag_cone_property(p2, cube_fan, twisted_p3):
     # Barycenters of each maximal flag are linearly independent.
     for fan in (p2, cube_fan, twisted_p3):
-        for flag in enumerate_flags(fan, only_maximal=True):
+        for flag in enumerate_flags(fan):
             fc = flag_cone(flag)
             assert rank(fc.generators) == fan.dim
 
@@ -96,7 +169,7 @@ def test_simplicial_coords_examples(p2):
 def test_cone_membership_intersection_identity(p2, p1xp1):
     # x in C_F1 and C_F2 iff x in C_(F1 cap F2), on exact samples.
     for fan in (p2, p1xp1):
-        flags = enumerate_flags(fan, only_maximal=True)
+        flags = enumerate_flags(fan)
         for x in cover_samples(fan, count=40, seed=3):
             for i in range(len(flags)):
                 for j in range(i + 1, len(flags)):
@@ -165,12 +238,12 @@ def test_cover_membership_example(p1xp1):
 
 def test_origin_in_all_flags(p2):
     assert flag_contains(Flag(()), (0, 0))
-    for flag in enumerate_flags(p2, only_maximal=True):
+    for flag in enumerate_flags(p2):
         assert flag_contains(flag, (0, 0))
 
 
 def test_locate_flag_deterministic(p2):
-    flags = enumerate_flags(p2, only_maximal=True)
+    flags = enumerate_flags(p2)
     # The origin is in every flag cone; locate picks the least.
     assert locate_flag(p2, (0, 0)) == flags[0]
 
@@ -228,7 +301,7 @@ def _query_points(fan, rng, per_flag):
     """The benchmark's locate queries: x = sum u_j B_j in each maximal
     flag's cone, each u_j 0 with probability 1/4, else k / 1000 with k
     drawn from 1..4000."""
-    for flag in enumerate_flags(fan, only_maximal=True):
+    for flag in enumerate_flags(fan):
         for _ in range(per_flag):
             u = [0 if rng.random() < 0.25 else Fraction(rng.randint(1, 4000), 1000) for _ in flag.cones]
             yield tuple(sum(uj * b[i] for uj, b in zip(u, flag.barycenters)) for i in range(fan.dim))
@@ -252,8 +325,11 @@ def test_rescale_global_matches_reference(name):
     points += [tuple(rng.uniform(-3, 3) * scale for _ in range(fan.dim)) for scale in (1.0, 1e-300, 1e300)]
     points.append(tuple(5e-324 if i == 0 else 1.0 for i in range(fan.dim)))
     points += _query_points(fan, rng, per_flag=2)
+    if not fan.dim:  # the one flag of all_flags, held by the locate index
+        empty = bary.subdivision(fan).by_chain[()]
+        assert all_flags(fan) == [empty]
     for x in points:
-        flag = containing_flags(fan, x)[0] if fan.dim else bary.subdivision(fan).flags[0]
+        flag = containing_flags(fan, x)[0] if fan.dim else empty
         assert locate_flag(fan, x) is flag, x
         assert repr(rescale_global(fan, x)) == repr(rescale_in_flag(flag, x)), x
 
@@ -370,7 +446,7 @@ def test_coords_in_flag_matches_reference_solve(name):
     fan = get_fan(name)
     units = [unit_vector(i, fan.dim) for i in range(fan.dim)]
     samples = cover_samples(fan, count=20, seed=0)
-    for flag in enumerate_flags(fan):
+    for flag in all_flags(fan):
         gens = flag_cone(flag).generators
         points = list(samples)
         if 0 < len(flag) < fan.dim:

@@ -80,7 +80,7 @@ def test_charts_build_their_flags_inverse():
     the annihilator, empty for a maximal flag), so that once an Atlas is
     warm, locating a point needs no elimination."""
     fan = tb.load_bundled("p112")
-    flags = tb.enumerate_flags(fan, only_maximal=True)
+    flags = tb.enumerate_flags(fan)
     assert not any("inverse" in flag.__dict__ for flag in flags)
     Atlas(fan).charts()
     assert all("inverse" in flag.__dict__ for flag in flags)

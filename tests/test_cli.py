@@ -490,7 +490,7 @@ def _reference_mesh_sphere(fan, radius, res):
         scale = radius / math.sqrt(sum(v * v for v in direction))
         return phi_point(gens, [w * scale for w in weights], len(direction))
 
-    for flag in enumerate_flags(fan, only_maximal=True):
+    for flag in enumerate_flags(fan):
         gens = flag.barycenters
         if fan.dim == 2:
             b1, b2 = gens

@@ -11,6 +11,7 @@ import pytest
 
 import toricball as tb
 from conftest import (
+    all_flags,
     bary_to_delta,
     cube_faces_fan,
     drop_first_term,
@@ -21,7 +22,7 @@ from conftest import (
     wps_fan,
 )
 from toricball import bary, cellcomplex, charts, verify
-from toricball.bary import enumerate_flags, locate_flag
+from toricball.bary import locate_flag
 from toricball.cellcomplex import (
     build_ball_model,
     build_orbit_complex,
@@ -70,7 +71,7 @@ def test_ball_model_cube_fan(cube_fan):
 def test_ball_model_matches_flag_count(p3, twisted_p3):
     for fan in (p3, twisted_p3):
         model = build_ball_model(fan)
-        flags = tb.enumerate_flags(fan, only_maximal=True)
+        flags = tb.enumerate_flags(fan)
         assert len(model.simplices[model.n]) == len(flags)
         boundary = model.boundary_simplices()
         assert len(boundary[fan.dim - 1]) == len(flags)
@@ -82,7 +83,7 @@ def test_flag_simplex_order_isomorphism(p2, p3):
     # simplices = chains plus the origin, bijectively with flags.
     for fan in (p2, p3):
         model = build_ball_model(fan)
-        flags = tb.enumerate_flags(fan, only_maximal=False)
+        flags = all_flags(fan)
         interior = {s for ss in model.simplices.values() for s in ss if 0 in s}
         boundary = {s for ss in model.simplices.values() for s in ss if 0 not in s}
         assert len(flags) == len(interior)
@@ -213,7 +214,7 @@ def test_subflag_cross_check_samples_each_prefix_top(monkeypatch, name):
     tops (each cone of the flag but the last, in order; never the zero
     cone), through charts.shifted_columns and nothing else."""
     atlas = tb.Atlas(tb.load_bundled(name))
-    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    flags = tb.enumerate_flags(atlas.fan)
     calls = []
     shifted_columns = cellcomplex.shifted_columns
 
@@ -254,7 +255,7 @@ def test_subflag_read_rows_localize_as_the_chart_point(monkeypatch, name):
     for bit: the samples are replayed from verify_gluing's seed in its
     loop order."""
     atlas = tb.Atlas(_gluing_fan(name))
-    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    flags = tb.enumerate_flags(atlas.fan)
     seen = []
     shifted_columns = cellcomplex.shifted_columns
 
@@ -452,7 +453,7 @@ def _batch_and_per_point(atlas, seed):
     SHARED_SAMPLES per prefix as in verify_gluing: each as
     (counterexamples with xi and gap written by float.hex, worst passing
     gap by float.hex, samples drawn)."""
-    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    flags = tb.enumerate_flags(atlas.fan)
     out = []
     for check in (cellcomplex._subflag_cross_check, _per_point_cross_check):
         found, drawn, worst = check(atlas, flags, random.Random(seed), cellcomplex.SHARED_SAMPLES)
@@ -473,7 +474,7 @@ def test_subflag_cross_check_matches_the_per_point_reference(name):
     for seed in (0, 3):
         batch, reference = _batch_and_per_point(atlas, seed)
         assert batch == reference, seed
-        assert batch[2] == len(tb.enumerate_flags(atlas.fan, only_maximal=True)) * (atlas.fan.dim - 1) * 25
+        assert batch[2] == len(tb.enumerate_flags(atlas.fan)) * (atlas.fan.dim - 1) * 25
 
 
 def _with_w1_in_alpha(atlas, exponent):
@@ -630,7 +631,7 @@ def test_gluing_identities_pass_with_the_per_flag_reference(spec):
     rule rows per proper face tau."""
     fan = tb.load_bundled(spec) if isinstance(spec, str) else wps_fan(*spec[1:])
     atlas = tb.Atlas(fan)
-    flags = tb.enumerate_flags(fan, only_maximal=True)
+    flags = tb.enumerate_flags(fan)
     count, failures = gluing_identities(atlas, flags)
     assert failures == [] and _per_flag_identities(atlas, flags)[1] == []
     size = {cone.rays: len(atlas.hilbert(cone).generators) for cone in fan.cones()}
@@ -643,7 +644,7 @@ def test_gluing_identities_read_each_rule_once(monkeypatch, twisted_p3):
     """Each localization rule sigma -> tau is read once per call, for
     every proper face tau of every maximal cone sigma."""
     atlas = tb.Atlas(twisted_p3)
-    flags = tb.enumerate_flags(twisted_p3, only_maximal=True)
+    flags = tb.enumerate_flags(twisted_p3)
     calls = []
     rule = atlas._localization_rule
     monkeypatch.setattr(atlas, "_localization_rule", lambda s, t: calls.append((s.rays, t.rays)) or rule(s, t))
@@ -657,7 +658,7 @@ def _perturbed_gluing(edit, name="p2"):
     fresh atlas after edit(atlas, flag) has changed the exact data of
     flag 0."""
     atlas = tb.Atlas(tb.load_bundled(name))
-    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    flags = tb.enumerate_flags(atlas.fan)
     edit(atlas, flags[0])
     return (
         flags,
@@ -770,7 +771,7 @@ def _b_caught_by_the_diagram_gate(monkeypatch, edit, name):
     fails intersection_gluing through its monomial_diagram gate.
     Returns the reference's witnesses and monomial_diagram's."""
     atlas = tb.Atlas(tb.load_bundled(name))
-    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    flags = tb.enumerate_flags(atlas.fan)
     edit(atlas, flags[0])
     count, failures = gluing_identities(atlas, flags)
     reference = _per_flag_identities(atlas, flags)[1]
@@ -833,7 +834,7 @@ def test_gluing_identity_fails_on_swapped_hilbert_rows(monkeypatch):
     generator found at the row, and intersection_gluing fails with both
     gates passing."""
     atlas = tb.Atlas(tb.load_bundled("p112"))
-    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    flags = tb.enumerate_flags(atlas.fan)
     chart = atlas.chart(flags[0])
     first, second, *rest = chart.hilbert_rows
     atlas._charts[flags[0]] = dataclasses.replace(chart, hilbert_rows=(second, first, *rest))
@@ -862,7 +863,7 @@ def test_gluing_identity_fails_on_hilbert_row_count(monkeypatch, edit):
     intersection_gluing fails with both gates passing, raises nothing,
     and samples no point of that flag."""
     atlas = tb.Atlas(tb.load_bundled("p112"))
-    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    flags = tb.enumerate_flags(atlas.fan)
     chart = atlas.chart(flags[0])
     rows = chart.hilbert_rows[:-1] if edit == "short" else (*chart.hilbert_rows, 0)
     atlas._charts[flags[0]] = dataclasses.replace(chart, hilbert_rows=rows)
@@ -890,7 +891,7 @@ def test_verify_gluing_distinct_pin():
     atlas = tb.Atlas(tb.parse_and_validate((data / "fan.json").read_text()))
     report = verify_gluing(atlas, rng=random.Random(5))
     assert report.passed and report.counterexamples == []
-    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    flags = tb.enumerate_flags(atlas.fan)
     (pin,) = json.loads((data / "distinct.json").read_text())
     for f, xi in zip(pin["flags"], pin["xi"]):
         chart = atlas.chart(flags[f])
@@ -917,7 +918,7 @@ def test_points_equal_distinct_pin():
     equal."""
     data = Path(__file__).parent / "data" / "gluing_wps_1_1_20_seed5"
     atlas = tb.Atlas(tb.parse_and_validate((data / "fan.json").read_text()))
-    flags = tb.enumerate_flags(atlas.fan, only_maximal=True)
+    flags = tb.enumerate_flags(atlas.fan)
     (pin,) = json.loads((data / "distinct.json").read_text())
     i, j = pin["flags"]
     assert i != j
@@ -939,7 +940,7 @@ def test_locate_cross_check_fails_on_perturbed_terms():
     round-trips chart values, passes.  simplex_inversion runs that round
     trip and fails on flag 0."""
     fan, atlas = p2_with_terms(drop_first_term)
-    count, failures = gluing_identities(atlas, tb.enumerate_flags(fan, only_maximal=True))
+    count, failures = gluing_identities(atlas, tb.enumerate_flags(fan))
     assert count == 6 * 2 + 3 * 13 and failures == []
     assert verify_gluing(atlas).passed
     passed, details = _simplex_inversion(fan, atlas)
@@ -1060,8 +1061,8 @@ def _regularity_reference_fans():
 
 def _chains_above_reference(fan, sigma):
     """The chains above sigma read off the fan's flags: the flags of
-    enumerate_flags(fan) whose first cone strictly contains sigma."""
-    return [f.cones for f in enumerate_flags(fan) if f.cones and sigma.rays < f.cones[0].rays]
+    all_flags(fan) whose first cone strictly contains sigma."""
+    return [f.cones for f in all_flags(fan) if f.cones and sigma.rays < f.cones[0].rays]
 
 
 def _ball_model_reference(fan, sigma):
@@ -1070,7 +1071,7 @@ def _ball_model_reference(fan, sigma):
     first cone strictly contains sigma, and C itself when nonempty."""
     vid = {c.rays: i + 1 for i, c in enumerate(c for c in fan.cones() if sigma.rays < c.rays)}
     simplices = {}
-    for flag in enumerate_flags(fan):
+    for flag in all_flags(fan):
         if flag.cones and flag.cones[0].rays not in vid:
             continue
         ids = [vid[c.rays] for c in flag.cones]

@@ -338,7 +338,7 @@ def test_triangular_pattern_generic(p3=None):
     # flag of a bigger fan (verify's chart_invariants certifies it
     # through charts.chart_violations; re-check here).
     fan = tb.load_bundled("p3")
-    for flag in tb.enumerate_flags(fan, only_maximal=True):
+    for flag in tb.enumerate_flags(fan):
         alphas = triangular_generators(flag.cones)
         barys = [tb.barycenter(c) for c in flag.cones]
         for i, a in enumerate(alphas):

@@ -149,7 +149,7 @@ def test_rescale_requires_membership(p2):
 def test_rescale_gluing_on_shared_faces(p2, p1xp1):
     # Points on a shared face evaluate identically through both flags.
     for fan in (p2, p1xp1):
-        flags = enumerate_flags(fan, only_maximal=True)
+        flags = enumerate_flags(fan)
         for i in range(len(flags)):
             for j in range(i + 1, len(flags)):
                 shared = tb.flag_intersection(flags[i], flags[j])
@@ -163,7 +163,7 @@ def test_rescale_gluing_on_shared_faces(p2, p1xp1):
 
 def test_rescale_subflag_restriction(cube_fan):
     rng = random.Random(4)
-    flags = enumerate_flags(cube_fan, only_maximal=True)
+    flags = enumerate_flags(cube_fan)
     for flag in flags[:6]:
         members = list(flag.cones)
         for mask in (1, 2, 4, 3, 5, 6):
@@ -277,7 +277,7 @@ def test_param_matches_two_step_route(name):
 
 
 def test_param_vertices(atlas_p2):
-    flags = enumerate_flags(atlas_p2.fan, only_maximal=True)
+    flags = enumerate_flags(atlas_p2.fan)
     # xi = (1,0,...,0): the origin's image, all chart values 1.
     p = param_boundary_point(atlas_p2, flags[0], (1.0, 0.0, 0.0))
     assert p.values == (1.0, 1.0)
@@ -290,14 +290,14 @@ def test_param_vertices(atlas_p2):
 
 
 def test_param_p2_mid_edge(atlas_p2):
-    flags = enumerate_flags(atlas_p2.fan, only_maximal=True)
+    flags = enumerate_flags(atlas_p2.fan)
     p = param_boundary_point(atlas_p2, flags[0], (0.0, 1.0, 0.0))
     # w = (0, 1): chart rows (w1*w2, w2, w1) restricted to Hilbert rows.
     assert p.values == (1.0, 0.0)
 
 
 def test_param_wrong_length(atlas_p2):
-    flags = enumerate_flags(atlas_p2.fan, only_maximal=True)
+    flags = enumerate_flags(atlas_p2.fan)
     with pytest.raises(ValueError):
         param_boundary_point(atlas_p2, flags[0], (0.5, 0.5))
 
@@ -338,7 +338,7 @@ def test_telescoping_identity(u):
 
 
 def test_nonextension_probe(atlas_p2):
-    flag = enumerate_flags(atlas_p2.fan, only_maximal=True)[0]
+    flag = enumerate_flags(atlas_p2.fan)[0]
     e2pi = math.exp(-TWO_PI)
     e4pi = math.exp(-2 * TWO_PI)
     # Second triangular coordinate is e^(-2 pi c) for every s.
@@ -354,7 +354,7 @@ def test_nonextension_probe(atlas_p2):
 
 def test_nonextension_requires_rank2(cube_fan):
     atlas = tb.Atlas(cube_fan)
-    flag = enumerate_flags(cube_fan, only_maximal=True)[0]
+    flag = enumerate_flags(cube_fan)[0]
     with pytest.raises(ValueError):
         nonextension_probe(atlas, flag, 1.0, 1.0)
 
@@ -367,7 +367,7 @@ HOMEO_INPUT_ERRORS = {
         "charts are attached to maximal flags only",
     ),
     "probe-c-zero": (
-        lambda atlas: nonextension_probe(atlas, enumerate_flags(atlas.fan, only_maximal=True)[0], 0.0, 1.0),
+        lambda atlas: nonextension_probe(atlas, enumerate_flags(atlas.fan)[0], 0.0, 1.0),
         "the probe path needs c > 0",
     ),
 }

@@ -578,7 +578,7 @@ def test_nonextension_probe_names_its_flag(monkeypatch):
     monkeypatch.setattr(homeo, "nonextension_probe", lambda a, flag, *rest: seen.append(flag) or probe(a, flag, *rest))
     passed, details = verify._nonextension_probe(ctx)
     assert passed and details["flag"] == 0
-    assert set(seen) == {tb.enumerate_flags(fan, only_maximal=True)[0]}
+    assert set(seen) == {tb.enumerate_flags(fan)[0]}
 
 
 def test_distinct_half_fails_with_a_failed_gate():
