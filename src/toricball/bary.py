@@ -8,10 +8,8 @@ cone is the sum of its primitive ray generators.
 The library reads only the maximal flags, one cone of each dimension
 1, ..., n, so those are the only flags built: Fan.maximal_chains
 grows each down from an n-dimensional cone through faces of one
-dimension less, once per fan object (see subdivision).  Their order is
-deterministic: cones are ordered by (dimension, sorted ray indices) and
-flags lexicographically by that key, so chart indices are stable
-across runs.
+dimension less, once per fan object (see subdivision), and lists them
+in the flag order that the fan fixes (see the fan module).
 """
 
 from __future__ import annotations
@@ -57,9 +55,6 @@ class Flag:
 
     def __len__(self):
         return len(self.cones)
-
-    def sort_key(self):
-        return tuple(c.sort_key() for c in self.cones)
 
     # Flags key the chart cache, and hashing the cones walks every
     # generator and dual ray, so the hash is computed once per object.
@@ -117,16 +112,16 @@ def flag_cone(flag: Flag) -> FlagCone:
 @dataclass(frozen=True)
 class Subdivision:
     """The maximal flags of one fan, built once per fan object: the
-    chains of Fan.maximal_chains, each grown down from an n-cone, sorted;
-    no other flag is built.
+    chains of Fan.maximal_chains, each grown down from an n-cone, in the
+    flag order they come in; no other flag is built.
 
     maximal lists the maximal flags (length n, ending in a maximal
     cone) in enumeration order; by_chain maps each one's chain of ray
     sets to its Flag, and position each Flag to its index in maximal, so
-    the least of some flags is the one of least position, with no sort
-    key rebuilt.  At rank 0 maximal is empty, and by_chain and position
-    hold the empty flag alone: locate's chain there is (), and the
-    empty flag covers the one point.
+    the least of some flags is the one of least position.  At rank 0
+    maximal is empty, and by_chain and position hold the empty flag
+    alone: locate's chain there is (), and the empty flag covers the one
+    point.
     simplicial and other are the index of locate_flag: simplicial
     lists, for every full-dimensional simplicial maximal cone, its
     sorted ray indices and the rows d_i of the integer left inverse of
@@ -150,12 +145,13 @@ _SUBDIVISIONS = weakref.WeakKeyDictionary()
 
 
 def subdivision(fan: Fan) -> Subdivision:
-    """The fan's Subdivision, built on first use."""
+    """The fan's Subdivision, built on first use, its flags in the order
+    of Fan.maximal_chains."""
     sub = _SUBDIVISIONS.get(fan)
     if sub is not None:
         return sub
     # At rank 0 the one chain is the empty one: locate's, not a maximal flag.
-    flags = sorted(map(Flag, fan.maximal_chains()), key=Flag.sort_key)
+    flags = list(map(Flag, fan.maximal_chains()))
     maximal = tuple(flags) if fan.dim else ()
     simplicial, other = [], []
     for cone in fan.maximal_cones():

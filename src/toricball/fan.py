@@ -9,6 +9,14 @@ dimension and strong convexity are read off its one double description
 and the face lattice built on it, with no rank computation, and one
 path validates every rank, 0 included.
 
+A fan fixes one order of its cones, once, in Fan.__init__: by
+(dimension, sorted ray indices).  cones() and faces() list cones in
+that order, and maximal_chains() lists the maximal flags
+lexicographically in it.  That is the flag order of bary.subdivision,
+so chart indices, verify witnesses, chart dumps and mesh vertex order
+are stable across runs.  Read in reverse, cones() is a top-down order
+of the face poset.
+
 Fans are immutable after validation and safe for concurrent reads.
 """
 
@@ -75,9 +83,6 @@ class Cone:
     def contains(self, x) -> bool:
         return all(pair(d, x) >= 0 for d in self.dual_generators)
 
-    def sort_key(self):
-        return (self.dim, tuple(sorted(self.rays)))
-
     def __repr__(self):
         return f"Cone({sorted(self.rays)})"
 
@@ -133,8 +138,12 @@ class Fan:
         self.dim = dim
         self.rays = rays
         self.max_cones = max_cones
-        self._cones = cones_by_rays
-        self._faces_of = faces_of
+        # The one order key.  Each face table entry maps the rays of a
+        # face to its cone, in that order.
+        order = sorted(cones_by_rays, key=lambda rays: (cones_by_rays[rays].dim, sorted(rays)))
+        self._position = {rays: i for i, rays in enumerate(order)}
+        self._cones = {rays: cones_by_rays[rays] for rays in order}
+        self._faces_of = {r: {f: self._cones[f] for f in sorted(faces_of[r], key=self._position.get)} for r in order}
         self.name = name
 
     def cone(self, ray_indices) -> Cone:
@@ -144,7 +153,7 @@ class Fan:
         return self._cones[key]
 
     def cones(self):
-        return sorted(self._cones.values(), key=Cone.sort_key)
+        return list(self._cones.values())
 
     def maximal_cones(self):
         return [self._cones[r] for r in self.max_cones]
@@ -153,7 +162,7 @@ class Fan:
         """All faces of a cone, including the zero cone and itself."""
         if cone.rays not in self._cones:
             raise KeyError("cone does not belong to this fan")
-        return sorted((self._cones[f] for f in self._faces_of[cone.rays]), key=Cone.sort_key)
+        return list(self._faces_of[cone.rays].values())
 
     def is_face(self, tau: Cone, sigma: Cone) -> bool:
         return tau.rays in self._faces_of.get(sigma.rays, ())
@@ -175,22 +184,23 @@ class Fan:
             chain = stack.pop()
             yield tuple(reversed(chain))
             low = chain[-1].rays
-            stack.extend(chain + [self._cones[f]] for f in self._faces_of[low] if sigma.rays < f < low)
+            stack.extend(chain + [f] for rays, f in self._faces_of[low].items() if sigma.rays < rays < low)
 
     def maximal_chains(self):
         """Each chain of cones of dimensions 1, ..., n once, as a tuple
-        from its ray up, in no fixed order; rank 0 has the empty chain.
+        from its ray up, in flag order: lexicographic in the fan's cone
+        order; rank 0 has the empty chain.
 
         The descent of the face lattice that reaches only these chains:
         each is grown down from an n-dimensional cone through faces of
-        one dimension less, down to a ray.
+        one dimension less, down to a ray, and the chains are then
+        sorted once by their cones' integer positions.
         """
         n = self.dim
         chains = [(c,) for c in self.maximal_cones() if c.dim == n] if n else [()]
-        cone = self._cones.__getitem__
         for d in range(n - 1, 0, -1):
-            chains = [(f, *chain) for chain in chains for f in map(cone, self._faces_of[chain[0].rays]) if f.dim == d]
-        return chains
+            chains = [(f, *chain) for chain in chains for f in self._faces_of[chain[0].rays].values() if f.dim == d]
+        return sorted(chains, key=lambda chain: [self._position[c.rays] for c in chain])
 
     def is_complete(self):
         """Facet-pairing completeness test with a certificate.
@@ -210,14 +220,16 @@ class Fan:
             if c.dim != n:
                 return False, {"reason": "maximal cone not full-dimensional", "cone": sorted(c.rays)}
         bounds, reached = ridge_pairing(
-            (c.rays, f) for c in maxc for f in self._faces_of[c.rays] if self._cones[f].dim == n - 1
+            (c.rays, rays) for c in maxc for rays, f in self._faces_of[c.rays].items() if f.dim == n - 1
         )
-        for ridge, incident in sorted(bounds.items(), key=lambda kv: sorted(kv[0])):
-            if len(incident) != 2:
+        # Every (n-1)-cone is a face of a maximal cone, all n-dimensional
+        # here, so bounds holds each of them.
+        for ridge, cone in self._cones.items():
+            if cone.dim == n - 1 and len(bounds[ridge]) != 2:
                 return False, {
                     "reason": "facet not shared by exactly two maximal cones",
                     "facet": sorted(ridge),
-                    "count": len(incident),
+                    "count": len(bounds[ridge]),
                 }
         if reached != len(maxc):
             return False, {"reason": "maximal cones not facet-connected", "reached": reached}

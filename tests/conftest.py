@@ -33,10 +33,12 @@ def get_atlas(name):
 
 def all_flags(fan):
     """Every flag of the fan, the empty one first, in enumeration order:
-    the chains above the zero cone that Fan.chains_above yields, sorted.
+    the chains above the zero cone that Fan.chains_above yields, sorted
+    lexicographically by (dimension, sorted ray indices) of their cones.
     The library builds only the maximal flags; this is the reference of
     the tests that read the others."""
-    return sorted(map(Flag, [(), *fan.chains_above(fan.zero_cone())]), key=Flag.sort_key)
+    chains = [(), *fan.chains_above(fan.zero_cone())]
+    return [Flag(chain) for chain in sorted(chains, key=lambda chain: [(c.dim, sorted(c.rays)) for c in chain])]
 
 
 def cover_samples(fan, count, seed, box=7):

@@ -308,6 +308,7 @@ def _query_points(fan, rng, per_flag):
 
 
 @pytest.mark.parametrize("name", REFERENCE_FANS)
+@pytest.mark.python_O
 def test_rescale_global_matches_reference(name):
     """rescale_global's one exact pass against the reference route: Phi
     in the exhaustive scan's first flag, through coords_in_flag's

@@ -554,6 +554,7 @@ def test_localization_shift_matches_probing_loop(make_fan):
     "target, message",
     [("alpha", "cutting functional must lie in the semigroup"), ("shifted", "shifted generator must decompose")],
 )
+@pytest.mark.python_O
 def test_localization_rule_guards_hold_under_O(monkeypatch, target, message):
     """A basis in which the cutting functional alpha, or a shifted
     generator h + k*alpha, has no decomposition stops the rule with its

@@ -554,6 +554,7 @@ def _mesh_fan_file(directory, name):
 
 @pytest.mark.parametrize("res", [1, 3, 8])
 @pytest.mark.parametrize("name", MESH_FANS)
+@pytest.mark.python_O
 def test_mesh_matches_the_per_radius_reference(tmp_path, capsys, name, res):
     """One mesh command writes, byte for byte, the files of the
     per-radius reference, from a radius whose coordinates all print as
@@ -651,6 +652,7 @@ def _surface_defects(nv, triangles):
 
 @pytest.mark.parametrize("res", [1, 2, 3, 4])
 @pytest.mark.parametrize("name", ["p1xp1xp1", "p3", "twisted_p3", "cube_faces", "p3_stellar_6_12_0"])
+@pytest.mark.python_O
 def test_sphere_mesh_is_a_closed_surface(tmp_path, capsys, name, res):
     """Every rank-3 sphere file triangulates a 2-sphere: flags that
     share a grid point share its vertex, and no others do, so each edge
@@ -663,6 +665,7 @@ def test_sphere_mesh_is_a_closed_surface(tmp_path, capsys, name, res):
         assert _surface_defects(*_read_off(tmp_path / "out" / f"{name}_r{r}.off")) == []
 
 
+@pytest.mark.python_O
 def test_closed_surface_check_catches_split_and_merged_vertices(tmp_path, capsys):
     """Negative controls on a real sphere mesh: one triangle's corner
     given a vertex of its own leaves two edges in one triangle, and two

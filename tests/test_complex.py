@@ -466,6 +466,7 @@ def _batch_and_per_point(atlas, seed):
 
 
 @pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, "wps_1_1_1_9", "wps_1_1_400", "steep_119"])
+@pytest.mark.python_O
 def test_subflag_cross_check_matches_the_per_point_reference(name):
     """The batch cross-check gives the per-point loop's counterexamples
     in order, its worst_shared_gap bit for bit and its sample count, at
@@ -492,6 +493,7 @@ def _with_w1_in_alpha(atlas, exponent):
 
 
 @pytest.mark.parametrize("exponent", [1, math.nan, 1000], ids=["extra_w1", "nan_value", "off_chart"])
+@pytest.mark.python_O
 def test_subflag_cross_check_matches_the_per_point_reference_on_failures(monkeypatch, exponent):
     """Three injected failures of the shared half, each seen alike by
     the batch and by the per-point loop: alpha's value times w1 (real
@@ -1059,10 +1061,21 @@ def _regularity_reference_fans():
     return fans
 
 
+def _chain_key(chain):
+    return [(c.dim, sorted(c.rays)) for c in chain]
+
+
 def _chains_above_reference(fan, sigma):
-    """The chains above sigma read off the fan's flags: the flags of
-    all_flags(fan) whose first cone strictly contains sigma."""
-    return [f.cones for f in all_flags(fan) if f.cones and sigma.rays < f.cones[0].rays]
+    """Every chain of cones strictly above sigma, grown up from its
+    smallest cone through `rays <` over fan.cones(), sorted by
+    (dimension, sorted ray indices) of its cones: it reads neither the
+    face table nor all_flags, so it is independent of the walk."""
+    above = [c for c in fan.cones() if sigma.rays < c.rays]
+    chains, grown = [], [(c,) for c in above]
+    while grown:
+        chains += grown
+        grown = [(*chain, c) for chain in grown for c in above if chain[-1].rays < c.rays]
+    return sorted(chains, key=_chain_key)
 
 
 def _ball_model_reference(fan, sigma):
@@ -1094,11 +1107,12 @@ def _chains_above_fans():
 @pytest.mark.parametrize("fan", _chains_above_fans(), ids=lambda fan: fan.name)
 def test_chains_above_matches_flag_filter(fan):
     """For every cone sigma, Fan.chains_above(sigma) yields each chain of
-    the flag filter exactly once, smallest cone first (sorted, the two
-    lists agree, and the filter's flags are distinct), and
-    build_ball_model(fan, sigma) has the filter's simplices."""
+    cones strictly above sigma exactly once, smallest cone first (sorted,
+    it agrees with the chains grown up through `rays <`, which are
+    distinct), and build_ball_model(fan, sigma) has the simplices of the
+    flag filter."""
     for sigma in fan.cones():
-        chains = sorted(fan.chains_above(sigma), key=lambda chain: tuple(c.sort_key() for c in chain))
+        chains = sorted(fan.chains_above(sigma), key=_chain_key)
         assert chains == _chains_above_reference(fan, sigma), (fan.name, sorted(sigma.rays))
         assert build_ball_model(fan, sigma).simplices == _ball_model_reference(fan, sigma)
 

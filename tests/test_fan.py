@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import toricball as tb
-from conftest import cube_faces_fan, get_fan, unvalidated_fan, wps_fan
+from conftest import cube_faces_fan, get_fan, incomplete_fans, unvalidated_fan, wps_fan
 from toricball.cones import dual_generators, face_index_sets, generator_list
 from toricball.exact import is_zero_vec, primitive, quotient_projection, rank
 from toricball.fan import (
@@ -289,6 +289,58 @@ def test_face_lattice_matches_each_cones_own_dual():
             order = sorted(cone.rays)
             expected = {frozenset(order[i] for i in f) for f in face_index_sets(cone.generators, drays)}
             assert {f.rays for f in fan.faces(cone)} == expected, (fan.name, cone)
+
+
+def _cone_key(cone):
+    return cone.dim, sorted(cone.rays)
+
+
+def _order_fans():
+    """The bundled fans, cube-faces, both incomplete fans, the double
+    winding that validate_fan rejects (built directly, its face table
+    from unordered sets), every star fan of twisted_p3 and rank 0."""
+    twisted = get_fan("twisted_p3")
+    return [
+        *(get_fan(name) for name in tb.BUNDLED_FANS),
+        cube_faces_fan(),
+        *incomplete_fans(),
+        unvalidated_fan(P2_RAYS * 2, [[i, (i + 1) % 6] for i in range(6)]),
+        *(star_fan(twisted, c) for c in twisted.cones()),
+        validate_fan(0, [], [[]]),
+    ]
+
+
+def test_fan_fixes_one_order_of_cones_and_flags():
+    """cones(), faces(sigma) and maximal_chains() list the fan's cones
+    and maximal flags in one order, by (dimension, sorted ray indices)
+    of each cone: each equals a reference sorted here, the chains grown
+    up through `rays <` over the cones of each dimension."""
+    for fan in _order_fans():
+        cones = fan.cones()
+        assert cones == sorted(cones, key=_cone_key), fan.name
+        assert len({c.rays for c in cones}) == len(cones), fan.name
+        for sigma in cones:
+            faces = [tau for tau in cones if tau.rays <= sigma.rays]
+            assert fan.faces(sigma) == sorted(faces, key=_cone_key), (fan.name, sigma)
+        chains = [()]
+        for d in range(1, fan.dim + 1):
+            chains = [(*ch, c) for ch in chains for c in cones if c.dim == d and (not ch or ch[-1].rays < c.rays)]
+        expected = sorted(chains, key=lambda chain: [_cone_key(c) for c in chain])
+        assert fan.maximal_chains() == expected, fan.name
+
+
+def test_is_complete_names_the_least_unpaired_facet():
+    """Fan.is_complete walks the (n-1)-cones in the fan's order, so its
+    certificate names the facet of least sorted ray indices among those
+    not in exactly two maximal cones."""
+    p3 = get_fan("p3")
+    fans = [*incomplete_fans(), validate_fan(3, p3.rays, p3.max_cones[1:3], require_complete=False)]
+    for fan in fans:
+        n = fan.dim
+        count = {c.rays: sum(c.rays < m for m in fan.max_cones) for c in fan.cones() if c.dim == n - 1}
+        facet = min((rays for rays, k in count.items() if k != 2), key=sorted)
+        reason = "facet not shared by exactly two maximal cones"
+        assert fan.is_complete() == (False, {"reason": reason, "facet": sorted(facet), "count": count[facet]}), fan.name
 
 
 @pytest.mark.parametrize("name", tb.BUNDLED_FANS)

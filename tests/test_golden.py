@@ -68,6 +68,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("case, argv, code", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.python_O
 def test_output_matches_golden(case, argv, code, tmp_path, capsys):
     command, fan, *rest = argv
     fan_file = str(tb.bundled_path(fan)) if fan in tb.BUNDLED_FANS else fan

@@ -76,6 +76,7 @@ def test_phi_coords_matches_the_per_coordinate_reference(u):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.python_O
 def test_phi_columns_matches_phi_point_bit_for_bit(n):
     """The batch kernel gives phi_point's floats, compared as hex, at
     every point of a seeded batch: each point on its own integer

@@ -131,6 +131,29 @@ def test_library_calls_no_rank():
     assert _library_readers("rank") == set()
 
 
+def test_library_has_no_sort_key():
+    """The fan fixes the order of its cones and flags once, in
+    Fan.__init__, so no module of src/toricball defines or reads a
+    sort_key, and no keyed sort runs in the fan's readers or in
+    bary.subdivision: what they still sort is one cone's ray indices."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in (ROOT / "src" / "toricball").glob("*.py")}
+    defined = [node.name for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    assert "sort_key" not in defined
+    assert _library_readers("sort_key") == set()
+    fan = next(node for node in trees["fan"].body if isinstance(node, ast.ClassDef) and node.name == "Fan")
+    readers = [f for f in fan.body if getattr(f, "name", None) in ("cones", "faces", "is_complete")]
+    readers += [f for f in trees["bary"].body if getattr(f, "name", None) == "subdivision"]
+    assert len(readers) == 4
+    keyed = [
+        f.name
+        for f in readers
+        for call in ast.walk(f)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "sorted"
+        if any(k.arg == "key" for k in call.keywords)
+    ]
+    assert keyed == []
+
+
 def test_only_cli_main_writes_to_stderr():
     """A command fails by raising CommandError (or OSError), and
     cli.main alone prints the message and returns the exit code, so no
