@@ -116,25 +116,24 @@ class Subdivision:
     flag order they come in; no other flag is built.
 
     maximal lists the maximal flags (length n, ending in a maximal
-    cone) in enumeration order; by_chain maps each one's chain of ray
-    sets to its Flag, and position each Flag to its index in maximal, so
-    the least of some flags is the one of least position.  At rank 0
-    maximal is empty, and by_chain and position hold the empty flag
-    alone: locate's chain there is (), and the empty flag covers the one
+    cone) in enumeration order; a flag's position is its index there,
+    so the least of some flags is the one of least position.
+    simplicial and other are the index of locate_flag, which holds each
+    flag as the pair (position, flag).  simplicial lists, for every
+    full-dimensional simplicial maximal cone, its sorted ray indices,
+    the rows d_i of the integer left inverse of its rays r_j
+    (exact.span_inverse: <d_i, r_j> = c * delta_ij for one c > 0 per
+    cone, so the pairings <d_i, x> are the ray coordinates of x up to
+    that common positive factor), and its order table, which maps the
+    order in which a flag of the cone adds the cone's rays (indices
+    into its sorted rays) to that flag's pair.  other lists every other
+    full-dimensional maximal cone with its flags' pairs in enumeration
+    order.  At rank 0 maximal is empty, and the zero cone's table maps
+    the empty order () to (0, the empty flag), which covers the one
     point.
-    simplicial and other are the index of locate_flag: simplicial
-    lists, for every full-dimensional simplicial maximal cone, its
-    sorted ray indices and the rows d_i of the integer left inverse of
-    its rays r_j (exact.span_inverse: <d_i, r_j> = c * delta_ij for one
-    c > 0 per cone, so the pairings <d_i, x> are the ray coordinates of
-    x up to that common positive factor); other lists every other
-    full-dimensional maximal cone with its maximal flags in enumeration
-    order.
     """
 
     maximal: tuple
-    by_chain: dict
-    position: dict
     simplicial: tuple
     other: tuple
 
@@ -146,29 +145,44 @@ _SUBDIVISIONS = weakref.WeakKeyDictionary()
 
 def subdivision(fan: Fan) -> Subdivision:
     """The fan's Subdivision, built on first use, its flags in the order
-    of Fan.maximal_chains."""
+    of Fan.maximal_chains.  A flag's order in its top cone's table is
+    read off its chain, the one ray each member adds to the one below;
+    no Flag is hashed."""
     sub = _SUBDIVISIONS.get(fan)
     if sub is not None:
         return sub
     # At rank 0 the one chain is the empty one: locate's, not a maximal flag.
     flags = list(map(Flag, fan.maximal_chains()))
-    maximal = tuple(flags) if fan.dim else ()
-    simplicial, other = [], []
+    simplicial, tables, scanned = [], {}, {}
     for cone in fan.maximal_cones():
         if cone.dim != fan.dim:
             continue
         gens = cone.generators
         if len(gens) != cone.dim:
-            other.append((cone, tuple(f for f in maximal if f.cones[-1].rays == cone.rays)))
+            scanned[cone.rays] = []
             continue
+        rays = tuple(sorted(cone.rays))
+        table = {}
+        tables[cone.rays] = table, {r: i for i, r in enumerate(rays)}
         # The zero cone of the rank-0 fan has no rays and no rows.
-        simplicial.append((tuple(sorted(cone.rays)), span_inverse(gens)[0] if gens else ()))
+        simplicial.append((rays, span_inverse(gens)[0] if gens else (), table))
+    for p, flag in enumerate(flags):
+        top = flag.cones[-1].rays if flag.cones else frozenset()
+        if top in scanned:
+            scanned[top].append((p, flag))
+            continue
+        # Each member of a simplicial cone's flag adds one of its rays.
+        table, at = tables[top]
+        order, below = [], frozenset()
+        for c in flag.cones:
+            (ray,) = c.rays - below
+            order.append(at[ray])
+            below = c.rays
+        table[tuple(order)] = p, flag
     sub = _SUBDIVISIONS[fan] = Subdivision(
-        maximal=maximal,
-        by_chain={tuple(c.rays for c in f.cones): f for f in flags},
-        position={f: i for i, f in enumerate(flags)},
+        maximal=tuple(flags) if fan.dim else (),
         simplicial=tuple(simplicial),
-        other=tuple(other),
+        other=tuple((fan.cone(rays), tuple(pairs)) for rays, pairs in scanned.items()),
     )
     return sub
 
@@ -274,38 +288,38 @@ def _locate(fan: Fan, x):
     over an int, which Python rounds correctly: bit for bit
     float(Fraction(...)) of coords_in_flag, with no second sign test,
     since the flag contains x by construction.  A simplicial cone's rows
-    are paired up to the first negative lambda, and the least flag found
-    is the one of least Subdivision.position."""
+    are paired up to the first negative lambda; when none is negative,
+    the order of the cone's rays by decreasing lambda is the key of its
+    table, and the least flag found is the one of least position."""
     sub = subdivision(fan)
     if len(x) != fan.dim:
         raise DimensionMismatch(f"point of length {len(x)} in a rank-{fan.dim} fan")
     # One common denominator makes every sign test an integer pairing.
     nums, den = integer_numerators(x)
     found = []
-    for rays, duals in sub.simplicial:
+    for _, duals, table in sub.simplicial:
         lam = []
         for dual in duals:
-            lam.append(sum(map(mul, dual, nums)))  # pair() without its length check
-            if lam[-1] < 0:
+            a = sum(map(mul, dual, nums))  # pair() without its length check
+            if a < 0:
                 break  # x is not in this cone
+            lam.append(a)
         else:
-            chain, members = [], set()
-            # The sort is stable, so tied coordinates keep ray-index order.
-            for i in sorted(range(len(rays)), key=lambda i: -lam[i]):
-                members.add(rays[i])
-                chain.append(frozenset(members))
-            found.append(sub.by_chain[tuple(chain)])
-            if lam and min(lam) > 0:
+            # The sort is stable under reverse=True too, so tied
+            # coordinates keep ray-index order.
+            found.append(table[tuple(sorted(range(len(lam)), key=lam.__getitem__, reverse=True))])
+            if lam and 0 not in lam:  # every lambda > 0, as none is negative
                 break  # x is interior to this cone, hence in no other: end the scan
     else:  # no simplicial cone holds x in its interior
-        for cone, flags in sub.other:
+        for cone, entries in sub.other:
             if cone.contains(nums):
-                hit = next((f for f in flags if flag_contains(f, x)), None)
+                hit = next((entry for entry in entries if flag_contains(entry[1], x)), None)
                 if hit is not None:
                     found.append(hit)
     if not found:
         raise NotInCone(f"{x} is not covered by any maximal flag cone (incomplete fan?)")
-    flag = min(found, key=sub.position.__getitem__)
+    # Positions are distinct, so the pairs compare by position alone.
+    flag = min(found)[1]
     left, d, _ = flag.inverse if flag.cones else ((), 1, ())
     return flag, [sum(map(mul, row, nums)) / (d * den) for row in left]
 

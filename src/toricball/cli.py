@@ -29,6 +29,7 @@ JSON) and a failed verify check (4) are results, not failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -361,6 +362,10 @@ def cmd_mesh(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Built once per process and shared by every main call: parse_args
+# reads the parser and returns a fresh Namespace, never mutating it, and
+# no caller edits the parser it gets.
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(prog="toricball", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -103,16 +103,25 @@ def primitive(v) -> tuple:
     return tuple(nums) if g == 1 else tuple([a // g for a in nums])
 
 
+_INT = frozenset({int})
+_EXACT = frozenset({int, Fraction})
+
+
 def integer_numerators(v) -> tuple:
     """v's integer numerators over one positive common denominator:
     (nums, den) with v = nums / den.  Integer input, the common case,
-    skips the Fractions."""
+    skips the Fractions, and input of ints and Fractions alone, exact
+    already, skips vec.  Anything else (a bool, a float, or a NaN or an
+    infinity, which raises ValueError) goes through vec, which leaves
+    ints and Fractions as they are, so both routes give the same
+    numbers."""
     v = tuple(v)
-    if {int}.issuperset(map(type, v)):  # every entry an int (a bool is not)
+    if _INT.issuperset(map(type, v)):  # every entry an int (a bool is not)
         return list(v), 1
-    exact = vec(v)
-    den = lcm(*(c.denominator for c in exact))
-    return [c.numerator * (den // c.denominator) for c in exact], den
+    if not _EXACT.issuperset(map(type, v)):
+        v = vec(v)
+    den = lcm(*(c.denominator for c in v))
+    return [c.numerator * (den // c.denominator) for c in v], den
 
 
 def _lowest(nums: list, den: int) -> tuple:

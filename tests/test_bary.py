@@ -99,18 +99,21 @@ def _maximal_reference(fan):
 
 def test_subdivision_is_the_maximal_flags_of_the_reference():
     """Subdivision.maximal is the reference's maximal flags, in order,
-    and by_chain and position index exactly those flags in that order;
-    at rank 0 there is no maximal flag, and the index holds the empty
-    flag alone."""
+    and the order tables and the scanned cones of the locate index hold
+    exactly those flags, each once with its position; at rank 0 there
+    is no maximal flag, and the index holds the empty flag alone."""
     for fan in _subdivision_fans():
         sub = bary.subdivision(fan)
         maximal = _maximal_reference(fan)
         assert list(sub.maximal) == maximal, fan.name
         indexed = maximal if fan.dim else [Flag(())]
-        assert list(sub.by_chain.items()) == [(tuple(c.rays for c in f.cones), f) for f in indexed], fan.name
-        assert list(sub.position.items()) == [(f, i) for i, f in enumerate(indexed)], fan.name
-        assert all(a is b for a, b in zip(sub.by_chain.values(), sub.position)), fan.name
-        assert all(a is b for a, b in zip(sub.maximal, sub.position)), fan.name
+        pairs = [entry for _, _, table in sub.simplicial for entry in table.values()]
+        pairs += [entry for _, entries in sub.other for entry in entries]
+        pairs.sort(key=lambda entry: entry[0])
+        assert [p for p, _ in pairs] == list(range(len(indexed))), fan.name
+        assert [f for _, f in pairs] == indexed, fan.name
+        if fan.dim:
+            assert all(f is sub.maximal[p] for p, f in pairs), fan.name
 
 
 def test_subdivision_walks_no_chain_above(monkeypatch):
@@ -326,9 +329,10 @@ def test_rescale_global_matches_reference(name):
     points += [tuple(rng.uniform(-3, 3) * scale for _ in range(fan.dim)) for scale in (1.0, 1e-300, 1e300)]
     points.append(tuple(5e-324 if i == 0 else 1.0 for i in range(fan.dim)))
     points += _query_points(fan, rng, per_flag=2)
-    if not fan.dim:  # the one flag of all_flags, held by the locate index
-        empty = bary.subdivision(fan).by_chain[()]
-        assert all_flags(fan) == [empty]
+    if not fan.dim:  # the one flag of all_flags, held by the zero cone's table
+        ((_, _, table),) = bary.subdivision(fan).simplicial
+        position, empty = table[()]
+        assert position == 0 and all_flags(fan) == [empty]
     for x in points:
         flag = containing_flags(fan, x)[0] if fan.dim else empty
         assert locate_flag(fan, x) is flag, x
@@ -374,7 +378,7 @@ def test_locate_stops_at_the_interior_cone(monkeypatch, name):
     one that raises when read, and the answer is unchanged."""
     fan = _locate_fan(name)
     sub = bary.subdivision(fan)
-    index = [rays for rays, _ in sub.simplicial]
+    index = [rays for rays, _, _ in sub.simplicial]
     for flag in sub.maximal:
         x = vsum(flag.barycenters, fan.dim)
         k = index.index(tuple(sorted(flag.cones[-1].rays)))
@@ -397,17 +401,80 @@ def test_locate_index_rows_are_scaled_dual_rays():
     for fan in fans:
         sub = bary.subdivision(fan)
         tops = [c for c in fan.maximal_cones() if c.dim == fan.dim]
-        assert sorted(rays for rays, _ in sub.simplicial) == sorted(
+        assert sorted(rays for rays, _, _ in sub.simplicial) == sorted(
             tuple(sorted(c.rays)) for c in tops if len(c.rays) == c.dim
         )
         assert [cone for cone, _ in sub.other] == [c for c in tops if len(c.rays) != c.dim]
-        for rays, duals in sub.simplicial:
+        for rays, duals, _ in sub.simplicial:
             gens = fan.cone(frozenset(rays)).generators
             assert all(type(a) is int for d in duals for a in d)
             table = [[pair(d, r) for r in gens] for d in duals]
             c = table[0][0] if rays else 1
             assert c > 0, (fan.name, rays)
             assert table == [[c * (i == j) for j in range(len(rays))] for i in range(len(duals))], (fan.name, rays)
+
+
+def test_locate_order_tables_are_the_cones_flags():
+    """Each simplicial cone's order table is keyed by exactly the n!
+    orders of its n rays, and maps each to its position and the flag
+    that adds the cone's sorted rays in that order; every maximal flag
+    of a simplicial cone is in its cone's table once, and every other
+    one is listed, in enumeration order, with its non-simplicial cone."""
+    for fan in _subdivision_fans():
+        sub = bary.subdivision(fan)
+        tabled = []
+        for rays, _, table in sub.simplicial:
+            assert sorted(table) == list(itertools.permutations(range(len(rays)))), (fan.name, rays)
+            for order, (p, f) in table.items():
+                if fan.dim:
+                    assert sub.maximal[p] is f, (fan.name, order)
+                else:
+                    assert (p, f) == (0, Flag(()))
+                assert [c.rays for c in f.cones] == [
+                    frozenset(rays[i] for i in order[: k + 1]) for k in range(len(order))
+                ], (fan.name, order)
+                tabled.append(p)
+        if fan.dim:
+            simplicial = [p for p, f in enumerate(sub.maximal) if len(f.cones[-1].rays) == fan.dim]
+            assert sorted(tabled) == simplicial, fan.name
+        for cone, entries in sub.other:
+            assert [p for p, _ in entries] == [p for p, f in enumerate(sub.maximal) if f.cones[-1].rays == cone.rays]
+            assert all(f is sub.maximal[p] for p, f in entries), fan.name
+
+
+def _fresh_locate_fan(name):
+    """A fan object that no subdivision has been built for."""
+    return tb.load_bundled(name) if name in tb.BUNDLED_FANS else _locate_fan(name)
+
+
+def test_locate_hashes_no_flag(monkeypatch):
+    """Neither the locate index's build nor a locate hashes a Flag: with
+    Flag.__hash__ patched to fail, fresh fans give the reference answers
+    taken before the patch, the exhaustive scan's first flag (by
+    position) and Phi in it, on ties, boundary points, rationals, a
+    float and the benchmark's queries."""
+    cases = []
+    for name in ("twisted_p3", "wps_1_1_1_9", "cube_faces", "rank_0"):
+        fan = _fresh_locate_fan(name)
+        rng = random.Random(3)
+        points = list(itertools.product(range(-1, 2), repeat=fan.dim)) + cover_samples(fan, count=0, seed=0)
+        points += [tuple(Fraction(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(fan.dim)) for _ in range(10)]
+        points += [tuple(rng.uniform(-3, 3) for _ in range(fan.dim))] + list(_query_points(fan, rng, per_flag=1))
+        flags = enumerate_flags(fan) if fan.dim else [Flag(())]
+        reference = []
+        for x in points:
+            flag = containing_flags(fan, x)[0] if fan.dim else flags[0]
+            reference.append((x, flags.index(flag), repr(rescale_in_flag(flag, x))))
+        cases.append((name, reference))
+    monkeypatch.setattr(Flag, "__hash__", lambda self: pytest.fail("a Flag was hashed"))
+    for name, reference in cases:
+        fan = _fresh_locate_fan(name)
+        assert fan not in bary._SUBDIVISIONS
+        sub = bary.subdivision(fan)
+        flags = sub.maximal if fan.dim else [sub.simplicial[0][2][()][1]]
+        for x, position, phi in reference:
+            assert locate_flag(fan, x) is flags[position], (name, x)
+            assert repr(rescale_global(fan, x)) == phi, (name, x)
 
 
 def test_locate_flag_incomplete_raises():

@@ -1,5 +1,6 @@
 """Exit-code contract, report shape, determinism of the CLI."""
 
+import argparse
 import itertools
 import json
 import math
@@ -100,6 +101,27 @@ def test_parser_reads_file_and_out(capsys, command):
         parser.parse_args([command, "--help"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith(f"usage: toricball {command} ")
+
+
+def test_main_builds_the_parser_at_most_once(monkeypatch, capsys):
+    """Two main calls share one parser: the top-level ArgumentParser is
+    constructed at most once over both (not at all when an earlier call
+    in this process built it)."""
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(2):
+        assert main(["validate", fan_path("p2")]) == 0
+    constructed = built.count("toricball")
+    assert constructed <= 1, built
+    argparse.ArgumentParser(prog="toricball")
+    assert built.count("toricball") == constructed + 1  # the counter does see a construction
+    capsys.readouterr()
 
 
 def test_validate_complete(capsys):

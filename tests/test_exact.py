@@ -1,5 +1,7 @@
 """Exact linear algebra and lattice utilities."""
 
+import math
+import random
 import re
 from fractions import Fraction
 from math import gcd
@@ -13,6 +15,7 @@ from toricball.exact import (
     SingularMatrix,
     _rref,
     dual_basis,
+    integer_numerators,
     invert,
     pair,
     primitive,
@@ -23,6 +26,7 @@ from toricball.exact import (
     span_inverse,
     unit_vector,
     vadd,
+    vec,
     vsub,
 )
 
@@ -377,6 +381,35 @@ def test_solve_and_span_inverse_match_fraction_reference(case):
 
 # Input errors of the exact module that no other test reaches: the call,
 # the exception class and its message.
+def _numerators_via_vec(v):
+    """integer_numerators through vec on every input: each entry made an
+    exact rational, then one lcm of the denominators."""
+    exact = vec(v)
+    den = math.lcm(*(c.denominator for c in exact))
+    return [c.numerator * (den // c.denominator) for c in exact], den
+
+
+def test_integer_numerators_matches_the_vec_route():
+    """Mixes of ints and Fractions give the vec route's numerators and
+    denominator, as ints; bools and floats still take that route, and a
+    NaN or an infinity still raises its ValueError."""
+    rng = random.Random(0)
+    cases = [(), (0,), (3, -4), (Fraction(1, 2),), (Fraction(-3, 4), 0, Fraction(5, 6))]
+    for _ in range(300):
+        entries = [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(rng.randint(1, 6))]
+        cases.append(tuple(rng.randint(-10**6, 10**6) if rng.random() < 0.4 else f for f in entries))
+    cases += [(True, 2), (False, Fraction(1, 3)), (0.5, 1), (Fraction(1, 3), 0.25, -2), (1e-300, 3.0), (-0.0, 0)]
+    for v in cases:
+        nums, den = integer_numerators(v)
+        assert (nums, den) == _numerators_via_vec(v), v
+        assert all(type(a) is int for a in nums) and type(den) is int and den > 0, v
+    assert integer_numerators((Fraction(1, 2), Fraction(-1, 3), 4)) == ([3, -2, 24], 6)
+    assert integer_numerators((True, 0.5)) == ([2, 1], 2)
+    for bad in ((math.nan, 1), (Fraction(1, 2), math.inf), (-math.inf,)):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            integer_numerators(bad)
+
+
 EXACT_INPUT_ERRORS = {
     "vadd-lengths": (lambda: vadd((1,), (1, 2)), DimensionMismatch, "vector addition"),
     "vsub-lengths": (lambda: vsub((1,), (1, 2)), DimensionMismatch, "vector subtraction"),
