@@ -50,7 +50,8 @@ class Flag:
         for a, b in zip(self.cones, self.cones[1:]):
             if not (a.rays < b.rays):
                 raise ValueError("flag chain must be strictly increasing")
-        if any(c.dim == 0 for c in self.cones):
+        # Strictly increasing: only the first cone can have no rays.
+        if self.cones and not self.cones[0].rays:
             raise ValueError("flags do not contain the zero cone")
 
     def __len__(self):

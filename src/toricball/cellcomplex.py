@@ -474,31 +474,67 @@ def sphere_euler(dim: int) -> int:
 def verify_regularity(fan: Fan) -> RegularityReport:
     """Each cell closure must be a combinatorial ball.
 
-    For every cone sigma, the boundary of its ball model
-    (build_ball_model(fan, sigma): the link of the cell, a sphere of one
-    dimension less than the star's rank m = n - dim sigma) must have the
-    Euler characteristic of S^(m-1), and the model must pass the
-    pseudomanifold check.  This is the checkable footprint of every
-    closed cell being attached along a sphere.  The whole ball model is
-    a cone over that boundary, so its own Euler characteristic is 1 for
+    For every cone sigma, of star rank m = n - dim sigma, two tests on
+    its ball model build_ball_model(fan, sigma): the cone from the
+    origin over the order complex of the cones strictly above sigma,
+    whose boundary is the link of sigma's cell.  euler: the link has
+    the Euler characteristic of S^(m-1).  pseudomanifold: the model
+    passes pseudomanifold_check.  This is the checkable footprint of
+    every closed cell being attached along a sphere.  The whole model
+    is a cone over its link, so its own Euler characteristic is 1 for
     any fan and tests nothing.  At the zero cone the model is
-    build_ball_model(fan), the ball model of the fan itself, so that
-    cell certifies the ball model.  Each cell lists the tests it failed
-    and the pseudomanifold check's issues.  Each model reads only the
-    chains above its cone (Fan.chains_above), so no cell walks the
-    fan's flags, and the check builds no subdivision.
+    build_ball_model(fan), so that cell certifies the fan's ball model.
+    Both tests are read off the face table the fan stores: no model,
+    chain, flag or star fan is built.  Each cell lists the tests it
+    failed and, as issues, the witness of a failed pseudomanifold test.
 
-    Why no star fan is built.  For a validated fan, the cones of
+    Why no star fan is needed.  For a validated fan, the cones of
     star_fan(fan, sigma) match the cones of fan containing sigma one for
     one; the match keeps inclusion and lowers each dimension by
     dim sigma.  So the star's nonzero cones and its flags are those of
-    the face lattice above sigma, and the ball model read off that
-    lattice is the star fan's exactly.
+    the face lattice above sigma.
 
-    Why star completeness is not tested: on a validated fan, a cell
-    that passes the pseudomanifold check has a complete star, so that
-    test could never decide a verdict.  Face lattices are graded, so
-    each (n-1)-cone tau containing sigma ends a chain R of cones above
+    Euler, by P. Hall's theorem.  The link is the order complex of the
+    open interval (sigma, 1) of the face poset with a top 1 adjoined,
+    and Hall's theorem (R. P. Stanley, Enumerative Combinatorics I,
+    ch. 3) makes its reduced Euler characteristic the Moebius value
+    mu(sigma, 1).  So chi(link) = 1 + mu(sigma, 1), and one pass down
+    reversed(fan.cones()), a top-down order, gives every
+    mu(sigma, 1) = -1 - sum of mu(tau, 1) over the cones tau strictly
+    above sigma: each cone pushes its value to its proper faces once it
+    is final.  The theorem holds for every finite poset, so this is the
+    model's boundary count on every face table, validated or not.
+
+    Pseudomanifold: the star test fan.is_complete(sigma) and a diamond
+    test run once per fan, every interval tau < rho of the face table
+    with dim rho - dim tau = 2 holding exactly two cones strictly
+    between.  The cell's issues are the star's certificate, or else the
+    first broken interval tau < rho with sigma in tau, in the pass's
+    order (rho top-down, tau in fan.faces order), named by (tau, rho)
+    and the count of cones between.  On a validated fan no interval breaks:
+    intervals of length 2 of a polytope's face lattice are diamonds
+    (G. M. Ziegler, Lectures on Polytopes, Thm 2.7); the test keeps
+    the verdicts of face tables that validate_fan did not build.  The
+    face lattice is graded, so a top {0} u C of the model has a chain C
+    of m cones of dimensions dim sigma + 1, ..., n, and an interior
+    ridge {0} u R has a chain R of m - 1 cones that skips one dimension.
+
+    Star complete and diamonds imply pseudomanifold.  Every maximal cone
+    containing sigma is n-dimensional, so the model has tops.  Ridges:
+    where R skips n, it ends in an (n-1)-cone tau above sigma, and its
+    tops add the n-cones containing tau, two by the facet pairing;
+    where R skips a lower dimension, its tops add a cone strictly
+    between R's neighbours there (sigma below the first), two by the
+    diamond test.  Connected tops: two tops that end in the same n-cone
+    rho are joined inside the interval (sigma, rho], the face lattice of
+    a polytope, whose maximal chains are connected by changing one
+    member at a time; and two n-cones over a shared facet tau above
+    sigma carry tops that differ in their last cone alone, adjacent
+    across a ridge that ends in tau.  So facet-connected maximal cones
+    give connected tops.
+
+    Pseudomanifold implies star complete, on a validated fan.  Each
+    (n-1)-cone tau containing sigma ends a chain R of cones above
     sigma whose dimensions rise by one at each step.
 
       R extends only by an n-cone containing tau, so two tops over the
@@ -520,28 +556,26 @@ def verify_regularity(fan: Fan) -> RegularityReport:
       If sigma itself is maximal with dim sigma < n, the model has no
       tops and the check fails.
 
-    So a cell whose star is incomplete fails pseudomanifold as well.
+    A broken interval tau < rho with sigma in tau lies, with chains from
+    sigma up to tau and from rho up to an n-cone, in an interior ridge
+    of sigma's model with other than two tops.  So the two tests decide
+    the pseudomanifold check cell for cell.
     """
-    report = RegularityReport(True, [])
-    for cone in fan.cones():
-        model = build_ball_model(fan, cone)
-        chi = euler_characteristic(model.boundary_simplices())
-        pm = pseudomanifold_check(model)
-        failed = [
-            test
-            for test, ok in (("euler", chi == sphere_euler(model.n - 1)), ("pseudomanifold", pm.passed))
-            if not ok
-        ]
-        report.cells.append(
-            {
-                "rays": sorted(cone.rays),
-                "cell_dim": fan.dim - cone.dim,
-                "euler": chi,
-                "pseudomanifold": pm.passed,
-                "failed": failed,
-                "issues": list(pm.issues),
-            }
-        )
-        if failed:
-            report.passed = False
-    return report
+    cones = fan.cones()
+    mobius, broken = {c.rays: -1 for c in cones}, []
+    for rho in reversed(cones):
+        faces = fan.faces(rho)
+        for tau in faces:
+            if tau.rays < rho.rays:
+                mobius[tau.rays] -= mobius[rho.rays]
+            if tau.dim == rho.dim - 2 and (count := sum(tau.rays < f.rays < rho.rays for f in faces)) != 2:
+                interval = [sorted(tau.rays), sorted(rho.rays)]
+                broken.append((tau.rays, {"reason": "interval not a diamond", "interval": interval, "count": count}))
+    cells = []
+    for sigma in cones:
+        m, chi = fan.dim - sigma.dim, 1 + mobius[sigma.rays]
+        witness = fan.is_complete(sigma)[1] or next((w for rays, w in broken if sigma.rays <= rays), None)
+        tests = (("euler", chi == sphere_euler(m - 1)), ("pseudomanifold", witness is None))
+        cell = {"rays": sorted(sigma.rays), "cell_dim": m, "euler": chi, "pseudomanifold": witness is None}
+        cells.append({**cell, "failed": [test for test, ok in tests if not ok], "issues": [witness] if witness else []})
+    return RegularityReport(not any(cell["failed"] for cell in cells), cells)

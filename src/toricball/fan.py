@@ -202,36 +202,42 @@ class Fan:
             chains = [(f, *chain) for chain in chains for f in self._faces_of[chain[0].rays].values() if f.dim == d]
         return sorted(chains, key=lambda chain: [self._position[c.rays] for c in chain])
 
-    def is_complete(self):
-        """Facet-pairing completeness test with a certificate.
+    def is_complete(self, sigma: Cone | None = None):
+        """Facet-pairing completeness test of the fan, or with sigma of
+        sigma's star, with a certificate.
 
-        True iff every maximal cone is full-dimensional, every
-        (n-1)-dimensional cone is a facet of exactly two maximal cones,
-        and the facet-adjacency graph of maximal cones is connected.
-        The certificate names the first violation found.
+        True iff every maximal cone containing sigma (the zero cone by
+        default: every maximal cone) is full-dimensional, every
+        (n-1)-dimensional cone containing sigma is a facet of exactly
+        two of them, and they are facet-connected through those
+        (n-1)-cones.  The certificate names the first violation found.
+        An n-dimensional sigma, the zero cone of a rank-0 fan included,
+        is its own star: one maximal cone with no facet to pair, which
+        passes.  cellcomplex.verify_regularity reads the test per cell.
         """
         n = self.dim
-        if n == 0:
-            return True, None
-        maxc = self.maximal_cones()
+        rays = sigma.rays if sigma else frozenset()
+        maxc = [c for c in self.maximal_cones() if rays <= c.rays]
         if not maxc:
             return False, {"reason": "no maximal cones"}
         for c in maxc:
             if c.dim != n:
                 return False, {"reason": "maximal cone not full-dimensional", "cone": sorted(c.rays)}
         bounds, reached = ridge_pairing(
-            (c.rays, rays) for c in maxc for rays, f in self._faces_of[c.rays].items() if f.dim == n - 1
+            (c.rays, f) for c in maxc for f, face in self._faces_of[c.rays].items() if face.dim == n - 1 and rays <= f
         )
-        # Every (n-1)-cone is a face of a maximal cone, all n-dimensional
-        # here, so bounds holds each of them.
+        # Every (n-1)-cone containing sigma is a face of a maximal cone,
+        # which contains sigma and is n-dimensional here, so bounds holds
+        # each of them.
         for ridge, cone in self._cones.items():
-            if cone.dim == n - 1 and len(bounds[ridge]) != 2:
+            if cone.dim == n - 1 and rays <= ridge and len(bounds[ridge]) != 2:
                 return False, {
                     "reason": "facet not shared by exactly two maximal cones",
                     "facet": sorted(ridge),
                     "count": len(bounds[ridge]),
                 }
-        if reached != len(maxc):
+        # ridge_pairing reaches no top without a ridge; one top is connected.
+        if len(maxc) > 1 and reached != len(maxc):
             return False, {"reason": "maximal cones not facet-connected", "reached": reached}
         return True, None
 

@@ -96,19 +96,14 @@ another check already runs, and the facts that cover them:
   sums thus give equal monomials exactly.
 - ball_model: the Euler characteristic of the ball model's boundary
   against S^(n-1), and the pseudomanifold check of the model.
-  regularity's zero-cone cell runs both tests on the same model,
-  build_ball_model(fan) (cellcomplex.verify_regularity), so ball_model
-  could fail only where regularity fails.  Each failing regularity cell
-  names its pseudomanifold issues.
-- star completeness, per regularity cell: the facet-pairing test of
-  the maximal cones containing sigma, the completeness of
-  star_fan(fan, sigma).  On a validated fan every cell that fails it
-  fails regularity's pseudomanifold test too: two tops over each
-  interior ridge pair the (n-1)-cones above sigma, connected tops make
-  the n-cones above sigma facet-connected, and by the degree argument
-  of bary.cover_check those n-cones cover a neighbourhood of sigma's
-  relative interior, so no lower-dimensional cone above sigma is
-  maximal (the proof is in cellcomplex.verify_regularity).
+  regularity's zero-cone cell decides both facts of the same model,
+  build_ball_model(fan), off the face table: the Euler characteristic
+  as 1 + mu(0, 1), a Moebius value (P. Hall's theorem), and the
+  pseudomanifold check as the fan's own completeness test
+  Fan.is_complete() with the diamond test (the proof of both
+  directions is in cellcomplex.verify_regularity).  So ball_model could
+  fail only where regularity fails, and the failing zero cell names the
+  fan's completeness certificate.
 - intersection_gluing's locate cross-check: 25 interior points per
   maximal flag through the chart's triangular rows and
   charts.invert_triangular, whose recovered simplicial coordinates had
@@ -170,11 +165,17 @@ Negative controls, each a test in tests/test_verify.py unless named:
   (test_off_pairing_row_forms_its_own_residual_group,
   test_doubled_pairing_row_fails_the_identities).
 - cover: incomplete fans of rank 2 and 3 (test_cover_fails_on_incomplete_fans).
-- regularity: incomplete fans of rank 2 and 3, where the zero-cone
-  cell names its pseudomanifold issues (test_regularity_names_failing_cells);
-  the ball model of two copies of P^2, every interior ridge in two tops,
-  which pseudomanifold_check fails by its connectivity clause alone
-  (test_complex.py::test_pseudomanifold_fails_on_two_disjoint_spheres).
+- regularity: incomplete fans of rank 2 and 3, where each failing
+  cell names its star's completeness certificate
+  (test_regularity_names_failing_cells); two copies of P^2, whose
+  facets each pair within their copy, which the star test fails by its
+  connectivity clause alone, as pseudomanifold_check fails their ball
+  model (test_fan.py::test_is_complete_negative_controls,
+  test_complex.py::test_pseudomanifold_fails_on_two_disjoint_spheres);
+  p3 with the ray cone {0} dropped from its face table, where the star
+  test passes and the diamond test names the broken interval of the
+  zero cell
+  (test_complex.py::test_regularity_diamond_test_names_the_broken_interval).
 - hilbert_minimality: a generator sum added to every basis
   (test_cli.py::test_hilbert_minimality_names_witnesses).
 - intersection_gluing: a perturbed localization rule row or cutting
@@ -396,12 +397,15 @@ def _distinct_gates(results):
 
 def _regularity(ctx):
     """Every cell closure is a combinatorial ball: each cone's star ball
-    model, read off the fan's face lattice, is a pseudomanifold whose
-    boundary, the cell's link, has the Euler characteristic of a sphere
-    (see cellcomplex.verify_regularity; star completeness follows).  On
-    failure, up to five failing cells, each named by its cone's rays
-    with the tests it failed, Euler characteristic of the link sphere
-    and pseudomanifold, and the pseudomanifold check's issues."""
+    model is a pseudomanifold whose boundary, the cell's link, has the
+    Euler characteristic of a sphere, both read off the fan's face table
+    (see cellcomplex.verify_regularity: a Moebius value, the star's
+    facet-pairing test Fan.is_complete(sigma), and a diamond test once
+    per fan).  On failure, up to five failing cells, each named by its
+    cone's rays with the tests it failed, Euler characteristic of the
+    link sphere and pseudomanifold, and as issues the witness of a
+    failed pseudomanifold test: the star's completeness certificate, or
+    the broken interval."""
     reg = cellcomplex.verify_regularity(ctx.fan)
     if reg.passed:
         return True, {"cells": len(reg.cells)}

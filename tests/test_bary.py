@@ -136,6 +136,16 @@ def test_flag_strictness(p2):
         Flag((p2.zero_cone(),))
 
 
+def test_flag_errors_name_order_then_zero_cone(p2):
+    """The order test comes first: (zero, ray) is increasing and names
+    the zero cone, (ray, zero) is not increasing and says so."""
+    zero, ray = p2.zero_cone(), p2.cone({0})
+    with pytest.raises(ValueError, match="^flags do not contain the zero cone$"):
+        Flag((zero, ray))
+    with pytest.raises(ValueError, match="^flag chain must be strictly increasing$"):
+        Flag((ray, zero))
+
+
 def test_flag_intersection(p2):
     f1 = Flag((p2.cone({0}), p2.cone({0, 1})))
     f2 = Flag((p2.cone({0}), p2.cone({0, 2})))

@@ -34,7 +34,7 @@ from toricball.cellcomplex import (
 )
 from toricball.charts import TWO_PI, invert_triangular, monomial_columns
 from toricball.exact import pair
-from toricball.fan import ridge_pairing, star_fan, validate_fan
+from toricball.fan import Fan, ridge_pairing, star_fan, validate_fan
 
 WPS_1_1_1_9 = Path(__file__).parent / "data" / "golden" / "verify_wps_1_1_1_9" / "fan.json"
 
@@ -1118,10 +1118,11 @@ def test_chains_above_matches_flag_filter(fan):
 
 
 def test_regularity_reads_no_flag(monkeypatch):
-    """verify_regularity reads the face lattice through Fan.chains_above
-    alone: on freshly validated fans, passing and failing, it gives the
-    same report while bary.subdivision and cellcomplex.enumerate_flags
-    fail when called, and it leaves no subdivision behind."""
+    """verify_regularity reads the face table alone (Fan.faces and the
+    star test Fan.is_complete): on freshly validated fans, passing and
+    failing, it gives the same report while bary.subdivision and
+    cellcomplex.enumerate_flags fail when called, and it leaves no
+    subdivision behind."""
     make = [lambda: tb.load_bundled("twisted_p3"), cube_faces_fan, lambda: incomplete_fans()[1]]
     expected = [verify_regularity(m()) for m in make]
     for module, name in ((bary, "subdivision"), (cellcomplex, "enumerate_flags")):
@@ -1133,15 +1134,70 @@ def test_regularity_reads_no_flag(monkeypatch):
     assert [r.passed for r in expected] == [True, True, False]
 
 
+def test_regularity_builds_no_ball_model(monkeypatch):
+    """verify_regularity decides each cell off the face table: with
+    build_ball_model, pseudomanifold_check and Fan.chains_above failing
+    when called, it gives the reports it gives unpatched, on three
+    passing fans and two failing ones."""
+    make = [
+        lambda: tb.load_bundled("twisted_p3"),
+        cube_faces_fan,
+        lambda: incomplete_fans()[0],
+        lambda: incomplete_fans()[1],
+        lambda: next(fan for fan in _regularity_reference_fans() if fan.name == "p1^4"),
+    ]
+    expected = [verify_regularity(m()) for m in make]
+    for owner, name in ((cellcomplex, "build_ball_model"), (cellcomplex, "pseudomanifold_check"), (Fan, "chains_above")):
+        monkeypatch.setattr(owner, name, lambda *args, _n=name, **kwargs: pytest.fail(f"{_n} called"))
+    for m, report in zip(make, expected):
+        assert verify_regularity(m()) == report
+    assert [r.passed for r in expected] == [True, True, False, False, True]
+    assert len(expected[-1].cells) == 3**4
+
+
+def _drop_face(fan, rays):
+    """fan with the cone on rays taken out of its face table: an
+    unvalidated Fan whose other cones, faces and maximal cones stay."""
+    drop = frozenset(rays)
+    cones = {r: c for r, c in fan._cones.items() if r != drop}
+    faces_of = {r: set(faces) - {drop} for r, faces in fan._faces_of.items() if r != drop}
+    return Fan(fan.dim, fan.rays, fan.max_cones, cones, faces_of, name=f"{fan.name}-without{sorted(drop)}")
+
+
+def test_regularity_diamond_test_names_the_broken_interval():
+    """Negative control of the diamond test: p3 with the ray cone {0}
+    dropped from its face table passes the star test everywhere, but the
+    intervals from the zero cone to the 2-cones on ray 0 hold one cone
+    each.  Only the zero cell fails, both tests, and its witness names
+    the first broken interval of the top-down pass, ([], [0, 3]).  The
+    ball model of that table fails the pseudomanifold check too, and its
+    boundary's Euler characteristic is the cell's euler, 1."""
+    p3 = tb.load_bundled("p3")
+    fan = _drop_face(p3, {0})
+    assert all(fan.is_complete(sigma) == (True, None) for sigma in fan.cones())
+    report = verify_regularity(fan)
+    assert not report.passed
+    failing = [cell for cell in report.cells if cell["failed"]]
+    witness = {"reason": "interval not a diamond", "interval": [[], [0, 3]], "count": 1}
+    assert failing == [
+        {"rays": [], "cell_dim": 3, "euler": 1, "pseudomanifold": False, "failed": ["euler", "pseudomanifold"], "issues": [witness]}
+    ]
+    model = build_ball_model(fan)
+    assert not pseudomanifold_check(model).passed
+    assert euler_characteristic(model.boundary_simplices()) == 1
+    # The intact table has no broken interval.
+    assert verify_regularity(p3).passed
+
+
 def _regularity_against_star_fans(monkeypatch, fan):
     """verify_regularity on fan, with no star fan and no subdivision of
     one built, checked cell by cell against the star fan of each cone
     rebuilt in the quotient lattice: the Euler characteristic of its
     ball model's boundary, the pseudomanifold check of that model and
     the failed tests agree, and the star fan is complete exactly where
-    the cell passes pseudomanifold (verify_regularity's proof that star
-    completeness needs no test of its own).  Returns the number of cells
-    whose star is incomplete."""
+    the cell passes pseudomanifold (verify_regularity's proof that the
+    star test decides the pseudomanifold check).  Returns the number of
+    cells whose star is incomplete."""
     from toricball import fan as fan_module
 
     bary.subdivision(fan)

@@ -329,6 +329,22 @@ def test_fan_fixes_one_order_of_cones_and_flags():
         assert fan.maximal_chains() == expected, fan.name
 
 
+def test_is_complete_tests_the_star_of_a_cone(p2):
+    """Fan.is_complete(sigma) is the facet-pairing test of sigma's star:
+    on p2 a ray's star passes, and so do a 2-cone, its own star with no
+    facet to pair, and the zero cone, whose star is the fan (the default,
+    with the same certificate).  On p2 without the cone [2, 0], the star
+    of ray 0 has one maximal cone, [0, 1], and names its unpaired facet,
+    ray 0 itself; ray 1 lies in both remaining cones and passes."""
+    for rays in ({0}, {0, 1}, ()):
+        assert p2.is_complete(p2.cone(rays)) == (True, None)
+    fan = incomplete_fans()[0]
+    reason = "facet not shared by exactly two maximal cones"
+    assert fan.is_complete(fan.cone({0})) == (False, {"reason": reason, "facet": [0], "count": 1})
+    assert fan.is_complete(fan.cone({1})) == (True, None)
+    assert fan.is_complete(fan.zero_cone()) == fan.is_complete() == (False, {"reason": reason, "facet": [0], "count": 1})
+
+
 def test_is_complete_names_the_least_unpaired_facet():
     """Fan.is_complete walks the (n-1)-cones in the fan's order, so its
     certificate names the facet of least sorted ray indices among those

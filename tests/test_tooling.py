@@ -303,6 +303,8 @@ def test_every_check_names_an_existing_negative_control():
 OUTPUTS = {
     "cellcomplex.build_ball_model",
     "cellcomplex.BallModel",
+    "cellcomplex.BallModel.boundary_simplices",
+    "cellcomplex.euler_characteristic",
     "cellcomplex.build_orbit_complex",
     "cellcomplex.OrbitComplex",
     "cellcomplex.OrbitComplex.euler_characteristic",

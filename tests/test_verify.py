@@ -133,27 +133,29 @@ def test_dual_basis_gate_names_perturbed_inverse():
 def test_regularity_names_failing_cells():
     """On the complete p2 the entry is the cell count alone; on an
     unvalidated incomplete fan (p2 without one maximal cone) the check
-    names each failing cone with the tests it failed and the
-    pseudomanifold issues.  The zero-cone cell is the retired
-    ball_model check: its link is the boundary of build_ball_model(fan),
-    whose unpaired faces it names."""
+    names each failing cone with the tests it failed and, as issues,
+    its star's completeness certificate (Fan.is_complete(sigma)).  The
+    zero-cone cell is the retired ball_model check: its link is the
+    boundary of build_ball_model(fan), whose pseudomanifold check fails
+    on the faces through rays 0 and 2 (vertices 1 and 3), the unpaired
+    facets, the first of which the certificate names."""
     p2 = tb.load_bundled("p2")
     assert verify._regularity(_context(p2)) == (True, {"cells": 7})
     fan, rank3 = incomplete_fans()
     failed = ["euler", "pseudomanifold"]
-    ray_issues = ["face [0] lies in 1 top simplices, expected 2"]
     zero_issues = [
         "face [0, 1] lies in 1 top simplices, expected 2",
         "face [0, 3] lies in 1 top simplices, expected 2",
     ]
     assert list(cellcomplex.pseudomanifold_check(cellcomplex.build_ball_model(fan)).issues) == zero_issues
+    reason = "facet not shared by exactly two maximal cones"
     assert verify._regularity(_context(fan)) == (
         False,
         {
             "cells": 6,
             "failures": [
-                {"rays": rays, "failed": failed, "issues": issues}
-                for rays, issues in (([], zero_issues), ([0], ray_issues), ([2], ray_issues))
+                {"rays": rays, "failed": failed, "issues": [{"reason": reason, "facet": facet, "count": 1}]}
+                for rays, facet in (([], [0]), ([0], [0]), ([2], [2]))
             ],
         },
     )
