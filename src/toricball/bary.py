@@ -21,7 +21,7 @@ from functools import cached_property
 from operator import mul
 
 from .exact import DimensionMismatch, integer_numerators, pair, span_inverse, vsub, vsum
-from .fan import Cone, Fan, ridge_pairing
+from .fan import Cone, Fan
 
 
 class NotInCone(ValueError):
@@ -326,68 +326,100 @@ def _locate(fan: Fan, x):
 
 
 def cover_check(fan: Fan):
-    """Exact certificate that the maximal flag cones cover N_R exactly once.
+    """Exact certificate that the maximal flag cones cover N_R exactly once,
+    read off the face lattice: no ridge of a flag is listed.
 
     Returns (True, None), or (False, witness) naming the first violated
     condition, in this order:
 
-      1. every ridge of a maximal flag (the flag without its member k)
-         bounds exactly two maximal flags (witness: ridge, count);
-      2. the two lie on opposite sides of it: row k of the first flag's
-         integer left inverse vanishes on the ridge and is d > 0 on B_k,
-         so it must be negative at the other flag's dropped barycenter
-         (witness: ridge and the two flag indices);
-      3. the interior point sum_j B_j of the first maximal flag lies in
+      1. the flags are the maximal chains of the face table: no two are
+         equal (witness: the two flag indices), each is a chain of
+         cones of dimensions 1, ..., n, each a face of the next
+         (witness: the flag index), and there are Fan.chain_count() of
+         them (witness: count, chain count);
+      2. the facet pairing Fan.is_complete() (witness: its certificate);
+      3. every interval of length 2 of the face table is a diamond,
+         Fan.broken_intervals() (witness: the first broken interval);
+      4. the two n-cones rho_1, rho_2 on each (n-1)-cone tau lie on
+         opposite sides of it: with a the one row of tau's
+         dual_lineality, which spans the orthogonal complement of tau,
+         a(B_rho_1) * a(B_rho_2) < 0, B the barycenters (witness: the
+         facet and the two cones);
+      5. the interior point sum_j B_j of the first maximal flag lies in
          exactly one maximal flag cone (witness: point, count).
 
     Soundness (the degree argument, Fulton, Introduction to Toric
-    Varieties, section 2): off the union W of the faces of codimension
+    Varieties, section 2).  Suppose every ridge of a maximal flag (the
+    flag without one member) bounds exactly two maximal flags, on
+    opposite sides of it.  Off the union W of the faces of codimension
     two, a point on the boundary of a flag cone lies in the relative
-    interior of exactly one of its ridges, and by 1 and 2 the partner
-    across that ridge fills the other half of a neighbourhood.  So the
-    number of cones over a point, with boundary points counted one half
-    per cone, is locally constant on the connected set N_R minus W.  By
-    3 the interior point lies in no other cone, hence not in W, and the
+    interior of exactly one of its ridges, and the partner across that
+    ridge fills the other half of a neighbourhood.  So the number of
+    cones over a point, with boundary points counted one half per
+    cone, is locally constant on the connected set N_R minus W.  By 5
+    the interior point lies in no other cone, hence not in W, and the
     number is 1 there, so it is 1 everywhere: the cones cover a dense
     set, hence all of N_R (they are closed), and their interiors are
     disjoint.  Rank 0 is covered by the empty flag.
+
+    Ridge counts are interval counts.  Write a maximal flag as
+    c_1 < ... < c_n, with c_0 the zero cone.  By 1 the flags are the
+    maximal chains, so the flags on its ridge without c_k are the
+    chains through a cone strictly between c_(k-1) and c_(k+1), and for
+    k = n through an n-cone with facet c_(n-1).  The ridge thus bounds
+    exactly two flags iff c_(n-1) is a facet of exactly two n-cones
+    (k = n), which 2 certifies, or the interval c_(k-1) < c_(k+1) is a
+    diamond (k < n), which 3 certifies.  Conversely each (n-1)-cone and
+    each interval of length 2 on a maximal chain is such a ridge.  2
+    also asks that every maximal cone be n-dimensional and the n-cones
+    facet-connected.  On a validated fan whose ridges pair on opposite
+    sides, both hold: by the degree argument, the flag cones of one
+    facet-connected class of n-cones already cover N_R (their count is
+    locally constant and positive), and in a fan no other n-cone and no
+    lower-dimensional maximal cone fits beside them.
+
+    Sides.  For k = n, row n of the flag's integer left inverse
+    vanishes on B_1, ..., B_(n-1), which span tau = c_(n-1), and is
+    positive at B_n = B_rho_1; so it is a nonzero multiple of a, and it
+    is negative at the partner's B_rho_2 iff 4 holds.  For k < n the
+    side test passes on every validated fan and across every simplicial
+    interval, so it is not run.  Take tau = c_(k-1), rho = c_(k+1) and
+    the middle cones m_1 = c_k and m_2.  Row k of the flag's inverse
+    vanishes on span tau and on B_rho, and is positive at B_m_1.  With
+    B_rho = alpha B_m_1 + beta B_m_2 modulo span tau, its sign at B_m_2
+    is therefore -sign(alpha beta).  Modulo span tau, rho is a pointed
+    2-cone whose two extreme rays are the images of m_1 and m_2, and
+    B_rho, B_m_1, B_m_2 lie in the relative interiors of their cones,
+    so alpha, beta > 0 and the sign is negative.  On a simplicial
+    interval this is the identity B_rho + B_tau = B_m_1 + B_m_2, which
+    needs no premise.
     """
     n = fan.dim
     if n == 0:
         return True, None
-    flags = enumerate_flags(fan)
-    ridges = [[tuple(c.rays for j, c in enumerate(f.cones) if j != k) for k in range(n)] for f in flags]
-    bounds, _ = ridge_pairing((i, ridge) for i, rs in enumerate(ridges) for ridge in rs)
+    flags, seen, zero = enumerate_flags(fan), {}, fan.zero_cone()
     for i, flag in enumerate(flags):
-        for k, ridge in enumerate(ridges[i]):
-            incident = bounds[ridge]
-            if len(incident) != 2:
-                return False, {
-                    "reason": "ridge not shared by exactly two maximal flags",
-                    "ridge": [sorted(rays) for rays in ridge],
-                    "count": len(incident),
-                }
-            other = incident[1] if incident[0] == i else incident[0]
-            if other < i:
-                continue  # this pair was tested from the other side
-            dropped = next(
-                b for c, b in zip(flags[other].cones, flags[other].barycenters) if c.rays not in ridge
-            )
-            # Never 0 on a valid fan, so "> 0" would decide the same: the
-            # nonzero row vanishes on the ridge's barycenters, which the
-            # other flag shares, so a 0 at its dropped one would make the
-            # other flag's n barycenters dependent, which Flag.inverse
-            # rejects.
-            if pair(flag.inverse[0][k], dropped) >= 0:
-                return False, {
-                    "reason": "flags on the same side of their shared ridge",
-                    "ridge": [sorted(rays) for rays in ridge],
-                    "flags": [i, other],
-                }
+        if (j := seen.setdefault(tuple(c.rays for c in flag.cones), i)) != i:
+            return False, {"reason": "flag listed twice", "flags": [j, i]}
+        steps = list(zip((zero, *flag.cones), flag.cones))
+        if len(steps) != n or any(b.dim != k or not fan.is_face(a, b) for k, (a, b) in enumerate(steps, 1)):
+            return False, {"reason": "flag not a maximal chain of the face table", "flag": i}
+    if len(flags) != (chains := fan.chain_count()):
+        return False, {"reason": "flag count not the chain count", "count": len(flags), "chain_count": chains}
+    witness = fan.is_complete()[1] or next((w for _, w in fan.broken_intervals()), None)
+    if witness:
+        return False, witness
+    sides = {}
+    for rho, tau in ((rho, tau) for rho in fan.maximal_cones() for tau in fan.faces(rho) if tau.dim == n - 1):
+        sides.setdefault(tau.rays, []).append((rho, pair(tau.dual_lineality[0], barycenter(rho))))
+    # By 2 each (n-1)-cone is a facet of exactly two maximal cones.
+    for tau, ((rho1, a1), (rho2, a2)) in sides.items():
+        if a1 * a2 >= 0:
+            facet, cones = sorted(tau), [sorted(rho1.rays), sorted(rho2.rays)]
+            return False, {"reason": "cones on the same side of their shared facet", "facet": facet, "cones": cones}
     point = vsum(flags[0].barycenters if flags else (), n)
-    count = len(containing_flags(fan, point))
     # The point is interior to flag 0's own cone, so count >= 1 and
     # "> 1" would decide the same.
-    if count != 1:
+    if (count := len(containing_flags(fan, point))) != 1:
         return False, {"reason": "point not in exactly one flag cone", "point": list(point), "count": count}
     return True, None

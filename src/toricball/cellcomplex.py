@@ -431,9 +431,12 @@ def verify_gluing(atlas: Atlas, rng: random.Random | None = None) -> GluingRepor
          simplicial coordinates of x.  An interior point of F's simplex
          has 0 < w_1 < ... < w_n < 1, hence u > 0: it is the image of a
          point x of F's open flag cone.
-      2. The cover certificate (bary.cover_check): the open flag cones of
-         distinct maximal flags are disjoint, so the two points come
-         from different x != x'.
+      2. The cover certificate (bary.cover_check, read off the face
+         lattice: the flags are its maximal chains, facets pair on
+         opposite sides, intervals of length 2 are diamonds, and one
+         point lies in one flag cone): the open flag cones of distinct
+         maximal flags are disjoint, so the two points come from
+         different x != x'.
       3. Every cone of a validated fan is strongly convex, so the
          Hilbert basis of the intersection tau of the two top cones
          spans M_Q.  Both points lie in the open torus, where the
@@ -505,19 +508,17 @@ def verify_regularity(fan: Fan) -> RegularityReport:
     is final.  The theorem holds for every finite poset, so this is the
     model's boundary count on every face table, validated or not.
 
-    Pseudomanifold: the star test fan.is_complete(sigma) and a diamond
-    test run once per fan, every interval tau < rho of the face table
-    with dim rho - dim tau = 2 holding exactly two cones strictly
-    between.  The cell's issues are the star's certificate, or else the
-    first broken interval tau < rho with sigma in tau, in the pass's
-    order (rho top-down, tau in fan.faces order), named by (tau, rho)
-    and the count of cones between.  On a validated fan no interval breaks:
-    intervals of length 2 of a polytope's face lattice are diamonds
-    (G. M. Ziegler, Lectures on Polytopes, Thm 2.7); the test keeps
-    the verdicts of face tables that validate_fan did not build.  The
-    face lattice is graded, so a top {0} u C of the model has a chain C
-    of m cones of dimensions dim sigma + 1, ..., n, and an interior
-    ridge {0} u R has a chain R of m - 1 cones that skips one dimension.
+    Pseudomanifold: the star test fan.is_complete(sigma) and the diamond
+    test fan.broken_intervals(), run once per fan: every interval
+    tau < rho of the face table with dim rho - dim tau = 2 holds exactly
+    two cones strictly between.  The cell's issues are the star's
+    certificate, or else the first broken interval tau < rho with sigma
+    in tau, in the test's top-down order, named by (tau, rho) and the
+    count of cones between.  On a validated fan no interval breaks
+    (see Fan.broken_intervals).  The face lattice is graded, so a top
+    {0} u C of the model has a chain C of m cones of dimensions
+    dim sigma + 1, ..., n, and an interior ridge {0} u R has a chain R
+    of m - 1 cones that skips one dimension.
 
     Star complete and diamonds imply pseudomanifold.  Every maximal cone
     containing sigma is n-dimensional, so the model has tops.  Ridges:
@@ -546,12 +547,13 @@ def verify_regularity(fan: Fan) -> RegularityReport:
       connected tops give facet-connected maximal cones.
 
       A maximal cone rho of dimension below n containing sigma: by the
-      degree argument of bary.cover_check (Fulton, Introduction to
-      Toric Varieties, section 2), the n-cones containing sigma, paired
-      along their facets and connected, cover a neighbourhood of the
-      relative interior of sigma.  So the relative interior of rho meets
-      one of them, rho', and the fan axiom makes rho a face of rho':
-      rho is not maximal after all.
+      degree argument (Fulton, Introduction to Toric Varieties,
+      section 2; bary.cover_check runs it on the whole fan), the
+      n-cones containing sigma, paired along their facets and
+      connected, cover a neighbourhood of the relative interior of
+      sigma.  So the relative interior of rho meets one of them, rho',
+      and the fan axiom makes rho a face of rho': rho is not maximal
+      after all.
 
       If sigma itself is maximal with dim sigma < n, the model has no
       tops and the check fails.
@@ -562,15 +564,11 @@ def verify_regularity(fan: Fan) -> RegularityReport:
     the pseudomanifold check cell for cell.
     """
     cones = fan.cones()
-    mobius, broken = {c.rays: -1 for c in cones}, []
+    mobius, broken = {c.rays: -1 for c in cones}, fan.broken_intervals()
     for rho in reversed(cones):
-        faces = fan.faces(rho)
-        for tau in faces:
+        for tau in fan.faces(rho):
             if tau.rays < rho.rays:
                 mobius[tau.rays] -= mobius[rho.rays]
-            if tau.dim == rho.dim - 2 and (count := sum(tau.rays < f.rays < rho.rays for f in faces)) != 2:
-                interval = [sorted(tau.rays), sorted(rho.rays)]
-                broken.append((tau.rays, {"reason": "interval not a diamond", "interval": interval, "count": count}))
     cells = []
     for sigma in cones:
         m, chi = fan.dim - sigma.dim, 1 + mobius[sigma.rays]

@@ -202,6 +202,38 @@ class Fan:
             chains = [(f, *chain) for chain in chains for f in self._faces_of[chain[0].rays].values() if f.dim == d]
         return sorted(chains, key=lambda chain: [self._position[c.rays] for c in chain])
 
+    def chain_count(self) -> int:
+        """The number of maximal flags, len(self.maximal_chains()), read
+        off the face table with no chain built: chains(0) = 1, and
+        chains(sigma) is the sum of chains(tau) over sigma's facets tau
+        (its faces of one dimension less), summed over the n-cones.  The
+        cone order lists faces before the cones above them.  Rank 0
+        counts the empty chain, 1."""
+        chains = {}
+        for rays, cone in self._cones.items():
+            below = (chains[f] for f, face in self._faces_of[rays].items() if face.dim == cone.dim - 1)
+            chains[rays] = sum(below) if cone.dim else 1
+        return sum(chains[c.rays] for c in self.maximal_cones() if c.dim == self.dim)
+
+    def broken_intervals(self):
+        """The intervals tau < rho of the face table with
+        dim rho - dim tau = 2 that are not diamonds, holding other than
+        two cones strictly between, as (tau.rays, witness) pairs in a
+        top-down pass: rho in reversed cone order, tau in faces order.
+
+        On a validated fan the list is empty: intervals of length 2 of a
+        polytope's face lattice are diamonds (G. M. Ziegler, Lectures on
+        Polytopes, Thm 2.7).  The test keeps the verdicts of face tables
+        that validate_fan did not build.  bary.cover_check and
+        cellcomplex.verify_regularity read it.
+        """
+        return [
+            (tau, {"reason": "interval not a diamond", "interval": [sorted(tau), sorted(rho)], "count": count})
+            for rho, cone in reversed(self._cones.items())
+            for tau, face in self._faces_of[rho].items()
+            if face.dim == cone.dim - 2 and (count := sum(tau < f < rho for f in self._faces_of[rho])) != 2
+        ]
+
     def is_complete(self, sigma: Cone | None = None):
         """Facet-pairing completeness test of the fan, or with sigma of
         sigma's star, with a certificate.
@@ -230,12 +262,9 @@ class Fan:
         # which contains sigma and is n-dimensional here, so bounds holds
         # each of them.
         for ridge, cone in self._cones.items():
-            if cone.dim == n - 1 and rays <= ridge and len(bounds[ridge]) != 2:
-                return False, {
-                    "reason": "facet not shared by exactly two maximal cones",
-                    "facet": sorted(ridge),
-                    "count": len(bounds[ridge]),
-                }
+            if cone.dim == n - 1 and rays <= ridge and (count := len(bounds[ridge])) != 2:
+                reason = "facet not shared by exactly two maximal cones"
+                return False, {"reason": reason, "facet": sorted(ridge), "count": count}
         # ridge_pairing reaches no top without a ridge; one top is connected.
         if len(maxc) > 1 and reached != len(maxc):
             return False, {"reason": "maximal cones not facet-connected", "reached": reached}

@@ -77,6 +77,11 @@ another check already runs, and the facts that cover them:
   supported Euler characteristics (-1)^dim sigma sum to (-1)^n), and the
   zero cone is the only top cell.  Only an incomplete fan could fail
   it, and cover fails there too.  regularity reports the cell count.
+- cover's side test on the ridges of a flag inside its top cone (the
+  flag without a member below its n-cone): the two flags lie on
+  opposite sides on every validated fan and across every simplicial
+  interval, by the proof in bary.cover_check, so cover tests sides
+  across facets alone.
 - theta_map: theta maps [0, 1]^n onto the chain
   0 <= w_1 <= ... <= w_n <= 1 (z_j = w_j / w_(j+1) is a preimage), a
   float identity at the rank n whatever the fan
@@ -164,7 +169,21 @@ Negative controls, each a test in tests/test_verify.py unless named:
   last, or doubled, each named by the identity witness
   (test_off_pairing_row_forms_its_own_residual_group,
   test_doubled_pairing_row_fails_the_identities).
-- cover: incomplete fans of rank 2 and 3 (test_cover_fails_on_incomplete_fans).
+- cover: incomplete fans of rank 2 and 3 (test_cover_fails_on_incomplete_fans);
+  one control per step of bary.cover_check: p2's flag list with one
+  flag dropped, one repeated, or one not a maximal chain
+  (test_bary.py::test_cover_check_names_a_dropped_or_repeated_flag);
+  the quadrant, whose facets pair once
+  (test_bary.py::test_cover_check_fails_count_on_quadrant); p3 with the
+  ray cone {0} dropped from its face table, named by its broken
+  interval (test_bary.py::test_cover_check_names_the_broken_interval);
+  two rays on one side of the origin, and three 2-cones folded into one
+  quadrant (test_bary.py::test_cover_check_fails_sign_on_same_side_rays,
+  test_bary.py::test_cover_check_fails_sign_on_folded_cones); six rays
+  winding twice round the origin
+  (test_bary.py::test_cover_check_fails_point_on_double_winding).  Each
+  control fails the per-flag reference too
+  (test_bary.py::test_cover_check_agrees_with_per_flag_reference).
 - regularity: incomplete fans of rank 2 and 3, where each failing
   cell names its star's completeness certificate
   (test_regularity_names_failing_cells); two copies of P^2, whose
@@ -400,8 +419,8 @@ def _regularity(ctx):
     model is a pseudomanifold whose boundary, the cell's link, has the
     Euler characteristic of a sphere, both read off the fan's face table
     (see cellcomplex.verify_regularity: a Moebius value, the star's
-    facet-pairing test Fan.is_complete(sigma), and a diamond test once
-    per fan).  On failure, up to five failing cells, each named by its
+    facet-pairing test Fan.is_complete(sigma), and the diamond test
+    Fan.broken_intervals once per fan).  On failure, up to five failing cells, each named by its
     cone's rays with the tests it failed, Euler characteristic of the
     link sphere and pseudomanifold, and as issues the witness of a
     failed pseudomanifold test: the star's completeness certificate, or

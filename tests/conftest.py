@@ -118,6 +118,15 @@ def unvalidated_fan(rays, max_cones):
     return Fan(len(rays[0]), tuple(rays), tuple(frozenset(mc) for mc in max_cones), cones, faces_of)
 
 
+def drop_face(fan, rays):
+    """fan with the cone on rays taken out of its face table: an
+    unvalidated Fan whose other cones, faces and maximal cones stay."""
+    drop = frozenset(rays)
+    cones = {r: c for r, c in fan._cones.items() if r != drop}
+    faces_of = {r: set(faces) - {drop} for r, faces in fan._faces_of.items() if r != drop}
+    return Fan(fan.dim, fan.rays, fan.max_cones, cones, faces_of, name=f"{fan.name}-without{sorted(drop)}")
+
+
 def wps_fan(n, k):
     """P(1,...,1,k) of rank n: the unit vectors and (-1,...,-1,-k)."""
     rays = [tuple(int(i == j) for i in range(n)) for j in range(n)] + [(-1,) * (n - 1) + (-k,)]

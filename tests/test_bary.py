@@ -15,6 +15,7 @@ from conftest import (
     all_flags,
     cover_samples,
     cube_faces_fan,
+    drop_face,
     get_atlas,
     get_fan,
     incomplete_fans,
@@ -38,7 +39,7 @@ from toricball.bary import (
     simplicial_coords,
 )
 from toricball.exact import DimensionMismatch, dual_basis, pair, rank, solve_in_basis, unit_vector, vsum
-from toricball.fan import Fan
+from toricball.fan import Fan, ridge_pairing
 from toricball.homeo import rescale_global, rescale_in_flag
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -217,23 +218,153 @@ def test_cover_check_agrees_with_samples():
 
 def test_cover_check_fails_count_on_quadrant():
     fan = tb.validate_fan(2, [(1, 0), (0, 1)], [[0, 1]], require_complete=False)
-    witness = {"reason": "ridge not shared by exactly two maximal flags", "ridge": [[0]], "count": 1}
+    witness = {"reason": "facet not shared by exactly two maximal cones", "facet": [0], "count": 1}
     assert cover_check(fan) == (False, witness)
 
 
 def test_cover_check_fails_sign_on_same_side_rays():
     fan = unvalidated_fan([(1,), (2,)], [[0], [1]])
-    witness = {"reason": "flags on the same side of their shared ridge", "ridge": [], "flags": [0, 1]}
+    witness = {"reason": "cones on the same side of their shared facet", "facet": [], "cones": [[0], [1]]}
     assert cover_check(fan) == (False, witness)
 
 
 def test_cover_check_fails_point_on_double_winding():
     # Six rays winding twice round the origin: every ridge pairs with a
     # flag on its other side, yet each point is covered twice.
-    rays = [(1, 0), (0, 1), (-1, -1)] * 2
-    fan = unvalidated_fan(rays, [[i, (i + 1) % 6] for i in range(6)])
+    fan = _double_winding()
     witness = {"reason": "point not in exactly one flag cone", "point": [2, 1], "count": 2}
     assert cover_check(fan) == (False, witness)
+
+
+def _double_winding():
+    rays = [(1, 0), (0, 1), (-1, -1)] * 2
+    return unvalidated_fan(rays, [[i, (i + 1) % 6] for i in range(6)])
+
+
+def _folded_triangle():
+    """Three 2-cones in the first quadrant, each ray shared by two of
+    them: the facets pair and connect, but cone(e1, e2) and
+    cone(e1, e1 + e2) lie on the same side of e1."""
+    return unvalidated_fan([(1, 0), (0, 1), (1, 1)], [[0, 1], [1, 2], [0, 2]])
+
+
+def _two_p2():
+    """Two copies of P^2 (duplicate rays, so not validated): each facet
+    pairs within its copy, and each point lies in two flag cones."""
+    rays, cones = [(1, 0), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 0]]
+    return unvalidated_fan(rays * 2, [*cones, *([i + 3 for i in c] for c in cones)])
+
+
+def test_cover_check_names_a_dropped_or_repeated_flag(monkeypatch):
+    """Negative controls of step 1, on the flag list the check reads:
+    p2's six flags with one dropped, with one repeated, and with one
+    replaced by a chain that skips a dimension."""
+    p2 = get_fan("p2")
+    flags = enumerate_flags(p2)
+    edits = [
+        (flags[:3] + flags[4:], {"reason": "flag count not the chain count", "count": 5, "chain_count": 6}),
+        (flags[:5] + flags[2:3], {"reason": "flag listed twice", "flags": [2, 5]}),
+        (flags[:5] + [Flag((p2.cone({0, 1}),))], {"reason": "flag not a maximal chain of the face table", "flag": 5}),
+    ]
+    for edited, witness in edits:
+        monkeypatch.setattr(bary, "enumerate_flags", lambda fan, _flags=edited: list(_flags))
+        assert cover_check(p2) == (False, witness)
+    monkeypatch.undo()
+    assert cover_check(p2) == (True, None)
+
+
+def test_cover_check_names_the_broken_interval():
+    """Negative control of step 3: p3 with the ray cone {0} dropped from
+    its face table pairs its facets, but the interval from the zero cone
+    to [0, 3] holds one cone."""
+    fan = drop_face(get_fan("p3"), {0})
+    assert fan.is_complete() == (True, None)
+    witness = {"reason": "interval not a diamond", "interval": [[], [0, 3]], "count": 1}
+    assert cover_check(fan) == (False, witness)
+
+
+def test_cover_check_fails_sign_on_folded_cones():
+    """Negative control of step 4 in rank 2: the first facet in the
+    order of the maximal cones whose two cones lie on one side."""
+    witness = {"reason": "cones on the same side of their shared facet", "facet": [0], "cones": [[0, 1], [0, 2]]}
+    assert cover_check(_folded_triangle()) == (False, witness)
+
+
+def _cover_reference(fan):
+    """cover_check as it was, per flag: every ridge of a maximal flag
+    (the flag without its member k) bounds exactly two maximal flags,
+    on opposite sides of it (row k of the first flag's integer left
+    inverse is negative at the other flag's dropped barycenter), and the
+    point sum_j B_j of the first flag lies in exactly one flag cone."""
+    n = fan.dim
+    if n == 0:
+        return True, None
+    flags = enumerate_flags(fan)
+    ridges = [[tuple(c.rays for j, c in enumerate(f.cones) if j != k) for k in range(n)] for f in flags]
+    bounds, _ = ridge_pairing((i, ridge) for i, rs in enumerate(ridges) for ridge in rs)
+    for i, flag in enumerate(flags):
+        for k, ridge in enumerate(ridges[i]):
+            incident = bounds[ridge]
+            named = [sorted(rays) for rays in ridge]
+            if len(incident) != 2:
+                reason = "ridge not shared by exactly two maximal flags"
+                return False, {"reason": reason, "ridge": named, "count": len(incident)}
+            other = incident[1] if incident[0] == i else incident[0]
+            if other < i:
+                continue  # this pair was tested from the other side
+            dropped = next(b for c, b in zip(flags[other].cones, flags[other].barycenters) if c.rays not in ridge)
+            if pair(flag.inverse[0][k], dropped) >= 0:
+                reason = "flags on the same side of their shared ridge"
+                return False, {"reason": reason, "ridge": named, "flags": [i, other]}
+    point = vsum(flags[0].barycenters if flags else (), n)
+    count = len(containing_flags(fan, point))
+    if count != 1:
+        return False, {"reason": "point not in exactly one flag cone", "point": list(point), "count": count}
+    return True, None
+
+
+def test_cover_check_agrees_with_per_flag_reference():
+    """The face-lattice certificate and the per-flag one it replaced
+    give the same verdicts: they pass on complete fans, bundled,
+    generated and non-simplicial, and fail on the negative controls.  On
+    two disjoint P^2 both fail, on different witnesses: the facet
+    pairing's connectivity clause there, two flag cones over the point
+    in the reference."""
+    p3 = get_fan("p3")
+    complete = [get_fan(name) for name in tb.BUNDLED_FANS] + [cube_faces_fan(), tb.validate_fan(0, [], [[]])]
+    complete += [wps_fan(n, k) for n in (2, 3) for k in (2, 9, 27)]
+    complete += [stellar_fan(get_fan(base), 3, 5, seed) for base in ("p2", "p3", "twisted_p3") for seed in (0, 1)]
+    complete += [_p1_power(k) for k in (3, 4, 5)]
+    controls = [
+        tb.validate_fan(2, [(1, 0), (0, 1)], [[0, 1]], require_complete=False),
+        unvalidated_fan([(1,), (2,)], [[0], [1]]),
+        _double_winding(),
+        _folded_triangle(),
+        drop_face(p3, {0}),
+        *incomplete_fans(),
+    ]
+    for fan in complete:
+        assert cover_check(fan) == _cover_reference(fan) == (True, None), fan.name
+    for fan in controls:
+        assert not cover_check(fan)[0] and not _cover_reference(fan)[0], fan.name
+    # The old witnesses of the two controls whose literals changed.
+    count = {"reason": "ridge not shared by exactly two maximal flags", "ridge": [[0]], "count": 1}
+    side = {"reason": "flags on the same side of their shared ridge", "ridge": [], "flags": [0, 1]}
+    assert [_cover_reference(fan) for fan in controls[:2]] == [(False, count), (False, side)]
+    new, old = cover_check(_two_p2()), _cover_reference(_two_p2())
+    assert new == (False, {"reason": "maximal cones not facet-connected", "reached": 3})
+    assert old == (False, {"reason": "point not in exactly one flag cone", "point": [2, 1], "count": 2})
+
+
+def test_chain_count_is_the_number_of_maximal_chains():
+    """Fan.chain_count, read off the face table, against the chains
+    Fan.maximal_chains builds: complete, non-simplicial, generated and
+    incomplete fans, a fan without a full-dimensional cone, and rank 0,
+    whose one chain is the empty one."""
+    for fan in _subdivision_fans() + [_p1_power(3), _p1_power(5)]:
+        assert fan.chain_count() == len(fan.maximal_chains()), fan.name
+    assert _p1_power(5).chain_count() == 3840
+    assert tb.validate_fan(0, [], [[]]).chain_count() == 1
 
 
 def test_cover_membership_example(p1xp1):

@@ -350,7 +350,7 @@ def test_cover_reports_witness_on_failure():
 
     fan = tb.validate_fan(2, [(1, 0), (0, 1)], [[0, 1]], require_complete=False)
     ctx = verify.Context(fan, None, [], random.Random(0))
-    witness = {"reason": "ridge not shared by exactly two maximal flags", "ridge": [[0]], "count": 1}
+    witness = {"reason": "facet not shared by exactly two maximal cones", "facet": [0], "count": 1}
     assert verify._cover(ctx) == (False, {"witness": witness})
 
 

@@ -14,6 +14,7 @@ from conftest import (
     all_flags,
     bary_to_delta,
     cube_faces_fan,
+    drop_face,
     drop_first_term,
     incomplete_fans,
     p2_with_terms,
@@ -1155,15 +1156,6 @@ def test_regularity_builds_no_ball_model(monkeypatch):
     assert len(expected[-1].cells) == 3**4
 
 
-def _drop_face(fan, rays):
-    """fan with the cone on rays taken out of its face table: an
-    unvalidated Fan whose other cones, faces and maximal cones stay."""
-    drop = frozenset(rays)
-    cones = {r: c for r, c in fan._cones.items() if r != drop}
-    faces_of = {r: set(faces) - {drop} for r, faces in fan._faces_of.items() if r != drop}
-    return Fan(fan.dim, fan.rays, fan.max_cones, cones, faces_of, name=f"{fan.name}-without{sorted(drop)}")
-
-
 def test_regularity_diamond_test_names_the_broken_interval():
     """Negative control of the diamond test: p3 with the ray cone {0}
     dropped from its face table passes the star test everywhere, but the
@@ -1173,7 +1165,7 @@ def test_regularity_diamond_test_names_the_broken_interval():
     ball model of that table fails the pseudomanifold check too, and its
     boundary's Euler characteristic is the cell's euler, 1."""
     p3 = tb.load_bundled("p3")
-    fan = _drop_face(p3, {0})
+    fan = drop_face(p3, {0})
     assert all(fan.is_complete(sigma) == (True, None) for sigma in fan.cones())
     report = verify_regularity(fan)
     assert not report.passed
