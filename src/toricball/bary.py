@@ -6,10 +6,13 @@ spanned by the barycenters of its members, where the barycenter of a
 cone is the sum of its primitive ray generators.
 
 The library reads only the maximal flags, one cone of each dimension
-1, ..., n, so those are the only flags built: Fan.maximal_chains
-grows each down from an n-dimensional cone through faces of one
-dimension less, once per fan object (see subdivision), and lists them
-in the flag order that the fan fixes (see the fan module).
+1, ..., n, so those are the only flags built: enumerate_flags builds
+them once per fan object from Fan.maximal_chains, which grows each
+down from an n-dimensional cone through faces of one dimension less
+and lists them in the flag order that the fan fixes (see the fan
+module).  The index that locates a point's flag (see subdivision) is
+built apart from them, on the fan's first locate, so listing, charting
+or verifying the flags builds none of it.
 """
 
 from __future__ import annotations
@@ -112,48 +115,46 @@ def flag_cone(flag: Flag) -> FlagCone:
 
 @dataclass(frozen=True)
 class Subdivision:
-    """The maximal flags of one fan, built once per fan object: the
-    chains of Fan.maximal_chains, each grown down from an n-cone, in the
-    flag order they come in; no other flag is built.
+    """The index of locate_flag over the maximal flags of one fan, built
+    once per fan object, on its first locate (see _locate).
 
-    maximal lists the maximal flags (length n, ending in a maximal
-    cone) in enumeration order; a flag's position is its index there,
+    It holds each flag of enumerate_flags, the very same object, as the
+    pair (position, flag), its position being its index in that list,
     so the least of some flags is the one of least position.
-    simplicial and other are the index of locate_flag, which holds each
-    flag as the pair (position, flag).  simplicial lists, for every
-    full-dimensional simplicial maximal cone, its sorted ray indices,
-    the rows d_i of the integer left inverse of its rays r_j
-    (exact.span_inverse: <d_i, r_j> = c * delta_ij for one c > 0 per
-    cone, so the pairings <d_i, x> are the ray coordinates of x up to
-    that common positive factor), and its order table, which maps the
-    order in which a flag of the cone adds the cone's rays (indices
-    into its sorted rays) to that flag's pair.  other lists every other
-    full-dimensional maximal cone with its flags' pairs in enumeration
-    order.  At rank 0 maximal is empty, and the zero cone's table maps
-    the empty order () to (0, the empty flag), which covers the one
-    point.
+    simplicial lists, for every full-dimensional simplicial maximal
+    cone, its sorted ray indices, the rows d_i of the integer left
+    inverse of its rays r_j (exact.span_inverse: <d_i, r_j> = c *
+    delta_ij for one c > 0 per cone, so the pairings <d_i, x> are the
+    ray coordinates of x up to that common positive factor), and its
+    order table, which maps the order in which a flag of the cone adds
+    the cone's rays (indices into its sorted rays) to that flag's pair.
+    other lists every other full-dimensional maximal cone with its
+    flags' pairs in enumeration order.  At rank 0 there is no maximal
+    flag, and the zero cone's table maps the empty order () to (0, the
+    empty flag), which covers the one point.
     """
 
-    maximal: tuple
     simplicial: tuple
     other: tuple
 
 
 # Keyed by the fan object and dropped with it, so the fan itself stays
-# immutable and the subdivisions of discarded fans do not accumulate.
+# immutable and the flags of discarded fans do not accumulate.
+_FLAGS = weakref.WeakKeyDictionary()
+
+# The locate index, kept the same way apart from the flags.
 _SUBDIVISIONS = weakref.WeakKeyDictionary()
 
 
 def subdivision(fan: Fan) -> Subdivision:
-    """The fan's Subdivision, built on first use, its flags in the order
-    of Fan.maximal_chains.  A flag's order in its top cone's table is
-    read off its chain, the one ray each member adds to the one below;
-    no Flag is hashed."""
+    """The fan's locate index, built on first use over the flags of
+    enumerate_flags (the empty flag alone at rank 0).  A flag's order in
+    its top cone's table is read off its chain, the one ray each member
+    adds to the one below; no Flag is hashed."""
     sub = _SUBDIVISIONS.get(fan)
     if sub is not None:
         return sub
-    # At rank 0 the one chain is the empty one: locate's, not a maximal flag.
-    flags = list(map(Flag, fan.maximal_chains()))
+    flags = enumerate_flags(fan) if fan.dim else [Flag(())]
     simplicial, tables, scanned = [], {}, {}
     for cone in fan.maximal_cones():
         if cone.dim != fan.dim:
@@ -180,22 +181,24 @@ def subdivision(fan: Fan) -> Subdivision:
             order.append(at[ray])
             below = c.rays
         table[tuple(order)] = p, flag
-    sub = _SUBDIVISIONS[fan] = Subdivision(
-        maximal=tuple(flags) if fan.dim else (),
-        simplicial=tuple(simplicial),
-        other=tuple((fan.cone(rays), tuple(pairs)) for rays, pairs in scanned.items()),
-    )
+    other = tuple((fan.cone(rays), tuple(pairs)) for rays, pairs in scanned.items())
+    sub = _SUBDIVISIONS[fan] = Subdivision(simplicial=tuple(simplicial), other=other)
     return sub
 
 
 def enumerate_flags(fan: Fan, only_maximal: bool = True):
     """The maximal flags of the fan (length n, ending in a maximal
-    cone), in deterministic order.  only_maximal=False raises
-    ValueError: no other flags are built, and the enumeration of every
-    flag is the tests' reference (all_flags in tests/conftest.py)."""
+    cone), in the order of Fan.maximal_chains; none at rank 0, whose
+    one chain is the empty one.  They are built once per fan object and
+    each call returns a new list of the same Flag objects; no locate
+    index is built.  only_maximal=False raises ValueError: no other
+    flags are built, and the enumeration of every flag is the tests'
+    reference (all_flags in tests/conftest.py)."""
     if not only_maximal:
         raise ValueError("only the maximal flags are built; all_flags in tests/conftest.py lists every flag")
-    return list(subdivision(fan).maximal)
+    if fan not in _FLAGS:
+        _FLAGS[fan] = tuple(map(Flag, fan.maximal_chains())) if fan.dim else ()
+    return list(_FLAGS[fan])
 
 
 def flag_intersection(f1: Flag, f2: Flag) -> Flag:
@@ -291,10 +294,14 @@ def _locate(fan: Fan, x):
     since the flag contains x by construction.  A simplicial cone's rows
     are paired up to the first negative lambda; when none is negative,
     the order of the cone's rays by decreasing lambda is the key of its
-    table, and the least flag found is the one of least position."""
-    sub = subdivision(fan)
+    table, and the least flag found is the one of least position.
+
+    The first locate on a fan builds its index (subdivision), and no
+    other caller does; a point of the wrong length is refused first,
+    before anything is built."""
     if len(x) != fan.dim:
         raise DimensionMismatch(f"point of length {len(x)} in a rank-{fan.dim} fan")
+    sub = subdivision(fan)
     # One common denominator makes every sign test an integer pairing.
     nums, den = integer_numerators(x)
     found = []

@@ -12,7 +12,7 @@ path validates every rank, 0 included.
 A fan fixes one order of its cones, once, in Fan.__init__: by
 (dimension, sorted ray indices).  cones() and faces() list cones in
 that order, and maximal_chains() lists the maximal flags
-lexicographically in it.  That is the flag order of bary.subdivision,
+lexicographically in it.  That is the flag order of bary.enumerate_flags,
 so chart indices, verify witnesses, chart dumps and mesh vertex order
 are stable across runs.  Read in reverse, cones() is a top-down order
 of the face poset.

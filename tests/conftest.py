@@ -93,6 +93,42 @@ def cube_faces_fan():
     return tb.validate_fan(3, rays, maxc)
 
 
+def nonprojective_fan():
+    """A complete simplicial fan of rank 3 that is the normal fan of no
+    polytope, so its toric variety is proper but not projective.
+
+    Rays e1, e2, e3, -e1-e2-e3, p4 = (2,1,1), p5 = (1,2,1) and
+    p6 = (1,1,2), at indices 0-6.  The first three maximal cones and the
+    positive orthant make the fan of P^3; the last seven subdivide the
+    orthant, as the cone over the twisted triangulation of the nested
+    triangles e1 e2 e3 and p4 p5 p6 (J. A. De Loera, J. Rambau and
+    F. Santos, Triangulations, Springer 2010: the "mother of all
+    examples").
+
+    Proof that no strictly convex support function exists.  The walls
+    {e1, p5}, {e2, p6} and {e3, p4} each lie in exactly two maximal
+    cones, [0,1,5] and [0,5,4], [1,2,6] and [1,6,5], [2,0,4] and
+    [2,4,6], and the rays off each wall satisfy the integer relations
+        e2 + p4 = e1 + p5,  e3 + p5 = e2 + p6,  e1 + p6 = e3 + p4.
+    Take the heights h of a support function on the rays, linear on
+    each cone and the maximum of those linear functions.  Across the
+    first wall, let m be the linear function of the cone [0,1,5]; then
+    h(e2) + m(p4) = m(e1 + p5) = h(e1) + h(p5), and strict convexity
+    puts h(p4) > m(p4).  So, wall by wall,
+        h(e2) + h(p4) > h(e1) + h(p5),
+        h(e3) + h(p5) > h(e2) + h(p6),
+        h(e1) + h(p6) > h(e3) + h(p4).
+    Each height appears once on each side of their sum, which reads
+    0 > 0.  (Support functions taken as minima flip all three signs.)
+    """
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (2, 1, 1), (1, 2, 1), (1, 1, 2)]
+    maxc = [
+        [3, 1, 2], [3, 0, 2], [3, 0, 1], [4, 5, 6], [0, 1, 5],
+        [1, 2, 6], [2, 0, 4], [0, 5, 4], [1, 6, 5], [2, 4, 6],
+    ]
+    return tb.validate_fan(3, rays, maxc, name="nonprojective")
+
+
 def incomplete_fans():
     """p2 without one maximal cone, and P^3 without one: incomplete fans
     of rank 2 and 3, validated with require_complete=False."""

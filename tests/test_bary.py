@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 import re
@@ -19,6 +20,7 @@ from conftest import (
     get_atlas,
     get_fan,
     incomplete_fans,
+    nonprojective_fan,
     stellar_fan,
     unvalidated_fan,
     wps_fan,
@@ -38,9 +40,11 @@ from toricball.bary import (
     locate_flag,
     simplicial_coords,
 )
+from toricball.cli import main
 from toricball.exact import DimensionMismatch, dual_basis, pair, rank, solve_in_basis, unit_vector, vsum
 from toricball.fan import Fan, ridge_pairing
 from toricball.homeo import rescale_global, rescale_in_flag
+from toricball.verify import run_verification
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -99,14 +103,15 @@ def _maximal_reference(fan):
 
 
 def test_subdivision_is_the_maximal_flags_of_the_reference():
-    """Subdivision.maximal is the reference's maximal flags, in order,
+    """enumerate_flags lists the reference's maximal flags, in order,
     and the order tables and the scanned cones of the locate index hold
     exactly those flags, each once with its position; at rank 0 there
     is no maximal flag, and the index holds the empty flag alone."""
     for fan in _subdivision_fans():
         sub = bary.subdivision(fan)
         maximal = _maximal_reference(fan)
-        assert list(sub.maximal) == maximal, fan.name
+        flags = bary.enumerate_flags(fan)
+        assert flags == maximal, fan.name
         indexed = maximal if fan.dim else [Flag(())]
         pairs = [entry for _, _, table in sub.simplicial for entry in table.values()]
         pairs += [entry for _, entries in sub.other for entry in entries]
@@ -114,20 +119,83 @@ def test_subdivision_is_the_maximal_flags_of_the_reference():
         assert [p for p, _ in pairs] == list(range(len(indexed))), fan.name
         assert [f for _, f in pairs] == indexed, fan.name
         if fan.dim:
-            assert all(f is sub.maximal[p] for p, f in pairs), fan.name
+            assert all(f is flags[p] for p, f in pairs), fan.name
 
 
 def test_subdivision_walks_no_chain_above(monkeypatch):
-    """bary.subdivision on fresh fans builds the maximal flags without
-    Fan.chains_above, the walk of every chain: with it patched to fail,
-    the flags still equal the reference taken before the patch."""
+    """bary.subdivision on fresh fans builds its index, and the maximal
+    flags of enumerate_flags that it holds, without Fan.chains_above,
+    the walk of every chain: with it patched to fail, the flags still
+    equal the reference taken before the patch."""
     make = [lambda: tb.load_bundled("twisted_p3"), cube_faces_fan, lambda: _p1_power(3), lambda: incomplete_fans()[1]]
     expected = [_maximal_reference(m()) for m in make]
     monkeypatch.setattr(Fan, "chains_above", lambda *args: pytest.fail("Fan.chains_above called"))
     for m, flags in zip(make, expected):
         fan = m()
         assert fan not in bary._SUBDIVISIONS
-        assert list(bary.subdivision(fan).maximal) == flags
+        bary.subdivision(fan)
+        assert bary.enumerate_flags(fan) == flags
+
+
+def _split_fans():
+    """Fresh fans of ranks 3, 2 and 0: twisted_p3, cube faces
+    (non-simplicial), P(1,1,1,9), P(1,1,2) and the point."""
+    fans = [tb.load_bundled("twisted_p3"), cube_faces_fan(), wps_fan(3, 9), tb.load_bundled("p112")]
+    return fans + [tb.validate_fan(0, [], [[]], name="rank0")]
+
+
+def test_only_locate_builds_the_index(monkeypatch, tmp_path, capsys):
+    """Listing the maximal flags builds no locate index.  With
+    bary.subdivision patched to fail, fresh fans still list their flags,
+    build their charts, verify in process and pass the cover
+    certificate, and the CLI's validate, charts, param, verify and mesh
+    (ranks 2 and 3) exit 0, but for param at rank 0, which has no
+    maximal flag to index and exits 2 unpatched too.  Unpatched, the
+    first rescale_global builds the index, later ones reuse it, and its
+    entries hold the very Flag objects that enumerate_flags returns."""
+    fans = _split_fans()
+    monkeypatch.setattr(bary, "subdivision", lambda *args: pytest.fail("bary.subdivision called"))
+    for fan in fans:
+        flags = enumerate_flags(fan)
+        assert len(tb.Atlas(fan).charts()) == len(flags) == (fan.chain_count() if fan.dim else 0), fan.name
+        assert run_verification(fan, seed=0)["passed"], fan.name
+        assert cover_check(fan) == (True, None), fan.name
+        path = tmp_path / f"{fan.name}.json"
+        rays, cones = [list(r) for r in fan.rays], [sorted(c) for c in fan.max_cones]
+        path.write_text(json.dumps({"name": fan.name, "dim": fan.dim, "rays": rays, "max_cones": cones}))
+        commands = [["validate"], ["charts"], ["param", "--flag", "0", "--xi", ",".join(["1"] + ["0"] * fan.dim)]]
+        commands += [["verify", "--seed", "0"]] + [["mesh", "--radii", "1", "--res", "2"]] * (fan.dim in (2, 3))
+        for command, *options in commands:
+            out = str(tmp_path / f"{fan.name}-{command}")
+            code = main([command, str(path), *options, "--out", out])
+            assert code == (2 if command == "param" and not fan.dim else 0), (fan.name, command)
+        capsys.readouterr()
+        assert fan not in bary._SUBDIVISIONS
+    monkeypatch.undo()
+    for fan in fans:
+        flags = enumerate_flags(fan)
+        assert all(a is b for a, b in zip(flags, enumerate_flags(fan))), fan.name
+        point = tuple(range(1, fan.dim + 1))
+        rescale_global(fan, point)
+        sub = bary._SUBDIVISIONS[fan]
+        rescale_global(fan, point)
+        assert bary._SUBDIVISIONS[fan] is sub
+        pairs = [entry for _, _, table in sub.simplicial for entry in table.values()]
+        pairs += [entry for _, entries in sub.other for entry in entries]
+        if fan.dim:
+            assert sorted(p for p, _ in pairs) == list(range(len(flags))), fan.name
+            assert all(f is flags[p] for p, f in pairs), fan.name
+        else:
+            assert pairs == [(0, Flag(()))]
+
+
+def test_locate_checks_the_length_before_building():
+    """A point of the wrong length is refused before the locate index
+    is built: the fresh fan is left with none."""
+    fan = tb.load_bundled("p2")
+    with pytest.raises(DimensionMismatch, match="point of length 1 in a rank-2 fan"):
+        rescale_global(fan, (1,))
+    assert fan not in bary._SUBDIVISIONS
 
 
 def test_flag_strictness(p2):
@@ -326,12 +394,13 @@ def _cover_reference(fan):
 def test_cover_check_agrees_with_per_flag_reference():
     """The face-lattice certificate and the per-flag one it replaced
     give the same verdicts: they pass on complete fans, bundled,
-    generated and non-simplicial, and fail on the negative controls.  On
-    two disjoint P^2 both fail, on different witnesses: the facet
-    pairing's connectivity clause there, two flag cones over the point
-    in the reference."""
+    generated, non-simplicial and not projective, and fail on the
+    negative controls.  On two disjoint P^2 both fail, on different
+    witnesses: the facet pairing's connectivity clause there, two flag
+    cones over the point in the reference."""
     p3 = get_fan("p3")
     complete = [get_fan(name) for name in tb.BUNDLED_FANS] + [cube_faces_fan(), tb.validate_fan(0, [], [[]])]
+    complete.append(nonprojective_fan())
     complete += [wps_fan(n, k) for n in (2, 3) for k in (2, 9, 27)]
     complete += [stellar_fan(get_fan(base), 3, 5, seed) for base in ("p2", "p3", "twisted_p3") for seed in (0, 1)]
     complete += [_p1_power(k) for k in (3, 4, 5)]
@@ -359,9 +428,10 @@ def test_cover_check_agrees_with_per_flag_reference():
 def test_chain_count_is_the_number_of_maximal_chains():
     """Fan.chain_count, read off the face table, against the chains
     Fan.maximal_chains builds: complete, non-simplicial, generated and
-    incomplete fans, a fan without a full-dimensional cone, and rank 0,
-    whose one chain is the empty one."""
-    for fan in _subdivision_fans() + [_p1_power(3), _p1_power(5)]:
+    incomplete fans, a fan without a full-dimensional cone, a complete
+    fan that is not projective, and rank 0, whose one chain is the empty
+    one."""
+    for fan in _subdivision_fans() + [_p1_power(3), _p1_power(5), nonprojective_fan()]:
         assert fan.chain_count() == len(fan.maximal_chains()), fan.name
     assert _p1_power(5).chain_count() == 3840
     assert tb.validate_fan(0, [], [[]]).chain_count() == 1
@@ -520,7 +590,7 @@ def test_locate_stops_at_the_interior_cone(monkeypatch, name):
     fan = _locate_fan(name)
     sub = bary.subdivision(fan)
     index = [rays for rays, _, _ in sub.simplicial]
-    for flag in sub.maximal:
+    for flag in bary.enumerate_flags(fan):
         x = vsum(flag.barycenters, fan.dim)
         k = index.index(tuple(sorted(flag.cones[-1].rays)))
         cut = sub.simplicial[: k + 1] + (_Unread(),) * (len(index) - k - 1)
@@ -562,13 +632,13 @@ def test_locate_order_tables_are_the_cones_flags():
     of a simplicial cone is in its cone's table once, and every other
     one is listed, in enumeration order, with its non-simplicial cone."""
     for fan in _subdivision_fans():
-        sub = bary.subdivision(fan)
+        sub, flags = bary.subdivision(fan), bary.enumerate_flags(fan)
         tabled = []
         for rays, _, table in sub.simplicial:
             assert sorted(table) == list(itertools.permutations(range(len(rays)))), (fan.name, rays)
             for order, (p, f) in table.items():
                 if fan.dim:
-                    assert sub.maximal[p] is f, (fan.name, order)
+                    assert flags[p] is f, (fan.name, order)
                 else:
                     assert (p, f) == (0, Flag(()))
                 assert [c.rays for c in f.cones] == [
@@ -576,11 +646,11 @@ def test_locate_order_tables_are_the_cones_flags():
                 ], (fan.name, order)
                 tabled.append(p)
         if fan.dim:
-            simplicial = [p for p, f in enumerate(sub.maximal) if len(f.cones[-1].rays) == fan.dim]
+            simplicial = [p for p, f in enumerate(flags) if len(f.cones[-1].rays) == fan.dim]
             assert sorted(tabled) == simplicial, fan.name
         for cone, entries in sub.other:
-            assert [p for p, _ in entries] == [p for p, f in enumerate(sub.maximal) if f.cones[-1].rays == cone.rays]
-            assert all(f is sub.maximal[p] for p, f in entries), fan.name
+            assert [p for p, _ in entries] == [p for p, f in enumerate(flags) if f.cones[-1].rays == cone.rays]
+            assert all(f is flags[p] for p, f in entries), fan.name
 
 
 def _fresh_locate_fan(name):
@@ -612,7 +682,7 @@ def test_locate_hashes_no_flag(monkeypatch):
         fan = _fresh_locate_fan(name)
         assert fan not in bary._SUBDIVISIONS
         sub = bary.subdivision(fan)
-        flags = sub.maximal if fan.dim else [sub.simplicial[0][2][()][1]]
+        flags = bary.enumerate_flags(fan) if fan.dim else [sub.simplicial[0][2][()][1]]
         for x, position, phi in reference:
             assert locate_flag(fan, x) is flags[position], (name, x)
             assert repr(rescale_global(fan, x)) == phi, (name, x)

@@ -6,6 +6,7 @@ import json
 import math
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -295,6 +296,17 @@ def test_verify_tamper_fails(capsys):
     assert diagram["witness"]["found"] == diagram["witness"]["expected"] + 1
     # The tamper leaves the flag's inverse alone, so the dual-basis gate holds.
     assert "dual_witness" not in diagram
+
+
+def test_verify_tamper_on_the_nonprojective_fan(capsys):
+    """The negative control on a complete fan that is not projective:
+    the tampered b fails monomial_diagram, the one certificate of b's
+    values, and intersection_gluing through its gate; nothing else."""
+    fan = Path(__file__).parent / "data" / "golden" / "verify_nonprojective" / "fan.json"
+    code, out = run(capsys, "verify", str(fan), "--seed", "0", "--tamper")
+    assert code == 4
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == ["monomial_diagram", "intersection_gluing"]
 
 
 def test_verify_rejects_nonfinite_tol(tmp_path, capsys):

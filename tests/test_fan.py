@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 import toricball as tb
-from conftest import cube_faces_fan, get_fan, incomplete_fans, unvalidated_fan, wps_fan
+from conftest import cube_faces_fan, get_fan, incomplete_fans, nonprojective_fan, unvalidated_fan, wps_fan
 from toricball.cones import dual_generators, face_index_sets, generator_list
-from toricball.exact import is_zero_vec, primitive, quotient_projection, rank
+from toricball.exact import is_zero_vec, primitive, quotient_projection, rank, vsum
 from toricball.fan import (
     FaceIntersectionViolation,
     FanValidationError,
@@ -261,6 +261,45 @@ def test_face_lattice_closed_under_intersection(p2, p1xp1, p112):
         for a, b in itertools.combinations(cones, 2):
             shared = a.rays & b.rays
             assert fan.cone(shared) is not None
+
+
+# Three walls of each fan, as (wall, the two rays off it): each wall lies
+# in exactly the two maximal cones it spans with one of those rays, and
+# the rays off it sum to the rays on it.
+NONPROJECTIVE_WALLS = {
+    "nonprojective": [((0, 5), (1, 4)), ((1, 6), (2, 5)), ((2, 4), (0, 6))],
+    "twisted_p3": [((2, 4), (1, 5)), ((1, 6), (3, 4)), ((3, 5), (2, 6))],
+}
+
+
+@pytest.mark.parametrize("name", NONPROJECTIVE_WALLS)
+def test_nonprojective_fans_have_no_convex_support_function(name):
+    """The premises of the proof in conftest.nonprojective_fan, in
+    integers, for that fan and for the bundled twisted_p3: across each
+    of three walls {a, b}, the rays c and d off it satisfy
+    r_c + r_d = r_a + r_b, and the wall lies in exactly the maximal
+    cones {a, b, c} and {a, b, d}.  Every ray appears as often on a wall
+    as off one, so the three strict inequalities that a strictly convex
+    support function gives, h(c) + h(d) > h(a) + h(b), sum to 0 > 0.
+    The fans are complete with 33 cones and 60 maximal flags, and the
+    cover certificate passes; the golden input file of nonprojective_fan
+    holds its rays and maximal cones."""
+    fan = nonprojective_fan() if name == "nonprojective" else tb.load_bundled(name)
+    walls = NONPROJECTIVE_WALLS[name]
+    for wall, (c, d) in walls:
+        on, off = [fan.rays[i] for i in wall], [fan.rays[c], fan.rays[d]]
+        assert vsum(on, 3) == vsum(off, 3), wall
+        tops = sorted(sorted(cone.rays) for cone in fan.maximal_cones() if cone.rays >= set(wall))
+        assert tops == sorted([sorted({*wall, c}), sorted({*wall, d})]), wall
+    assert sorted(i for wall, _ in walls for i in wall) == sorted(i for _, off in walls for i in off)
+    assert fan.is_complete() == (True, None)
+    assert len(fan.cones()) == 33
+    assert fan.chain_count() == len(tb.enumerate_flags(fan)) == 60
+    assert tb.cover_check(fan) == (True, None)
+    if name == "nonprojective":
+        golden = Path(__file__).parent / "data" / "golden" / "verify_nonprojective" / "fan.json"
+        stored = parse_and_validate(golden.read_text())
+        assert (stored.name, stored.rays, stored.max_cones) == (fan.name, fan.rays, fan.max_cones)
 
 
 def _reference_fans():

@@ -58,6 +58,14 @@ CASES = [
         ["verify", str(GOLDEN / "verify_p4" / "fan.json"), "--seed", "0"],
         0,
     ),
+    # A complete fan that is not projective (conftest.nonprojective_fan):
+    # 60 maximal flags; nine of its ten maximal cones are smooth, and the
+    # cone over p4, p5, p6 has multiplicity 4.
+    (
+        "verify_nonprojective",
+        ["verify", str(GOLDEN / "verify_nonprojective" / "fan.json"), "--seed", "0"],
+        0,
+    ),
     # The chart dumps pin the triangular generators, the Hilbert basis
     # order, c, b and the dual basis of every maximal flag.
     ("charts_p112", ["charts", "p112"], 0),
