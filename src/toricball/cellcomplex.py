@@ -14,23 +14,18 @@ fan it is a regular cell structure with a single top cell.
 
 The verification routines certify that the closed flag simplices glue
 along exactly their shared sub-simplices (by integer identities on the
-charts' Hilbert rows and, once each, on the localization rules, with
-seeded samples as a cross-check of the float evaluators; b's values and
-distinct points rest on the exact gates of verify) and that every cell
-closure is again a combinatorial ball (by the link of each cone, read
-off the face lattice).
+charts' Hilbert rows and, once each, on the localization rules; b's
+values and distinct points rest on the exact gates of verify; no point
+is sampled) and that every cell closure is again a combinatorial ball
+(by the link of each cone, read off the face lattice).
 """
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 
 from .bary import enumerate_flags
-from .charts import EQUAL_TOL, Atlas, monomial_columns, scaled_gaps, shifted_columns, sup_gap
+from .charts import Atlas
 from .exact import pair
 from .fan import Cone, Fan, ridge_pairing
 
@@ -151,37 +146,11 @@ def build_orbit_complex(fan: Fan) -> OrbitComplex:
 # Gluing verification
 # ---------------------------------------------------------------------------
 
-SHARED_SAMPLES = 25  # verify_gluing's points per (maximal flag, nonempty proper prefix)
-
-
 @dataclass(frozen=True)
 class GluingReport:
     passed: bool
-    shared_samples: int
-    worst_shared_gap: float
     counterexamples: list
     identities: int
-
-
-def _simplex_samples(rng, dim, count):
-    """count points of the standard dim-simplex, dim >= 1: its vertices
-    but e_0 (the origin, where the cross-check cannot fail), then seeded
-    random points, every third of them forced onto the xi_0 = 0 stratum
-    (the face at infinity) when dim >= 2; at dim 1 that point is the
-    vertex e_1 again.  The random points' numbers are drawn in one list,
-    dim + 1 per point, in generator order."""
-    width = dim + 1
-    out = [tuple(float(j == i) for j in range(width)) for i in range(1, width)][:count]
-    draw = rng.random
-    raws = [draw() for _ in range((count - len(out)) * width)]
-    for p, raw in enumerate(zip(*[iter(raws)] * width)):
-        if dim >= 2 and p % 3 == 2:
-            raw = (0.0, *raw[1:])  # face at infinity
-        # Left to right: from Python 3.12 on, sum() of floats compensates
-        # its rounding and would move the samples off the 3.10/3.11 floats.
-        total = reduce(add, raw)
-        out.append(tuple([x / total for x in raw]))
-    return out
 
 
 def _compose(terms, vectors):
@@ -290,135 +259,18 @@ def gluing_identities(atlas: Atlas, flags):
     return count, failures
 
 
-def _telescoped_terms(generators, steps):
-    """Per generator h, the nonzero (t, <h, B_(t+1) - B_t>) pairs of the
-    telescoped monomial prod_t W_t^<h, B_(t+1) - B_t> (B_0 = 0, steps
-    a prefix of Flag.steps), in column order, so that monomial_columns
-    gives, per point, the floats of charts._monomials."""
-    return [tuple((t, e) for t, d in enumerate(steps) if (e := pair(h, d))) for h in generators]
-
-
-def _subflag_cross_check(atlas: Atlas, flags, rng, count):
-    """Float cross-check of the evaluators behind the identities above:
-    at count seeded points of each nonempty proper prefix subflag
-    S = F[:k], k = 1..n-1, of each maximal flag F (the vertices but the
-    origin, and the face at infinity, included), the chart point
-    localized to S's top cone tau (by the rule that the identities
-    certify) must match, within EQUAL_TOL, the telescoped monomials
-    prod_t W_t^<h', B_{t+1} - B_t>, computed from S alone.  Each face
-    map F -> tau between the zero cone and the top is sampled once, on
-    the prefix that ends at tau.
-
-    Each (F, k) is one batch, held a column per coordinate.  Its count
-    samples are drawn from rng in loop order, one list of numbers per
-    batch (_simplex_samples); the w columns are
-    homeo.check_barycentric's partial sums, added one column at a time
-    (past W_k the zero padding adds 0.0, which moves no float); the Hilbert
-    rows that the rule sigma -> tau reads (its alpha_terms and the terms
-    of each of its rows) and the telescoped rows go through
-    charts.monomial_columns; charts.shifted_columns, the batch form of
-    charts._shifted, applies the rule; and the gaps are charts.scaled_gaps'
-    terms, taken row by row and reduced per sample by sup_gap.  The
-    floats are the per-point floats: per point, each kernel does the
-    operations of its single-point form in the same order.  A product
-    starts from 1.0 and multiplies the same powers in term order, as
-    charts._monomials and charts._value_at do; a row is divided by
-    v_alpha**k only after charts._shifted's off-chart test; and each
-    float operation is correctly rounded, so equal operands give equal
-    results in a list or one at a time.  So every value, gap and
-    counterexample is the one of Atlas.localize(Atlas.chart_point(chart,
-    w), tau), point by point (tests/test_complex.py keeps that loop as
-    the reference), at a cost that follows the rule rather than
-    |H(sigma)|.  Each rule sigma -> tau is fetched from
-    Atlas._localization_rule once per call and kept with its read set,
-    and the telescoped terms of each prefix, which every maximal flag
-    through it shares, are computed once per call.
-
-    The origin is certified instead of sampled: the empty prefix, k = 0,
-    whose only point it is, and the vertex e_0 of every other prefix.
-    There every w_j is 1.0, so every Hilbert value, v_alpha, localized
-    row and telescoped row is a product of integer powers of 1.0 (a
-    localized row one over v_alpha's), exactly 1.0, and every gap is
-    0.0, for any integer chart data.
-
-    The full flag, k = n, is certified instead of sampled.  Its rule is
-    the identity, and its telescoped terms (_telescoped_terms) are the
-    nonzero (j, <h, B_j - B_(j-1)>) pairs of each h in H(sigma).  By
-    gluing_identities' rows and monomial_diagram's identities (a gate of
-    intersection_gluing) those are the nonzero entries of h's row of b,
-    which chart_invariants certifies to be exactly chart.hilbert_terms.
-    Both sides would multiply the same terms at the same w, so the gap
-    is 0.0 by construction.
-
-    A flag whose chart has the wrong number of Hilbert rows is skipped:
-    its Chart.hilbert_terms do not line up with H(sigma), which the
-    rules index, and gluing_identities already names the flag.
-
-    Returns (counterexamples, samples drawn, worst passing gap), the
-    counterexamples with gap None where the point does not localize or
-    a gap is NaN; every gap is computed in full."""
-    rules, telescoped = {}, {}
-    out, drawn, worst = [], 0, 0.0
-    for fi, flag in enumerate(flags):
-        chart = atlas.chart(flag)
-        sigma = chart.top_cone
-        if len(chart.hilbert_rows) != len(atlas.hilbert(sigma).generators):
-            continue  # gluing_identities names the row count; the rules' terms would not line up
-        n = len(flag)
-        for k in range(1, n):
-            members = flag.cones[:k]
-            tau = members[-1]
-            if (sigma.rays, tau.rays) not in rules:
-                rule = atlas._localization_rule(sigma, tau)
-                _, alpha_terms, rows, _ = rule
-                read = {i for i, _ in alpha_terms}.union(i for _, terms in rows for i, _ in terms)
-                rules[sigma.rays, tau.rays] = rule, sorted(read)
-            rule, read = rules[sigma.rays, tau.rays]
-            prefix = tuple(c.rays for c in members)
-            if prefix not in telescoped:
-                telescoped[prefix] = _telescoped_terms(atlas.hilbert(tau).generators, flag.steps[:k])
-            samples = _simplex_samples(rng, k, count)
-            size = len(samples)
-            sums, acc = [], [0.0] * size  # W_0..W_k: check_barycentric's partial sums
-            for column in zip(*samples):
-                acc = list(map(add, acc, column))
-                sums.append(acc)
-            w = sums + sums[-1:] * (n - k - 1)  # past W_k, the zero padding adds 0.0
-            values = monomial_columns([chart.hilbert_terms[i] for i in read], w, size)
-            off, local = shifted_columns(rule, dict(zip(read, values)), size)
-            tele = monomial_columns(telescoped[prefix], sums, size)
-            gaps = [sup_gap(g) for g in zip(*map(scaled_gaps, local, tele))]
-            drawn += size
-            for sub_xi, gap, o in zip(samples, gaps, off):
-                if o or not gap <= EQUAL_TOL:
-                    out.append(
-                        {
-                            "kind": "shared",
-                            "flag": fi,
-                            "subflag": [sorted(c.rays) for c in members],
-                            "xi": list(sub_xi),
-                            "gap": None if o or math.isnan(gap) else gap,
-                        }
-                    )
-                else:
-                    worst = max(worst, gap)
-    return out, drawn, worst
-
-
-def verify_gluing(atlas: Atlas, rng: random.Random | None = None) -> GluingReport:
+def verify_gluing(atlas: Atlas) -> GluingReport:
     """Certify that closed flag simplices intersect exactly in the closed
     simplex of the intersection flag.
 
     (i) Shared faces agree: exactly, by gluing_identities and, for b's
-    values, verify's monomial_diagram identities (a gate, as in (ii)),
-    with a float cross-check of the evaluators on the n - 1 nonempty
-    proper prefix subflags of each maximal flag, one per face map
-    between the zero cone and the top cone, at SHARED_SAMPLES points
-    each drawn from rng (random.Random(0) when None); the gap is 0.0 by
-    construction at the origin and on the full flag.  Each prefix's samples
-    are one batch, evaluated one column at a time by kernels whose
-    floats are those of the point-by-point route through
-    Atlas.localize.  See _subflag_cross_check.
+    values, verify's monomial_diagram identities (a gate, as in (ii)).
+    No point is sampled: the identities certify every localized row as
+    (<h', B_j - B_(j-1)>)_j, so a float comparison of the two sides
+    would measure only the rounding of the evaluators (see verify's
+    retired checks).  tests/test_complex.py compares the query path,
+    Atlas.localize(Atlas.chart_point(chart, w), tau), with the
+    telescoped monomials on every nonempty proper prefix subflag.
 
     (ii) Interior points of two different maximal flag simplices are
     distinct.  This is a corollary of three exact facts, not a sample:
@@ -448,14 +300,12 @@ def verify_gluing(atlas: Atlas, rng: random.Random | None = None) -> GluingRepor
     fails.  The float evaluators it rests on, the chart's triangular
     rows and their inversion, are sampled by verify's simplex_inversion.
 
-    Counterexamples are listed identities first, then shared.
+    Counterexamples are gluing_identities' witnesses, each of kind
+    "identity".
     """
-    flags = enumerate_flags(atlas.fan)
-    identities, witnesses = gluing_identities(atlas, flags)
-    rng = random.Random(0) if rng is None else rng
-    shared, drawn, worst = _subflag_cross_check(atlas, flags, rng, SHARED_SAMPLES)
-    counterexamples = [{"kind": "identity", **w} for w in witnesses] + shared
-    return GluingReport(not counterexamples, drawn, worst, counterexamples, identities)
+    identities, witnesses = gluing_identities(atlas, enumerate_flags(atlas.fan))
+    counterexamples = [{"kind": "identity", **w} for w in witnesses]
+    return GluingReport(not counterexamples, counterexamples, identities)
 
 
 # ---------------------------------------------------------------------------

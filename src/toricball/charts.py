@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat, zip_longest
-from operator import mul, sub, truediv
+from operator import mul, sub
 
 from . import cones as _ck
 from .bary import Flag, enumerate_flags, simplicial_coords
@@ -38,9 +38,9 @@ from .fan import Cone, Fan
 
 TWO_PI = 2.0 * math.pi
 # The one equality tolerance: values are equal when each of their
-# scaled_gaps is within it (Atlas.points_equal, cellcomplex's shared-face
-# cross-check, and psi_invert's residual, an absolute gap that is the
-# scaled gap on Delta_n, whose chart values lie in [0, 1]).
+# scaled_gaps is within it (Atlas.points_equal, and psi_invert's
+# residual, an absolute gap that is the scaled gap on Delta_n, whose
+# chart values lie in [0, 1]).  No check of verify reads it.
 EQUAL_TOL = 1e-9
 
 
@@ -448,25 +448,6 @@ def _shifted(rule, values):
     return (_value_at(values, terms) / v_alpha**k for k, terms in rows)
 
 
-def shifted_columns(rule, columns, count):
-    """A shift rule applied to a batch of count points, columns[i]
-    holding generator i's value at each point: (off, rows), off[s]
-    telling whether point s is off tau's open chart by _shifted's test,
-    and rows one list per generator of S_tau, its value at each point
-    (at an off point a value divided by 1.0 instead, which no caller
-    reads).  Per point, each float is _shifted's: v_alpha and each
-    row's value are _value_at's products (monomial_columns), and each
-    row is divided by v_alpha**k.  cellcomplex._subflag_cross_check
-    reads it, with the rule it fetched from Atlas._localization_rule."""
-    _, alpha_terms, rows, top = rule
-    (v_alpha,) = monomial_columns([alpha_terms], columns, count)
-    off = [v <= 0.0 or v**top == 0.0 for v in v_alpha]
-    if any(off):
-        v_alpha = [1.0 if o else v for o, v in zip(off, v_alpha)]
-    values = monomial_columns([terms for _, terms in rows], columns, count)
-    return off, [list(map(truediv, row, map(pow, v_alpha, repeat(k)))) for (k, _), row in zip(rows, values)]
-
-
 def sup_gap(gaps) -> float:
     """The largest of some nonnegative gaps (0.0 when there are none),
     or NaN as soon as one of them is NaN, so that a check reading it
@@ -483,10 +464,9 @@ def sup_gap(gaps) -> float:
 
 def scaled_gaps(xs, ys):
     """|a - b| / max(1, |a|, |b|) for each pair of values, lazily: the
-    terms of Atlas.points_equal's test (values_within) and of
-    cellcomplex's shared-face cross-check.  Lazy, since values_within
-    stops at the first gap past tol of values that _shifted yields one
-    at a time."""
+    terms of Atlas.points_equal's test (values_within).  Lazy, since
+    values_within stops at the first gap past tol of values that
+    _shifted yields one at a time."""
     return (abs(a - b) / max(1.0, abs(a), abs(b)) for a, b in zip(xs, ys))
 
 

@@ -287,8 +287,9 @@ def validate_fan(dim, rays, max_cones, require_complete=True, name="fan") -> Fan
 
     Raises NotPrimitiveRay / NotStronglyConvex / FaceIntersectionViolation
     for axiom violations, FanValidationError for other malformations
-    (an entry of dim, a ray or a cone that is not a finite integer among
-    them), and IncompleteFan when require_complete is set and the support
+    (an entry of dim, a ray or a cone that is not a finite integer, and
+    a ray index listed twice in one maximal cone, among them), and
+    IncompleteFan when require_complete is set and the support
     is proper.
 
     Each cone's dimension and strong convexity are read off its double
@@ -311,10 +312,14 @@ def validate_fan(dim, rays, max_cones, require_complete=True, name="fan") -> Fan
 
     max_sets = []
     for ci, mc in enumerate(max_cones):
-        s = frozenset(_integer(i, f"maximal cone {ci}") for i in mc)
+        indices = [_integer(i, f"maximal cone {ci}") for i in mc]
+        s = frozenset(indices)
         for i in s:
             if not 0 <= i < len(rays):
                 raise FanValidationError(f"ray index {i} out of range")
+        if len(s) != len(indices):
+            twice = next(i for k, i in enumerate(indices) if i in indices[:k])
+            raise FanValidationError(f"maximal cone {ci} lists ray {twice} twice")
         if s in max_sets:
             raise FanValidationError(f"maximal cone {sorted(s)} listed twice")
         max_sets.append(s)

@@ -4,32 +4,28 @@ Each check reads the shared Context (fan, atlas, maximal flag charts,
 its own seeded generator and the results of the checks before it; the
 rank is the fan's) and returns (passed, details), or None when it does
 not apply to the fan.  Checks run in table order.
-Each draws from a generator seeded by the run's seed and its own name,
-intersection_gluing included (it hands its generator to
-cellcomplex.verify_gluing), so a fixed seed and configuration give a
-byte-identical report, and adding, removing or reordering a check
-leaves every other entry unchanged.  Each sampling check fixes its own
-sample count and tolerance, its contract: INVERSION_SAMPLES points per
-group for simplex_inversion, each recovered within INVERSION_TOL
-(1e-10); cellcomplex.SHARED_SAMPLES per prefix for intersection_gluing,
-each scaled gap within charts.EQUAL_TOL (1e-9), the report's
-"tolerance".  nonextension_probe (rank 2) samples two fixed paths and
-holds them to three named thresholds: each path's second coordinate
-moves by at most PROBE_STABLE_TOL (1e-12), the two paths' second
-coordinates differ by more than PROBE_SEPARATION (0.1) of the larger,
-and each first coordinate at the last point is below PROBE_LIMIT_TOL
-(1e-10).
+Each runs under a generator seeded by the run's seed and its own name,
+so a fixed seed and configuration give a byte-identical report, and
+adding, removing or reordering a check leaves every other entry
+unchanged; intersection_gluing, exact, draws nothing from its own.
+simplex_inversion, the one sampling check, fixes its own sample count
+and tolerance, its contract: INVERSION_SAMPLES points per group, each
+recovered within INVERSION_TOL (1e-10).  nonextension_probe (rank 2)
+evaluates two fixed paths and holds them to three named thresholds:
+each path's second coordinate moves by at most PROBE_STABLE_TOL
+(1e-12), the two paths' second coordinates differ by more than
+PROBE_SEPARATION (0.1) of the larger, and each first coordinate at the
+last point is below PROBE_LIMIT_TOL (1e-10).  No check reads
+charts.EQUAL_TOL.
 
-The float cross-checks are sized by the rank n, not by the Hilbert
+The float cross-check is sized by the rank n, not by the Hilbert
 basis.  A chart's point is fixed by its n triangular rows, and the exact
 gates certify every other row: monomial_diagram's identities each b row
 as linear in h (the only certificate of b's values), chart_invariants
 that Chart.terms is exactly b's nonzero entries, and intersection_gluing's
 identities, with that gate, every localized row (each flag's Hilbert
 rows by generator, and each localization rule once, in M).
-So simplex_inversion evaluates the n triangular rows only, and
-intersection_gluing's shared half only the rows each localization rule
-reads (cellcomplex._subflag_cross_check).
+So simplex_inversion evaluates the n triangular rows only.
 A NaN gap fails its check and is reported as null, so that the report
 stays strict JSON.
 
@@ -55,15 +51,9 @@ bare batch kernels: charts.monomial_columns on the chart's terms[:n],
 then charts.invert_triangular.  Per point, the kernels do the float
 operations of the single-point evaluator charts._monomials and of
 point-by-point back-substitution, in the same order: every product
-starts from 1.0 and multiplies the row's terms in column order.
-intersection_gluing's shared half runs the same way, one batch per
-(maximal flag, nonempty proper prefix subflag): the read Hilbert rows
-and the telescoped rows through the same monomial kernel, the rule through
-charts.shifted_columns, the batch form of charts._shifted, and the gaps
-through charts.scaled_gaps, the terms of Atlas.points_equal.  So
+starts from 1.0 and multiplies the row's terms in column order.  So
 each sampled float, and each report, is the one a point-by-point loop
-gives (tests/test_charts.py and tests/test_complex.py keep those loops
-as the reference).
+gives (tests/test_charts.py keeps that loop as the reference).
 
 Retired checks, which no input that verify accepts can fail or which
 another check already runs, and the facts that cover them:
@@ -134,12 +124,39 @@ another check already runs, and the facts that cover them:
   doubled triangular generator whose values stay far below
   charts.EQUAL_TOL, an edit the identities fail
   (test_doubled_pairing_row_fails_the_identities).
-- intersection_gluing's shared samples at the origin: the empty prefix
-  subflag of each maximal flag, and the vertex e_0 of every other
-  prefix.  At the origin every w_j is 1.0, so every Hilbert value,
-  v_alpha, localized row and telescoped row is exactly 1.0 and every
-  gap is 0.0, for any integer chart data
-  (cellcomplex._subflag_cross_check).
+- intersection_gluing's shared samples: 25 seeded points per (maximal
+  flag F, nonempty proper prefix S = F[:k]), where the chart point
+  localized to S's top cone tau had to match the telescoped monomials
+  prod_t W_t^<h', B_(t+1) - B_t> within charts.EQUAL_TOL (the origin
+  and the full flag were certified instead of sampled: there every
+  gap is 0.0 by construction).  gluing_identities' rows and rules,
+  with monomial_diagram's identities, certify each localized row as
+  (<h', B_j - B_(j-1)>)_j, so both sides are one monomial in w and the
+  samples measured only the rounding of batch kernels that nothing else
+  reads.  That rounding stays far below the tolerance on every fan,
+  underflowing ones included.  On S's closed simplex w_j = W_k, the
+  sum of all the xi, so about 1, for every j > k.  chart_invariants
+  certifies b >= 0, and the rule's alpha = sum_h a_h h, a_h >= 0,
+  vanishes on tau, so sum_h a_h b_hj = <alpha, B_j - B_(j-1)> = 0 for
+  j <= k, which gives b_hj = 0 for every h in alpha's support.  So
+  v_alpha is a product of powers of W_k alone: it is never small, no
+  point leaves tau's chart, and dividing by v_alpha^k amplifies
+  nothing.  Each localized value is W_k to some power times a monomial
+  in w_1 <= ... <= w_k <= W_k whose exponents <h', B_j - B_(j-1)> are
+  nonnegative (h' is nonnegative on tau's rays), and likewise each
+  telescoped one.  So every value lies in [0, 1 + O(E u)], E an
+  exponent sum and u the unit roundoff, each scaled gap is an absolute
+  one,
+  gap <~ (ops + E) u for ops float operations per value, and an
+  underflow moves a value by an absolute amount far below the
+  tolerance.  The goldens' samples read at most 1.3e-14.
+  tests/test_complex.py::test_subflag_cross_check_matches_the_per_point_reference
+  keeps the comparison, through the query path
+  Atlas.localize(Atlas.chart_point(chart, w), tau)
+  (tests/conftest.py::shared_face_gaps); at random.Random(0) its worst
+  gaps are 2.6e-14 on steep_119, 8.9e-14 on P(1,1,400), and 3.3e-12
+  and 6.2e-13 on tests/conftest.py::stellar_fan(p3, 6, 12, s) at
+  s = 0 and 3.
 
 Negative controls, each a test in tests/test_verify.py unless named:
 
@@ -200,15 +217,13 @@ Negative controls, each a test in tests/test_verify.py unless named:
 - intersection_gluing: a perturbed localization rule row or cutting
   functional, two Hilbert rows swapped in hilbert_rows (which
   chart_invariants and monomial_diagram pass), hilbert_rows one row
-  short or one row long, named by the row-count witness with no float
-  cross-check of that flag
+  short or one row long, named by the row-count witness
   (test_complex.py::test_gluing_identity_fails_on_hilbert_row_count),
   and a perturbed Hilbert
   row of b or --tamper's b (failed through the monomial_diagram gate),
   each also failing the per-flag reference test_complex.py::_per_flag_identities
   (test_complex.py::test_gluing_identity_fails_on_*); --tamper on p2,
-  which names monomial_diagram as a failed gate; a NaN localized value
-  (test_complex.py::test_subflag_cross_check_fails_on_nan_gap); a
+  which names monomial_diagram as a failed gate; a
   localization rule cut short by one row, which the per-flag reference
   misses (test_complex.py::test_gluing_identity_fails_on_truncated_rule);
   a zero cutting functional, which vanishes on sigma's rays off tau
@@ -392,15 +407,13 @@ def _intersection_gluing(ctx):
     identities on the shared faces, whose b values rest on the
     monomial_diagram gate; distinct interior points by the exact
     corollary of cellcomplex.verify_gluing, which rests on both gates of
-    _distinct_gates; float cross-checks of the evaluators on both halves."""
-    glue = cellcomplex.verify_gluing(ctx.atlas, rng=ctx.rng)
+    _distinct_gates.  No point is sampled on either half."""
+    glue = cellcomplex.verify_gluing(ctx.atlas)
     gates = _distinct_gates(ctx.results)
     return glue.passed and all(gates.values()), {
         "identities": glue.identities,
         "coverage": {"shared": "exact", "distinct": "exact"},
         "gates": gates,
-        "shared_samples": glue.shared_samples,
-        "worst_shared_gap": glue.worst_shared_gap,
         "counterexamples": glue.counterexamples[:5],
     }
 
@@ -484,8 +497,7 @@ def run_verification(fan: Fan, seed: int = 0, tamper: bool = False, timings=None
     stored in it under the check's name; the report does not change.
     Raises SettingsError, a ValueError, once the charts are built, when
     tamper is set on a fan with no chart (rank 0), where a negative
-    control would perturb nothing and pass.  The report's "tolerance" is
-    charts.EQUAL_TOL, the bound of intersection_gluing's scaled gaps.
+    control would perturb nothing and pass.
     """
     atlas = charts.Atlas(fan)
     chart_list = atlas.charts()
@@ -516,7 +528,6 @@ def run_verification(fan: Fan, seed: int = 0, tamper: bool = False, timings=None
         "fan": fan.name,
         "dim": fan.dim,
         "seed": seed,
-        "tolerance": charts.EQUAL_TOL,
         "passed": all(c["passed"] for c in checks),
         "checks": checks,
     }

@@ -2,13 +2,16 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
 import toricball as tb
 from toricball.bary import Flag, barycenter
+from toricball import charts
 from toricball.charts import TWO_PI
-from toricball.exact import primitive, vec, vscale
+from toricball.exact import pair, primitive, vec, vscale
 from toricball.fan import Fan, _build_cone
 
 # Atlases are expensive to warm up (Hilbert bases, localization rules),
@@ -78,6 +81,72 @@ def bary_to_delta(xi):
         acc = acc + x
         out.append(acc)
     return tuple(out)
+
+
+def simplex_samples(rng, dim, count):
+    """count points of the standard dim-simplex, dim >= 1: its vertices
+    but e_0 (the origin, where every chart value is exactly 1.0), then
+    seeded random points, every third of them forced onto the xi_0 = 0
+    stratum (the face at infinity) when dim >= 2; at dim 1 that point is
+    the vertex e_1 again.  The random points' numbers are drawn in one
+    list, dim + 1 per point, in generator order."""
+    width = dim + 1
+    out = [tuple(float(j == i) for j in range(width)) for i in range(1, width)][:count]
+    draw = rng.random
+    raws = [draw() for _ in range((count - len(out)) * width)]
+    for p, raw in enumerate(zip(*[iter(raws)] * width)):
+        if dim >= 2 and p % 3 == 2:
+            raw = (0.0, *raw[1:])  # face at infinity
+        # Left to right: from Python 3.12 on, sum() of floats compensates
+        # its rounding and would move the samples off the 3.10/3.11 floats.
+        total = reduce(add, raw)
+        out.append(tuple([x / total for x in raw]))
+    return out
+
+
+def telescoped_terms(generators, steps):
+    """Per generator h, the nonzero (t, <h, B_(t+1) - B_t>) pairs of the
+    telescoped monomial prod_t W_t^<h, B_(t+1) - B_t> (B_0 = 0, steps a
+    prefix of Flag.steps), in column order, as charts._monomials reads
+    a row."""
+    return [tuple((t, e) for t, d in enumerate(steps) if (e := pair(h, d))) for h in generators]
+
+
+def shared_face_gaps(atlas, rng, count=25):
+    """The shared faces' float agreement on the query path: at count
+    points (simplex_samples) of each nonempty proper prefix S = F[:k] of
+    each maximal flag F, padded with xi = 0 past S, the chart point
+    localized to S's top cone tau,
+    Atlas.localize(Atlas.chart_point(chart, w), tau), against the
+    telescoped monomials prod_t W_t^<h', B_(t+1) - B_t> of S alone, by
+    the sup of charts.scaled_gaps.  cellcomplex.gluing_identities
+    certifies that the two sides are one monomial in w, so a gap here is
+    the rounding of the query path alone.  Returns (counterexamples,
+    samples drawn, worst passing gap), a counterexample's gap None where
+    the point does not localize or a gap is NaN."""
+    out, drawn, worst = [], 0, 0.0
+    for fi, flag in enumerate(tb.enumerate_flags(atlas.fan)):
+        chart, n = atlas.chart(flag), len(flag)
+        for k in range(1, n):
+            members = flag.cones[:k]
+            tau = members[-1]
+            terms = telescoped_terms(atlas.hilbert(tau).generators, flag.steps[:k])
+            for sub_xi in simplex_samples(rng, k, count):
+                w = bary_to_delta(sub_xi + (0.0,) * (n - k))
+                telescoped = charts._monomials(terms, bary_to_delta(sub_xi))  # at W_0..W_(k-1)
+                drawn += 1
+                try:
+                    local = atlas.localize(atlas.chart_point(chart, w), tau).values
+                    gap = charts.sup_gap(charts.scaled_gaps(local, telescoped))
+                except charts.NotInOpenSet:
+                    gap = math.nan
+                if gap <= charts.EQUAL_TOL:
+                    worst = max(worst, gap)
+                else:
+                    subflag = [sorted(c.rays) for c in members]
+                    gap = None if math.isnan(gap) else gap
+                    out.append({"flag": fi, "subflag": subflag, "xi": list(sub_xi), "gap": gap})
+    return out, drawn, worst
 
 
 def cube_faces_fan():

@@ -2,7 +2,8 @@
 (tests/test_tooling.py passes this file and -p compensated_sum to a
 pytest subprocess; its name keeps it out of the plain tier-1 run).
 
-cellcomplex._simplex_samples normalizes each sample by a left-to-right
+conftest.simplex_samples, the sampler of the shared-face cross-check
+(conftest.shared_face_gaps), normalizes each sample by a left-to-right
 sum.  A copy that calls sum(raw) instead gives the same samples on
 Python 3.10 and 3.11, but under the plugin, as under Python 3.12, some
 of them move: so a float sum() left in a sampled path would move the
@@ -13,12 +14,12 @@ import builtins
 import random
 
 from compensated_sum import compensated_sum
-from toricball import cellcomplex
+from conftest import simplex_samples
 
 
 def _simplex_samples_by_sum(rng, dim, count):
-    """cellcomplex._simplex_samples with its left-to-right sum replaced
-    by sum(raw)."""
+    """conftest.simplex_samples with its left-to-right sum replaced by
+    sum(raw)."""
     width = dim + 1
     out = [tuple(float(j == i) for j in range(width)) for i in range(1, width)][:count]
     draw = rng.random
@@ -36,10 +37,10 @@ def test_plugin_is_installed():
 
 
 def test_sum_in_simplex_samples_moves_them():
-    """The 25 samples of a 4-simplex at seed 0, the count of
-    intersection_gluing's shared half: the copy's differ from the
-    library's."""
-    library = cellcomplex._simplex_samples(random.Random(0), 4, 25)
+    """The 25 samples of a 4-simplex at seed 0, the count of the
+    shared-face cross-check: the sum() copy's differ from the
+    left-to-right sampler's."""
+    left_to_right = simplex_samples(random.Random(0), 4, 25)
     copy = _simplex_samples_by_sum(random.Random(0), 4, 25)
-    assert len(copy) == len(library) == 25
-    assert copy != library
+    assert len(copy) == len(left_to_right) == 25
+    assert copy != left_to_right

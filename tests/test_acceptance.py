@@ -26,7 +26,7 @@ from toricball.homeo import (
     phi_coords,
 )
 
-from conftest import get_atlas, get_fan, phi_inverse_coords
+from conftest import get_atlas, get_fan, phi_inverse_coords, shared_face_gaps
 from test_cones import box_points_in_dual, oracle_generates
 
 BUNDLED = list(tb.BUNDLED_FANS)
@@ -161,13 +161,16 @@ def test_criterion_06_rescaling_calculus():
 
 
 def test_criterion_07_intersection_gluing():
+    """The exact certificate passes, and the query path agrees with it on
+    every shared face within charts.EQUAL_TOL (conftest.shared_face_gaps)."""
     worst = 0.0
     for name in BUNDLED:
         atlas = get_atlas(name)
-        rep = verify_gluing(atlas, rng=random.Random(7))
-        worst = max(worst, rep.worst_shared_gap)
-        if not rep.passed:
-            report(7, False, f"{name}: {rep.counterexamples[:2]}")
+        rep = verify_gluing(atlas)
+        found, _, gap = shared_face_gaps(atlas, random.Random(7))
+        worst = max(worst, gap)
+        if not rep.passed or found:
+            report(7, False, f"{name}: {rep.counterexamples[:2]} {found[:2]}")
     report(7, True, f"worst shared gap {worst:.3e}")
 
 

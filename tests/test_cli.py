@@ -160,6 +160,15 @@ def test_validate_invalid(tmp_path, capsys):
     assert main(["validate", str(f)]) == 2
 
 
+def test_validate_rejects_a_ray_twice_in_one_cone(tmp_path, capsys):
+    """P^2 with ray 0 listed twice in its first cone is not read as the
+    cone {0, 1}: exit 2, naming the cone and the index."""
+    f = tmp_path / "ray_twice.json"
+    f.write_text('{"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "max_cones": [[0, 0, 1], [1, 2], [2, 0]]}')
+    assert main(["validate", str(f)]) == 2
+    assert "maximal cone 0 lists ray 0 twice" in capsys.readouterr().err
+
+
 def test_validate_unreadable_input(tmp_path, capsys):
     """A missing file and a directory exit 1 with the error on stderr,
     not a traceback."""

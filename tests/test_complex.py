@@ -18,7 +18,10 @@ from conftest import (
     drop_first_term,
     incomplete_fans,
     p2_with_terms,
+    shared_face_gaps,
+    simplex_samples,
     stellar_fan,
+    telescoped_terms,
     unvalidated_fan,
     wps_fan,
 )
@@ -190,52 +193,33 @@ def test_orbit_euler_all(p1, p2, p1xp1, p3, cube_fan, p112, twisted_p3):
 
 def test_verify_gluing_p2(atlas_p2):
     report = verify_gluing(atlas_p2)
-    assert report.passed
-    assert report.worst_shared_gap <= 1e-9
+    assert report.passed and report.counterexamples == []
     # Rows: |H(sigma)| = 2 per maximal flag.  Rules, once per maximal cone
     # sigma: one cutting functional plus |H(tau)| rows per proper face
     # tau, with |H| = 3 on each of its two rays and 4 on the zero cone:
     # (1 + 3) + (1 + 3) + (1 + 4) = 13.
     assert report.identities == 6 * 2 + 3 * 13
-    assert report.shared_samples == 6 * 1 * 25  # (flag, nonempty proper prefix subflag) x samples
-
-
-def test_verify_gluing_defaults_draw_25_samples_per_prefix(atlas_p2):
-    """Called with its defaults, verify_gluing samples 25 points of each
-    (maximal flag, nonempty proper prefix) of P^2: 6 flags, 1 prefix
-    each, the flag's ray."""
-    report = verify_gluing(atlas_p2)
-    assert report.passed and report.shared_samples == 6 * 1 * 25
 
 
 @pytest.mark.parametrize("name", ["p2", "p3"])
 def test_subflag_cross_check_samples_each_prefix_top(monkeypatch, name):
-    """The shared half localizes one batch of count samples of each
-    maximal flag's chart to each of its n - 1 nonempty proper prefix
-    tops (each cone of the flag but the last, in order; never the zero
-    cone), through charts.shifted_columns and nothing else."""
+    """The reference cross-check (conftest.shared_face_gaps) localizes
+    count samples of each maximal flag's chart point to each of its
+    n - 1 nonempty proper prefix tops (each cone of the flag but the
+    last, in order; never the zero cone), through Atlas.chart_point and
+    Atlas.localize, the query path."""
     atlas = tb.Atlas(tb.load_bundled(name))
     flags = tb.enumerate_flags(atlas.fan)
     calls = []
-    shifted_columns = cellcomplex.shifted_columns
-
-    def spy(rule, columns, count):
-        calls.append((*_rule_key(atlas, rule), count, {len(c) for c in columns.values()}))
-        return shifted_columns(rule, columns, count)
-
-    monkeypatch.setattr(cellcomplex, "shifted_columns", spy)
-    monkeypatch.setattr(atlas, "localize", lambda p, tau: pytest.fail("a sample localized point by point"))
-    report = verify_gluing(atlas)
-    assert report.passed
+    chart_point, localize = atlas.chart_point, atlas.localize
+    monkeypatch.setattr(atlas, "chart_point", lambda chart, w: calls.append(("point", chart.flag)) or chart_point(chart, w))
+    monkeypatch.setattr(atlas, "localize", lambda p, tau: calls.append(("localize", tau.rays)) or localize(p, tau))
+    found, drawn, _ = shared_face_gaps(atlas, random.Random(0))
     count, n = 25, atlas.fan.dim
-    assert calls == [(flag.cones[-1].rays, tau.rays, count, {count}) for flag in flags for tau in flag.cones[:-1]]
-    assert report.shared_samples == len(flags) * (n - 1) * count
-
-
-def _rule_key(atlas, rule):
-    """The (sigma rays, tau rays) under which atlas cached a
-    localization rule: shifted_columns gets the rule alone."""
-    return next(key for key, cached in atlas._local_rules.items() if cached is rule)
+    expected = [
+        call for flag in flags for tau in flag.cones[:-1] for _ in range(count) for call in (("point", flag), ("localize", tau.rays))
+    ]
+    assert found == [] and calls == expected and drawn == len(flags) * (n - 1) * count
 
 
 def _gluing_fan(name):
@@ -245,99 +229,52 @@ def _gluing_fan(name):
         return wps_fan(2, 400)
     if name == "steep_119":
         return validate_fan(2, [(1, 0), (-1, 119), (-1, 0), (0, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]])
+    if name.startswith("stellar_"):
+        return stellar_fan(tb.load_bundled("p3"), 6, 12, int(name.partition("_")[2]))
     return tb.load_bundled(name)
 
 
+def _read_rows(atlas, sigma, tau):
+    """The Hilbert rows of sigma that the localization rule sigma -> tau
+    reads: its cutting functional's and those of its rows."""
+    _, alpha_terms, rows, _ = atlas._localization_rule(sigma, tau)
+    return {i for i, _ in alpha_terms} | {i for _, terms in rows for i, _ in terms}
+
+
 @pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, "wps_1_1_1_9"])
-def test_subflag_read_rows_localize_as_the_chart_point(monkeypatch, name):
-    """Each batch of the shared half carries only the Hilbert rows that
-    the rule sigma -> tau reads, and localizes each of its samples to
-    the floats of Atlas.localize(Atlas.chart_point(chart, w), tau), bit
-    for bit: the samples are replayed from verify_gluing's seed in its
-    loop order."""
+def test_subflag_read_rows_localize_as_the_chart_point(name):
+    """Localizing a chart point to a nonempty proper prefix top tau reads
+    only the Hilbert rows that the rule sigma -> tau names: a point
+    carrying those rows alone localizes to the floats of
+    Atlas.localize(Atlas.chart_point(chart, w), tau), bit for bit, at
+    the reference samples."""
     atlas = tb.Atlas(_gluing_fan(name))
-    flags = tb.enumerate_flags(atlas.fan)
-    seen = []
-    shifted_columns = cellcomplex.shifted_columns
-
-    def spy(rule, columns, count):
-        off, rows = shifted_columns(rule, columns, count)
-        tau = atlas.fan.cone(_rule_key(atlas, rule)[1])
-        seen.extend((set(columns), tau, o, [row[s] for row in rows]) for s, o in enumerate(off))
-        return off, rows
-
-    monkeypatch.setattr(cellcomplex, "shifted_columns", spy)
-    assert verify_gluing(atlas, rng=random.Random(3)).passed
-    rng, count = random.Random(3), 25
-    expected = []
-    for flag in flags:
-        chart, n = atlas.chart(flag), len(flag)
+    rng, count, compared = random.Random(3), 25, 0
+    for chart in atlas.charts():
+        flag, n = chart.flag, chart.n
         for k in range(1, n):
             tau = flag.cones[k - 1]
-            _, alpha_terms, rows, _ = atlas._localization_rule(chart.top_cone, tau)
-            read = {i for i, _ in alpha_terms} | {i for _, terms in rows for i, _ in terms}
-            for xi in cellcomplex._simplex_samples(rng, k, count):
-                w = bary_to_delta(xi + (0.0,) * (n - k))
-                expected.append((read, tau, atlas.localize(atlas.chart_point(chart, w), tau).values))
-    assert len(seen) == len(expected) == len(flags) * (atlas.fan.dim - 1) * count
-    for (read, tau, off, local), (want_read, want_tau, want) in zip(seen, expected):
-        assert read == want_read and tau == want_tau and not off
-        assert list(map(float.hex, local)) == list(map(float.hex, want))
+            read = _read_rows(atlas, chart.top_cone, tau)
+            assert read <= set(range(len(chart.hilbert_rows)))
+            for xi in simplex_samples(rng, k, count):
+                full = atlas.chart_point(chart, bary_to_delta(xi + (0.0,) * (n - k)))
+                partial = tb.ToricPoint(chart.top_cone, {i: full.values[i] for i in read})
+                want = atlas.localize(full, tau).values
+                assert list(map(float.hex, atlas.localize(partial, tau).values)) == list(map(float.hex, want))
+                compared += 1
+    assert compared == len(atlas.charts()) * (atlas.fan.dim - 1) * count
 
 
 @pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, "wps_1_1_1_9"])
 def test_full_prefix_telescoped_terms_are_the_hilbert_terms(name):
-    """The certificate for the unsampled prefix k = n: on every maximal
-    flag, the telescoped terms of H(sigma) over the whole flag are
-    chart.hilbert_terms, so both sides of the shared half would multiply
-    the same terms at the same point."""
+    """Why the reference cross-check samples no full flag, k = n: on
+    every maximal flag, the telescoped terms of H(sigma) over the whole
+    flag are chart.hilbert_terms, so both sides would multiply the same
+    terms at the same point."""
     atlas = tb.Atlas(_gluing_fan(name))
     for chart in atlas.charts():
         generators = atlas.hilbert(chart.top_cone).generators
-        assert tuple(cellcomplex._telescoped_terms(generators, chart.flag.steps)) == chart.hilbert_terms
-
-
-def _per_point_cross_check(atlas, flags, rng, count):
-    """The point-by-point loop that cellcomplex._subflag_cross_check
-    batches, kept as its reference: each sample becomes a ToricPoint
-    carrying the read Hilbert rows, is localized by Atlas.localize and
-    compared with the telescoped monomials of its own subflag.  Returns
-    (counterexamples, samples drawn, worst passing gap)."""
-    out, drawn, worst = [], 0, 0.0
-    for fi, flag in enumerate(flags):
-        chart = atlas.chart(flag)
-        if len(chart.hilbert_rows) != len(atlas.hilbert(chart.top_cone).generators):
-            continue
-        n = len(flag)
-        for k in range(1, n):
-            members = flag.cones[:k]
-            tau = members[-1]
-            _, alpha_terms, rows, _ = atlas._localization_rule(chart.top_cone, tau)
-            read = sorted({i for i, _ in alpha_terms}.union(i for _, terms in rows for i, _ in terms))
-            read_terms = [chart.hilbert_terms[i] for i in read]
-            terms = cellcomplex._telescoped_terms(atlas.hilbert(tau).generators, flag.steps[:k])
-            for sub_xi in cellcomplex._simplex_samples(rng, k, count):
-                w = bary_to_delta(sub_xi + (0.0,) * (n - k))
-                point = tb.ToricPoint(chart.top_cone, dict(zip(read, charts._monomials(read_terms, w))))
-                telescoped = charts._monomials(terms, bary_to_delta(sub_xi))  # at W_0..W_{k-1}
-                drawn += 1
-                try:
-                    gap = charts.sup_gap(charts.scaled_gaps(atlas.localize(point, tau).values, telescoped))
-                except charts.NotInOpenSet:
-                    gap = math.nan
-                if not gap <= charts.EQUAL_TOL:
-                    out.append(
-                        {
-                            "kind": "shared",
-                            "flag": fi,
-                            "subflag": [sorted(c.rays) for c in members],
-                            "xi": list(sub_xi),
-                            "gap": None if math.isnan(gap) else gap,
-                        }
-                    )
-                else:
-                    worst = max(worst, gap)
-    return out, drawn, worst
+        assert tuple(telescoped_terms(generators, chart.flag.steps)) == chart.hilbert_terms
 
 
 def test_simplex_samples_normalize_by_a_left_to_right_sum():
@@ -355,7 +292,7 @@ def test_simplex_samples_normalize_by_a_left_to_right_sum():
 
     assert math.fsum(draws) != (draws[0] + draws[1]) + draws[2] == 0.5
     vertices = [(0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
-    assert cellcomplex._simplex_samples(Stub(), 2, 3) == [*vertices, (1.0, 2.0**-53, 2.0**-53)]
+    assert simplex_samples(Stub(), 2, 3) == [*vertices, (1.0, 2.0**-53, 2.0**-53)]
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -366,7 +303,7 @@ def test_simplex_samples_skip_the_origin(dim):
     point is forced there, where it would be e_1 again, so all 25 points
     are distinct (the sampler that listed e_0 and forced every third
     point gave 17 distinct points at dim 1 from random.Random(0))."""
-    samples = cellcomplex._simplex_samples(random.Random(0), dim, 25)
+    samples = simplex_samples(random.Random(0), dim, 25)
     origin = (1.0,) + (0.0,) * dim
     vertices = [tuple(float(j == i) for j in range(dim + 1)) for i in range(1, dim + 1)]
     assert len(samples) == len(set(samples)) == 25 and origin not in samples
@@ -390,7 +327,7 @@ def test_simplex_samples_draw_one_list_per_batch(dim, count):
             return float(self.calls)
 
     rng = Counting()
-    samples = cellcomplex._simplex_samples(rng, dim, count)
+    samples = simplex_samples(rng, dim, count)
     width, points = dim + 1, max(count - dim, 0)
     assert rng.calls == points * width and len(samples) == count
     assert samples[:dim] == [tuple(float(j == i) for j in range(width)) for i in range(1, width)][:count]
@@ -413,70 +350,56 @@ def _tamper(atlas):
 @pytest.mark.parametrize("tampered", [False, True], ids=["intact", "tamper"])
 @pytest.mark.parametrize("name", tb.BUNDLED_FANS)
 def test_shared_half_cannot_fail_at_the_origin(monkeypatch, name, tampered):
-    """The certificate for the unsampled origin: at w = (1, ..., 1), on
-    every maximal flag and every proper prefix, the empty one included,
-    the shared half's kernels give every read Hilbert value, v_alpha,
-    localized row and telescoped row exactly 1.0, no point off tau's
-    chart and every gap 0.0; also with --tamper's edit of b.  So
-    verify_gluing draws no sample there (xi_0 = 1)."""
+    """Why the reference cross-check samples no origin: at w = (1, ..., 1),
+    on every maximal flag and every proper prefix, the empty one
+    included, the query path Atlas.localize(Atlas.chart_point(chart, w),
+    tau) and the telescoped monomials give exactly 1.0 for every value,
+    and every gap is 0.0; also with --tamper's edit of b.  So
+    conftest.simplex_samples draws no point with xi_0 = 1."""
+    import conftest
+
     atlas = tb.Atlas(tb.load_bundled(name))
     if tampered:
         _tamper(atlas)
     batches = []
-    simplex_samples = cellcomplex._simplex_samples
-    monkeypatch.setattr(
-        cellcomplex, "_simplex_samples", lambda *args: batches.append(simplex_samples(*args)) or batches[-1]
-    )
-    verify_gluing(atlas)
+    sampler = conftest.simplex_samples
+    monkeypatch.setattr(conftest, "simplex_samples", lambda *args: batches.append(sampler(*args)) or batches[-1])
+    shared_face_gaps(atlas, random.Random(0))
     assert len(batches) == len(atlas.charts()) * (atlas.fan.dim - 1)
     assert all(xi[0] < 1.0 for batch in batches for xi in batch)
     zero = atlas.fan.zero_cone()
     for chart in atlas.charts():
         flag, n = chart.flag, chart.n
-        ones = [[1.0]] * n
         for k in range(n):
             tau = flag.cones[k - 1] if k else zero
-            rule = atlas._localization_rule(chart.top_cone, tau)
-            _, alpha_terms, rows, _ = rule
-            read = sorted({i for i, _ in alpha_terms} | {i for _, terms in rows for i, _ in terms})
-            values = monomial_columns([chart.hilbert_terms[i] for i in read], ones, 1)
-            (v_alpha,) = monomial_columns([alpha_terms], dict(zip(read, values)), 1)
-            off, local = charts.shifted_columns(rule, dict(zip(read, values)), 1)
+            point = atlas.chart_point(chart, (1.0,) * n)
+            local = atlas.localize(point, tau).values
             generators = atlas.hilbert(tau).generators
-            tele = monomial_columns(cellcomplex._telescoped_terms(generators, flag.steps[:k]), ones[: k + 1], 1)
-            assert off == [False] and len(local) == len(tele) == len(generators)
-            assert {x for row in (*values, v_alpha, *local, *tele) for x in row} <= {1.0}
-            assert [g for a, b in zip(local, tele) for g in charts.scaled_gaps(a, b)] == [0.0] * len(generators)
+            tele = charts._monomials(telescoped_terms(generators, flag.steps[:k]), (1.0,) * k)
+            assert len(local) == len(tele) == len(generators)
+            assert set(point.values) | set(local) | set(tele) == {1.0}
+            assert list(charts.scaled_gaps(local, tele)) == [0.0] * len(generators)
 
 
-def _batch_and_per_point(atlas, seed):
-    """The batch cross-check and its per-point reference at one seed,
-    SHARED_SAMPLES per prefix as in verify_gluing: each as
-    (counterexamples with xi and gap written by float.hex, worst passing
-    gap by float.hex, samples drawn)."""
-    flags = tb.enumerate_flags(atlas.fan)
-    out = []
-    for check in (cellcomplex._subflag_cross_check, _per_point_cross_check):
-        found, drawn, worst = check(atlas, flags, random.Random(seed), cellcomplex.SHARED_SAMPLES)
-        hexed = [
-            {**c, "xi": list(map(float.hex, c["xi"])), "gap": None if c["gap"] is None else c["gap"].hex()}
-            for c in found
-        ]
-        out.append((hexed, worst.hex(), drawn))
-    return out
-
-
-@pytest.mark.parametrize("name", [*tb.BUNDLED_FANS, "wps_1_1_1_9", "wps_1_1_400", "steep_119"])
+@pytest.mark.parametrize(
+    "name", [*tb.BUNDLED_FANS, "wps_1_1_1_9", "wps_1_1_400", "steep_119", "stellar_0", "stellar_3"]
+)
 @pytest.mark.python_O
 def test_subflag_cross_check_matches_the_per_point_reference(name):
-    """The batch cross-check gives the per-point loop's counterexamples
-    in order, its worst_shared_gap bit for bit and its sample count, at
-    seeds 0 and 3."""
+    """The shared faces' float agreement, on the query path: at seeds 0
+    and 3, 25 points of each nonempty proper prefix of each maximal flag
+    localize, by Atlas.localize(Atlas.chart_point(chart, w), tau), to
+    the telescoped monomials of the prefix alone within
+    charts.EQUAL_TOL (conftest.shared_face_gaps), as verify_gluing's
+    exact identities say.  The fans include those whose values underflow
+    elsewhere (P(1,1,400), steep_119 and two seeded stellar subdivisions
+    of P^3), which this half never meets (see verify's retired checks)."""
     atlas = tb.Atlas(_gluing_fan(name))
+    assert verify_gluing(atlas).passed
     for seed in (0, 3):
-        batch, reference = _batch_and_per_point(atlas, seed)
-        assert batch == reference, seed
-        assert batch[2] == len(tb.enumerate_flags(atlas.fan)) * (atlas.fan.dim - 1) * 25
+        found, drawn, worst = shared_face_gaps(atlas, random.Random(seed))
+        assert found == [] and worst <= charts.EQUAL_TOL, seed
+        assert drawn == len(tb.enumerate_flags(atlas.fan)) * (atlas.fan.dim - 1) * 25
 
 
 def _with_w1_in_alpha(atlas, exponent):
@@ -491,80 +414,96 @@ def _with_w1_in_alpha(atlas, exponent):
     assert top == 2 and rows[i][0][0] != 0
     rows[i] = ((0, exponent), *rows[i])
     chart.__dict__["hilbert_terms"] = tuple(rows)
+    return chart
 
 
 @pytest.mark.parametrize("exponent", [1, math.nan, 1000], ids=["extra_w1", "nan_value", "off_chart"])
 @pytest.mark.python_O
 def test_subflag_cross_check_matches_the_per_point_reference_on_failures(monkeypatch, exponent):
-    """Three injected failures of the shared half, each seen alike by
-    the batch and by the per-point loop: alpha's value times w1 (real
+    """Three injected failures of the query path, each seen by the
+    reference cross-check on flag 3 alone: alpha's value times w1 (real
     gaps above tol), times w1^NaN (gap None) and times w1^1000, which is
     0.0 or, for w1 in about (0.47, 0.69), squares to 0.0 (points off
-    tau's chart, gap None)."""
+    tau's chart, gap None).  chart_invariants counts the edited row,
+    and the exact verify_gluing, which reads no float, passes."""
     atlas = tb.Atlas(wps_fan(2, 2))
-    _with_w1_in_alpha(atlas, exponent)
+    chart = _with_w1_in_alpha(atlas, exponent)
     offs = []
-    shifted_columns = cellcomplex.shifted_columns
+    localize = atlas.localize
 
-    def spy(rule, columns, count):
-        off, rows = shifted_columns(rule, columns, count)
-        offs.extend(off)
-        return off, rows
+    def spy(p, tau):
+        try:
+            return localize(p, tau)
+        except charts.NotInOpenSet:
+            offs.append(tau)
+            raise
 
-    monkeypatch.setattr(cellcomplex, "shifted_columns", spy)
-    batch, reference = _batch_and_per_point(atlas, 0)
-    assert batch == reference
-    gaps = [c["gap"] for c in batch[0]]
+    monkeypatch.setattr(atlas, "localize", spy)
+    found, _, _ = shared_face_gaps(atlas, random.Random(0))
+    assert found and {c["flag"] for c in found} == {3}
+    gaps = [c["gap"] for c in found]
     if exponent == 1:
-        assert any(g is not None and float.fromhex(g) > 1e-9 for g in gaps)
+        assert any(g is not None and g > charts.EQUAL_TOL for g in gaps)
     else:
-        assert None in gaps and any(offs) == (exponent == 1000)
+        assert None in gaps and bool(offs) == (exponent == 1000)
+    assert charts.chart_violations(chart) == 1 and verify_gluing(atlas).passed
 
 
 def _nan_in_second_value(monkeypatch):
-    """charts.shifted_columns, where the shared half reads it, with its
-    second row replaced by NaN at every point, where max alone would
-    drop it."""
-    shifted_columns = cellcomplex.shifted_columns
+    """charts._shifted, the query path's localization, with the second
+    localized value replaced by NaN at every point, where max alone
+    would drop it."""
+    shifted = charts._shifted
 
-    def patched(rule, columns, count):
-        off, rows = shifted_columns(rule, columns, count)
-        rows[1] = [math.nan] * count
-        return off, rows
+    def patched(rule, values):
+        rows = shifted(rule, values)
+        return None if rows is None else (math.nan if i == 1 else v for i, v in enumerate(rows))
 
-    monkeypatch.setattr(cellcomplex, "shifted_columns", patched)
+    monkeypatch.setattr(charts, "_shifted", patched)
 
 
 def test_subflag_cross_check_fails_on_nan_gap(monkeypatch):
-    """A NaN localized value fails the shared half, and its counterexample
-    writes the gap as None."""
+    """A NaN localized value fails the reference cross-check at every
+    sample, and each counterexample writes the gap as None; the exact
+    verify_gluing, which reads no float, passes."""
     atlas = tb.Atlas(tb.load_bundled("p2"))
     _nan_in_second_value(monkeypatch)
-    report = verify_gluing(atlas)
-    shared = [c for c in report.counterexamples if c["kind"] == "shared"]
-    assert not report.passed and shared and all(c["gap"] is None for c in shared)
-    assert report.worst_shared_gap == 0.0
+    found, drawn, worst = shared_face_gaps(atlas, random.Random(0))
+    assert len(found) == drawn == 6 * 1 * 25 and all(c["gap"] is None for c in found)
+    assert worst == 0.0 and verify_gluing(atlas).passed
 
 
 @pytest.mark.parametrize("nan", [False, True], ids=["intact", "nan_gaps"])
 @pytest.mark.parametrize("name", ["p2", "p112", "p3"])
 def test_intersection_gluing_draws_from_its_own_generator(monkeypatch, name, nan):
-    """intersection_gluing's report entry is verify_gluing's report on
-    the check's own generator, random.Random(f"{seed}:intersection_gluing"),
-    the seeding of every check, at seeds 0 and 3.  With every gap NaN
-    each sample is a counterexample, so the entry names the drawn
-    points."""
+    """intersection_gluing runs under its own generator,
+    random.Random(f"{seed}:intersection_gluing"), as every check does,
+    and draws nothing from it: at seeds 0 and 3 the generator's state is
+    unchanged by the check, the report entry is verify_gluing's report,
+    and every other entry is the one of a run without the check.  With
+    every second localized value NaN the entry is unchanged: the check
+    reads no float."""
     if nan:
         _nan_in_second_value(monkeypatch)
     fan = tb.load_bundled(name)
+    kept, untouched = verify.CHECKS, []
+
+    def spy(ctx):
+        state = ctx.rng.getstate()
+        result = verify._intersection_gluing(ctx)
+        untouched.append(ctx.rng.getstate() == state)
+        return result
+
     for seed in (0, 3):
+        monkeypatch.setattr(verify, "CHECKS", tuple((n, spy if n == "intersection_gluing" else c) for n, c in kept))
         checks = verify.run_verification(fan, seed=seed)["checks"]
         (entry,) = [c for c in checks if c["name"] == "intersection_gluing"]
-        glue = verify_gluing(tb.Atlas(fan), rng=random.Random(f"{seed}:intersection_gluing"))
-        assert entry["passed"] == glue.passed != nan
-        found = (entry["identities"], entry["worst_shared_gap"], entry["counterexamples"])
-        assert found == (glue.identities, glue.worst_shared_gap, glue.counterexamples[:5])
-        assert len(glue.counterexamples) == (glue.shared_samples if nan else 0)
+        glue = verify_gluing(tb.Atlas(fan))
+        assert entry["passed"] and glue.passed
+        assert (entry["identities"], entry["counterexamples"]) == (glue.identities, glue.counterexamples[:5])
+        monkeypatch.setattr(verify, "CHECKS", tuple((n, c) for n, c in kept if n != "intersection_gluing"))
+        assert verify.run_verification(fan, seed=seed)["checks"] == [c for c in checks if c is not entry]
+    assert untouched == [True, True]
 
 
 def _compose_rows(terms, rows, n):
@@ -695,7 +634,6 @@ def test_gluing_identity_fails_on_perturbed_rule():
     assert not report.passed
     kinds = [c["kind"] for c in report.counterexamples]
     assert kinds[:1] == ["identity"] and kinds.count("identity") == 1
-    assert "shared" in kinds  # the float cross-check sees the rule too
 
 
 def test_gluing_identity_fails_on_perturbed_cutting_functional():
@@ -860,11 +798,10 @@ def test_gluing_identity_fails_on_swapped_hilbert_rows(monkeypatch):
 @pytest.mark.parametrize("edit", ["short", "long"])
 def test_gluing_identity_fails_on_hilbert_row_count(monkeypatch, edit):
     """p112's flag 0 with hilbert_rows one row short, or with one row
-    appended: chart_invariants and monomial_diagram pass, zip would pair
-    the rows that are there, and the shared half would index past the
-    short terms.  gluing_identities names the row count, and
-    intersection_gluing fails with both gates passing, raises nothing,
-    and samples no point of that flag."""
+    appended: chart_invariants and monomial_diagram pass, and zip would
+    pair the rows that are there.  gluing_identities names the row
+    count, and intersection_gluing fails with both gates passing and
+    raises nothing."""
     atlas = tb.Atlas(tb.load_bundled("p112"))
     flags = tb.enumerate_flags(atlas.fan)
     chart = atlas.chart(flags[0])
@@ -878,9 +815,6 @@ def test_gluing_identity_fails_on_hilbert_row_count(monkeypatch, edit):
     gluing = checks["intersection_gluing"]
     assert not gluing["passed"] and gluing["gates"] == {"monomial_diagram": True, "cover": True}
     assert gluing["counterexamples"] == [{"kind": "identity", **witness}]
-    report = verify_gluing(atlas)
-    full = verify_gluing(tb.Atlas(atlas.fan))
-    assert report.shared_samples == full.shared_samples - 25 * (len(flags[0]) - 1)
 
 
 def test_verify_gluing_distinct_pin():
@@ -892,7 +826,7 @@ def test_verify_gluing_distinct_pin():
     own flag."""
     data = Path(__file__).parent / "data" / "gluing_wps_1_1_20_seed5"
     atlas = tb.Atlas(tb.parse_and_validate((data / "fan.json").read_text()))
-    report = verify_gluing(atlas, rng=random.Random(5))
+    report = verify_gluing(atlas)
     assert report.passed and report.counterexamples == []
     flags = tb.enumerate_flags(atlas.fan)
     (pin,) = json.loads((data / "distinct.json").read_text())

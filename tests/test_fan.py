@@ -158,6 +158,11 @@ FAN_INPUT_ERRORS = {
         FanValidationError,
         "maximal cone [0, 1] listed twice",
     ),
+    "ray-twice-in-cone": (
+        lambda: validate_fan(2, P2_RAYS, [[0, 0, 1], *P2_CONES[1:]]),
+        FanValidationError,
+        "maximal cone 0 lists ray 0 twice",
+    ),
     "cone-is-face": (
         lambda: validate_fan(2, P2_RAYS, [[0, 1], [0]]),
         FanValidationError,

@@ -15,12 +15,13 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 CASES = [
     ("verify_p2", ["verify", "p2", "--seed", "0"], 0),
     ("verify_p112", ["verify", "p112", "--seed", "0"], 0),
-    # The bundled rank-3 fan: 24 charts through every sample loop.
+    # The bundled rank-3 fan: 24 charts through every check.
     ("verify_p3", ["verify", "p3", "--seed", "0"], 0),
-    # The 60-flag fan: 6,000 subflag samples through the gluing
-    # cross-check and 30,000 through simplex_inversion.
+    # The 60-flag fan: 60 charts through the exact checks and
+    # simplex_inversion's 500 samples per group of charts; the gluing
+    # check samples nothing.
     ("verify_twisted_p3", ["verify", "twisted_p3", "--seed", "0"], 0),
-    # (P^1)^3: 48 charts, each through every sample loop.
+    # (P^1)^3: 48 charts, each through every check.
     ("verify_p1xp1xp1", ["verify", "p1xp1xp1", "--seed", "0"], 0),
     ("verify_p2_tamper", ["verify", "p2", "--seed", "0", "--tamper"], 4),
     ("verify_p112_tamper", ["verify", "p112", "--seed", "0", "--tamper"], 4),
@@ -31,8 +32,8 @@ CASES = [
         ["verify", str(GOLDEN / "verify_wps_1_1_1_9" / "fan.json"), "--seed", "0"],
         0,
     ),
-    # P(1,1,1,27): charts of up to 408 rows, of which the sample loops
-    # read the n = 3 triangular ones.
+    # P(1,1,1,27): charts of up to 408 rows, of which simplex_inversion
+    # reads the n = 3 triangular ones.
     (
         "verify_wps_1_1_1_27",
         ["verify", str(GOLDEN / "verify_wps_1_1_1_27" / "fan.json"), "--seed", "0"],

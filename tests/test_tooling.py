@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 import toricball as tb
-from toricball import cellcomplex, charts, verify
+from toricball import charts, verify
 from toricball.charts import Atlas
 from toricball.cli import main
 
@@ -163,8 +163,9 @@ def test_only_cli_main_writes_to_stderr():
 
 def test_equal_tolerance_is_stated_once():
     """The float literal 1e-9, the equality tolerance, appears in
-    src/toricball only as the value of charts.EQUAL_TOL, and verify's
-    report states that constant as its tolerance."""
+    src/toricball only as the value of charts.EQUAL_TOL.  verify's
+    report states no tolerance: none of its checks reads that
+    constant."""
     found = []
     for path in sorted((ROOT / "src" / "toricball").rglob("*.py")):
         tree = ast.parse(path.read_text())
@@ -175,7 +176,7 @@ def test_equal_tolerance_is_stated_once():
             if isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1e-9
         ]
     assert found == [("charts", ["EQUAL_TOL"])]
-    assert verify.run_verification(tb.load_bundled("p1"))["tolerance"] is charts.EQUAL_TOL
+    assert "tolerance" not in verify.run_verification(tb.load_bundled("p1"))
 
 
 def _unread_imports(path):
@@ -222,28 +223,18 @@ def test_golden_reports_are_strict_json():
 
 def test_nan_control_report_is_strict_json(monkeypatch, tmp_path, capsys):
     """With NaN from the triangular evaluator (charts.monomial_columns,
-    where verify's float checks read it), the triangular inversion and
-    every batch of localized values (charts.shifted_columns, where the
-    shared half reads it), verify fails the two float checks and writes
-    each NaN gap as null; monomial_diagram, exact, reads no float and
-    passes."""
+    where simplex_inversion reads it) and from the triangular inversion,
+    verify fails simplex_inversion, its one float check, and writes its
+    NaN gap and every recovered coordinate as null; monomial_diagram and
+    intersection_gluing, exact, read no float and pass."""
     monkeypatch.setattr(charts, "monomial_columns", lambda rows, columns, count: [[math.nan] * count for _ in rows])
     monkeypatch.setattr(charts, "invert_triangular", lambda b, y: [[math.nan] * len(y[0]) for _ in b])
-    shifted_columns = cellcomplex.shifted_columns
-
-    def nan_rows(rule, columns, count):
-        off, rows = shifted_columns(rule, columns, count)
-        return off, [[math.nan] * count for _ in rows]
-
-    monkeypatch.setattr(cellcomplex, "shifted_columns", nan_rows)
     assert main(["verify", str(tb.bundled_path("p112")), "--out", str(tmp_path)]) == 4
     capsys.readouterr()
     entries = {c["name"]: c for c in _strict_json((tmp_path / "report.json").read_text())["checks"]}
-    assert entries["simplex_inversion"]["worst_gap"] is None
-    shared = [c for c in entries["intersection_gluing"]["counterexamples"] if c["kind"] == "shared"]
-    assert shared and all(c["gap"] is None for c in shared)
-    assert not any(entries[name]["passed"] for name in ("simplex_inversion", "intersection_gluing"))
-    assert entries["monomial_diagram"]["passed"]
+    inversion = entries["simplex_inversion"]
+    assert inversion["worst_gap"] is None and set(inversion["witness"]["recovered"]) == {None}
+    assert [name for name, entry in entries.items() if not entry["passed"]] == ["simplex_inversion"]
 
 
 def test_goldens_and_cli_under_compensated_sum():

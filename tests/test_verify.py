@@ -443,18 +443,6 @@ def test_verify_runs_no_dual_description_after_validation(monkeypatch, name):
     assert calls == []
 
 
-@pytest.mark.parametrize("name, shared", [("p1", 0), ("p2", 6 * 1 * 25)])
-def test_verify_reports_intersection_gluing_shared_samples(name, shared, tmp_path, capsys):
-    """intersection_gluing's entry counts its shared samples: (maximal
-    flags) x (nonempty proper prefixes) x SHARED_SAMPLES.  A rank-1 fan
-    has no nonempty proper prefix, so its worst_shared_gap of 0.0 rests
-    on no sample, and the count of 0 says so."""
-    assert main(["verify", str(tb.bundled_path(name)), "--seed", "0", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    checks = {c["name"]: c for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
-    assert checks["intersection_gluing"]["shared_samples"] == shared
-
-
 def _gluing_after_gates(fan, atlas):
     """intersection_gluing as run_verification runs it: after the
     monomial_diagram and cover checks, whose results it reads."""
